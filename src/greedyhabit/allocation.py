@@ -1,32 +1,30 @@
 """Wealth representation and risky allocation via nested Monte Carlo.
 
 Optimal wealth is the conditional expected cost of remaining funded
-consumption.  Two reductions make this cheap to evaluate:
+consumption,
 
-* without a pension the state collapses to z = zeta_t * H_t and
+    X_t = G(t, y, h) = E[ integral_t^T zeta~_s (C_s - pi)_+ ds ],
 
-      X_t = F(t, z) / zeta_t,
-      F(t, z) = E[ integral_t^T zeta~_s C~_s ds ],
+where zeta~ restarts at 1 at time t, consumption is driven by the
+absolute density y * zeta~_s and the inner habit starts at h.  Without
+a pension the state collapses to z = y * h and G(t, y, h) = F(t, z) / y
+with
 
-  where zeta~ restarts at 1 at time t and the inner habit starts at z;
-* with a pension the state is (zeta_t, H_t) and
+    F(t, z) = E[ integral_t^T zeta~_s C~_s ds ],
 
-      X_t = G(t, y, h) = E[ integral_t^T zeta~_s (C_s - pi)_+ ds ],
+the inner habit starting at z; F is priced through the Bernoulli
+kernel, the pension case by stepping the habit explicitly.
 
-  with consumption driven by the absolute density y * zeta~_s and the
-  habit stepped explicitly from h.
+The risky fraction follows from the delta of the wealth,
 
-The risky fraction follows from the delta of these functionals,
-
-    theta = (kappa / sigma) * (1 - z F_z / F)      (no pension),
-    theta = -(kappa / sigma) * y G_y / G           (with pension),
+    theta = -(kappa / sigma) * y G_y / G,
 
 estimated by central finite differences on common random numbers: the
 same inner paths are reused for the base and both bumped evaluations,
 so the difference is smooth path-by-path and the estimator variance
 stays small even with modest inner sample sizes.  Near wealth
-exhaustion F (or G) is of the same order as its standard error and the
-ratio estimate degrades; such points are flagged unreliable instead of
+exhaustion G is of the same order as its standard error and the ratio
+estimate degrades; such points are flagged unreliable instead of
 raising.
 """
 
@@ -38,14 +36,18 @@ from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .habit import bernoulli_kernel
-from .market import DEFAULT_SEED, MarketParams, TimeGrid
+from .market import (
+    DEFAULT_SEED,
+    MarketParams,
+    TimeGrid,
+    _density_paths,
+    _fill_normals,
+)
 from .solver import (
     BudgetEstimate,
     ModelParams,
+    _CostFunctional,
     _estimate_from_samples,
-    _log_shadow_factor,
-    _trapezoid_weights,
     consumption_with_pension,
 )
 
@@ -143,177 +145,28 @@ class _InnerPaths:
         n_streams = (
             config.n_inner // 2 if config.antithetic else config.n_inner
         )
-        n_steps = config.grid.n_steps
-        dw = np.empty((n_streams, n_steps))
-        for i in range(n_streams):
-            ss = np.random.SeedSequence(entropy=config.seed, spawn_key=(1, i))
-            rng = np.random.Generator(np.random.PCG64(ss))
-            dw[i] = rng.standard_normal(n_steps)
-        self._dw = dw
+        self._dw = np.empty((n_streams, config.grid.n_steps))
+        _fill_normals(self._dw, config.seed, (1,), range(n_streams))
 
-    def zeta_from(self, t: float):
-        """Density paths restarted at 1 at time t, and absolute times.
-
-        Returns ``(times_abs, zeta)`` where ``times_abs`` runs from t
-        to t_max on the config grid and zeta has shape (n_inner, m).
-        """
+    def cost_from(
+        self, t: float, params: ModelParams, method: str = "auto"
+    ) -> _CostFunctional:
+        """Remaining-cost functional on the density paths restarted at t."""
         grid = self.config.grid
-        k0 = grid.index_of(t)
-        m = grid.n_steps - k0
+        m = grid.n_steps - grid.index_of(t)
         if m < 1:
             raise ValueError(f"t={t} leaves no horizon on the grid")
-        tau = np.arange(m + 1) * grid.dt
-        w = np.empty((self._dw.shape[0], m + 1))
-        w[:, 0] = 0.0
-        np.cumsum(self._dw[:, :m], axis=1, out=w[:, 1:])
-        w[:, 1:] *= math.sqrt(grid.dt)
-        kappa = self.market.kappa
-        drift = -(self.market.r + 0.5 * kappa**2) * tau
-        zeta = np.exp(drift - kappa * w)
-        if self.config.antithetic:
-            zeta = np.vstack([zeta, np.exp(drift + kappa * w)])
-        return t + tau, zeta
-
-
-class _NoPensionState:
-    """F(t, z) evaluator with z-independent pieces precomputed.
-
-    Per-path cost of the remaining stream is
-
-        y_i(z) = beta * sum_k wz[i, k]
-                 * (z^(1/g) + (eta/g) * beta * K[i, k])^(g - 1),
-
-    so each z (base and bumps) costs two vector operations.
-    """
-
-    def __init__(
-        self,
-        params: ModelParams,
-        alpha: float,
-        t: float,
-        inner: _InnerPaths,
-    ):
-        if params.pension != 0.0:
-            raise ValueError("no-pension functional requires pension == 0")
-        self.params = params
-        self.market = params.market
-        self.alpha = alpha
-        self.antithetic = inner.config.antithetic
-        times, zeta = inner.zeta_from(t)
-        g = self.market.gamma
-        shadow = np.exp(_log_shadow_factor(params, times))
-        wgt = _trapezoid_weights(times)
-        if params.habit.eta == 0.0:
-            self._kernel = None
-            self._wz = zeta ** (1.0 - 1.0 / g) * (shadow * wgt)
-        else:
-            kernel, decay = bernoulli_kernel(
-                params.habit, self.market, params.mortality, times, zeta
-            )
-            self._kernel = kernel
-            self._wz = zeta ** (1.0 - 1.0 / g) * (
-                shadow * decay ** (g - 1.0) * wgt
-            )
-        self._beta = alpha ** (-1.0 / g)
-
-    def per_path(self, z: float) -> np.ndarray:
-        g = self.market.gamma
-        eta = self.params.habit.eta
-        u0 = z ** (1.0 / g)
-        if eta == 0.0:
-            inner = u0
-        else:
-            inner = u0 + (eta / g) * self._beta * self._kernel
-        return self._beta * (inner ** (g - 1.0) * self._wz).sum(axis=-1)
-
-    def estimate(self, z: float) -> BudgetEstimate:
-        return _estimate_from_samples(self.per_path(z), self.antithetic)
-
-    def theta(self, z: float, bump: float) -> ThetaEstimate:
-        kappa_sig = self.market.kappa / self.market.sigma
-        return _fd_theta(
-            f0=self.per_path(z),
-            f_up=self.per_path(z * (1.0 + bump)),
-            f_dn=self.per_path(z * (1.0 - bump)),
-            bump=bump,
-            slope=lambda ratio: kappa_sig * (1.0 - ratio),
-            slope_scale=kappa_sig,
-            antithetic=self.antithetic,
+        zeta = _density_paths(
+            self.market, self._dw[:, :m], grid.dt, self.config.antithetic
+        )[1]
+        times = t + np.arange(m + 1) * grid.dt
+        return _CostFunctional(
+            params, times, zeta, grid.dt, self.config.antithetic, method
         )
 
 
-class _PensionState:
-    """G(t, y, h) evaluator; explicit habit stepping per evaluation.
-
-    The density power zeta~^(-1/g) and the deterministic shadow factor
-    are precomputed, so a (y, h) evaluation costs one pass of the habit
-    recursion over the remaining grid.
-    """
-
-    def __init__(
-        self,
-        params: ModelParams,
-        alpha: float,
-        t: float,
-        inner: _InnerPaths,
-    ):
-        self.params = params
-        self.market = params.market
-        self.alpha = alpha
-        self.antithetic = inner.config.antithetic
-        times, zeta = inner.zeta_from(t)
-        g = self.market.gamma
-        dt = inner.config.grid.dt
-        if params.habit.eta * dt >= 1.0:
-            raise ValueError("eta * dt >= 1: inner grid too coarse")
-        self._times = times
-        self._zeta = zeta
-        self._zpow = zeta ** (-1.0 / g)
-        self._shadow = np.exp(_log_shadow_factor(params, times))
-        self._wgt = _trapezoid_weights(times)
-        self._beta = alpha ** (-1.0 / g)
-        self._dt = dt
-
-    def per_path(self, y: float, h0: float) -> np.ndarray:
-        g = self.market.gamma
-        eta = self.params.habit.eta
-        pi = self.params.pension
-        e = 1.0 - 1.0 / g
-        fac = (self._beta * y ** (-1.0 / g)) * self._shadow
-        n, m = self._zeta.shape
-        h = np.full(n, float(h0))
-        acc = np.zeros(n)
-        for k in range(m):
-            c = h**e * (fac[k] * self._zpow[:, k])
-            np.maximum(c, pi, out=c)
-            acc += (self._wgt[k] * self._zeta[:, k]) * (c - pi)
-            if k < m - 1:
-                h += eta * (c - h) * self._dt
-        return acc
-
-    def estimate(self, y: float, h0: float) -> BudgetEstimate:
-        return _estimate_from_samples(self.per_path(y, h0), self.antithetic)
-
-    def theta(self, y: float, h0: float, bump: float) -> ThetaEstimate:
-        kappa_sig = self.market.kappa / self.market.sigma
-        return _fd_theta(
-            f0=self.per_path(y, h0),
-            f_up=self.per_path(y * (1.0 + bump), h0),
-            f_dn=self.per_path(y * (1.0 - bump), h0),
-            bump=bump,
-            slope=lambda ratio: -kappa_sig * ratio,
-            slope_scale=kappa_sig,
-            antithetic=self.antithetic,
-        )
-
-
-def _fd_theta(f0, f_up, f_dn, bump, slope, slope_scale, antithetic):
-    """Central-difference ratio estimate with a delta-method error bar."""
-    if antithetic:
-        half = f0.shape[0] // 2
-        f0 = 0.5 * (f0[:half] + f0[half:])
-        f_up = 0.5 * (f_up[:half] + f_up[half:])
-        f_dn = 0.5 * (f_dn[:half] + f_dn[half:])
+def _fd_theta(f0, f_up, f_dn, bump, kappa_sig):
+    """Central-difference theta = -(kappa/sigma) y G_y / G with a delta-method SE."""
     n = f0.shape[0]
     mean_f = f0.mean()
     se_f = f0.std(ddof=1) / math.sqrt(n)
@@ -326,8 +179,8 @@ def _fd_theta(f0, f_up, f_dn, bump, slope, slope_scale, antithetic):
     resid = u - ratio * f0
     var_ratio = resid.var(ddof=1) / (n * mean_f**2)
     return ThetaEstimate(
-        float(slope(ratio)),
-        float(slope_scale * math.sqrt(var_ratio)),
+        float(-kappa_sig * ratio),
+        float(kappa_sig * math.sqrt(var_ratio)),
         True,
         wealth,
     )
@@ -349,7 +202,8 @@ def wealth_no_pension(
     if z <= 0.0:
         raise ValueError(f"z must be positive, got {z}")
     inner = _inner or _InnerPaths(params.market, config)
-    return _NoPensionState(params, alpha, t, inner).estimate(z)
+    cost = inner.cost_from(t, params, "closed_form")
+    return _estimate_from_samples(cost.per_path(alpha, 1.0, z))
 
 
 def wealth_with_pension(
@@ -365,7 +219,8 @@ def wealth_with_pension(
     if zeta <= 0.0 or habit_level <= 0.0:
         raise ValueError("zeta and habit_level must be positive")
     inner = _inner or _InnerPaths(params.market, config)
-    return _PensionState(params, alpha, t, inner).estimate(zeta, habit_level)
+    cost = inner.cost_from(t, params, "euler")
+    return _estimate_from_samples(cost.per_path(alpha, zeta, habit_level))
 
 
 def allocation_at(
@@ -381,16 +236,15 @@ def allocation_at(
     if zeta <= 0.0 or habit_level <= 0.0:
         raise ValueError("zeta and habit_level must be positive")
     inner = _inner or _InnerPaths(params.market, config)
-    if params.pension == 0.0:
-        state = _NoPensionState(params, alpha, t, inner)
-        est = state.theta(zeta * habit_level, config.bump)
-        # state.theta prices F = zeta * wealth; rescale to wealth units
-        wealth = BudgetEstimate(
-            est.wealth.value / zeta, est.wealth.std_error / zeta
-        )
-        return ThetaEstimate(est.value, est.std_error, est.reliable, wealth)
-    state = _PensionState(params, alpha, t, inner)
-    return state.theta(zeta, habit_level, config.bump)
+    cost = inner.cost_from(t, params)
+    bump = config.bump
+    return _fd_theta(
+        f0=cost.per_path(alpha, zeta, habit_level),
+        f_up=cost.per_path(alpha, zeta * (1.0 + bump), habit_level),
+        f_dn=cost.per_path(alpha, zeta * (1.0 - bump), habit_level),
+        bump=bump,
+        kappa_sig=params.market.kappa / params.market.sigma,
+    )
 
 
 def default_zeta_grid(

@@ -31,11 +31,13 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .allocation import NestedConfig, _InnerPaths, allocation_at
-from .market import PathBundle, TimeGrid, generate_paths
+from .habit import habit_euler_step
+from .market import PathBundle, TimeGrid, _density_paths, generate_paths
 from .solver import (
     CalibrationConfig,
     CalibrationError,
     ModelParams,
+    _calibration_paths,
     calibrate_alpha,
     solve_paths,
 )
@@ -122,22 +124,16 @@ def simulate_lifetime(
     if scenario is not None:
         if scenario.grid != grid:
             raise ValueError("scenario grid must match (horizon, dt)")
-        w = scenario.w[:1]
-        zeta_path = scenario.zeta[0]
-        dw = np.diff(w[0])
+        w, zeta = scenario.w[:1], scenario.zeta[:1]
     elif scenario_seed is None:
-        w = np.zeros((1, n + 1))
-        kappa = params.market.kappa
-        zeta_path = np.exp(-(params.market.r + 0.5 * kappa**2) * times)
-        dw = np.zeros(n)
+        w, zeta = _density_paths(params.market, np.zeros((1, n)), dt, False)
     else:
         bundle = generate_paths(params.market, grid, 1, seed=scenario_seed)
-        w = bundle.w
-        zeta_path = bundle.zeta[0]
-        dw = np.diff(bundle.w[0])
-    zeta2d = zeta_path[np.newaxis, :]
+        w, zeta = bundle.w, bundle.zeta
+    zeta_path = zeta[0]
+    dw = np.diff(w[0])
     scenario = PathBundle(
-        grid=grid, n_paths=1, seed=scenario_seed or 0, w=w, zeta=zeta2d
+        grid=grid, n_paths=1, seed=scenario_seed or 0, w=w, zeta=zeta
     )
     consumption, habit = solve_paths(alpha, params, scenario)
     consumption = consumption[0].copy()
@@ -216,7 +212,7 @@ def simulate_lifetime(
                     consumption[j] = pi
                     allocation[j] = 0.0
                     if j < n:
-                        habit[j + 1] = habit[j] + eta * (pi - habit[j]) * dt
+                        habit[j + 1] = habit_euler_step(habit[j], pi, dt, eta)
             wealth[k + 1] = x_next
 
     return LifetimeRecord(
@@ -242,7 +238,7 @@ def pension_sweep(
 ) -> List[LifetimeRecord]:
     """Lifetime records across pension levels on one common scenario.
 
-    Each pension level is calibrated separately (same bundle seed), but
+    Each pension level is calibrated separately on one shared bundle, and
     every record is driven by the identical market scenario so the
     curves are directly comparable, as in the pension-comparison
     figures.
@@ -255,16 +251,22 @@ def pension_sweep(
     """
     if alphas is not None and len(alphas) != len(pensions):
         raise ValueError("alphas must align with pensions")
+    if alphas is None:
+        bundle = _calibration_paths(params.market, calibration)
+        alphas = [
+            calibrate_alpha(
+                dataclasses.replace(params, pension=float(pension)),
+                calibration,
+                paths=bundle,
+            ).alpha
+            for pension in pensions
+        ]
     records = []
-    for i, pension in enumerate(pensions):
+    for pension, alpha in zip(pensions, alphas):
         p = dataclasses.replace(params, pension=float(pension))
-        if alphas is not None:
-            alpha = float(alphas[i])
-        else:
-            alpha = calibrate_alpha(p, calibration).alpha
         records.append(
             simulate_lifetime(
-                p, alpha, scenario_seed=scenario_seed, **sim_kwargs
+                p, float(alpha), scenario_seed=scenario_seed, **sim_kwargs
             )
         )
     return records

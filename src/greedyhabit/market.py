@@ -12,8 +12,9 @@ follows a Gompertz law parameterised by modal age and dispersion.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -211,14 +212,42 @@ class PathBundle:
     antithetic: bool = False
 
 
-def _fill_increments(dw: np.ndarray, seed: int, lo: int, hi: int) -> None:
-    # Each path owns an independent child stream keyed by its index, so the
-    # bundle is identical no matter how the work is split across workers.
-    n_steps = dw.shape[1]
-    for i in range(lo, hi):
-        ss = np.random.SeedSequence(entropy=seed, spawn_key=(i,))
+def _fill_normals(
+    out: np.ndarray, seed: int, key: tuple, rows: range
+) -> None:
+    """Fill ``out[i]`` with standard normals from child stream ``key + (i,)``.
+
+    Each row owns an independent stream keyed by its index, so the draws
+    are identical no matter how the rows are split across workers.
+    """
+    n_steps = out.shape[1]
+    for i in rows:
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=key + (i,))
         rng = np.random.Generator(np.random.PCG64(ss))
-        dw[i] = rng.standard_normal(n_steps)
+        out[i] = rng.standard_normal(n_steps)
+
+
+def _density_paths(
+    market: MarketParams, dw: np.ndarray, dt: float, antithetic: bool
+):
+    """Brownian paths and state-price density from standard-normal increments.
+
+    ``dw`` has one row per stream and one column per step of size ``dt``;
+    the paths start at w = 0, zeta = 1.  With ``antithetic`` the rows are
+    followed by their mirrors, built by negating the Brownian half-block
+    (negating a cumulative sum is exact).  Returns ``(w, zeta)``.
+    """
+    n_steps = dw.shape[1]
+    w = np.empty((dw.shape[0], n_steps + 1))
+    w[:, 0] = 0.0
+    np.cumsum(dw, axis=1, out=w[:, 1:])
+    w[:, 1:] *= math.sqrt(dt)
+    if antithetic:
+        w = np.vstack([w, -w])
+    kappa = market.kappa
+    times = np.arange(n_steps + 1) * dt
+    log_zeta = -(market.r + 0.5 * kappa**2) * times - kappa * w
+    return w, np.exp(log_zeta)
 
 
 def generate_paths(
@@ -264,35 +293,24 @@ def generate_paths(
     n_steps = grid.n_steps
     n_streams = n_paths // 2 if antithetic else n_paths
 
-    dw = np.empty((n_paths, n_steps))
+    dw = np.empty((n_streams, n_steps))
     if workers > 1 and n_streams > 1:
         chunk = -(-n_streams // workers)
-        bounds = [(j, min(j + chunk, n_streams)) for j in range(0, n_streams, chunk)]
+        bounds = [range(j, min(j + chunk, n_streams)) for j in range(0, n_streams, chunk)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [
-                pool.submit(_fill_increments, dw, seed, lo, hi)
-                for lo, hi in bounds
+                pool.submit(_fill_normals, dw, seed, (), rows) for rows in bounds
             ]
             for f in futures:
                 f.result()
     else:
-        _fill_increments(dw, seed, 0, n_streams)
-    if antithetic:
-        dw[n_streams:] = -dw[:n_streams]
-
-    w = np.empty((n_paths, n_steps + 1))
-    w[:, 0] = 0.0
-    np.cumsum(dw, axis=1, out=w[:, 1:])
-    w[:, 1:] *= np.sqrt(grid.dt)
-
-    kappa = market.kappa
-    times = grid.times()
-    log_zeta = -(market.r + 0.5 * kappa**2) * times - kappa * w
+        _fill_normals(dw, seed, (), range(n_streams))
+    w, zeta = _density_paths(market, dw, grid.dt, antithetic)
     return PathBundle(
         grid=grid,
         n_paths=n_paths,
         seed=seed,
         w=w,
-        zeta=np.exp(log_zeta),
+        zeta=zeta,
         antithetic=antithetic,
     )

@@ -18,12 +18,12 @@ decreasing in alpha, a bisection in log space converges globally.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
-from .habit import HabitParams, bernoulli_kernel, habit_closed_form
+from .habit import HabitParams, bernoulli_kernel, habit_euler_step
 from .market import (
     DEFAULT_SEED,
     GompertzParams,
@@ -170,7 +170,7 @@ def consumption_no_pension(
         -(math.log(alpha) + market.rho * np.asarray(t, dtype=float) - log_p) / g
     ) * np.asarray(zeta, dtype=float) ** (-1.0 / g)
     out = np.asarray(h, dtype=float) ** (1.0 - 1.0 / g) * shadow
-    return float(out) if np.isscalar(h) and np.isscalar(zeta) else out
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def consumption_with_pension(
@@ -187,16 +187,149 @@ def consumption_with_pension(
         raise ValueError(f"pension must be non-negative, got {pension}")
     base = consumption_no_pension(h, zeta, t, alpha, market, mortality)
     out = np.maximum(pension, base)
-    return float(out) if np.isscalar(base) else out
+    return float(out) if np.ndim(out) == 0 else out
 
 
-def _log_shadow_factor(
-    params: ModelParams, times: np.ndarray
-) -> np.ndarray:
-    """log of exp(-rho t / g) * p_t^(1/g): the deterministic part of the rule."""
-    g = params.market.gamma
-    log_p = log_survival_probability(params.mortality, times)
-    return (-params.market.rho * times + log_p) / g
+def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
+    w = np.empty_like(times)
+    w[1:-1] = 0.5 * (times[2:] - times[:-2])
+    w[0] = 0.5 * (times[1] - times[0])
+    w[-1] = 0.5 * (times[-1] - times[-2])
+    return w
+
+
+def _estimate_from_samples(y: np.ndarray) -> BudgetEstimate:
+    se = y.std(ddof=1) / math.sqrt(y.shape[0]) if y.shape[0] > 1 else 0.0
+    return BudgetEstimate(float(y.mean()), float(se))
+
+
+class _CostFunctional:
+    """Expected cost of the remaining greedy stream, per path.
+
+    ``zeta`` holds density paths restarted at 1 at ``times[0]`` (absolute
+    times, step ``dt``).  Everything that depends on neither alpha nor
+    the state is computed once, so calibration, wealth and allocation all
+    price through one object.  ``closed_form`` (pension 0) reduces the
+    state to z = y * h and prices through the Bernoulli kernel; ``euler``
+    steps the floored rule and prices the excess over the pension;
+    ``auto`` picks closed_form when the pension is zero.
+    """
+
+    def __init__(
+        self,
+        params: ModelParams,
+        times: np.ndarray,
+        zeta: np.ndarray,
+        dt: float,
+        antithetic: bool,
+        method: str = "auto",
+    ):
+        if method == "auto":
+            method = "closed_form" if params.pension == 0.0 else "euler"
+        if method not in ("closed_form", "euler"):
+            raise ValueError(f"unknown method {method!r}")
+        if method == "closed_form" and params.pension != 0.0:
+            raise ValueError("closed_form requires pension == 0")
+        g = params.market.gamma
+        eta = params.habit.eta
+        self.params = params
+        self._antithetic = antithetic
+        self._euler = method == "euler"
+        self._zeta = zeta
+        self._dt = dt
+        log_p = log_survival_probability(params.mortality, times)
+        # exp(-rho t / g) * p_t^(1/g): the deterministic part of the rule
+        self._shadow = np.exp((-params.market.rho * times + log_p) / g)
+        self._wgt = _trapezoid_weights(times)
+        if self._euler:
+            if eta * dt >= 1.0:
+                raise ValueError(f"eta * dt = {eta * dt} >= 1: grid too coarse")
+            self._zpow = zeta ** (-1.0 / g)
+        elif eta == 0.0:
+            # frozen habit: the kernel drops out and the cost factorises
+            self._kernel = None
+            self._wz = (zeta ** (1.0 - 1.0 / g) * (self._shadow * self._wgt)).sum(
+                axis=-1
+            )
+        else:
+            self._kernel, self._decay = bernoulli_kernel(
+                params.habit, params.market, params.mortality, times, zeta
+            )
+            self._wz = (
+                zeta ** (1.0 - 1.0 / g)
+                * (self._shadow * self._decay ** (g - 1.0))
+                * self._wgt
+            )
+
+    def _stream(self, alpha: float, y: float, h: float):
+        """Yield (k, consumption, habit) of the floored rule, step by step."""
+        g = self.params.market.gamma
+        eta = self.params.habit.eta
+        pi = self.params.pension
+        e = 1.0 - 1.0 / g
+        fac = (alpha ** (-1.0 / g) * y ** (-1.0 / g)) * self._shadow
+        n, m = self._zeta.shape
+        h = np.full(n, float(h))
+        for k in range(m):
+            c = h**e * (fac[k] * self._zpow[:, k])
+            np.maximum(c, pi, out=c)
+            yield k, c, h
+            if k < m - 1:
+                h = habit_euler_step(h, c, self._dt, eta)
+
+    def per_path(self, alpha: float, y: float, h: float) -> np.ndarray:
+        """Remaining cost in wealth units from density level y and habit h.
+
+        One sample per path, or per antithetic pair when the paths are
+        mirrored.
+        """
+        if self._euler:
+            pi = self.params.pension
+            cost = np.zeros(self._zeta.shape[0])
+            for k, c, _ in self._stream(alpha, y, h):
+                cost += (self._wgt[k] * (c - pi)) * self._zeta[:, k]
+        else:
+            g = self.params.market.gamma
+            eta = self.params.habit.eta
+            beta = alpha ** (-1.0 / g)
+            # zeta C = beta * wz * (z^(1/g) + (eta/g) beta K)^(g-1) with
+            # z = y * h; dividing by y turns F(t, z) into wealth units
+            u0 = (y * h) ** (1.0 / g)
+            if self._kernel is None:
+                cost = beta * (self._wz * u0 ** (g - 1.0))
+            else:
+                cost = beta * (
+                    (u0 + (eta / g) * beta * self._kernel) ** (g - 1.0) * self._wz
+                ).sum(axis=-1)
+            cost = cost / y
+        if self._antithetic:
+            half = cost.shape[0] // 2
+            cost = 0.5 * (cost[:half] + cost[half:])
+        return cost
+
+    def paths(self, alpha: float) -> Tuple[np.ndarray, np.ndarray]:
+        """Consumption and habit along the paths from (1, initial habit)."""
+        h0 = self.params.habit.initial
+        if self._euler:
+            consumption = np.empty_like(self._zeta)
+            habit = np.empty_like(self._zeta)
+            for k, c, h in self._stream(alpha, 1.0, h0):
+                consumption[:, k] = c
+                habit[:, k] = h
+            return consumption, habit
+        g = self.params.market.gamma
+        beta = alpha ** (-1.0 / g)
+        if self._kernel is None:
+            habit = np.full(self._zeta.shape, h0)
+        else:
+            habit = (
+                self._decay
+                * (h0 ** (1.0 / g) + (self.params.habit.eta / g) * beta * self._kernel)
+            ) ** g
+        consumption = habit ** (1.0 - 1.0 / g) * (
+            beta * self._shadow * self._zeta ** (-1.0 / g)
+        )
+        return consumption, habit
 
 
 def solve_paths(
@@ -219,135 +352,29 @@ def solve_paths(
     (consumption, habit) : ndarray pairs, shape (n_paths, n_times)
     """
     _validate_positive("alpha", alpha)
-    if method == "auto":
-        method = "closed_form" if params.pension == 0.0 else "euler"
-    if method not in ("closed_form", "euler"):
-        raise ValueError(f"unknown method {method!r}")
-    times = paths.grid.times()
-    zeta = paths.zeta
-    g = params.market.gamma
-    beta = alpha ** (-1.0 / g)
-
-    if method == "closed_form":
-        if params.pension != 0.0:
-            raise ValueError("closed_form requires pension == 0")
-        habit = habit_closed_form(
-            params.habit, params.market, params.mortality, alpha, times, zeta
-        )
-        shadow = np.exp(_log_shadow_factor(params, times))
-        consumption = habit ** (1.0 - 1.0 / g) * (
-            beta * shadow * zeta ** (-1.0 / g)
-        )
-        return consumption, habit
-
-    eta = params.habit.eta
-    dt = paths.grid.dt
-    if eta * dt >= 1.0:
-        raise ValueError(f"eta * dt = {eta * dt} >= 1: grid too coarse")
-    shadow = beta * np.exp(_log_shadow_factor(params, times))
-    zpow = zeta ** (-1.0 / g)
-    n_paths, n_times = zeta.shape
-    consumption = np.empty_like(zeta)
-    habit = np.empty_like(zeta)
-    habit[:, 0] = params.habit.initial
-    e = 1.0 - 1.0 / g
-    for k in range(n_times - 1):
-        c = habit[:, k] ** e * (shadow[k] * zpow[:, k])
-        np.maximum(c, params.pension, out=c)
-        consumption[:, k] = c
-        habit[:, k + 1] = habit[:, k] + eta * (c - habit[:, k]) * dt
-    c = habit[:, -1] ** e * (shadow[-1] * zpow[:, -1])
-    np.maximum(c, params.pension, out=c)
-    consumption[:, -1] = c
-    return consumption, habit
+    return _bundle_cost(params, paths, method).paths(alpha)
 
 
-def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
-    w = np.empty_like(times)
-    w[1:-1] = 0.5 * (times[2:] - times[:-2])
-    w[0] = 0.5 * (times[1] - times[0])
-    w[-1] = 0.5 * (times[-1] - times[-2])
-    return w
+def _bundle_cost(
+    params: ModelParams, paths: PathBundle, method: str = "auto"
+) -> _CostFunctional:
+    grid = paths.grid
+    return _CostFunctional(
+        params, grid.times(), paths.zeta, grid.dt, paths.antithetic, method
+    )
 
 
-def _estimate_from_samples(y: np.ndarray, antithetic: bool) -> BudgetEstimate:
-    if antithetic:
-        half = y.shape[0] // 2
-        y = 0.5 * (y[:half] + y[half:])
-    se = y.std(ddof=1) / math.sqrt(y.shape[0]) if y.shape[0] > 1 else 0.0
-    return BudgetEstimate(float(y.mean()), float(se))
-
-
-def _budget_evaluator(
-    params: ModelParams, paths: PathBundle
-) -> Callable[[float], Tuple[BudgetEstimate, np.ndarray]]:
-    """Build a fast budget(alpha) evaluator on a fixed bundle.
-
-    Precomputes every alpha-independent array so repeated evaluations
-    inside the bisection cost only a handful of vector operations.
-    Returns per-path discounted costs alongside the estimate.
-    """
-    times = paths.grid.times()
-    zeta = paths.zeta
-    g = params.market.gamma
-    eta = params.habit.eta
-    wgt = _trapezoid_weights(times)
-
-    if params.pension == 0.0:
-        # integrand zeta * C = beta * W * (h0^(1/g) + (eta/g) beta K)^(g-1)
-        # with W = zeta^(1-1/g) * shadow * decay^(g-1)
-        shadow = np.exp(_log_shadow_factor(params, times))
-        u0 = params.habit.initial ** (1.0 / g)
-        if eta == 0.0:
-            # frozen habit: kernel drops out and the cost factorises
-            wz = zeta ** (1.0 - 1.0 / g) * (shadow * wgt)
-            base = wz.sum(axis=1) * u0 ** (g - 1.0)
-
-            def evaluate(alpha: float):
-                beta = alpha ** (-1.0 / g)
-                y = beta * base
-                return _estimate_from_samples(y, paths.antithetic), y
-
-            return evaluate
-
-        kernel, decay = bernoulli_kernel(
-            params.habit, params.market, params.mortality, times, zeta
-        )
-        wz = zeta ** (1.0 - 1.0 / g) * (shadow * decay ** (g - 1.0)) * wgt
-
-        def evaluate(alpha: float):
-            beta = alpha ** (-1.0 / g)
-            y = beta * ((u0 + (eta / g) * beta * kernel) ** (g - 1.0) * wz).sum(
-                axis=1
-            )
-            return _estimate_from_samples(y, paths.antithetic), y
-
-        return evaluate
-
-    # pension case: explicit Euler, only the excess over the floor is priced
-    dt = paths.grid.dt
-    if eta * dt >= 1.0:
-        raise ValueError(f"eta * dt = {eta * dt} >= 1: grid too coarse")
-    shadow = np.exp(_log_shadow_factor(params, times))
-    zpow = zeta ** (-1.0 / g)
-    pi = params.pension
-    e = 1.0 - 1.0 / g
-    n_paths, n_times = zeta.shape
-
-    def evaluate(alpha: float):
-        beta = alpha ** (-1.0 / g)
-        fac = beta * shadow
-        h = np.full(n_paths, params.habit.initial)
-        y = np.zeros(n_paths)
-        for k in range(n_times):
-            c = h**e * (fac[k] * zpow[:, k])
-            np.maximum(c, pi, out=c)
-            y += (wgt[k] * (c - pi)) * zeta[:, k]
-            if k < n_times - 1:
-                h += eta * (c - h) * dt
-        return _estimate_from_samples(y, paths.antithetic), y
-
-    return evaluate
+def _calibration_paths(
+    market: MarketParams, config: CalibrationConfig
+) -> PathBundle:
+    return generate_paths(
+        market,
+        config.grid,
+        config.n_paths,
+        seed=config.seed,
+        workers=config.workers,
+        antithetic=config.antithetic,
+    )
 
 
 def budget_value(
@@ -360,8 +387,8 @@ def budget_value(
     error accounts for antithetic pairing when the bundle uses it.
     """
     _validate_positive("alpha", alpha)
-    est, _ = _budget_evaluator(params, paths)(alpha)
-    return est
+    cost = _bundle_cost(params, paths)
+    return _estimate_from_samples(cost.per_path(alpha, 1.0, params.habit.initial))
 
 
 def calibrate_alpha(
@@ -389,21 +416,16 @@ def calibrate_alpha(
         iteration cap is hit before reaching tolerance.
     """
     if paths is None:
-        paths = generate_paths(
-            params.market,
-            config.grid,
-            config.n_paths,
-            seed=config.seed,
-            workers=config.workers,
-            antithetic=config.antithetic,
-        )
-    evaluate = _budget_evaluator(params, paths)
+        paths = _calibration_paths(params.market, config)
+    cost = _bundle_cost(params, paths)
     v = params.v
     history = {}
 
     def budget_at(alpha: float) -> BudgetEstimate:
         if alpha not in history:
-            history[alpha] = evaluate(alpha)[0]
+            history[alpha] = _estimate_from_samples(
+                cost.per_path(alpha, 1.0, params.habit.initial)
+            )
         return history[alpha]
 
     lo, hi = config.bracket
@@ -451,7 +473,7 @@ def calibrate_alpha(
             "the Monte Carlo budget is numerically corrupt on this grid"
         )
 
-    consumption, habit = solve_paths(alpha, params, paths)
+    consumption, habit = cost.paths(alpha)
     return GreedySolution(
         alpha=alpha,
         budget_residual=abs(estimate.value - v) / v,

@@ -119,6 +119,22 @@ class TestAllocation:
             lam * base.wealth.value, rel=1e-12
         )
 
+    def test_theta_matches_reduced_state_difference(self):
+        # without a pension theta = (kappa/sigma) (1 - z F_z / F) in the
+        # reduced state z = zeta * H; bumping the density level instead
+        # of z changes the central difference only at O(bump^2)
+        params = make_params(eta=0.1)
+        cfg = config(4000)
+        b, ks = cfg.bump, params.market.kappa / params.market.sigma
+        for t, zeta, h in [(0.0, 1.0, 1.0), (10.0, 0.5, 1.2), (20.0, 2.0, 0.9)]:
+            f0, f_up, f_dn = (
+                wealth_no_pension(t, zeta * h * s, ALPHA, params, cfg).value
+                for s in (1.0, 1.0 + b, 1.0 - b)
+            )
+            expected = ks * (1.0 - (f_up - f_dn) / (2.0 * b * f0))
+            est = allocation_at(t, zeta, h, ALPHA, params, cfg)
+            assert abs(est.value - expected) < 1e-5, (t, zeta, est.value, expected)
+
     def test_bump_halving_stable(self):
         params = make_params(eta=0.1)
         a = allocation_at(10.0, 1.0, 1.0, ALPHA, params, config(3000))

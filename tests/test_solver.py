@@ -28,7 +28,45 @@ from greedyhabit import (
     solve_paths,
     survival_probability,
 )
+from greedyhabit.habit import bernoulli_kernel
+from greedyhabit.market import log_survival_probability
 from conftest import make_params
+
+
+def reference_budget(alpha, params, bundle):
+    """Budget and SE as the sums were written before the cost functional.
+
+    The closed-form sum (pension 0) and the Euler loop (pension > 0),
+    averaged over antithetic pairs; kept as an oracle for the
+    expression order the solver must preserve.
+    """
+    times, zeta, dt = bundle.grid.times(), bundle.zeta, bundle.grid.dt
+    g, eta, pi = params.market.gamma, params.habit.eta, params.pension
+    wgt = np.empty_like(times)
+    wgt[1:-1] = 0.5 * (times[2:] - times[:-2])
+    wgt[0] = 0.5 * (times[1] - times[0])
+    wgt[-1] = 0.5 * (times[-1] - times[-2])
+    log_p = log_survival_probability(params.mortality, times)
+    shadow = np.exp((-params.market.rho * times + log_p) / g)
+    beta = alpha ** (-1.0 / g)
+    if pi == 0.0:
+        kernel, decay = bernoulli_kernel(
+            params.habit, params.market, params.mortality, times, zeta
+        )
+        wz = zeta ** (1.0 - 1.0 / g) * (shadow * decay ** (g - 1.0)) * wgt
+        u0 = params.habit.initial ** (1.0 / g)
+        y = beta * ((u0 + (eta / g) * beta * kernel) ** (g - 1.0) * wz).sum(axis=1)
+    else:
+        fac, zpow = beta * shadow, zeta ** (-1.0 / g)
+        h = np.full(zeta.shape[0], params.habit.initial)
+        y = np.zeros(zeta.shape[0])
+        for k in range(times.shape[0]):
+            c = np.maximum(h ** (1.0 - 1.0 / g) * (fac[k] * zpow[:, k]), pi)
+            y += (wgt[k] * (c - pi)) * zeta[:, k]
+            h += eta * (c - h) * dt
+    half = y.shape[0] // 2
+    y = 0.5 * (y[:half] + y[half:])
+    return y.mean(), y.std(ddof=1) / math.sqrt(half)
 
 
 class TestConsumptionRule:
@@ -45,16 +83,18 @@ class TestConsumptionRule:
 
     def test_matches_scalar_formula(self):
         # independent scalar evaluation of h^(1-1/g) (alpha e^(rho t) zeta / p)^(-1/g)
-        h, zeta, t, alpha = 1.7, 0.6, 12.0, 3.2
+        h, zeta, alpha = 1.7, 0.6, 3.2
         g = self.market.gamma
-        p = survival_probability(self.mortality, t)
-        expected = h ** (1.0 - 1.0 / g) * (
-            alpha * math.exp(self.market.rho * t) * zeta / p
-        ) ** (-1.0 / g)
-        got = consumption_no_pension(
-            h, zeta, t, alpha, self.market, self.mortality
-        )
-        assert got == pytest.approx(expected, rel=1e-12)
+        # an array of times with scalar h and zeta broadcasts too
+        for t in (12.0, np.array([0.0, 12.0, 30.0])):
+            p = survival_probability(self.mortality, t)
+            expected = h ** (1.0 - 1.0 / g) * (
+                alpha * np.exp(self.market.rho * t) * zeta / p
+            ) ** (-1.0 / g)
+            got = consumption_no_pension(
+                h, zeta, t, alpha, self.market, self.mortality
+            )
+            assert got == pytest.approx(expected, rel=1e-12)
 
     def test_monotonicity(self):
         base = consumption_no_pension(
@@ -107,6 +147,15 @@ class TestConsumptionRule:
             1.0, zeta, 0.0, 2.0, 0.0, self.market, self.mortality
         )
         assert np.array_equal(plain, base)
+        # an array of times with scalar h and zeta
+        t = np.array([0.0, 10.0, 30.0])
+        base_t = consumption_no_pension(
+            1.0, 0.5, t, 2.0, self.market, self.mortality
+        )
+        floored_t = consumption_with_pension(
+            1.0, 0.5, t, 2.0, 0.8, self.market, self.mortality
+        )
+        assert np.array_equal(floored_t, np.maximum(0.8, base_t))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -190,6 +239,15 @@ class TestBudgetValue:
         b8 = budget_value(8.0, params, small_bundle)
         assert b8.value == pytest.approx(b1.value / 2.0, rel=1e-12)
         assert b1.std_error > 0.0
+
+    def test_matches_reference_sums(self, small_bundle):
+        # same arithmetic in the same order, so the match is exact
+        for pension in (0.5, 0.0):
+            params = make_params(eta=0.1, pension=pension)
+            est = budget_value(2.9, params, small_bundle)
+            ref_value, ref_se = reference_budget(2.9, params, small_bundle)
+            assert est.value == ref_value
+            assert est.std_error == ref_se
 
     def test_pension_lowers_funded_cost(self, small_bundle):
         # the pension pays for the floor, so the funded budget shrinks
