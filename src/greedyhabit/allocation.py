@@ -48,6 +48,8 @@ from .solver import (
     ModelParams,
     _CostFunctional,
     _estimate_from_samples,
+    _require_two_samples,
+    _resolve_method,
     consumption_with_pension,
 )
 
@@ -93,8 +95,7 @@ class NestedConfig:
     antithetic: bool = True
 
     def __post_init__(self) -> None:
-        if self.n_inner < 2:
-            raise ValueError("n_inner must be >= 2")
+        _require_two_samples("n_inner", self.n_inner, self.antithetic)
         if not 0.0 < self.bump < 0.5:
             raise ValueError(f"bump must be in (0, 0.5), got {self.bump}")
         if self.antithetic and self.n_inner % 2 != 0:
@@ -130,39 +131,56 @@ class PolicyPoint:
 
 
 class _InnerPaths:
-    """Reusable master increments for inner simulations.
+    """Reusable inner density paths for nested simulations.
 
-    One standard-normal draw per (stream, step) is generated for the
-    full grid; an evaluation anchored at grid index k0 consumes the
-    leading n_steps - k0 columns.  Sharing the leading block across
-    anchor times makes repeated estimates along a lifetime co-monotone
-    (common random numbers in t as well as in the bump).
+    The density restarted at 1 is built once on the full grid; an
+    evaluation anchored at grid index k0 reads its leading n_steps - k0
+    steps, which equal the density built from the leading increments
+    alone (cumulative sum, time grid and exponential are prefix-stable).
+    Sharing the leading block across anchor times makes repeated
+    estimates along a lifetime co-monotone (common random numbers in t
+    as well as in the bump).  The last cost functional is kept, so every
+    state and bump at one anchor time shares its set-up.
     """
 
     def __init__(self, market: MarketParams, config: NestedConfig):
-        self.market = market
         self.config = config
         n_streams = (
             config.n_inner // 2 if config.antithetic else config.n_inner
         )
-        self._dw = np.empty((n_streams, config.grid.n_steps))
-        _fill_normals(self._dw, config.seed, (1,), range(n_streams))
+        dw = np.empty((n_streams, config.grid.n_steps))
+        _fill_normals(dw, config.seed, (1,), range(n_streams))
+        self._zeta = _density_paths(
+            market, dw, config.grid.dt, config.antithetic
+        )[1]
+        self._last = None
 
     def cost_from(
         self, t: float, params: ModelParams, method: str = "auto"
     ) -> _CostFunctional:
-        """Remaining-cost functional on the density paths restarted at t."""
+        """Remaining-cost functional on the density paths restarted at t.
+
+        Repeated calls with the same (t, params, resolved method) return
+        the same functional.
+        """
+        key = (t, params, _resolve_method(params, method))
+        if self._last is not None and self._last[0] == key:
+            return self._last[1]
         grid = self.config.grid
         m = grid.n_steps - grid.index_of(t)
         if m < 1:
             raise ValueError(f"t={t} leaves no horizon on the grid")
-        zeta = _density_paths(
-            self.market, self._dw[:, :m], grid.dt, self.config.antithetic
-        )[1]
-        times = t + np.arange(m + 1) * grid.dt
-        return _CostFunctional(
-            params, times, zeta, grid.dt, self.config.antithetic, method
+        self._last = None  # release the old set-up before building the new
+        cost = _CostFunctional(
+            params,
+            t + np.arange(m + 1) * grid.dt,
+            self._zeta[:, : m + 1],
+            grid.dt,
+            self.config.antithetic,
+            key[2],
         )
+        self._last = (key, cost)
+        return cost
 
 
 def _fd_theta(f0, f_up, f_dn, bump, kappa_sig):
@@ -257,12 +275,13 @@ def default_zeta_grid(
 
     The median of the lognormal zeta_t is exp(-(r + kappa^2/2) t); the
     grid spans exp(+-spread) around it, which covers the wealth range
-    plotted in the policy figures.
+    plotted in the policy figures.  A one-point grid is the median.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     center = math.exp(-(market.r + 0.5 * market.kappa**2) * t)
-    return center * np.exp(np.linspace(-spread, spread, n))
+    offsets = np.linspace(-spread, spread, n) if n > 1 else np.zeros(1)
+    return center * np.exp(offsets)
 
 
 def policy_surface(
@@ -276,20 +295,28 @@ def policy_surface(
 ) -> List[PolicyPoint]:
     """Wealth/consumption/allocation rows over a (t, zeta) grid.
 
-    For each time slice the rows are ordered by increasing wealth and
-    clipped to (0, max_wealth].  One set of inner paths is shared by
-    every state (and every bump) on the surface.
+    ``zeta_grid`` is one density grid for every time, or a 2-D array
+    with one row per time; by default each time gets
+    :func:`default_zeta_grid`.  For each time slice the rows are ordered
+    by increasing wealth and clipped to (0, max_wealth].  One set of
+    inner paths is shared by the whole surface, and one cost functional
+    by every state (and every bump) at one time.
     """
     if habit_level <= 0.0:
         raise ValueError("habit_level must be positive")
+    if zeta_grid is None:
+        grids = [default_zeta_grid(t, params.market) for t in times]
+    else:
+        grids = np.asarray(zeta_grid, dtype=float)
+        if grids.ndim == 1:
+            grids = [grids] * len(times)
+        elif grids.ndim != 2 or grids.shape[0] != len(times):
+            raise ValueError(
+                "zeta_grid must be 1-D or 2-D with one row per time"
+            )
     inner = _InnerPaths(params.market, config)
     rows: List[PolicyPoint] = []
-    for t in times:
-        grid_z = (
-            default_zeta_grid(t, params.market)
-            if zeta_grid is None
-            else np.asarray(zeta_grid, dtype=float)
-        )
+    for t, grid_z in zip(times, grids):
         slice_rows = []
         for zeta in grid_z:
             est = allocation_at(

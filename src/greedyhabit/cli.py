@@ -25,6 +25,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .allocation import (
     NestedConfig,
+    _InnerPaths,
     allocation_at,
     default_zeta_grid,
     policy_surface,
@@ -390,35 +391,36 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 def _cmd_policy_surface(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     solution = calibrate_alpha(cfg.model, cfg.calibration)
+    points = policy_surface(
+        cfg.policy_times,
+        cfg.habit_level,
+        solution.alpha,
+        cfg.model,
+        cfg.nested,
+        zeta_grid=[
+            default_zeta_grid(
+                t, cfg.model.market, n=cfg.n_zeta, spread=cfg.zeta_spread
+            )
+            for t in cfg.policy_times
+        ],
+        max_wealth=cfg.max_wealth,
+    )
     rows: List[tuple] = []
     unreliable = 0
-    for t in cfg.policy_times:
-        grid_z = default_zeta_grid(
-            t, cfg.model.market, n=cfg.n_zeta, spread=cfg.zeta_spread
-        )
-        points = policy_surface(
-            [t],
-            cfg.habit_level,
-            solution.alpha,
-            cfg.model,
-            cfg.nested,
-            zeta_grid=grid_z,
-            max_wealth=cfg.max_wealth,
-        )
-        for p in points:
-            unreliable += not p.theta_reliable
-            rows.append(
-                (
-                    p.t,
-                    p.habit,
-                    p.zeta,
-                    p.wealth,
-                    p.consumption,
-                    p.theta,
-                    p.wealth_se,
-                    p.theta_reliable,
-                )
+    for p in points:
+        unreliable += not p.theta_reliable
+        rows.append(
+            (
+                p.t,
+                p.habit,
+                p.zeta,
+                p.wealth,
+                p.consumption,
+                p.theta,
+                p.wealth_se,
+                p.theta_reliable,
             )
+        )
     _write_csv(args.out, POLICY_COLUMNS, rows)
     if rows and unreliable / len(rows) > UNRELIABLE_FRACTION_LIMIT:
         print(
@@ -483,11 +485,18 @@ def _cmd_merton_check(args: argparse.Namespace) -> int:
         t_max=cfg.calibration.grid.t_max,
     )
     target = merton_theta(base.market)
+    inner = _InnerPaths(base.market, cfg.nested)
     worst = 0.0
     for t in (0.0, 10.0, 20.0):
         for zeta in (0.5, 1.0, 2.0):
             est = allocation_at(
-                t, zeta, base.habit.initial, alpha0, frozen, cfg.nested
+                t,
+                zeta,
+                base.habit.initial,
+                alpha0,
+                frozen,
+                cfg.nested,
+                _inner=inner,
             )
             if est.reliable:
                 worst = max(worst, abs(est.value - target))

@@ -81,6 +81,20 @@ class ModelParams:
             raise ValueError(f"initial wealth v must be positive, got {self.v}")
 
 
+def _require_two_samples(name: str, n: int, antithetic: bool) -> None:
+    """Reject path counts that leave fewer than two independent samples.
+
+    An antithetic pair is one sample, so a standard error needs n >= 4
+    with mirroring and n >= 2 without.
+    """
+    least = 4 if antithetic else 2
+    if n < least:
+        raise ValueError(
+            f"{name} must be >= {least} for a standard error"
+            f"{' with antithetic pairs' if antithetic else ''}, got {n}"
+        )
+
+
 @dataclass(frozen=True)
 class CalibrationConfig:
     """Monte Carlo and root-finding settings for alpha calibration.
@@ -99,6 +113,7 @@ class CalibrationConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
+        _require_two_samples("n_paths", self.n_paths, self.antithetic)
         if self.tolerance <= 0.0:
             raise ValueError("tolerance must be positive")
         if self.max_iterations < 1:
@@ -203,6 +218,13 @@ def _estimate_from_samples(y: np.ndarray) -> BudgetEstimate:
     return BudgetEstimate(float(y.mean()), float(se))
 
 
+def _resolve_method(params: ModelParams, method: str) -> str:
+    """Resolve ``auto`` to closed_form at pension 0 and euler otherwise."""
+    if method == "auto":
+        return "closed_form" if params.pension == 0.0 else "euler"
+    return method
+
+
 class _CostFunctional:
     """Expected cost of the remaining greedy stream, per path.
 
@@ -224,8 +246,7 @@ class _CostFunctional:
         antithetic: bool,
         method: str = "auto",
     ):
-        if method == "auto":
-            method = "closed_form" if params.pension == 0.0 else "euler"
+        method = _resolve_method(params, method)
         if method not in ("closed_form", "euler"):
             raise ValueError(f"unknown method {method!r}")
         if method == "closed_form" and params.pension != 0.0:

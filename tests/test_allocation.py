@@ -29,6 +29,8 @@ from greedyhabit import (
     wealth_no_pension,
     wealth_with_pension,
 )
+from greedyhabit.allocation import _InnerPaths
+from greedyhabit.market import _density_paths, _fill_normals
 from conftest import make_params
 
 GRID = TimeGrid(60.0, 0.05)
@@ -171,6 +173,15 @@ class TestAllocation:
         b = allocation_at(10.0, 1.0, 1.0, ALPHA, params, config(2000))
         assert a.value == b.value
 
+    def test_config_needs_two_samples(self):
+        # one antithetic pair would leave a NaN theta and a zero SE
+        with pytest.raises(ValueError, match="n_inner must be >= 4"):
+            NestedConfig(n_inner=2, antithetic=True)
+        with pytest.raises(ValueError, match="n_inner must be >= 2"):
+            NestedConfig(n_inner=1, antithetic=False)
+        assert NestedConfig(n_inner=4, antithetic=True).n_inner == 4
+        assert NestedConfig(n_inner=2, antithetic=False).n_inner == 2
+
 
 class TestPolicySurface:
     def test_zeta_grid_centred_on_median(self):
@@ -180,6 +191,14 @@ class TestPolicySurface:
         assert np.all(np.diff(grid) > 0.0)
         median = math.exp(-(market.r + 0.5 * market.kappa**2) * 10.0)
         assert grid[20] == pytest.approx(median, rel=1e-12)
+
+    def test_one_point_grid_is_median(self):
+        market = MarketParams()
+        for t in (0.0, 10.0):
+            median = math.exp(-(market.r + 0.5 * market.kappa**2) * t)
+            grid = default_zeta_grid(t, market, n=1)
+            assert grid.shape == (1,)
+            assert grid[0] == pytest.approx(median, rel=1e-12)
 
     def test_rows_sorted_and_clipped(self):
         params = make_params(eta=0.1)
@@ -213,3 +232,83 @@ class TestPolicySurface:
         assert [(p.zeta, p.wealth, p.theta) for p in curve] == [
             (p.zeta, p.wealth, p.theta) for p in surface
         ]
+
+
+def _rows(points):
+    return [(p.t, p.zeta, p.wealth, p.wealth_se, p.theta) for p in points]
+
+
+class TestSharedInnerPaths:
+    """One density array per inner set and one cost functional per time.
+
+    The oracle is the construction the sharing replaced: the density
+    rebuilt from the leading increments, and fresh inner paths for every
+    state.
+    """
+
+    @pytest.mark.parametrize("antithetic", [True, False])
+    def test_density_is_prefix_of_full_grid(self, antithetic):
+        cfg = NestedConfig(
+            n_inner=200, seed=13, grid=GRID, antithetic=antithetic
+        )
+        params = make_params(eta=0.1)
+        inner = _InnerPaths(params.market, cfg)
+        n_streams = 100 if antithetic else 200
+        dw = np.empty((n_streams, GRID.n_steps))
+        _fill_normals(dw, cfg.seed, (1,), range(n_streams))
+        for t in (0.0, 30.0, GRID.t_max - GRID.dt):
+            m = GRID.n_steps - GRID.index_of(t)
+            expected = _density_paths(params.market, dw[:, :m], GRID.dt, antithetic)[1]
+            used = inner.cost_from(t, params)._zeta
+            assert used.shape == expected.shape
+            assert np.array_equal(used, expected)
+
+    def test_functional_reused_within_a_time(self):
+        params = make_params(eta=0.1)
+        inner = _InnerPaths(params.market, config(200))
+        cost = inner.cost_from(10.0, params)
+        assert inner.cost_from(10.0, params, "closed_form") is cost
+        assert inner.cost_from(10.0, params, "euler") is not cost
+        assert inner.cost_from(20.0, params) is not cost
+
+    def test_surface_rows_match_fresh_evaluations(self):
+        params = make_params(eta=0.1)
+        cfg = config(400)
+        zg = default_zeta_grid(0.0, params.market, n=5, spread=2.0)
+        points = policy_surface(
+            [0.0, 10.0], 1.0, ALPHA, params, cfg, zeta_grid=zg
+        )
+        assert len(points) > 5
+        for p in points:
+            est = allocation_at(p.t, p.zeta, 1.0, ALPHA, params, cfg)
+            assert (p.wealth, p.wealth_se, p.theta) == (
+                est.wealth.value,
+                est.wealth.std_error,
+                est.value,
+            )
+
+    def test_pension_switch_invalidates_functional(self):
+        cfg = config(400)
+        inner = _InnerPaths(MarketParams(), cfg)
+        for pension in (0.0, 0.5, 0.0):
+            params = make_params(eta=0.1, pension=pension)
+            shared = allocation_at(10.0, 0.8, 1.1, ALPHA, params, cfg, _inner=inner)
+            fresh = allocation_at(10.0, 0.8, 1.1, ALPHA, params, cfg)
+            assert shared == fresh
+
+    def test_two_dimensional_grid_matches_per_time_calls(self):
+        params = make_params(eta=0.1)
+        cfg = config(400)
+        times = [0.0, 10.0, 20.0]
+        grids = [default_zeta_grid(t, params.market, n=5) for t in times]
+        surface = policy_surface(
+            times, 1.0, ALPHA, params, cfg, zeta_grid=np.array(grids)
+        )
+        per_time = []
+        for t, zg in zip(times, grids):
+            per_time += policy_surface([t], 1.0, ALPHA, params, cfg, zeta_grid=zg)
+        assert _rows(surface) == _rows(per_time)
+        with pytest.raises(ValueError, match="one row per time"):
+            policy_surface(
+                times, 1.0, ALPHA, params, cfg, zeta_grid=np.array(grids[:2])
+            )

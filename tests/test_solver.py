@@ -320,3 +320,13 @@ class TestCalibration:
             CalibrationConfig(tolerance=0.0)
         with pytest.raises(ValueError):
             CalibrationConfig(max_iterations=0)
+
+    def test_sample_count_validation(self):
+        # a standard error needs two independent samples; an antithetic
+        # pair counts as one
+        with pytest.raises(ValueError, match="n_paths must be >= 2"):
+            CalibrationConfig(n_paths=1)
+        with pytest.raises(ValueError, match="n_paths must be >= 4"):
+            CalibrationConfig(n_paths=2, antithetic=True)
+        assert CalibrationConfig(n_paths=2).n_paths == 2
+        assert CalibrationConfig(n_paths=4, antithetic=True).n_paths == 4
