@@ -141,6 +141,13 @@ class _InnerPaths:
     estimates along a lifetime co-monotone (common random numbers in t
     as well as in the bump).  The last cost functional is kept, so every
     state and bump at one anchor time shares its set-up.
+
+    The closed-form functional sums along each path and takes the
+    path-major prefix ``zeta[:, :m + 1]``.  The Euler functional steps
+    all paths at once and wants the density step-major, so the first one
+    built makes a single step-major copy, and every Euler anchor then
+    reads the contiguous prefix ``zeta_t[:m + 1]``.  Pension-0 use never
+    makes that copy.
     """
 
     def __init__(self, market: MarketParams, config: NestedConfig):
@@ -153,6 +160,7 @@ class _InnerPaths:
         self._zeta = _density_paths(
             market, dw, config.grid.dt, config.antithetic
         )[1]
+        self._zeta_t = None
         self._last = None
 
     def cost_from(
@@ -171,10 +179,16 @@ class _InnerPaths:
         if m < 1:
             raise ValueError(f"t={t} leaves no horizon on the grid")
         self._last = None  # release the old set-up before building the new
+        if key[2] == "euler":
+            if self._zeta_t is None:
+                self._zeta_t = np.ascontiguousarray(self._zeta.T)
+            zeta = self._zeta_t[: m + 1].T
+        else:
+            zeta = self._zeta[:, : m + 1]
         cost = _CostFunctional(
             params,
             t + np.arange(m + 1) * grid.dt,
-            self._zeta[:, : m + 1],
+            zeta,
             grid.dt,
             self.config.antithetic,
             key[2],

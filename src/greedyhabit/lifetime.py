@@ -170,9 +170,6 @@ def simulate_lifetime(
             "allocation estimate unreliable at the initial state; "
             "increase n_inner or check the calibration"
         )
-    for j in range(1, len(theta_pts)):
-        if math.isnan(theta_pts[j]):
-            theta_pts[j] = theta_pts[j - 1]
     # Hold each estimate until the next refresh.  Interpolating instead
     # would let the integrator see an estimate from the path's future,
     # which drifts wealth upward by several percent however small dt is.

@@ -229,12 +229,21 @@ class _CostFunctional:
     """Expected cost of the remaining greedy stream, per path.
 
     ``zeta`` holds density paths restarted at 1 at ``times[0]`` (absolute
-    times, step ``dt``).  Everything that depends on neither alpha nor
-    the state is computed once, so calibration, wealth and allocation all
-    price through one object.  ``closed_form`` (pension 0) reduces the
-    state to z = y * h and prices through the Bernoulli kernel; ``euler``
-    steps the floored rule and prices the excess over the pension;
-    ``auto`` picks closed_form when the pension is zero.
+    times, step ``dt``), shape (n_paths, n_times).  Everything that
+    depends on neither alpha nor the state is computed once, so
+    calibration, wealth and allocation all price through one object.
+    ``closed_form`` (pension 0) reduces the state to z = y * h and prices
+    through the Bernoulli kernel; ``euler`` steps the floored rule and
+    prices the excess over the pension; ``auto`` picks closed_form when
+    the pension is zero.
+
+    The two branches keep the density in different layouts.  ``euler``
+    visits one time step of every path at a time, so it holds the density
+    and ``zeta ** (-1/gamma)`` step-major, shape (n_times, n_paths), and
+    each step reads one contiguous row; a transposed view of a step-major
+    array is taken without a copy.  ``closed_form`` keeps ``zeta``
+    path-major, because its sums run along each path's time axis and
+    their pairwise summation order depends on that layout.
     """
 
     def __init__(
@@ -256,7 +265,6 @@ class _CostFunctional:
         self.params = params
         self._antithetic = antithetic
         self._euler = method == "euler"
-        self._zeta = zeta
         self._dt = dt
         log_p = log_survival_probability(params.mortality, times)
         # exp(-rho t / g) * p_t^(1/g): the deterministic part of the rule
@@ -265,8 +273,11 @@ class _CostFunctional:
         if self._euler:
             if eta * dt >= 1.0:
                 raise ValueError(f"eta * dt = {eta * dt} >= 1: grid too coarse")
-            self._zpow = zeta ** (-1.0 / g)
-        elif eta == 0.0:
+            self._zeta_t = np.ascontiguousarray(zeta.T)
+            self._zpow_t = self._zeta_t ** (-1.0 / g)
+            return
+        self._zeta = zeta
+        if eta == 0.0:
             # frozen habit: the kernel drops out and the cost factorises
             self._kernel = None
             self._wz = (zeta ** (1.0 - 1.0 / g) * (self._shadow * self._wgt)).sum(
@@ -289,10 +300,10 @@ class _CostFunctional:
         pi = self.params.pension
         e = 1.0 - 1.0 / g
         fac = (alpha ** (-1.0 / g) * y ** (-1.0 / g)) * self._shadow
-        n, m = self._zeta.shape
+        m, n = self._zeta_t.shape
         h = np.full(n, float(h))
         for k in range(m):
-            c = h**e * (fac[k] * self._zpow[:, k])
+            c = h**e * (fac[k] * self._zpow_t[k])
             np.maximum(c, pi, out=c)
             yield k, c, h
             if k < m - 1:
@@ -306,9 +317,9 @@ class _CostFunctional:
         """
         if self._euler:
             pi = self.params.pension
-            cost = np.zeros(self._zeta.shape[0])
+            cost = np.zeros(self._zeta_t.shape[1])
             for k, c, _ in self._stream(alpha, y, h):
-                cost += (self._wgt[k] * (c - pi)) * self._zeta[:, k]
+                cost += (self._wgt[k] * (c - pi)) * self._zeta_t[k]
         else:
             g = self.params.market.gamma
             eta = self.params.habit.eta
@@ -332,12 +343,12 @@ class _CostFunctional:
         """Consumption and habit along the paths from (1, initial habit)."""
         h0 = self.params.habit.initial
         if self._euler:
-            consumption = np.empty_like(self._zeta)
-            habit = np.empty_like(self._zeta)
+            consumption = np.empty_like(self._zeta_t)
+            habit = np.empty_like(self._zeta_t)
             for k, c, h in self._stream(alpha, 1.0, h0):
-                consumption[:, k] = c
-                habit[:, k] = h
-            return consumption, habit
+                consumption[k] = c
+                habit[k] = h
+            return consumption.T, habit.T
         g = self.params.market.gamma
         beta = alpha ** (-1.0 / g)
         if self._kernel is None:

@@ -7,6 +7,7 @@ several test modules want the same calibrated configurations.  The
 suite pays for each configuration exactly once.
 """
 
+import numpy as np
 import pytest
 
 from greedyhabit import (
@@ -19,6 +20,7 @@ from greedyhabit import (
     calibrate_alpha,
     generate_paths,
 )
+from greedyhabit.market import log_survival_probability
 
 CAL_GRID = TimeGrid(60.0, 0.05)
 CAL_SEED = 23
@@ -33,6 +35,36 @@ def make_params(eta=0.1, pension=0.0, v=10.0, c_bar=1.0):
         pension=pension,
         v=v,
     )
+
+
+def reference_euler(alpha, params, times, zeta, dt, y=1.0, h=None):
+    """Oracle for the Euler branch: the floored rule stepped path-major.
+
+    Reads column k of the (n_paths, n_times) density at step k, with the
+    solver's arithmetic in the solver's order, so the solver's
+    step-major sweep must match it exactly.  Returns the per-path cost
+    of the excess over the pension in wealth units from density level
+    ``y`` and habit ``h`` (default the initial habit), and the
+    consumption and habit arrays.
+    """
+    g, eta, pi = params.market.gamma, params.habit.eta, params.pension
+    wgt = np.empty_like(times)
+    wgt[1:-1] = 0.5 * (times[2:] - times[:-2])
+    wgt[0] = 0.5 * (times[1] - times[0])
+    wgt[-1] = 0.5 * (times[-1] - times[-2])
+    log_p = log_survival_probability(params.mortality, times)
+    shadow = np.exp((-params.market.rho * times + log_p) / g)
+    fac = (alpha ** (-1.0 / g) * y ** (-1.0 / g)) * shadow
+    zpow = zeta ** (-1.0 / g)
+    h = np.full(zeta.shape[0], params.habit.initial if h is None else h)
+    cost = np.zeros(zeta.shape[0])
+    consumption, habit = np.empty_like(zeta), np.empty_like(zeta)
+    for k in range(times.shape[0]):
+        c = np.maximum(h ** (1.0 - 1.0 / g) * (fac[k] * zpow[:, k]), pi)
+        cost += (wgt[k] * (c - pi)) * zeta[:, k]
+        consumption[:, k], habit[:, k] = c, h
+        h = h + eta * (c - h) * dt
+    return cost, consumption, habit
 
 
 @pytest.fixture(scope="session")

@@ -29,9 +29,9 @@ from greedyhabit import (
     wealth_no_pension,
     wealth_with_pension,
 )
-from greedyhabit.allocation import _InnerPaths
+from greedyhabit.allocation import _InnerPaths, _fd_theta
 from greedyhabit.market import _density_paths, _fill_normals
-from conftest import make_params
+from conftest import make_params, reference_euler
 
 GRID = TimeGrid(60.0, 0.05)
 
@@ -295,6 +295,55 @@ class TestSharedInnerPaths:
             shared = allocation_at(10.0, 0.8, 1.1, ALPHA, params, cfg, _inner=inner)
             fresh = allocation_at(10.0, 0.8, 1.1, ALPHA, params, cfg)
             assert shared == fresh
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_pension_estimates_match_path_major_loop(self, shared):
+        # the Euler functional steps a step-major copy of the density;
+        # wealth and theta must equal the path-major loop exactly
+        params = make_params(eta=0.1, pension=0.5)
+        cfg = config(400)
+        zeta = _InnerPaths(params.market, cfg)._zeta
+        inner = _InnerPaths(params.market, cfg) if shared else None
+        state = 0.8, 1.1
+        for t in (0.0, 30.0, GRID.t_max - GRID.dt):
+            m = GRID.n_steps - GRID.index_of(t)
+            times = t + np.arange(m + 1) * GRID.dt
+
+            def ref(y):
+                cost = reference_euler(
+                    ALPHA, params, times, zeta[:, : m + 1], GRID.dt, y, state[1]
+                )[0]
+                half = cost.shape[0] // 2
+                return 0.5 * (cost[:half] + cost[half:])
+
+            expected = _fd_theta(
+                ref(state[0]),
+                ref(state[0] * (1.0 + cfg.bump)),
+                ref(state[0] * (1.0 - cfg.bump)),
+                cfg.bump,
+                params.market.kappa / params.market.sigma,
+            )
+            wealth = wealth_with_pension(
+                t, *state, ALPHA, params, cfg, _inner=inner
+            )
+            est = allocation_at(t, *state, ALPHA, params, cfg, _inner=inner)
+            assert wealth == expected.wealth
+            assert est == expected
+
+    def test_step_major_copy_is_built_once_and_only_for_euler(self):
+        cfg = config(200)
+        inner = _InnerPaths(MarketParams(), cfg)
+        plain = make_params(eta=0.1)
+        inner.cost_from(10.0, plain)
+        allocation_at(20.0, 0.8, 1.1, ALPHA, plain, cfg, _inner=inner)
+        assert inner._zeta_t is None
+        pension = make_params(eta=0.1, pension=0.5)
+        allocation_at(0.0, 0.8, 1.1, ALPHA, pension, cfg, _inner=inner)
+        copy = inner._zeta_t
+        for t in (10.0, 30.0):
+            cost = inner.cost_from(t, pension)
+            assert np.shares_memory(cost._zeta_t, copy)
+        assert inner._zeta_t is copy
 
     def test_two_dimensional_grid_matches_per_time_calls(self):
         params = make_params(eta=0.1)

@@ -30,15 +30,16 @@ from greedyhabit import (
 )
 from greedyhabit.habit import bernoulli_kernel
 from greedyhabit.market import log_survival_probability
-from conftest import make_params
+from conftest import make_params, reference_euler
 
 
 def reference_budget(alpha, params, bundle):
     """Budget and SE as the sums were written before the cost functional.
 
-    The closed-form sum (pension 0) and the Euler loop (pension > 0),
-    averaged over antithetic pairs; kept as an oracle for the
-    expression order the solver must preserve.
+    The closed-form sum (pension 0) and the path-major Euler loop
+    (pension > 0), averaged over antithetic pairs when the bundle has
+    them; kept as an oracle for the expression order the solver must
+    preserve.
     """
     times, zeta, dt = bundle.grid.times(), bundle.zeta, bundle.grid.dt
     g, eta, pi = params.market.gamma, params.habit.eta, params.pension
@@ -57,16 +58,11 @@ def reference_budget(alpha, params, bundle):
         u0 = params.habit.initial ** (1.0 / g)
         y = beta * ((u0 + (eta / g) * beta * kernel) ** (g - 1.0) * wz).sum(axis=1)
     else:
-        fac, zpow = beta * shadow, zeta ** (-1.0 / g)
-        h = np.full(zeta.shape[0], params.habit.initial)
-        y = np.zeros(zeta.shape[0])
-        for k in range(times.shape[0]):
-            c = np.maximum(h ** (1.0 - 1.0 / g) * (fac[k] * zpow[:, k]), pi)
-            y += (wgt[k] * (c - pi)) * zeta[:, k]
-            h += eta * (c - h) * dt
-    half = y.shape[0] // 2
-    y = 0.5 * (y[:half] + y[half:])
-    return y.mean(), y.std(ddof=1) / math.sqrt(half)
+        y = reference_euler(alpha, params, times, zeta, dt)[0]
+    if bundle.antithetic:
+        half = y.shape[0] // 2
+        y = 0.5 * (y[:half] + y[half:])
+    return y.mean(), y.std(ddof=1) / math.sqrt(y.shape[0])
 
 
 class TestConsumptionRule:
@@ -215,6 +211,20 @@ class TestSolvePaths:
         assert np.all(c >= 1.5 - 1e-15)
         assert np.any(c == 1.5), "floor never binds on 128 paths"
 
+    def test_euler_matches_path_major_loop(self, market):
+        # the solver steps a step-major copy of the density; the values
+        # must be those of the path-major loop, in path-major shape
+        grid = TimeGrid(20.0, 0.05)
+        bundle = generate_paths(market, grid, 128, seed=4)
+        params = make_params(eta=0.1, pension=1.5)
+        c, h = solve_paths(5.0, params, bundle)
+        _, c_ref, h_ref = reference_euler(
+            5.0, params, grid.times(), bundle.zeta, grid.dt
+        )
+        assert c.shape == h.shape == (128, grid.n_steps + 1)
+        assert np.array_equal(c, c_ref)
+        assert np.array_equal(h, h_ref)
+
     def test_unknown_method(self, market):
         grid = TimeGrid(1.0, 0.05)
         bundle = generate_paths(market, grid, 4, seed=2)
@@ -240,14 +250,16 @@ class TestBudgetValue:
         assert b8.value == pytest.approx(b1.value / 2.0, rel=1e-12)
         assert b1.std_error > 0.0
 
-    def test_matches_reference_sums(self, small_bundle):
+    def test_matches_reference_sums(self, small_bundle, market):
         # same arithmetic in the same order, so the match is exact
-        for pension in (0.5, 0.0):
-            params = make_params(eta=0.1, pension=pension)
-            est = budget_value(2.9, params, small_bundle)
-            ref_value, ref_se = reference_budget(2.9, params, small_bundle)
-            assert est.value == ref_value
-            assert est.std_error == ref_se
+        plain = generate_paths(market, small_bundle.grid, 2001, seed=8)
+        for bundle in (small_bundle, plain):
+            for pension in (0.5, 0.0):
+                params = make_params(eta=0.1, pension=pension)
+                est = budget_value(2.9, params, bundle)
+                ref_value, ref_se = reference_budget(2.9, params, bundle)
+                assert est.value == ref_value
+                assert est.std_error == ref_se
 
     def test_pension_lowers_funded_cost(self, small_bundle):
         # the pension pays for the floor, so the funded budget shrinks
