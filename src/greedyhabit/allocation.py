@@ -36,13 +36,7 @@ from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .market import (
-    DEFAULT_SEED,
-    MarketParams,
-    TimeGrid,
-    _density_paths,
-    _fill_normals,
-)
+from .market import DEFAULT_SEED, MarketParams, TimeGrid, _simulate
 from .solver import (
     BudgetEstimate,
     ModelParams,
@@ -152,13 +146,14 @@ class _InnerPaths:
 
     def __init__(self, market: MarketParams, config: NestedConfig):
         self.config = config
-        n_streams = (
-            config.n_inner // 2 if config.antithetic else config.n_inner
-        )
-        dw = np.empty((n_streams, config.grid.n_steps))
-        _fill_normals(dw, config.seed, (1,), range(n_streams))
-        self._zeta = _density_paths(
-            market, dw, config.grid.dt, config.antithetic
+        self._zeta = _simulate(
+            market,
+            config.grid,
+            config.n_inner,
+            config.seed,
+            config.antithetic,
+            key=(1,),
+            keep_w=False,
         )[1]
         self._zeta_t = None
         self._last = None

@@ -82,7 +82,6 @@ _DEFAULTS = {
         "max_iterations": 80,
         "bracket": [1e-6, 1e6],
         "antithetic": False,
-        "workers": 1,
     },
     "allocation": {"n_inner": 5000, "bump": 1e-3, "antithetic": True},
     "policy": {
@@ -242,7 +241,6 @@ class RunConfig:
             ),
             bracket=(bracket[0], bracket[1]),
             antithetic=_bool(cal["antithetic"], "calibration.antithetic"),
-            workers=_int(cal["workers"], "calibration.workers"),
         )
 
         al = cfg["allocation"]
@@ -310,7 +308,6 @@ class RunConfig:
                 "max_iterations": self.calibration.max_iterations,
                 "bracket": list(self.calibration.bracket),
                 "antithetic": self.calibration.antithetic,
-                "workers": self.calibration.workers,
             },
             "allocation": {
                 "n_inner": self.nested.n_inner,

@@ -22,7 +22,12 @@ from typing import Tuple, Union
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .market import GompertzParams, MarketParams, log_survival_probability
+from .market import (
+    GompertzParams,
+    MarketParams,
+    _row_blocks,
+    log_survival_probability,
+)
 
 __all__ = ["HabitParams", "habit_euler_step", "habit_closed_form"]
 
@@ -97,18 +102,24 @@ def bernoulli_kernel(
     zeta : ndarray, shape (..., m)
         State-price-density values along the last axis (rebased so the
         conditioning value at times[0] is already divided out).
+
+    The kernel is filled in blocks of rows, each row on its own.
     """
     g = market.gamma
     eta = habit.eta
     tau = times - times[0]
     log_p = log_survival_probability(mortality, times)
-    # integrand of K: exp(eta*tau/g) * (zeta * exp(rho t) / p)^(-1/g),
-    # assembled in log space so deep density tails cannot overflow
-    log_k = (eta * tau - market.rho * times + log_p) / g - np.log(zeta) / g
-    k = np.exp(log_k)
-    kernel = cumulative_trapezoid(k, times, axis=-1, initial=0.0)
+    drift = (eta * tau - market.rho * times + log_p) / g
+    zeta = np.asarray(zeta)
+    rows = zeta.reshape(-1, zeta.shape[-1])
+    kernel = np.empty(rows.shape)
+    for block in _row_blocks(rows.shape[0]):
+        # integrand of K: exp(eta*tau/g) * (zeta * exp(rho t) / p)^(-1/g),
+        # assembled in log space so deep density tails cannot overflow
+        k = np.exp(drift - np.log(rows[block]) / g)
+        kernel[block] = cumulative_trapezoid(k, times, axis=-1, initial=0.0)
     decay = np.exp(-eta * tau / g)
-    return kernel, decay
+    return kernel.reshape(zeta.shape), decay
 
 
 def habit_closed_form(

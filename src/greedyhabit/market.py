@@ -13,7 +13,6 @@ follows a Gompertz law parameterised by modal age and dispersion.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Union
 
@@ -33,6 +32,10 @@ ArrayLike = Union[float, np.ndarray]
 
 #: Default master seed used across the package when none is supplied.
 DEFAULT_SEED = 20260814
+
+#: Paths per block in the row-blocked array builders: a block's
+#: temporaries stay in cache, and results do not depend on the size.
+ROW_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -212,19 +215,24 @@ class PathBundle:
     antithetic: bool = False
 
 
+def _row_blocks(n: int):
+    """Consecutive slices of at most ``ROW_BLOCK`` rows that cover ``n`` rows."""
+    return [slice(i, min(i + ROW_BLOCK, n)) for i in range(0, n, ROW_BLOCK)]
+
+
 def _fill_normals(
     out: np.ndarray, seed: int, key: tuple, rows: range
 ) -> None:
-    """Fill ``out[i]`` with standard normals from child stream ``key + (i,)``.
+    """Fill ``out[j]`` with standard normals from child stream ``key + (rows[j],)``.
 
-    Each row owns an independent stream keyed by its index, so the draws
-    are identical no matter how the rows are split across workers.
+    Each stream is keyed by its row index, so the draws do not depend on
+    how the rows are split into blocks.
     """
     n_steps = out.shape[1]
-    for i in rows:
+    for j, i in enumerate(rows):
         ss = np.random.SeedSequence(entropy=seed, spawn_key=key + (i,))
         rng = np.random.Generator(np.random.PCG64(ss))
-        out[i] = rng.standard_normal(n_steps)
+        out[j] = rng.standard_normal(n_steps)
 
 
 def _density_paths(
@@ -250,12 +258,46 @@ def _density_paths(
     return w, np.exp(log_zeta)
 
 
+def _simulate(
+    market: MarketParams,
+    grid: TimeGrid,
+    n_paths: int,
+    seed: int,
+    antithetic: bool,
+    key: tuple = (),
+    keep_w: bool = True,
+):
+    """Brownian paths and density of ``n_paths`` seeded streams, in row blocks.
+
+    Each block of streams is drawn and turned into paths by
+    :func:`_density_paths`, with its mirrors placed in the second half
+    when ``antithetic`` is set, so no full-size temporary is made.
+    Returns ``(w, zeta)``; ``w`` is None unless ``keep_w`` is set.
+    """
+    n_streams = n_paths // 2 if antithetic else n_paths
+    shape = (n_paths, grid.n_steps + 1)
+    w = np.empty(shape) if keep_w else None
+    zeta = np.empty(shape)
+    for rows in _row_blocks(n_streams):
+        k = rows.stop - rows.start
+        dw = np.empty((k, grid.n_steps))
+        _fill_normals(dw, seed, key, range(rows.start, rows.stop))
+        w_blk, zeta_blk = _density_paths(market, dw, grid.dt, antithetic)
+        targets = [rows]
+        if antithetic:
+            targets.append(slice(n_streams + rows.start, n_streams + rows.stop))
+        for j, target in enumerate(targets):
+            zeta[target] = zeta_blk[j * k : (j + 1) * k]
+            if keep_w:
+                w[target] = w_blk[j * k : (j + 1) * k]
+    return w, zeta
+
+
 def generate_paths(
     market: MarketParams,
     grid: TimeGrid,
     n_paths: int,
     seed: int = DEFAULT_SEED,
-    workers: int = 1,
     antithetic: bool = False,
 ) -> PathBundle:
     """Simulate Brownian paths and the state-price density on a grid.
@@ -276,9 +318,6 @@ def generate_paths(
         Number of paths; must be even when ``antithetic`` is set.
     seed : int
         Master seed; per-path streams are spawned from it.
-    workers : int
-        Thread count for path generation.  The output is bit-identical
-        for any value.
     antithetic : bool
         If set, paths [n/2:] use the negated increments of paths [:n/2].
 
@@ -290,22 +329,7 @@ def generate_paths(
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     if antithetic and n_paths % 2 != 0:
         raise ValueError("antithetic sampling requires an even n_paths")
-    n_steps = grid.n_steps
-    n_streams = n_paths // 2 if antithetic else n_paths
-
-    dw = np.empty((n_streams, n_steps))
-    if workers > 1 and n_streams > 1:
-        chunk = -(-n_streams // workers)
-        bounds = [range(j, min(j + chunk, n_streams)) for j in range(0, n_streams, chunk)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_fill_normals, dw, seed, (), rows) for rows in bounds
-            ]
-            for f in futures:
-                f.result()
-    else:
-        _fill_normals(dw, seed, (), range(n_streams))
-    w, zeta = _density_paths(market, dw, grid.dt, antithetic)
+    w, zeta = _simulate(market, grid, n_paths, seed, antithetic)
     return PathBundle(
         grid=grid,
         n_paths=n_paths,

@@ -17,9 +17,10 @@ decreasing in alpha, a bisection in log space converges globally.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -30,6 +31,8 @@ from .market import (
     MarketParams,
     PathBundle,
     TimeGrid,
+    _row_blocks,
+    _simulate,
     generate_paths,
     log_survival_probability,
 )
@@ -110,7 +113,6 @@ class CalibrationConfig:
     max_iterations: int = 80
     bracket: Tuple[float, float] = (1e-6, 1e6)
     antithetic: bool = False
-    workers: int = 1
 
     def __post_init__(self) -> None:
         _require_two_samples("n_paths", self.n_paths, self.antithetic)
@@ -142,6 +144,9 @@ class GreedySolution:
         Standard error of the Monte Carlo budget at alpha.
     consumption, habit : ndarray, shape (n_paths, n_times)
         Optimal consumption and habit along the calibration bundle.
+        They are solved on first read, on the bundle calibration was
+        given or on the density rebuilt from the config's seed, and then
+        kept; a solution whose arrays are never read holds none.
     pension : float
     v : float
     iterations : int
@@ -151,11 +156,24 @@ class GreedySolution:
     alpha: float
     budget_residual: float
     budget_se: float
-    consumption: np.ndarray
-    habit: np.ndarray
     pension: float
     v: float
     iterations: int
+    _cost: Optional[Callable[[], "_CostFunctional"]] = field(
+        default=None, repr=False, compare=False
+    )
+
+    @functools.cached_property
+    def _solved(self) -> Tuple[np.ndarray, np.ndarray]:
+        return self._cost().paths(self.alpha)
+
+    @functools.cached_property
+    def consumption(self) -> np.ndarray:
+        return self._solved[0]
+
+    @functools.cached_property
+    def habit(self) -> np.ndarray:
+        return self._solved[1]
 
 
 def _validate_positive(name: str, value: ArrayLike) -> None:
@@ -243,7 +261,10 @@ class _CostFunctional:
     each step reads one contiguous row; a transposed view of a step-major
     array is taken without a copy.  ``closed_form`` keeps ``zeta``
     path-major, because its sums run along each path's time axis and
-    their pairwise summation order depends on that layout.
+    their pairwise summation order depends on that layout.  It builds the
+    kernel on construction and ``wz`` on the first :meth:`per_path`, both
+    in blocks of ``ROW_BLOCK`` rows, and prices block by block; every row
+    is computed on its own, so the block size never changes a result.
     """
 
     def __init__(
@@ -277,21 +298,33 @@ class _CostFunctional:
             self._zpow_t = self._zeta_t ** (-1.0 / g)
             return
         self._zeta = zeta
+        self._wz = None
         if eta == 0.0:
             # frozen habit: the kernel drops out and the cost factorises
             self._kernel = None
-            self._wz = (zeta ** (1.0 - 1.0 / g) * (self._shadow * self._wgt)).sum(
-                axis=-1
-            )
         else:
             self._kernel, self._decay = bernoulli_kernel(
                 params.habit, params.market, params.mortality, times, zeta
             )
-            self._wz = (
-                zeta ** (1.0 - 1.0 / g)
-                * (self._shadow * self._decay ** (g - 1.0))
-                * self._wgt
-            )
+
+    def _weights(self) -> np.ndarray:
+        """``zeta^(1 - 1/g)`` times the deterministic weights, per path and step.
+
+        Without habit formation only their sum along each path is needed.
+        """
+        g = self.params.market.gamma
+        zeta = self._zeta
+        if self._kernel is None:
+            vec = self._shadow * self._wgt
+            wz = np.empty(zeta.shape[0])
+            for rows in _row_blocks(zeta.shape[0]):
+                wz[rows] = (zeta[rows] ** (1.0 - 1.0 / g) * vec).sum(axis=-1)
+            return wz
+        vec = self._shadow * self._decay ** (g - 1.0)
+        wz = np.empty(zeta.shape)
+        for rows in _row_blocks(zeta.shape[0]):
+            wz[rows] = zeta[rows] ** (1.0 - 1.0 / g) * vec * self._wgt
+        return wz
 
     def _stream(self, alpha: float, y: float, h: float):
         """Yield (k, consumption, habit) of the floored rule, step by step."""
@@ -324,15 +357,23 @@ class _CostFunctional:
             g = self.params.market.gamma
             eta = self.params.habit.eta
             beta = alpha ** (-1.0 / g)
+            if self._wz is None:
+                self._wz = self._weights()
             # zeta C = beta * wz * (z^(1/g) + (eta/g) beta K)^(g-1) with
             # z = y * h; dividing by y turns F(t, z) into wealth units
             u0 = (y * h) ** (1.0 / g)
             if self._kernel is None:
                 cost = beta * (self._wz * u0 ** (g - 1.0))
             else:
-                cost = beta * (
-                    (u0 + (eta / g) * beta * self._kernel) ** (g - 1.0) * self._wz
-                ).sum(axis=-1)
+                sums = np.empty(self._kernel.shape[0])
+                scale = (eta / g) * beta
+                for rows in _row_blocks(self._kernel.shape[0]):
+                    block = self._kernel[rows] * scale
+                    block += u0
+                    block **= g - 1.0
+                    block *= self._wz[rows]
+                    sums[rows] = block.sum(axis=-1)
+                cost = beta * sums
             cost = cost / y
         if self._antithetic:
             half = cost.shape[0] // 2
@@ -404,9 +445,31 @@ def _calibration_paths(
         config.grid,
         config.n_paths,
         seed=config.seed,
-        workers=config.workers,
         antithetic=config.antithetic,
     )
+
+
+def _calibration_cost(
+    params: ModelParams, config: CalibrationConfig, paths: Optional[PathBundle]
+) -> _CostFunctional:
+    """The functional calibration prices through.
+
+    Without ``paths`` it runs on the density of the bundle
+    ``_calibration_paths`` would generate, built without its Brownian
+    paths.
+    """
+    if paths is not None:
+        return _bundle_cost(params, paths)
+    grid = config.grid
+    zeta = _simulate(
+        params.market,
+        grid,
+        config.n_paths,
+        config.seed,
+        config.antithetic,
+        keep_w=False,
+    )[1]
+    return _CostFunctional(params, grid.times(), zeta, grid.dt, config.antithetic)
 
 
 def budget_value(
@@ -447,9 +510,7 @@ def calibrate_alpha(
         If the bracket cannot be expanded to straddle v or the
         iteration cap is hit before reaching tolerance.
     """
-    if paths is None:
-        paths = _calibration_paths(params.market, config)
-    cost = _bundle_cost(params, paths)
+    cost = _calibration_cost(params, config, paths)
     v = params.v
     history = {}
 
@@ -505,14 +566,12 @@ def calibrate_alpha(
             "the Monte Carlo budget is numerically corrupt on this grid"
         )
 
-    consumption, habit = cost.paths(alpha)
     return GreedySolution(
         alpha=alpha,
         budget_residual=abs(estimate.value - v) / v,
         budget_se=estimate.std_error,
-        consumption=consumption,
-        habit=habit,
         pension=params.pension,
         v=v,
         iterations=len(history),
+        _cost=functools.partial(_calibration_cost, params, config, paths),
     )

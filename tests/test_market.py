@@ -161,14 +161,6 @@ class TestGeneratePaths:
         b = generate_paths(market, grid, 32, seed=10)
         assert not np.array_equal(a.w, b.w)
 
-    def test_worker_count_is_invisible(self, market):
-        # per-path seeding makes the split across threads irrelevant
-        grid = TimeGrid(2.0, 0.1)
-        a = generate_paths(market, grid, 64, seed=3, workers=1)
-        b = generate_paths(market, grid, 64, seed=3, workers=4)
-        assert np.array_equal(a.w, b.w)
-        assert np.array_equal(a.zeta, b.zeta)
-
     def test_path_count_extends(self, market):
         # first paths are unchanged when asking for more of them
         grid = TimeGrid(2.0, 0.1)
@@ -181,6 +173,10 @@ class TestGeneratePaths:
         bundle = generate_paths(market, grid, 64, seed=5, antithetic=True)
         assert bundle.antithetic
         assert np.array_equal(bundle.w[32:], -bundle.w[:32])
+        # each mirrored density row belongs to its own mirrored Brownian row
+        kappa = market.kappa
+        log_zeta = -(market.r + 0.5 * kappa**2) * grid.times() - kappa * bundle.w
+        assert np.array_equal(bundle.zeta, np.exp(log_zeta))
 
     def test_zeta_recursion(self, market):
         # log zeta increments are -(r + kappa^2/2) dt - kappa dW exactly

@@ -7,6 +7,7 @@ budget at eta = 0, and the bookkeeping the calibration reports back.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,13 +29,15 @@ from greedyhabit import (
     solve_paths,
     survival_probability,
 )
+import greedyhabit.market
 from greedyhabit.habit import bernoulli_kernel
 from greedyhabit.market import log_survival_probability
+from greedyhabit.solver import _bundle_cost
 from conftest import make_params, reference_euler
 
 
 def reference_budget(alpha, params, bundle):
-    """Budget and SE as the sums were written before the cost functional.
+    """Per-path budget samples as the sums were written before the cost functional.
 
     The closed-form sum (pension 0) and the path-major Euler loop
     (pension > 0), averaged over antithetic pairs when the bundle has
@@ -62,7 +65,7 @@ def reference_budget(alpha, params, bundle):
     if bundle.antithetic:
         half = y.shape[0] // 2
         y = 0.5 * (y[:half] + y[half:])
-    return y.mean(), y.std(ddof=1) / math.sqrt(y.shape[0])
+    return y
 
 
 class TestConsumptionRule:
@@ -251,15 +254,20 @@ class TestBudgetValue:
         assert b1.std_error > 0.0
 
     def test_matches_reference_sums(self, small_bundle, market):
-        # same arithmetic in the same order, so the match is exact
+        # same arithmetic in the same order, so the match is exact,
+        # path by path as well as in the mean and SE
         plain = generate_paths(market, small_bundle.grid, 2001, seed=8)
         for bundle in (small_bundle, plain):
             for pension in (0.5, 0.0):
                 params = make_params(eta=0.1, pension=pension)
+                ref = reference_budget(2.9, params, bundle)
+                samples = _bundle_cost(params, bundle).per_path(
+                    2.9, 1.0, params.habit.initial
+                )
+                assert np.array_equal(samples, ref)
                 est = budget_value(2.9, params, bundle)
-                ref_value, ref_se = reference_budget(2.9, params, bundle)
-                assert est.value == ref_value
-                assert est.std_error == ref_se
+                assert est.value == ref.mean()
+                assert est.std_error == ref.std(ddof=1) / math.sqrt(ref.shape[0])
 
     def test_pension_lowers_funded_cost(self, small_bundle):
         # the pension pays for the floor, so the funded budget shrinks
@@ -342,3 +350,84 @@ class TestCalibration:
             CalibrationConfig(n_paths=2, antithetic=True)
         assert CalibrationConfig(n_paths=2).n_paths == 2
         assert CalibrationConfig(n_paths=4, antithetic=True).n_paths == 4
+
+
+class TestRowBlocks:
+    """The density, the kernel, ``wz`` and the closed-form costs are built
+    in blocks of ``ROW_BLOCK`` rows; no block size may change a result."""
+
+    GRID = TimeGrid(60.0, 0.1)
+
+    def results(self, market, n_paths, antithetic):
+        bundle = generate_paths(
+            market, self.GRID, n_paths, seed=12, antithetic=antithetic
+        )
+        out = {"w": bundle.w, "zeta": bundle.zeta}
+        for eta in (0.1, 0.0):
+            params = make_params(eta=eta)
+            cost = _bundle_cost(params, bundle)
+            out["per_path", eta] = cost.per_path(2.9, 1.3, 0.8)
+            out["wz", eta] = cost._wz
+        params = make_params(eta=0.1)
+        out["kernel"] = bernoulli_kernel(
+            params.habit, market, params.mortality, self.GRID.times(), bundle.zeta
+        )[0]
+        config = CalibrationConfig(
+            grid=self.GRID, n_paths=n_paths, seed=12, antithetic=antithetic
+        )
+        sol = calibrate_alpha(params, config)
+        out["scalars"] = (
+            sol.alpha, sol.budget_residual, sol.budget_se, sol.iterations
+        )
+        # the arrays are solved on first read, on the density rebuilt
+        # from the seed, which is the bundle's
+        consumption, habit = solve_paths(sol.alpha, params, bundle)
+        assert np.array_equal(sol.consumption, consumption)
+        assert np.array_equal(sol.habit, habit)
+        out["consumption"], out["habit"] = consumption, habit
+        return out
+
+    @pytest.mark.parametrize("n_paths, antithetic", [(2001, False), (2002, True)])
+    def test_block_size_never_changes_a_result(
+        self, monkeypatch, market, n_paths, antithetic
+    ):
+        # blocks of 7 straddle the antithetic mirror; n_paths + 1 is one block
+        expected = None
+        for block in (n_paths + 1, 7, 1):
+            monkeypatch.setattr(greedyhabit.market, "ROW_BLOCK", block)
+            got = self.results(market, n_paths, antithetic)
+            if expected is None:
+                expected = got
+                continue
+            for key, value in expected.items():
+                assert np.array_equal(got[key], value), (block, key)
+
+    def test_unread_solution_holds_no_arrays(self):
+        params = make_params(eta=0.1, pension=0.5)
+        config = CalibrationConfig(
+            grid=self.GRID, n_paths=400, seed=5, antithetic=True
+        )
+        sol = calibrate_alpha(params, config)
+        assert not any(isinstance(x, np.ndarray) for x in vars(sol).values())
+        c = sol.consumption
+        assert sol.consumption is c and sol.habit.shape == c.shape
+
+
+class TestCalibrationMemory:
+    @pytest.mark.parametrize("pension", [0.0, 0.5])
+    def test_peak_is_a_few_full_arrays(self, pension):
+        # numpy reports its buffers to tracemalloc, so the peak is
+        # deterministic: the density, kernel and wz, or the Euler
+        # branch's step-major density and its power, are three full arrays
+        config = CalibrationConfig(
+            grid=TimeGrid(60.0, 0.05), n_paths=2000, seed=5, antithetic=True
+        )
+        params = make_params(eta=0.1, pension=pension)
+        tracemalloc.start()
+        try:
+            calibrate_alpha(params, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        full = config.n_paths * (config.grid.n_steps + 1) * 8
+        assert peak <= 3.5 * full
