@@ -92,8 +92,6 @@ class NestedConfig:
         _require_two_samples("n_inner", self.n_inner, self.antithetic)
         if not 0.0 < self.bump < 0.5:
             raise ValueError(f"bump must be in (0, 0.5), got {self.bump}")
-        if self.antithetic and self.n_inner % 2 != 0:
-            raise ValueError("antithetic sampling requires an even n_inner")
 
 
 class ThetaEstimate(NamedTuple):
@@ -154,7 +152,7 @@ class _InnerPaths:
             config.antithetic,
             key=(1,),
             keep_w=False,
-        )[1]
+        ).zeta
         self._zeta_t = None
         self._last = None
 

@@ -67,10 +67,15 @@ class ConfigError(ValueError):
     """Invalid or unknown configuration input (exit code 1)."""
 
 
+# the model groups, whose keys and defaults are their dataclass fields
+_MODEL_GROUPS = {
+    "market": MarketParams,
+    "mortality": GompertzParams,
+    "habit": HabitParams,
+}
+
 _DEFAULTS = {
-    "market": {"mu": 0.08, "sigma": 0.16, "r": 0.02, "rho": 0.02, "gamma": 3.0},
-    "mortality": {"age": 65.0, "modal_age": 89.335, "dispersion": 9.5},
-    "habit": {"eta": 0.1, "initial": 1.0},
+    **{name: dataclasses.asdict(cls()) for name, cls in _MODEL_GROUPS.items()},
     "pension": 0.0,
     "wealth": 10.0,
     "calibration": {
@@ -142,6 +147,11 @@ def _bool(value, key: str) -> bool:
     return value
 
 
+def _num_group(cls, group: dict, name: str):
+    """``cls`` built from config group ``name``, whose values are all numbers."""
+    return cls(**{key: _num(value, f"{name}.{key}") for key, value in group.items()})
+
+
 def _num_list(value, key: str) -> List[float]:
     if not isinstance(value, list) or not value:
         raise ConfigError(f"config key {key}: expected a non-empty list")
@@ -181,29 +191,11 @@ class RunConfig:
         and finally the package default.
         """
         cfg = _merge(_DEFAULTS, data or {})
-        mk = cfg["market"]
-        market = MarketParams(
-            mu=_num(mk["mu"], "market.mu"),
-            sigma=_num(mk["sigma"], "market.sigma"),
-            r=_num(mk["r"], "market.r"),
-            rho=_num(mk["rho"], "market.rho"),
-            gamma=_num(mk["gamma"], "market.gamma"),
-        )
-        mt = cfg["mortality"]
-        mortality = GompertzParams(
-            age=_num(mt["age"], "mortality.age"),
-            modal_age=_num(mt["modal_age"], "mortality.modal_age"),
-            dispersion=_num(mt["dispersion"], "mortality.dispersion"),
-        )
-        hb = cfg["habit"]
-        habit = HabitParams(
-            eta=_num(hb["eta"], "habit.eta"),
-            initial=_num(hb["initial"], "habit.initial"),
-        )
         model = ModelParams(
-            market=market,
-            mortality=mortality,
-            habit=habit,
+            **{
+                name: _num_group(cls, cfg[name], name)
+                for name, cls in _MODEL_GROUPS.items()
+            },
             pension=_num(cfg["pension"], "pension"),
             v=_num(cfg["wealth"], "wealth"),
         )
@@ -284,19 +276,7 @@ class RunConfig:
         """Canonical JSON-shaped form; from_dict(to_dict()) round-trips."""
         m = self.model
         return {
-            "market": {
-                "mu": m.market.mu,
-                "sigma": m.market.sigma,
-                "r": m.market.r,
-                "rho": m.market.rho,
-                "gamma": m.market.gamma,
-            },
-            "mortality": {
-                "age": m.mortality.age,
-                "modal_age": m.mortality.modal_age,
-                "dispersion": m.mortality.dispersion,
-            },
-            "habit": {"eta": m.habit.eta, "initial": m.habit.initial},
+            **{name: dataclasses.asdict(getattr(m, name)) for name in _MODEL_GROUPS},
             "pension": m.pension,
             "wealth": m.v,
             "calibration": {
@@ -402,22 +382,9 @@ def _cmd_policy_surface(args: argparse.Namespace) -> int:
         ],
         max_wealth=cfg.max_wealth,
     )
-    rows: List[tuple] = []
-    unreliable = 0
-    for p in points:
-        unreliable += not p.theta_reliable
-        rows.append(
-            (
-                p.t,
-                p.habit,
-                p.zeta,
-                p.wealth,
-                p.consumption,
-                p.theta,
-                p.wealth_se,
-                p.theta_reliable,
-            )
-        )
+    # PolicyPoint's fields are in POLICY_COLUMNS order
+    rows = [dataclasses.astuple(p) for p in points]
+    unreliable = sum(not p.theta_reliable for p in points)
     _write_csv(args.out, POLICY_COLUMNS, rows)
     if rows and unreliable / len(rows) > UNRELIABLE_FRACTION_LIMIT:
         print(
@@ -514,11 +481,14 @@ def _cmd_merton_check(args: argparse.Namespace) -> int:
     )
     solution = calibrate_alpha(frozen, check_cal)
     rel = abs(solution.alpha - alpha0) / alpha0
+    # at eta = 0 the budget is exactly proportional to alpha^(-1/gamma),
+    # so alpha's relative error is gamma times the budget's
+    rel_se = base.market.gamma * solution.budget_se / base.v
     record(
         "multiplier calibration",
         rel <= 0.01,
         f"monte carlo alpha {solution.alpha:.6g} vs exact {alpha0:.6g} "
-        f"(rel diff {rel:.3%})",
+        f"(rel diff {rel:.3%}, alpha rel SE {rel_se:.3%})",
     )
 
     # 3. initial consumption propensity vs annuity inversion

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -199,8 +199,10 @@ class PathBundle:
         Number of paths.
     seed : int
         Master seed the bundle was generated from.
-    w : ndarray, shape (n_paths, n_steps + 1)
-        Brownian motion paths, w[:, 0] = 0.
+    w : ndarray, shape (n_paths, n_steps + 1), or None
+        Brownian motion paths, w[:, 0] = 0.  None in a calibration-only
+        bundle, which prices through the density alone; its ``zeta`` is
+        that of :func:`generate_paths` at the same seed.
     zeta : ndarray, shape (n_paths, n_steps + 1)
         State-price density along each path, zeta[:, 0] = 1.
     antithetic : bool
@@ -210,7 +212,7 @@ class PathBundle:
     grid: TimeGrid
     n_paths: int
     seed: int
-    w: np.ndarray
+    w: Optional[np.ndarray]
     zeta: np.ndarray
     antithetic: bool = False
 
@@ -266,13 +268,13 @@ def _simulate(
     antithetic: bool,
     key: tuple = (),
     keep_w: bool = True,
-):
-    """Brownian paths and density of ``n_paths`` seeded streams, in row blocks.
+) -> PathBundle:
+    """Bundle of ``n_paths`` seeded streams, built in row blocks.
 
     Each block of streams is drawn and turned into paths by
     :func:`_density_paths`, with its mirrors placed in the second half
-    when ``antithetic`` is set, so no full-size temporary is made.
-    Returns ``(w, zeta)``; ``w`` is None unless ``keep_w`` is set.
+    when ``antithetic`` is set, so no full-size temporary is made.  The
+    bundle's ``w`` is None unless ``keep_w`` is set.
     """
     n_streams = n_paths // 2 if antithetic else n_paths
     shape = (n_paths, grid.n_steps + 1)
@@ -290,7 +292,7 @@ def _simulate(
             zeta[target] = zeta_blk[j * k : (j + 1) * k]
             if keep_w:
                 w[target] = w_blk[j * k : (j + 1) * k]
-    return w, zeta
+    return PathBundle(grid, n_paths, seed, w, zeta, antithetic)
 
 
 def generate_paths(
@@ -329,12 +331,4 @@ def generate_paths(
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     if antithetic and n_paths % 2 != 0:
         raise ValueError("antithetic sampling requires an even n_paths")
-    w, zeta = _simulate(market, grid, n_paths, seed, antithetic)
-    return PathBundle(
-        grid=grid,
-        n_paths=n_paths,
-        seed=seed,
-        w=w,
-        zeta=zeta,
-        antithetic=antithetic,
-    )
+    return _simulate(market, grid, n_paths, seed, antithetic)

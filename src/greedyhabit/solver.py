@@ -33,7 +33,6 @@ from .market import (
     TimeGrid,
     _row_blocks,
     _simulate,
-    generate_paths,
     log_survival_probability,
 )
 
@@ -88,7 +87,7 @@ def _require_two_samples(name: str, n: int, antithetic: bool) -> None:
     """Reject path counts that leave fewer than two independent samples.
 
     An antithetic pair is one sample, so a standard error needs n >= 4
-    with mirroring and n >= 2 without.
+    with mirroring and n >= 2 without, and mirroring needs an even n.
     """
     least = 4 if antithetic else 2
     if n < least:
@@ -96,6 +95,8 @@ def _require_two_samples(name: str, n: int, antithetic: bool) -> None:
             f"{name} must be >= {least} for a standard error"
             f"{' with antithetic pairs' if antithetic else ''}, got {n}"
         )
+    if antithetic and n % 2 != 0:
+        raise ValueError(f"antithetic sampling requires an even {name}")
 
 
 @dataclass(frozen=True)
@@ -440,36 +441,25 @@ def _bundle_cost(
 def _calibration_paths(
     market: MarketParams, config: CalibrationConfig
 ) -> PathBundle:
-    return generate_paths(
+    """The config's calibration density, as a bundle without Brownian paths.
+
+    Its ``zeta`` is that of ``generate_paths`` at the config's seed.
+    """
+    return _simulate(
         market,
         config.grid,
         config.n_paths,
-        seed=config.seed,
-        antithetic=config.antithetic,
+        config.seed,
+        config.antithetic,
+        keep_w=False,
     )
 
 
 def _calibration_cost(
     params: ModelParams, config: CalibrationConfig, paths: Optional[PathBundle]
 ) -> _CostFunctional:
-    """The functional calibration prices through.
-
-    Without ``paths`` it runs on the density of the bundle
-    ``_calibration_paths`` would generate, built without its Brownian
-    paths.
-    """
-    if paths is not None:
-        return _bundle_cost(params, paths)
-    grid = config.grid
-    zeta = _simulate(
-        params.market,
-        grid,
-        config.n_paths,
-        config.seed,
-        config.antithetic,
-        keep_w=False,
-    )[1]
-    return _CostFunctional(params, grid.times(), zeta, grid.dt, config.antithetic)
+    """The functional calibration prices through, on ``paths`` if given."""
+    return _bundle_cost(params, paths or _calibration_paths(params.market, config))
 
 
 def budget_value(

@@ -133,6 +133,12 @@ class TestExitCodes:
         assert main(["calibrate", "--config", cfg]) == 1
         assert "sigma" in capsys.readouterr().err
 
+    def test_odd_antithetic_paths_is_usage_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"calibration": FAST_CAL})
+        assert main(["calibrate", "--config", cfg, "--paths", "5"]) == 1
+        err = capsys.readouterr().err
+        assert "antithetic sampling requires an even n_paths" in err
+
     def test_calibration_failure_is_exit_2(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,

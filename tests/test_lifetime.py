@@ -7,17 +7,21 @@ pension floor.  The martingale mode is anchored to the zero-habit
 propensity oracle on the deterministic median scenario.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import greedyhabit.lifetime
 from greedyhabit import (
+    CalibrationConfig,
     CalibrationError,
     GompertzParams,
     MarketParams,
     NestedConfig,
     TimeGrid,
+    calibrate_alpha,
     generate_paths,
     merton_alpha,
     merton_propensity,
@@ -270,6 +274,30 @@ class TestPensionSweep:
         )
         assert np.array_equal(sweep[0].wealth, direct.wealth)
         assert np.array_equal(sweep[0].consumption, direct.consumption)
+
+    def test_calibrates_on_the_generated_density(self, monkeypatch):
+        params = make_params(eta=0.1)
+        pensions = [0.0, 0.5]
+        config = CalibrationConfig(
+            grid=TimeGrid(60.0, 0.1), n_paths=400, seed=5, antithetic=True
+        )
+        bundle = generate_paths(
+            params.market, config.grid, 400, seed=5, antithetic=True
+        )
+        expected = [
+            calibrate_alpha(
+                dataclasses.replace(params, pension=p), config, paths=bundle
+            ).alpha
+            for p in pensions
+        ]
+        seen = []
+        monkeypatch.setattr(
+            greedyhabit.lifetime,
+            "simulate_lifetime",
+            lambda p, alpha, **kwargs: seen.append(alpha),
+        )
+        pension_sweep(params, pensions, calibration=config)
+        assert seen == expected
 
     def test_alphas_must_align(self):
         with pytest.raises(ValueError, match="align"):

@@ -32,7 +32,7 @@ from greedyhabit import (
 import greedyhabit.market
 from greedyhabit.habit import bernoulli_kernel
 from greedyhabit.market import log_survival_probability
-from greedyhabit.solver import _bundle_cost
+from greedyhabit.solver import _bundle_cost, _calibration_paths
 from conftest import make_params, reference_euler
 
 
@@ -350,6 +350,35 @@ class TestCalibration:
             CalibrationConfig(n_paths=2, antithetic=True)
         assert CalibrationConfig(n_paths=2).n_paths == 2
         assert CalibrationConfig(n_paths=4, antithetic=True).n_paths == 4
+
+    def test_antithetic_needs_even_paths(self):
+        # an odd count would leave the last density row unfilled
+        with pytest.raises(
+            ValueError, match="antithetic sampling requires an even n_paths"
+        ):
+            CalibrationConfig(n_paths=5, antithetic=True)
+        assert CalibrationConfig(n_paths=5).n_paths == 5
+
+
+class TestCalibrationDensity:
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_density_without_brownian_paths(self, market, antithetic):
+        # 130 paths are more than one row block of streams either way
+        config = CalibrationConfig(
+            grid=TimeGrid(10.0, 0.1), n_paths=130, seed=6, antithetic=antithetic
+        )
+        bundle = _calibration_paths(market, config)
+        full = generate_paths(
+            market, config.grid, 130, seed=6, antithetic=antithetic
+        )
+        assert bundle.w is None
+        assert np.array_equal(bundle.zeta, full.zeta)
+        assert (bundle.grid, bundle.n_paths, bundle.seed, bundle.antithetic) == (
+            full.grid,
+            full.n_paths,
+            full.seed,
+            full.antithetic,
+        )
 
 
 class TestRowBlocks:
