@@ -311,6 +311,8 @@ def policy_surface(
     """
     if habit_level <= 0.0:
         raise ValueError("habit_level must be positive")
+    if max_wealth <= 0.0:
+        raise ValueError("max_wealth must be positive")
     if zeta_grid is None:
         grids = [default_zeta_grid(t, params.market) for t in times]
     else:

@@ -31,7 +31,7 @@ from .allocation import (
     policy_surface,
 )
 from .habit import HabitParams
-from .lifetime import pension_sweep
+from .lifetime import MODES, pension_sweep
 from .market import DEFAULT_SEED, GompertzParams, MarketParams, TimeGrid
 from .merton import merton_alpha, merton_propensity, merton_theta
 from .solver import (
@@ -74,21 +74,53 @@ _MODEL_GROUPS = {
     "habit": HabitParams,
 }
 
+
+def _fields(obj, skip: Sequence[str] = ()) -> dict:
+    """The dataclass fields of ``obj`` by name, less ``skip``."""
+    return {
+        f.name: getattr(obj, f.name)
+        for f in dataclasses.fields(obj)
+        if f.name not in skip
+    }
+
+
+def _library_groups(
+    model: ModelParams, calibration: CalibrationConfig, nested: NestedConfig
+) -> dict:
+    """The config groups that mirror the library's dataclasses.
+
+    ``calibration`` inlines its grid; ``allocation`` takes its seed and
+    grid from calibration.
+    """
+    return {
+        **{name: _fields(getattr(model, name)) for name in _MODEL_GROUPS},
+        "pension": model.pension,
+        "wealth": model.v,
+        "calibration": {
+            **_fields(calibration.grid),
+            **_fields(calibration, skip=("grid",)),
+        },
+        "allocation": _fields(nested, skip=("seed", "grid")),
+    }
+
+
+# RunConfig's own fields and the (group, key) of the config that holds each
+_RUN_KEYS = {
+    "policy_times": ("policy", "times"),
+    "habit_level": ("policy", "habit_level"),
+    "n_zeta": ("policy", "n_zeta"),
+    "zeta_spread": ("policy", "spread"),
+    "max_wealth": ("policy", "max_wealth"),
+    "pensions": ("lifetime", "pensions"),
+    "horizon": ("lifetime", "horizon"),
+    "lifetime_dt": ("lifetime", "dt"),
+    "theta_refresh": ("lifetime", "theta_refresh"),
+    "scenario_seed": ("lifetime", "scenario_seed"),
+    "lifetime_mode": ("lifetime", "mode"),
+}
+
 _DEFAULTS = {
-    **{name: dataclasses.asdict(cls()) for name, cls in _MODEL_GROUPS.items()},
-    "pension": 0.0,
-    "wealth": 10.0,
-    "calibration": {
-        "t_max": 60.0,
-        "dt": 0.05,
-        "n_paths": 20000,
-        "seed": None,
-        "tolerance": 5e-3,
-        "max_iterations": 80,
-        "bracket": [1e-6, 1e6],
-        "antithetic": False,
-    },
-    "allocation": {"n_inner": 5000, "bump": 1e-3, "antithetic": True},
+    **_library_groups(ModelParams(), CalibrationConfig(), NestedConfig()),
     "policy": {
         "times": [0.0, 10.0, 20.0, 30.0],
         "habit_level": 1.0,
@@ -102,60 +134,85 @@ _DEFAULTS = {
         "dt": 0.05,
         "theta_refresh": 0.25,
         "scenario_seed": None,
-        "mode": "euler_wealth",
+        "mode": MODES[0],
     },
 }
+# no seed in the file lets GREEDYHABIT_SEED apply
+_DEFAULTS["calibration"]["seed"] = None
 
 
-def _merge(defaults: dict, overrides: dict, prefix: str = "") -> dict:
-    out = {}
-    for key, default in defaults.items():
-        if key in overrides:
-            value = overrides[key]
-            if isinstance(default, dict):
-                if not isinstance(value, dict):
-                    raise ConfigError(
-                        f"config key {prefix}{key}: expected an object"
-                    )
-                out[key] = _merge(default, value, f"{prefix}{key}.")
-            else:
-                out[key] = value
-        else:
-            out[key] = default
+def _typed(value, default, key: str):
+    """``value`` checked against the type of its ``default``.
+
+    A str default is a lifetime mode, a list or tuple default a
+    non-empty list of numbers (a tuple also fixes the length), and a
+    None default an optional non-negative integer seed.
+    """
+    if isinstance(default, bool):
+        if not isinstance(value, bool):
+            raise ConfigError(f"config key {key}: expected true/false")
+        return value
+    if isinstance(default, float):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"config key {key}: expected a number")
+        return float(value)
+    if isinstance(default, str):
+        if value not in MODES:
+            expected = " or ".join(repr(mode) for mode in MODES)
+            raise ConfigError(f"config key {key}: expected {expected}")
+        return value
+    if isinstance(default, (list, tuple)):
+        if not isinstance(value, (list, tuple)) or not value:
+            raise ConfigError(f"config key {key}: expected a non-empty list")
+        items = tuple(_typed(x, 0.0, f"{key}[{i}]") for i, x in enumerate(value))
+        if isinstance(default, tuple) and len(items) != len(default):
+            raise ConfigError(f"config key {key}: expected {len(default)} values")
+        return items
+    if default is None and value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"config key {key}: expected an integer")
+    if default is None and value < 0:
+        raise ConfigError(f"config key {key}: expected a non-negative integer")
+    return value
+
+
+def _resolve(defaults: dict, overrides: dict, prefix: str = "") -> dict:
+    """``defaults`` with ``overrides`` merged in, every value checked."""
     unknown = set(overrides) - set(defaults)
     if unknown:
-        name = sorted(unknown)[0]
-        raise ConfigError(f"unknown config key: {prefix}{name}")
+        raise ConfigError(f"unknown config key: {prefix}{sorted(unknown)[0]}")
+    out = {}
+    for key, default in defaults.items():
+        value = overrides.get(key, default)
+        if isinstance(default, dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"config key {prefix}{key}: expected an object")
+            out[key] = _resolve(default, value, f"{prefix}{key}.")
+        else:
+            out[key] = _typed(value, default, prefix + key)
     return out
 
 
-def _num(value, key: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"config key {key}: expected a number")
-    return float(value)
-
-
-def _int(value, key: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"config key {key}: expected an integer")
-    return value
-
-
-def _bool(value, key: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"config key {key}: expected true/false")
-    return value
-
-
-def _num_group(cls, group: dict, name: str):
-    """``cls`` built from config group ``name``, whose values are all numbers."""
-    return cls(**{key: _num(value, f"{name}.{key}") for key, value in group.items()})
-
-
-def _num_list(value, key: str) -> List[float]:
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"config key {key}: expected a non-empty list")
-    return [_num(x, f"{key}[{i}]") for i, x in enumerate(value)]
+def _master_seed(flag: Optional[int], configured: Optional[int]) -> int:
+    """The ``--seed`` flag, else the config file, else GREEDYHABIT_SEED."""
+    if flag is not None:
+        if flag < 0:
+            raise ConfigError(f"--seed must be non-negative, got {flag}")
+        return flag
+    if configured is not None:
+        return configured
+    if not os.environ.get(ENV_SEED):
+        return DEFAULT_SEED
+    try:
+        seed = int(os.environ[ENV_SEED])
+    except ValueError:
+        raise ConfigError(
+            f"environment variable {ENV_SEED} must be an integer"
+        ) from None
+    if seed < 0:
+        raise ConfigError(f"environment variable {ENV_SEED} must be non-negative")
+    return seed
 
 
 @dataclass(frozen=True)
@@ -190,126 +247,30 @@ class RunConfig:
         the file; the seed otherwise falls back to GREEDYHABIT_SEED
         and finally the package default.
         """
-        cfg = _merge(_DEFAULTS, data or {})
+        cfg = _resolve(_DEFAULTS, data or {})
         model = ModelParams(
-            **{
-                name: _num_group(cls, cfg[name], name)
-                for name, cls in _MODEL_GROUPS.items()
-            },
-            pension=_num(cfg["pension"], "pension"),
-            v=_num(cfg["wealth"], "wealth"),
+            **{name: group(**cfg[name]) for name, group in _MODEL_GROUPS.items()},
+            pension=cfg["pension"],
+            v=cfg["wealth"],
         )
-
         cal = cfg["calibration"]
-        if seed is not None:
-            effective_seed = seed
-        elif cal["seed"] is not None:
-            effective_seed = _int(cal["seed"], "calibration.seed")
-        elif os.environ.get(ENV_SEED):
-            try:
-                effective_seed = int(os.environ[ENV_SEED])
-            except ValueError:
-                raise ConfigError(
-                    f"environment variable {ENV_SEED} must be an integer"
-                ) from None
-        else:
-            effective_seed = DEFAULT_SEED
-        grid = TimeGrid(
-            t_max=_num(cal["t_max"], "calibration.t_max"),
-            dt=_num(cal["dt"], "calibration.dt"),
-        )
-        bracket = _num_list(cal["bracket"], "calibration.bracket")
-        if len(bracket) != 2:
-            raise ConfigError("config key calibration.bracket: expected 2 values")
-        calibration = CalibrationConfig(
-            grid=grid,
-            n_paths=n_paths
-            if n_paths is not None
-            else _int(cal["n_paths"], "calibration.n_paths"),
-            seed=effective_seed,
-            tolerance=_num(cal["tolerance"], "calibration.tolerance"),
-            max_iterations=_int(
-                cal["max_iterations"], "calibration.max_iterations"
-            ),
-            bracket=(bracket[0], bracket[1]),
-            antithetic=_bool(cal["antithetic"], "calibration.antithetic"),
-        )
-
-        al = cfg["allocation"]
-        nested = NestedConfig(
-            n_inner=_int(al["n_inner"], "allocation.n_inner"),
-            bump=_num(al["bump"], "allocation.bump"),
-            seed=effective_seed,
-            grid=grid,
-            antithetic=_bool(al["antithetic"], "allocation.antithetic"),
-        )
-
-        po = cfg["policy"]
-        lf = cfg["lifetime"]
-        scenario_seed = lf["scenario_seed"]
-        if scenario_seed is not None:
-            scenario_seed = _int(scenario_seed, "lifetime.scenario_seed")
-        mode = lf["mode"]
-        if mode not in ("euler_wealth", "martingale_wealth"):
-            raise ConfigError(
-                "config key lifetime.mode: expected 'euler_wealth' or "
-                "'martingale_wealth'"
-            )
+        grid = TimeGrid(**{key: cal.pop(key) for key in _fields(TimeGrid())})
+        cal["seed"] = _master_seed(seed, cal["seed"])
+        if n_paths is not None:
+            cal["n_paths"] = n_paths
         return cls(
             model=model,
-            calibration=calibration,
-            nested=nested,
-            policy_times=tuple(_num_list(po["times"], "policy.times")),
-            habit_level=_num(po["habit_level"], "policy.habit_level"),
-            n_zeta=_int(po["n_zeta"], "policy.n_zeta"),
-            zeta_spread=_num(po["spread"], "policy.spread"),
-            max_wealth=_num(po["max_wealth"], "policy.max_wealth"),
-            pensions=tuple(_num_list(lf["pensions"], "lifetime.pensions")),
-            horizon=_num(lf["horizon"], "lifetime.horizon"),
-            lifetime_dt=_num(lf["dt"], "lifetime.dt"),
-            theta_refresh=_num(lf["theta_refresh"], "lifetime.theta_refresh"),
-            scenario_seed=scenario_seed,
-            lifetime_mode=mode,
+            calibration=CalibrationConfig(grid=grid, **cal),
+            nested=NestedConfig(seed=cal["seed"], grid=grid, **cfg["allocation"]),
+            **{field: cfg[group][key] for field, (group, key) in _RUN_KEYS.items()},
         )
 
     def to_dict(self) -> dict:
         """Canonical JSON-shaped form; from_dict(to_dict()) round-trips."""
-        m = self.model
-        return {
-            **{name: dataclasses.asdict(getattr(m, name)) for name in _MODEL_GROUPS},
-            "pension": m.pension,
-            "wealth": m.v,
-            "calibration": {
-                "t_max": self.calibration.grid.t_max,
-                "dt": self.calibration.grid.dt,
-                "n_paths": self.calibration.n_paths,
-                "seed": self.calibration.seed,
-                "tolerance": self.calibration.tolerance,
-                "max_iterations": self.calibration.max_iterations,
-                "bracket": list(self.calibration.bracket),
-                "antithetic": self.calibration.antithetic,
-            },
-            "allocation": {
-                "n_inner": self.nested.n_inner,
-                "bump": self.nested.bump,
-                "antithetic": self.nested.antithetic,
-            },
-            "policy": {
-                "times": list(self.policy_times),
-                "habit_level": self.habit_level,
-                "n_zeta": self.n_zeta,
-                "spread": self.zeta_spread,
-                "max_wealth": self.max_wealth,
-            },
-            "lifetime": {
-                "pensions": list(self.pensions),
-                "horizon": self.horizon,
-                "dt": self.lifetime_dt,
-                "theta_refresh": self.theta_refresh,
-                "scenario_seed": self.scenario_seed,
-                "mode": self.lifetime_mode,
-            },
-        }
+        out = _library_groups(self.model, self.calibration, self.nested)
+        for field, (group, key) in _RUN_KEYS.items():
+            out.setdefault(group, {})[key] = getattr(self, field)
+        return out
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:

@@ -44,6 +44,9 @@ from .solver import (
 
 __all__ = ["LifetimeRecord", "simulate_lifetime", "pension_sweep"]
 
+# the wealth-tracking modes, the default first
+MODES = ("euler_wealth", "martingale_wealth")
+
 
 @dataclass
 class LifetimeRecord:
@@ -106,7 +109,7 @@ def simulate_lifetime(
     -------
     LifetimeRecord
     """
-    if mode not in ("euler_wealth", "martingale_wealth"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if horizon >= nested.grid.t_max:
         raise ValueError(

@@ -220,6 +220,14 @@ class TestPolicySurface:
             assert all(p.consumption > 0.0 for p in row)
             assert all(p.habit == 1.0 for p in row)
 
+    @pytest.mark.parametrize("max_wealth", [0.0, -1.0])
+    def test_non_positive_max_wealth_is_rejected(self, max_wealth):
+        # every row would be clipped, leaving an empty surface
+        with pytest.raises(ValueError, match="max_wealth must be positive"):
+            policy_surface(
+                [0.0], 1.0, ALPHA, make_params(), config(), max_wealth=max_wealth
+            )
+
     def test_policy_curve_is_single_time_surface(self):
         params = make_params(eta=0.1)
         zg = default_zeta_grid(5.0, params.market, n=7, spread=2.0)

@@ -11,7 +11,12 @@ import json
 
 import pytest
 
-from greedyhabit import DEFAULT_SEED
+from greedyhabit import (
+    DEFAULT_SEED,
+    CalibrationConfig,
+    ModelParams,
+    NestedConfig,
+)
 from greedyhabit.cli import (
     ConfigError,
     ENV_SEED,
@@ -49,6 +54,15 @@ class TestRunConfig:
         assert cfg.calibration.seed == DEFAULT_SEED
         assert cfg.nested.seed == DEFAULT_SEED
         assert cfg.lifetime_mode == "euler_wealth"
+
+    def test_defaults_are_the_library_defaults(self, monkeypatch):
+        monkeypatch.delenv(ENV_SEED, raising=False)
+        cfg = RunConfig.from_dict()
+        assert cfg.calibration == CalibrationConfig(seed=DEFAULT_SEED)
+        assert cfg.nested == NestedConfig(
+            seed=DEFAULT_SEED, grid=CalibrationConfig().grid
+        )
+        assert cfg.model == ModelParams()
 
     def test_round_trip(self, monkeypatch):
         monkeypatch.delenv(ENV_SEED, raising=False)
@@ -89,6 +103,36 @@ class TestRunConfig:
             RunConfig.from_dict({"lifetime": {"mode": "exact"}})
         with pytest.raises(ConfigError, match="lifetime.pensions"):
             RunConfig.from_dict({"lifetime": {"pensions": []}})
+        with pytest.raises(
+            ConfigError, match="allocation.antithetic: expected true/false"
+        ):
+            RunConfig.from_dict({"allocation": {"antithetic": 1}})
+        with pytest.raises(
+            ConfigError, match="lifetime.scenario_seed: expected an integer"
+        ):
+            RunConfig.from_dict({"lifetime": {"scenario_seed": "a"}})
+        with pytest.raises(ConfigError, match="market: expected an object"):
+            RunConfig.from_dict({"market": 3})
+        with pytest.raises(ConfigError, match=r"calibration\.bracket\[1\]"):
+            RunConfig.from_dict({"calibration": {"bracket": [1.0, "x"]}})
+
+    @pytest.mark.parametrize(
+        "group, key", [("calibration", "seed"), ("lifetime", "scenario_seed")]
+    )
+    def test_negative_config_seed(self, group, key):
+        with pytest.raises(
+            ConfigError, match=f"{group}.{key}: expected a non-negative integer"
+        ):
+            RunConfig.from_dict({group: {key: -1}})
+
+    def test_negative_seed_flag(self, capsys):
+        assert main(["calibrate", "--seed", "-1"]) == 1
+        assert "--seed must be non-negative" in capsys.readouterr().err
+
+    def test_negative_environment_seed(self, monkeypatch):
+        monkeypatch.setenv(ENV_SEED, "-5")
+        with pytest.raises(ConfigError, match=f"{ENV_SEED} must be non-negative"):
+            RunConfig.from_dict()
 
     def test_seed_precedence(self, monkeypatch):
         monkeypatch.setenv(ENV_SEED, "333")
@@ -207,6 +251,13 @@ class TestPolicySurfaceCommand:
             assert float(row[3]) > 0.0  # wealth
             assert float(row[4]) > 0.0  # consumption
             assert row[7] in ("True", "False")
+
+    def test_non_positive_max_wealth_is_usage_error(self, tmp_path, capsys):
+        data = {**self.CONFIG, "policy": {"times": [0.0], "max_wealth": -1.0}}
+        cfg = write_config(tmp_path, data)
+        out = tmp_path / "s.csv"
+        assert main(["policy-surface", "--config", cfg, "--out", str(out)]) == 1
+        assert "max_wealth must be positive" in capsys.readouterr().err
 
 
 class TestLifetimeCommand:
