@@ -4,8 +4,8 @@ Monte Carlo implementation of the pointwise-optimal ("greedy")
 consumption rule for a retiree with multiplicative habit formation,
 Gompertz mortality, and a constant Black-Scholes market: multiplier
 calibration via the budget identity, wealth via the martingale
-representation, and the risky allocation via nested simulation with
-common-random-number finite differences.
+representation, and the risky allocation via nested simulation with a
+pathwise delta (or, given a bump, common-random-number central differences).
 """
 
 from .allocation import (

@@ -19,13 +19,18 @@ The risky fraction follows from the delta of the wealth,
 
     theta = -(kappa / sigma) * y G_y / G,
 
-estimated by central finite differences on common random numbers: the
-same inner paths are reused for the base and both bumped evaluations,
-so the difference is smooth path-by-path and the estimator variance
-stays small even with modest inner sample sizes.  Near wealth
-exhaustion G is of the same order as its standard error and the ratio
-estimate degrades; such points are flagged unreliable instead of
-raising.
+estimated pathwise by default: the sweep that prices G on the inner
+paths also carries y * dG/dy along each path (through the Bernoulli
+kernel, or as a forward tangent of the Euler habit step), so one pass
+per state gives both.  The pension floor is Lipschitz, so the
+path-by-path derivative is unbiased (Glasserman, Monte Carlo Methods in
+Financial Engineering, 2003, section 7.2).  A positive ``bump`` selects
+central finite differences on common random numbers instead: the same
+inner paths are priced at the state and at two relative density bumps.
+Either way the ratio and its delta-method standard error come from the
+per-path samples.  Near wealth exhaustion G is of the same order as its
+standard error and the ratio estimate degrades; such points are flagged
+unreliable instead of raising.
 """
 
 from __future__ import annotations
@@ -69,8 +74,9 @@ class NestedConfig:
     n_inner : int
         Inner paths per state evaluation.
     bump : float
-        Relative bump for the central difference (the estimate is also
-        produced at bump/2 agreement levels in the test-suite).
+        0 (the default) takes theta from the pathwise delta, one sweep per
+        state; a positive value is the relative density bump of a central
+        difference, three sweeps per state.
     seed : int
         Master seed for inner streams (domain-separated from outer
         bundles by a spawn-key prefix).
@@ -83,19 +89,19 @@ class NestedConfig:
     """
 
     n_inner: int = 5000
-    bump: float = 1e-3
+    bump: float = 0.0
     seed: int = DEFAULT_SEED
     grid: TimeGrid = TimeGrid(60.0, 0.05)
     antithetic: bool = True
 
     def __post_init__(self) -> None:
         _require_two_samples("n_inner", self.n_inner, self.antithetic)
-        if not 0.0 < self.bump < 0.5:
-            raise ValueError(f"bump must be in (0, 0.5), got {self.bump}")
+        if not 0.0 <= self.bump < 0.5:
+            raise ValueError(f"bump must be in [0, 0.5), got {self.bump}")
 
 
 class ThetaEstimate(NamedTuple):
-    """Finite-difference allocation estimate at one state.
+    """Allocation estimate at one state, pathwise or by central difference.
 
     ``value``/``std_error`` are NaN when ``reliable`` is False, which
     happens when the wealth estimate is within ten standard errors of
@@ -120,6 +126,14 @@ class PolicyPoint:
     theta: float
     wealth_se: float
     theta_reliable: bool
+
+
+def _horizon_steps(grid: TimeGrid, t: float) -> int:
+    """Grid steps left after ``t``, which must lie on ``grid`` before its end."""
+    m = grid.n_steps - grid.index_of(t)
+    if m < 1:
+        raise ValueError(f"t={t} leaves no horizon on the grid")
+    return m
 
 
 class _InnerPaths:
@@ -168,9 +182,7 @@ class _InnerPaths:
         if self._last is not None and self._last[0] == key:
             return self._last[1]
         grid = self.config.grid
-        m = grid.n_steps - grid.index_of(t)
-        if m < 1:
-            raise ValueError(f"t={t} leaves no horizon on the grid")
+        m = _horizon_steps(grid, t)
         self._last = None  # release the old set-up before building the new
         if key[2] == "euler":
             if self._zeta_t is None:
@@ -190,16 +202,17 @@ class _InnerPaths:
         return cost
 
 
-def _fd_theta(f0, f_up, f_dn, bump, kappa_sig):
-    """Central-difference theta = -(kappa/sigma) y G_y / G with a delta-method SE."""
+def _ratio_theta(f0, u, kappa_sig):
+    """theta = -(kappa/sigma) y G_y / G from per-path samples of G and y G_y.
+
+    The standard error is the delta-method one of the ratio of means.
+    """
     n = f0.shape[0]
     mean_f = f0.mean()
     se_f = f0.std(ddof=1) / math.sqrt(n)
     wealth = BudgetEstimate(float(mean_f), float(se_f))
     if not mean_f > 10.0 * se_f:
         return ThetaEstimate(math.nan, math.nan, False, wealth)
-    # relative bumps make state * d/d(state) = central diff / (2 * bump)
-    u = (f_up - f_dn) / (2.0 * bump)
     ratio = u.mean() / mean_f
     resid = u - ratio * f0
     var_ratio = resid.var(ddof=1) / (n * mean_f**2)
@@ -209,6 +222,12 @@ def _fd_theta(f0, f_up, f_dn, bump, kappa_sig):
         True,
         wealth,
     )
+
+
+def _fd_theta(f0, f_up, f_dn, bump, kappa_sig):
+    """Central-difference theta from the costs at the state and two bumps."""
+    # relative bumps make state * d/d(state) = central diff / (2 * bump)
+    return _ratio_theta(f0, (f_up - f_dn) / (2.0 * bump), kappa_sig)
 
 
 def wealth_no_pension(
@@ -262,13 +281,18 @@ def allocation_at(
         raise ValueError("zeta and habit_level must be positive")
     inner = _inner or _InnerPaths(params.market, config)
     cost = inner.cost_from(t, params)
+    kappa_sig = params.market.kappa / params.market.sigma
     bump = config.bump
+    if bump == 0.0:
+        return _ratio_theta(
+            *cost.per_path(alpha, zeta, habit_level, delta=True), kappa_sig
+        )
     return _fd_theta(
         f0=cost.per_path(alpha, zeta, habit_level),
         f_up=cost.per_path(alpha, zeta * (1.0 + bump), habit_level),
         f_dn=cost.per_path(alpha, zeta * (1.0 - bump), habit_level),
         bump=bump,
-        kappa_sig=params.market.kappa / params.market.sigma,
+        kappa_sig=kappa_sig,
     )
 
 
@@ -291,6 +315,18 @@ def default_zeta_grid(
     return center * np.exp(offsets)
 
 
+def _check_surface(
+    times: Sequence[float], habit_level: float, max_wealth: float, grid: TimeGrid
+) -> None:
+    """Reject policy-surface arguments that need no pricing to be found bad."""
+    if habit_level <= 0.0:
+        raise ValueError("habit_level must be positive")
+    if max_wealth <= 0.0:
+        raise ValueError("max_wealth must be positive")
+    for t in times:
+        _horizon_steps(grid, t)
+
+
 def policy_surface(
     times: Sequence[float],
     habit_level: float,
@@ -309,10 +345,7 @@ def policy_surface(
     inner paths is shared by the whole surface, and one cost functional
     by every state (and every bump) at one time.
     """
-    if habit_level <= 0.0:
-        raise ValueError("habit_level must be positive")
-    if max_wealth <= 0.0:
-        raise ValueError("max_wealth must be positive")
+    _check_surface(times, habit_level, max_wealth, config.grid)
     if zeta_grid is None:
         grids = [default_zeta_grid(t, params.market) for t in times]
     else:

@@ -25,6 +25,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .allocation import (
     NestedConfig,
+    _check_surface,
     _InnerPaths,
     allocation_at,
     default_zeta_grid,
@@ -328,6 +329,16 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 def _cmd_policy_surface(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
+    # every check that needs no pricing runs before the calibration
+    if cfg.n_zeta < 1:
+        raise ConfigError(f"config key policy.n_zeta: expected >= 1, got {cfg.n_zeta}")
+    _check_surface(
+        cfg.policy_times, cfg.habit_level, cfg.max_wealth, cfg.nested.grid
+    )
+    zeta_grid = [
+        default_zeta_grid(t, cfg.model.market, n=cfg.n_zeta, spread=cfg.zeta_spread)
+        for t in cfg.policy_times
+    ]
     solution = calibrate_alpha(cfg.model, cfg.calibration)
     points = policy_surface(
         cfg.policy_times,
@@ -335,12 +346,7 @@ def _cmd_policy_surface(args: argparse.Namespace) -> int:
         solution.alpha,
         cfg.model,
         cfg.nested,
-        zeta_grid=[
-            default_zeta_grid(
-                t, cfg.model.market, n=cfg.n_zeta, spread=cfg.zeta_spread
-            )
-            for t in cfg.policy_times
-        ],
+        zeta_grid=zeta_grid,
         max_wealth=cfg.max_wealth,
     )
     # PolicyPoint's fields are in POLICY_COLUMNS order
@@ -398,7 +404,8 @@ def _cmd_merton_check(args: argparse.Namespace) -> int:
         checks.append((name, ok, detail))
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
 
-    # 1. frozen-habit model: nested FD allocation vs kappa/(sigma*gamma)
+    # 1. frozen-habit model: nested allocation vs kappa/(sigma*gamma); the
+    # pathwise delta (bump 0) is exact there, a central difference O(bump^2)
     frozen = dataclasses.replace(
         base, habit=dataclasses.replace(base.habit, eta=0.0)
     )

@@ -24,13 +24,14 @@ the same path).
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .allocation import NestedConfig, _InnerPaths, allocation_at
+from .allocation import NestedConfig, _horizon_steps, _InnerPaths, allocation_at
 from .habit import habit_euler_step
 from .market import PathBundle, TimeGrid, _density_paths, generate_paths
 from .solver import (
@@ -68,6 +69,36 @@ class LifetimeRecord:
     pension: float
     exhausted_at: Optional[float]
     mode: str
+
+
+def _refresh_plan(
+    mode: str, horizon: float, dt: float, theta_refresh: float, nested: NestedConfig
+) -> Tuple[TimeGrid, List[int]]:
+    """The record's grid and the grid indices of its allocation refreshes.
+
+    Checks every argument of :func:`simulate_lifetime` that needs no
+    pricing, so a sweep can reject bad ones before it calibrates.
+    """
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    if horizon >= nested.grid.t_max:
+        raise ValueError(
+            f"horizon {horizon} must be < nested grid t_max {nested.grid.t_max}"
+        )
+    grid = TimeGrid(horizon, dt)
+    m = round(theta_refresh / dt)
+    if m < 1 or abs(m * dt - theta_refresh) > 1e-9:
+        raise ValueError(
+            f"theta_refresh={theta_refresh} is not a multiple of dt={dt}"
+        )
+    n = grid.n_steps
+    refresh_idx = list(range(0, n + 1, m))
+    if refresh_idx[-1] != n:
+        refresh_idx.append(n)
+    times = grid.times()
+    for k in refresh_idx:
+        _horizon_steps(nested.grid, float(times[k]))
+    return grid, refresh_idx
 
 
 def simulate_lifetime(
@@ -109,18 +140,7 @@ def simulate_lifetime(
     -------
     LifetimeRecord
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    if horizon >= nested.grid.t_max:
-        raise ValueError(
-            f"horizon {horizon} must be < nested grid t_max {nested.grid.t_max}"
-        )
-    grid = TimeGrid(horizon, dt)
-    m = round(theta_refresh / dt)
-    if m < 1 or abs(m * dt - theta_refresh) > 1e-9:
-        raise ValueError(
-            f"theta_refresh={theta_refresh} is not a multiple of dt={dt}"
-        )
+    grid, refresh_idx = _refresh_plan(mode, horizon, dt, theta_refresh, nested)
     times = grid.times()
     n = grid.n_steps
 
@@ -142,9 +162,6 @@ def simulate_lifetime(
     consumption = consumption[0].copy()
     habit = habit[0].copy()
 
-    refresh_idx = list(range(0, n + 1, m))
-    if refresh_idx[-1] != n:
-        refresh_idx.append(n)
     refresh_times = times[refresh_idx]
 
     inner = _InnerPaths(params.market, nested)
@@ -228,6 +245,10 @@ def simulate_lifetime(
     )
 
 
+# simulate_lifetime's parameters and defaults, which pension_sweep forwards
+_SIMULATE_SIGNATURE = inspect.signature(simulate_lifetime)
+
+
 def pension_sweep(
     params: ModelParams,
     pensions: Sequence[float],
@@ -251,6 +272,11 @@ def pension_sweep(
     """
     if alphas is not None and len(alphas) != len(pensions):
         raise ValueError("alphas must align with pensions")
+    # reject bad record arguments before the calibrations, not after them
+    sim = _SIMULATE_SIGNATURE.bind(params, 1.0, **sim_kwargs)
+    sim.apply_defaults()
+    keys = ("mode", "horizon", "dt", "theta_refresh", "nested")
+    _refresh_plan(*(sim.arguments[key] for key in keys))
     if alphas is None:
         bundle = _calibration_paths(params.market, calibration)
         alphas = [

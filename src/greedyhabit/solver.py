@@ -266,6 +266,8 @@ class _CostFunctional:
     kernel on construction and ``wz`` on the first :meth:`per_path`, both
     in blocks of ``ROW_BLOCK`` rows, and prices block by block; every row
     is computed on its own, so the block size never changes a result.
+    Either branch can return y * d(cost)/dy per path from the sweep that
+    prices the cost, which is the pathwise delta allocation reads.
     """
 
     def __init__(
@@ -327,8 +329,13 @@ class _CostFunctional:
             wz[rows] = zeta[rows] ** (1.0 - 1.0 / g) * vec * self._wgt
         return wz
 
-    def _stream(self, alpha: float, y: float, h: float):
-        """Yield (k, consumption, habit) of the floored rule, step by step."""
+    def _stream(self, alpha: float, y: float, h: float, tangent: bool = False):
+        """Yield (k, consumption, habit, tangent) of the floored rule, step by step.
+
+        With ``tangent`` the last item is y * dC/dy along the paths, carried
+        forward through the habit's own Euler step as y * dH/dy (zero at
+        the start); it is zero where the floor binds.  Otherwise it is None.
+        """
         g = self.params.market.gamma
         eta = self.params.habit.eta
         pi = self.params.pension
@@ -336,24 +343,41 @@ class _CostFunctional:
         fac = (alpha ** (-1.0 / g) * y ** (-1.0 / g)) * self._shadow
         m, n = self._zeta_t.shape
         h = np.full(n, float(h))
+        dh = np.zeros(n) if tangent else None
+        dc = None
         for k in range(m):
             c = h**e * (fac[k] * self._zpow_t[k])
+            if tangent:
+                # C = h^e y^(-1/g) (...) off the floor, so y dC/dy = C (e dh/h - 1/g)
+                dc = dh / h
+                dc *= e
+                dc -= 1.0 / g
+                dc *= c
             np.maximum(c, pi, out=c)
-            yield k, c, h
+            if tangent:
+                dc *= c > pi
+            yield k, c, h, dc
             if k < m - 1:
                 h = habit_euler_step(h, c, self._dt, eta)
+                if tangent:
+                    dh = habit_euler_step(dh, dc, self._dt, eta)
 
-    def per_path(self, alpha: float, y: float, h: float) -> np.ndarray:
+    def per_path(self, alpha: float, y: float, h: float, delta: bool = False):
         """Remaining cost in wealth units from density level y and habit h.
 
         One sample per path, or per antithetic pair when the paths are
-        mirrored.
+        mirrored.  With ``delta`` the same sweep also returns y * d(cost)/dy
+        per sample, as the pair (cost, delta); the cost is then bit for bit
+        the one returned without it.
         """
         if self._euler:
             pi = self.params.pension
             cost = np.zeros(self._zeta_t.shape[1])
-            for k, c, _ in self._stream(alpha, y, h):
+            tangent = np.zeros_like(cost) if delta else None
+            for k, c, _, dc in self._stream(alpha, y, h, delta):
                 cost += (self._wgt[k] * (c - pi)) * self._zeta_t[k]
+                if delta:
+                    tangent += (self._wgt[k] * dc) * self._zeta_t[k]
         else:
             g = self.params.market.gamma
             eta = self.params.habit.eta
@@ -364,22 +388,41 @@ class _CostFunctional:
             # z = y * h; dividing by y turns F(t, z) into wealth units
             u0 = (y * h) ** (1.0 / g)
             if self._kernel is None:
-                cost = beta * (self._wz * u0 ** (g - 1.0))
+                cost = beta * (self._wz * u0 ** (g - 1.0)) / y
+                if delta:
+                    tangent = -cost / g
             else:
-                sums = np.empty(self._kernel.shape[0])
+                n, m = self._kernel.shape
+                blocks = _row_blocks(n)
+                sums = np.empty(n)
+                if delta:
+                    dsums = np.empty(n)
+                    spare = np.empty((blocks[0].stop, m))
                 scale = (eta / g) * beta
-                for rows in _row_blocks(self._kernel.shape[0]):
+                for rows in blocks:
                     block = self._kernel[rows] * scale
                     block += u0
-                    block **= g - 1.0
-                    block *= self._wz[rows]
-                    sums[rows] = block.sum(axis=-1)
-                cost = beta * sums
-            cost = cost / y
+                    power = block
+                    if delta:
+                        # keep B in ``block`` for the delta's B^(g-2) = B^(g-1) / B
+                        power = spare[: block.shape[0]]
+                        power[...] = block
+                    power **= g - 1.0
+                    power *= self._wz[rows]
+                    sums[rows] = power.sum(axis=-1)
+                    if delta:
+                        np.divide(power, block, out=block)
+                        dsums[rows] = block.sum(axis=-1)
+                cost = beta * sums / y
+                if delta:
+                    # y du0/dy = u0 / g, and d(1/y) gives -cost
+                    tangent = -cost + (beta / y) * ((g - 1.0) / g) * u0 * dsums
         if self._antithetic:
             half = cost.shape[0] // 2
             cost = 0.5 * (cost[:half] + cost[half:])
-        return cost
+            if delta:
+                tangent = 0.5 * (tangent[:half] + tangent[half:])
+        return (cost, tangent) if delta else cost
 
     def paths(self, alpha: float) -> Tuple[np.ndarray, np.ndarray]:
         """Consumption and habit along the paths from (1, initial habit)."""
@@ -387,7 +430,7 @@ class _CostFunctional:
         if self._euler:
             consumption = np.empty_like(self._zeta_t)
             habit = np.empty_like(self._zeta_t)
-            for k, c, h in self._stream(alpha, 1.0, h0):
+            for k, c, h, _ in self._stream(alpha, 1.0, h0):
                 consumption[k] = c
                 habit[k] = h
             return consumption.T, habit.T

@@ -183,6 +183,46 @@ class TestAllocation:
         assert NestedConfig(n_inner=2, antithetic=False).n_inner == 2
 
 
+class TestPathwiseTheta:
+    """``bump = 0`` takes theta from the delta of the pricing sweep."""
+
+    def test_is_the_default(self):
+        assert NestedConfig().bump == 0.0
+        with pytest.raises(ValueError, match=r"bump must be in \[0, 0.5\)"):
+            NestedConfig(bump=-1e-3)
+
+    @pytest.mark.parametrize("gamma", [0.5, 3.0])
+    def test_exact_without_habit(self, gamma):
+        # at eta = 0 every path's cost is proportional to y^(-1/gamma),
+        # so the pathwise ratio is the Merton fraction to rounding
+        market = MarketParams(gamma=gamma)
+        params = ModelParams(market=market, habit=HabitParams(eta=0.0))
+        alpha = merton_alpha(10.0, market, GompertzParams())
+        inner = _InnerPaths(market, config(2000, bump=0.0))
+        for t, zeta in [(0.0, 1.0), (10.0, 0.5), (30.0, 2.0)]:
+            est = allocation_at(
+                t, zeta, 1.0, alpha, params, config(2000, bump=0.0), _inner=inner
+            )
+            assert abs(est.value - merton_theta(market)) < 1e-12
+
+    def test_agrees_with_central_difference_where_the_floor_binds(self):
+        params = make_params(eta=0.1, pension=0.5)
+        pathwise, central = config(2000, bump=0.0), config(2000)
+        zeta = _InnerPaths(params.market, pathwise)._zeta
+        inner = _InnerPaths(params.market, pathwise)
+        for t, y in [(0.0, 1.0), (10.0, 3.0), (19.0, 0.3)]:
+            m = GRID.n_steps - GRID.index_of(t)
+            times = t + np.arange(m + 1) * GRID.dt
+            consumption = reference_euler(
+                ALPHA, params, times, zeta[:, : m + 1], GRID.dt, y, 1.0
+            )[1]
+            assert 0.0 < np.mean(consumption == params.pension) < 1.0
+            a = allocation_at(t, y, 1.0, ALPHA, params, pathwise, _inner=inner)
+            b = allocation_at(t, y, 1.0, ALPHA, params, central, _inner=inner)
+            assert a.wealth == b.wealth
+            assert abs(a.value - b.value) < 2.0 * a.std_error, (t, y)
+
+
 class TestPolicySurface:
     def test_zeta_grid_centred_on_median(self):
         market = MarketParams()

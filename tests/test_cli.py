@@ -11,6 +11,8 @@ import json
 
 import pytest
 
+import greedyhabit.cli
+import greedyhabit.lifetime
 from greedyhabit import (
     DEFAULT_SEED,
     CalibrationConfig,
@@ -40,6 +42,20 @@ def write_config(tmp_path, data, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
     return str(path)
+
+
+@pytest.fixture
+def calibrations(monkeypatch):
+    """The ``calibrate_alpha`` calls the commands make, in a list."""
+    calls = []
+    for module in (greedyhabit.cli, greedyhabit.lifetime):
+
+        def counted(*args, _real=module.calibrate_alpha, **kwargs):
+            calls.append(args)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, "calibrate_alpha", counted)
+    return calls
 
 
 class TestRunConfig:
@@ -252,6 +268,24 @@ class TestPolicySurfaceCommand:
             assert float(row[4]) > 0.0  # consumption
             assert row[7] in ("True", "False")
 
+    @pytest.mark.parametrize(
+        "policy, message",
+        [
+            ({"times": [0.03]}, "t=0.03 does not lie on the grid"),
+            ({"times": [0.0, 60.0]}, "t=60.0 leaves no horizon"),
+            ({"n_zeta": 0}, "config key policy.n_zeta: expected >= 1, got 0"),
+        ],
+        ids=["off-grid-time", "last-grid-time", "n_zeta-0"],
+    )
+    def test_bad_policy_fails_before_calibration(
+        self, tmp_path, capsys, calibrations, policy, message
+    ):
+        cfg = write_config(tmp_path, {**self.CONFIG, "policy": policy})
+        out = tmp_path / "s.csv"
+        assert main(["policy-surface", "--config", cfg, "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert calibrations == []
+
     def test_non_positive_max_wealth_is_usage_error(self, tmp_path, capsys):
         data = {**self.CONFIG, "policy": {"times": [0.0], "max_wealth": -1.0}}
         cfg = write_config(tmp_path, data)
@@ -287,6 +321,27 @@ class TestLifetimeCommand:
         assert pensions == {0.0, 1.5}
         for row in body:
             assert float(row[2]) >= float(row[1]) - 1e-12  # consumption >= pension
+
+
+    @pytest.mark.parametrize(
+        "lifetime, message",
+        [
+            ({"horizon": 70.0}, "horizon 70.0 must be < nested grid t_max 60.0"),
+            ({"dt": 0.3}, "t_max=2.0 is not an integer multiple of dt=0.3"),
+            ({"theta_refresh": 0.33}, "theta_refresh=0.33 is not a multiple of dt=0.1"),
+            ({"dt": 0.04, "theta_refresh": 0.52}, "t=0.52 does not lie on the grid"),
+        ],
+        ids=["horizon", "dt", "theta_refresh", "refresh-off-nested-grid"],
+    )
+    def test_bad_record_fails_before_calibration(
+        self, tmp_path, capsys, calibrations, lifetime, message
+    ):
+        data = {**self.CONFIG, "lifetime": {**self.CONFIG["lifetime"], **lifetime}}
+        cfg = write_config(tmp_path, data)
+        out = tmp_path / "life.csv"
+        assert main(["lifetime", "--config", cfg, "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert calibrations == []
 
 
 class TestMertonCheckCommand:

@@ -6,6 +6,7 @@ pathwise solver's two branches, the exact pathwise alpha-scaling of the
 budget at eta = 0, and the bookkeeping the calibration reports back.
 """
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -32,7 +33,7 @@ from greedyhabit import (
 import greedyhabit.market
 from greedyhabit.habit import bernoulli_kernel
 from greedyhabit.market import log_survival_probability
-from greedyhabit.solver import _bundle_cost, _calibration_paths
+from greedyhabit.solver import _CostFunctional, _bundle_cost, _calibration_paths
 from conftest import make_params, reference_euler
 
 
@@ -460,3 +461,68 @@ class TestCalibrationMemory:
             tracemalloc.stop()
         full = config.n_paths * (config.grid.n_steps + 1) * 8
         assert peak <= 3.5 * full
+
+
+class TestPathwiseDelta:
+    """y * d(cost)/dy per path, from the sweep that prices the cost.
+
+    The oracle is a per-path central difference of the cost itself (the
+    closed form, or the path-major Euler loop of ``conftest``): off the
+    pension floor every path's cost is smooth in y, so the two agree to
+    O(bump^2).  The constant is 4 at gamma = 0.5 and eta = 0, where the
+    cost is proportional to y^(-2); the bound allows 5.
+    """
+
+    GRID = TimeGrid(60.0, 0.1)
+    STATE = 2.9, 1.3, 0.8  # alpha, y, h
+
+    def assert_central_difference(self, delta, cost, cost_at):
+        _, y, _ = self.STATE
+        for bump in (1e-2, 1e-3):
+            diff = (cost_at(y * (1.0 + bump)) - cost_at(y * (1.0 - bump))) / (
+                2.0 * bump
+            )
+            assert np.all(np.abs(delta - diff) <= 5.0 * bump**2 * np.abs(cost))
+
+    @pytest.mark.parametrize("gamma", [0.5, 3.0])
+    @pytest.mark.parametrize("eta", [0.0, 0.1])
+    def test_closed_form(self, gamma, eta):
+        params = make_params(eta=eta)
+        params = dataclasses.replace(params, market=MarketParams(gamma=gamma))
+        bundle = generate_paths(
+            params.market, self.GRID, 200, seed=12, antithetic=True
+        )
+        cost = _bundle_cost(params, bundle)
+        alpha, y, h = self.STATE
+        f, delta = cost.per_path(alpha, y, h, delta=True)
+        assert np.array_equal(f, cost.per_path(alpha, y, h))
+        self.assert_central_difference(
+            delta, f, lambda level: cost.per_path(alpha, level, h)
+        )
+
+    @pytest.mark.parametrize("gamma", [0.5, 3.0])
+    def test_euler_tangent_without_pension(self, gamma):
+        params = make_params(eta=0.1)
+        params = dataclasses.replace(params, market=MarketParams(gamma=gamma))
+        zeta = generate_paths(params.market, self.GRID, 200, seed=12).zeta
+        times, dt = self.GRID.times(), self.GRID.dt
+        cost = _CostFunctional(params, times, zeta, dt, False, method="euler")
+        alpha, y, h = self.STATE
+
+        def reference(level):
+            return reference_euler(alpha, params, times, zeta, dt, level, h)[0]
+
+        f, delta = cost.per_path(alpha, y, h, delta=True)
+        assert np.array_equal(f, reference(y))
+        self.assert_central_difference(delta, f, reference)
+
+    def test_block_size_never_changes_the_delta(self, monkeypatch, market):
+        bundle = generate_paths(market, self.GRID, 202, seed=12, antithetic=True)
+        expected = None
+        for block in (203, 7, 1):
+            monkeypatch.setattr(greedyhabit.market, "ROW_BLOCK", block)
+            cost = _bundle_cost(make_params(eta=0.1), bundle)
+            got = cost.per_path(*self.STATE, delta=True)
+            if expected is None:
+                expected = got
+            assert all(np.array_equal(a, b) for a, b in zip(got, expected))
