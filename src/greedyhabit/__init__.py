@@ -5,7 +5,7 @@ consumption rule for a retiree with multiplicative habit formation,
 Gompertz mortality, and a constant Black-Scholes market: multiplier
 calibration via the budget identity, wealth via the martingale
 representation, and the risky allocation via nested simulation with a
-pathwise delta (or, given a bump, common-random-number central differences).
+pathwise delta.
 """
 
 from .allocation import (

@@ -19,18 +19,16 @@ The risky fraction follows from the delta of the wealth,
 
     theta = -(kappa / sigma) * y G_y / G,
 
-estimated pathwise by default: the sweep that prices G on the inner
-paths also carries y * dG/dy along each path (through the Bernoulli
-kernel, or as a forward tangent of the Euler habit step), so one pass
-per state gives both.  The pension floor is Lipschitz, so the
-path-by-path derivative is unbiased (Glasserman, Monte Carlo Methods in
-Financial Engineering, 2003, section 7.2).  A positive ``bump`` selects
-central finite differences on common random numbers instead: the same
-inner paths are priced at the state and at two relative density bumps.
-Either way the ratio and its delta-method standard error come from the
-per-path samples.  Near wealth exhaustion G is of the same order as its
-standard error and the ratio estimate degrades; such points are flagged
-unreliable instead of raising.
+estimated pathwise: the sweep that prices G on the inner paths also
+carries y * dG/dy along each path (through the Bernoulli kernel, or as
+a forward tangent of the Euler habit step), so one pass per state gives
+both.  The pension floor is Lipschitz, so the path-by-path derivative
+is unbiased (Glasserman, Monte Carlo Methods in Financial Engineering,
+2003, section 7.2); it is the limit of central differences on common
+random numbers as the bump goes to 0.  The ratio and its delta-method
+standard error come from the per-path samples.  Near wealth exhaustion
+G is of the same order as its standard error and the ratio estimate
+degrades; such points are flagged unreliable instead of raising.
 """
 
 from __future__ import annotations
@@ -73,10 +71,6 @@ class NestedConfig:
     ----------
     n_inner : int
         Inner paths per state evaluation.
-    bump : float
-        0 (the default) takes theta from the pathwise delta, one sweep per
-        state; a positive value is the relative density bump of a central
-        difference, three sweeps per state.
     seed : int
         Master seed for inner streams (domain-separated from outer
         bundles by a spawn-key prefix).
@@ -89,19 +83,16 @@ class NestedConfig:
     """
 
     n_inner: int = 5000
-    bump: float = 0.0
     seed: int = DEFAULT_SEED
     grid: TimeGrid = TimeGrid(60.0, 0.05)
     antithetic: bool = True
 
     def __post_init__(self) -> None:
         _require_two_samples("n_inner", self.n_inner, self.antithetic)
-        if not 0.0 <= self.bump < 0.5:
-            raise ValueError(f"bump must be in [0, 0.5), got {self.bump}")
 
 
 class ThetaEstimate(NamedTuple):
-    """Allocation estimate at one state, pathwise or by central difference.
+    """Pathwise allocation estimate at one state, with its wealth.
 
     ``value``/``std_error`` are NaN when ``reliable`` is False, which
     happens when the wealth estimate is within ten standard errors of
@@ -145,8 +136,8 @@ class _InnerPaths:
     alone (cumulative sum, time grid and exponential are prefix-stable).
     Sharing the leading block across anchor times makes repeated
     estimates along a lifetime co-monotone (common random numbers in t
-    as well as in the bump).  The last cost functional is kept, so every
-    state and bump at one anchor time shares its set-up.
+    as well as in the state).  The last cost functional is kept, so every
+    state at one anchor time shares its set-up.
 
     The closed-form functional sums along each path and takes the
     path-major prefix ``zeta[:, :m + 1]``.  The Euler functional steps
@@ -224,12 +215,6 @@ def _ratio_theta(f0, u, kappa_sig):
     )
 
 
-def _fd_theta(f0, f_up, f_dn, bump, kappa_sig):
-    """Central-difference theta from the costs at the state and two bumps."""
-    # relative bumps make state * d/d(state) = central diff / (2 * bump)
-    return _ratio_theta(f0, (f_up - f_dn) / (2.0 * bump), kappa_sig)
-
-
 def wealth_no_pension(
     t: float,
     z: float,
@@ -282,17 +267,8 @@ def allocation_at(
     inner = _inner or _InnerPaths(params.market, config)
     cost = inner.cost_from(t, params)
     kappa_sig = params.market.kappa / params.market.sigma
-    bump = config.bump
-    if bump == 0.0:
-        return _ratio_theta(
-            *cost.per_path(alpha, zeta, habit_level, delta=True), kappa_sig
-        )
-    return _fd_theta(
-        f0=cost.per_path(alpha, zeta, habit_level),
-        f_up=cost.per_path(alpha, zeta * (1.0 + bump), habit_level),
-        f_dn=cost.per_path(alpha, zeta * (1.0 - bump), habit_level),
-        bump=bump,
-        kappa_sig=kappa_sig,
+    return _ratio_theta(
+        *cost.per_path(alpha, zeta, habit_level, delta=True), kappa_sig
     )
 
 
@@ -343,7 +319,7 @@ def policy_surface(
     :func:`default_zeta_grid`.  For each time slice the rows are ordered
     by increasing wealth and clipped to (0, max_wealth].  One set of
     inner paths is shared by the whole surface, and one cost functional
-    by every state (and every bump) at one time.
+    by every state at one time.
     """
     _check_surface(times, habit_level, max_wealth, config.grid)
     if zeta_grid is None:

@@ -404,8 +404,8 @@ def _cmd_merton_check(args: argparse.Namespace) -> int:
         checks.append((name, ok, detail))
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
 
-    # 1. frozen-habit model: nested allocation vs kappa/(sigma*gamma); the
-    # pathwise delta (bump 0) is exact there, a central difference O(bump^2)
+    # 1. frozen-habit model: nested pathwise allocation vs
+    # kappa/(sigma*gamma), which it reproduces to rounding
     frozen = dataclasses.replace(
         base, habit=dataclasses.replace(base.habit, eta=0.0)
     )

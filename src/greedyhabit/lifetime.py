@@ -24,7 +24,6 @@ the same path).
 from __future__ import annotations
 
 import dataclasses
-import inspect
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -245,17 +244,17 @@ def simulate_lifetime(
     )
 
 
-# simulate_lifetime's parameters and defaults, which pension_sweep forwards
-_SIMULATE_SIGNATURE = inspect.signature(simulate_lifetime)
-
-
 def pension_sweep(
     params: ModelParams,
     pensions: Sequence[float],
     scenario_seed: Optional[int] = None,
     alphas: Optional[Sequence[float]] = None,
     calibration: CalibrationConfig = CalibrationConfig(),
-    **sim_kwargs,
+    mode: str = "euler_wealth",
+    horizon: float = 40.0,
+    dt: float = 0.05,
+    theta_refresh: float = 0.25,
+    nested: NestedConfig = NestedConfig(),
 ) -> List[LifetimeRecord]:
     """Lifetime records across pension levels on one common scenario.
 
@@ -269,14 +268,14 @@ def pension_sweep(
     alphas : sequence of float, optional
         Pre-calibrated multipliers aligned with ``pensions``; skips
         calibration when given.
+    mode, horizon, dt, theta_refresh, nested
+        Passed to :func:`simulate_lifetime` for every record; they are
+        checked before any calibration.
     """
     if alphas is not None and len(alphas) != len(pensions):
         raise ValueError("alphas must align with pensions")
     # reject bad record arguments before the calibrations, not after them
-    sim = _SIMULATE_SIGNATURE.bind(params, 1.0, **sim_kwargs)
-    sim.apply_defaults()
-    keys = ("mode", "horizon", "dt", "theta_refresh", "nested")
-    _refresh_plan(*(sim.arguments[key] for key in keys))
+    _refresh_plan(mode, horizon, dt, theta_refresh, nested)
     if alphas is None:
         bundle = _calibration_paths(params.market, calibration)
         alphas = [
@@ -292,7 +291,14 @@ def pension_sweep(
         p = dataclasses.replace(params, pension=float(pension))
         records.append(
             simulate_lifetime(
-                p, float(alpha), scenario_seed=scenario_seed, **sim_kwargs
+                p,
+                float(alpha),
+                scenario_seed=scenario_seed,
+                mode=mode,
+                horizon=horizon,
+                dt=dt,
+                theta_refresh=theta_refresh,
+                nested=nested,
             )
         )
     return records

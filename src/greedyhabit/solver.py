@@ -360,7 +360,8 @@ class _CostFunctional:
             if k < m - 1:
                 h = habit_euler_step(h, c, self._dt, eta)
                 if tangent:
-                    dh = habit_euler_step(dh, dc, self._dt, eta)
+                    # the same linear step, whose checks ran for h just above
+                    dh += (eta * self._dt) * (dc - dh)
 
     def per_path(self, alpha: float, y: float, h: float, delta: bool = False):
         """Remaining cost in wealth units from density level y and habit h.

@@ -20,6 +20,7 @@ from greedyhabit import (
     calibrate_alpha,
     generate_paths,
 )
+from greedyhabit.allocation import _ratio_theta
 from greedyhabit.market import log_survival_probability
 
 CAL_GRID = TimeGrid(60.0, 0.05)
@@ -44,8 +45,9 @@ def reference_euler(alpha, params, times, zeta, dt, y=1.0, h=None):
     solver's arithmetic in the solver's order, so the solver's
     step-major sweep must match it exactly.  Returns the per-path cost
     of the excess over the pension in wealth units from density level
-    ``y`` and habit ``h`` (default the initial habit), and the
-    consumption and habit arrays.
+    ``y`` and habit ``h`` (default the initial habit), the consumption
+    and habit arrays, and the per-path pathwise delta y * d(cost)/dy,
+    carried through the habit step as the tangent y * dH/dy.
     """
     g, eta, pi = params.market.gamma, params.habit.eta, params.pension
     wgt = np.empty_like(times)
@@ -57,14 +59,30 @@ def reference_euler(alpha, params, times, zeta, dt, y=1.0, h=None):
     fac = (alpha ** (-1.0 / g) * y ** (-1.0 / g)) * shadow
     zpow = zeta ** (-1.0 / g)
     h = np.full(zeta.shape[0], params.habit.initial if h is None else h)
-    cost = np.zeros(zeta.shape[0])
+    dh = np.zeros(zeta.shape[0])
+    cost, delta = np.zeros(zeta.shape[0]), np.zeros(zeta.shape[0])
     consumption, habit = np.empty_like(zeta), np.empty_like(zeta)
     for k in range(times.shape[0]):
-        c = np.maximum(h ** (1.0 - 1.0 / g) * (fac[k] * zpow[:, k]), pi)
+        free = h ** (1.0 - 1.0 / g) * (fac[k] * zpow[:, k])
+        c = np.maximum(free, pi)
+        dc = ((dh / h) * (1.0 - 1.0 / g) - 1.0 / g) * free * (c > pi)
         cost += (wgt[k] * (c - pi)) * zeta[:, k]
+        delta += (wgt[k] * dc) * zeta[:, k]
         consumption[:, k], habit[:, k] = c, h
         h = h + eta * (c - h) * dt
-    return cost, consumption, habit
+        dh = dh + (eta * dt) * (dc - dh)
+    return cost, consumption, habit, delta
+
+
+def central_theta(price, y, bump, kappa_sig):
+    """Central-difference theta on common random numbers.
+
+    ``price(level)`` returns the per-sample costs at density level
+    ``level``; relative bumps make y * d/dy = difference / (2 * bump).
+    The pathwise estimate is its limit as the bump goes to 0.
+    """
+    u = (price(y * (1.0 + bump)) - price(y * (1.0 - bump))) / (2.0 * bump)
+    return _ratio_theta(price(y), u, kappa_sig)
 
 
 @pytest.fixture(scope="session")

@@ -26,8 +26,9 @@ test), so the module doubles as a verification report:
     v = 30, while the risky fraction rises; pension floor
     with a flat segment; depletion time decreasing in the pension;
     habit drifting down when wealth is scarce relative to it.
-8.  Sensitivity robustness -- the risky fraction is stable under bump
-    halving and under doubling the inner sample size.
+8.  Sensitivity robustness -- the pathwise risky fraction is the limit
+    of central differences (those at a bump and at half of it agree
+    with it) and is stable under doubling the inner sample size.
 
 Seeds and inner sample sizes are frozen so every line is reproducible.
 """
@@ -58,7 +59,8 @@ from greedyhabit import (
     wealth_with_pension,
 )
 
-from conftest import CAL_GRID, CAL_SEED, make_params
+from greedyhabit.allocation import _InnerPaths
+from conftest import CAL_GRID, CAL_SEED, central_theta, make_params
 
 ETAS = (0.01, 0.1, 1.0)
 PENSIONS = (0.0, 0.5, 1.5)
@@ -80,7 +82,7 @@ def test_merton_limit_allocation():
         ),
     )
     nested = NestedConfig(
-        n_inner=4000, bump=1e-3, seed=101, grid=CAL_GRID, antithetic=True
+        n_inner=4000, seed=101, grid=CAL_GRID, antithetic=True
     )
     target = merton_theta(params.market)
     rng = np.random.default_rng(77)
@@ -123,7 +125,7 @@ def test_calibration_matches_analytic_inversion():
 def test_budget_identity_all_configurations(calibrated):
     """Calibrated budgets hit v, and the t = 0 wealth reproduces it."""
     nested = NestedConfig(
-        n_inner=8000, bump=1e-3, seed=202, grid=CAL_GRID, antithetic=True
+        n_inner=8000, seed=202, grid=CAL_GRID, antithetic=True
     )
     ok = True
     worst = 0.0
@@ -159,7 +161,7 @@ def test_scale_invariance():
         grid=CAL_GRID, n_paths=20000, seed=31, tolerance=5e-4, antithetic=True
     )
     nested = NestedConfig(
-        n_inner=4000, bump=1e-3, seed=77, grid=CAL_GRID, antithetic=True
+        n_inner=4000, seed=77, grid=CAL_GRID, antithetic=True
     )
     base_params = make_params()
     base = calibrate_alpha(base_params, config)
@@ -243,7 +245,7 @@ def test_wealth_cross_validation(calibrated):
     """Euler wealth with held allocations tracks the martingale wealth."""
     params, _, sol = calibrated(0.1, n_paths=40000, tolerance=1e-3)
     nested = NestedConfig(
-        n_inner=5000, bump=1e-3, seed=202, grid=CAL_GRID, antithetic=True
+        n_inner=5000, seed=202, grid=CAL_GRID, antithetic=True
     )
     worst = 0.0
     for scenario_seed in (901, 902, 905, 906, 908):
@@ -279,7 +281,7 @@ def test_policy_behaviour(calibrated):
     # (a) consumption nearly linear in wealth when habit barely adapts
     params, _, sol = calibrated(0.01)
     nested = NestedConfig(
-        n_inner=3000, bump=1e-3, seed=77, grid=CAL_GRID, antithetic=True
+        n_inner=3000, seed=77, grid=CAL_GRID, antithetic=True
     )
     r2_min = 1.0
     for t in (0.0, 10.0, 20.0):
@@ -309,7 +311,7 @@ def test_policy_behaviour(calibrated):
     # lie well outside the band 16.7 < v < 18.4 around the crossover,
     # where the eta -> 0 and eta -> infinity limits nearly meet.
     nested_b = NestedConfig(
-        n_inner=8000, bump=1e-3, seed=91, grid=CAL_GRID, antithetic=True
+        n_inner=8000, seed=91, grid=CAL_GRID, antithetic=True
     )
     h0 = 1.0
     annuity = merton_annuity(
@@ -382,7 +384,7 @@ def test_policy_behaviour(calibrated):
         dt=0.05,
         theta_refresh=0.5,
         nested=NestedConfig(
-            n_inner=1500, bump=1e-3, seed=11, grid=CAL_GRID, antithetic=True
+            n_inner=1500, seed=11, grid=CAL_GRID, antithetic=True
         ),
     )
     depletion = [record.exhausted_at for record in records]
@@ -407,7 +409,7 @@ def test_policy_behaviour(calibrated):
         dt=0.05,
         theta_refresh=1.0,
         nested=NestedConfig(
-            n_inner=800, bump=1e-3, seed=11, grid=CAL_GRID, antithetic=True
+            n_inner=800, seed=11, grid=CAL_GRID, antithetic=True
         ),
     )
     first_year = record.habit[:21]
@@ -422,34 +424,35 @@ def test_policy_behaviour(calibrated):
 
 
 def test_sensitivity_robustness(calibrated):
-    """Theta stable under bump halving and a doubled inner sample."""
+    """Theta is the bump -> 0 limit of central differences and is stable
+    under a doubled inner sample."""
     params, _, sol = calibrated(0.1)
     state = (10.0, 1.0, 1.0)
-    base = allocation_at(
-        *state,
-        sol.alpha,
-        params,
-        NestedConfig(n_inner=5000, bump=1e-3, seed=77, grid=CAL_GRID, antithetic=True),
-    )
-    half_bump = allocation_at(
-        *state,
-        sol.alpha,
-        params,
-        NestedConfig(n_inner=5000, bump=5e-4, seed=77, grid=CAL_GRID, antithetic=True),
-    )
+    nested = NestedConfig(n_inner=5000, seed=77, grid=CAL_GRID, antithetic=True)
+    inner = _InnerPaths(params.market, nested)
+    base = allocation_at(*state, sol.alpha, params, nested, _inner=inner)
+    cost = inner.cost_from(state[0], params)
+    kappa_sig = params.market.kappa / params.market.sigma
+    central = [
+        central_theta(
+            lambda y: cost.per_path(sol.alpha, y, state[2]), state[1], bump, kappa_sig
+        )
+        for bump in (1e-3, 5e-4)
+    ]
     doubled = allocation_at(
         *state,
         sol.alpha,
         params,
-        NestedConfig(n_inner=10000, bump=1e-3, seed=177, grid=CAL_GRID, antithetic=True),
+        NestedConfig(n_inner=10000, seed=177, grid=CAL_GRID, antithetic=True),
     )
-    bump_gap = abs(base.value - half_bump.value)
+    bump_gap = max(abs(base.value - est.value) for est in central)
     sample_gap = abs(base.value - doubled.value)
     limit = 2.0 * math.hypot(base.std_error, doubled.std_error)
     ok = bump_gap <= 1e-3 and sample_gap < limit
     assert _report(
         "sensitivity",
         ok,
-        f"bump halving moves theta {bump_gap:.1e} (tol 1e-3); doubling the "
-        f"inner sample moves it {sample_gap:.1e} < 2 pooled SE = {limit:.1e}",
+        f"central differences at bumps 1e-3 and 5e-4 sit within {bump_gap:.1e} "
+        f"of the pathwise theta (tol 1e-3); doubling the inner sample moves it "
+        f"{sample_gap:.1e} < 2 pooled SE = {limit:.1e}",
     )

@@ -1,11 +1,12 @@
 """Nested-simulation wealth and allocation estimators.
 
 Wealth is a conditional expectation evaluated by inner simulation from
-an outer state; the allocation is its log-density derivative via
-common-random-number central differences.  The tests anchor both to the
-zero-habit closed form, check the two state representations against
-each other, and exercise the estimator's own error reporting (standard
-errors, the reliability gate, bump robustness, determinism).
+an outer state; the allocation is its log-density derivative, taken
+pathwise in the same sweep.  The tests anchor both to the zero-habit
+closed form, check the two state representations against each other and
+the pathwise derivative against common-random-number central
+differences, and exercise the estimator's own error reporting (standard
+errors, the reliability gate, determinism).
 """
 
 import math
@@ -29,9 +30,9 @@ from greedyhabit import (
     wealth_no_pension,
     wealth_with_pension,
 )
-from greedyhabit.allocation import _InnerPaths, _fd_theta
+from greedyhabit.allocation import _InnerPaths, _ratio_theta
 from greedyhabit.market import _density_paths, _fill_normals
-from conftest import make_params, reference_euler
+from conftest import central_theta, make_params, reference_euler
 
 GRID = TimeGrid(60.0, 0.05)
 
@@ -40,10 +41,8 @@ GRID = TimeGrid(60.0, 0.05)
 ALPHA = 2.88377211135682
 
 
-def config(n_inner=6000, seed=77, bump=1e-3):
-    return NestedConfig(
-        n_inner=n_inner, bump=bump, seed=seed, grid=GRID, antithetic=True
-    )
+def config(n_inner=6000, seed=77):
+    return NestedConfig(n_inner=n_inner, seed=seed, grid=GRID, antithetic=True)
 
 
 class TestWealth:
@@ -123,11 +122,11 @@ class TestAllocation:
 
     def test_theta_matches_reduced_state_difference(self):
         # without a pension theta = (kappa/sigma) (1 - z F_z / F) in the
-        # reduced state z = zeta * H; bumping the density level instead
-        # of z changes the central difference only at O(bump^2)
+        # reduced state z = zeta * H; a central difference in z and the
+        # pathwise derivative in the density level differ at O(bump^2)
         params = make_params(eta=0.1)
         cfg = config(4000)
-        b, ks = cfg.bump, params.market.kappa / params.market.sigma
+        b, ks = 1e-3, params.market.kappa / params.market.sigma
         for t, zeta, h in [(0.0, 1.0, 1.0), (10.0, 0.5, 1.2), (20.0, 2.0, 0.9)]:
             f0, f_up, f_dn = (
                 wealth_no_pension(t, zeta * h * s, ALPHA, params, cfg).value
@@ -138,20 +137,25 @@ class TestAllocation:
             assert abs(est.value - expected) < 1e-5, (t, zeta, est.value, expected)
 
     def test_bump_halving_stable(self):
+        # central differences at a bump and at half of it both land on
+        # the pathwise estimate, their limit as the bump goes to 0
         params = make_params(eta=0.1)
-        a = allocation_at(10.0, 1.0, 1.0, ALPHA, params, config(3000))
-        b = allocation_at(
-            10.0, 1.0, 1.0, ALPHA, params, config(3000, bump=5e-4)
-        )
-        assert abs(a.value - b.value) < 1e-3
+        cfg = config(3000)
+        inner = _InnerPaths(params.market, cfg)
+        est = allocation_at(10.0, 1.0, 1.0, ALPHA, params, cfg, _inner=inner)
+        cost = inner.cost_from(10.0, params)
+        ks = params.market.kappa / params.market.sigma
+        for bump in (1e-3, 5e-4):
+            central = central_theta(
+                lambda y: cost.per_path(ALPHA, y, 1.0), 1.0, bump, ks
+            )
+            assert abs(est.value - central.value) < 1e-3
 
     def test_unreliable_state_returns_nan(self):
         # astronomically expensive consumption: the wealth estimate
         # drowns in its own noise and the gate must say so
         params = make_params(eta=0.1)
-        cfg = NestedConfig(
-            n_inner=32, bump=1e-3, seed=3, grid=GRID, antithetic=False
-        )
+        cfg = NestedConfig(n_inner=32, seed=3, grid=GRID, antithetic=False)
         est = allocation_at(10.0, 1e10, 1.0, ALPHA, params, cfg)
         assert not est.reliable
         assert math.isnan(est.value)
@@ -184,12 +188,7 @@ class TestAllocation:
 
 
 class TestPathwiseTheta:
-    """``bump = 0`` takes theta from the delta of the pricing sweep."""
-
-    def test_is_the_default(self):
-        assert NestedConfig().bump == 0.0
-        with pytest.raises(ValueError, match=r"bump must be in \[0, 0.5\)"):
-            NestedConfig(bump=-1e-3)
+    """Theta from the delta of the sweep that prices the wealth."""
 
     @pytest.mark.parametrize("gamma", [0.5, 3.0])
     def test_exact_without_habit(self, gamma):
@@ -198,18 +197,19 @@ class TestPathwiseTheta:
         market = MarketParams(gamma=gamma)
         params = ModelParams(market=market, habit=HabitParams(eta=0.0))
         alpha = merton_alpha(10.0, market, GompertzParams())
-        inner = _InnerPaths(market, config(2000, bump=0.0))
+        inner = _InnerPaths(market, config(2000))
         for t, zeta in [(0.0, 1.0), (10.0, 0.5), (30.0, 2.0)]:
             est = allocation_at(
-                t, zeta, 1.0, alpha, params, config(2000, bump=0.0), _inner=inner
+                t, zeta, 1.0, alpha, params, config(2000), _inner=inner
             )
             assert abs(est.value - merton_theta(market)) < 1e-12
 
     def test_agrees_with_central_difference_where_the_floor_binds(self):
         params = make_params(eta=0.1, pension=0.5)
-        pathwise, central = config(2000, bump=0.0), config(2000)
-        zeta = _InnerPaths(params.market, pathwise)._zeta
-        inner = _InnerPaths(params.market, pathwise)
+        cfg = config(2000)
+        inner = _InnerPaths(params.market, cfg)
+        zeta = inner._zeta
+        ks = params.market.kappa / params.market.sigma
         for t, y in [(0.0, 1.0), (10.0, 3.0), (19.0, 0.3)]:
             m = GRID.n_steps - GRID.index_of(t)
             times = t + np.arange(m + 1) * GRID.dt
@@ -217,8 +217,11 @@ class TestPathwiseTheta:
                 ALPHA, params, times, zeta[:, : m + 1], GRID.dt, y, 1.0
             )[1]
             assert 0.0 < np.mean(consumption == params.pension) < 1.0
-            a = allocation_at(t, y, 1.0, ALPHA, params, pathwise, _inner=inner)
-            b = allocation_at(t, y, 1.0, ALPHA, params, central, _inner=inner)
+            a = allocation_at(t, y, 1.0, ALPHA, params, cfg, _inner=inner)
+            cost = inner.cost_from(t, params)
+            b = central_theta(
+                lambda level: cost.per_path(ALPHA, level, 1.0), y, 1e-3, ks
+            )
             assert a.wealth == b.wealth
             assert abs(a.value - b.value) < 2.0 * a.std_error, (t, y)
 
@@ -357,18 +360,13 @@ class TestSharedInnerPaths:
             m = GRID.n_steps - GRID.index_of(t)
             times = t + np.arange(m + 1) * GRID.dt
 
-            def ref(y):
-                cost = reference_euler(
-                    ALPHA, params, times, zeta[:, : m + 1], GRID.dt, y, state[1]
-                )[0]
-                half = cost.shape[0] // 2
-                return 0.5 * (cost[:half] + cost[half:])
-
-            expected = _fd_theta(
-                ref(state[0]),
-                ref(state[0] * (1.0 + cfg.bump)),
-                ref(state[0] * (1.0 - cfg.bump)),
-                cfg.bump,
+            cost, _, _, delta = reference_euler(
+                ALPHA, params, times, zeta[:, : m + 1], GRID.dt, *state
+            )
+            half = cost.shape[0] // 2
+            expected = _ratio_theta(
+                0.5 * (cost[:half] + cost[half:]),
+                0.5 * (delta[:half] + delta[half:]),
                 params.market.kappa / params.market.sigma,
             )
             wealth = wealth_with_pension(

@@ -42,9 +42,7 @@ ALPHA_BY_PENSION = {
 
 
 def nested(n_inner=1500, seed=11):
-    return NestedConfig(
-        n_inner=n_inner, bump=1e-3, seed=seed, grid=GRID, antithetic=True
-    )
+    return NestedConfig(n_inner=n_inner, seed=seed, grid=GRID, antithetic=True)
 
 
 def brownian_increments(record, market):

@@ -222,7 +222,7 @@ class TestSolvePaths:
         bundle = generate_paths(market, grid, 128, seed=4)
         params = make_params(eta=0.1, pension=1.5)
         c, h = solve_paths(5.0, params, bundle)
-        _, c_ref, h_ref = reference_euler(
+        _, c_ref, h_ref, _ = reference_euler(
             5.0, params, grid.times(), bundle.zeta, grid.dt
         )
         assert c.shape == h.shape == (128, grid.n_steps + 1)
