@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Tuple, Union
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .market import (
     GompertzParams,
@@ -103,7 +102,8 @@ def bernoulli_kernel(
         State-price-density values along the last axis (rebased so the
         conditioning value at times[0] is already divided out).
 
-    The kernel is filled in blocks of rows, each row on its own.
+    The kernel is filled in blocks of rows, each row on its own, as a
+    cumulative trapezoid summed in the order of scipy's implementation.
     """
     g = market.gamma
     eta = habit.eta
@@ -112,12 +112,14 @@ def bernoulli_kernel(
     drift = (eta * tau - market.rho * times + log_p) / g
     zeta = np.asarray(zeta)
     rows = zeta.reshape(-1, zeta.shape[-1])
-    kernel = np.empty(rows.shape)
+    kernel = np.zeros(rows.shape)
+    step = np.diff(times)
     for block in _row_blocks(rows.shape[0]):
         # integrand of K: exp(eta*tau/g) * (zeta * exp(rho t) / p)^(-1/g),
         # assembled in log space so deep density tails cannot overflow
         k = np.exp(drift - np.log(rows[block]) / g)
-        kernel[block] = cumulative_trapezoid(k, times, axis=-1, initial=0.0)
+        area = step * (k[:, 1:] + k[:, :-1]) / 2.0
+        np.cumsum(area, axis=-1, out=kernel[block, 1:])
     decay = np.exp(-eta * tau / g)
     return kernel.reshape(zeta.shape), decay
 

@@ -131,9 +131,9 @@ def simulate_lifetime(
     theta_refresh : float
         Spacing of nested allocation estimates.
     scenario : PathBundle, optional
-        Use the first path of an existing bundle as the market
-        scenario instead of generating one; its grid must match
-        (horizon, dt).  Lets several runs share one scenario exactly.
+        Use the first path of an existing bundle, with its Brownian
+        paths, as the market scenario instead of generating one; its grid
+        must match (horizon, dt).  Lets several runs share one scenario.
 
     Returns
     -------
@@ -146,6 +146,8 @@ def simulate_lifetime(
     if scenario is not None:
         if scenario.grid != grid:
             raise ValueError("scenario grid must match (horizon, dt)")
+        if scenario.w is None:
+            raise ValueError("scenario needs its Brownian paths (w is None)")
         w, zeta = scenario.w[:1], scenario.zeta[:1]
     elif scenario_seed is None:
         w, zeta = _density_paths(params.market, np.zeros((1, n)), dt, False)
@@ -205,13 +207,9 @@ def simulate_lifetime(
         market = params.market
         pi = params.pension
         eta = params.habit.eta
-        wealth = np.empty(n + 1)
+        wealth = np.zeros(n + 1)
         wealth[0] = params.v
-        absorbed = False
         for k in range(n):
-            if absorbed:
-                wealth[k + 1] = 0.0
-                continue
             x = wealth[k]
             drift = (
                 (market.r + allocation[k] * (market.mu - market.r)) * x
@@ -220,15 +218,13 @@ def simulate_lifetime(
             )
             x_next = x + drift * dt + allocation[k] * market.sigma * x * dw[k]
             if x_next <= 0.0:
-                x_next = 0.0
-                absorbed = True
+                # wealth stays at zero; from here on, consume the pension only
                 exhausted_at = float(times[k + 1])
-                # from the absorbing state on, consume the pension only
-                for j in range(k + 1, n + 1):
-                    consumption[j] = pi
-                    allocation[j] = 0.0
-                    if j < n:
-                        habit[j + 1] = habit_euler_step(habit[j], pi, dt, eta)
+                consumption[k + 1 :] = pi
+                allocation[k + 1 :] = 0.0
+                for j in range(k + 1, n):
+                    habit[j + 1] = habit_euler_step(habit[j], pi, dt, eta)
+                break
             wealth[k + 1] = x_next
 
     return LifetimeRecord(

@@ -20,8 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from scipy.integrate import quad
-
 from .market import GompertzParams, MarketParams, survival_probability
 
 __all__ = [
@@ -53,6 +51,8 @@ def merton_annuity(
     decays like the survival probability, so the default tolerances
     give ~9 significant digits.
     """
+    from scipy.integrate import quad  # loaded here: only the oracle needs scipy
+
     if not 0.0 <= t < t_max:
         raise ValueError(f"require 0 <= t < t_max, got t={t}, t_max={t_max}")
     g = market.gamma

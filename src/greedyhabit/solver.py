@@ -393,27 +393,19 @@ class _CostFunctional:
                 if delta:
                     tangent = -cost / g
             else:
-                n, m = self._kernel.shape
-                blocks = _row_blocks(n)
+                n = self._kernel.shape[0]
                 sums = np.empty(n)
-                if delta:
-                    dsums = np.empty(n)
-                    spare = np.empty((blocks[0].stop, m))
+                dsums = np.empty(n) if delta else None
                 scale = (eta / g) * beta
-                for rows in blocks:
+                for rows in _row_blocks(n):
                     block = self._kernel[rows] * scale
                     block += u0
-                    power = block
-                    if delta:
-                        # keep B in ``block`` for the delta's B^(g-2) = B^(g-1) / B
-                        power = spare[: block.shape[0]]
-                        power[...] = block
-                    power **= g - 1.0
+                    power = block ** (g - 1.0)
                     power *= self._wz[rows]
                     sums[rows] = power.sum(axis=-1)
                     if delta:
-                        np.divide(power, block, out=block)
-                        dsums[rows] = block.sum(axis=-1)
+                        # the delta's B^(g-2) is B^(g-1) / B
+                        dsums[rows] = (power / block).sum(axis=-1)
                 cost = beta * sums / y
                 if delta:
                     # y du0/dy = u0 / g, and d(1/y) gives -cost

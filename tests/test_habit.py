@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import greedyhabit.market
 from greedyhabit import (
     GompertzParams,
     HabitParams,
@@ -24,6 +25,7 @@ from greedyhabit import (
     habit_euler_step,
 )
 from greedyhabit.habit import bernoulli_kernel
+from greedyhabit.market import log_survival_probability
 
 
 def median_zeta(market, times):
@@ -107,6 +109,35 @@ class TestBernoulliKernel:
         )
         assert kernel.shape == zeta2d.shape
         assert decay.shape == self.times.shape
+
+    @pytest.mark.parametrize("gamma", [0.5, 3.0, 7.0])
+    @pytest.mark.parametrize("t0", [0.0, 10.0])
+    @pytest.mark.parametrize("n_times", [2, 201])
+    def test_matches_scipy_cumulative_trapezoid(
+        self, monkeypatch, gamma, t0, n_times
+    ):
+        # scipy is the reference only: the package computes K in numpy
+        from scipy.integrate import cumulative_trapezoid
+
+        market = MarketParams(gamma=gamma)
+        times = t0 + np.linspace(0.0, 10.0, n_times)
+        rng = np.random.default_rng(3)
+        noise = rng.normal(scale=0.2, size=(5, n_times)).cumsum(axis=-1)
+        zeta2d = median_zeta(market, times - t0) * np.exp(noise)
+        drift = (
+            self.habit.eta * (times - t0)
+            - market.rho * times
+            + log_survival_probability(self.mortality, times)
+        ) / gamma
+        integrand = np.exp(drift - np.log(zeta2d) / gamma)
+        expected = cumulative_trapezoid(integrand, times, axis=-1, initial=0.0)
+        # a row block of 2 splits the 5 rows unevenly
+        monkeypatch.setattr(greedyhabit.market, "ROW_BLOCK", 2)
+        for zeta, want in ((zeta2d, expected), (zeta2d[1], expected[1])):
+            kernel, _ = bernoulli_kernel(
+                self.habit, market, self.mortality, times, zeta
+            )
+            assert np.array_equal(kernel, want)
 
 
 class TestClosedForm:

@@ -229,6 +229,28 @@ class TestValidation:
                 nested=nested(100),
             )
 
+    def test_scenario_needs_brownian_paths(self, market, monkeypatch):
+        grid = TimeGrid(2.0, 0.05)
+        config = CalibrationConfig(grid=grid, n_paths=2, seed=1)
+        bundle = greedyhabit.lifetime._calibration_paths(market, config)
+        assert bundle.w is None
+
+        def no_pricing(*args, **kwargs):
+            raise AssertionError("priced before the scenario was checked")
+
+        monkeypatch.setattr(greedyhabit.lifetime, "solve_paths", no_pricing)
+        monkeypatch.setattr(greedyhabit.lifetime, "allocation_at", no_pricing)
+        with pytest.raises(ValueError, match="Brownian"):
+            simulate_lifetime(
+                make_params(),
+                1.0,
+                scenario=bundle,
+                horizon=2.0,
+                dt=0.05,
+                theta_refresh=0.5,
+                nested=nested(100),
+            )
+
 
 class TestPensionSweep:
     def test_common_scenario_and_ordering(self):

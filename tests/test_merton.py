@@ -8,9 +8,15 @@ exact budget map is cross-checked against the Monte Carlo budget used
 everywhere else.
 """
 
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import greedyhabit
 from greedyhabit import (
     GompertzParams,
     MarketParams,
@@ -91,6 +97,30 @@ class TestAnnuity:
             merton_annuity(self.market, self.mortality, 60.0)
         with pytest.raises(ValueError):
             merton_annuity(self.market, self.mortality, -1.0)
+
+    def test_package_import_leaves_scipy_to_the_oracle(self):
+        # a fresh interpreter, since this one has scipy loaded already
+        script = (
+            "import json, sys\n"
+            "import greedyhabit, greedyhabit.cli\n"
+            "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            "value = greedyhabit.merton_annuity(\n"
+            "    greedyhabit.MarketParams(), greedyhabit.GompertzParams()\n"
+            ")\n"
+            "print(json.dumps([loaded, value]))\n"
+        )
+        src = os.path.dirname(os.path.dirname(greedyhabit.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        loaded, value = json.loads(out)
+        assert loaded == []
+        assert value == merton_annuity(self.market, self.mortality)
 
 
 class TestBudget:
