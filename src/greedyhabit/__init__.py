@@ -8,92 +8,22 @@ representation, and the risky allocation via nested simulation with a
 pathwise delta.
 """
 
-from .allocation import (
-    NestedConfig,
-    PolicyPoint,
-    ThetaEstimate,
-    allocation_at,
-    default_zeta_grid,
-    policy_curve,
-    policy_surface,
-    wealth_no_pension,
-    wealth_with_pension,
-)
-from .habit import HabitParams, habit_closed_form, habit_euler_step
-from .lifetime import LifetimeRecord, pension_sweep, simulate_lifetime
-from .market import (
-    DEFAULT_SEED,
-    GompertzParams,
-    MarketParams,
-    PathBundle,
-    TimeGrid,
-    generate_paths,
-    hazard_rate,
-    survival_probability,
-)
-from .merton import (
-    MertonOracle,
-    merton_alpha,
-    merton_annuity,
-    merton_budget,
-    merton_propensity,
-    merton_theta,
-)
-from .solver import (
-    BudgetEstimate,
-    BudgetMonotonicityError,
-    CalibrationConfig,
-    CalibrationError,
-    GreedySolution,
-    ModelParams,
-    budget_value,
-    calibrate_alpha,
-    consumption_no_pension,
-    consumption_with_pension,
-    solve_paths,
-)
+from . import allocation, habit, lifetime, market, merton, solver
+from .allocation import *  # noqa: F403
+from .habit import *  # noqa: F403
+from .lifetime import *  # noqa: F403
+from .market import *  # noqa: F403
+from .merton import *  # noqa: F403
+from .solver import *  # noqa: F403
 
 __version__ = "0.1.0"
 
+# the package exports each module's public names, listed once in its __all__
 __all__ = [
-    "DEFAULT_SEED",
-    "MarketParams",
-    "GompertzParams",
-    "TimeGrid",
-    "PathBundle",
-    "generate_paths",
-    "survival_probability",
-    "hazard_rate",
-    "HabitParams",
-    "habit_euler_step",
-    "habit_closed_form",
-    "ModelParams",
-    "CalibrationConfig",
-    "GreedySolution",
-    "BudgetEstimate",
-    "CalibrationError",
-    "BudgetMonotonicityError",
-    "consumption_no_pension",
-    "consumption_with_pension",
-    "solve_paths",
-    "budget_value",
-    "calibrate_alpha",
-    "NestedConfig",
-    "ThetaEstimate",
-    "PolicyPoint",
-    "wealth_no_pension",
-    "wealth_with_pension",
-    "allocation_at",
-    "policy_curve",
-    "policy_surface",
-    "default_zeta_grid",
-    "LifetimeRecord",
-    "simulate_lifetime",
-    "pension_sweep",
-    "MertonOracle",
-    "merton_theta",
-    "merton_annuity",
-    "merton_budget",
-    "merton_propensity",
-    "merton_alpha",
+    *market.__all__,
+    *habit.__all__,
+    *solver.__all__,
+    *allocation.__all__,
+    *lifetime.__all__,
+    *merton.__all__,
 ]

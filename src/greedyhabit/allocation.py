@@ -198,21 +198,33 @@ def _ratio_theta(f0, u, kappa_sig):
 
     The standard error is the delta-method one of the ratio of means.
     """
-    n = f0.shape[0]
-    mean_f = f0.mean()
-    se_f = f0.std(ddof=1) / math.sqrt(n)
-    wealth = BudgetEstimate(float(mean_f), float(se_f))
-    if not mean_f > 10.0 * se_f:
+    wealth = _estimate_from_samples(f0)
+    if not wealth.value > 10.0 * wealth.std_error:
         return ThetaEstimate(math.nan, math.nan, False, wealth)
-    ratio = u.mean() / mean_f
+    n = f0.shape[0]
+    ratio = u.mean() / wealth.value
     resid = u - ratio * f0
-    var_ratio = resid.var(ddof=1) / (n * mean_f**2)
+    var_ratio = resid.var(ddof=1) / (n * wealth.value**2)
     return ThetaEstimate(
         float(-kappa_sig * ratio),
         float(kappa_sig * math.sqrt(var_ratio)),
         True,
         wealth,
     )
+
+
+def _state_samples(
+    t, zeta, habit_level, alpha, params, config, inner, method, delta=False
+):
+    """Per-sample G at state (t, zeta, H), and zeta * dG/dzeta with ``delta``.
+
+    The state is checked before the inner paths, ``inner`` or new ones
+    from ``config``, are touched.
+    """
+    if not (zeta > 0.0 and habit_level > 0.0):  # a NaN fails too
+        raise ValueError(f"zeta={zeta} and habit_level={habit_level} must be positive")
+    cost = (inner or _InnerPaths(params.market, config)).cost_from(t, params, method)
+    return cost.per_path(alpha, zeta, habit_level, delta)
 
 
 def wealth_no_pension(
@@ -226,13 +238,12 @@ def wealth_no_pension(
     """F(t, z): expected remaining cost in the reduced state z = zeta*H.
 
     Satisfies F(0, initial habit) = budget(alpha) in expectation; the
-    martingale wealth at (t, zeta, H) is F(t, zeta * H) / zeta.
+    martingale wealth at (t, zeta, H) is F(t, zeta * H) / zeta.  It is
+    the closed-form G at zeta = 1 with habit_level z.
     """
-    if z <= 0.0:
-        raise ValueError(f"z must be positive, got {z}")
-    inner = _inner or _InnerPaths(params.market, config)
-    cost = inner.cost_from(t, params, "closed_form")
-    return _estimate_from_samples(cost.per_path(alpha, 1.0, z))
+    return _estimate_from_samples(
+        _state_samples(t, 1.0, z, alpha, params, config, _inner, "closed_form")
+    )
 
 
 def wealth_with_pension(
@@ -245,11 +256,9 @@ def wealth_with_pension(
     _inner: Optional[_InnerPaths] = None,
 ) -> BudgetEstimate:
     """G(t, zeta, H): wealth with a pension (valid for pension = 0 too)."""
-    if zeta <= 0.0 or habit_level <= 0.0:
-        raise ValueError("zeta and habit_level must be positive")
-    inner = _inner or _InnerPaths(params.market, config)
-    cost = inner.cost_from(t, params, "euler")
-    return _estimate_from_samples(cost.per_path(alpha, zeta, habit_level))
+    return _estimate_from_samples(
+        _state_samples(t, zeta, habit_level, alpha, params, config, _inner, "euler")
+    )
 
 
 def allocation_at(
@@ -262,14 +271,10 @@ def allocation_at(
     _inner: Optional[_InnerPaths] = None,
 ) -> ThetaEstimate:
     """Risky fraction at state (t, zeta, H) with its wealth estimate."""
-    if zeta <= 0.0 or habit_level <= 0.0:
-        raise ValueError("zeta and habit_level must be positive")
-    inner = _inner or _InnerPaths(params.market, config)
-    cost = inner.cost_from(t, params)
-    kappa_sig = params.market.kappa / params.market.sigma
-    return _ratio_theta(
-        *cost.per_path(alpha, zeta, habit_level, delta=True), kappa_sig
+    samples = _state_samples(
+        t, zeta, habit_level, alpha, params, config, _inner, "auto", delta=True
     )
+    return _ratio_theta(*samples, params.market.kappa / params.market.sigma)
 
 
 def default_zeta_grid(

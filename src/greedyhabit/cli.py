@@ -14,6 +14,7 @@ allocation estimates are mostly unreliable).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -289,21 +290,21 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig.from_dict(data, seed=args.seed, n_paths=args.paths)
 
 
-def _open_out(path: Optional[str]):
+@contextlib.contextmanager
+def _output(path: Optional[str]):
+    """A command's ``--out``: stdout for None or "-", else the file at ``path``."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
+        yield sys.stdout
+    else:
+        with open(path, "w", newline="") as fh:
+            yield fh
 
 
 def _write_csv(path: Optional[str], header: Sequence[str], rows) -> None:
-    fh, close = _open_out(path)
-    try:
+    with _output(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-    finally:
-        if close:
-            fh.close()
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
@@ -318,12 +319,13 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         "wealth": solution.v,
         "seed": cfg.calibration.seed,
     }
-    for key, value in report.items():
-        print(f"{key}: {value}")
+    # the summary lines go to stdout unless the JSON report does
+    if args.out != "-":
+        for key, value in report.items():
+            print(f"{key}: {value}")
     if args.out is not None:
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+        with _output(args.out) as fh:
+            print(json.dumps(report, indent=2), file=fh)
     return 0
 
 
@@ -398,115 +400,117 @@ def _cmd_merton_check(args: argparse.Namespace) -> int:
     base = cfg.model
     if base.pension != 0.0:
         raise ConfigError("merton-check requires pension = 0")
-    checks: List[Tuple[str, bool, str]] = []
+    # one PASS or FAIL line per check, written as each check ends
+    with _output(args.out) as out:
+        checks: List[Tuple[str, bool, str]] = []
 
-    def record(name: str, ok: bool, detail: str) -> None:
-        checks.append((name, ok, detail))
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+        def record(name: str, ok: bool, detail: str) -> None:
+            checks.append((name, ok, detail))
+            print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}", file=out)
 
-    # 1. frozen-habit model: nested pathwise allocation vs
-    # kappa/(sigma*gamma), which it reproduces to rounding
-    frozen = dataclasses.replace(
-        base, habit=dataclasses.replace(base.habit, eta=0.0)
-    )
-    alpha0 = merton_alpha(
-        base.v,
-        base.market,
-        base.mortality,
-        c_bar=base.habit.initial,
-        t_max=cfg.calibration.grid.t_max,
-    )
-    target = merton_theta(base.market)
-    inner = _InnerPaths(base.market, cfg.nested)
-    worst = 0.0
-    for t in (0.0, 10.0, 20.0):
-        for zeta in (0.5, 1.0, 2.0):
-            est = allocation_at(
-                t,
-                zeta,
-                base.habit.initial,
-                alpha0,
-                frozen,
-                cfg.nested,
-                _inner=inner,
-            )
-            if est.reliable:
-                worst = max(worst, abs(est.value - target))
-            else:
-                worst = math.inf
-    record(
-        "allocation limit",
-        worst <= 0.02,
-        f"max |theta - {target:.5f}| = {worst:.5f} over 9 states",
-    )
+        # 1. frozen-habit model: nested pathwise allocation vs
+        # kappa/(sigma*gamma), which it reproduces to rounding
+        frozen = dataclasses.replace(
+            base, habit=dataclasses.replace(base.habit, eta=0.0)
+        )
+        alpha0 = merton_alpha(
+            base.v,
+            base.market,
+            base.mortality,
+            c_bar=base.habit.initial,
+            t_max=cfg.calibration.grid.t_max,
+        )
+        target = merton_theta(base.market)
+        inner = _InnerPaths(base.market, cfg.nested)
+        worst = 0.0
+        for t in (0.0, 10.0, 20.0):
+            for zeta in (0.5, 1.0, 2.0):
+                est = allocation_at(
+                    t,
+                    zeta,
+                    base.habit.initial,
+                    alpha0,
+                    frozen,
+                    cfg.nested,
+                    _inner=inner,
+                )
+                if est.reliable:
+                    worst = max(worst, abs(est.value - target))
+                else:
+                    worst = math.inf
+        record(
+            "allocation limit",
+            worst <= 0.02,
+            f"max |theta - {target:.5f}| = {worst:.5f} over 9 states",
+        )
 
-    # 2. Monte Carlo calibration vs exact multiplier inversion
-    check_cal = dataclasses.replace(
-        cfg.calibration,
-        antithetic=True,
-        n_paths=max(cfg.calibration.n_paths, 40000),
-        tolerance=min(cfg.calibration.tolerance, 1e-4),
-    )
-    solution = calibrate_alpha(frozen, check_cal)
-    rel = abs(solution.alpha - alpha0) / alpha0
-    # at eta = 0 the budget is exactly proportional to alpha^(-1/gamma),
-    # so alpha's relative error is gamma times the budget's
-    rel_se = base.market.gamma * solution.budget_se / base.v
-    record(
-        "multiplier calibration",
-        rel <= 0.01,
-        f"monte carlo alpha {solution.alpha:.6g} vs exact {alpha0:.6g} "
-        f"(rel diff {rel:.3%}, alpha rel SE {rel_se:.3%})",
-    )
+        # 2. Monte Carlo calibration vs exact multiplier inversion
+        check_cal = dataclasses.replace(
+            cfg.calibration,
+            antithetic=True,
+            n_paths=max(cfg.calibration.n_paths, 40000),
+            tolerance=min(cfg.calibration.tolerance, 1e-4),
+        )
+        solution = calibrate_alpha(frozen, check_cal)
+        rel = abs(solution.alpha - alpha0) / alpha0
+        # at eta = 0 the budget is exactly proportional to alpha^(-1/gamma),
+        # so alpha's relative error is gamma times the budget's
+        rel_se = base.market.gamma * solution.budget_se / base.v
+        record(
+            "multiplier calibration",
+            rel <= 0.01,
+            f"monte carlo alpha {solution.alpha:.6g} vs exact {alpha0:.6g} "
+            f"(rel diff {rel:.3%}, alpha rel SE {rel_se:.3%})",
+        )
 
-    # 3. initial consumption propensity vs annuity inversion
-    c0 = consumption_no_pension(
-        base.habit.initial,
-        1.0,
-        0.0,
-        solution.alpha,
-        base.market,
-        base.mortality,
-    )
-    prop = merton_propensity(
-        base.market, base.mortality, 0.0, cfg.calibration.grid.t_max
-    )
-    rel = abs(c0 / base.v - prop) / prop
-    record(
-        "consumption propensity",
-        rel <= 0.01,
-        f"C0/X0 = {c0 / base.v:.6g} vs 1/A(0) = {prop:.6g} (rel diff {rel:.3%})",
-    )
+        # 3. initial consumption propensity vs annuity inversion
+        c0 = consumption_no_pension(
+            base.habit.initial,
+            1.0,
+            0.0,
+            solution.alpha,
+            base.market,
+            base.mortality,
+        )
+        prop = merton_propensity(
+            base.market, base.mortality, 0.0, cfg.calibration.grid.t_max
+        )
+        rel = abs(c0 / base.v - prop) / prop
+        record(
+            "consumption propensity",
+            rel <= 0.01,
+            f"C0/X0 = {c0 / base.v:.6g} vs 1/A(0) = {prop:.6g} (rel diff {rel:.3%})",
+        )
 
-    # 4. risk aversion sensitivity: gamma = 5 shifts the constant fraction
-    market5 = dataclasses.replace(base.market, gamma=5.0)
-    frozen5 = dataclasses.replace(frozen, market=market5)
-    alpha5 = merton_alpha(
-        base.v,
-        market5,
-        base.mortality,
-        c_bar=base.habit.initial,
-        t_max=cfg.calibration.grid.t_max,
-    )
-    # the density depends on r and kappa only, so the inner paths carry over
-    est5 = allocation_at(
-        0.0,
-        1.0,
-        base.habit.initial,
-        alpha5,
-        frozen5,
-        cfg.nested,
-        _inner=inner,
-    )
-    target5 = merton_theta(market5)
-    diff5 = abs(est5.value - target5) if est5.reliable else math.inf
-    record(
-        "risk aversion variant",
-        diff5 <= 0.02,
-        f"gamma=5 allocation {est5.value:.5f} vs {target5:.5f}",
-    )
+        # 4. risk aversion sensitivity: gamma = 5 shifts the constant fraction
+        market5 = dataclasses.replace(base.market, gamma=5.0)
+        frozen5 = dataclasses.replace(frozen, market=market5)
+        alpha5 = merton_alpha(
+            base.v,
+            market5,
+            base.mortality,
+            c_bar=base.habit.initial,
+            t_max=cfg.calibration.grid.t_max,
+        )
+        # the density depends on r and kappa only, so the inner paths carry over
+        est5 = allocation_at(
+            0.0,
+            1.0,
+            base.habit.initial,
+            alpha5,
+            frozen5,
+            cfg.nested,
+            _inner=inner,
+        )
+        target5 = merton_theta(market5)
+        diff5 = abs(est5.value - target5) if est5.reliable else math.inf
+        record(
+            "risk aversion variant",
+            diff5 <= 0.02,
+            f"gamma=5 allocation {est5.value:.5f} vs {target5:.5f}",
+        )
 
-    return 0 if all(ok for _, ok, _ in checks) else 2
+        return 0 if all(ok for _, ok, _ in checks) else 2
 
 
 class _Parser(argparse.ArgumentParser):
@@ -547,7 +551,7 @@ def _build_parser() -> _Parser:
         p.add_argument(
             "--paths", type=int, help="calibration path count override"
         )
-        p.add_argument("--out", help="output file (default: stdout)")
+        p.add_argument("--out", help="output file, or - for stdout (default)")
         p.set_defaults(func=fn)
     return parser
 

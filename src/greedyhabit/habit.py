@@ -164,8 +164,11 @@ def habit_closed_form(
         raise ValueError("start habit must be positive")
     g = market.gamma
     kernel, decay = bernoulli_kernel(habit, market, mortality, times, zeta)
-    beta = alpha ** (-1.0 / g)
     if h0.ndim > 0:
         h0 = h0[..., np.newaxis]
-    u = decay * (h0 ** (1.0 / g) + (habit.eta / g) * beta * kernel)
-    return u**g
+    return _bernoulli_habit(kernel, decay, h0, alpha ** (-1.0 / g), habit.eta, g)
+
+
+def _bernoulli_habit(kernel, decay, h0, beta, eta, g):
+    """H = (decay * (h0^(1/g) + (eta/g) * beta * kernel))^g, beta = alpha^(-1/g)."""
+    return (decay * (h0 ** (1.0 / g) + (eta / g) * beta * kernel)) ** g

@@ -19,6 +19,7 @@ from typing import Optional, Union
 import numpy as np
 
 __all__ = [
+    "DEFAULT_SEED",
     "MarketParams",
     "GompertzParams",
     "TimeGrid",

@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
-from .habit import HabitParams, bernoulli_kernel, habit_euler_step
+from .habit import HabitParams, _bernoulli_habit, bernoulli_kernel, habit_euler_step
 from .market import (
     DEFAULT_SEED,
     GompertzParams,
@@ -417,6 +417,11 @@ class _CostFunctional:
                 tangent = 0.5 * (tangent[:half] + tangent[half:])
         return (cost, tangent) if delta else cost
 
+    def budget(self, alpha: float) -> BudgetEstimate:
+        """The budget at alpha: the remaining cost from (t = 0, zeta = 1, H0)."""
+        h0 = self.params.habit.initial
+        return _estimate_from_samples(self.per_path(alpha, 1.0, h0))
+
     def paths(self, alpha: float) -> Tuple[np.ndarray, np.ndarray]:
         """Consumption and habit along the paths from (1, initial habit)."""
         h0 = self.params.habit.initial
@@ -432,10 +437,9 @@ class _CostFunctional:
         if self._kernel is None:
             habit = np.full(self._zeta.shape, h0)
         else:
-            habit = (
-                self._decay
-                * (h0 ** (1.0 / g) + (self.params.habit.eta / g) * beta * self._kernel)
-            ) ** g
+            habit = _bernoulli_habit(
+                self._kernel, self._decay, h0, beta, self.params.habit.eta, g
+            )
         consumption = habit ** (1.0 - 1.0 / g) * (
             beta * self._shadow * self._zeta ** (-1.0 / g)
         )
@@ -508,8 +512,7 @@ def budget_value(
     error accounts for antithetic pairing when the bundle uses it.
     """
     _validate_positive("alpha", alpha)
-    cost = _bundle_cost(params, paths)
-    return _estimate_from_samples(cost.per_path(alpha, 1.0, params.habit.initial))
+    return _bundle_cost(params, paths).budget(alpha)
 
 
 def calibrate_alpha(
@@ -542,9 +545,7 @@ def calibrate_alpha(
 
     def budget_at(alpha: float) -> BudgetEstimate:
         if alpha not in history:
-            history[alpha] = _estimate_from_samples(
-                cost.per_path(alpha, 1.0, params.habit.initial)
-            )
+            history[alpha] = cost.budget(alpha)
         return history[alpha]
 
     lo, hi = config.bracket

@@ -30,8 +30,10 @@ from greedyhabit import (
     wealth_no_pension,
     wealth_with_pension,
 )
+import greedyhabit.allocation
 from greedyhabit.allocation import _InnerPaths, _ratio_theta
 from greedyhabit.market import _density_paths, _fill_normals
+from greedyhabit.solver import _estimate_from_samples
 from conftest import central_theta, make_params, reference_euler
 
 GRID = TimeGrid(60.0, 0.05)
@@ -185,6 +187,39 @@ class TestAllocation:
             NestedConfig(n_inner=1, antithetic=False)
         assert NestedConfig(n_inner=4, antithetic=True).n_inner == 4
         assert NestedConfig(n_inner=2, antithetic=False).n_inner == 2
+
+
+class TestStateEvaluation:
+    @pytest.mark.parametrize("bad", [0.0, -0.5, math.nan])
+    def test_bad_state_fails_before_inner_paths(self, monkeypatch, bad):
+        simulated = []
+        real = greedyhabit.allocation._simulate
+
+        def counted(*args, **kwargs):
+            simulated.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(greedyhabit.allocation, "_simulate", counted)
+        params, cfg = make_params(eta=0.1), config(200)
+        for evaluate in (
+            lambda: wealth_no_pension(10.0, bad, ALPHA, params, cfg),
+            lambda: wealth_with_pension(10.0, bad, 1.0, ALPHA, params, cfg),
+            lambda: wealth_with_pension(10.0, 1.0, bad, ALPHA, params, cfg),
+            lambda: allocation_at(10.0, bad, 1.0, ALPHA, params, cfg),
+            lambda: allocation_at(10.0, 1.0, bad, ALPHA, params, cfg),
+        ):
+            with pytest.raises(ValueError, match=f"={bad} .*must be positive"):
+                evaluate()
+        assert simulated == []
+
+    def test_theta_wealth_is_the_plain_estimate(self):
+        cost = _InnerPaths(MarketParams(), config(400)).cost_from(
+            10.0, make_params(eta=0.1)
+        )
+        f0, u = cost.per_path(ALPHA, 0.8, 1.1, delta=True)
+        est = _ratio_theta(f0, u, 0.5)
+        assert est.reliable
+        assert est.wealth == _estimate_from_samples(f0)
 
 
 class TestPathwiseTheta:

@@ -228,6 +228,17 @@ class TestCalibrateCommand:
         assert report["budget_residual"] <= 0.02
         assert report["seed"] == 12
 
+    def test_dash_out_prints_only_the_json_report(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        cfg = write_config(tmp_path, {"calibration": FAST_CAL})
+        monkeypatch.chdir(tmp_path)
+        assert main(["calibrate", "--config", cfg, "--out", "-"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["alpha"] > 0.0
+        assert report["seed"] == 12
+        assert not (tmp_path / "-").exists()
+
     def test_seed_flag_changes_result(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"calibration": FAST_CAL})
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -361,6 +372,22 @@ class TestMertonCheckCommand:
         ]
         assert len(lines) == 4
         assert all(line.startswith("PASS") for line in lines)
+
+    def test_out_file_holds_the_four_lines(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            {
+                "calibration": {"dt": 0.25, "antithetic": True, "seed": 12},
+                "allocation": {"n_inner": 200},
+            },
+        )
+        out = tmp_path / "checks.txt"
+        code = main(["merton-check", "--config", cfg, "--out", str(out)])
+        lines = out.read_text().splitlines()
+        assert len(lines) == 4
+        assert all(line.startswith(("PASS ", "FAIL ")) for line in lines)
+        assert code == (0 if all(line.startswith("PASS") for line in lines) else 2)
+        assert capsys.readouterr().out == ""
 
     def test_rejects_pension(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"pension": 1.0})

@@ -8,6 +8,7 @@ trapezoid quadrature, so coarse-grid agreement to ~1e-4 relative is the
 expected behaviour, not luck.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -20,9 +21,13 @@ from greedyhabit import (
     GompertzParams,
     HabitParams,
     MarketParams,
+    ModelParams,
+    TimeGrid,
     consumption_no_pension,
+    generate_paths,
     habit_closed_form,
     habit_euler_step,
+    solve_paths,
 )
 from greedyhabit.habit import bernoulli_kernel
 from greedyhabit.market import log_survival_probability
@@ -202,6 +207,20 @@ class TestClosedForm:
             habit, self.market, self.mortality, 1e-3, times, zeta
         )
         assert np.all(np.diff(h) > 0.0)
+
+    @pytest.mark.parametrize("gamma", [0.5, 3.0])
+    def test_equals_the_solver_closed_form(self, gamma):
+        # the solver's closed-form habit evaluates the same formula on the
+        # same kernel, so the two must agree bit for bit
+        market = dataclasses.replace(self.market, gamma=gamma)
+        habit = HabitParams(eta=0.1, initial=1.3)
+        params = ModelParams(market=market, mortality=self.mortality, habit=habit)
+        bundle = generate_paths(market, TimeGrid(20.0, 0.1), 16, seed=5)
+        _, solved = solve_paths(2.5, params, bundle, method="closed_form")
+        h = habit_closed_form(
+            habit, market, self.mortality, 2.5, bundle.grid.times(), bundle.zeta
+        )
+        assert np.array_equal(h, solved)
 
     def test_validation(self):
         habit = HabitParams(eta=0.5, initial=1.0)

@@ -1,0 +1,44 @@
+"""The package's public names, and the functions the benchmark traces.
+
+The package exports exactly the names each module lists in its own
+``__all__``.  The benchmark (``perfbench/``) patches the functions named
+in its tracer's ``TRACED`` list; a name missing from the package is
+skipped there, so its per-layer metrics would read zero instead of
+failing.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import greedyhabit
+
+MODULES = ("market", "habit", "solver", "allocation", "lifetime", "merton")
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def test_public_names_are_the_modules_own():
+    listed = []
+    for name in MODULES:
+        module = importlib.import_module(f"greedyhabit.{name}")
+        listed += module.__all__
+        for attr in module.__all__:
+            assert getattr(greedyhabit, attr) is getattr(module, attr), attr
+    assert sorted(greedyhabit.__all__) == sorted(listed)
+    assert len(set(listed)) == len(listed)
+
+
+def test_every_traced_function_exists():
+    # read the list from the tracer's source; nothing there is imported
+    tree = ast.parse(TRACER.read_text())
+    traced = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(getattr(target, "id", None) == "TRACED" for target in node.targets)
+    )
+    assert traced
+    for module, name in traced:
+        fn = getattr(importlib.import_module(f"greedyhabit.{module}"), name, None)
+        assert callable(fn), f"perfbench traces {module}.{name}, which is missing"
