@@ -300,9 +300,9 @@ def _check_surface(
     times: Sequence[float], habit_level: float, max_wealth: float, grid: TimeGrid
 ) -> None:
     """Reject policy-surface arguments that need no pricing to be found bad."""
-    if habit_level <= 0.0:
+    if not habit_level > 0.0:
         raise ValueError("habit_level must be positive")
-    if max_wealth <= 0.0:
+    if not max_wealth > 0.0:
         raise ValueError("max_wealth must be positive")
     for t in times:
         _horizon_steps(grid, t)

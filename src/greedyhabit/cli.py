@@ -157,6 +157,9 @@ def _typed(value, default, key: str):
     if isinstance(default, float):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"config key {key}: expected a number")
+        # exact for ints too, so one past float range cannot overflow float()
+        if not abs(value) <= sys.float_info.max:
+            raise ConfigError(f"config key {key}: expected a finite number")
         return float(value)
     if isinstance(default, str):
         if value not in MODES:

@@ -11,8 +11,9 @@ with p_t the survival probability; with a pension pi the rule is
 max(pi, same expression) and only the excess C_t - pi is funded from
 wealth.  The multiplier alpha is calibrated so the expected
 density-weighted cost of the funded consumption stream equals the
-initial wealth ("budget identity").  Because the cost is strictly
-decreasing in alpha, a bisection in log space converges globally.
+initial wealth ("budget identity").  The cost is strictly decreasing in
+alpha, so Newton steps on log cost against log alpha, kept inside the
+bracket of evaluated iterates, converge globally.
 """
 
 from __future__ import annotations
@@ -77,9 +78,9 @@ class ModelParams:
     v: float = 10.0
 
     def __post_init__(self) -> None:
-        if self.pension < 0.0:
+        if not 0.0 <= self.pension < math.inf:
             raise ValueError(f"pension must be non-negative, got {self.pension}")
-        if self.v <= 0.0:
+        if not 0.0 < self.v < math.inf:
             raise ValueError(f"initial wealth v must be positive, got {self.v}")
 
 
@@ -105,6 +106,8 @@ class CalibrationConfig:
 
     ``tolerance`` is relative: the search stops once
     |budget(alpha) - v| / v <= tolerance on the common path bundle.
+    ``max_iterations`` caps the budget evaluations.  ``bracket`` widened
+    by six decades each way, (lo / 1e6, hi * 1e6), limits the search.
     """
 
     grid: TimeGrid = TimeGrid(60.0, 0.05)
@@ -117,12 +120,12 @@ class CalibrationConfig:
 
     def __post_init__(self) -> None:
         _require_two_samples("n_paths", self.n_paths, self.antithetic)
-        if self.tolerance <= 0.0:
+        if not 0.0 < self.tolerance < math.inf:
             raise ValueError("tolerance must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         lo, hi = self.bracket
-        if not (0.0 < lo < hi):
+        if not 0.0 < lo < hi < math.inf:
             raise ValueError(f"invalid bracket {self.bracket}")
 
 
@@ -301,7 +304,6 @@ class _CostFunctional:
             self._zpow_t = self._zeta_t ** (-1.0 / g)
             return
         self._zeta = zeta
-        self._wz = None
         if eta == 0.0:
             # frozen habit: the kernel drops out and the cost factorises
             self._kernel = None
@@ -310,7 +312,8 @@ class _CostFunctional:
                 params.habit, params.market, params.mortality, times, zeta
             )
 
-    def _weights(self) -> np.ndarray:
+    @functools.cached_property
+    def _wz(self) -> np.ndarray:
         """``zeta^(1 - 1/g)`` times the deterministic weights, per path and step.
 
         Without habit formation only their sum along each path is needed.
@@ -383,8 +386,6 @@ class _CostFunctional:
             g = self.params.market.gamma
             eta = self.params.habit.eta
             beta = alpha ** (-1.0 / g)
-            if self._wz is None:
-                self._wz = self._weights()
             # zeta C = beta * wz * (z^(1/g) + (eta/g) beta K)^(g-1) with
             # z = y * h; dividing by y turns F(t, z) into wealth units
             u0 = (y * h) ** (1.0 / g)
@@ -417,10 +418,23 @@ class _CostFunctional:
                 tangent = 0.5 * (tangent[:half] + tangent[half:])
         return (cost, tangent) if delta else cost
 
-    def budget(self, alpha: float) -> BudgetEstimate:
-        """The budget at alpha: the remaining cost from (t = 0, zeta = 1, H0)."""
+    def frozen_alpha(self, v: float) -> float:
+        """The alpha that solves the eta = 0, pension-0 budget on this density.
+
+        That budget is alpha^(-1/g) h0^(1 - 1/g) mean(X) with, per path,
+        X = sum_k wgt_k shadow_k zeta_k^(1 - 1/g).
+        """
+        g = self.params.market.gamma
+        if self._euler:
+            x = np.zeros(self._zeta_t.shape[1])
+            for k, scale in enumerate(self._wgt * self._shadow):
+                x += scale * self._zeta_t[k] * self._zpow_t[k]
+        elif self._kernel is None:
+            x = self._wz
+        else:
+            x = self._wz @ self._decay ** (1.0 - g)
         h0 = self.params.habit.initial
-        return _estimate_from_samples(self.per_path(alpha, 1.0, h0))
+        return float((h0 ** (1.0 - 1.0 / g) * x.mean() / v) ** g)
 
     def paths(self, alpha: float) -> Tuple[np.ndarray, np.ndarray]:
         """Consumption and habit along the paths from (1, initial habit)."""
@@ -512,7 +526,8 @@ def budget_value(
     error accounts for antithetic pairing when the bundle uses it.
     """
     _validate_positive("alpha", alpha)
-    return _bundle_cost(params, paths).budget(alpha)
+    cost = _bundle_cost(params, paths)
+    return _estimate_from_samples(cost.per_path(alpha, 1.0, params.habit.initial))
 
 
 def calibrate_alpha(
@@ -520,12 +535,18 @@ def calibrate_alpha(
     config: CalibrationConfig = CalibrationConfig(),
     paths: Optional[PathBundle] = None,
 ) -> GreedySolution:
-    """Solve budget(alpha) = v by bisection on a common path bundle.
+    """Solve budget(alpha) = v by safeguarded Newton steps on a common path bundle.
 
     All evaluations reuse one bundle (common random numbers), so the
-    empirical budget is strictly decreasing in alpha and the bisection
-    is deterministic given the seed.  Iterates are checked for that
-    monotonicity; a violation raises :class:`BudgetMonotonicityError`.
+    empirical budget B is strictly decreasing in alpha and the search is
+    deterministic given the seed.  From the frozen-habit solution on the
+    same density it steps log alpha += log(v / B) / (D / B), where
+    D = alpha dB/dalpha is the mean pathwise delta of the pricing sweep
+    (the rule sees alpha and y only through alpha * y).  A step that
+    leaves the bracket of evaluated iterates, or a delta that is not
+    negative and finite, is replaced by the bracket's geometric midpoint;
+    the widened ``config.bracket`` bounds a side not yet found.  Iterates
+    that fail to decrease raise :class:`BudgetMonotonicityError`.
 
     Parameters
     ----------
@@ -536,57 +557,50 @@ def calibrate_alpha(
     Raises
     ------
     CalibrationError
-        If the bracket cannot be expanded to straddle v or the
-        iteration cap is hit before reaching tolerance.
+        If the widened bracket does not straddle v, an iterate repeats, or
+        ``max_iterations`` budget evaluations do not reach tolerance.
     """
     cost = _calibration_cost(params, config, paths)
-    v = params.v
+    v, h0 = params.v, params.habit.initial
+    lo, hi = limits = (config.bracket[0] / 1e6, config.bracket[1] * 1e6)
     history = {}
-
-    def budget_at(alpha: float) -> BudgetEstimate:
-        if alpha not in history:
-            history[alpha] = cost.budget(alpha)
-        return history[alpha]
-
-    lo, hi = config.bracket
-    for _ in range(6):
-        if budget_at(lo).value >= v:
-            break
-        lo /= 10.0
-    for _ in range(6):
-        if budget_at(hi).value <= v:
-            break
-        hi *= 10.0
-    b_lo, b_hi = budget_at(lo), budget_at(hi)
-    if b_lo.value < v or b_hi.value > v:
-        raise CalibrationError(
-            f"could not bracket v={v}: budget({lo})={b_lo.value:.6g}, "
-            f"budget({hi})={b_hi.value:.6g}"
-        )
-
-    alpha = None
-    estimate = None
-    for endpoint, est in ((lo, b_lo), (hi, b_hi)):
-        if abs(est.value - v) / v <= config.tolerance:
-            alpha, estimate = endpoint, est
-            break
-    while alpha is None:
+    alpha = min(max(cost.frozen_alpha(v), lo), hi)
+    while True:
         if len(history) >= config.max_iterations:
             raise CalibrationError(
                 f"no convergence within {config.max_iterations} budget "
                 f"evaluations (last bracket [{lo:.6g}, {hi:.6g}])"
             )
-        mid = math.sqrt(lo * hi)
-        est = budget_at(mid)
-        if abs(est.value - v) / v <= config.tolerance:
-            alpha, estimate = mid, est
-        elif est.value > v:
-            lo = mid
+        samples, deltas = cost.per_path(alpha, 1.0, h0, delta=True)
+        estimate = history[alpha] = _estimate_from_samples(samples)
+        b, d = estimate.value, float(deltas.mean())
+        del samples, deltas  # freed before the next sweep allocates its own
+        if abs(b - v) / v <= config.tolerance:
+            break
+        if b > v:
+            lo = alpha
         else:
-            hi = mid
+            hi = alpha
+        if lo == limits[1] or hi == limits[0]:
+            raise CalibrationError(
+                f"could not bracket v={v}: budget({alpha:.6g})={b:.6g} "
+                f"at the search limits [{limits[0]:.6g}, {limits[1]:.6g}]"
+            )
+        step = math.nan
+        if 0.0 < b < math.inf and -math.inf < d < 0.0:
+            # log(v / B) / (D / B), capped so that exp cannot overflow
+            step = min((math.log(v) - math.log(b)) * (b / d), 700.0)
+        proposal = min(max(alpha * math.exp(step), limits[0]), limits[1])
+        if not lo <= proposal <= hi or proposal in history:
+            proposal = math.sqrt(lo) * math.sqrt(hi)
+        if proposal in history:
+            raise CalibrationError(
+                f"iterate alpha={proposal!r} repeats before the budget reached "
+                f"tolerance {config.tolerance:g} (bracket [{lo!r}, {hi!r}])"
+            )
+        alpha = proposal
 
-    evaluated = sorted(history.items())
-    values = [est.value for _, est in evaluated]
+    values = [est.value for _, est in sorted(history.items())]
     if not all(a > b for a, b in zip(values[:-1], values[1:])):
         raise BudgetMonotonicityError(
             "budget iterates are not strictly decreasing in alpha; "

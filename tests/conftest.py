@@ -1,7 +1,7 @@
 """Shared fixtures: default parameter sets and a session-wide calibration cache.
 
 Calibrating the budget multiplier is the slow step of the pipeline (a
-bisection whose every iterate is a Monte Carlo budget evaluation), and
+search whose every iterate is a Monte Carlo budget evaluation), and
 several test modules want the same calibrated configurations.  The
 ``calibrated`` fixture memoizes solutions per parameter key so the full
 suite pays for each configuration exactly once.

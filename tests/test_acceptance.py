@@ -6,7 +6,7 @@ test), so the module doubles as a verification report:
 
 1.  Merton limit -- with negligible habit smoothing the estimated risky
     fraction collapses to kappa / (sigma * gamma) at arbitrary states.
-2.  Calibration oracle -- bisection at eta = 0 reproduces the analytic
+2.  Calibration oracle -- calibration at eta = 0 reproduces the analytic
     inversion of the no-habit budget.
 3.  Budget identity -- every calibrated configuration prices back to
     the initial wealth, and the martingale wealth at t = 0 matches it.
@@ -104,7 +104,7 @@ def test_merton_limit_allocation():
 
 
 def test_calibration_matches_analytic_inversion():
-    """Bisection at eta = 0 agrees with the closed-form multiplier."""
+    """Calibration at eta = 0 agrees with the closed-form multiplier."""
     config = CalibrationConfig(
         grid=CAL_GRID, n_paths=40000, seed=CAL_SEED, tolerance=1e-4, antithetic=True
     )
@@ -137,7 +137,7 @@ def test_budget_identity_all_configurations(calibrated):
                 est = wealth_no_pension(0.0, 1.0, sol.alpha, params, nested)
             else:
                 est = wealth_with_pension(0.0, 1.0, 1.0, sol.alpha, params, nested)
-            # The bisection is allowed to stop within tolerance * v of the
+            # The calibration is allowed to stop within tolerance * v of the
             # target, so the t = 0 wealth inherits that offset on top of
             # the two Monte Carlo errors.
             gap = abs(est.value - params.v)

@@ -298,7 +298,7 @@ class TestPolicySurface:
             assert all(p.consumption > 0.0 for p in row)
             assert all(p.habit == 1.0 for p in row)
 
-    @pytest.mark.parametrize("max_wealth", [0.0, -1.0])
+    @pytest.mark.parametrize("max_wealth", [0.0, -1.0, math.nan])
     def test_non_positive_max_wealth_is_rejected(self, max_wealth):
         # every row would be clipped, leaving an empty surface
         with pytest.raises(ValueError, match="max_wealth must be positive"):

@@ -8,6 +8,7 @@ by unreliable allocation estimates).
 
 import csv
 import json
+import math
 
 import pytest
 
@@ -133,6 +134,24 @@ class TestRunConfig:
             RunConfig.from_dict({"calibration": {"bracket": [1.0, "x"]}})
 
     @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"wealth": math.nan}, "wealth"),
+            ({"wealth": 10**400}, "wealth"),
+            ({"pension": math.inf}, "pension"),
+            ({"policy": {"habit_level": math.nan}}, "policy.habit_level"),
+            ({"calibration": {"tolerance": math.nan}}, "calibration.tolerance"),
+            (
+                {"calibration": {"bracket": [1e-6, -math.inf]}},
+                r"calibration\.bracket\[1\]",
+            ),
+        ],
+    )
+    def test_non_finite_numbers(self, overrides, key):
+        with pytest.raises(ConfigError, match=f"{key}: expected a finite number"):
+            RunConfig.from_dict(overrides)
+
+    @pytest.mark.parametrize(
         "group, key", [("calibration", "seed"), ("lifetime", "scenario_seed")]
     )
     def test_negative_config_seed(self, group, key):
@@ -187,6 +206,13 @@ class TestExitCodes:
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 1
+
+    def test_nan_wealth_is_usage_error(self, tmp_path, capsys, calibrations):
+        # json reads NaN; it must stop at the config, before any calibration
+        cfg = write_config(tmp_path, {"wealth": math.nan})
+        assert main(["calibrate", "--config", cfg]) == 1
+        assert "wealth" in capsys.readouterr().err
+        assert calibrations == []
 
     def test_domain_validation_is_usage_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"market": {"sigma": 0.0}})
@@ -250,7 +276,7 @@ class TestCalibrateCommand:
         a = json.loads(out1.read_text())
         b = json.loads(out2.read_text())
         assert b["seed"] == 13
-        # a loose tolerance can stop both bisections at the same iterate,
+        # a loose tolerance can stop both searches at the same iterate,
         # but the Monte Carlo budget on a different bundle cannot coincide
         assert a["budget_residual"] != b["budget_residual"]
 

@@ -1,13 +1,16 @@
 """Greedy consumption rule, pathwise solver, budget estimator, calibration.
 
-The multiplier calibration is a bisection on a strictly decreasing
-Monte Carlo budget map; these tests nail the rule's arithmetic, the
+The multiplier calibration is a safeguarded Newton search on a strictly
+decreasing Monte Carlo budget map; these tests nail the rule's arithmetic, the
 pathwise solver's two branches, the exact pathwise alpha-scaling of the
 budget at eta = 0, and the bookkeeping the calibration reports back.
 """
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -21,6 +24,7 @@ from greedyhabit import (
     BudgetMonotonicityError,
     GompertzParams,
     MarketParams,
+    ModelParams,
     TimeGrid,
     budget_value,
     calibrate_alpha,
@@ -30,6 +34,7 @@ from greedyhabit import (
     solve_paths,
     survival_probability,
 )
+import greedyhabit
 import greedyhabit.market
 from greedyhabit.habit import bernoulli_kernel
 from greedyhabit.market import log_survival_probability
@@ -342,6 +347,22 @@ class TestCalibration:
         with pytest.raises(ValueError):
             CalibrationConfig(max_iterations=0)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ModelParams(v=math.nan),
+            lambda: ModelParams(v=math.inf),
+            lambda: ModelParams(pension=math.nan),
+            lambda: ModelParams(pension=math.inf),
+            lambda: CalibrationConfig(tolerance=math.nan),
+            lambda: CalibrationConfig(bracket=(math.nan, 1.0)),
+            lambda: CalibrationConfig(bracket=(1.0, math.inf)),
+        ],
+    )
+    def test_non_finite_settings_are_rejected(self, build):
+        with pytest.raises(ValueError):
+            build()
+
     def test_sample_count_validation(self):
         # a standard error needs two independent samples; an antithetic
         # pair counts as one
@@ -359,6 +380,112 @@ class TestCalibration:
         ):
             CalibrationConfig(n_paths=5, antithetic=True)
         assert CalibrationConfig(n_paths=5).n_paths == 5
+
+
+class TestNewtonSearch:
+    """The log-log Newton search on the pathwise delta, and its safeguards."""
+
+    CONFIG = CalibrationConfig(
+        grid=TimeGrid(60.0, 0.1), n_paths=2000, seed=5, antithetic=True
+    )
+
+    def test_frozen_habit_solves_in_one_evaluation(self):
+        # the start solves the eta = 0, pension-0 budget exactly, at any H0
+        params = make_params(eta=0.0, c_bar=1.3)
+        sol = calibrate_alpha(params, self.CONFIG)
+        assert sol.iterations == 1
+        assert sol.budget_residual <= 1e-12
+
+    @pytest.mark.parametrize("eta", [0.1, 2.0])
+    @pytest.mark.parametrize(
+        "method, pension",
+        [("closed_form", 0.0), ("euler", 0.0), ("euler", 0.5)],
+    )
+    def test_mean_delta_is_the_log_alpha_slope(self, eta, method, pension):
+        # the rule sees alpha and y only through alpha * y, so the mean
+        # delta at y = 1 is alpha dB/dalpha = dB/dlog(alpha)
+        params = make_params(eta=eta, pension=pension)
+        bundle = generate_paths(
+            params.market, self.CONFIG.grid, 400, seed=12, antithetic=True
+        )
+        cost = _bundle_cost(params, bundle, method)
+        alpha, h0, bump = 0.8 if pension else 2.9, params.habit.initial, 1e-4
+        delta = cost.per_path(alpha, 1.0, h0, delta=True)[1].mean()
+        up, down = (
+            cost.per_path(alpha * math.exp(s * bump), 1.0, h0).mean()
+            for s in (1.0, -1.0)
+        )
+        assert delta == pytest.approx((up - down) / (2.0 * bump), rel=1e-5)
+
+    @pytest.mark.parametrize("eta, v", [(0.0, 1e9), (0.1, 1e-4)])
+    def test_unreachable_wealth_fails_to_bracket(self, monkeypatch, eta, v):
+        # the budget is about 1.8e5 at the lower limit 1e-12 without habit
+        # formation, and about 9e-4 at the upper limit 1e12 with it
+        calls = []
+        real = _CostFunctional.per_path
+
+        def counted(self, alpha, *args, **kwargs):
+            calls.append(alpha)
+            return real(self, alpha, *args, **kwargs)
+
+        monkeypatch.setattr(_CostFunctional, "per_path", counted)
+        config = dataclasses.replace(self.CONFIG, max_iterations=4)
+        with pytest.raises(CalibrationError, match="could not bracket"):
+            calibrate_alpha(make_params(eta=eta, v=v), config)
+        assert 1 <= len(calls) <= config.max_iterations
+
+    def test_narrow_bracket_is_widened_six_decades(self):
+        params = make_params(eta=0.1)
+        default = calibrate_alpha(params, self.CONFIG)
+        config = dataclasses.replace(self.CONFIG, bracket=(1e3, 1e4))
+        sol = calibrate_alpha(params, config)
+        assert sol.budget_residual <= config.tolerance
+        g = params.market.gamma
+        assert sol.alpha == pytest.approx(default.alpha, rel=g * config.tolerance)
+
+    def test_non_monotone_budget_is_caught(self, monkeypatch):
+        # budgets 2v, 3v, v at increasing alphas: each Newton step moves
+        # up, the last meets tolerance, and the sorted iterates rise
+        params = make_params(eta=0.1)
+        v = params.v
+        script = [2.0 * v, 3.0 * v, v]
+
+        def scripted(self, alpha, y, h, delta=False):
+            b = script.pop(0)
+            samples = b + np.array([-1e-3, 1e-3, -1e-3, 1e-3])
+            return samples, np.full(4, -b / 3.0)
+
+        monkeypatch.setattr(_CostFunctional, "per_path", scripted)
+        with pytest.raises(BudgetMonotonicityError):
+            calibrate_alpha(params, self.CONFIG)
+        assert script == []
+
+    def test_collapsed_bracket_fails_instead_of_spinning(self):
+        # with an unreachable tolerance the search must still end: every
+        # pass evaluates a new alpha or raises, so it stops within
+        # max_iterations evaluations.  A fresh interpreter with a timeout
+        # keeps a regression from hanging the suite.
+        script = (
+            "from greedyhabit import CalibrationConfig, CalibrationError, "
+            "TimeGrid, calibrate_alpha\n"
+            "from greedyhabit.solver import ModelParams\n"
+            "config = CalibrationConfig(grid=TimeGrid(60.0, 0.5), n_paths=200, "
+            "seed=1, tolerance=1e-300, max_iterations=80)\n"
+            "try:\n"
+            "    calibrate_alpha(ModelParams(), config)\n"
+            "except CalibrationError as exc:\n"
+            "    print('raised', exc)\n"
+        )
+        src = os.path.dirname(os.path.dirname(greedyhabit.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=60,
+        ).stdout
+        assert out.startswith("raised")
 
 
 class TestCalibrationDensity:
