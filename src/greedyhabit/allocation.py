@@ -139,16 +139,19 @@ class _InnerPaths:
     as well as in the state).  The last cost functional is kept, so every
     state at one anchor time shares its set-up.
 
-    The closed-form functional sums along each path and takes the
-    path-major prefix ``zeta[:, :m + 1]``.  The Euler functional steps
-    all paths at once and wants the density step-major, so the first one
-    built makes a single step-major copy, and every Euler anchor then
-    reads the contiguous prefix ``zeta_t[:m + 1]``.  Pension-0 use never
-    makes that copy.
+    The paths belong to one market, and :meth:`cost_from` rejects model
+    parameters with another.  The closed-form functional sums along each
+    path and takes the path-major prefix ``zeta[:, :m + 1]``.  The Euler
+    functional steps all paths at once and wants the density step-major,
+    so the first one built makes a single step-major copy and its power
+    ``zeta_t ** (-1/gamma)``, and every Euler anchor then reads the
+    contiguous prefixes ``[:m + 1]`` of both.  Pension-0 use never makes
+    either.
     """
 
     def __init__(self, market: MarketParams, config: NestedConfig):
         self.config = config
+        self.market = market
         self._zeta = _simulate(
             market,
             config.grid,
@@ -158,7 +161,7 @@ class _InnerPaths:
             key=(1,),
             keep_w=False,
         ).zeta
-        self._zeta_t = None
+        self._zeta_t = self._zpow_t = None
         self._last = None
 
     def cost_from(
@@ -169,16 +172,23 @@ class _InnerPaths:
         Repeated calls with the same (t, params, resolved method) return
         the same functional.
         """
+        if params.market != self.market:
+            raise ValueError(
+                f"inner paths were built for {self.market}, not {params.market}"
+            )
         key = (t, params, _resolve_method(params, method))
         if self._last is not None and self._last[0] == key:
             return self._last[1]
         grid = self.config.grid
         m = _horizon_steps(grid, t)
         self._last = None  # release the old set-up before building the new
+        zpow_t = None
         if key[2] == "euler":
             if self._zeta_t is None:
                 self._zeta_t = np.ascontiguousarray(self._zeta.T)
+                self._zpow_t = self._zeta_t ** (-1.0 / self.market.gamma)
             zeta = self._zeta_t[: m + 1].T
+            zpow_t = self._zpow_t[: m + 1]
         else:
             zeta = self._zeta[:, : m + 1]
         cost = _CostFunctional(
@@ -188,6 +198,7 @@ class _InnerPaths:
             grid.dt,
             self.config.antithetic,
             key[2],
+            zpow_t,
         )
         self._last = (key, cost)
         return cost

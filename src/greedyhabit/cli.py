@@ -495,15 +495,8 @@ def _cmd_merton_check(args: argparse.Namespace) -> int:
             c_bar=base.habit.initial,
             t_max=cfg.calibration.grid.t_max,
         )
-        # the density depends on r and kappa only, so the inner paths carry over
         est5 = allocation_at(
-            0.0,
-            1.0,
-            base.habit.initial,
-            alpha5,
-            frozen5,
-            cfg.nested,
-            _inner=inner,
+            0.0, 1.0, base.habit.initial, alpha5, frozen5, cfg.nested
         )
         target5 = merton_theta(market5)
         diff5 = abs(est5.value - target5) if est5.reliable else math.inf

@@ -105,23 +105,50 @@ def bernoulli_kernel(
     The kernel is filled in blocks of rows, each row on its own, as a
     cumulative trapezoid summed in the order of scipy's implementation.
     """
+    zeta = np.asarray(zeta)
+    rows = zeta.reshape(-1, zeta.shape[-1])
+    kernel, decay, _ = _kernel_pass(habit, market, mortality, times, rows)
+    return kernel.reshape(zeta.shape), decay
+
+
+def _kernel_pass(habit, market, mortality, times, rows, wgt=None):
+    """:func:`bernoulli_kernel` on 2-D ``rows``; with ``wgt`` the cost weights too.
+
+    Returns ``(kernel, decay, wz)``.  Each block's kernel integrand
+    k = exp(drift - log(zeta) / gamma) is computed once.  With trapezoid
+    weights ``wgt`` it also gives wz = zeta * k * exp(-eta tau) * wgt, which
+    is zeta^(1 - 1/gamma) * shadow * decay^(gamma - 1) * wgt because
+    exp(drift - eta tau) = shadow * decay^(gamma - 1), so no power runs
+    over the matrix.  With ``wgt`` at eta = 0 the kernel drops out of the
+    cost: it is None and wz is the sum along each row.  Without ``wgt``
+    wz is None.
+    """
     g = market.gamma
     eta = habit.eta
     tau = times - times[0]
     log_p = log_survival_probability(mortality, times)
     drift = (eta * tau - market.rho * times + log_p) / g
-    zeta = np.asarray(zeta)
-    rows = zeta.reshape(-1, zeta.shape[-1])
-    kernel = np.zeros(rows.shape)
+    frozen = wgt is not None and eta == 0.0
+    kernel = None if frozen else np.zeros(rows.shape)
+    wz = None if wgt is None else np.empty(rows.shape[0] if frozen else rows.shape)
+    vec = None if wgt is None else np.exp(-eta * tau) * wgt
     step = np.diff(times)
     for block in _row_blocks(rows.shape[0]):
         # integrand of K: exp(eta*tau/g) * (zeta * exp(rho t) / p)^(-1/g),
         # assembled in log space so deep density tails cannot overflow
         k = np.exp(drift - np.log(rows[block]) / g)
-        area = step * (k[:, 1:] + k[:, :-1]) / 2.0
-        np.cumsum(area, axis=-1, out=kernel[block, 1:])
-    decay = np.exp(-eta * tau / g)
-    return kernel.reshape(zeta.shape), decay
+        if kernel is not None:
+            # step * (k[1:] + k[:-1]) / 2.0, with one block temporary
+            area = k[:, 1:] + k[:, :-1]
+            area *= step
+            area /= 2.0
+            np.cumsum(area, axis=-1, out=kernel[block, 1:])
+            del area
+        if wz is not None:
+            k *= rows[block]
+            k *= vec
+            wz[block] = k.sum(axis=-1) if frozen else k
+    return kernel, np.exp(-eta * tau / g), wz
 
 
 def habit_closed_form(
@@ -166,9 +193,5 @@ def habit_closed_form(
     kernel, decay = bernoulli_kernel(habit, market, mortality, times, zeta)
     if h0.ndim > 0:
         h0 = h0[..., np.newaxis]
-    return _bernoulli_habit(kernel, decay, h0, alpha ** (-1.0 / g), habit.eta, g)
-
-
-def _bernoulli_habit(kernel, decay, h0, beta, eta, g):
-    """H = (decay * (h0^(1/g) + (eta/g) * beta * kernel))^g, beta = alpha^(-1/g)."""
-    return (decay * (h0 ** (1.0 / g) + (eta / g) * beta * kernel)) ** g
+    beta = alpha ** (-1.0 / g)
+    return (decay * (h0 ** (1.0 / g) + (habit.eta / g) * beta * kernel)) ** g

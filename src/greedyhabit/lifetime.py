@@ -110,6 +110,7 @@ def simulate_lifetime(
     theta_refresh: float = 0.25,
     nested: NestedConfig = NestedConfig(),
     scenario: Optional[PathBundle] = None,
+    _inner: Optional[_InnerPaths] = None,
 ) -> LifetimeRecord:
     """Simulate one lifetime under the calibrated rule.
 
@@ -165,7 +166,7 @@ def simulate_lifetime(
 
     refresh_times = times[refresh_idx]
 
-    inner = _InnerPaths(params.market, nested)
+    inner = _inner or _InnerPaths(params.market, nested)
     theta_pts = np.empty(len(refresh_idx))
     wealth_pts = np.empty(len(refresh_idx))
     last_reliable = math.nan
@@ -282,6 +283,8 @@ def pension_sweep(
             ).alpha
             for pension in pensions
         ]
+    # the inner density depends on the market only, so every record shares it
+    inner = _InnerPaths(params.market, nested)
     records = []
     for pension, alpha in zip(pensions, alphas):
         p = dataclasses.replace(params, pension=float(pension))
@@ -295,6 +298,7 @@ def pension_sweep(
                 dt=dt,
                 theta_refresh=theta_refresh,
                 nested=nested,
+                _inner=inner,
             )
         )
     return records

@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
-from .habit import HabitParams, _bernoulli_habit, bernoulli_kernel, habit_euler_step
+from .habit import HabitParams, _kernel_pass, habit_closed_form
 from .market import (
     DEFAULT_SEED,
     GompertzParams,
@@ -263,14 +263,16 @@ class _CostFunctional:
     visits one time step of every path at a time, so it holds the density
     and ``zeta ** (-1/gamma)`` step-major, shape (n_times, n_paths), and
     each step reads one contiguous row; a transposed view of a step-major
-    array is taken without a copy.  ``closed_form`` keeps ``zeta``
-    path-major, because its sums run along each path's time axis and
-    their pairwise summation order depends on that layout.  It builds the
-    kernel on construction and ``wz`` on the first :meth:`per_path`, both
-    in blocks of ``ROW_BLOCK`` rows, and prices block by block; every row
-    is computed on its own, so the block size never changes a result.
-    Either branch can return y * d(cost)/dy per path from the sweep that
-    prices the cost, which is the pathwise delta allocation reads.
+    array is taken without a copy; ``zpow_t`` passes that power in when
+    it is already computed.  ``closed_form`` keeps ``zeta`` path-major,
+    because its sums run along each path's time axis and their pairwise
+    summation order depends on that layout.  Its first :meth:`per_path`
+    builds the kernel and ``wz`` in one pass over blocks of ``ROW_BLOCK``
+    rows and prices block by block; every row is computed on its own, so
+    the block size never changes a result.  :meth:`paths` builds the
+    kernel alone.  Either branch can return y * d(cost)/dy per path from
+    the sweep that prices the cost, which is the pathwise delta
+    allocation reads.
     """
 
     def __init__(
@@ -281,6 +283,7 @@ class _CostFunctional:
         dt: float,
         antithetic: bool,
         method: str = "auto",
+        zpow_t: Optional[np.ndarray] = None,
     ):
         method = _resolve_method(params, method)
         if method not in ("closed_form", "euler"):
@@ -293,6 +296,7 @@ class _CostFunctional:
         self._antithetic = antithetic
         self._euler = method == "euler"
         self._dt = dt
+        self._times = times
         log_p = log_survival_probability(params.mortality, times)
         # exp(-rho t / g) * p_t^(1/g): the deterministic part of the rule
         self._shadow = np.exp((-params.market.rho * times + log_p) / g)
@@ -301,36 +305,21 @@ class _CostFunctional:
             if eta * dt >= 1.0:
                 raise ValueError(f"eta * dt = {eta * dt} >= 1: grid too coarse")
             self._zeta_t = np.ascontiguousarray(zeta.T)
-            self._zpow_t = self._zeta_t ** (-1.0 / g)
+            self._zpow_t = self._zeta_t ** (-1.0 / g) if zpow_t is None else zpow_t
             return
         self._zeta = zeta
-        if eta == 0.0:
-            # frozen habit: the kernel drops out and the cost factorises
-            self._kernel = None
-        else:
-            self._kernel, self._decay = bernoulli_kernel(
-                params.habit, params.market, params.mortality, times, zeta
-            )
 
     @functools.cached_property
-    def _wz(self) -> np.ndarray:
-        """``zeta^(1 - 1/g)`` times the deterministic weights, per path and step.
+    def _kernel_wz(self) -> Tuple[Optional[np.ndarray], np.ndarray, np.ndarray]:
+        """The kernel (None at eta = 0), its decay and the weights ``wz``.
 
-        Without habit formation only their sum along each path is needed.
+        wz = zeta^(1 - 1/g) * shadow * decay^(g - 1) * wgt per path and
+        step, or its sum along each path at eta = 0.
         """
-        g = self.params.market.gamma
-        zeta = self._zeta
-        if self._kernel is None:
-            vec = self._shadow * self._wgt
-            wz = np.empty(zeta.shape[0])
-            for rows in _row_blocks(zeta.shape[0]):
-                wz[rows] = (zeta[rows] ** (1.0 - 1.0 / g) * vec).sum(axis=-1)
-            return wz
-        vec = self._shadow * self._decay ** (g - 1.0)
-        wz = np.empty(zeta.shape)
-        for rows in _row_blocks(zeta.shape[0]):
-            wz[rows] = zeta[rows] ** (1.0 - 1.0 / g) * vec * self._wgt
-        return wz
+        p = self.params
+        return _kernel_pass(
+            p.habit, p.market, p.mortality, self._times, self._zeta, self._wgt
+        )
 
     def _stream(self, alpha: float, y: float, h: float, tangent: bool = False):
         """Yield (k, consumption, habit, tangent) of the floored rule, step by step.
@@ -361,9 +350,10 @@ class _CostFunctional:
                 dc *= c > pi
             yield k, c, h, dc
             if k < m - 1:
-                h = habit_euler_step(h, c, self._dt, eta)
+                # habit_euler_step, whose eta * dt check ran in __init__
+                h = h + (eta * (c - h)) * self._dt
                 if tangent:
-                    # the same linear step, whose checks ran for h just above
+                    # the tangent of the same linear step
                     dh += (eta * self._dt) * (dc - dh)
 
     def per_path(self, alpha: float, y: float, h: float, delta: bool = False):
@@ -379,9 +369,16 @@ class _CostFunctional:
             cost = np.zeros(self._zeta_t.shape[1])
             tangent = np.zeros_like(cost) if delta else None
             for k, c, _, dc in self._stream(alpha, y, h, delta):
-                cost += (self._wgt[k] * (c - pi)) * self._zeta_t[k]
+                # (wgt_k (c - pi)) zeta_k in this order, on one temporary; dc is
+                # read again by the stream, so it is not scaled in place
+                term = c - pi
+                term *= self._wgt[k]
+                term *= self._zeta_t[k]
+                cost += term
                 if delta:
-                    tangent += (self._wgt[k] * dc) * self._zeta_t[k]
+                    term = dc * self._wgt[k]
+                    term *= self._zeta_t[k]
+                    tangent += term
         else:
             g = self.params.market.gamma
             eta = self.params.habit.eta
@@ -389,20 +386,21 @@ class _CostFunctional:
             # zeta C = beta * wz * (z^(1/g) + (eta/g) beta K)^(g-1) with
             # z = y * h; dividing by y turns F(t, z) into wealth units
             u0 = (y * h) ** (1.0 / g)
-            if self._kernel is None:
-                cost = beta * (self._wz * u0 ** (g - 1.0)) / y
+            kernel, _, wz = self._kernel_wz
+            if kernel is None:
+                cost = beta * (wz * u0 ** (g - 1.0)) / y
                 if delta:
                     tangent = -cost / g
             else:
-                n = self._kernel.shape[0]
+                n = kernel.shape[0]
                 sums = np.empty(n)
                 dsums = np.empty(n) if delta else None
                 scale = (eta / g) * beta
                 for rows in _row_blocks(n):
-                    block = self._kernel[rows] * scale
+                    block = kernel[rows] * scale
                     block += u0
                     power = block ** (g - 1.0)
-                    power *= self._wz[rows]
+                    power *= wz[rows]
                     sums[rows] = power.sum(axis=-1)
                     if delta:
                         # the delta's B^(g-2) is B^(g-1) / B
@@ -429,10 +427,10 @@ class _CostFunctional:
             x = np.zeros(self._zeta_t.shape[1])
             for k, scale in enumerate(self._wgt * self._shadow):
                 x += scale * self._zeta_t[k] * self._zpow_t[k]
-        elif self._kernel is None:
-            x = self._wz
         else:
-            x = self._wz @ self._decay ** (1.0 - g)
+            kernel, decay, x = self._kernel_wz
+            if kernel is not None:
+                x = x @ decay ** (1.0 - g)
         h0 = self.params.habit.initial
         return float((h0 ** (1.0 - 1.0 / g) * x.mean() / v) ** g)
 
@@ -446,13 +444,14 @@ class _CostFunctional:
                 consumption[k] = c
                 habit[k] = h
             return consumption.T, habit.T
-        g = self.params.market.gamma
+        p = self.params
+        g = p.market.gamma
         beta = alpha ** (-1.0 / g)
-        if self._kernel is None:
+        if p.habit.eta == 0.0:
             habit = np.full(self._zeta.shape, h0)
         else:
-            habit = _bernoulli_habit(
-                self._kernel, self._decay, h0, beta, self.params.habit.eta, g
+            habit = habit_closed_form(
+                p.habit, p.market, p.mortality, alpha, self._times, self._zeta
             )
         consumption = habit ** (1.0 - 1.0 / g) * (
             beta * self._shadow * self._zeta ** (-1.0 / g)
@@ -600,8 +599,13 @@ def calibrate_alpha(
             )
         alpha = proposal
 
-    values = [est.value for _, est in sorted(history.items())]
-    if not all(a > b for a, b in zip(values[:-1], values[1:])):
+    # a tie between adjacent floats is float resolution, not corruption
+    ordered = sorted(history.items())
+    if not all(
+        b0.value > b1.value
+        or (b0.value == b1.value and math.nextafter(a0, math.inf) == a1)
+        for (a0, b0), (a1, b1) in zip(ordered[:-1], ordered[1:])
+    ):
         raise BudgetMonotonicityError(
             "budget iterates are not strictly decreasing in alpha; "
             "the Monte Carlo budget is numerically corrupt on this grid"

@@ -426,6 +426,27 @@ class TestSharedInnerPaths:
             assert np.shares_memory(cost._zeta_t, copy)
         assert inner._zeta_t is copy
 
+    def test_euler_powers_are_prefixes_of_one_array(self):
+        cfg = config(200)
+        params = make_params(eta=0.1, pension=0.5)
+        inner = _InnerPaths(params.market, cfg)
+        g = params.market.gamma
+        base = None
+        for t in (0.0, 10.0, 30.0):
+            cost = inner.cost_from(t, params)
+            base = base if base is not None else inner._zpow_t
+            m = GRID.n_steps - GRID.index_of(t)
+            assert inner._zpow_t is base
+            assert np.shares_memory(cost._zpow_t, base)
+            assert np.array_equal(cost._zpow_t, inner._zeta_t[: m + 1] ** (-1.0 / g))
+
+    def test_other_market_is_rejected(self):
+        inner = _InnerPaths(MarketParams(), config(200))
+        other = ModelParams(market=MarketParams(r=0.03))
+        for method in ("closed_form", "euler"):
+            with pytest.raises(ValueError, match="inner paths were built for"):
+                inner.cost_from(10.0, other, method)
+
     def test_two_dimensional_grid_matches_per_time_calls(self):
         params = make_params(eta=0.1)
         cfg = config(400)

@@ -295,6 +295,36 @@ class TestPensionSweep:
         assert np.array_equal(sweep[0].wealth, direct.wealth)
         assert np.array_equal(sweep[0].consumption, direct.consumption)
 
+    def test_one_inner_set_serves_every_record(self, monkeypatch):
+        params = make_params(eta=0.1)
+        pensions = [0.0, 0.5]
+        alphas = [ALPHA_BY_PENSION[p] for p in pensions]
+        kwargs = dict(
+            scenario_seed=8,
+            mode="euler_wealth",
+            horizon=2.0,
+            dt=0.05,
+            theta_refresh=0.5,
+            nested=nested(800),
+        )
+        built = []
+        real = greedyhabit.lifetime._InnerPaths
+
+        def counted(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(greedyhabit.lifetime, "_InnerPaths", counted)
+        sweep = pension_sweep(params, pensions, alphas=alphas, **kwargs)
+        assert len(built) == 1
+        monkeypatch.undo()
+        for rec, pension, alpha in zip(sweep, pensions, alphas):
+            p = dataclasses.replace(params, pension=pension)
+            direct = simulate_lifetime(p, alpha, **kwargs)
+            for field in dataclasses.fields(direct):
+                got, want = getattr(rec, field.name), getattr(direct, field.name)
+                assert np.array_equal(got, want), (pension, field.name)
+
     def test_calibrates_on_the_generated_density(self, monkeypatch):
         params = make_params(eta=0.1)
         pensions = [0.0, 0.5]

@@ -57,13 +57,16 @@ def reference_budget(alpha, params, bundle):
     wgt[0] = 0.5 * (times[1] - times[0])
     wgt[-1] = 0.5 * (times[-1] - times[-2])
     log_p = log_survival_probability(params.mortality, times)
-    shadow = np.exp((-params.market.rho * times + log_p) / g)
     beta = alpha ** (-1.0 / g)
     if pi == 0.0:
-        kernel, decay = bernoulli_kernel(
+        kernel, _ = bernoulli_kernel(
             params.habit, params.market, params.mortality, times, zeta
         )
-        wz = zeta ** (1.0 - 1.0 / g) * (shadow * decay ** (g - 1.0)) * wgt
+        # wz from the kernel integrand k, as zeta * k * exp(-eta tau) * wgt
+        tau = times - times[0]
+        drift = (eta * tau - params.market.rho * times + log_p) / g
+        k = np.exp(drift - np.log(zeta) / g)
+        wz = zeta * k * (np.exp(-eta * tau) * wgt)
         u0 = params.habit.initial ** (1.0 / g)
         y = beta * ((u0 + (eta / g) * beta * kernel) ** (g - 1.0) * wz).sum(axis=1)
     else:
@@ -275,6 +278,29 @@ class TestBudgetValue:
                 assert est.value == ref.mean()
                 assert est.std_error == ref.std(ddof=1) / math.sqrt(ref.shape[0])
 
+    @pytest.mark.parametrize("eta", [0.1, 2.0])
+    def test_weights_match_the_power_form(self, small_bundle, eta):
+        # one pass forms the kernel and wz from the kernel integrand; wz
+        # must equal zeta^(1-1/g) shadow decay^(g-1) wgt to rounding, and
+        # the kernel must be bernoulli_kernel's bit for bit
+        params = make_params(eta=eta)
+        g = params.market.gamma
+        times, zeta = small_bundle.grid.times(), small_bundle.zeta[:300]
+        cost = _CostFunctional(params, times, zeta, small_bundle.grid.dt, False)
+        kernel, decay, wz = cost._kernel_wz
+        log_p = log_survival_probability(params.mortality, times)
+        shadow = np.exp((-params.market.rho * times + log_p) / g)
+        decay_ref = np.exp(-eta * (times - times[0]) / g)
+        wgt = np.full_like(times, small_bundle.grid.dt)
+        wgt[[0, -1]] *= 0.5
+        expected = zeta ** (1.0 - 1.0 / g) * shadow * decay_ref ** (g - 1.0) * wgt
+        np.testing.assert_allclose(wz, expected, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(decay, decay_ref, rtol=1e-15, atol=0.0)
+        ref_kernel, _ = bernoulli_kernel(
+            params.habit, params.market, params.mortality, times, zeta
+        )
+        assert np.array_equal(kernel, ref_kernel)
+
     def test_pension_lowers_funded_cost(self, small_bundle):
         # the pension pays for the floor, so the funded budget shrinks
         plain = budget_value(2.0, make_params(eta=0.1), small_bundle)
@@ -460,6 +486,32 @@ class TestNewtonSearch:
             calibrate_alpha(params, self.CONFIG)
         assert script == []
 
+    def test_tie_at_adjacent_floats_is_not_corruption(self, monkeypatch):
+        # at seed 2 two iterates one float apart both price
+        # 10.000000000000002 before a third reaches v exactly; that tie is
+        # float resolution, so the search returns its solution
+        config = CalibrationConfig(
+            grid=TimeGrid(60.0, 0.5), n_paths=200, seed=2, tolerance=1e-300
+        )
+        real = _CostFunctional.per_path
+        budgets = {}
+
+        def recorded(self, alpha, y, h, delta=False):
+            out = real(self, alpha, y, h, delta)
+            budgets[alpha] = out[0].mean()
+            return out
+
+        monkeypatch.setattr(_CostFunctional, "per_path", recorded)
+        sol = calibrate_alpha(ModelParams(), config)
+        assert sol.budget_residual == 0.0
+        ordered = sorted(budgets.items())
+        ties = [
+            (a0, a1)
+            for (a0, b0), (a1, b1) in zip(ordered[:-1], ordered[1:])
+            if b0 == b1
+        ]
+        assert ties and all(math.nextafter(a0, math.inf) == a1 for a0, a1 in ties)
+
     def test_collapsed_bracket_fails_instead_of_spinning(self):
         # with an unreachable tolerance the search must still end: every
         # pass evaluates a new alpha or raises, so it stops within
@@ -524,7 +576,7 @@ class TestRowBlocks:
             params = make_params(eta=eta)
             cost = _bundle_cost(params, bundle)
             out["per_path", eta] = cost.per_path(2.9, 1.3, 0.8)
-            out["wz", eta] = cost._wz
+            out["wz", eta] = cost._kernel_wz[2]
         params = make_params(eta=0.1)
         out["kernel"] = bernoulli_kernel(
             params.habit, market, params.mortality, self.GRID.times(), bundle.zeta
