@@ -33,7 +33,7 @@ from .allocation import (
     policy_surface,
 )
 from .habit import HabitParams
-from .lifetime import MODES, pension_sweep
+from .lifetime import pension_sweep
 from .market import DEFAULT_SEED, GompertzParams, MarketParams, TimeGrid
 from .merton import merton_alpha, merton_propensity, merton_theta
 from .solver import (
@@ -118,7 +118,6 @@ _RUN_KEYS = {
     "lifetime_dt": ("lifetime", "dt"),
     "theta_refresh": ("lifetime", "theta_refresh"),
     "scenario_seed": ("lifetime", "scenario_seed"),
-    "lifetime_mode": ("lifetime", "mode"),
 }
 
 _DEFAULTS = {
@@ -136,7 +135,6 @@ _DEFAULTS = {
         "dt": 0.05,
         "theta_refresh": 0.25,
         "scenario_seed": None,
-        "mode": MODES[0],
     },
 }
 # no seed in the file lets GREEDYHABIT_SEED apply
@@ -146,9 +144,9 @@ _DEFAULTS["calibration"]["seed"] = None
 def _typed(value, default, key: str):
     """``value`` checked against the type of its ``default``.
 
-    A str default is a lifetime mode, a list or tuple default a
-    non-empty list of numbers (a tuple also fixes the length), and a
-    None default an optional non-negative integer seed.
+    A list or tuple default is a non-empty list of numbers (a tuple also
+    fixes the length), and a None default an optional non-negative
+    integer seed.
     """
     if isinstance(default, bool):
         if not isinstance(value, bool):
@@ -161,11 +159,6 @@ def _typed(value, default, key: str):
         if not abs(value) <= sys.float_info.max:
             raise ConfigError(f"config key {key}: expected a finite number")
         return float(value)
-    if isinstance(default, str):
-        if value not in MODES:
-            expected = " or ".join(repr(mode) for mode in MODES)
-            raise ConfigError(f"config key {key}: expected {expected}")
-        return value
     if isinstance(default, (list, tuple)):
         if not isinstance(value, (list, tuple)) or not value:
             raise ConfigError(f"config key {key}: expected a non-empty list")
@@ -237,7 +230,6 @@ class RunConfig:
     lifetime_dt: float
     theta_refresh: float
     scenario_seed: Optional[int]
-    lifetime_mode: str
 
     @classmethod
     def from_dict(
@@ -375,7 +367,6 @@ def _cmd_lifetime(args: argparse.Namespace) -> int:
         cfg.pensions,
         scenario_seed=cfg.scenario_seed,
         calibration=cfg.calibration,
-        mode=cfg.lifetime_mode,
         horizon=cfg.horizon,
         dt=cfg.lifetime_dt,
         theta_refresh=cfg.theta_refresh,

@@ -2,10 +2,9 @@
 
 A lifetime record follows one market scenario (one Brownian path, or
 the zero-noise median path) and reports the greedy consumption rule
-together with the wealth trajectory and risky fraction.  Wealth can be
-tracked two ways:
+together with two wealth tracks from one pass:
 
-* ``euler_wealth`` integrates the self-financing budget equation
+* ``wealth`` integrates the self-financing budget equation
 
       dX = [(r + theta (mu - r)) X - C + pi] dt + theta sigma X dW
 
@@ -13,8 +12,10 @@ tracked two ways:
   ``theta_refresh`` years and held constant in between; the path
   absorbs at zero (consumption drops to the pension, allocation to
   zero) and the first such time is reported as ``exhausted_at``;
-* ``martingale_wealth`` evaluates the conditional-expectation wealth
-  representation at every refresh time directly.
+* ``nested_wealth`` is the conditional-expectation (martingale) wealth
+  that the same nested estimate returns at every refresh, with its
+  standard error.  It is priced on the greedy path before absorption,
+  so after ``exhausted_at`` it values the unabsorbed greedy path.
 
 Agreement between the two is a consistency check on the whole pipeline
 (pricing, habit dynamics, and the allocation estimator feed back into
@@ -44,19 +45,21 @@ from .solver import (
 
 __all__ = ["LifetimeRecord", "simulate_lifetime", "pension_sweep"]
 
-# the wealth-tracking modes, the default first
-MODES = ("euler_wealth", "martingale_wealth")
-
 
 @dataclass
 class LifetimeRecord:
     """One lifetime scenario on a uniform grid.
 
-    ``allocation`` holds the piecewise-constant risky fraction actually
-    used by the wealth integrator; ``zeta`` the scenario's state-price
-    density (handy for cross-record comparisons: sweeps run on a
-    common scenario).  ``exhausted_at`` is None when wealth never hits
-    zero on the grid.
+    ``wealth`` is the self-financing Euler track and ``allocation`` the
+    piecewise-constant risky fraction it uses; ``zeta`` is the scenario's
+    state-price density (handy for cross-record comparisons: sweeps run
+    on a common scenario).  ``exhausted_at`` is None when wealth never
+    hits zero on the grid.
+
+    The last four fields have one entry per allocation refresh, at
+    ``refresh_times``: the nested wealth estimate and its standard
+    error, and whether that refresh's theta estimate was reliable.  An
+    unreliable refresh holds the last reliable theta in ``allocation``.
     """
 
     times: np.ndarray
@@ -67,24 +70,28 @@ class LifetimeRecord:
     zeta: np.ndarray
     pension: float
     exhausted_at: Optional[float]
-    mode: str
+    refresh_times: np.ndarray
+    nested_wealth: np.ndarray
+    nested_wealth_se: np.ndarray
+    theta_reliable: np.ndarray
 
 
 def _refresh_plan(
-    mode: str, horizon: float, dt: float, theta_refresh: float, nested: NestedConfig
+    eta: float, horizon: float, dt: float, theta_refresh: float, nested: NestedConfig
 ) -> Tuple[TimeGrid, List[int]]:
     """The record's grid and the grid indices of its allocation refreshes.
 
     Checks every argument of :func:`simulate_lifetime` that needs no
     pricing, so a sweep can reject bad ones before it calibrates.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
     if horizon >= nested.grid.t_max:
         raise ValueError(
             f"horizon {horizon} must be < nested grid t_max {nested.grid.t_max}"
         )
     grid = TimeGrid(horizon, dt)
+    # the absorption tail steps the habit ODE on the record grid
+    if eta * dt >= 1.0:
+        raise ValueError(f"eta * dt = {eta * dt} >= 1: record grid too coarse")
     m = round(theta_refresh / dt)
     if m < 1 or abs(m * dt - theta_refresh) > 1e-9:
         raise ValueError(
@@ -104,7 +111,6 @@ def simulate_lifetime(
     params: ModelParams,
     alpha: float,
     scenario_seed: Optional[int] = None,
-    mode: str = "euler_wealth",
     horizon: float = 40.0,
     dt: float = 0.05,
     theta_refresh: float = 0.25,
@@ -113,6 +119,10 @@ def simulate_lifetime(
     _inner: Optional[_InnerPaths] = None,
 ) -> LifetimeRecord:
     """Simulate one lifetime under the calibrated rule.
+
+    One pass prices the nested estimate at every refresh and integrates
+    the Euler wealth with the allocations it gives, so the record holds
+    both wealth tracks (see :class:`LifetimeRecord`).
 
     Parameters
     ----------
@@ -123,7 +133,6 @@ def simulate_lifetime(
         Seed for the single market scenario; None selects the
         zero-noise path (all Brownian increments zero), a medians-only
         run for figure-style output.
-    mode : {"euler_wealth", "martingale_wealth"}
     horizon : float
         Length of the record in years; must not exceed the nested
         grid's t_max (allocation estimates need remaining horizon).
@@ -140,7 +149,9 @@ def simulate_lifetime(
     -------
     LifetimeRecord
     """
-    grid, refresh_idx = _refresh_plan(mode, horizon, dt, theta_refresh, nested)
+    grid, refresh_idx = _refresh_plan(
+        params.habit.eta, horizon, dt, theta_refresh, nested
+    )
     times = grid.times()
     n = grid.n_steps
 
@@ -169,6 +180,8 @@ def simulate_lifetime(
     inner = _inner or _InnerPaths(params.market, nested)
     theta_pts = np.empty(len(refresh_idx))
     wealth_pts = np.empty(len(refresh_idx))
+    wealth_se = np.empty(len(refresh_idx))
+    theta_reliable = np.empty(len(refresh_idx), dtype=bool)
     last_reliable = math.nan
     for j, k in enumerate(refresh_idx):
         est = allocation_at(
@@ -180,13 +193,12 @@ def simulate_lifetime(
             nested,
             _inner=inner,
         )
-        wealth_pts[j] = est.wealth.value
+        wealth_pts[j], wealth_se[j] = est.wealth
+        theta_reliable[j] = est.reliable
         if est.reliable:
-            theta_pts[j] = est.value
             last_reliable = est.value
-        else:
-            # deep in the exhaustion region: hold the last reliable value
-            theta_pts[j] = last_reliable
+        # deep in the exhaustion region: hold the last reliable value
+        theta_pts[j] = last_reliable
     if math.isnan(theta_pts[0]):
         raise CalibrationError(
             "allocation estimate unreliable at the initial state; "
@@ -198,35 +210,29 @@ def simulate_lifetime(
     hold = np.searchsorted(refresh_times, times, side="right") - 1
     allocation = theta_pts[hold]
 
+    market = params.market
+    pi = params.pension
+    eta = params.habit.eta
+    wealth = np.zeros(n + 1)
+    wealth[0] = params.v
     exhausted_at: Optional[float] = None
-    if mode == "martingale_wealth":
-        wealth = np.interp(times, refresh_times, wealth_pts)
-        below = np.nonzero(wealth <= 0.0)[0]
-        if below.size:
-            exhausted_at = float(times[below[0]])
-    else:
-        market = params.market
-        pi = params.pension
-        eta = params.habit.eta
-        wealth = np.zeros(n + 1)
-        wealth[0] = params.v
-        for k in range(n):
-            x = wealth[k]
-            drift = (
-                (market.r + allocation[k] * (market.mu - market.r)) * x
-                - consumption[k]
-                + pi
-            )
-            x_next = x + drift * dt + allocation[k] * market.sigma * x * dw[k]
-            if x_next <= 0.0:
-                # wealth stays at zero; from here on, consume the pension only
-                exhausted_at = float(times[k + 1])
-                consumption[k + 1 :] = pi
-                allocation[k + 1 :] = 0.0
-                for j in range(k + 1, n):
-                    habit[j + 1] = habit_euler_step(habit[j], pi, dt, eta)
-                break
-            wealth[k + 1] = x_next
+    for k in range(n):
+        x = wealth[k]
+        drift = (
+            (market.r + allocation[k] * (market.mu - market.r)) * x
+            - consumption[k]
+            + pi
+        )
+        x_next = x + drift * dt + allocation[k] * market.sigma * x * dw[k]
+        if x_next <= 0.0:
+            # wealth stays at zero; from here on, consume the pension only
+            exhausted_at = float(times[k + 1])
+            consumption[k + 1 :] = pi
+            allocation[k + 1 :] = 0.0
+            for j in range(k + 1, n):
+                habit[j + 1] = habit_euler_step(habit[j], pi, dt, eta)
+            break
+        wealth[k + 1] = x_next
 
     return LifetimeRecord(
         times=times,
@@ -237,7 +243,10 @@ def simulate_lifetime(
         zeta=zeta_path,
         pension=params.pension,
         exhausted_at=exhausted_at,
-        mode=mode,
+        refresh_times=refresh_times,
+        nested_wealth=wealth_pts,
+        nested_wealth_se=wealth_se,
+        theta_reliable=theta_reliable,
     )
 
 
@@ -247,7 +256,6 @@ def pension_sweep(
     scenario_seed: Optional[int] = None,
     alphas: Optional[Sequence[float]] = None,
     calibration: CalibrationConfig = CalibrationConfig(),
-    mode: str = "euler_wealth",
     horizon: float = 40.0,
     dt: float = 0.05,
     theta_refresh: float = 0.25,
@@ -265,14 +273,14 @@ def pension_sweep(
     alphas : sequence of float, optional
         Pre-calibrated multipliers aligned with ``pensions``; skips
         calibration when given.
-    mode, horizon, dt, theta_refresh, nested
+    horizon, dt, theta_refresh, nested
         Passed to :func:`simulate_lifetime` for every record; they are
         checked before any calibration.
     """
     if alphas is not None and len(alphas) != len(pensions):
         raise ValueError("alphas must align with pensions")
     # reject bad record arguments before the calibrations, not after them
-    _refresh_plan(mode, horizon, dt, theta_refresh, nested)
+    _refresh_plan(params.habit.eta, horizon, dt, theta_refresh, nested)
     if alphas is None:
         bundle = _calibration_paths(params.market, calibration)
         alphas = [
@@ -293,7 +301,6 @@ def pension_sweep(
                 p,
                 float(alpha),
                 scenario_seed=scenario_seed,
-                mode=mode,
                 horizon=horizon,
                 dt=dt,
                 theta_refresh=theta_refresh,

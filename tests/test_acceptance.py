@@ -15,8 +15,9 @@ test), so the module doubles as a verification report:
     risky fraction unchanged.
 5.  Habit integrators -- the Euler habit recursion converges to the
     closed form at first order in dt.
-6.  Wealth cross-validation -- Euler-integrated wealth tracks the
-    martingale wealth on common scenarios.
+6.  Wealth cross-validation -- on each common scenario, the Euler
+    wealth track of a lifetime record follows the nested (martingale)
+    wealth that the same record holds at its refreshes.
 7.  Policy behaviour -- consumption nearly linear in wealth at weak
     smoothing; orderings in the smoothing rate at the initial state:
     initial consumption moves from its frozen-habit limit v / A(0)
@@ -242,29 +243,27 @@ def test_habit_euler_first_order(calibrated):
 
 
 def test_wealth_cross_validation(calibrated):
-    """Euler wealth with held allocations tracks the martingale wealth."""
+    """Euler wealth with held allocations tracks the record's nested wealth."""
     params, _, sol = calibrated(0.1, n_paths=40000, tolerance=1e-3)
     nested = NestedConfig(
         n_inner=5000, seed=202, grid=CAL_GRID, antithetic=True
     )
     worst = 0.0
     for scenario_seed in (901, 902, 905, 906, 908):
-        euler, martingale = (
-            simulate_lifetime(
-                params,
-                sol.alpha,
-                scenario_seed=scenario_seed,
-                mode=mode,
-                horizon=10.0,
-                dt=0.05,
-                theta_refresh=0.25,
-                nested=nested,
-            )
-            for mode in ("euler_wealth", "martingale_wealth")
+        record = simulate_lifetime(
+            params,
+            sol.alpha,
+            scenario_seed=scenario_seed,
+            horizon=10.0,
+            dt=0.05,
+            theta_refresh=0.25,
+            nested=nested,
         )
         for t in (5.0, 10.0):
             k = int(round(t / 0.05))
-            gap = abs(euler.wealth[k] - martingale.wealth[k]) / martingale.wealth[k]
+            j = np.searchsorted(record.refresh_times, record.times[k])
+            martingale = record.nested_wealth[j]
+            gap = abs(record.wealth[k] - martingale) / martingale
             worst = max(worst, gap)
     assert _report(
         "wealth cross-check",
@@ -404,7 +403,6 @@ def test_policy_behaviour(calibrated):
         params,
         sol.alpha,
         scenario_seed=None,
-        mode="martingale_wealth",
         horizon=2.0,
         dt=0.05,
         theta_refresh=1.0,

@@ -7,6 +7,7 @@ by unreliable allocation estimates).
 """
 
 import csv
+import inspect
 import json
 import math
 
@@ -19,6 +20,10 @@ from greedyhabit import (
     CalibrationConfig,
     ModelParams,
     NestedConfig,
+    default_zeta_grid,
+    pension_sweep,
+    policy_surface,
+    simulate_lifetime,
 )
 from greedyhabit.cli import (
     ConfigError,
@@ -70,7 +75,6 @@ class TestRunConfig:
         assert cfg.calibration.n_paths == 20000
         assert cfg.calibration.seed == DEFAULT_SEED
         assert cfg.nested.seed == DEFAULT_SEED
-        assert cfg.lifetime_mode == "euler_wealth"
 
     def test_defaults_are_the_library_defaults(self, monkeypatch):
         monkeypatch.delenv(ENV_SEED, raising=False)
@@ -81,6 +85,19 @@ class TestRunConfig:
         )
         assert cfg.model == ModelParams()
 
+    def test_run_settings_default_to_the_library_defaults(self):
+        def default(fn, name):
+            return inspect.signature(fn).parameters[name].default
+
+        lifetime = greedyhabit.cli._DEFAULTS["lifetime"]
+        for fn in (simulate_lifetime, pension_sweep):
+            for key in ("horizon", "dt", "theta_refresh", "scenario_seed"):
+                assert lifetime[key] == default(fn, key), (fn.__name__, key)
+        policy = greedyhabit.cli._DEFAULTS["policy"]
+        assert policy["max_wealth"] == default(policy_surface, "max_wealth")
+        assert policy["n_zeta"] == default(default_zeta_grid, "n")
+        assert policy["spread"] == default(default_zeta_grid, "spread")
+
     def test_round_trip(self, monkeypatch):
         monkeypatch.delenv(ENV_SEED, raising=False)
         cfg = RunConfig.from_dict(
@@ -88,7 +105,7 @@ class TestRunConfig:
                 "pension": 1.5,
                 "habit": {"eta": 0.3},
                 "calibration": {"n_paths": 5000, "seed": 99},
-                "lifetime": {"scenario_seed": 7, "mode": "martingale_wealth"},
+                "lifetime": {"scenario_seed": 7},
             }
         )
         assert RunConfig.from_dict(cfg.to_dict()) == cfg
@@ -378,6 +395,32 @@ class TestLifetimeCommand:
         out = tmp_path / "life.csv"
         assert main(["lifetime", "--config", cfg, "--out", str(out)]) == 1
         assert message in capsys.readouterr().err
+        assert calibrations == []
+
+    def test_coarse_record_grid_fails_before_calibration(
+        self, tmp_path, capsys, calibrations
+    ):
+        # eta * dt = 1.25 on the record grid; the calibration grid is fine
+        data = {
+            **self.CONFIG,
+            "habit": {"eta": 2.5},
+            "lifetime": {**self.CONFIG["lifetime"], "dt": 0.5},
+        }
+        cfg = write_config(tmp_path, data)
+        out = tmp_path / "life.csv"
+        assert main(["lifetime", "--config", cfg, "--out", str(out)]) == 1
+        assert "eta * dt = 1.25 >= 1" in capsys.readouterr().err
+        run = RunConfig.from_dict(data)
+        with pytest.raises(ValueError, match="record grid too coarse"):
+            pension_sweep(
+                run.model,
+                [0.0, 0.5],
+                calibration=run.calibration,
+                horizon=2.0,
+                dt=0.5,
+                theta_refresh=0.5,
+                nested=run.nested,
+            )
         assert calibrations == []
 
 

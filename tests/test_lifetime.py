@@ -1,9 +1,10 @@
 """Single-scenario lifetime records: self-financing, absorption, sweeps.
 
-The Euler-mode record must satisfy its own discrete budget equation
+The Euler wealth track must satisfy its own discrete budget equation
 exactly (the Brownian increments are recoverable from the recorded
 density path), absorb permanently at zero wealth, and respect the
-pension floor.  The martingale mode is anchored to the zero-habit
+pension floor.  The nested (martingale) wealth track is the nested
+estimator at each refresh, and is anchored to the zero-habit
 propensity oracle on the deterministic median scenario.
 """
 
@@ -21,13 +22,16 @@ from greedyhabit import (
     MarketParams,
     NestedConfig,
     TimeGrid,
+    allocation_at,
     calibrate_alpha,
     generate_paths,
     merton_alpha,
     merton_propensity,
     pension_sweep,
     simulate_lifetime,
+    solve_paths,
 )
+from greedyhabit.allocation import _InnerPaths
 from conftest import make_params
 
 GRID = TimeGrid(60.0, 0.05)
@@ -60,7 +64,6 @@ class TestEulerMode:
             params,
             ALPHA_BY_PENSION[0.0],
             scenario_seed=8,
-            mode="euler_wealth",
             horizon=5.0,
             dt=0.05,
             theta_refresh=1.25,
@@ -81,7 +84,6 @@ class TestEulerMode:
             params,
             ALPHA_BY_PENSION[0.0],
             scenario_seed=8,
-            mode="euler_wealth",
             horizon=5.0,
             dt=0.05,
             theta_refresh=1.25,
@@ -101,7 +103,6 @@ class TestEulerMode:
             params,
             ALPHA_BY_PENSION[1.5],
             scenario_seed=6,
-            mode="euler_wealth",
             horizon=40.0,
             dt=0.05,
             theta_refresh=0.5,
@@ -119,7 +120,6 @@ class TestEulerMode:
         params = make_params(eta=0.1)
         kwargs = dict(
             scenario_seed=8,
-            mode="euler_wealth",
             horizon=3.0,
             dt=0.05,
             theta_refresh=1.0,
@@ -136,7 +136,6 @@ class TestEulerMode:
         grid = TimeGrid(3.0, 0.05)
         bundle = generate_paths(market, grid, 1, seed=8)
         kwargs = dict(
-            mode="euler_wealth",
             horizon=3.0,
             dt=0.05,
             theta_refresh=1.0,
@@ -163,7 +162,6 @@ class TestMartingaleMode:
             params,
             alpha,
             scenario_seed=None,
-            mode="martingale_wealth",
             horizon=20.0,
             dt=0.05,
             theta_refresh=5.0,
@@ -171,7 +169,8 @@ class TestMartingaleMode:
         )
         for t in (0.0, 10.0, 20.0):
             k = int(round(t / 0.05))
-            ratio = rec.consumption[k] / rec.wealth[k]
+            j = np.searchsorted(rec.refresh_times, rec.times[k])
+            ratio = rec.consumption[k] / rec.nested_wealth[j]
             oracle = merton_propensity(market, mort, t)
             assert ratio == pytest.approx(oracle, rel=0.01), f"t={t}"
 
@@ -181,7 +180,6 @@ class TestMartingaleMode:
             params,
             ALPHA_BY_PENSION[0.0],
             scenario_seed=None,
-            mode="martingale_wealth",
             horizon=2.0,
             dt=0.05,
             theta_refresh=1.0,
@@ -192,13 +190,80 @@ class TestMartingaleMode:
         assert np.allclose(rec.zeta, expected, rtol=1e-12)
 
 
-class TestValidation:
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError, match="mode"):
-            simulate_lifetime(
-                make_params(), 1.0, mode="exact", nested=nested(100)
+class TestNestedTrack:
+    @pytest.mark.parametrize(
+        "pension, scenario_seed, horizon, refresh, exhausts",
+        [
+            (0.0, 8, 3.0, 1.0, False),
+            (0.5, 8, 3.0, 1.0, False),
+            (1.5, 6, 40.0, 2.0, True),
+        ],
+        ids=["closed-form", "euler", "exhausted"],
+    )
+    def test_matches_the_estimator(
+        self, pension, scenario_seed, horizon, refresh, exhausts
+    ):
+        params = make_params(eta=0.1, pension=pension)
+        alpha = ALPHA_BY_PENSION[pension]
+        config = nested(1500)
+        inner = _InnerPaths(params.market, config)
+        rec = simulate_lifetime(
+            params,
+            alpha,
+            scenario_seed=scenario_seed,
+            horizon=horizon,
+            dt=0.05,
+            theta_refresh=refresh,
+            nested=config,
+            _inner=inner,
+        )
+        assert (rec.exhausted_at is not None) == exhausts
+        # the nested track prices the greedy path as it was before absorption
+        bundle = generate_paths(
+            params.market, TimeGrid(horizon, 0.05), 1, seed=scenario_seed
+        )
+        habit = solve_paths(alpha, params, bundle)[1][0]
+        for j, t in enumerate(rec.refresh_times):
+            k = np.searchsorted(rec.times, t)
+            est = allocation_at(
+                float(t),
+                float(rec.zeta[k]),
+                float(habit[k]),
+                alpha,
+                params,
+                config,
+                _inner=inner,
             )
+            assert rec.nested_wealth[j] == est.wealth.value, t
+            assert rec.nested_wealth_se[j] == est.wealth.std_error, t
+            assert rec.theta_reliable[j] == est.reliable, t
+        # only the exhausted record reaches refreshes flagged unreliable
+        assert rec.theta_reliable.all() == (not exhausts)
 
+    def test_unreliable_refresh_holds_the_last_reliable_theta(self):
+        # four times the calibrated multiplier under-spends: the greedy
+        # path's nested wealth nears zero by year 34 while the Euler
+        # wealth is still positive
+        params = make_params(eta=0.1, pension=1.5)
+        rec = simulate_lifetime(
+            params,
+            4.0 * ALPHA_BY_PENSION[1.5],
+            scenario_seed=6,
+            horizon=40.0,
+            dt=0.05,
+            theta_refresh=2.0,
+            nested=nested(1500),
+        )
+        assert rec.exhausted_at is None
+        flagged = np.flatnonzero(~rec.theta_reliable)
+        assert flagged.size
+        j = flagged[0]
+        assert rec.theta_reliable[j - 1]
+        previous, k = np.searchsorted(rec.times, rec.refresh_times[j - 1 : j + 1])
+        assert rec.allocation[k] == rec.allocation[previous]
+
+
+class TestValidation:
     def test_refresh_must_sit_on_grid(self):
         with pytest.raises(ValueError, match="theta_refresh"):
             simulate_lifetime(
@@ -261,7 +326,6 @@ class TestPensionSweep:
             pensions,
             scenario_seed=8,
             alphas=[ALPHA_BY_PENSION[p] for p in pensions],
-            mode="euler_wealth",
             horizon=3.0,
             dt=0.05,
             theta_refresh=1.0,
@@ -276,7 +340,6 @@ class TestPensionSweep:
     def test_single_element_sweep_matches_direct_call(self):
         params = make_params(eta=0.1)
         kwargs = dict(
-            mode="euler_wealth",
             horizon=2.0,
             dt=0.05,
             theta_refresh=0.5,
@@ -301,7 +364,6 @@ class TestPensionSweep:
         alphas = [ALPHA_BY_PENSION[p] for p in pensions]
         kwargs = dict(
             scenario_seed=8,
-            mode="euler_wealth",
             horizon=2.0,
             dt=0.05,
             theta_refresh=0.5,
