@@ -21,18 +21,21 @@ The risky fraction follows from the delta of the wealth,
 
 estimated pathwise: the sweep that prices G on the inner paths also
 carries y * dG/dy along each path (through the Bernoulli kernel, or as
-a forward tangent of the Euler habit step), so one pass per state gives
-both.  The pension floor is Lipschitz, so the path-by-path derivative
-is unbiased (Glasserman, Monte Carlo Methods in Financial Engineering,
-2003, section 7.2); it is the limit of central differences on common
-random numbers as the bump goes to 0.  The ratio and its delta-method
-standard error come from the per-path samples.  Near wealth exhaustion
-G is of the same order as its standard error and the ratio estimate
-degrades; such points are flagged unreliable instead of raising.
+a forward tangent of the Euler habit step), so one pass gives both.
+Every state of a surface or a lifetime is known before any is priced,
+so one pass over the inner paths prices them all.  The pension floor is
+Lipschitz, so the path-by-path derivative is unbiased (Glasserman, Monte
+Carlo Methods in Financial Engineering, 2003, section 7.2); it is the
+limit of central differences on common random numbers as the bump goes
+to 0.  The ratio and its delta-method standard error come from the
+per-path samples.  Near wealth exhaustion G is of the same order as its
+standard error and the ratio estimate degrades; such points are flagged
+unreliable instead of raising.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence
@@ -43,8 +46,10 @@ from .market import DEFAULT_SEED, MarketParams, TimeGrid, _simulate
 from .solver import (
     BudgetEstimate,
     ModelParams,
-    _CostFunctional,
+    _closed_form_costs,
     _estimate_from_samples,
+    _euler_costs,
+    _pair_average,
     _require_two_samples,
     _resolve_method,
     consumption_with_pension,
@@ -130,30 +135,34 @@ def _horizon_steps(grid: TimeGrid, t: float) -> int:
 class _InnerPaths:
     """Reusable inner density paths for nested simulations.
 
-    The density restarted at 1 is built once on the full grid; an
-    evaluation anchored at grid index k0 reads its leading n_steps - k0
-    steps, which equal the density built from the leading increments
-    alone (cumulative sum, time grid and exponential are prefix-stable).
-    Sharing the leading block across anchor times makes repeated
-    estimates along a lifetime co-monotone (common random numbers in t
-    as well as in the state).  The last cost functional is kept, so every
-    state at one anchor time shares its set-up.
+    The density restarted at 1 is built once on the full grid, on first
+    use; an evaluation anchored at grid index k0 reads its leading
+    n_steps - k0 steps, which equal the density built from the leading
+    increments alone (cumulative sum, time grid and exponential are
+    prefix-stable).  Sharing the leading block across anchor times makes
+    repeated estimates along a lifetime co-monotone (common random
+    numbers in t as well as in the state).
 
-    The paths belong to one market, and :meth:`cost_from` rejects model
-    parameters with another.  The closed-form functional sums along each
-    path and takes the path-major prefix ``zeta[:, :m + 1]``.  The Euler
-    functional steps all paths at once and wants the density step-major,
-    so the first one built makes a single step-major copy and its power
-    ``zeta_t ** (-1/gamma)``, and every Euler anchor then reads the
-    contiguous prefixes ``[:m + 1]`` of both.  Pension-0 use never makes
-    either.
+    :meth:`price` prices a whole list of states in one pass, and every
+    state of a run is known before it prices: the closed form streams
+    row blocks of the path-major density and builds each anchor's kernel
+    inside the block (no full-size kernel is kept); the Euler branch
+    steps every state together over a single step-major copy of the
+    density and its power ``zeta_t ** (-1/gamma)``, made on first use.
+    Pension-0 use never makes either.  The paths belong to one market,
+    and :meth:`price` rejects model parameters with another.
     """
 
     def __init__(self, market: MarketParams, config: NestedConfig):
         self.config = config
         self.market = market
-        self._zeta = _simulate(
-            market,
+        self._zeta_t = self._zpow_t = None
+
+    @functools.cached_property
+    def _zeta(self) -> np.ndarray:
+        config = self.config
+        return _simulate(
+            self.market,
             config.grid,
             config.n_inner,
             config.seed,
@@ -161,47 +170,41 @@ class _InnerPaths:
             key=(1,),
             keep_w=False,
         ).zeta
-        self._zeta_t = self._zpow_t = None
-        self._last = None
 
-    def cost_from(
-        self, t: float, params: ModelParams, method: str = "auto"
-    ) -> _CostFunctional:
-        """Remaining-cost functional on the density paths restarted at t.
+    def price(self, states, alpha: float, params: ModelParams, method: str = "auto"):
+        """Per-sample G and y * dG/dy at every state (t, y, h), in one pass.
 
-        Repeated calls with the same (t, params, resolved method) return
-        the same functional.
+        Returns one (samples, deltas) pair per state, in order.  Every
+        state is checked before any inner path is built; a state's
+        result does not depend on the others in the list.
         """
         if params.market != self.market:
             raise ValueError(
                 f"inner paths were built for {self.market}, not {params.market}"
             )
-        key = (t, params, _resolve_method(params, method))
-        if self._last is not None and self._last[0] == key:
-            return self._last[1]
         grid = self.config.grid
-        m = _horizon_steps(grid, t)
-        self._last = None  # release the old set-up before building the new
-        zpow_t = None
-        if key[2] == "euler":
+        method = _resolve_method(params, method, grid.dt)
+        for _, y, h in states:
+            if not (y > 0.0 and h > 0.0):  # a NaN fails too
+                raise ValueError(f"zeta={y} and habit_level={h} must be positive")
+        if not states:
+            return []
+        starts = list(dict.fromkeys(t for t, _, _ in states))
+        times = [t + np.arange(_horizon_steps(grid, t) + 1) * grid.dt for t in starts]
+        rows = [(starts.index(t), y, h) for t, y, h in states]
+        if method == "euler":
             if self._zeta_t is None:
                 self._zeta_t = np.ascontiguousarray(self._zeta.T)
                 self._zpow_t = self._zeta_t ** (-1.0 / self.market.gamma)
-            zeta = self._zeta_t[: m + 1].T
-            zpow_t = self._zpow_t[: m + 1]
+            cost, tangent = _euler_costs(
+                params, alpha, grid.dt, self._zeta_t, self._zpow_t, times, rows, True
+            )
         else:
-            zeta = self._zeta[:, : m + 1]
-        cost = _CostFunctional(
-            params,
-            t + np.arange(m + 1) * grid.dt,
-            zeta,
-            grid.dt,
-            self.config.antithetic,
-            key[2],
-            zpow_t,
+            cost, tangent = _closed_form_costs(params, alpha, self._zeta, times, rows)
+        antithetic = self.config.antithetic
+        return list(
+            zip(_pair_average(cost, antithetic), _pair_average(tangent, antithetic))
         )
-        self._last = (key, cost)
-        return cost
 
 
 def _ratio_theta(f0, u, kappa_sig):
@@ -224,18 +227,25 @@ def _ratio_theta(f0, u, kappa_sig):
     )
 
 
-def _state_samples(
-    t, zeta, habit_level, alpha, params, config, inner, method, delta=False
-):
-    """Per-sample G at state (t, zeta, H), and zeta * dG/dzeta with ``delta``.
+def _price_states(states, alpha, params, config, inner, method):
+    """Per-sample G and zeta * dG/dzeta at every state (t, zeta, H).
 
-    The state is checked before the inner paths, ``inner`` or new ones
-    from ``config``, are touched.
+    One pass over ``inner``, or over new inner paths from ``config``.
     """
-    if not (zeta > 0.0 and habit_level > 0.0):  # a NaN fails too
-        raise ValueError(f"zeta={zeta} and habit_level={habit_level} must be positive")
-    cost = (inner or _InnerPaths(params.market, config)).cost_from(t, params, method)
-    return cost.per_path(alpha, zeta, habit_level, delta)
+    return (inner or _InnerPaths(params.market, config)).price(
+        states, alpha, params, method
+    )
+
+
+def _allocations(
+    states, alpha: float, params: ModelParams, config: NestedConfig, inner=None
+) -> List[ThetaEstimate]:
+    """:func:`allocation_at` at every state (t, zeta, H), from one pass."""
+    kappa_sig = params.market.kappa / params.market.sigma
+    return [
+        _ratio_theta(f0, u, kappa_sig)
+        for f0, u in _price_states(states, alpha, params, config, inner, "auto")
+    ]
 
 
 def wealth_no_pension(
@@ -252,9 +262,10 @@ def wealth_no_pension(
     martingale wealth at (t, zeta, H) is F(t, zeta * H) / zeta.  It is
     the closed-form G at zeta = 1 with habit_level z.
     """
-    return _estimate_from_samples(
-        _state_samples(t, 1.0, z, alpha, params, config, _inner, "closed_form")
+    [(f0, _)] = _price_states(
+        [(t, 1.0, z)], alpha, params, config, _inner, "closed_form"
     )
+    return _estimate_from_samples(f0)
 
 
 def wealth_with_pension(
@@ -267,9 +278,10 @@ def wealth_with_pension(
     _inner: Optional[_InnerPaths] = None,
 ) -> BudgetEstimate:
     """G(t, zeta, H): wealth with a pension (valid for pension = 0 too)."""
-    return _estimate_from_samples(
-        _state_samples(t, zeta, habit_level, alpha, params, config, _inner, "euler")
+    [(f0, _)] = _price_states(
+        [(t, zeta, habit_level)], alpha, params, config, _inner, "euler"
     )
+    return _estimate_from_samples(f0)
 
 
 def allocation_at(
@@ -282,10 +294,7 @@ def allocation_at(
     _inner: Optional[_InnerPaths] = None,
 ) -> ThetaEstimate:
     """Risky fraction at state (t, zeta, H) with its wealth estimate."""
-    samples = _state_samples(
-        t, zeta, habit_level, alpha, params, config, _inner, "auto", delta=True
-    )
-    return _ratio_theta(*samples, params.market.kappa / params.market.sigma)
+    return _allocations([(t, zeta, habit_level)], alpha, params, config, _inner)[0]
 
 
 def default_zeta_grid(
@@ -348,14 +357,17 @@ def policy_surface(
             raise ValueError(
                 "zeta_grid must be 1-D or 2-D with one row per time"
             )
-    inner = _InnerPaths(params.market, config)
+    states = [
+        (t, float(zeta), habit_level)
+        for t, grid_z in zip(times, grids)
+        for zeta in grid_z
+    ]
+    estimates = iter(_allocations(states, alpha, params, config))
     rows: List[PolicyPoint] = []
     for t, grid_z in zip(times, grids):
         slice_rows = []
         for zeta in grid_z:
-            est = allocation_at(
-                t, float(zeta), habit_level, alpha, params, config, _inner=inner
-            )
+            est = next(estimates)
             wealth = est.wealth.value
             if not 0.0 < wealth <= max_wealth:
                 continue

@@ -26,8 +26,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from .allocation import (
     NestedConfig,
+    _allocations,
     _check_surface,
-    _InnerPaths,
     allocation_at,
     default_zeta_grid,
     policy_surface,
@@ -415,23 +415,15 @@ def _cmd_merton_check(args: argparse.Namespace) -> int:
             t_max=cfg.calibration.grid.t_max,
         )
         target = merton_theta(base.market)
-        inner = _InnerPaths(base.market, cfg.nested)
-        worst = 0.0
-        for t in (0.0, 10.0, 20.0):
-            for zeta in (0.5, 1.0, 2.0):
-                est = allocation_at(
-                    t,
-                    zeta,
-                    base.habit.initial,
-                    alpha0,
-                    frozen,
-                    cfg.nested,
-                    _inner=inner,
-                )
-                if est.reliable:
-                    worst = max(worst, abs(est.value - target))
-                else:
-                    worst = math.inf
+        states = [
+            (t, zeta, base.habit.initial)
+            for t in (0.0, 10.0, 20.0)
+            for zeta in (0.5, 1.0, 2.0)
+        ]
+        worst = max(
+            abs(est.value - target) if est.reliable else math.inf
+            for est in _allocations(states, alpha0, frozen, cfg.nested)
+        )
         record(
             "allocation limit",
             worst <= 0.02,

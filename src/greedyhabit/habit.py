@@ -24,6 +24,7 @@ import numpy as np
 from .market import (
     GompertzParams,
     MarketParams,
+    _require_finite,
     _row_blocks,
     log_survival_probability,
 )
@@ -50,6 +51,7 @@ class HabitParams:
     initial: float = 1.0
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.eta < 0.0:
             raise ValueError(f"eta must be non-negative, got {self.eta}")
         if self.initial <= 0.0:
@@ -107,48 +109,52 @@ def bernoulli_kernel(
     """
     zeta = np.asarray(zeta)
     rows = zeta.reshape(-1, zeta.shape[-1])
-    kernel, decay, _ = _kernel_pass(habit, market, mortality, times, rows)
+    kernel = np.empty(rows.shape)
+    for block, _, k in _integrand_blocks(habit, market, mortality, [times], rows):
+        _trapezoid_kernel(k, times, kernel[block])
+    decay = np.exp(-habit.eta * (times - times[0]) / market.gamma)
     return kernel.reshape(zeta.shape), decay
 
 
-def _kernel_pass(habit, market, mortality, times, rows, wgt=None):
-    """:func:`bernoulli_kernel` on 2-D ``rows``; with ``wgt`` the cost weights too.
+def _integrand_blocks(habit, market, mortality, anchors, rows):
+    """Yield ``(block, j, k)``: anchor j's kernel integrand on one row block.
 
-    Returns ``(kernel, decay, wz)``.  Each block's kernel integrand
-    k = exp(drift - log(zeta) / gamma) is computed once.  With trapezoid
-    weights ``wgt`` it also gives wz = zeta * k * exp(-eta tau) * wgt, which
-    is zeta^(1 - 1/gamma) * shadow * decay^(gamma - 1) * wgt because
-    exp(drift - eta tau) = shadow * decay^(gamma - 1), so no power runs
-    over the matrix.  With ``wgt`` at eta = 0 the kernel drops out of the
-    cost: it is None and wz is the sum along each row.  Without ``wgt``
-    wz is None.
+    Anchor j starts at ``anchors[j][0]`` and reads the leading
+    ``len(anchors[j])`` columns of the 2-D density ``rows``, restarted at
+    1 there.  Row blocks are the outer loop: each block takes
+    log(zeta) / gamma once over the widest anchor, and every anchor's
+    integrand k = exp(drift - log(zeta) / gamma), which is
+    exp(eta tau / gamma) * (zeta * exp(rho t) / p)^(-1/gamma), is built
+    from it while the block is in cache.  Working in log space keeps deep
+    density tails from overflowing.  ``k`` is a fresh array the caller
+    may overwrite.
     """
     g = market.gamma
-    eta = habit.eta
-    tau = times - times[0]
-    log_p = log_survival_probability(mortality, times)
-    drift = (eta * tau - market.rho * times + log_p) / g
-    frozen = wgt is not None and eta == 0.0
-    kernel = None if frozen else np.zeros(rows.shape)
-    wz = None if wgt is None else np.empty(rows.shape[0] if frozen else rows.shape)
-    vec = None if wgt is None else np.exp(-eta * tau) * wgt
-    step = np.diff(times)
+    drifts = []
+    for times in anchors:
+        tau = times - times[0]
+        log_p = log_survival_probability(mortality, times)
+        drifts.append((habit.eta * tau - market.rho * times + log_p) / g)
+    width = max(drift.shape[0] for drift in drifts)
     for block in _row_blocks(rows.shape[0]):
-        # integrand of K: exp(eta*tau/g) * (zeta * exp(rho t) / p)^(-1/g),
-        # assembled in log space so deep density tails cannot overflow
-        k = np.exp(drift - np.log(rows[block]) / g)
-        if kernel is not None:
-            # step * (k[1:] + k[:-1]) / 2.0, with one block temporary
-            area = k[:, 1:] + k[:, :-1]
-            area *= step
-            area /= 2.0
-            np.cumsum(area, axis=-1, out=kernel[block, 1:])
-            del area
-        if wz is not None:
-            k *= rows[block]
-            k *= vec
-            wz[block] = k.sum(axis=-1) if frozen else k
-    return kernel, np.exp(-eta * tau / g), wz
+        log_z = np.log(rows[block, :width]) / g
+        for j, drift in enumerate(drifts):
+            k = drift - log_z[:, : drift.shape[0]]
+            yield block, j, np.exp(k, out=k)
+
+
+def _trapezoid_kernel(k, times, out):
+    """Fill ``out`` with the kernel: the cumulative trapezoid of ``k`` over ``times``.
+
+    Each row is summed on its own, in the order of scipy's
+    ``cumulative_trapezoid``; ``out[:, 0]`` is 0.
+    """
+    area = k[:, 1:] + k[:, :-1]
+    area *= np.diff(times)
+    area /= 2.0
+    out[:, 0] = 0.0
+    np.cumsum(area, axis=-1, out=out[:, 1:])
+    return out
 
 
 def habit_closed_form(

@@ -31,7 +31,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .allocation import NestedConfig, _horizon_steps, _InnerPaths, allocation_at
+from .allocation import NestedConfig, _allocations, _horizon_steps, _InnerPaths
 from .habit import habit_euler_step
 from .market import PathBundle, TimeGrid, _density_paths, generate_paths
 from .solver import (
@@ -177,24 +177,19 @@ def simulate_lifetime(
 
     refresh_times = times[refresh_idx]
 
-    inner = _inner or _InnerPaths(params.market, nested)
+    estimates = _allocations(
+        [(float(times[k]), float(zeta_path[k]), float(habit[k])) for k in refresh_idx],
+        alpha,
+        params,
+        nested,
+        _inner,
+    )
+    wealth_pts = np.array([est.wealth.value for est in estimates])
+    wealth_se = np.array([est.wealth.std_error for est in estimates])
+    theta_reliable = np.array([est.reliable for est in estimates])
     theta_pts = np.empty(len(refresh_idx))
-    wealth_pts = np.empty(len(refresh_idx))
-    wealth_se = np.empty(len(refresh_idx))
-    theta_reliable = np.empty(len(refresh_idx), dtype=bool)
     last_reliable = math.nan
-    for j, k in enumerate(refresh_idx):
-        est = allocation_at(
-            float(times[k]),
-            float(zeta_path[k]),
-            float(habit[k]),
-            alpha,
-            params,
-            nested,
-            _inner=inner,
-        )
-        wealth_pts[j], wealth_se[j] = est.wealth
-        theta_reliable[j] = est.reliable
+    for j, est in enumerate(estimates):
         if est.reliable:
             last_reliable = est.value
         # deep in the exhaustion region: hold the last reliable value

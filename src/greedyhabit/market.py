@@ -13,7 +13,7 @@ follows a Gompertz law parameterised by modal age and dispersion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Union
 
 import numpy as np
@@ -37,6 +37,14 @@ DEFAULT_SEED = 20260814
 #: Paths per block in the row-blocked array builders: a block's
 #: temporaries stay in cache, and results do not depend on the size.
 ROW_BLOCK = 64
+
+
+def _require_finite(params) -> None:
+    """Reject a NaN or infinite field of a parameter dataclass, by name."""
+    for field in fields(params):
+        value = getattr(params, field.name)
+        if not math.isfinite(value):
+            raise ValueError(f"{field.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -64,6 +72,7 @@ class MarketParams:
     gamma: float = 3.0
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.sigma <= 0.0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
         if self.gamma <= 0.0 or self.gamma == 1.0:
@@ -96,6 +105,7 @@ class GompertzParams:
     dispersion: float = 9.5
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.dispersion <= 0.0:
             raise ValueError(
                 f"dispersion must be positive, got {self.dispersion}"
@@ -164,6 +174,7 @@ class TimeGrid:
     dt: float = 0.05
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.dt <= 0.0 or self.t_max <= 0.0:
             raise ValueError("t_max and dt must be positive")
         n = round(self.t_max / self.dt)

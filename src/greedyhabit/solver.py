@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
-from .habit import HabitParams, _kernel_pass, habit_closed_form
+from .habit import HabitParams, _integrand_blocks, _trapezoid_kernel
 from .market import (
     DEFAULT_SEED,
     GompertzParams,
@@ -240,39 +240,233 @@ def _estimate_from_samples(y: np.ndarray) -> BudgetEstimate:
     return BudgetEstimate(float(y.mean()), float(se))
 
 
-def _resolve_method(params: ModelParams, method: str) -> str:
-    """Resolve ``auto`` to closed_form at pension 0 and euler otherwise."""
+def _resolve_method(params: ModelParams, method: str, dt: float) -> str:
+    """Resolve ``auto`` to closed_form at pension 0 and euler otherwise.
+
+    A method that cannot price ``params`` on steps of ``dt`` is rejected.
+    """
     if method == "auto":
-        return "closed_form" if params.pension == 0.0 else "euler"
+        method = "closed_form" if params.pension == 0.0 else "euler"
+    if method not in ("closed_form", "euler"):
+        raise ValueError(f"unknown method {method!r}")
+    if method == "closed_form" and params.pension != 0.0:
+        raise ValueError("closed_form requires pension == 0")
+    # habit_euler_step's condition, checked once for every step of the sweep
+    if method == "euler" and params.habit.eta * dt >= 1.0:
+        raise ValueError(f"eta * dt = {params.habit.eta * dt} >= 1: grid too coarse")
     return method
 
 
+def _anchor_terms(params: ModelParams, times: np.ndarray):
+    """Deterministic vectors of an anchor at absolute ``times``.
+
+    Returns ``(shadow, wgt, vec)``: exp(-rho t / g) * p_t^(1/g), the
+    deterministic part of the rule; the trapezoid weights; and
+    exp(-eta tau) * wgt, which turns the kernel integrand into ``wz``.
+    """
+    g = params.market.gamma
+    log_p = log_survival_probability(params.mortality, times)
+    wgt = _trapezoid_weights(times)
+    return (
+        np.exp((-params.market.rho * times + log_p) / g),
+        wgt,
+        np.exp(-params.habit.eta * (times - times[0])) * wgt,
+    )
+
+
+def _cost_weights(k, zeta, vec, frozen):
+    """``wz`` from the kernel integrand ``k`` of one block, overwriting ``k``.
+
+    wz = zeta * k * vec = zeta^(1 - 1/g) * shadow * decay^(g - 1) * wgt,
+    because exp(drift - eta tau) = shadow * decay^(g - 1), so no power
+    runs over the matrix.  At eta = 0 (``frozen``) the kernel drops out of
+    the cost and wz is the sum along each row.
+    """
+    k *= zeta
+    k *= vec
+    return k.sum(axis=-1) if frozen else k
+
+
+def _price_rows(params, alpha, y, h, kernel, wz, delta):
+    """Closed-form cost, and y * d(cost)/dy with ``delta``, of rows of one block.
+
+    ``kernel`` and ``wz`` are the rows' kernel and weights (kernel None
+    at eta = 0).  Each row is priced on its own, so a result never
+    depends on how rows are split into blocks.  Returns (cost, delta or
+    None) in wealth units per path.
+    """
+    g = params.market.gamma
+    beta = alpha ** (-1.0 / g)
+    # zeta C = beta * wz * (z^(1/g) + (eta/g) beta K)^(g-1) with
+    # z = y * h; dividing by y turns F(t, z) into wealth units
+    u0 = (y * h) ** (1.0 / g)
+    if kernel is None:
+        cost = beta * (wz * u0 ** (g - 1.0)) / y
+        return cost, -cost / g if delta else None
+    block = kernel * ((params.habit.eta / g) * beta)
+    block += u0
+    power = block ** (g - 1.0)
+    power *= wz
+    cost = beta * power.sum(axis=-1) / y
+    if not delta:
+        return cost, None
+    # the delta's B^(g-2) is B^(g-1) / B; y du0/dy = u0 / g, and d(1/y)
+    # gives -cost
+    dsums = (power / block).sum(axis=-1)
+    return cost, -cost + (beta / y) * ((g - 1.0) / g) * u0 * dsums
+
+
+def _closed_form_costs(params, alpha, zeta, anchors, states):
+    """Per-path cost and delta of every state, streamed over row blocks.
+
+    ``anchors`` are absolute time vectors reading the leading columns of
+    the path-major density ``zeta``; ``states`` are (anchor index, y, h).
+    Each block builds every anchor's kernel and ``wz`` once, from one
+    log(zeta) / gamma, and prices that anchor's states while they are in
+    cache, so no full-size kernel or ``wz`` is held.
+    """
+    frozen = params.habit.eta == 0.0
+    vecs = [_anchor_terms(params, times)[2] for times in anchors]
+    cost = np.empty((len(states), zeta.shape[0]))
+    tangent = np.empty_like(cost)
+    for rows, j, k in _integrand_blocks(
+        params.habit, params.market, params.mortality, anchors, zeta
+    ):
+        times = anchors[j]
+        kernel = None if frozen else _trapezoid_kernel(k, times, np.empty_like(k))
+        wz = _cost_weights(k, zeta[rows, : times.shape[0]], vecs[j], frozen)
+        for r, (at, y, h) in enumerate(states):
+            if at == j:
+                cost[r, rows], tangent[r, rows] = _price_rows(
+                    params, alpha, y, h, kernel, wz, True
+                )
+    return cost, tangent
+
+
+def _euler_stream(params, alpha, dt, zeta_t, zpow_t, anchors, states, tangent=False):
+    """Yield (k, consumption, habit, tangent) of the floored rule, step by step.
+
+    One row per state (anchor index, y, h): the anchor's absolute times
+    ``anchors[j]`` read the leading steps of the step-major density
+    ``zeta_t`` and its power ``zpow_t = zeta_t^(-1/g)``.  The states must
+    come in order of decreasing horizon, so the rows still stepping at
+    step k are a prefix and each array yielded holds those rows only;
+    each step reads ``zeta_t[k]`` and ``zpow_t[k]`` once for all of them.
+    The habit is updated in place after the consumer has read it.
+
+    With ``tangent`` the last item is y * dC/dy along the paths, carried
+    forward through the habit's own Euler step as y * dH/dy (zero at
+    the start); it is zero where the floor binds.  Otherwise it is None.
+    """
+    g = params.market.gamma
+    eta = params.habit.eta
+    pi = params.pension
+    e = 1.0 - 1.0 / g
+    steps = [anchors[j].shape[0] for j, _, _ in states]
+    fac = np.zeros((len(states), steps[0]))
+    h = np.empty((len(states), zeta_t.shape[1]))
+    for r, (j, y, h0) in enumerate(states):
+        shadow = _anchor_terms(params, anchors[j])[0]
+        fac[r, : steps[r]] = (alpha ** (-1.0 / g) * y ** (-1.0 / g)) * shadow
+        h[r] = h0
+    dh = np.zeros_like(h) if tangent else None
+    dc = None
+    # counts[k]: the rows that take step k, a prefix as horizons decrease
+    counts = (np.asarray(steps)[:, None] > np.arange(steps[0] + 1)).sum(axis=0)
+    for k in range(steps[0]):
+        hk = h[: counts[k]]
+        c = hk**e
+        c *= fac[: counts[k], k, None] * zpow_t[k]
+        if tangent:
+            # C = h^e y^(-1/g) (...) off the floor, so y dC/dy = C (e dh/h - 1/g)
+            dc = dh[: counts[k]] / hk
+            dc *= e
+            dc -= 1.0 / g
+            dc *= c
+        np.maximum(c, pi, out=c)
+        if tangent:
+            dc *= c > pi
+        yield k, c, hk, dc
+        # habit_euler_step on the rows with a step left, whose eta * dt
+        # check ran in _resolve_method
+        nxt = counts[k + 1]
+        step = c[:nxt] - hk[:nxt]
+        step *= eta
+        step *= dt
+        hk[:nxt] += step
+        if tangent:
+            # the tangent of the same linear step
+            step = dc[:nxt] - dh[:nxt]
+            step *= eta * dt
+            dh[:nxt] += step
+
+
+def _euler_costs(params, alpha, dt, zeta_t, zpow_t, anchors, states, delta):
+    """Per-path cost, and delta or None, of every state from one Euler sweep.
+
+    ``states`` are (anchor index, y, h), as :func:`_euler_stream` takes
+    them but in any order; the rows come back in the order given.
+    """
+    pi = params.pension
+    order = sorted(range(len(states)), key=lambda r: -anchors[states[r][0]].shape[0])
+    rows = [states[r] for r in order]
+    wgt = np.zeros((len(rows), anchors[rows[0][0]].shape[0]))
+    for r, (j, _, _) in enumerate(rows):
+        wgt[r, : anchors[j].shape[0]] = _anchor_terms(params, anchors[j])[1]
+    cost = np.zeros((len(rows), zeta_t.shape[1]))
+    tangent = np.zeros_like(cost) if delta else None
+    for k, c, _, dc in _euler_stream(
+        params, alpha, dt, zeta_t, zpow_t, anchors, rows, delta
+    ):
+        live = c.shape[0]
+        # (wgt_k (c - pi)) zeta_k in this order, on one temporary; dc is
+        # read again by the stream, so it is not scaled in place
+        term = c - pi
+        term *= wgt[:live, k, None]
+        term *= zeta_t[k]
+        cost[:live] += term
+        if delta:
+            term = dc * wgt[:live, k, None]
+            term *= zeta_t[k]
+            tangent[:live] += term
+    given = np.argsort(order)
+    return cost[given], tangent[given] if delta else None
+
+
+def _pair_average(x: np.ndarray, antithetic: bool) -> np.ndarray:
+    """One sample per antithetic pair along the last axis, when mirrored."""
+    if not antithetic:
+        return x
+    half = x.shape[-1] // 2
+    return 0.5 * (x[..., :half] + x[..., half:])
+
+
 class _CostFunctional:
-    """Expected cost of the remaining greedy stream, per path.
+    """Expected cost of the remaining greedy stream, per path, from one anchor.
 
     ``zeta`` holds density paths restarted at 1 at ``times[0]`` (absolute
     times, step ``dt``), shape (n_paths, n_times).  Everything that
     depends on neither alpha nor the state is computed once, so
-    calibration, wealth and allocation all price through one object.
-    ``closed_form`` (pension 0) reduces the state to z = y * h and prices
-    through the Bernoulli kernel; ``euler`` steps the floored rule and
-    prices the excess over the pension; ``auto`` picks closed_form when
-    the pension is zero.
+    calibration prices every iterate through one object; nested pricing
+    runs the same block routine and Euler sweep over many anchors at once
+    (``allocation._InnerPaths.price``).  ``closed_form`` (pension 0)
+    reduces the state to z = y * h and prices through the Bernoulli
+    kernel; ``euler`` steps the floored rule and prices the excess over
+    the pension; ``auto`` picks closed_form when the pension is zero.
 
     The two branches keep the density in different layouts.  ``euler``
     visits one time step of every path at a time, so it holds the density
     and ``zeta ** (-1/gamma)`` step-major, shape (n_times, n_paths), and
     each step reads one contiguous row; a transposed view of a step-major
-    array is taken without a copy; ``zpow_t`` passes that power in when
-    it is already computed.  ``closed_form`` keeps ``zeta`` path-major,
-    because its sums run along each path's time axis and their pairwise
-    summation order depends on that layout.  Its first :meth:`per_path`
-    builds the kernel and ``wz`` in one pass over blocks of ``ROW_BLOCK``
-    rows and prices block by block; every row is computed on its own, so
-    the block size never changes a result.  :meth:`paths` builds the
-    kernel alone.  Either branch can return y * d(cost)/dy per path from
-    the sweep that prices the cost, which is the pathwise delta
-    allocation reads.
+    array is taken without a copy.  ``closed_form`` keeps ``zeta``
+    path-major, because its sums run along each path's time axis and
+    their pairwise summation order depends on that layout.  Its first
+    :meth:`per_path` stores the kernel and ``wz``, built over blocks of
+    ``ROW_BLOCK`` rows, since calibration prices them at several alphas;
+    every row is computed on its own, so the block size never changes a
+    result.  :meth:`paths` stores neither.  Either branch can return
+    y * d(cost)/dy per path from the sweep that prices the cost, which is
+    the pathwise delta calibration's Newton step reads.
     """
 
     def __init__(
@@ -283,29 +477,16 @@ class _CostFunctional:
         dt: float,
         antithetic: bool,
         method: str = "auto",
-        zpow_t: Optional[np.ndarray] = None,
     ):
-        method = _resolve_method(params, method)
-        if method not in ("closed_form", "euler"):
-            raise ValueError(f"unknown method {method!r}")
-        if method == "closed_form" and params.pension != 0.0:
-            raise ValueError("closed_form requires pension == 0")
-        g = params.market.gamma
-        eta = params.habit.eta
         self.params = params
         self._antithetic = antithetic
-        self._euler = method == "euler"
+        self._euler = _resolve_method(params, method, dt) == "euler"
         self._dt = dt
         self._times = times
-        log_p = log_survival_probability(params.mortality, times)
-        # exp(-rho t / g) * p_t^(1/g): the deterministic part of the rule
-        self._shadow = np.exp((-params.market.rho * times + log_p) / g)
-        self._wgt = _trapezoid_weights(times)
+        self._shadow, self._wgt, self._vec = _anchor_terms(params, times)
         if self._euler:
-            if eta * dt >= 1.0:
-                raise ValueError(f"eta * dt = {eta * dt} >= 1: grid too coarse")
             self._zeta_t = np.ascontiguousarray(zeta.T)
-            self._zpow_t = self._zeta_t ** (-1.0 / g) if zpow_t is None else zpow_t
+            self._zpow_t = self._zeta_t ** (-1.0 / params.market.gamma)
             return
         self._zeta = zeta
 
@@ -317,44 +498,18 @@ class _CostFunctional:
         step, or its sum along each path at eta = 0.
         """
         p = self.params
-        return _kernel_pass(
-            p.habit, p.market, p.mortality, self._times, self._zeta, self._wgt
-        )
-
-    def _stream(self, alpha: float, y: float, h: float, tangent: bool = False):
-        """Yield (k, consumption, habit, tangent) of the floored rule, step by step.
-
-        With ``tangent`` the last item is y * dC/dy along the paths, carried
-        forward through the habit's own Euler step as y * dH/dy (zero at
-        the start); it is zero where the floor binds.  Otherwise it is None.
-        """
-        g = self.params.market.gamma
-        eta = self.params.habit.eta
-        pi = self.params.pension
-        e = 1.0 - 1.0 / g
-        fac = (alpha ** (-1.0 / g) * y ** (-1.0 / g)) * self._shadow
-        m, n = self._zeta_t.shape
-        h = np.full(n, float(h))
-        dh = np.zeros(n) if tangent else None
-        dc = None
-        for k in range(m):
-            c = h**e * (fac[k] * self._zpow_t[k])
-            if tangent:
-                # C = h^e y^(-1/g) (...) off the floor, so y dC/dy = C (e dh/h - 1/g)
-                dc = dh / h
-                dc *= e
-                dc -= 1.0 / g
-                dc *= c
-            np.maximum(c, pi, out=c)
-            if tangent:
-                dc *= c > pi
-            yield k, c, h, dc
-            if k < m - 1:
-                # habit_euler_step, whose eta * dt check ran in __init__
-                h = h + (eta * (c - h)) * self._dt
-                if tangent:
-                    # the tangent of the same linear step
-                    dh += (eta * self._dt) * (dc - dh)
+        frozen = p.habit.eta == 0.0
+        shape = self._zeta.shape
+        kernel = None if frozen else np.empty(shape)
+        wz = np.empty(shape[0] if frozen else shape)
+        for rows, _, k in _integrand_blocks(
+            p.habit, p.market, p.mortality, [self._times], self._zeta
+        ):
+            if kernel is not None:
+                _trapezoid_kernel(k, self._times, kernel[rows])
+            wz[rows] = _cost_weights(k, self._zeta[rows], self._vec, frozen)
+        tau = self._times - self._times[0]
+        return kernel, np.exp(-p.habit.eta * tau / p.market.gamma), wz
 
     def per_path(self, alpha: float, y: float, h: float, delta: bool = False):
         """Remaining cost in wealth units from density level y and habit h.
@@ -365,56 +520,31 @@ class _CostFunctional:
         the one returned without it.
         """
         if self._euler:
-            pi = self.params.pension
-            cost = np.zeros(self._zeta_t.shape[1])
-            tangent = np.zeros_like(cost) if delta else None
-            for k, c, _, dc in self._stream(alpha, y, h, delta):
-                # (wgt_k (c - pi)) zeta_k in this order, on one temporary; dc is
-                # read again by the stream, so it is not scaled in place
-                term = c - pi
-                term *= self._wgt[k]
-                term *= self._zeta_t[k]
-                cost += term
-                if delta:
-                    term = dc * self._wgt[k]
-                    term *= self._zeta_t[k]
-                    tangent += term
+            cost, tangent = _euler_costs(
+                self.params,
+                alpha,
+                self._dt,
+                self._zeta_t,
+                self._zpow_t,
+                [self._times],
+                [(0, y, h)],
+                delta,
+            )
         else:
-            g = self.params.market.gamma
-            eta = self.params.habit.eta
-            beta = alpha ** (-1.0 / g)
-            # zeta C = beta * wz * (z^(1/g) + (eta/g) beta K)^(g-1) with
-            # z = y * h; dividing by y turns F(t, z) into wealth units
-            u0 = (y * h) ** (1.0 / g)
             kernel, _, wz = self._kernel_wz
-            if kernel is None:
-                cost = beta * (wz * u0 ** (g - 1.0)) / y
+            cost = np.empty(wz.shape[0])
+            tangent = np.empty_like(cost) if delta else None
+            for rows in _row_blocks(cost.shape[0]):
+                block = None if kernel is None else kernel[rows]
+                cost[rows], d = _price_rows(
+                    self.params, alpha, y, h, block, wz[rows], delta
+                )
                 if delta:
-                    tangent = -cost / g
-            else:
-                n = kernel.shape[0]
-                sums = np.empty(n)
-                dsums = np.empty(n) if delta else None
-                scale = (eta / g) * beta
-                for rows in _row_blocks(n):
-                    block = kernel[rows] * scale
-                    block += u0
-                    power = block ** (g - 1.0)
-                    power *= wz[rows]
-                    sums[rows] = power.sum(axis=-1)
-                    if delta:
-                        # the delta's B^(g-2) is B^(g-1) / B
-                        dsums[rows] = (power / block).sum(axis=-1)
-                cost = beta * sums / y
-                if delta:
-                    # y du0/dy = u0 / g, and d(1/y) gives -cost
-                    tangent = -cost + (beta / y) * ((g - 1.0) / g) * u0 * dsums
-        if self._antithetic:
-            half = cost.shape[0] // 2
-            cost = 0.5 * (cost[:half] + cost[half:])
-            if delta:
-                tangent = 0.5 * (tangent[:half] + tangent[half:])
-        return (cost, tangent) if delta else cost
+                    tangent[rows] = d
+        cost = _pair_average(cost.reshape(-1), self._antithetic)
+        if delta:
+            return cost, _pair_average(tangent.reshape(-1), self._antithetic)
+        return cost
 
     def frozen_alpha(self, v: float) -> float:
         """The alpha that solves the eta = 0, pension-0 budget on this density.
@@ -436,26 +566,42 @@ class _CostFunctional:
 
     def paths(self, alpha: float) -> Tuple[np.ndarray, np.ndarray]:
         """Consumption and habit along the paths from (1, initial habit)."""
-        h0 = self.params.habit.initial
+        p = self.params
+        h0 = p.habit.initial
         if self._euler:
             consumption = np.empty_like(self._zeta_t)
             habit = np.empty_like(self._zeta_t)
-            for k, c, h, _ in self._stream(alpha, 1.0, h0):
-                consumption[k] = c
-                habit[k] = h
+            for k, c, h, _ in _euler_stream(
+                p, alpha, self._dt, self._zeta_t, self._zpow_t,
+                [self._times], [(0, 1.0, h0)],
+            ):
+                consumption[k] = c[0]
+                habit[k] = h[0]
             return consumption.T, habit.T
-        p = self.params
         g = p.market.gamma
+        eta = p.habit.eta
         beta = alpha ** (-1.0 / g)
-        if p.habit.eta == 0.0:
-            habit = np.full(self._zeta.shape, h0)
-        else:
-            habit = habit_closed_form(
-                p.habit, p.market, p.mortality, alpha, self._times, self._zeta
-            )
-        consumption = habit ** (1.0 - 1.0 / g) * (
-            beta * self._shadow * self._zeta ** (-1.0 / g)
-        )
+        decay = np.exp(-eta * (self._times - self._times[0]) / g)
+        consumption = np.empty_like(self._zeta)
+        habit = np.empty_like(self._zeta)
+        for rows, _, k in _integrand_blocks(
+            p.habit, p.market, p.mortality, [self._times], self._zeta
+        ):
+            # with U = decay (h0^(1/g) + (eta/g) beta K), H = U^g and
+            # C = beta shadow zeta^(-1/g) H^(1-1/g) = beta k decay H / U
+            if eta == 0.0:
+                habit[rows] = h0
+                k *= beta * decay
+                np.multiply(k, h0 ** (1.0 - 1.0 / g), out=consumption[rows])
+                continue
+            u = _trapezoid_kernel(k, self._times, np.empty_like(k))
+            u *= (eta / g) * beta
+            u += h0 ** (1.0 / g)
+            u *= decay
+            h = habit[rows] = u**g  # habit_closed_form's expression
+            k *= beta * decay
+            k *= h
+            np.divide(k, u, out=consumption[rows])
         return consumption, habit
 
 

@@ -429,11 +429,13 @@ def test_sensitivity_robustness(calibrated):
     nested = NestedConfig(n_inner=5000, seed=77, grid=CAL_GRID, antithetic=True)
     inner = _InnerPaths(params.market, nested)
     base = allocation_at(*state, sol.alpha, params, nested, _inner=inner)
-    cost = inner.cost_from(state[0], params)
     kappa_sig = params.market.kappa / params.market.sigma
     central = [
         central_theta(
-            lambda y: cost.per_path(sol.alpha, y, state[2]), state[1], bump, kappa_sig
+            lambda y: inner.price([(state[0], y, state[2])], sol.alpha, params)[0][0],
+            state[1],
+            bump,
+            kappa_sig,
         )
         for bump in (1e-3, 5e-4)
     ]

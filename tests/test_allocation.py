@@ -10,6 +10,7 @@ errors, the reliability gate, determinism).
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from greedyhabit import (
 import greedyhabit.allocation
 from greedyhabit.allocation import _InnerPaths, _ratio_theta
 from greedyhabit.market import _density_paths, _fill_normals
-from greedyhabit.solver import _estimate_from_samples
+from greedyhabit.solver import _CostFunctional, _estimate_from_samples
 from conftest import central_theta, make_params, reference_euler
 
 GRID = TimeGrid(60.0, 0.05)
@@ -145,11 +146,13 @@ class TestAllocation:
         cfg = config(3000)
         inner = _InnerPaths(params.market, cfg)
         est = allocation_at(10.0, 1.0, 1.0, ALPHA, params, cfg, _inner=inner)
-        cost = inner.cost_from(10.0, params)
         ks = params.market.kappa / params.market.sigma
         for bump in (1e-3, 5e-4):
             central = central_theta(
-                lambda y: cost.per_path(ALPHA, y, 1.0), 1.0, bump, ks
+                lambda y: inner.price([(10.0, y, 1.0)], ALPHA, params)[0][0],
+                1.0,
+                bump,
+                ks,
             )
             assert abs(est.value - central.value) < 1e-3
 
@@ -213,10 +216,9 @@ class TestStateEvaluation:
         assert simulated == []
 
     def test_theta_wealth_is_the_plain_estimate(self):
-        cost = _InnerPaths(MarketParams(), config(400)).cost_from(
-            10.0, make_params(eta=0.1)
+        [(f0, u)] = _InnerPaths(MarketParams(), config(400)).price(
+            [(10.0, 0.8, 1.1)], ALPHA, make_params(eta=0.1)
         )
-        f0, u = cost.per_path(ALPHA, 0.8, 1.1, delta=True)
         est = _ratio_theta(f0, u, 0.5)
         assert est.reliable
         assert est.wealth == _estimate_from_samples(f0)
@@ -253,9 +255,11 @@ class TestPathwiseTheta:
             )[1]
             assert 0.0 < np.mean(consumption == params.pension) < 1.0
             a = allocation_at(t, y, 1.0, ALPHA, params, cfg, _inner=inner)
-            cost = inner.cost_from(t, params)
             b = central_theta(
-                lambda level: cost.per_path(ALPHA, level, 1.0), y, 1e-3, ks
+                lambda level: inner.price([(t, level, 1.0)], ALPHA, params)[0][0],
+                y,
+                1e-3,
+                ks,
             )
             assert a.wealth == b.wealth
             assert abs(a.value - b.value) < 2.0 * a.std_error, (t, y)
@@ -345,17 +349,16 @@ class TestSharedInnerPaths:
         for t in (0.0, 30.0, GRID.t_max - GRID.dt):
             m = GRID.n_steps - GRID.index_of(t)
             expected = _density_paths(params.market, dw[:, :m], GRID.dt, antithetic)[1]
-            used = inner.cost_from(t, params)._zeta
-            assert used.shape == expected.shape
-            assert np.array_equal(used, expected)
-
-    def test_functional_reused_within_a_time(self):
-        params = make_params(eta=0.1)
-        inner = _InnerPaths(params.market, config(200))
-        cost = inner.cost_from(10.0, params)
-        assert inner.cost_from(10.0, params, "closed_form") is cost
-        assert inner.cost_from(10.0, params, "euler") is not cost
-        assert inner.cost_from(20.0, params) is not cost
+            assert np.array_equal(inner._zeta[:, : m + 1], expected)
+            # an anchor prices what one functional on the rebuilt density does
+            times = t + np.arange(m + 1) * GRID.dt
+            for method in ("closed_form", "euler"):
+                [got] = inner.price([(t, 0.8, 1.1)], ALPHA, params, method)
+                cost = _CostFunctional(
+                    params, times, expected, GRID.dt, antithetic, method
+                )
+                want = cost.per_path(ALPHA, 0.8, 1.1, delta=True)
+                assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
     def test_surface_rows_match_fresh_evaluations(self):
         params = make_params(eta=0.1)
@@ -415,16 +418,15 @@ class TestSharedInnerPaths:
         cfg = config(200)
         inner = _InnerPaths(MarketParams(), cfg)
         plain = make_params(eta=0.1)
-        inner.cost_from(10.0, plain)
+        inner.price([(10.0, 1.0, 1.0)], ALPHA, plain)
         allocation_at(20.0, 0.8, 1.1, ALPHA, plain, cfg, _inner=inner)
         assert inner._zeta_t is None
         pension = make_params(eta=0.1, pension=0.5)
         allocation_at(0.0, 0.8, 1.1, ALPHA, pension, cfg, _inner=inner)
         copy = inner._zeta_t
         for t in (10.0, 30.0):
-            cost = inner.cost_from(t, pension)
-            assert np.shares_memory(cost._zeta_t, copy)
-        assert inner._zeta_t is copy
+            inner.price([(t, 0.8, 1.1)], ALPHA, pension)
+            assert inner._zeta_t is copy
 
     def test_euler_powers_are_prefixes_of_one_array(self):
         cfg = config(200)
@@ -433,19 +435,17 @@ class TestSharedInnerPaths:
         g = params.market.gamma
         base = None
         for t in (0.0, 10.0, 30.0):
-            cost = inner.cost_from(t, params)
+            inner.price([(t, 0.8, 1.1)], ALPHA, params)
             base = base if base is not None else inner._zpow_t
-            m = GRID.n_steps - GRID.index_of(t)
             assert inner._zpow_t is base
-            assert np.shares_memory(cost._zpow_t, base)
-            assert np.array_equal(cost._zpow_t, inner._zeta_t[: m + 1] ** (-1.0 / g))
+        assert np.array_equal(base, inner._zeta_t ** (-1.0 / g))
 
     def test_other_market_is_rejected(self):
         inner = _InnerPaths(MarketParams(), config(200))
         other = ModelParams(market=MarketParams(r=0.03))
         for method in ("closed_form", "euler"):
             with pytest.raises(ValueError, match="inner paths were built for"):
-                inner.cost_from(10.0, other, method)
+                inner.price([(10.0, 1.0, 1.0)], ALPHA, other, method)
 
     def test_two_dimensional_grid_matches_per_time_calls(self):
         params = make_params(eta=0.1)
@@ -463,3 +463,112 @@ class TestSharedInnerPaths:
             policy_surface(
                 times, 1.0, ALPHA, params, cfg, zeta_grid=np.array(grids[:2])
             )
+
+
+class TestBatchedStates:
+    """Every nested state of a run is priced in one pass over the inner set.
+
+    The oracle is each state priced alone on a fresh inner set: a batch
+    must reproduce it bit for bit, whatever else is in the batch.
+    """
+
+    LAST = GRID.t_max - GRID.dt  # one step of horizon left
+    # several states per anchor, anchors out of horizon order, a state
+    # the pension floor binds on part of the time and one it always binds
+    STATES = [
+        (10.0, 0.8, 1.1),
+        (0.0, 1.0, 1.0),
+        (LAST, 1.3, 0.9),
+        (10.0, 3.0, 1.0),
+        (30.0, 1.0, 1.2),
+        (10.0, 50.0, 1.0),
+        (0.0, 0.5, 0.8),
+    ]
+
+    @pytest.mark.parametrize("antithetic", [True, False])
+    @pytest.mark.parametrize("pension", [0.0, 0.5])
+    def test_batch_equals_each_state_alone(self, pension, antithetic):
+        params = make_params(eta=0.1, pension=pension)
+        cfg = NestedConfig(n_inner=200, seed=13, grid=GRID, antithetic=antithetic)
+        inner = _InnerPaths(params.market, cfg)
+        batch = inner.price(self.STATES, ALPHA, params)
+        assert len(batch) == len(self.STATES)
+        assert inner.price([], ALPHA, params) == []
+        for state, got in zip(self.STATES, batch):
+            [alone] = _InnerPaths(params.market, cfg).price([state], ALPHA, params)
+            assert all(np.array_equal(a, b) for a, b in zip(got, alone)), state
+        estimates = greedyhabit.allocation._allocations(
+            self.STATES, ALPHA, params, cfg, inner
+        )
+        if pension:
+            t, y, h = self.STATES[3]
+            m = GRID.n_steps - GRID.index_of(t)
+            times = t + np.arange(m + 1) * GRID.dt
+            consumption = reference_euler(
+                ALPHA, params, times, inner._zeta[:, : m + 1], GRID.dt, y, h
+            )[1]
+            assert 0.0 < np.mean(consumption == pension) < 1.0
+            # fully floored: no wealth, so no allocation signal
+            assert not estimates[5].reliable
+        else:
+            assert all(est.reliable for est in estimates)
+
+    def test_unreliable_state_in_a_batch(self):
+        # the gate of test_unreliable_state_returns_nan, inside a batch
+        params = make_params(eta=0.1)
+        cfg = NestedConfig(n_inner=32, seed=3, grid=GRID, antithetic=False)
+        states = [(0.0, 1.0, 1.0), (10.0, 1e10, 1.0), (10.0, 1.0, 1.0)]
+        batch = greedyhabit.allocation._allocations(states, ALPHA, params, cfg)
+        assert [est.reliable for est in batch] == [True, False, True]
+        for state, est in zip(states, batch):
+            alone = allocation_at(*state, ALPHA, params, cfg)
+            assert est.wealth == alone.wealth
+            assert est.reliable == alone.reliable
+
+    @pytest.mark.parametrize("position", [0, 2, 4])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            (10.0, 0.0, 1.0),
+            (10.0, 1.0, math.nan),
+            (10.01, 1.0, 1.0),  # off the grid
+            (GRID.t_max, 1.0, 1.0),  # no horizon left
+        ],
+    )
+    def test_bad_state_anywhere_fails_before_inner_paths(
+        self, monkeypatch, position, bad
+    ):
+        simulated = []
+        real = greedyhabit.allocation._simulate
+
+        def counted(*args, **kwargs):
+            simulated.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(greedyhabit.allocation, "_simulate", counted)
+        good = [(0.0, 1.0, 1.0), (10.0, 0.8, 1.1), (20.0, 1.2, 0.9), (30.0, 1.0, 1.0)]
+        states = good[:position] + [bad] + good[position:]
+        for pension in (0.0, 0.5):
+            params = make_params(eta=0.1, pension=pension)
+            with pytest.raises(ValueError):
+                greedyhabit.allocation._allocations(states, ALPHA, params, config(200))
+        assert simulated == []
+
+    def test_closed_form_batch_holds_no_full_size_array(self):
+        # numpy reports its buffers to tracemalloc; the kernel and wz live
+        # one row block at a time, so the pass needs less than one more
+        # array of the inner set's size
+        cfg = NestedConfig(n_inner=2000, seed=5, grid=GRID, antithetic=True)
+        params = make_params(eta=0.1)
+        inner = _InnerPaths(params.market, cfg)
+        inner._zeta  # the inner set itself, built before tracing
+        states = [
+            (t, y, 1.0) for t in (0.0, 10.0, 20.0) for y in (0.5, 0.8, 1.0, 1.3, 2.0)
+        ]
+        tracemalloc.start()
+        try:
+            inner.price(states, ALPHA, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < cfg.n_inner * (GRID.n_steps + 1) * 8

@@ -304,7 +304,7 @@ class TestValidation:
             raise AssertionError("priced before the scenario was checked")
 
         monkeypatch.setattr(greedyhabit.lifetime, "solve_paths", no_pricing)
-        monkeypatch.setattr(greedyhabit.lifetime, "allocation_at", no_pricing)
+        monkeypatch.setattr(greedyhabit.lifetime, "_allocations", no_pricing)
         with pytest.raises(ValueError, match="Brownian"):
             simulate_lifetime(
                 make_params(),

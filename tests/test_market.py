@@ -16,12 +16,42 @@ from scipy import stats
 
 from greedyhabit import (
     GompertzParams,
+    HabitParams,
     MarketParams,
     TimeGrid,
     generate_paths,
     hazard_rate,
     survival_probability,
 )
+
+
+@pytest.mark.parametrize(
+    "cls, kwargs",
+    [
+        (HabitParams, {"eta": math.nan}),
+        (HabitParams, {"initial": math.nan}),
+        (HabitParams, {"eta": math.inf}),
+        (MarketParams, {"sigma": math.nan}),
+        (MarketParams, {"gamma": math.nan}),
+        (MarketParams, {"mu": math.nan}),
+        (MarketParams, {"r": math.inf}),
+        (GompertzParams, {"age": math.nan}),
+        (GompertzParams, {"modal_age": math.nan}),
+        (GompertzParams, {"dispersion": math.nan}),
+        (TimeGrid, {"t_max": 60.0, "dt": math.nan}),
+    ],
+    ids=lambda v: (
+        v.__name__
+        if isinstance(v, type)
+        else ",".join(f"{k}={x}" for k, x in v.items())
+    ),
+)
+def test_non_finite_parameter_is_rejected_by_name(cls, kwargs):
+    # a NaN passes every "<= 0" check and surfaces far downstream, e.g.
+    # after a whole calibration; each parameter group rejects it up front
+    field, value = list(kwargs.items())[-1]
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+        cls(**kwargs)
 
 
 class TestMarketParams:
