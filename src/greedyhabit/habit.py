@@ -116,14 +116,15 @@ def bernoulli_kernel(
     return kernel.reshape(zeta.shape), decay
 
 
-def _integrand_blocks(habit, market, mortality, anchors, rows):
+def _integrand_blocks(habit, market, mortality, anchors, rows, blocks=None):
     """Yield ``(block, j, k)``: anchor j's kernel integrand on one row block.
 
     Anchor j starts at ``anchors[j][0]`` and reads the leading
     ``len(anchors[j])`` columns of the 2-D density ``rows``, restarted at
-    1 there.  Row blocks are the outer loop: each block takes
-    log(zeta) / gamma once over the widest anchor, and every anchor's
-    integrand k = exp(drift - log(zeta) / gamma), which is
+    1 there.  ``blocks`` are the row slices to visit, by default all of
+    :func:`_row_blocks`.  Row blocks are the outer loop: each block
+    takes log(zeta) / gamma once over the widest anchor, and every
+    anchor's integrand k = exp(drift - log(zeta) / gamma), which is
     exp(eta tau / gamma) * (zeta * exp(rho t) / p)^(-1/gamma), is built
     from it while the block is in cache.  Working in log space keeps deep
     density tails from overflowing.  ``k`` is a fresh array the caller
@@ -136,7 +137,7 @@ def _integrand_blocks(habit, market, mortality, anchors, rows):
         log_p = log_survival_probability(mortality, times)
         drifts.append((habit.eta * tau - market.rho * times + log_p) / g)
     width = max(drift.shape[0] for drift in drifts)
-    for block in _row_blocks(rows.shape[0]):
+    for block in _row_blocks(rows.shape[0]) if blocks is None else blocks:
         log_z = np.log(rows[block, :width]) / g
         for j, drift in enumerate(drifts):
             k = drift - log_z[:, : drift.shape[0]]

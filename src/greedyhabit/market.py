@@ -12,7 +12,10 @@ follows a Gompertz law parameterised by modal age and dispersion.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass, fields
 from typing import Optional, Union
 
@@ -37,6 +40,14 @@ DEFAULT_SEED = 20260814
 #: Paths per block in the row-blocked array builders: a block's
 #: temporaries stay in cache, and results do not depend on the size.
 ROW_BLOCK = 64
+
+#: CPUs this process may run on (all CPUs where the platform cannot
+#: tell), and so the most row chunks :func:`_in_threads` runs at once.
+WORKERS = (
+    len(os.sched_getaffinity(0))
+    if hasattr(os, "sched_getaffinity")
+    else os.cpu_count() or 1
+)
 
 
 def _require_finite(params) -> None:
@@ -234,6 +245,50 @@ def _row_blocks(n: int):
     return [slice(i, min(i + ROW_BLOCK, n)) for i in range(0, n, ROW_BLOCK)]
 
 
+def _in_threads(n: int, work) -> None:
+    """Call ``work(blocks)`` on at most ``WORKERS`` contiguous chunks of ``n`` rows.
+
+    ``blocks`` is the chunk's share of :func:`_row_blocks`, so every cut
+    falls on a ``ROW_BLOCK`` multiple and a block is the same slice as in
+    one serial pass; ``work`` must write only its own rows, and then the
+    result does not depend on the number of chunks.  The first chunk runs
+    on the calling thread and the others on threads started here, each in
+    a copy of the caller's context (numpy's error state lives there).
+    Every chunk finishes before the first exception, in chunk order, is
+    raised.  numpy releases the interpreter lock inside its array loops,
+    so the chunks overlap when each call covers at least a block of rows.
+    """
+    blocks = _row_blocks(n)
+    parts = min(WORKERS, len(blocks))
+    if parts <= 1:
+        work(blocks)
+        return
+    chunks = [
+        blocks[len(blocks) * i // parts : len(blocks) * (i + 1) // parts]
+        for i in range(parts)
+    ]
+    errors = [None] * parts
+
+    def run(i):
+        try:
+            work(chunks[i])
+        except BaseException as exc:  # raised again on the calling thread
+            errors[i] = exc
+
+    threads = [
+        threading.Thread(target=contextvars.copy_context().run, args=(run, i))
+        for i in range(1, parts)
+    ]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+
+
 def _fill_normals(
     out: np.ndarray, seed: int, key: tuple, rows: range
 ) -> None:
@@ -259,17 +314,20 @@ def _density_paths(
     followed by their mirrors, built by negating the Brownian half-block
     (negating a cumulative sum is exact).  Returns ``(w, zeta)``.
     """
-    n_steps = dw.shape[1]
-    w = np.empty((dw.shape[0], n_steps + 1))
-    w[:, 0] = 0.0
-    np.cumsum(dw, axis=1, out=w[:, 1:])
-    w[:, 1:] *= math.sqrt(dt)
+    n_rows, n_steps = dw.shape
+    w = np.empty((2 * n_rows if antithetic else n_rows, n_steps + 1))
+    w[:n_rows, 0] = 0.0
+    np.cumsum(dw, axis=1, out=w[:n_rows, 1:])
+    w[:n_rows, 1:] *= math.sqrt(dt)
     if antithetic:
-        w = np.vstack([w, -w])
+        np.negative(w[:n_rows], out=w[n_rows:])
     kappa = market.kappa
     times = np.arange(n_steps + 1) * dt
-    log_zeta = -(market.r + 0.5 * kappa**2) * times - kappa * w
-    return w, np.exp(log_zeta)
+    # log zeta, then zeta, on one array: each block's temporaries are
+    # held once per thread
+    zeta = kappa * w
+    np.subtract(-(market.r + 0.5 * kappa**2) * times, zeta, out=zeta)
+    return w, np.exp(zeta, out=zeta)
 
 
 def _simulate(
@@ -285,25 +343,30 @@ def _simulate(
 
     Each block of streams is drawn and turned into paths by
     :func:`_density_paths`, with its mirrors placed in the second half
-    when ``antithetic`` is set, so no full-size temporary is made.  The
-    bundle's ``w`` is None unless ``keep_w`` is set.
+    when ``antithetic`` is set, so no full-size temporary is made; chunks
+    of blocks run on :func:`_in_threads`.  The bundle's ``w`` is None
+    unless ``keep_w`` is set.
     """
     n_streams = n_paths // 2 if antithetic else n_paths
     shape = (n_paths, grid.n_steps + 1)
     w = np.empty(shape) if keep_w else None
     zeta = np.empty(shape)
-    for rows in _row_blocks(n_streams):
-        k = rows.stop - rows.start
-        dw = np.empty((k, grid.n_steps))
-        _fill_normals(dw, seed, key, range(rows.start, rows.stop))
-        w_blk, zeta_blk = _density_paths(market, dw, grid.dt, antithetic)
-        targets = [rows]
-        if antithetic:
-            targets.append(slice(n_streams + rows.start, n_streams + rows.stop))
-        for j, target in enumerate(targets):
-            zeta[target] = zeta_blk[j * k : (j + 1) * k]
-            if keep_w:
-                w[target] = w_blk[j * k : (j + 1) * k]
+
+    def fill(blocks):
+        for rows in blocks:
+            k = rows.stop - rows.start
+            dw = np.empty((k, grid.n_steps))
+            _fill_normals(dw, seed, key, range(rows.start, rows.stop))
+            w_blk, zeta_blk = _density_paths(market, dw, grid.dt, antithetic)
+            targets = [rows]
+            if antithetic:
+                targets.append(slice(n_streams + rows.start, n_streams + rows.stop))
+            for j, target in enumerate(targets):
+                zeta[target] = zeta_blk[j * k : (j + 1) * k]
+                if keep_w:
+                    w[target] = w_blk[j * k : (j + 1) * k]
+
+    _in_threads(n_streams, fill)
     return PathBundle(grid, n_paths, seed, w, zeta, antithetic)
 
 

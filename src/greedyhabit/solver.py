@@ -32,7 +32,7 @@ from .market import (
     MarketParams,
     PathBundle,
     TimeGrid,
-    _row_blocks,
+    _in_threads,
     _simulate,
     log_survival_probability,
 )
@@ -323,23 +323,28 @@ def _closed_form_costs(params, alpha, zeta, anchors, states):
     the path-major density ``zeta``; ``states`` are (anchor index, y, h).
     Each block builds every anchor's kernel and ``wz`` once, from one
     log(zeta) / gamma, and prices that anchor's states while they are in
-    cache, so no full-size kernel or ``wz`` is held.
+    cache, so no full-size kernel or ``wz`` is held; chunks of blocks run
+    on :func:`_in_threads`.
     """
     frozen = params.habit.eta == 0.0
     vecs = [_anchor_terms(params, times)[2] for times in anchors]
     cost = np.empty((len(states), zeta.shape[0]))
     tangent = np.empty_like(cost)
-    for rows, j, k in _integrand_blocks(
-        params.habit, params.market, params.mortality, anchors, zeta
-    ):
-        times = anchors[j]
-        kernel = None if frozen else _trapezoid_kernel(k, times, np.empty_like(k))
-        wz = _cost_weights(k, zeta[rows, : times.shape[0]], vecs[j], frozen)
-        for r, (at, y, h) in enumerate(states):
-            if at == j:
-                cost[r, rows], tangent[r, rows] = _price_rows(
-                    params, alpha, y, h, kernel, wz, True
-                )
+
+    def fill(blocks):
+        for rows, j, k in _integrand_blocks(
+            params.habit, params.market, params.mortality, anchors, zeta, blocks
+        ):
+            times = anchors[j]
+            kernel = None if frozen else _trapezoid_kernel(k, times, np.empty_like(k))
+            wz = _cost_weights(k, zeta[rows, : times.shape[0]], vecs[j], frozen)
+            for r, (at, y, h) in enumerate(states):
+                if at == j:
+                    cost[r, rows], tangent[r, rows] = _price_rows(
+                        params, alpha, y, h, kernel, wz, True
+                    )
+
+    _in_threads(zeta.shape[0], fill)
     return cost, tangent
 
 
@@ -405,7 +410,9 @@ def _euler_costs(params, alpha, dt, zeta_t, zpow_t, anchors, states, delta):
     """Per-path cost, and delta or None, of every state from one Euler sweep.
 
     ``states`` are (anchor index, y, h), as :func:`_euler_stream` takes
-    them but in any order; the rows come back in the order given.
+    them but in any order; the rows come back in the order given.  With
+    more than one state, chunks of paths (columns) sweep on
+    :func:`_in_threads`.
     """
     pi = params.pension
     order = sorted(range(len(states)), key=lambda r: -anchors[states[r][0]].shape[0])
@@ -415,20 +422,32 @@ def _euler_costs(params, alpha, dt, zeta_t, zpow_t, anchors, states, delta):
         wgt[r, : anchors[j].shape[0]] = _anchor_terms(params, anchors[j])[1]
     cost = np.zeros((len(rows), zeta_t.shape[1]))
     tangent = np.zeros_like(cost) if delta else None
-    for k, c, _, dc in _euler_stream(
-        params, alpha, dt, zeta_t, zpow_t, anchors, rows, delta
-    ):
-        live = c.shape[0]
-        # (wgt_k (c - pi)) zeta_k in this order, on one temporary; dc is
-        # read again by the stream, so it is not scaled in place
-        term = c - pi
-        term *= wgt[:live, k, None]
-        term *= zeta_t[k]
-        cost[:live] += term
-        if delta:
-            term = dc * wgt[:live, k, None]
-            term *= zeta_t[k]
-            tangent[:live] += term
+
+    def sweep(blocks):
+        # the paths of the blocks, a run of columns: each step's slice of
+        # zeta_t and zpow_t is still contiguous
+        cols = slice(blocks[0].start, blocks[-1].stop)
+        for k, c, _, dc in _euler_stream(
+            params, alpha, dt, zeta_t[:, cols], zpow_t[:, cols], anchors, rows, delta
+        ):
+            live = c.shape[0]
+            # (wgt_k (c - pi)) zeta_k in this order, on one temporary; dc is
+            # read again by the stream, so it is not scaled in place
+            term = c - pi
+            term *= wgt[:live, k, None]
+            term *= zeta_t[k, cols]
+            cost[:live, cols] += term
+            if delta:
+                term = dc * wgt[:live, k, None]
+                term *= zeta_t[k, cols]
+                tangent[:live, cols] += term
+
+    if len(rows) > 1:
+        _in_threads(zeta_t.shape[1], sweep)
+    else:
+        # one state's step is a numpy call over one row of paths, too
+        # short to pay for handing the interpreter lock between threads
+        sweep([slice(0, zeta_t.shape[1])])
     given = np.argsort(order)
     return cost[given], tangent[given] if delta else None
 
@@ -462,9 +481,10 @@ class _CostFunctional:
     path-major, because its sums run along each path's time axis and
     their pairwise summation order depends on that layout.  Its first
     :meth:`per_path` stores the kernel and ``wz``, built over blocks of
-    ``ROW_BLOCK`` rows, since calibration prices them at several alphas;
-    every row is computed on its own, so the block size never changes a
-    result.  :meth:`paths` stores neither.  Either branch can return
+    ``ROW_BLOCK`` rows in chunks on threads, since calibration prices
+    them at several alphas; every row is computed on its own, so neither
+    the block size nor the thread count changes a result.  :meth:`paths`
+    stores neither.  Either branch can return
     y * d(cost)/dy per path from the sweep that prices the cost, which is
     the pathwise delta calibration's Newton step reads.
     """
@@ -502,12 +522,16 @@ class _CostFunctional:
         shape = self._zeta.shape
         kernel = None if frozen else np.empty(shape)
         wz = np.empty(shape[0] if frozen else shape)
-        for rows, _, k in _integrand_blocks(
-            p.habit, p.market, p.mortality, [self._times], self._zeta
-        ):
-            if kernel is not None:
-                _trapezoid_kernel(k, self._times, kernel[rows])
-            wz[rows] = _cost_weights(k, self._zeta[rows], self._vec, frozen)
+
+        def fill(blocks):
+            for rows, _, k in _integrand_blocks(
+                p.habit, p.market, p.mortality, [self._times], self._zeta, blocks
+            ):
+                if kernel is not None:
+                    _trapezoid_kernel(k, self._times, kernel[rows])
+                wz[rows] = _cost_weights(k, self._zeta[rows], self._vec, frozen)
+
+        _in_threads(shape[0], fill)
         tau = self._times - self._times[0]
         return kernel, np.exp(-p.habit.eta * tau / p.market.gamma), wz
 
@@ -534,13 +558,17 @@ class _CostFunctional:
             kernel, _, wz = self._kernel_wz
             cost = np.empty(wz.shape[0])
             tangent = np.empty_like(cost) if delta else None
-            for rows in _row_blocks(cost.shape[0]):
-                block = None if kernel is None else kernel[rows]
-                cost[rows], d = _price_rows(
-                    self.params, alpha, y, h, block, wz[rows], delta
-                )
-                if delta:
-                    tangent[rows] = d
+
+            def fill(blocks):
+                for rows in blocks:
+                    block = None if kernel is None else kernel[rows]
+                    cost[rows], d = _price_rows(
+                        self.params, alpha, y, h, block, wz[rows], delta
+                    )
+                    if delta:
+                        tangent[rows] = d
+
+            _in_threads(cost.shape[0], fill)
         cost = _pair_average(cost.reshape(-1), self._antithetic)
         if delta:
             return cost, _pair_average(tangent.reshape(-1), self._antithetic)

@@ -32,6 +32,7 @@ from greedyhabit import (
     wealth_with_pension,
 )
 import greedyhabit.allocation
+import greedyhabit.market
 from greedyhabit.allocation import _InnerPaths, _ratio_theta
 from greedyhabit.market import _density_paths, _fill_normals
 from greedyhabit.solver import _CostFunctional, _estimate_from_samples
@@ -468,8 +469,9 @@ class TestSharedInnerPaths:
 class TestBatchedStates:
     """Every nested state of a run is priced in one pass over the inner set.
 
-    The oracle is each state priced alone on a fresh inner set: a batch
-    must reproduce it bit for bit, whatever else is in the batch.
+    The oracle is each state priced alone on a fresh inner set on one
+    thread: a batch must reproduce it bit for bit, whatever else is in
+    the batch and however many chunks of paths run on threads.
     """
 
     LAST = GRID.t_max - GRID.dt  # one step of horizon left
@@ -487,16 +489,28 @@ class TestBatchedStates:
 
     @pytest.mark.parametrize("antithetic", [True, False])
     @pytest.mark.parametrize("pension", [0.0, 0.5])
-    def test_batch_equals_each_state_alone(self, pension, antithetic):
+    def test_batch_equals_each_state_alone(self, monkeypatch, pension, antithetic):
         params = make_params(eta=0.1, pension=pension)
         cfg = NestedConfig(n_inner=200, seed=13, grid=GRID, antithetic=antithetic)
-        inner = _InnerPaths(params.market, cfg)
-        batch = inner.price(self.STATES, ALPHA, params)
-        assert len(batch) == len(self.STATES)
+        # 10-row blocks: two chunks of the 200 inner paths are cut on the
+        # antithetic mirror (path 100), three across it
+        monkeypatch.setattr(greedyhabit.market, "ROW_BLOCK", 10)
+        monkeypatch.setattr(greedyhabit.market, "WORKERS", 1)
+        alone = [
+            _InnerPaths(params.market, cfg).price([state], ALPHA, params)[0]
+            for state in self.STATES
+        ]
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(greedyhabit.market, "WORKERS", workers)
+            inner = _InnerPaths(params.market, cfg)
+            batch = inner.price(self.STATES, ALPHA, params)
+            assert len(batch) == len(self.STATES)
+            for state, got, want in zip(self.STATES, batch, alone):
+                assert all(np.array_equal(a, b) for a, b in zip(got, want)), (
+                    workers,
+                    state,
+                )
         assert inner.price([], ALPHA, params) == []
-        for state, got in zip(self.STATES, batch):
-            [alone] = _InnerPaths(params.market, cfg).price([state], ALPHA, params)
-            assert all(np.array_equal(a, b) for a, b in zip(got, alone)), state
         estimates = greedyhabit.allocation._allocations(
             self.STATES, ALPHA, params, cfg, inner
         )
@@ -554,10 +568,10 @@ class TestBatchedStates:
                 greedyhabit.allocation._allocations(states, ALPHA, params, config(200))
         assert simulated == []
 
-    def test_closed_form_batch_holds_no_full_size_array(self):
+    def test_closed_form_batch_holds_no_full_size_array(self, monkeypatch):
         # numpy reports its buffers to tracemalloc; the kernel and wz live
-        # one row block at a time, so the pass needs less than one more
-        # array of the inner set's size
+        # one row block at a time on each thread, so the pass needs less
+        # than one more array of the inner set's size
         cfg = NestedConfig(n_inner=2000, seed=5, grid=GRID, antithetic=True)
         params = make_params(eta=0.1)
         inner = _InnerPaths(params.market, cfg)
@@ -565,10 +579,12 @@ class TestBatchedStates:
         states = [
             (t, y, 1.0) for t in (0.0, 10.0, 20.0) for y in (0.5, 0.8, 1.0, 1.3, 2.0)
         ]
-        tracemalloc.start()
-        try:
-            inner.price(states, ALPHA, params)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < cfg.n_inner * (GRID.n_steps + 1) * 8
+        for workers in (1, 2):
+            monkeypatch.setattr(greedyhabit.market, "WORKERS", workers)
+            tracemalloc.start()
+            try:
+                inner.price(states, ALPHA, params)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < cfg.n_inner * (GRID.n_steps + 1) * 8, workers

@@ -10,17 +10,21 @@ import csv
 import inspect
 import json
 import math
+import threading
 
 import pytest
 
 import greedyhabit.cli
 import greedyhabit.lifetime
+import greedyhabit.market
+import greedyhabit.solver
 from greedyhabit import (
     DEFAULT_SEED,
     CalibrationConfig,
     ModelParams,
     NestedConfig,
     default_zeta_grid,
+    generate_paths,
     pension_sweep,
     policy_surface,
     simulate_lifetime,
@@ -84,6 +88,15 @@ class TestRunConfig:
             seed=DEFAULT_SEED, grid=CalibrationConfig().grid
         )
         assert cfg.model == ModelParams()
+
+    def test_thread_count_is_not_a_setting(self, capsys):
+        # the threads follow the CPUs the process may use; no config key,
+        # flag or argument sets them
+        assert "worker" not in json.dumps(RunConfig.from_dict().to_dict())
+        assert "workers" not in inspect.signature(generate_paths).parameters
+        assert not hasattr(CalibrationConfig(), "workers")
+        assert main(["calibrate", "--workers", "2"]) == 1
+        assert "--workers" in capsys.readouterr().err
 
     def test_run_settings_default_to_the_library_defaults(self):
         def default(fn, name):
@@ -241,6 +254,25 @@ class TestExitCodes:
         assert main(["calibrate", "--config", cfg, "--paths", "5"]) == 1
         err = capsys.readouterr().err
         assert "antithetic sampling requires an even n_paths" in err
+
+    @pytest.mark.parametrize(
+        "error, code", [(ValueError, 1), (greedyhabit.solver.CalibrationError, 2)]
+    )
+    def test_error_in_a_worker_thread_keeps_its_exit_code(
+        self, tmp_path, capsys, monkeypatch, error, code
+    ):
+        real = greedyhabit.market._fill_normals
+
+        def failing(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise error("chunk failed")
+            real(*args)
+
+        monkeypatch.setattr(greedyhabit.market, "WORKERS", 2)
+        monkeypatch.setattr(greedyhabit.market, "_fill_normals", failing)
+        cfg = write_config(tmp_path, {"calibration": FAST_CAL})
+        assert main(["calibrate", "--config", cfg]) == code
+        assert "chunk failed" in capsys.readouterr().err
 
     def test_calibration_failure_is_exit_2(self, tmp_path, capsys):
         cfg = write_config(

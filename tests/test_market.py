@@ -7,6 +7,9 @@ reproducibility across worker counts and antithetic pairing.
 """
 
 import math
+import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +26,8 @@ from greedyhabit import (
     hazard_rate,
     survival_probability,
 )
+import greedyhabit.market
+from greedyhabit.market import _in_threads
 
 
 @pytest.mark.parametrize(
@@ -251,3 +256,72 @@ class TestGeneratePaths:
         d2 = bundle.w[:, grid.index_of(9.0)] - bundle.w[:, grid.index_of(3.0)]
         corr = np.corrcoef(d1, d2)[0, 1]
         assert abs(corr) < 3.0 / math.sqrt(d1.size)
+
+
+class TestRowChunks:
+    """``_in_threads``: chunks of row blocks, the first on the calling thread."""
+
+    def test_chunks_are_runs_of_whole_blocks(self, monkeypatch):
+        monkeypatch.setattr(greedyhabit.market, "ROW_BLOCK", 7)
+        monkeypatch.setattr(greedyhabit.market, "WORKERS", 3)
+        me = threading.current_thread()
+        seen = []
+
+        def record(blocks):
+            seen.append((threading.current_thread() is me, blocks))
+
+        _in_threads(100, record)
+        assert sorted(caller for caller, _ in seen) == [False, False, True]
+        chunks = sorted(chunk for _, chunk in seen)
+        assert sum(chunks, []) == greedyhabit.market._row_blocks(100)
+        # fewer blocks than workers: a chunk per block; one block: a plain call
+        seen.clear()
+        _in_threads(10, record)
+        assert sorted(seen) == [(False, [slice(7, 10)]), (True, [slice(0, 7)])]
+        seen.clear()
+        _in_threads(7, record)
+        assert seen == [(True, [slice(0, 7)])]
+
+    @pytest.mark.parametrize("error", [ValueError, RuntimeWarning])
+    def test_error_in_a_worker_reaches_the_caller(self, monkeypatch, market, error):
+        # 6 blocks in 3 chunks: chunk 1 fails while chunk 2 is still running
+        monkeypatch.setattr(greedyhabit.market, "ROW_BLOCK", 64)
+        monkeypatch.setattr(greedyhabit.market, "WORKERS", 3)
+        real = greedyhabit.market._fill_normals
+        finished = []
+
+        def failing(out, seed, key, rows):
+            real(out, seed, key, rows)
+            if rows.start == 0:
+                time.sleep(0.05)
+            elif rows.start == 128:
+                if error is ValueError:
+                    raise ValueError("bad chunk")
+                np.exp(np.full(2, 1e3))  # overflows
+            elif rows.start == 256:
+                time.sleep(0.2)
+                finished.append(rows.start)
+
+        monkeypatch.setattr(greedyhabit.market, "_fill_normals", failing)
+        before = threading.active_count()
+        bundle = None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(error):
+                bundle = generate_paths(market, TimeGrid(1.0, 0.1), 384, seed=3)
+        assert bundle is None
+        assert finished == [256]
+        assert threading.active_count() == before
+
+    def test_worker_runs_in_the_callers_error_state(self, monkeypatch):
+        monkeypatch.setattr(greedyhabit.market, "ROW_BLOCK", 1)
+        monkeypatch.setattr(greedyhabit.market, "WORKERS", 2)
+        x = np.array([1.0, 1e3])
+
+        def work(blocks):
+            np.exp(x[blocks[0]])
+
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError):
+                _in_threads(2, work)
+

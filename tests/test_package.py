@@ -9,6 +9,9 @@ failing.
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import greedyhabit
@@ -42,3 +45,26 @@ def test_every_traced_function_exists():
     for module, name in traced:
         fn = getattr(importlib.import_module(f"greedyhabit.{module}"), name, None)
         assert callable(fn), f"perfbench traces {module}.{name}, which is missing"
+
+
+def test_import_starts_no_thread():
+    # a fresh interpreter: threads start when rows are priced, not on
+    # import, and the import pays for no executor module
+    script = (
+        "import sys, threading\n"
+        "before = threading.active_count()\n"
+        "import greedyhabit, greedyhabit.cli\n"
+        "started = threading.active_count() - before\n"
+        "print(started, 'concurrent.futures' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(greedyhabit.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    ).stdout
+    assert out.split() == ["0", "False"]
+

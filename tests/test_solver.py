@@ -563,7 +563,8 @@ class TestCalibrationDensity:
 
 class TestRowBlocks:
     """The density, the kernel, ``wz`` and the closed-form costs are built
-    in blocks of ``ROW_BLOCK`` rows; no block size may change a result."""
+    in blocks of ``ROW_BLOCK`` rows, in up to ``WORKERS`` chunks of blocks
+    on threads; no block size or worker count may change a result."""
 
     GRID = TimeGrid(60.0, 0.1)
 
@@ -600,16 +601,20 @@ class TestRowBlocks:
     def test_block_size_never_changes_a_result(
         self, monkeypatch, market, n_paths, antithetic
     ):
-        # blocks of 7 straddle the antithetic mirror; n_paths + 1 is one block
+        # blocks of 7 straddle the antithetic mirror; n_paths + 1 is one
+        # block.  Over 2002 rows, two chunks of 7-row blocks are cut on
+        # the mirror (row 1001) and three across it; worker counts are
+        # set, not read from the host, so one CPU still runs the threads
         expected = None
-        for block in (n_paths + 1, 7, 1):
+        for block, workers in ((n_paths + 1, 1), (7, 1), (7, 2), (7, 3), (1, 2)):
             monkeypatch.setattr(greedyhabit.market, "ROW_BLOCK", block)
+            monkeypatch.setattr(greedyhabit.market, "WORKERS", workers)
             got = self.results(market, n_paths, antithetic)
             if expected is None:
                 expected = got
                 continue
             for key, value in expected.items():
-                assert np.array_equal(got[key], value), (block, key)
+                assert np.array_equal(got[key], value), (block, workers, key)
 
     def test_unread_solution_holds_no_arrays(self):
         params = make_params(eta=0.1, pension=0.5)
@@ -624,22 +629,25 @@ class TestRowBlocks:
 
 class TestCalibrationMemory:
     @pytest.mark.parametrize("pension", [0.0, 0.5])
-    def test_peak_is_a_few_full_arrays(self, pension):
+    def test_peak_is_a_few_full_arrays(self, monkeypatch, pension):
         # numpy reports its buffers to tracemalloc, so the peak is
         # deterministic: the density, kernel and wz, or the Euler
-        # branch's step-major density and its power, are three full arrays
+        # branch's step-major density and its power, are three full
+        # arrays; a second thread adds only its blocks' temporaries
         config = CalibrationConfig(
             grid=TimeGrid(60.0, 0.05), n_paths=2000, seed=5, antithetic=True
         )
         params = make_params(eta=0.1, pension=pension)
-        tracemalloc.start()
-        try:
-            calibrate_alpha(params, config)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         full = config.n_paths * (config.grid.n_steps + 1) * 8
-        assert peak <= 3.5 * full
+        for workers in (1, 2):
+            monkeypatch.setattr(greedyhabit.market, "WORKERS", workers)
+            tracemalloc.start()
+            try:
+                calibrate_alpha(params, config)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 3.5 * full, workers
 
 
 class TestPathwiseDelta:
@@ -698,10 +706,16 @@ class TestPathwiseDelta:
     def test_block_size_never_changes_the_delta(self, monkeypatch, market):
         bundle = generate_paths(market, self.GRID, 202, seed=12, antithetic=True)
         expected = None
-        for block in (203, 7, 1):
+        # two chunks of 1-row blocks are cut on the mirror (row 101); the
+        # chunks of 7-row blocks are cut across it
+        for block, workers in ((203, 1), (7, 1), (7, 2), (7, 3), (1, 2)):
             monkeypatch.setattr(greedyhabit.market, "ROW_BLOCK", block)
+            monkeypatch.setattr(greedyhabit.market, "WORKERS", workers)
             cost = _bundle_cost(make_params(eta=0.1), bundle)
             got = cost.per_path(*self.STATE, delta=True)
             if expected is None:
                 expected = got
-            assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+            assert all(np.array_equal(a, b) for a, b in zip(got, expected)), (
+                block,
+                workers,
+            )
