@@ -17,10 +17,10 @@ import pytest
 import greedyhabit.cli
 import greedyhabit.lifetime
 import greedyhabit.market
-import greedyhabit.solver
 from greedyhabit import (
     DEFAULT_SEED,
     CalibrationConfig,
+    CalibrationError,
     ModelParams,
     NestedConfig,
     default_zeta_grid,
@@ -256,7 +256,7 @@ class TestExitCodes:
         assert "antithetic sampling requires an even n_paths" in err
 
     @pytest.mark.parametrize(
-        "error, code", [(ValueError, 1), (greedyhabit.solver.CalibrationError, 2)]
+        "error, code", [(ValueError, 1), (CalibrationError, 2)]
     )
     def test_error_in_a_worker_thread_keeps_its_exit_code(
         self, tmp_path, capsys, monkeypatch, error, code
