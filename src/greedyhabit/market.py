@@ -13,6 +13,7 @@ follows a Gompertz law parameterised by modal age and dispersion.
 from __future__ import annotations
 
 import contextvars
+import itertools
 import math
 import os
 import threading
@@ -289,19 +290,106 @@ def _in_threads(n: int, work) -> None:
             raise exc
 
 
+def _uint32_words(x) -> list:
+    """A non-negative int, or a sequence of them, as ``SeedSequence`` splits it.
+
+    Each int gives its 32-bit words, low first, and 0 gives one word.
+    """
+    if not isinstance(x, (int, np.integer)):
+        return [word for item in x for word in _uint32_words(item)]
+    x = int(x)
+    words = [x & 0xFFFFFFFF]
+    while x > 0xFFFFFFFF:
+        x >>= 32
+        words.append(x & 0xFFFFFFFF)
+    return words
+
+
+def _hash_keys(key: int, mult: int, n: int) -> list:
+    """``key`` and the ``n`` keys after it of the ``SeedSequence`` hash."""
+    keys = [key]
+    for _ in range(n):
+        keys.append((keys[-1] * mult) & 0xFFFFFFFF)
+    return keys
+
+
+def _hashmix(value, key, next_key):
+    """numpy's ``SeedSequence`` hash of ``value`` between two successive keys.
+
+    On Python ints below 2**32 or uint32 arrays alike; the mask is a
+    no-op on the arrays, whose products wrap without a warning.
+    """
+    value = ((value ^ key) * next_key) & 0xFFFFFFFF
+    return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    """numpy's ``SeedSequence`` mix of two words, on ints or uint32 arrays."""
+    x = (0xCA01F9DD * x) & 0xFFFFFFFF
+    value = (x - ((0x4973F715 * y) & 0xFFFFFFFF)) & 0xFFFFFFFF
+    return value ^ (value >> 16)
+
+
 def _fill_normals(
     out: np.ndarray, seed: int, key: tuple, rows: range
 ) -> None:
     """Fill ``out[j]`` with standard normals from child stream ``key + (rows[j],)``.
 
-    Each stream is keyed by its row index, so the draws do not depend on
-    how the rows are split into blocks.
+    Row ``j`` gets the draws of
+    ``Generator(PCG64(SeedSequence(entropy=seed, spawn_key=key + (rows[j],))))``,
+    so they do not depend on how the rows are split into blocks.  Those
+    objects are not built per row: that holds the interpreter lock for
+    longer than the draw, which releases it.  numpy's ``SeedSequence``
+    hash (numpy/random/bit_generator.pyx) mixes ``seed`` and ``key`` into
+    its pool of 4 words once; the row index words and
+    ``generate_state(4, uint64)`` are hashed as uint32 arrays over the
+    rows; and PCG64's seeding (two steps of its 128-bit LCG, O'Neill's
+    ``pcg_setseq_128_srandom_r``) gives each row's state, loaded into one
+    generator of this call.
     """
-    n_steps = out.shape[1]
-    for j, i in enumerate(rows):
-        ss = np.random.SeedSequence(entropy=seed, spawn_key=key + (i,))
-        rng = np.random.Generator(np.random.PCG64(ss))
-        out[j] = rng.standard_normal(n_steps)
+    # numpy rejects a bad seed or key here, before either is split
+    bits = np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=key))
+    rng = np.random.Generator(bits)
+    # a child's key is never empty, so its run entropy is padded to the pool
+    words = _uint32_words(seed)
+    words += [0] * (4 - len(words)) + _uint32_words(key)
+    # 4 hashes fill the pool and 12 mix it; each later word takes 4 more
+    keys = _hash_keys(0x43B0D7E5, 0x931E8875, 4 * len(words) + 8)
+    pool = [_hashmix(words[i], keys[i], keys[i + 1]) for i in range(4)]
+    for n, (src, dst) in enumerate(itertools.permutations(range(4), 2), 4):
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], keys[n], keys[n + 1]))
+    # from here on a column of four keys hashes into the four pool words
+    pool = np.array(pool, dtype=np.uint32)[:, None]
+    columns = np.array(keys, dtype=np.uint32)[:, None]
+
+    def absorb(pool, word, n):
+        return _mix(pool, _hashmix(word, columns[n : n + 4], columns[n + 1 : n + 5]))
+
+    for n, word in enumerate(words[4:]):
+        pool = absorb(pool, word, 16 + 4 * n)
+    # a row index takes one word below 2**32 and two, low first, above
+    index = np.arange(rows.start, rows.stop, rows.step, dtype=np.uint64)
+    n = 4 * len(words)
+    pool = absorb(pool, (index & 0xFFFFFFFF).astype(np.uint32), n)
+    high = index >> 32
+    if high.any():
+        pool = np.where(high, absorb(pool, high.astype(np.uint32), n + 4), pool)
+    # generate_state(4, uint64): the pool twice over, read as 4 uint64s
+    keys = np.array(_hash_keys(0x8B51F9DD, 0x58F38DED, 8), dtype=np.uint32)
+    halves = _hashmix(np.concatenate([pool, pool]), keys[:-1, None], keys[1:, None])
+    halves = halves.astype(np.uint64)
+    seeds = (halves[1::2] << 32 | halves[::2]).tolist()
+    mask = (1 << 128) - 1
+    for j, (s_hi, s_lo, i_hi, i_lo) in enumerate(zip(*seeds)):
+        inc = ((i_hi << 65) | (i_lo << 1) | 1) & mask
+        state = (inc + (s_hi << 64 | s_lo)) * 0x2360ED051FC65DA44385DF649FCCF645
+        bits.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": (state + inc) & mask, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        rng.standard_normal(out=out[j])
 
 
 def _density_paths(
@@ -341,6 +429,9 @@ def _simulate(
 ) -> PathBundle:
     """Bundle of ``n_paths`` seeded streams, built in row blocks.
 
+    Stream ``i`` is numpy's ``Generator(PCG64(SeedSequence(entropy=seed,
+    spawn_key=key + (i,))))`` drawing ``standard_normal`` (the ziggurat
+    method), reproduced a block at a time by :func:`_fill_normals`.
     Each block of streams is drawn and turned into paths by
     :func:`_density_paths`, with its mirrors placed in the second half
     when ``antithetic`` is set, so no full-size temporary is made; chunks

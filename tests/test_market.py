@@ -325,3 +325,55 @@ class TestRowChunks:
             with pytest.raises(FloatingPointError):
                 _in_threads(2, work)
 
+
+def _per_row_streams(seed, key, rows, n):
+    """Each row drawn from its own ``SeedSequence`` and ``PCG64``, built anew."""
+    out = np.empty((len(rows), n))
+    for j, i in enumerate(rows):
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=key + (i,))
+        out[j] = np.random.Generator(np.random.PCG64(ss)).standard_normal(n)
+    return out
+
+
+class TestFillNormals:
+    """``_fill_normals`` seeds a block of rows at once, with numpy's own draws."""
+
+    @pytest.mark.parametrize(
+        "seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 3]
+    )
+    @pytest.mark.parametrize("key", [(), (1,), (7, 2**33)])
+    @pytest.mark.parametrize(
+        "rows",
+        # the second block mixes one-word and two-word row indices
+        [range(0, 64), range(2**32 - 2, 2**32 + 2)],
+        ids=["low", "across-2**32"],
+    )
+    def test_rows_match_one_generator_per_row(self, seed, key, rows):
+        out = np.empty((len(rows), 5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            greedyhabit.market._fill_normals(out, seed, key, rows)
+        assert np.array_equal(out, _per_row_streams(seed, key, rows, 5))
+
+    @pytest.mark.parametrize(
+        "seed, key, error",
+        [(-1, (), ValueError), (1.5, (), TypeError), (3, (2, -1), ValueError)],
+        ids=["negative-seed", "float-seed", "negative-key"],
+    )
+    def test_bad_seed_or_key_raises_as_numpy_does(
+        self, monkeypatch, market, seed, key, error
+    ):
+        with pytest.raises(error):
+            _per_row_streams(seed, key, range(1), 1)
+        monkeypatch.setattr(greedyhabit.market, "ROW_BLOCK", 4)
+        monkeypatch.setattr(greedyhabit.market, "WORKERS", 2)
+        grid = TimeGrid(1.0, 0.1)
+        before = threading.active_count()
+        with pytest.raises(error):
+            greedyhabit.market._fill_normals(np.empty((3, 10)), seed, key, range(3))
+        with pytest.raises(error):
+            greedyhabit.market._simulate(market, grid, 16, seed, True, key=key)
+        if not key:
+            with pytest.raises(error):
+                generate_paths(market, grid, 16, seed=seed)
+        assert threading.active_count() == before
