@@ -28,9 +28,10 @@ Lipschitz, so the path-by-path derivative is unbiased (Glasserman, Monte
 Carlo Methods in Financial Engineering, 2003, section 7.2); it is the
 limit of central differences on common random numbers as the bump goes
 to 0.  The ratio and its delta-method standard error come from the
-per-path samples.  Near wealth exhaustion G is of the same order as its
-standard error and the ratio estimate degrades; such points are flagged
-unreliable instead of raising.
+per-path samples; the wealth reported is their regression estimate on
+the eta = 0 cost, whose mean is exact.  Near wealth exhaustion G is of
+the same order as its standard error and the ratio estimate degrades;
+such points are flagged unreliable instead of raising.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .solver import (
     BudgetEstimate,
     ModelParams,
     _closed_form_costs,
+    _control_terms,
     _estimate_from_samples,
     _euler_costs,
     _pair_average,
@@ -174,9 +176,11 @@ class _InnerPaths:
     def price(self, states, alpha: float, params: ModelParams, method: str = "auto"):
         """Per-sample G and y * dG/dy at every state (t, y, h), in one pass.
 
-        Returns one (samples, deltas) pair per state, in order.  Every
-        state is checked before any inner path is built; a state's
-        result does not depend on the others in the list.
+        Returns one (samples, deltas, x, mean_x) tuple per state, in
+        order, with the control X of the state's anchor per sample and its
+        exact mean (``solver._control_terms``).  Every state is checked
+        before any inner path is built; a state's result does not depend
+        on the others in the list.
         """
         if params.market != self.market:
             raise ValueError(
@@ -196,29 +200,33 @@ class _InnerPaths:
             if self._zeta_t is None:
                 self._zeta_t = np.ascontiguousarray(self._zeta.T)
                 self._zpow_t = self._zeta_t ** (-1.0 / self.market.gamma)
-            cost, tangent = _euler_costs(
-                params, alpha, grid.dt, self._zeta_t, self._zpow_t, times, rows, True
+            priced = _euler_costs(
+                params, alpha, grid.dt, self._zeta_t, self._zpow_t, times, rows,
+                True, True,
             )
         else:
-            cost, tangent = _closed_form_costs(params, alpha, self._zeta, times, rows)
-        antithetic = self.config.antithetic
-        return list(
-            zip(_pair_average(cost, antithetic), _pair_average(tangent, antithetic))
-        )
+            priced = _closed_form_costs(params, alpha, self._zeta, times, rows)
+        means = [_control_terms(params, anchor)[0] for anchor in times]
+        paired = [_pair_average(a, self.config.antithetic) for a in priced]
+        return list(zip(*paired, [means[j] for j, _, _ in rows]))
 
 
-def _ratio_theta(f0, u, kappa_sig):
+def _ratio_theta(f0, u, kappa_sig, x=None, mean_x=0.0):
     """theta = -(kappa/sigma) y G_y / G from per-path samples of G and y G_y.
 
-    The standard error is the delta-method one of the ratio of means.
+    The ratio is of plain means, and its standard error the delta-method
+    one.  The wealth reported is the regression estimate on the control
+    ``x`` of known mean ``mean_x``; the reliability gate reads the plain
+    mean and SE.
     """
-    wealth = _estimate_from_samples(f0)
-    if not wealth.value > 10.0 * wealth.std_error:
+    plain = _estimate_from_samples(f0)
+    wealth = _estimate_from_samples(f0, x, mean_x)
+    if not plain.value > 10.0 * plain.std_error:
         return ThetaEstimate(math.nan, math.nan, False, wealth)
     n = f0.shape[0]
-    ratio = u.mean() / wealth.value
+    ratio = u.mean() / plain.value
     resid = u - ratio * f0
-    var_ratio = resid.var(ddof=1) / (n * wealth.value**2)
+    var_ratio = resid.var(ddof=1) / (n * plain.value**2)
     return ThetaEstimate(
         float(-kappa_sig * ratio),
         float(kappa_sig * math.sqrt(var_ratio)),
@@ -228,7 +236,7 @@ def _ratio_theta(f0, u, kappa_sig):
 
 
 def _price_states(states, alpha, params, config, inner, method):
-    """Per-sample G and zeta * dG/dzeta at every state (t, zeta, H).
+    """Per-sample G, zeta * dG/dzeta and control at every state (t, zeta, H).
 
     One pass over ``inner``, or over new inner paths from ``config``.
     """
@@ -243,8 +251,10 @@ def _allocations(
     """:func:`allocation_at` at every state (t, zeta, H), from one pass."""
     kappa_sig = params.market.kappa / params.market.sigma
     return [
-        _ratio_theta(f0, u, kappa_sig)
-        for f0, u in _price_states(states, alpha, params, config, inner, "auto")
+        _ratio_theta(f0, u, kappa_sig, *control)
+        for f0, u, *control in _price_states(
+            states, alpha, params, config, inner, "auto"
+        )
     ]
 
 
@@ -262,10 +272,10 @@ def wealth_no_pension(
     martingale wealth at (t, zeta, H) is F(t, zeta * H) / zeta.  It is
     the closed-form G at zeta = 1 with habit_level z.
     """
-    [(f0, _)] = _price_states(
+    [(f0, _, x, mean_x)] = _price_states(
         [(t, 1.0, z)], alpha, params, config, _inner, "closed_form"
     )
-    return _estimate_from_samples(f0)
+    return _estimate_from_samples(f0, x, mean_x)
 
 
 def wealth_with_pension(
@@ -278,10 +288,10 @@ def wealth_with_pension(
     _inner: Optional[_InnerPaths] = None,
 ) -> BudgetEstimate:
     """G(t, zeta, H): wealth with a pension (valid for pension = 0 too)."""
-    [(f0, _)] = _price_states(
+    [(f0, _, x, mean_x)] = _price_states(
         [(t, zeta, habit_level)], alpha, params, config, _inner, "euler"
     )
-    return _estimate_from_samples(f0)
+    return _estimate_from_samples(f0, x, mean_x)
 
 
 def allocation_at(

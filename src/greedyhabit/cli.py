@@ -40,6 +40,9 @@ from .solver import (
     CalibrationConfig,
     CalibrationError,
     ModelParams,
+    _bundle_cost,
+    _calibration_paths,
+    _estimate_from_samples,
     calibrate_alpha,
     consumption_no_pension,
 )
@@ -437,16 +440,25 @@ def _cmd_merton_check(args: argparse.Namespace) -> int:
             n_paths=max(cfg.calibration.n_paths, 40000),
             tolerance=min(cfg.calibration.tolerance, 1e-4),
         )
-        solution = calibrate_alpha(frozen, check_cal)
-        rel = abs(solution.alpha - alpha0) / alpha0
+        paths = _calibration_paths(frozen.market, check_cal)
+        solution = calibrate_alpha(frozen, check_cal, paths)
         # at eta = 0 the budget is exactly proportional to alpha^(-1/gamma),
-        # so alpha's relative error is gamma times the budget's
-        rel_se = base.market.gamma * solution.budget_se / base.v
+        # so alpha's relative error is gamma times the budget's, and the
+        # alpha of the plain sample mean is one rescaling away
+        g, h0, alpha = base.market.gamma, base.habit.initial, solution.alpha
+        plain = _estimate_from_samples(
+            _bundle_cost(frozen, paths).per_path(alpha, 1.0, h0)
+        )
+        plain_alpha = alpha * (plain.value / base.v) ** g
+        rel = abs(alpha - alpha0) / alpha0
         record(
             "multiplier calibration",
             rel <= 0.01,
-            f"monte carlo alpha {solution.alpha:.6g} vs exact {alpha0:.6g} "
-            f"(rel diff {rel:.3%}, alpha rel SE {rel_se:.3%})",
+            f"monte carlo alpha {alpha:.6g} vs exact {alpha0:.6g} (rel diff "
+            f"{rel:.3%}, alpha rel SE {g * solution.budget_se / base.v:.3%}); "
+            f"plain mean alpha {plain_alpha:.6g} (rel diff "
+            f"{abs(plain_alpha - alpha0) / alpha0:.3%}, alpha rel SE "
+            f"{g * plain.std_error / plain.value:.3%}, bound 1%)",
         )
 
         # 3. initial consumption propensity vs annuity inversion

@@ -13,6 +13,7 @@ follows a Gompertz law parameterised by modal age and dispersion.
 from __future__ import annotations
 
 import contextvars
+import functools
 import itertools
 import math
 import os
@@ -330,26 +331,13 @@ def _mix(x, y):
     return value ^ (value >> 16)
 
 
-def _fill_normals(
-    out: np.ndarray, seed: int, key: tuple, rows: range
-) -> None:
-    """Fill ``out[j]`` with standard normals from child stream ``key + (rows[j],)``.
+@functools.lru_cache(maxsize=8)
+def _seed_pool(seed: int, key: tuple):
+    """``SeedSequence``'s pool (4, 1) after ``seed`` and ``key``, and its hash keys.
 
-    Row ``j`` gets the draws of
-    ``Generator(PCG64(SeedSequence(entropy=seed, spawn_key=key + (rows[j],))))``,
-    so they do not depend on how the rows are split into blocks.  Those
-    objects are not built per row: that holds the interpreter lock for
-    longer than the draw, which releases it.  numpy's ``SeedSequence``
-    hash (numpy/random/bit_generator.pyx) mixes ``seed`` and ``key`` into
-    its pool of 4 words once; the row index words and
-    ``generate_state(4, uint64)`` are hashed as uint32 arrays over the
-    rows; and PCG64's seeding (two steps of its 128-bit LCG, O'Neill's
-    ``pcg_setseq_128_srandom_r``) gives each row's state, loaded into one
-    generator of this call.
+    Shared by every row of one stream family, read-only; the last item
+    counts the hash keys used.
     """
-    # numpy rejects a bad seed or key here, before either is split
-    bits = np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=key))
-    rng = np.random.Generator(bits)
     # a child's key is never empty, so its run entropy is padded to the pool
     words = _uint32_words(seed)
     words += [0] * (4 - len(words)) + _uint32_words(key)
@@ -361,19 +349,45 @@ def _fill_normals(
     # from here on a column of four keys hashes into the four pool words
     pool = np.array(pool, dtype=np.uint32)[:, None]
     columns = np.array(keys, dtype=np.uint32)[:, None]
-
-    def absorb(pool, word, n):
-        return _mix(pool, _hashmix(word, columns[n : n + 4], columns[n + 1 : n + 5]))
-
     for n, word in enumerate(words[4:]):
-        pool = absorb(pool, word, 16 + 4 * n)
+        pool = _absorb(pool, columns, word, 16 + 4 * n)
+    pool.flags.writeable = columns.flags.writeable = False
+    return pool, columns, 4 * len(words)
+
+
+def _absorb(pool, columns, word, n):
+    """Mix ``word`` into the four pool words with hash keys ``n`` to ``n + 4``."""
+    return _mix(pool, _hashmix(word, columns[n : n + 4], columns[n + 1 : n + 5]))
+
+
+def _fill_normals(
+    out: np.ndarray, seed: int, key: tuple, rows: range
+) -> None:
+    """Fill ``out[j]`` with standard normals from child stream ``key + (rows[j],)``.
+
+    Row ``j`` gets the draws of
+    ``Generator(PCG64(SeedSequence(entropy=seed, spawn_key=key + (rows[j],))))``,
+    so they do not depend on how the rows are split into blocks.  Those
+    objects are not built per row: that holds the interpreter lock for
+    longer than the draw, which releases it.  numpy's ``SeedSequence``
+    hash (numpy/random/bit_generator.pyx) mixes ``seed`` and ``key`` into
+    its pool of 4 words once per ``(seed, key)`` (:func:`_seed_pool`); the
+    row index words and ``generate_state(4, uint64)`` are hashed as
+    uint32 arrays over the rows; and PCG64's seeding (two steps of its
+    128-bit LCG, O'Neill's ``pcg_setseq_128_srandom_r``) gives each row's
+    state, loaded into one generator of this call.
+    """
+    # numpy rejects a bad seed or key here, before either is split
+    bits = np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=key))
+    rng = np.random.Generator(bits)
+    pool, columns, n = _seed_pool(seed, key)
     # a row index takes one word below 2**32 and two, low first, above
     index = np.arange(rows.start, rows.stop, rows.step, dtype=np.uint64)
-    n = 4 * len(words)
-    pool = absorb(pool, (index & 0xFFFFFFFF).astype(np.uint32), n)
+    pool = _absorb(pool, columns, (index & 0xFFFFFFFF).astype(np.uint32), n)
     high = index >> 32
     if high.any():
-        pool = np.where(high, absorb(pool, high.astype(np.uint32), n + 4), pool)
+        high_pool = _absorb(pool, columns, high.astype(np.uint32), n + 4)
+        pool = np.where(high, high_pool, pool)
     # generate_state(4, uint64): the pool twice over, read as 4 uint64s
     keys = np.array(_hash_keys(0x8B51F9DD, 0x58F38DED, 8), dtype=np.uint32)
     halves = _hashmix(np.concatenate([pool, pool]), keys[:-1, None], keys[1:, None])

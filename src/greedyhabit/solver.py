@@ -145,7 +145,8 @@ class GreedySolution:
     budget_residual : float
         Relative residual |budget(alpha) - v| / v at convergence.
     budget_se : float
-        Standard error of the Monte Carlo budget at alpha.
+        Standard error of the budget at alpha, the regression estimate
+        of :func:`budget_value`.
     consumption, habit : ndarray, shape (n_paths, n_times)
         Optimal consumption and habit along the calibration bundle.
         They are solved on first read, on the bundle calibration was
@@ -235,9 +236,27 @@ def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
     return w
 
 
-def _estimate_from_samples(y: np.ndarray) -> BudgetEstimate:
-    se = y.std(ddof=1) / math.sqrt(y.shape[0]) if y.shape[0] > 1 else 0.0
-    return BudgetEstimate(float(y.mean()), float(se))
+def _estimate_from_samples(
+    y: np.ndarray, x: Optional[np.ndarray] = None, mean_x: float = 0.0
+) -> BudgetEstimate:
+    """mean(y) - b (mean(x) - mean_x), b fitted, and the residual SE.
+
+    The regression estimate on the control ``x`` of known mean ``mean_x``
+    (Glasserman 2003, section 4.1); without ``x``, with fewer than three
+    samples or with var(x) = 0, the plain mean and SE.
+    """
+    n = y.shape[0]
+    mean = y.mean()
+    dx = None if x is None or n < 3 else x - x.mean()
+    sxx = 0.0 if dx is None else (dx * dx).sum()
+    if not sxx > 0.0:
+        se = y.std(ddof=1) / math.sqrt(n) if n > 1 else 0.0
+        return BudgetEstimate(float(mean), float(se))
+    resid = y - mean
+    b = (dx * resid).sum() / sxx
+    resid -= b * dx
+    se = math.sqrt((resid * resid).sum() / (n - 2) / n)
+    return BudgetEstimate(float(mean - b * (x.mean() - mean_x)), se)
 
 
 def _resolve_method(params: ModelParams, method: str, dt: float) -> str:
@@ -272,6 +291,22 @@ def _anchor_terms(params: ModelParams, times: np.ndarray):
         wgt,
         np.exp(-params.habit.eta * (times - times[0])) * wgt,
     )
+
+
+def _control_terms(params: ModelParams, times: np.ndarray):
+    """``(E[X], lift)`` of the control X of an anchor at absolute ``times``.
+
+    X = sum_k wgt_k shadow_k zeta_k^q per path, q = 1 - 1/g, is the eta = 0,
+    pension-0 cost over beta h^(g - 1), and sum_k wz_k lift_k with
+    lift = exp(eta q tau).  The density restarts at 1 at times[0], so
+    E[zeta_tau^q] = exp(-q (r + kappa^2/2) tau + q^2 kappa^2 tau / 2).
+    """
+    m = params.market
+    q = 1.0 - 1.0 / m.gamma
+    tau = times - times[0]
+    shadow, wgt, _ = _anchor_terms(params, times)
+    moment = np.exp(q * (0.5 * q * m.kappa**2 - m.r - 0.5 * m.kappa**2) * tau)
+    return float((wgt * shadow * moment).sum()), np.exp(params.habit.eta * q * tau)
 
 
 def _cost_weights(k, zeta, vec, frozen):
@@ -317,7 +352,7 @@ def _price_rows(params, alpha, y, h, kernel, wz, delta):
 
 
 def _closed_form_costs(params, alpha, zeta, anchors, states):
-    """Per-path cost and delta of every state, streamed over row blocks.
+    """Per-path cost, delta and control X of every state, over row blocks.
 
     ``anchors`` are absolute time vectors reading the leading columns of
     the path-major density ``zeta``; ``states`` are (anchor index, y, h).
@@ -328,8 +363,10 @@ def _closed_form_costs(params, alpha, zeta, anchors, states):
     """
     frozen = params.habit.eta == 0.0
     vecs = [_anchor_terms(params, times)[2] for times in anchors]
+    lifts = [_control_terms(params, times)[1] for times in anchors]
     cost = np.empty((len(states), zeta.shape[0]))
     tangent = np.empty_like(cost)
+    control = np.empty_like(cost)
 
     def fill(blocks):
         for rows, j, k in _integrand_blocks(
@@ -338,14 +375,16 @@ def _closed_form_costs(params, alpha, zeta, anchors, states):
             times = anchors[j]
             kernel = None if frozen else _trapezoid_kernel(k, times, np.empty_like(k))
             wz = _cost_weights(k, zeta[rows, : times.shape[0]], vecs[j], frozen)
+            x = wz if frozen else (wz * lifts[j]).sum(axis=-1)
             for r, (at, y, h) in enumerate(states):
                 if at == j:
                     cost[r, rows], tangent[r, rows] = _price_rows(
                         params, alpha, y, h, kernel, wz, True
                     )
+                    control[r, rows] = x
 
     _in_threads(zeta.shape[0], fill)
-    return cost, tangent
+    return cost, tangent, control
 
 
 def _euler_stream(params, alpha, dt, zeta_t, zpow_t, anchors, states, tangent=False):
@@ -406,22 +445,28 @@ def _euler_stream(params, alpha, dt, zeta_t, zpow_t, anchors, states, tangent=Fa
             dh[:nxt] += step
 
 
-def _euler_costs(params, alpha, dt, zeta_t, zpow_t, anchors, states, delta):
-    """Per-path cost, and delta or None, of every state from one Euler sweep.
+def _euler_costs(
+    params, alpha, dt, zeta_t, zpow_t, anchors, states, delta, control=False
+):
+    """Per-path cost, delta and control X of every state from one Euler sweep.
 
     ``states`` are (anchor index, y, h), as :func:`_euler_stream` takes
-    them but in any order; the rows come back in the order given.  With
-    more than one state, chunks of paths (columns) sweep on
-    :func:`_in_threads`.
+    them but in any order; the rows come back in the order given.  The
+    delta is None without ``delta``, and X (summed in step order like the
+    cost) None without ``control``.  With more than one state, chunks of
+    paths (columns) sweep on :func:`_in_threads`.
     """
     pi = params.pension
     order = sorted(range(len(states)), key=lambda r: -anchors[states[r][0]].shape[0])
     rows = [states[r] for r in order]
     wgt = np.zeros((len(rows), anchors[rows[0][0]].shape[0]))
+    scale = np.zeros_like(wgt)
     for r, (j, _, _) in enumerate(rows):
-        wgt[r, : anchors[j].shape[0]] = _anchor_terms(params, anchors[j])[1]
+        shadow, w, _ = _anchor_terms(params, anchors[j])
+        wgt[r, : w.shape[0]], scale[r, : w.shape[0]] = w, w * shadow
     cost = np.zeros((len(rows), zeta_t.shape[1]))
     tangent = np.zeros_like(cost) if delta else None
+    xs = np.zeros_like(cost) if control else None
 
     def sweep(blocks):
         # the paths of the blocks, a run of columns: each step's slice of
@@ -441,6 +486,9 @@ def _euler_costs(params, alpha, dt, zeta_t, zpow_t, anchors, states, delta):
                 term = dc * wgt[:live, k, None]
                 term *= zeta_t[k, cols]
                 tangent[:live, cols] += term
+            if control:
+                term = zeta_t[k, cols] * zpow_t[k, cols]
+                xs[:live, cols] += scale[:live, k, None] * term
 
     if len(rows) > 1:
         _in_threads(zeta_t.shape[1], sweep)
@@ -449,7 +497,7 @@ def _euler_costs(params, alpha, dt, zeta_t, zpow_t, anchors, states, delta):
         # short to pay for handing the interpreter lock between threads
         sweep([slice(0, zeta_t.shape[1])])
     given = np.argsort(order)
-    return cost[given], tangent[given] if delta else None
+    return tuple(None if a is None else a[given] for a in (cost, tangent, xs))
 
 
 def _pair_average(x: np.ndarray, antithetic: bool) -> np.ndarray:
@@ -504,6 +552,7 @@ class _CostFunctional:
         self._dt = dt
         self._times = times
         self._shadow, self._wgt, self._vec = _anchor_terms(params, times)
+        self._mean_x, self._lift = _control_terms(params, times)
         if self._euler:
             self._zeta_t = np.ascontiguousarray(zeta.T)
             self._zpow_t = self._zeta_t ** (-1.0 / params.market.gamma)
@@ -511,17 +560,19 @@ class _CostFunctional:
         self._zeta = zeta
 
     @functools.cached_property
-    def _kernel_wz(self) -> Tuple[Optional[np.ndarray], np.ndarray, np.ndarray]:
-        """The kernel (None at eta = 0), its decay and the weights ``wz``.
+    def _kernel_wz(self):
+        """The kernel (None at eta = 0), the weights ``wz`` and the control X.
 
         wz = zeta^(1 - 1/g) * shadow * decay^(g - 1) * wgt per path and
-        step, or its sum along each path at eta = 0.
+        step, or its sum along each path at eta = 0; X per path is the
+        control of :func:`_control_terms`.
         """
         p = self.params
         frozen = p.habit.eta == 0.0
         shape = self._zeta.shape
         kernel = None if frozen else np.empty(shape)
         wz = np.empty(shape[0] if frozen else shape)
+        x = wz if frozen else np.empty(shape[0])
 
         def fill(blocks):
             for rows, _, k in _integrand_blocks(
@@ -530,10 +581,22 @@ class _CostFunctional:
                 if kernel is not None:
                     _trapezoid_kernel(k, self._times, kernel[rows])
                 wz[rows] = _cost_weights(k, self._zeta[rows], self._vec, frozen)
+                if not frozen:
+                    x[rows] = (wz[rows] * self._lift).sum(axis=-1)
 
         _in_threads(shape[0], fill)
-        tau = self._times - self._times[0]
-        return kernel, np.exp(-p.habit.eta * tau / p.market.gamma), wz
+        return kernel, wz, x
+
+    @functools.cached_property
+    def control(self) -> Tuple[np.ndarray, float]:
+        """The control X per sample, paired like the costs, and E[X]."""
+        if self._euler:
+            x = np.zeros(self._zeta_t.shape[1])
+            for k, scale in enumerate(self._wgt * self._shadow):
+                x += scale * (self._zeta_t[k] * self._zpow_t[k])
+        else:
+            x = self._kernel_wz[2]
+        return _pair_average(x, self._antithetic), self._mean_x
 
     def per_path(self, alpha: float, y: float, h: float, delta: bool = False):
         """Remaining cost in wealth units from density level y and habit h.
@@ -544,7 +607,7 @@ class _CostFunctional:
         the one returned without it.
         """
         if self._euler:
-            cost, tangent = _euler_costs(
+            cost, tangent, _ = _euler_costs(
                 self.params,
                 alpha,
                 self._dt,
@@ -555,7 +618,7 @@ class _CostFunctional:
                 delta,
             )
         else:
-            kernel, _, wz = self._kernel_wz
+            kernel, wz, _ = self._kernel_wz
             cost = np.empty(wz.shape[0])
             tangent = np.empty_like(cost) if delta else None
 
@@ -573,24 +636,6 @@ class _CostFunctional:
         if delta:
             return cost, _pair_average(tangent.reshape(-1), self._antithetic)
         return cost
-
-    def frozen_alpha(self, v: float) -> float:
-        """The alpha that solves the eta = 0, pension-0 budget on this density.
-
-        That budget is alpha^(-1/g) h0^(1 - 1/g) mean(X) with, per path,
-        X = sum_k wgt_k shadow_k zeta_k^(1 - 1/g).
-        """
-        g = self.params.market.gamma
-        if self._euler:
-            x = np.zeros(self._zeta_t.shape[1])
-            for k, scale in enumerate(self._wgt * self._shadow):
-                x += scale * self._zeta_t[k] * self._zpow_t[k]
-        else:
-            kernel, decay, x = self._kernel_wz
-            if kernel is not None:
-                x = x @ decay ** (1.0 - g)
-        h0 = self.params.habit.initial
-        return float((h0 ** (1.0 - 1.0 / g) * x.mean() / v) ** g)
 
     def paths(self, alpha: float) -> Tuple[np.ndarray, np.ndarray]:
         """Consumption and habit along the paths from (1, initial habit)."""
@@ -695,12 +740,14 @@ def budget_value(
     """Expected density-weighted cost of the funded consumption stream.
 
     E[ integral zeta_t * (C_t - pension)_+ dt ] by trapezoid rule over
-    the bundle grid, averaged across paths.  The returned standard
+    the bundle grid, estimated across paths by regression on the
+    eta = 0 cost, whose mean is exact on the grid.  The returned standard
     error accounts for antithetic pairing when the bundle uses it.
     """
     _validate_positive("alpha", alpha)
     cost = _bundle_cost(params, paths)
-    return _estimate_from_samples(cost.per_path(alpha, 1.0, params.habit.initial))
+    samples = cost.per_path(alpha, 1.0, params.habit.initial)
+    return _estimate_from_samples(samples, *cost.control)
 
 
 def calibrate_alpha(
@@ -711,15 +758,17 @@ def calibrate_alpha(
     """Solve budget(alpha) = v by safeguarded Newton steps on a common path bundle.
 
     All evaluations reuse one bundle (common random numbers), so the
-    empirical budget B is strictly decreasing in alpha and the search is
-    deterministic given the seed.  From the frozen-habit solution on the
-    same density it steps log alpha += log(v / B) / (D / B), where
-    D = alpha dB/dalpha is the mean pathwise delta of the pricing sweep
-    (the rule sees alpha and y only through alpha * y).  A step that
-    leaves the bracket of evaluated iterates, or a delta that is not
-    negative and finite, is replaced by the bracket's geometric midpoint;
-    the widened ``config.bracket`` bounds a side not yet found.  Iterates
-    that fail to decrease raise :class:`BudgetMonotonicityError`.
+    plain sample mean P of the budget is strictly decreasing in alpha and
+    the search is deterministic given the seed.  B is the budget of
+    :func:`budget_value`, a function of alpha and the bundle.  From the
+    eta = 0 solution, exact on the grid, it steps
+    log alpha += log(v / B) / (D / P), where D = alpha dP/dalpha is the
+    mean pathwise delta of the pricing sweep (the rule sees alpha and y
+    only through alpha * y).  A step that leaves the bracket of evaluated
+    iterates, or a delta that is not negative and finite, is replaced by
+    the bracket's geometric midpoint; the widened ``config.bracket``
+    bounds a side not yet found.  Iterates whose P fail to decrease raise
+    :class:`BudgetMonotonicityError`.
 
     Parameters
     ----------
@@ -734,10 +783,12 @@ def calibrate_alpha(
         ``max_iterations`` budget evaluations do not reach tolerance.
     """
     cost = _calibration_cost(params, config, paths)
-    v, h0 = params.v, params.habit.initial
+    v, h0, g = params.v, params.habit.initial, params.market.gamma
     lo, hi = limits = (config.bracket[0] / 1e6, config.bracket[1] * 1e6)
     history = {}
-    alpha = min(max(cost.frozen_alpha(v), lo), hi)
+    x, mean_x = cost.control
+    # the eta = 0, pension-0 budget is alpha^(-1/g) h0^(1 - 1/g) E[X]
+    alpha = min(max((h0 ** (1.0 - 1.0 / g) * mean_x / v) ** g, lo), hi)
     while True:
         if len(history) >= config.max_iterations:
             raise CalibrationError(
@@ -745,8 +796,9 @@ def calibrate_alpha(
                 f"evaluations (last bracket [{lo:.6g}, {hi:.6g}])"
             )
         samples, deltas = cost.per_path(alpha, 1.0, h0, delta=True)
-        estimate = history[alpha] = _estimate_from_samples(samples)
-        b, d = estimate.value, float(deltas.mean())
+        estimate = _estimate_from_samples(samples, x, mean_x)
+        b, p, d = estimate.value, float(samples.mean()), float(deltas.mean())
+        history[alpha] = p
         del samples, deltas  # freed before the next sweep allocates its own
         if abs(b - v) / v <= config.tolerance:
             break
@@ -761,8 +813,8 @@ def calibrate_alpha(
             )
         step = math.nan
         if 0.0 < b < math.inf and -math.inf < d < 0.0:
-            # log(v / B) / (D / B), capped so that exp cannot overflow
-            step = min((math.log(v) - math.log(b)) * (b / d), 700.0)
+            # log(v / B) / (D / P), capped so that exp cannot overflow
+            step = min((math.log(v) - math.log(b)) * (p / d), 700.0)
         proposal = min(max(alpha * math.exp(step), limits[0]), limits[1])
         if not lo <= proposal <= hi or proposal in history:
             proposal = math.sqrt(lo) * math.sqrt(hi)
@@ -776,9 +828,8 @@ def calibrate_alpha(
     # a tie between adjacent floats is float resolution, not corruption
     ordered = sorted(history.items())
     if not all(
-        b0.value > b1.value
-        or (b0.value == b1.value and math.nextafter(a0, math.inf) == a1)
-        for (a0, b0), (a1, b1) in zip(ordered[:-1], ordered[1:])
+        p0 > p1 or (p0 == p1 and math.nextafter(a0, math.inf) == a1)
+        for (a0, p0), (a1, p1) in zip(ordered[:-1], ordered[1:])
     ):
         raise BudgetMonotonicityError(
             "budget iterates are not strictly decreasing in alpha; "

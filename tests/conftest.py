@@ -74,15 +74,54 @@ def reference_euler(alpha, params, times, zeta, dt, y=1.0, h=None):
     return cost, consumption, habit, delta
 
 
-def central_theta(price, y, bump, kappa_sig):
+def control_mean(params, times):
+    """E[X] of the control X = sum_k wgt_k shadow_k zeta_k^q, q = 1 - 1/g.
+
+    The density restarts at 1 at times[0] and is lognormal on the grid,
+    so E[zeta_tau^q] = exp(-q (r + kappa^2/2) tau + q^2 kappa^2 tau / 2).
+    """
+    m = params.market
+    q = 1.0 - 1.0 / m.gamma
+    wgt, shadow = _anchor_vectors(params, times)
+    tau = times - times[0]
+    moment = np.exp(q * (0.5 * q * m.kappa**2 - m.r - 0.5 * m.kappa**2) * tau)
+    return float((wgt * shadow * moment).sum())
+
+
+def reference_control(params, times, zeta):
+    """Oracle for the Euler sweeps' control: X per path and E[X].
+
+    X is summed path-major in step order, with the solver's arithmetic,
+    as (wgt_k shadow_k) * (zeta_k * zeta_k^(-1/g)).
+    """
+    wgt, shadow = _anchor_vectors(params, times)
+    zpow = zeta ** (-1.0 / params.market.gamma)
+    x = np.zeros(zeta.shape[0])
+    for k in range(times.shape[0]):
+        x += (wgt[k] * shadow[k]) * (zeta[:, k] * zpow[:, k])
+    return x, control_mean(params, times)
+
+
+def _anchor_vectors(params, times):
+    """Trapezoid weights and exp(-rho t / g) p_t^(1/g) on absolute ``times``."""
+    wgt = np.empty_like(times)
+    wgt[1:-1] = 0.5 * (times[2:] - times[:-2])
+    wgt[0] = 0.5 * (times[1] - times[0])
+    wgt[-1] = 0.5 * (times[-1] - times[-2])
+    log_p = log_survival_probability(params.mortality, times)
+    return wgt, np.exp((-params.market.rho * times + log_p) / params.market.gamma)
+
+
+def central_theta(price, y, bump, kappa_sig, *control):
     """Central-difference theta on common random numbers.
 
     ``price(level)`` returns the per-sample costs at density level
     ``level``; relative bumps make y * d/dy = difference / (2 * bump).
-    The pathwise estimate is its limit as the bump goes to 0.
+    The pathwise estimate is its limit as the bump goes to 0.  The
+    wealth is the regression estimate on ``control`` (X, E[X]) if given.
     """
     u = (price(y * (1.0 + bump)) - price(y * (1.0 - bump))) / (2.0 * bump)
-    return _ratio_theta(price(y), u, kappa_sig)
+    return _ratio_theta(price(y), u, kappa_sig, *control)
 
 
 @pytest.fixture(scope="session")

@@ -36,7 +36,13 @@ import greedyhabit.market
 from greedyhabit.allocation import _InnerPaths, _ratio_theta
 from greedyhabit.market import _density_paths, _fill_normals
 from greedyhabit.solver import _CostFunctional, _estimate_from_samples
-from conftest import central_theta, make_params, reference_euler
+from conftest import (
+    central_theta,
+    control_mean,
+    make_params,
+    reference_control,
+    reference_euler,
+)
 
 GRID = TimeGrid(60.0, 0.05)
 
@@ -51,13 +57,16 @@ def config(n_inner=6000, seed=77):
 
 class TestWealth:
     def test_no_habit_anchor(self):
-        # at eta = 0 the time-0 wealth is known in closed form: the
-        # exact multiplier for v must reproduce v within Monte Carlo noise
+        # at eta = 0 the time-0 wealth is known in closed form on the
+        # grid, alpha^(-1/gamma) E[X] (the continuous-time v up to the
+        # trapezoid rule's O(dt^2), test_merton): the exact multiplier for
+        # v must reproduce it within Monte Carlo noise and rounding
         market, mort = MarketParams(), GompertzParams()
         params = make_params(eta=0.0, v=10.0)
         alpha = merton_alpha(10.0, market, mort)
         est = wealth_no_pension(0.0, 1.0, alpha, params, config(20000, seed=41))
-        assert abs(est.value - 10.0) < 3.0 * est.std_error
+        exact = alpha ** (-1.0 / market.gamma) * control_mean(params, GRID.times())
+        assert abs(est.value - exact) < 3.0 * est.std_error + 1e-12 * exact
         assert est.std_error < 0.1
 
     def test_state_representations_agree(self):
@@ -128,12 +137,15 @@ class TestAllocation:
         # without a pension theta = (kappa/sigma) (1 - z F_z / F) in the
         # reduced state z = zeta * H; a central difference in z and the
         # pathwise derivative in the density level differ at O(bump^2)
+        # theta is the ratio of plain means, so the difference is of the
+        # plain means of F's samples
         params = make_params(eta=0.1)
         cfg = config(4000)
+        inner = _InnerPaths(params.market, cfg)
         b, ks = 1e-3, params.market.kappa / params.market.sigma
         for t, zeta, h in [(0.0, 1.0, 1.0), (10.0, 0.5, 1.2), (20.0, 2.0, 0.9)]:
             f0, f_up, f_dn = (
-                wealth_no_pension(t, zeta * h * s, ALPHA, params, cfg).value
+                inner.price([(t, 1.0, zeta * h * s)], ALPHA, params, "closed_form")[0][0].mean()
                 for s in (1.0, 1.0 + b, 1.0 - b)
             )
             expected = ks * (1.0 - (f_up - f_dn) / (2.0 * b * f0))
@@ -217,12 +229,17 @@ class TestStateEvaluation:
         assert simulated == []
 
     def test_theta_wealth_is_the_plain_estimate(self):
-        [(f0, u)] = _InnerPaths(MarketParams(), config(400)).price(
+        [(f0, u, x, mean_x)] = _InnerPaths(MarketParams(), config(400)).price(
             [(10.0, 0.8, 1.1)], ALPHA, make_params(eta=0.1)
         )
         est = _ratio_theta(f0, u, 0.5)
         assert est.reliable
         assert est.wealth == _estimate_from_samples(f0)
+        # with the control only the wealth moves: theta is the plain ratio
+        controlled = _ratio_theta(f0, u, 0.5, x, mean_x)
+        assert controlled.wealth == _estimate_from_samples(f0, x, mean_x)
+        assert controlled.wealth != est.wealth
+        assert controlled[:3] == est[:3]
 
 
 class TestPathwiseTheta:
@@ -261,6 +278,7 @@ class TestPathwiseTheta:
                 y,
                 1e-3,
                 ks,
+                *inner.price([(t, y, 1.0)], ALPHA, params)[0][2:],
             )
             assert a.wealth == b.wealth
             assert abs(a.value - b.value) < 2.0 * a.std_error, (t, y)
@@ -402,11 +420,14 @@ class TestSharedInnerPaths:
             cost, _, _, delta = reference_euler(
                 ALPHA, params, times, zeta[:, : m + 1], GRID.dt, *state
             )
+            x, mean_x = reference_control(params, times, zeta[:, : m + 1])
             half = cost.shape[0] // 2
             expected = _ratio_theta(
                 0.5 * (cost[:half] + cost[half:]),
                 0.5 * (delta[:half] + delta[half:]),
                 params.market.kappa / params.market.sigma,
+                0.5 * (x[:half] + x[half:]),
+                mean_x,
             )
             wealth = wealth_with_pension(
                 t, *state, ALPHA, params, cfg, _inner=inner
@@ -514,6 +535,9 @@ class TestBatchedStates:
         estimates = greedyhabit.allocation._allocations(
             self.STATES, ALPHA, params, cfg, inner
         )
+        ks = params.market.kappa / params.market.sigma
+        for est, (f0, u, x, mean_x) in zip(estimates, alone):
+            assert est == _ratio_theta(f0, u, ks, x, mean_x)
         if pension:
             t, y, h = self.STATES[3]
             m = GRID.n_steps - GRID.index_of(t)

@@ -33,33 +33,33 @@ RTOL = 1e-12
 # nested wealth and theta at each refresh)
 EXPECTED = {
     0.0: (
-        2.8430722717733845,
+        2.9095968004461397,
         [
-            (6.235916719699963, 0.08590020997168953, 1.0409719033639753),
-            (9.910733607220344, 0.13518987129002955, 1.1347033920608232),
-            (16.478981145819528, 0.22204913283679972, 1.2527593332470932),
-            (4.549342518462584, 0.05361040906392137, 0.9614426269703257),
-            (6.950331650640374, 0.08065017323313269, 1.0283256297697612),
-            (10.97304961439173, 0.1248156868482661, 1.1159382348669065),
+            (6.253313015900236, 0.021050711550967906, 1.0390821823682745),
+            (9.928935548372937, 0.02897752853667482, 1.1322616415907243),
+            (16.488235670042204, 0.04393314960046787, 1.2497609352131076),
+            (4.57193176583063, 0.010945443810350003, 0.9601131689974786),
+            (6.979222659616047, 0.014454028357219815, 1.026556863262533),
+            (11.006637069630301, 0.019890281796409753, 1.113657021861222),
         ],
-        [9.910733607220344, 11.575809126791501, 13.9291528103317,
-         20.583011319173455, 21.00168028537173],
-        [1.1347033920608232, 1.1711327053059932, 1.2119917905306472,
-         1.3005264872297846, 1.2957223638980278],
+        [9.928935548372937, 11.590900574910192, 13.93854145203277,
+         20.572370487479464, 20.98642376746151],
+        [1.1322616415907243, 1.1685725503876425, 1.2093310651001716,
+         1.297644647749595, 1.292974291011242],
     ),
     0.5: (
-        0.7048871729241165,
+        0.6992333480839856,
         [
-            (3.2862572382232997, 0.0441136803590917, 3.03866413314836),
-            (10.080991278561093, 0.10056746587818943, 2.340684949755767),
-            (1.4175207563002312, 0.011774427142111611, 3.554097395735827),
-            (4.9765331868879885, 0.05184541824937778, 2.4843793866887274),
-            (12.902979452244717, 0.06511869467548961, 2.044706331799547),
+            (3.2859750992404106, 0.027389018405721957, 3.0303156615344444),
+            (10.079224522529106, 0.05509970890567752, 2.337046312621417),
+            (1.423669007836636, 0.008095123632716342, 3.542569294431221),
+            (4.959522767262953, 0.021964373123801333, 2.4806342233295653),
+            (12.923895415927827, 0.03386852886922704, 2.042405932379264),
         ],
-        [10.080991278561093, 14.234993401289966, 20.43919439805454,
-         38.393686411981236, 40.50113876671981],
-        [2.340684949755767, 2.180623831265449, 2.0242785143248154,
-         1.876628492107484, 1.834797092229833],
+        [10.079224522529106, 14.262582968044272, 20.528452080119088,
+         38.715569582978205, 40.8700712624948],
+        [2.337046312621417, 2.1786733111765475, 2.021590129420366,
+         1.8755418411273714, 1.8336635627777598],
     ),
 }
 

@@ -18,8 +18,11 @@ import pytest
 
 import greedyhabit
 from greedyhabit import (
+    CalibrationConfig,
     GompertzParams,
+    HabitParams,
     MarketParams,
+    ModelParams,
     MertonOracle,
     budget_value,
     merton_alpha,
@@ -27,9 +30,11 @@ from greedyhabit import (
     merton_budget,
     merton_propensity,
     merton_theta,
+    TimeGrid,
+    calibrate_alpha,
     survival_probability,
 )
-from conftest import make_params
+from conftest import control_mean, make_params
 
 
 def annuity_by_trapezoid(market, mortality, t, t_max=60.0, n=240000):
@@ -164,15 +169,51 @@ class TestBudget:
             merton_alpha(-5.0, self.market, self.mortality)
 
     def test_monte_carlo_budget_agrees(self, small_bundle):
-        # the exact map and the trapezoid/path estimator must meet
-        # within Monte Carlo noise at several multipliers
+        # the exact map on the grid, alpha^(-1/gamma) E[X], and the
+        # trapezoid/path estimator must meet within Monte Carlo noise and
+        # rounding at several multipliers; the grid's gap to
+        # merton_budget is test_grid_budget_gap_is_second_order's
         params = make_params(eta=0.0)
+        mean_x = control_mean(params, small_bundle.grid.times())
         for alpha in (0.1, 1.0, 10.0):
             est = budget_value(alpha, params, small_bundle)
-            exact = merton_budget(alpha, self.market, self.mortality)
-            assert abs(est.value - exact) < 3.0 * est.std_error, (
+            exact = alpha ** (-1.0 / self.market.gamma) * mean_x
+            assert abs(est.value - exact) < 3.0 * est.std_error + 1e-12 * exact, (
                 f"alpha={alpha}: {est.value} vs {exact} (se {est.std_error})"
             )
+
+    @pytest.mark.parametrize("gamma", [0.5, 3.0])
+    def test_grid_budget_gap_is_second_order(self, gamma):
+        # the grid's exact eta = 0 budget is the trapezoid rule on the
+        # annuity integrand: its gap to the quadrature shrinks 4x per
+        # halving of dt (4.5e-7 relative at dt 0.05 and gamma 3)
+        market = MarketParams(gamma=gamma)
+        params = ModelParams(market=market, habit=HabitParams(eta=0.0))
+        exact = merton_budget(1.0, market, self.mortality)
+        gaps = [
+            control_mean(params, TimeGrid(60.0, dt).times()) - exact
+            for dt in (0.2, 0.1, 0.05)
+        ]
+        for coarse, fine in zip(gaps, gaps[1:]):
+            assert coarse / fine == pytest.approx(4.0, rel=1e-3)
+        assert abs(gaps[-1]) < 1e-6 * exact
+
+    def test_calibration_hits_the_exact_multiplier_on_every_seed(self):
+        # merton-check's settings (40000 antithetic paths, tolerance 1e-4)
+        # on a coarse grid: the plain sample mean put alpha up to 1.8%
+        # off, the control leaves the trapezoid rule's gap, about 3e-5
+        params = make_params(eta=0.0)
+        exact = merton_alpha(params.v, self.market, self.mortality)
+        for seed in range(1, 9):
+            config = CalibrationConfig(
+                grid=TimeGrid(60.0, 0.25),
+                n_paths=40000,
+                seed=seed,
+                tolerance=1e-4,
+                antithetic=True,
+            )
+            alpha = calibrate_alpha(params, config).alpha
+            assert abs(alpha - exact) / exact < 1e-3, seed
 
 
 class TestPropensity:

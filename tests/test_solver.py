@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from greedyhabit import (
     GompertzParams,
     MarketParams,
     ModelParams,
+    NestedConfig,
     TimeGrid,
     budget_value,
     calibrate_alpha,
@@ -36,10 +38,17 @@ from greedyhabit import (
 )
 import greedyhabit
 import greedyhabit.market
+from greedyhabit.allocation import _InnerPaths
 from greedyhabit.habit import bernoulli_kernel
 from greedyhabit.market import log_survival_probability
-from greedyhabit.solver import _CostFunctional, _bundle_cost, _calibration_paths
-from conftest import make_params, reference_euler
+from greedyhabit.solver import (
+    _CostFunctional,
+    _bundle_cost,
+    _calibration_paths,
+    _control_terms,
+    _estimate_from_samples,
+)
+from conftest import control_mean, make_params, reference_control, reference_euler
 
 
 def reference_budget(alpha, params, bundle):
@@ -48,7 +57,9 @@ def reference_budget(alpha, params, bundle):
     The closed-form sum (pension 0) and the path-major Euler loop
     (pension > 0), averaged over antithetic pairs when the bundle has
     them; kept as an oracle for the expression order the solver must
-    preserve.
+    preserve.  Returns the samples and the control X per sample, formed
+    from ``wz`` on the closed form and summed step by step on the Euler
+    branch, as the solver forms it.
     """
     times, zeta, dt = bundle.grid.times(), bundle.zeta, bundle.grid.dt
     g, eta, pi = params.market.gamma, params.habit.eta, params.pension
@@ -69,12 +80,19 @@ def reference_budget(alpha, params, bundle):
         wz = zeta * k * (np.exp(-eta * tau) * wgt)
         u0 = params.habit.initial ** (1.0 / g)
         y = beta * ((u0 + (eta / g) * beta * kernel) ** (g - 1.0) * wz).sum(axis=1)
+        # wz carries decay^(g - 1); exp(eta (1 - 1/g) tau) lifts it to X
+        x = (wz * np.exp(eta * (1.0 - 1.0 / g) * tau)).sum(axis=1)
     else:
         y = reference_euler(alpha, params, times, zeta, dt)[0]
+        x = reference_control(params, times, zeta)[0]
     if bundle.antithetic:
         half = y.shape[0] // 2
         y = 0.5 * (y[:half] + y[half:])
-    return y
+        x = 0.5 * (x[:half] + x[half:])
+    return y, x
+
+
+TESTS = os.path.dirname(os.path.abspath(__file__))
 
 
 class TestConsumptionRule:
@@ -260,23 +278,26 @@ class TestBudgetValue:
         b1 = budget_value(1.0, params, small_bundle)
         b8 = budget_value(8.0, params, small_bundle)
         assert b8.value == pytest.approx(b1.value / 2.0, rel=1e-12)
-        assert b1.std_error > 0.0
+        # so the eta = 0 control reproduces every path's cost, and only
+        # rounding is left of the standard error
+        assert 0.0 <= b1.std_error < 1e-12 * b1.value
 
     def test_matches_reference_sums(self, small_bundle, market):
         # same arithmetic in the same order, so the match is exact,
-        # path by path as well as in the mean and SE
+        # path by path as well as in the estimate and SE, which regress
+        # the samples on the control X
         plain = generate_paths(market, small_bundle.grid, 2001, seed=8)
         for bundle in (small_bundle, plain):
             for pension in (0.5, 0.0):
                 params = make_params(eta=0.1, pension=pension)
-                ref = reference_budget(2.9, params, bundle)
-                samples = _bundle_cost(params, bundle).per_path(
-                    2.9, 1.0, params.habit.initial
-                )
+                ref, ref_x = reference_budget(2.9, params, bundle)
+                cost = _bundle_cost(params, bundle)
+                samples = cost.per_path(2.9, 1.0, params.habit.initial)
                 assert np.array_equal(samples, ref)
+                assert np.array_equal(cost.control[0], ref_x)
                 est = budget_value(2.9, params, bundle)
-                assert est.value == ref.mean()
-                assert est.std_error == ref.std(ddof=1) / math.sqrt(ref.shape[0])
+                mean_x = control_mean(params, bundle.grid.times())
+                assert est == _estimate_from_samples(ref, ref_x, mean_x)
 
     @pytest.mark.parametrize("eta", [0.1, 2.0])
     def test_weights_match_the_power_form(self, small_bundle, eta):
@@ -287,7 +308,7 @@ class TestBudgetValue:
         g = params.market.gamma
         times, zeta = small_bundle.grid.times(), small_bundle.zeta[:300]
         cost = _CostFunctional(params, times, zeta, small_bundle.grid.dt, False)
-        kernel, decay, wz = cost._kernel_wz
+        kernel, wz, x = cost._kernel_wz
         log_p = log_survival_probability(params.mortality, times)
         shadow = np.exp((-params.market.rho * times + log_p) / g)
         decay_ref = np.exp(-eta * (times - times[0]) / g)
@@ -295,7 +316,8 @@ class TestBudgetValue:
         wgt[[0, -1]] *= 0.5
         expected = zeta ** (1.0 - 1.0 / g) * shadow * decay_ref ** (g - 1.0) * wgt
         np.testing.assert_allclose(wz, expected, rtol=1e-13, atol=0.0)
-        np.testing.assert_allclose(decay, decay_ref, rtol=1e-15, atol=0.0)
+        expected_x = (zeta ** (1.0 - 1.0 / g) * shadow * wgt).sum(axis=1)
+        np.testing.assert_allclose(x, expected_x, rtol=1e-13, atol=0.0)
         ref_kernel, _ = bernoulli_kernel(
             params.habit, params.market, params.mortality, times, zeta
         )
@@ -408,6 +430,20 @@ class TestCalibration:
         assert CalibrationConfig(n_paths=5).n_paths == 5
 
 
+def plain_sample_mean(self):
+    """A ``_CostFunctional.control`` that leaves the plain sample mean.
+
+    A control without variance turns the regression off, and its stated
+    mean, that of X formed by one matrix-vector product, starts the
+    search where the plain sample-mean search starts.  The float-
+    resolution cases below were found on those iterates.
+    """
+    _, wz, _ = self._kernel_wz
+    g, tau = self.params.market.gamma, self._times - self._times[0]
+    decay = np.exp(-self.params.habit.eta * tau / g)
+    return np.zeros(wz.shape[0]), (wz @ decay ** (1.0 - g)).mean()
+
+
 class TestNewtonSearch:
     """The log-log Newton search on the pathwise delta, and its safeguards."""
 
@@ -482,6 +518,7 @@ class TestNewtonSearch:
             return samples, np.full(4, -b / 3.0)
 
         monkeypatch.setattr(_CostFunctional, "per_path", scripted)
+        monkeypatch.setattr(_CostFunctional, "control", (np.zeros(4), 1.0))
         with pytest.raises(BudgetMonotonicityError):
             calibrate_alpha(params, self.CONFIG)
         assert script == []
@@ -502,6 +539,7 @@ class TestNewtonSearch:
             return out
 
         monkeypatch.setattr(_CostFunctional, "per_path", recorded)
+        monkeypatch.setattr(_CostFunctional, "control", property(plain_sample_mean))
         sol = calibrate_alpha(ModelParams(), config)
         assert sol.budget_residual == 0.0
         ordered = sorted(budgets.items())
@@ -516,11 +554,14 @@ class TestNewtonSearch:
         # with an unreachable tolerance the search must still end: every
         # pass evaluates a new alpha or raises, so it stops within
         # max_iterations evaluations.  A fresh interpreter with a timeout
-        # keeps a regression from hanging the suite.
+        # keeps a regression from hanging the suite.  The search runs on
+        # the plain sample mean, where seed 1 never meets the tolerance.
         script = (
             "from greedyhabit import CalibrationConfig, CalibrationError, "
             "TimeGrid, calibrate_alpha\n"
-            "from greedyhabit.solver import ModelParams\n"
+            "from greedyhabit.solver import ModelParams, _CostFunctional\n"
+            "from test_solver import plain_sample_mean\n"
+            "_CostFunctional.control = property(plain_sample_mean)\n"
             "config = CalibrationConfig(grid=TimeGrid(60.0, 0.5), n_paths=200, "
             "seed=1, tolerance=1e-300, max_iterations=80)\n"
             "try:\n"
@@ -531,13 +572,88 @@ class TestNewtonSearch:
         src = os.path.dirname(os.path.dirname(greedyhabit.__file__))
         out = subprocess.run(
             [sys.executable, "-c", script],
-            env=dict(os.environ, PYTHONPATH=src),
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join([src, TESTS])),
             capture_output=True,
             text=True,
             check=True,
             timeout=60,
         ).stdout
         assert out.startswith("raised")
+
+
+class TestControlVariate:
+    """Budgets and nested wealth regress the cost on the eta = 0 cost X.
+
+    X = sum_k wgt_k shadow_k zeta_k^(1 - 1/g) per sample has a mean that
+    is exact on the grid, so the regression estimate keeps the plain
+    mean's expectation and removes the part of its noise X explains.
+    """
+
+    GRID = TimeGrid(60.0, 0.1)
+
+    @staticmethod
+    def assert_mean(x, mean_x):
+        assert abs(x.mean() - mean_x) < 4.0 * x.std(ddof=1) / math.sqrt(x.shape[0])
+
+    @pytest.mark.parametrize("gamma", [0.5, 3.0])
+    def test_mean_of_x_is_exact_on_the_grid(self, gamma):
+        params = dataclasses.replace(
+            make_params(eta=0.1), market=MarketParams(gamma=gamma)
+        )
+        bundle = generate_paths(
+            params.market, self.GRID, 4000, seed=21, antithetic=True
+        )
+        x, mean_x = _bundle_cost(params, bundle).control
+        assert x.shape == (2000,)
+        assert mean_x == control_mean(params, self.GRID.times())
+        self.assert_mean(x, mean_x)
+        # at a nested anchor the inner density restarts at 1
+        inner = _InnerPaths(
+            params.market, NestedConfig(n_inner=4000, seed=22, grid=self.GRID)
+        )
+        [(_, _, x, mean_x)] = inner.price([(20.0, 0.7, 1.2)], 2.9, params)
+        times = 20.0 + np.arange(self.GRID.n_steps - 199) * self.GRID.dt
+        assert mean_x == _control_terms(params, times)[0]
+        assert mean_x == pytest.approx(control_mean(params, times), rel=1e-14)
+        self.assert_mean(x, mean_x)
+
+    def test_frozen_habit_budget_is_exact_on_any_bundle(self):
+        # at eta = 0 and pension 0 every path costs beta h0^(1-1/g) X
+        params = make_params(eta=0.0, c_bar=1.3)
+        g = params.market.gamma
+        mean_x = control_mean(params, self.GRID.times())
+        for n, seed, antithetic in ((7, 1, False), (400, 2, True), (3001, 3, False)):
+            bundle = generate_paths(
+                params.market, self.GRID, n, seed=seed, antithetic=antithetic
+            )
+            for alpha in (0.3, 2.9):
+                est = budget_value(alpha, params, bundle)
+                exact = alpha ** (-1.0 / g) * 1.3 ** (1.0 - 1.0 / g) * mean_x
+                assert est.value == pytest.approx(exact, rel=1e-12)
+                assert est.std_error < 1e-12 * exact
+
+    @pytest.mark.parametrize("eta", [0.1, 2.0])
+    @pytest.mark.parametrize("pension", [0.0, 0.5])
+    def test_agrees_with_the_plain_mean(self, small_bundle, eta, pension):
+        params = make_params(eta=eta, pension=pension)
+        samples = _bundle_cost(params, small_bundle).per_path(1.0, 1.0, 1.0)
+        plain = _estimate_from_samples(samples)
+        est = budget_value(1.0, params, small_bundle)
+        assert abs(est.value - plain.value) < 3.0 * plain.std_error
+        assert 0.0 < est.std_error < plain.std_error
+
+    def test_one_antithetic_pair_each_side_is_the_plain_estimate(self):
+        # 4 mirrored paths are 2 samples: no residual degree of freedom
+        params = make_params(eta=0.1)
+        bundle = generate_paths(params.market, self.GRID, 4, seed=3, antithetic=True)
+        samples = _bundle_cost(params, bundle).per_path(2.9, 1.0, 1.0)
+        config = CalibrationConfig(grid=self.GRID, n_paths=4, seed=3, antithetic=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = budget_value(2.9, params, bundle)
+            sol = calibrate_alpha(params, config)
+        assert est == _estimate_from_samples(samples)
+        assert sol.budget_residual <= config.tolerance and sol.budget_se > 0.0
 
 
 class TestCalibrationDensity:
@@ -577,7 +693,9 @@ class TestRowBlocks:
             params = make_params(eta=eta)
             cost = _bundle_cost(params, bundle)
             out["per_path", eta] = cost.per_path(2.9, 1.3, 0.8)
-            out["wz", eta] = cost._kernel_wz[2]
+            out["wz", eta] = cost._kernel_wz[1]
+            out["control", eta] = cost.control[0]
+            out["budget", eta] = budget_value(2.9, params, bundle)
         params = make_params(eta=0.1)
         out["kernel"] = bernoulli_kernel(
             params.habit, market, params.mortality, self.GRID.times(), bundle.zeta
