@@ -1,8 +1,9 @@
 """Fixed-seed fingerprint of the pipeline at toy size.
 
 Pins the calibrated multiplier, the policy-surface rows and a lifetime
-record's nested track at pensions 0 (closed form) and 0.5 (Euler) to
-values recorded with numpy 2.4 on x86-64, so a change that claims to
+record's nested track at pensions 0 (closed form) and 0.5 (Euler), and
+at pension 0 for gamma 2.5 (the closed form's power of the kernel) and
+gamma 5 (its polynomial in per-path kernel moments), to values recorded with numpy 2.4 on x86-64, so a change that claims to
 keep results bit-identical, or to move them only by rounding, is checked
 by the suite.  The tolerance, rtol 1e-12, admits reassociated
 floating-point arithmetic; a change to the model, the sampler or the
@@ -15,6 +16,7 @@ import pytest
 from greedyhabit import (
     CalibrationConfig,
     HabitParams,
+    MarketParams,
     ModelParams,
     NestedConfig,
     TimeGrid,
@@ -64,10 +66,54 @@ EXPECTED = {
 }
 
 
+# gamma -> the same four items at pension 0
+EXPECTED_GAMMA = {
+    2.5: (
+        2.420462281597251,
+        [
+            (5.853122461781812, 0.014027532496959432, 1.204677842084109),
+            (9.999758564033902, 0.020961897645699612, 1.311771968263062),
+            (17.981257678249094, 0.0370004353787983, 1.444513698130176),
+            (4.096080376274203, 0.006866807703082343, 1.1156622992294634),
+            (6.694489783957431, 0.009706165112065856, 1.192413994496336),
+            (11.363503988802558, 0.01512741548057295, 1.2941047042388703),
+        ],
+        [9.999758564033902, 12.022650348381283, 14.94531917320376,
+         23.51263329193671, 24.12595601678726],
+        [1.311771968263062, 1.353362707925875, 1.3992807814978252,
+         1.4968210325486788, 1.4904769232600397],
+    ),
+    5.0: (
+        6.54295495695088,
+        [
+            (7.275740004946331, 0.04723484876738135, 0.6788029560818686),
+            (9.832921961483642, 0.057952713563076345, 0.7308539304573509),
+            (13.623911592287167, 0.07191281205170211, 0.7953930582051021),
+            (5.825907271486114, 0.03130438026202885, 0.6277215420036955),
+            (7.6790540845073805, 0.038059807424011514, 0.665719084407408),
+            (10.307083508532829, 0.046365191498627834, 0.7127792560528823),
+        ],
+        [9.832921961483642, 10.72953902500815, 11.935772093398793,
+         15.126923268888428, 15.157432290070808],
+        [0.7308539304573509, 0.7503342894407043, 0.7725001378537595,
+         0.8213394519898001, 0.8194099030744583],
+    ),
+}
+
+
 @pytest.mark.parametrize("pension", [0.0, 0.5])
 def test_fixed_seed_fingerprint(pension):
-    alpha, surface, nested_wealth, theta = EXPECTED[pension]
-    params = ModelParams(habit=HabitParams(eta=0.1), pension=pension)
+    check(ModelParams(habit=HabitParams(eta=0.1), pension=pension), EXPECTED[pension])
+
+
+@pytest.mark.parametrize("gamma", [2.5, 5.0])
+def test_fixed_seed_fingerprint_across_gamma(gamma):
+    market = MarketParams(gamma=gamma)
+    check(ModelParams(market=market, habit=HabitParams(eta=0.1)), EXPECTED_GAMMA[gamma])
+
+
+def check(params, expected):
+    alpha, surface, nested_wealth, theta = expected
     solution = calibrate_alpha(params, CALIBRATION)
     assert solution.alpha == pytest.approx(alpha, rel=RTOL, abs=0.0)
 
