@@ -148,7 +148,9 @@ class _InnerPaths:
     :meth:`price` prices a whole list of states in one pass, and every
     state of a run is known before it prices: the closed form streams
     row blocks of the path-major density and builds each anchor's kernel
-    inside the block (no full-size kernel is kept); the Euler branch
+    inside the block (no full-size kernel is kept), then, when gamma - 1
+    is a whole number, prices every state of the anchor from the kernel
+    moments of each path (``solver._closed_form_costs``); the Euler branch
     steps every state together over a single step-major copy of the
     density and its power ``zeta_t ** (-1/gamma)``, made on first use.
     Pension-0 use never makes either.  The paths belong to one market,

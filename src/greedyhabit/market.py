@@ -470,6 +470,8 @@ def _simulate(
                 zeta[target] = zeta_blk[j * k : (j + 1) * k]
                 if keep_w:
                     w[target] = w_blk[j * k : (j + 1) * k]
+            # freed before the next block allocates its own
+            del dw, w_blk, zeta_blk
 
     _in_threads(n_streams, fill)
     return PathBundle(grid, n_paths, seed, w, zeta, antithetic)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Tuple, Union
 
@@ -322,11 +323,47 @@ def _cost_weights(k, zeta, vec, frozen):
     return k.sum(axis=-1) if frozen else k
 
 
-def _price_rows(params, alpha, y, h, kernel, wz, delta):
-    """Closed-form cost, and y * d(cost)/dy with ``delta``, of rows of one block.
+def _moment_order(gamma: float) -> Optional[int]:
+    """n = gamma - 1 when the closed form prices from kernel moments, else None.
 
-    ``kernel`` and ``wz`` are the rows' kernel and weights (kernel None
-    at eta = 0).  Each row is priced on its own, so a result never
+    With m = (eta/g) K, a path's cost is beta/y sum_k wz_k (u0 + beta m_k)^n.
+    When n is a whole number that sum is sum_j C(n, j) u0^(n-j) beta^j M_j
+    over the moments M_j = sum_k wz_k m_k^j, j = 0..n, of the path, which
+    depend on neither alpha nor the state; every term is non-negative, so
+    nothing cancels.  Up to n = 53 every C(n, j) <= 2^n is an exact float
+    and a path keeps few moments; past it, and at any other gamma, the
+    cost takes the power of the kernel.
+    """
+    n = float(gamma) - 1.0
+    return int(n) if n.is_integer() and 1.0 <= n <= 53.0 else None
+
+
+def _kernel_moments(m, wz, out):
+    """Fill ``out[:, j]`` with M_j = sum_k wz_k m_k^j per row, j = 0, 1, ...
+
+    ``m`` and ``wz`` are one block's rows; ``wz`` is overwritten.  Each
+    row's moments come from that row alone.
+    """
+    out[:, 0] = wz.sum(axis=-1)
+    for j in range(1, out.shape[1]):
+        wz *= m
+        out[:, j] = wz.sum(axis=-1)
+
+
+def _moment_sum(moments, n, u0, beta):
+    """sum_k wz_k (u0 + beta m_k)^n per row from the moments M_j, j <= n."""
+    total = moments[:, n] * beta**n
+    for j in range(n - 1, -1, -1):
+        total += moments[:, j] * (math.comb(n, j) * u0 ** (n - j) * beta**j)
+    return total
+
+
+def _price_rows(params, alpha, y, h, kernel, wz, delta):
+    """Closed-form cost, and y * d(cost)/dy with ``delta``, of rows of paths.
+
+    ``kernel`` and ``wz`` are the rows' terms from :func:`_anchor_pass`:
+    without a kernel, wz summed along each row at eta = 0, or the rows'
+    kernel moments.  Each row is priced on its own, so a result never
     depends on how rows are split into blocks.  Returns (cost, delta or
     None) in wealth units per path.
     """
@@ -335,38 +372,55 @@ def _price_rows(params, alpha, y, h, kernel, wz, delta):
     # zeta C = beta * wz * (z^(1/g) + (eta/g) beta K)^(g-1) with
     # z = y * h; dividing by y turns F(t, z) into wealth units
     u0 = (y * h) ** (1.0 / g)
-    if kernel is None:
+    if kernel is None and params.habit.eta == 0.0:
         cost = beta * (wz * u0 ** (g - 1.0)) / y
         return cost, -cost / g if delta else None
-    block = kernel * ((params.habit.eta / g) * beta)
-    block += u0
-    power = block ** (g - 1.0)
-    power *= wz
-    cost = beta * power.sum(axis=-1) / y
+    if kernel is None:
+        n = wz.shape[1] - 1
+        cost = beta * _moment_sum(wz, n, u0, beta) / y
+        # the delta's B^(g-2) is the polynomial of degree n - 1
+        dsums = _moment_sum(wz, n - 1, u0, beta) if delta else None
+    else:
+        block = kernel * ((params.habit.eta / g) * beta)
+        block += u0
+        power = block ** (g - 1.0)
+        power *= wz
+        cost = beta * power.sum(axis=-1) / y
+        # the delta's B^(g-2) is B^(g-1) / B
+        dsums = (power / block).sum(axis=-1) if delta else None
     if not delta:
         return cost, None
-    # the delta's B^(g-2) is B^(g-1) / B; y du0/dy = u0 / g, and d(1/y)
-    # gives -cost
-    dsums = (power / block).sum(axis=-1)
+    # y du0/dy = u0 / g, and d(1/y) gives -cost
     return cost, -cost + (beta / y) * ((g - 1.0) / g) * u0 * dsums
 
 
-def _closed_form_costs(params, alpha, zeta, anchors, states):
-    """Per-path cost, delta and control X of every state, over row blocks.
+def _anchor_pass(params, zeta, anchors, in_block):
+    """Every anchor's closed-form terms and control X, over row blocks.
 
     ``anchors`` are absolute time vectors reading the leading columns of
-    the path-major density ``zeta``; ``states`` are (anchor index, y, h).
-    Each block builds every anchor's kernel and ``wz`` once, from one
-    log(zeta) / gamma, and prices that anchor's states while they are in
-    cache, so no full-size kernel or ``wz`` is held; chunks of blocks run
-    on :func:`_in_threads`.
+    the path-major density ``zeta``.  Each block builds every anchor's
+    kernel and ``wz`` once, from one log(zeta) / gamma, so no full-size
+    array is made; chunks of blocks run on :func:`_in_threads`, and each
+    row's terms come from that row alone.  Returns ``(kept, xs)``:
+    ``xs[j]`` is anchor j's X per path (:func:`_control_terms`), and
+    ``kept[j]`` its terms per path when they need no kernel: wz summed
+    along the path at eta = 0, or with a moment order n
+    (:func:`_moment_order`) the moments of m = (eta/g) K, shape
+    (n_paths, n + 1).  On the power form ``kept`` is None, and
+    ``in_block(rows, j, kernel, wz)`` takes each block's terms while they
+    are in cache.
     """
     frozen = params.habit.eta == 0.0
+    order = None if frozen else _moment_order(params.market.gamma)
+    n_paths = zeta.shape[0]
     vecs = [_anchor_terms(params, times)[2] for times in anchors]
     lifts = [_control_terms(params, times)[1] for times in anchors]
-    cost = np.empty((len(states), zeta.shape[0]))
-    tangent = np.empty_like(cost)
-    control = np.empty_like(cost)
+    xs = np.empty((len(anchors), n_paths))
+    kept = None
+    if frozen:
+        kept = np.empty((len(anchors), n_paths))
+    elif order is not None:
+        kept = np.empty((len(anchors), n_paths, order + 1))
 
     def fill(blocks):
         for rows, j, k in _integrand_blocks(
@@ -375,16 +429,42 @@ def _closed_form_costs(params, alpha, zeta, anchors, states):
             times = anchors[j]
             kernel = None if frozen else _trapezoid_kernel(k, times, np.empty_like(k))
             wz = _cost_weights(k, zeta[rows, : times.shape[0]], vecs[j], frozen)
-            x = wz if frozen else (wz * lifts[j]).sum(axis=-1)
-            for r, (at, y, h) in enumerate(states):
-                if at == j:
-                    cost[r, rows], tangent[r, rows] = _price_rows(
-                        params, alpha, y, h, kernel, wz, True
-                    )
-                    control[r, rows] = x
+            xs[j, rows] = wz if frozen else (wz * lifts[j]).sum(axis=-1)
+            if frozen:
+                kept[j, rows] = wz
+            elif order is None:
+                in_block(rows, j, kernel, wz)
+            else:
+                kernel *= params.habit.eta / params.market.gamma
+                _kernel_moments(kernel, wz, kept[j, rows])
 
-    _in_threads(zeta.shape[0], fill)
-    return cost, tangent, control
+    _in_threads(n_paths, fill)
+    return kept, xs
+
+
+def _closed_form_costs(params, alpha, zeta, anchors, states):
+    """Per-path cost, delta and control X of every state (anchor index, y, h).
+
+    One :func:`_anchor_pass` over ``zeta``: on the power form each block
+    prices its anchor's states while the kernel is in cache; otherwise
+    every state is priced from its anchor's kept terms, a few numbers
+    per path, after the pass.
+    """
+    cost = np.empty((len(states), zeta.shape[0]))
+    tangent = np.empty_like(cost)
+
+    def price(rows, j, kernel, wz):
+        for r, (at, y, h) in enumerate(states):
+            if at == j:
+                cost[r, rows], tangent[r, rows] = _price_rows(
+                    params, alpha, y, h, kernel, wz, True
+                )
+
+    kept, xs = _anchor_pass(params, zeta, anchors, price)
+    if kept is not None:
+        for r, (j, y, h) in enumerate(states):
+            cost[r], tangent[r] = _price_rows(params, alpha, y, h, None, kept[j], True)
+    return cost, tangent, xs[[j for j, _, _ in states]]
 
 
 def _euler_stream(params, alpha, dt, zeta_t, zpow_t, anchors, states, tangent=False):
@@ -528,11 +608,14 @@ class _CostFunctional:
     array is taken without a copy.  ``closed_form`` keeps ``zeta``
     path-major, because its sums run along each path's time axis and
     their pairwise summation order depends on that layout.  Its first
-    :meth:`per_path` stores the kernel and ``wz``, built over blocks of
-    ``ROW_BLOCK`` rows in chunks on threads, since calibration prices
-    them at several alphas; every row is computed on its own, so neither
+    :meth:`per_path` stores the terms of :func:`_anchor_pass`, built
+    over blocks of ``ROW_BLOCK`` rows in chunks on threads, since
+    calibration prices them at several alphas: when gamma - 1 is a whole
+    number n (:func:`_moment_order`) the n + 1 kernel moments per path,
+    from which every alpha prices in O(paths), and otherwise the kernel
+    and ``wz``, full size.  Every row is computed on its own, so neither
     the block size nor the thread count changes a result.  :meth:`paths`
-    stores neither.  Either branch can return
+    stores none of them.  Either branch can return
     y * d(cost)/dy per path from the sweep that prices the cost, which is
     the pathwise delta calibration's Newton step reads.
     """
@@ -551,8 +634,8 @@ class _CostFunctional:
         self._euler = _resolve_method(params, method, dt) == "euler"
         self._dt = dt
         self._times = times
-        self._shadow, self._wgt, self._vec = _anchor_terms(params, times)
-        self._mean_x, self._lift = _control_terms(params, times)
+        self._shadow, self._wgt, _ = _anchor_terms(params, times)
+        self._mean_x = _control_terms(params, times)[0]
         if self._euler:
             self._zeta_t = np.ascontiguousarray(zeta.T)
             self._zpow_t = self._zeta_t ** (-1.0 / params.market.gamma)
@@ -561,31 +644,23 @@ class _CostFunctional:
 
     @functools.cached_property
     def _kernel_wz(self):
-        """The kernel (None at eta = 0), the weights ``wz`` and the control X.
+        """The kernel, the weights and the control X per path.
 
-        wz = zeta^(1 - 1/g) * shadow * decay^(g - 1) * wgt per path and
-        step, or its sum along each path at eta = 0; X per path is the
-        control of :func:`_control_terms`.
+        The terms of :func:`_anchor_pass`: on the power form the kernel
+        and wz = zeta^(1 - 1/g) * shadow * decay^(g - 1) * wgt per path
+        and step; at eta = 0 no kernel and wz summed along each path; on
+        kernel moments no kernel and the moments, shape (n_paths, n + 1).
         """
         p = self.params
-        frozen = p.habit.eta == 0.0
-        shape = self._zeta.shape
-        kernel = None if frozen else np.empty(shape)
-        wz = np.empty(shape[0] if frozen else shape)
-        x = wz if frozen else np.empty(shape[0])
+        kernel = wz = None
+        if p.habit.eta != 0.0 and _moment_order(p.market.gamma) is None:
+            kernel, wz = np.empty_like(self._zeta), np.empty_like(self._zeta)
 
-        def fill(blocks):
-            for rows, _, k in _integrand_blocks(
-                p.habit, p.market, p.mortality, [self._times], self._zeta, blocks
-            ):
-                if kernel is not None:
-                    _trapezoid_kernel(k, self._times, kernel[rows])
-                wz[rows] = _cost_weights(k, self._zeta[rows], self._vec, frozen)
-                if not frozen:
-                    x[rows] = (wz[rows] * self._lift).sum(axis=-1)
+        def store(rows, _, block_kernel, block_wz):
+            kernel[rows], wz[rows] = block_kernel, block_wz
 
-        _in_threads(shape[0], fill)
-        return kernel, wz, x
+        kept, xs = _anchor_pass(p, self._zeta, [self._times], store)
+        return kernel, wz if kept is None else kept[0], xs[0]
 
     @functools.cached_property
     def control(self) -> Tuple[np.ndarray, float]:
@@ -617,6 +692,11 @@ class _CostFunctional:
                 [(0, y, h)],
                 delta,
             )
+        elif self._kernel_wz[0] is None:
+            # eta = 0 or kernel moments: a few numbers per path
+            cost, tangent = _price_rows(
+                self.params, alpha, y, h, None, self._kernel_wz[1], delta
+            )
         else:
             kernel, wz, _ = self._kernel_wz
             cost = np.empty(wz.shape[0])
@@ -624,9 +704,8 @@ class _CostFunctional:
 
             def fill(blocks):
                 for rows in blocks:
-                    block = None if kernel is None else kernel[rows]
                     cost[rows], d = _price_rows(
-                        self.params, alpha, y, h, block, wz[rows], delta
+                        self.params, alpha, y, h, kernel[rows], wz[rows], delta
                     )
                     if delta:
                         tangent[rows] = d
@@ -768,7 +847,8 @@ def calibrate_alpha(
     iterates, or a delta that is not negative and finite, is replaced by
     the bracket's geometric midpoint; the widened ``config.bracket``
     bounds a side not yet found.  Iterates whose P fail to decrease raise
-    :class:`BudgetMonotonicityError`.
+    :class:`BudgetMonotonicityError`, except equal finite P whose deltas
+    predict a change below float resolution.
 
     Parameters
     ----------
@@ -798,7 +878,7 @@ def calibrate_alpha(
         samples, deltas = cost.per_path(alpha, 1.0, h0, delta=True)
         estimate = _estimate_from_samples(samples, x, mean_x)
         b, p, d = estimate.value, float(samples.mean()), float(deltas.mean())
-        history[alpha] = p
+        history[alpha] = p, d
         del samples, deltas  # freed before the next sweep allocates its own
         if abs(b - v) / v <= config.tolerance:
             break
@@ -825,16 +905,22 @@ def calibrate_alpha(
             )
         alpha = proposal
 
-    # a tie between adjacent floats is float resolution, not corruption
+    # Equal finite means are float resolution, not corruption, when the
+    # two deltas predict a relative change |D/P| log(a1/a0) below 4 eps:
+    # two floats' relative spacing is at most eps, and the rounding of
+    # each mean's sum and of the prediction adds about as much again, so a
+    # smaller change need not show; any gap the budget resolves predicts
+    # far more.  A non-finite delta predicts nothing and forgives nothing.
     ordered = sorted(history.items())
-    if not all(
-        p0 > p1 or (p0 == p1 and math.nextafter(a0, math.inf) == a1)
-        for (a0, p0), (a1, p1) in zip(ordered[:-1], ordered[1:])
-    ):
-        raise BudgetMonotonicityError(
-            "budget iterates are not strictly decreasing in alpha; "
-            "the Monte Carlo budget is numerically corrupt on this grid"
-        )
+    for (a0, (p0, d0)), (a1, (p1, d1)) in zip(ordered[:-1], ordered[1:]):
+        change = 0.5 * (abs(d0) + abs(d1)) * math.log(a1 / a0)
+        resolution = 4.0 * sys.float_info.epsilon * p0
+        tie = p0 == p1 and math.isfinite(p0) and change <= resolution
+        if not (p0 > p1 or tie):
+            raise BudgetMonotonicityError(
+                "budget iterates are not strictly decreasing in alpha; "
+                "the Monte Carlo budget is numerically corrupt on this grid"
+            )
 
     return GreedySolution(
         alpha=alpha,

@@ -3,9 +3,10 @@
 Pins the calibrated multiplier, the policy-surface rows and a lifetime
 record's nested track at pensions 0 (closed form) and 0.5 (Euler), and
 at pension 0 for gamma 2.5 (the closed form's power of the kernel) and
-gamma 5 (its polynomial in per-path kernel moments), to values recorded with numpy 2.4 on x86-64, so a change that claims to
-keep results bit-identical, or to move them only by rounding, is checked
-by the suite.  The tolerance, rtol 1e-12, admits reassociated
+gamma 5 (its polynomial in per-path kernel moments), to values recorded
+with numpy 2.4 on x86-64, so a change that claims to keep results
+bit-identical, or to move them only by rounding, is checked by the
+suite.  The tolerance, rtol 1e-12, admits reassociated
 floating-point arithmetic; a change to the model, the sampler or the
 seeding moves these numbers by far more.
 """

@@ -47,6 +47,7 @@ from greedyhabit.solver import (
     _calibration_paths,
     _control_terms,
     _estimate_from_samples,
+    _moment_order,
 )
 from conftest import control_mean, make_params, reference_control, reference_euler
 
@@ -283,45 +284,67 @@ class TestBudgetValue:
         assert 0.0 <= b1.std_error < 1e-12 * b1.value
 
     def test_matches_reference_sums(self, small_bundle, market):
-        # same arithmetic in the same order, so the match is exact,
-        # path by path as well as in the estimate and SE, which regress
-        # the samples on the control X
+        # at gamma 2.5 the closed form takes the power of the kernel, the
+        # same arithmetic in the same order, so the match is exact, path by
+        # path as well as in the estimate and SE, which regress the samples
+        # on the control X; at gamma 3 it sums kernel moments, equal to
+        # rounding, and the Euler branch is exact at both
         plain = generate_paths(market, small_bundle.grid, 2001, seed=8)
-        for bundle in (small_bundle, plain):
-            for pension in (0.5, 0.0):
-                params = make_params(eta=0.1, pension=pension)
-                ref, ref_x = reference_budget(2.9, params, bundle)
-                cost = _bundle_cost(params, bundle)
-                samples = cost.per_path(2.9, 1.0, params.habit.initial)
-                assert np.array_equal(samples, ref)
-                assert np.array_equal(cost.control[0], ref_x)
-                est = budget_value(2.9, params, bundle)
-                mean_x = control_mean(params, bundle.grid.times())
-                assert est == _estimate_from_samples(ref, ref_x, mean_x)
+        for gamma in (2.5, 3.0):
+            for bundle in (small_bundle, plain):
+                for pension in (0.5, 0.0):
+                    params = dataclasses.replace(
+                        make_params(eta=0.1, pension=pension),
+                        market=MarketParams(gamma=gamma),
+                    )
+                    ref, ref_x = reference_budget(2.9, params, bundle)
+                    cost = _bundle_cost(params, bundle)
+                    samples = cost.per_path(2.9, 1.0, params.habit.initial)
+                    assert np.array_equal(cost.control[0], ref_x)
+                    est = budget_value(2.9, params, bundle)
+                    mean_x = control_mean(params, bundle.grid.times())
+                    if gamma == 3.0 and pension == 0.0:
+                        np.testing.assert_allclose(samples, ref, rtol=1e-13, atol=0.0)
+                        ref_est = _estimate_from_samples(ref, ref_x, mean_x)
+                        assert est.value == pytest.approx(ref_est.value, rel=1e-13)
+                        continue
+                    assert np.array_equal(samples, ref)
+                    assert est == _estimate_from_samples(ref, ref_x, mean_x)
 
     @pytest.mark.parametrize("eta", [0.1, 2.0])
     def test_weights_match_the_power_form(self, small_bundle, eta):
-        # one pass forms the kernel and wz from the kernel integrand; wz
-        # must equal zeta^(1-1/g) shadow decay^(g-1) wgt to rounding, and
-        # the kernel must be bernoulli_kernel's bit for bit
-        params = make_params(eta=eta)
-        g = params.market.gamma
+        # one pass forms the terms from the kernel integrand.  At gamma 2.5
+        # they are the kernel and wz: wz must equal zeta^(1-1/g) shadow
+        # decay^(g-1) wgt to rounding, and the kernel must be
+        # bernoulli_kernel's bit for bit.  At gamma 3 they are the moments
+        # sum_k wz_k (eta/g K_k)^j, j = 0, 1, 2, of those two
         times, zeta = small_bundle.grid.times(), small_bundle.zeta[:300]
-        cost = _CostFunctional(params, times, zeta, small_bundle.grid.dt, False)
-        kernel, wz, x = cost._kernel_wz
-        log_p = log_survival_probability(params.mortality, times)
-        shadow = np.exp((-params.market.rho * times + log_p) / g)
-        decay_ref = np.exp(-eta * (times - times[0]) / g)
-        wgt = np.full_like(times, small_bundle.grid.dt)
-        wgt[[0, -1]] *= 0.5
-        expected = zeta ** (1.0 - 1.0 / g) * shadow * decay_ref ** (g - 1.0) * wgt
-        np.testing.assert_allclose(wz, expected, rtol=1e-13, atol=0.0)
-        expected_x = (zeta ** (1.0 - 1.0 / g) * shadow * wgt).sum(axis=1)
-        np.testing.assert_allclose(x, expected_x, rtol=1e-13, atol=0.0)
-        ref_kernel, _ = bernoulli_kernel(
-            params.habit, params.market, params.mortality, times, zeta
-        )
-        assert np.array_equal(kernel, ref_kernel)
+        for gamma in (2.5, 3.0):
+            params = dataclasses.replace(
+                make_params(eta=eta), market=MarketParams(gamma=gamma)
+            )
+            g = params.market.gamma
+            cost = _CostFunctional(params, times, zeta, small_bundle.grid.dt, False)
+            kernel, wz, x = cost._kernel_wz
+            log_p = log_survival_probability(params.mortality, times)
+            shadow = np.exp((-params.market.rho * times + log_p) / g)
+            decay_ref = np.exp(-eta * (times - times[0]) / g)
+            wgt = np.full_like(times, small_bundle.grid.dt)
+            wgt[[0, -1]] *= 0.5
+            expected = zeta ** (1.0 - 1.0 / g) * shadow * decay_ref ** (g - 1.0) * wgt
+            expected_x = (zeta ** (1.0 - 1.0 / g) * shadow * wgt).sum(axis=1)
+            np.testing.assert_allclose(x, expected_x, rtol=1e-13, atol=0.0)
+            ref_kernel, _ = bernoulli_kernel(
+                params.habit, params.market, params.mortality, times, zeta
+            )
+            if gamma == 2.5:
+                np.testing.assert_allclose(wz, expected, rtol=1e-13, atol=0.0)
+                assert np.array_equal(kernel, ref_kernel)
+                continue
+            assert kernel is None and wz.shape == (zeta.shape[0], 3)
+            for j in range(3):
+                moment = (expected * ((eta / g) * ref_kernel) ** j).sum(axis=1)
+                np.testing.assert_allclose(wz[:, j], moment, rtol=1e-13, atol=0.0)
 
     def test_pension_lowers_funded_cost(self, small_bundle):
         # the pension pays for the floor, so the funded budget shrinks
@@ -436,12 +459,18 @@ def plain_sample_mean(self):
     A control without variance turns the regression off, and its stated
     mean, that of X formed by one matrix-vector product, starts the
     search where the plain sample-mean search starts.  The float-
-    resolution cases below were found on those iterates.
+    resolution cases below were found on those iterates, at gamma 2.5,
+    where the closed form keeps ``wz`` per step.
     """
     _, wz, _ = self._kernel_wz
     g, tau = self.params.market.gamma, self._times - self._times[0]
     decay = np.exp(-self.params.habit.eta * tau / g)
     return np.zeros(wz.shape[0]), (wz @ decay ** (1.0 - g)).mean()
+
+
+#: the model of the float-resolution cases: a non-integer gamma keeps the
+#: power form, whose stored wz ``plain_sample_mean`` reads
+POWER_FORM = ModelParams(market=MarketParams(gamma=2.5))
 
 
 class TestNewtonSearch:
@@ -524,11 +553,11 @@ class TestNewtonSearch:
         assert script == []
 
     def test_tie_at_adjacent_floats_is_not_corruption(self, monkeypatch):
-        # at seed 2 two iterates one float apart both price
+        # at seed 14 two iterates one float apart both price
         # 10.000000000000002 before a third reaches v exactly; that tie is
         # float resolution, so the search returns its solution
         config = CalibrationConfig(
-            grid=TimeGrid(60.0, 0.5), n_paths=200, seed=2, tolerance=1e-300
+            grid=TimeGrid(60.0, 0.5), n_paths=200, seed=14, tolerance=1e-300
         )
         real = _CostFunctional.per_path
         budgets = {}
@@ -540,7 +569,7 @@ class TestNewtonSearch:
 
         monkeypatch.setattr(_CostFunctional, "per_path", recorded)
         monkeypatch.setattr(_CostFunctional, "control", property(plain_sample_mean))
-        sol = calibrate_alpha(ModelParams(), config)
+        sol = calibrate_alpha(POWER_FORM, config)
         assert sol.budget_residual == 0.0
         ordered = sorted(budgets.items())
         ties = [
@@ -550,22 +579,75 @@ class TestNewtonSearch:
         ]
         assert ties and all(math.nextafter(a0, math.inf) == a1 for a0, a1 in ties)
 
+    @staticmethod
+    def script_budget(monkeypatch, budget):
+        """Price every sample at ``budget(alpha)``, delta -B/3, no control."""
+        seen = []
+
+        def scripted(self, alpha, y, h, delta=False):
+            b = budget(alpha)
+            seen.append((alpha, b))
+            samples = np.full(4, b)
+            return (samples, np.full(4, -b / 3.0)) if delta else samples
+
+        monkeypatch.setattr(_CostFunctional, "per_path", scripted)
+        monkeypatch.setattr(_CostFunctional, "control", (np.zeros(4), 1.0))
+        return seen
+
+    @pytest.mark.parametrize("c", [3.1, 3.15])
+    def test_tie_below_float_resolution_is_not_corruption(self, monkeypatch, c):
+        # B = 10 (c / alpha)^(1/3) ties at alphas two or more floats apart
+        # (about 0.3 and 0.7 eps of predicted change), which is float
+        # resolution as much as a tie of adjacent floats
+        seen = self.script_budget(monkeypatch, lambda a: 10.0 * (c / a) ** (1.0 / 3.0))
+        config = dataclasses.replace(self.CONFIG, tolerance=1e-300)
+        sol = calibrate_alpha(make_params(eta=0.1), config)
+        assert sol.budget_residual == 0.0
+        ordered = sorted(seen)
+        assert any(
+            b0 == b1 and math.nextafter(a0, math.inf) != a1
+            for (a0, b0), (a1, b1) in zip(ordered[:-1], ordered[1:])
+        )
+
+    def test_increase_by_one_float_is_caught(self, monkeypatch):
+        # budgets 2v, then one float more at a larger alpha, then v: an
+        # increase is never float resolution, however small
+        v = make_params().v
+        script = iter([2.0 * v, math.nextafter(2.0 * v, math.inf), v])
+        self.script_budget(monkeypatch, lambda a: next(script))
+        with pytest.raises(BudgetMonotonicityError):
+            calibrate_alpha(make_params(eta=0.1), self.CONFIG)
+
+    def test_constant_budget_across_a_gap_is_caught(self, monkeypatch):
+        # a budget that equals v only far away is flat wherever the search
+        # looks; equal means across a resolved gap are a defect
+        self.script_budget(monkeypatch, lambda a: 20.0 if a < 1e9 else 10.0)
+        with pytest.raises(BudgetMonotonicityError):
+            calibrate_alpha(make_params(eta=0.1), self.CONFIG)
+
+    def test_infinite_tie_is_caught(self, monkeypatch):
+        # two infinite budgets, whose delta predicts nothing, then v
+        script = iter([math.inf, math.inf, make_params().v])
+        self.script_budget(monkeypatch, lambda a: next(script))
+        with np.errstate(invalid="ignore"), pytest.raises(BudgetMonotonicityError):
+            calibrate_alpha(make_params(eta=0.1), self.CONFIG)
+
     def test_collapsed_bracket_fails_instead_of_spinning(self):
         # with an unreachable tolerance the search must still end: every
         # pass evaluates a new alpha or raises, so it stops within
         # max_iterations evaluations.  A fresh interpreter with a timeout
         # keeps a regression from hanging the suite.  The search runs on
-        # the plain sample mean, where seed 1 never meets the tolerance.
+        # the plain sample mean, where seed 2 never meets the tolerance.
         script = (
             "from greedyhabit import CalibrationConfig, CalibrationError, "
             "TimeGrid, calibrate_alpha\n"
-            "from greedyhabit.solver import ModelParams, _CostFunctional\n"
-            "from test_solver import plain_sample_mean\n"
+            "from greedyhabit.solver import _CostFunctional\n"
+            "from test_solver import POWER_FORM, plain_sample_mean\n"
             "_CostFunctional.control = property(plain_sample_mean)\n"
             "config = CalibrationConfig(grid=TimeGrid(60.0, 0.5), n_paths=200, "
-            "seed=1, tolerance=1e-300, max_iterations=80)\n"
+            "seed=2, tolerance=1e-300, max_iterations=80)\n"
             "try:\n"
-            "    calibrate_alpha(ModelParams(), config)\n"
+            "    calibrate_alpha(POWER_FORM, config)\n"
             "except CalibrationError as exc:\n"
             "    print('raised', exc)\n"
         )
@@ -678,9 +760,10 @@ class TestCalibrationDensity:
 
 
 class TestRowBlocks:
-    """The density, the kernel, ``wz`` and the closed-form costs are built
-    in blocks of ``ROW_BLOCK`` rows, in up to ``WORKERS`` chunks of blocks
-    on threads; no block size or worker count may change a result."""
+    """The density, the kernel, ``wz``, the kernel moments and the
+    closed-form costs are built in blocks of ``ROW_BLOCK`` rows, in up to
+    ``WORKERS`` chunks of blocks on threads; no block size or worker count
+    may change a result."""
 
     GRID = TimeGrid(60.0, 0.1)
 
@@ -696,6 +779,22 @@ class TestRowBlocks:
             out["wz", eta] = cost._kernel_wz[1]
             out["control", eta] = cost.control[0]
             out["budget", eta] = budget_value(2.9, params, bundle)
+        # the closed form on kernel moments (gamma 3) and on the power of
+        # the kernel (gamma 2.5), for one anchor and for nested anchors
+        inner = NestedConfig(
+            n_inner=n_paths, seed=7, grid=self.GRID, antithetic=antithetic
+        )
+        for gamma in (2.5, 3.0):
+            params = dataclasses.replace(
+                make_params(eta=0.1), market=MarketParams(gamma=gamma)
+            )
+            cost = _bundle_cost(params, bundle)
+            out["delta", gamma] = cost.per_path(2.9, 1.3, 0.8, delta=True)
+            out["weights", gamma] = cost._kernel_wz[1]
+            priced = _InnerPaths(params.market, inner).price(
+                [(0.0, 1.3, 0.8), (10.0, 0.4, 1.1), (0.0, 2.0, 0.5)], 2.9, params
+            )
+            out["nested", gamma] = np.array([np.hstack(row) for row in priced])
         params = make_params(eta=0.1)
         out["kernel"] = bernoulli_kernel(
             params.habit, market, params.mortality, self.GRID.times(), bundle.zeta
@@ -746,26 +845,94 @@ class TestRowBlocks:
 
 
 class TestCalibrationMemory:
-    @pytest.mark.parametrize("pension", [0.0, 0.5])
-    def test_peak_is_a_few_full_arrays(self, monkeypatch, pension):
-        # numpy reports its buffers to tracemalloc, so the peak is
-        # deterministic: the density, kernel and wz, or the Euler
-        # branch's step-major density and its power, are three full
-        # arrays; a second thread adds only its blocks' temporaries
-        config = CalibrationConfig(
-            grid=TimeGrid(60.0, 0.05), n_paths=2000, seed=5, antithetic=True
-        )
-        params = make_params(eta=0.1, pension=pension)
-        full = config.n_paths * (config.grid.n_steps + 1) * 8
+    """Peak traced memory of a calibration, in full (paths x times) arrays.
+
+    numpy reports its buffers to tracemalloc, so the peak is
+    deterministic; a second thread adds only its blocks' temporaries.
+    """
+
+    CONFIG = CalibrationConfig(
+        grid=TimeGrid(60.0, 0.05), n_paths=2000, seed=5, antithetic=True
+    )
+
+    def assert_peak(self, monkeypatch, params, bound):
+        full = self.CONFIG.n_paths * (self.CONFIG.grid.n_steps + 1) * 8
         for workers in (1, 2):
             monkeypatch.setattr(greedyhabit.market, "WORKERS", workers)
             tracemalloc.start()
             try:
-                calibrate_alpha(params, config)
+                calibrate_alpha(params, self.CONFIG)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= 3.5 * full, workers
+            assert peak <= bound * full, workers
+
+    @pytest.mark.parametrize("pension", [0.0, 0.5])
+    def test_peak_is_a_few_full_arrays(self, monkeypatch, pension):
+        # at most the density, kernel and wz of the power form, or the
+        # Euler branch's step-major density and its power: three arrays
+        self.assert_peak(monkeypatch, make_params(eta=0.1, pension=pension), 3.5)
+
+    def test_moments_keep_no_full_kernel_or_weights(self, monkeypatch):
+        # at gamma 3 calibration keeps three moments per path, so the peak
+        # is the density and the blocks' temporaries (the kernel and wz
+        # stored in their place made it about 3.1 full arrays)
+        self.assert_peak(monkeypatch, make_params(eta=0.1), 1.5)
+
+
+class TestKernelMoments:
+    """At a whole gamma - 1 = n the closed form sums n + 1 kernel moments.
+
+    The oracle is the power of the kernel through the same code, with
+    ``_moment_order`` patched to None: the calibration functional's cost
+    and delta, and the nested pricing of 3 anchors x 5 states, must agree
+    to rounding.
+    """
+
+    GRID = TimeGrid(60.0, 0.1)
+    STATES = [
+        (t, y, h)
+        for t in (0.0, 10.0, 30.0)
+        for y, h in ((1.0, 1.0), (0.2, 1.0), (5.0, 0.5), (1.3, 0.8), (0.05, 2.0))
+    ]
+
+    def test_only_a_whole_gamma_selects_moments(self):
+        assert [_moment_order(g) for g in (2, 2.0, 3.0, 5.0, 10.0, 54.0)] == [
+            1, 1, 2, 4, 9, 53
+        ]
+        for gamma in (0.5, 1.5, 2.5, 3.0000000000000004, 55.0, 1e300):
+            assert _moment_order(gamma) is None
+
+    @pytest.mark.parametrize("gamma", [2.0, 3.0, 5.0, 10.0])
+    @pytest.mark.parametrize("eta", [0.1, 2.0])
+    def test_equals_the_power_form(self, monkeypatch, gamma, eta):
+        params = dataclasses.replace(
+            make_params(eta=eta), market=MarketParams(gamma=gamma)
+        )
+        bundle = generate_paths(
+            params.market, self.GRID, 400, seed=12, antithetic=True
+        )
+        nested = NestedConfig(n_inner=400, seed=7, grid=self.GRID)
+
+        def run():
+            cost = _bundle_cost(params, bundle)
+            kernel = cost._kernel_wz[0]
+            priced = _InnerPaths(params.market, nested).price(
+                self.STATES, 2.9, params
+            )
+            return kernel, cost.per_path(2.9, 1.3, 0.8, delta=True), priced
+
+        kernel, moments, nested_moments = run()
+        assert kernel is None
+        monkeypatch.setattr(greedyhabit.solver, "_moment_order", lambda g: None)
+        kernel, power, nested_power = run()
+        assert kernel is not None
+        for got, want in zip(moments, power):
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+        for got, want in zip(nested_moments, nested_power):
+            for a, b in zip(got[:2], want[:2]):
+                np.testing.assert_allclose(a, b, rtol=1e-13, atol=0.0)
+            assert np.array_equal(got[2], want[2]) and got[3] == want[3]
 
 
 class TestPathwiseDelta:
