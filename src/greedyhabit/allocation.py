@@ -47,13 +47,11 @@ from .market import DEFAULT_SEED, MarketParams, TimeGrid, _simulate
 from .solver import (
     BudgetEstimate,
     ModelParams,
-    _closed_form_costs,
-    _control_terms,
+    _CostFunctional,
     _estimate_from_samples,
-    _euler_costs,
-    _pair_average,
     _require_two_samples,
     _resolve_method,
+    _step_major,
     consumption_with_pension,
 )
 
@@ -146,21 +144,17 @@ class _InnerPaths:
     numbers in t as well as in the state).
 
     :meth:`price` prices a whole list of states in one pass, and every
-    state of a run is known before it prices: the closed form streams
-    row blocks of the path-major density and builds each anchor's kernel
-    inside the block (no full-size kernel is kept), then, when gamma - 1
-    is a whole number, prices every state of the anchor from the kernel
-    moments of each path (``solver._closed_form_costs``); the Euler branch
-    steps every state together over a single step-major copy of the
-    density and its power ``zeta_t ** (-1/gamma)``, made on first use.
-    Pension-0 use never makes either.  The paths belong to one market,
-    and :meth:`price` rejects model parameters with another.
+    state of a run is known before it prices: each call runs calibration's
+    pricer, ``solver._CostFunctional``, with one anchor per distinct time.
+    Its Euler branch sweeps one step-major copy of the density and its
+    power (``solver._step_major``), made on first use and shared by every
+    later call; pension-0 use never makes it.  The paths belong to one
+    market, and :meth:`price` rejects model parameters with another.
     """
 
     def __init__(self, market: MarketParams, config: NestedConfig):
         self.config = config
         self.market = market
-        self._zeta_t = self._zpow_t = None
 
     @functools.cached_property
     def _zeta(self) -> np.ndarray:
@@ -175,14 +169,16 @@ class _InnerPaths:
             keep_w=False,
         ).zeta
 
-    def price(self, states, alpha: float, params: ModelParams, method: str = "auto"):
-        """Per-sample G and y * dG/dy at every state (t, y, h), in one pass.
+    @functools.cached_property
+    def _steps(self):
+        return _step_major(self._zeta, self.market.gamma)
 
-        Returns one (samples, deltas, x, mean_x) tuple per state, in
-        order, with the control X of the state's anchor per sample and its
-        exact mean (``solver._control_terms``).  Every state is checked
-        before any inner path is built; a state's result does not depend
-        on the others in the list.
+    def price(self, states, alpha: float, params: ModelParams, method: str = "auto"):
+        """Per-sample G, y * dG/dy and control at every state (t, y, h), in one pass.
+
+        One (samples, deltas, x, mean_x) tuple per state, in order, as
+        ``solver._CostFunctional.price`` returns them; every state is
+        checked before any inner path is built.
         """
         if params.market != self.market:
             raise ValueError(
@@ -198,19 +194,10 @@ class _InnerPaths:
         starts = list(dict.fromkeys(t for t, _, _ in states))
         times = [t + np.arange(_horizon_steps(grid, t) + 1) * grid.dt for t in starts]
         rows = [(starts.index(t), y, h) for t, y, h in states]
-        if method == "euler":
-            if self._zeta_t is None:
-                self._zeta_t = np.ascontiguousarray(self._zeta.T)
-                self._zpow_t = self._zeta_t ** (-1.0 / self.market.gamma)
-            priced = _euler_costs(
-                params, alpha, grid.dt, self._zeta_t, self._zpow_t, times, rows,
-                True, True,
-            )
-        else:
-            priced = _closed_form_costs(params, alpha, self._zeta, times, rows)
-        means = [_control_terms(params, anchor)[0] for anchor in times]
-        paired = [_pair_average(a, self.config.antithetic) for a in priced]
-        return list(zip(*paired, [means[j] for j, _, _ in rows]))
+        return _CostFunctional(
+            params, times, self._zeta, grid.dt, self.config.antithetic, method,
+            self._steps if method == "euler" else None,
+        ).price(alpha, rows, True)
 
 
 def _ratio_theta(f0, u, kappa_sig, x=None, mean_x=0.0):
@@ -237,25 +224,19 @@ def _ratio_theta(f0, u, kappa_sig, x=None, mean_x=0.0):
     )
 
 
-def _price_states(states, alpha, params, config, inner, method):
-    """Per-sample G, zeta * dG/dzeta and control at every state (t, zeta, H).
-
-    One pass over ``inner``, or over new inner paths from ``config``.
-    """
-    return (inner or _InnerPaths(params.market, config)).price(
-        states, alpha, params, method
-    )
-
-
 def _allocations(
-    states, alpha: float, params: ModelParams, config: NestedConfig, inner=None
+    states, alpha: float, params: ModelParams, config: NestedConfig, inner=None,
+    method: str = "auto",
 ) -> List[ThetaEstimate]:
-    """:func:`allocation_at` at every state (t, zeta, H), from one pass."""
+    """:func:`allocation_at` at every state (t, zeta, H), from one pass.
+
+    The pass runs over ``inner``, or over new inner paths from ``config``.
+    """
     kappa_sig = params.market.kappa / params.market.sigma
     return [
         _ratio_theta(f0, u, kappa_sig, *control)
-        for f0, u, *control in _price_states(
-            states, alpha, params, config, inner, "auto"
+        for f0, u, *control in (inner or _InnerPaths(params.market, config)).price(
+            states, alpha, params, method
         )
     ]
 
@@ -274,10 +255,8 @@ def wealth_no_pension(
     martingale wealth at (t, zeta, H) is F(t, zeta * H) / zeta.  It is
     the closed-form G at zeta = 1 with habit_level z.
     """
-    [(f0, _, x, mean_x)] = _price_states(
-        [(t, 1.0, z)], alpha, params, config, _inner, "closed_form"
-    )
-    return _estimate_from_samples(f0, x, mean_x)
+    [est] = _allocations([(t, 1.0, z)], alpha, params, config, _inner, "closed_form")
+    return est.wealth
 
 
 def wealth_with_pension(
@@ -290,10 +269,10 @@ def wealth_with_pension(
     _inner: Optional[_InnerPaths] = None,
 ) -> BudgetEstimate:
     """G(t, zeta, H): wealth with a pension (valid for pension = 0 too)."""
-    [(f0, _, x, mean_x)] = _price_states(
+    [est] = _allocations(
         [(t, zeta, habit_level)], alpha, params, config, _inner, "euler"
     )
-    return _estimate_from_samples(f0, x, mean_x)
+    return est.wealth
 
 
 def allocation_at(

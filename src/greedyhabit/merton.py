@@ -18,7 +18,7 @@ Monte Carlo machinery in the eta -> 0 limit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .market import GompertzParams, MarketParams, survival_probability
 
@@ -28,7 +28,6 @@ __all__ = [
     "merton_budget",
     "merton_propensity",
     "merton_alpha",
-    "MertonOracle",
 ]
 
 _QUAD_KW = dict(epsabs=1e-12, epsrel=1e-9, limit=200)
@@ -115,28 +114,3 @@ def merton_alpha(
     g = market.gamma
     a0 = merton_annuity(market, mortality, 0.0, t_max)
     return (c_bar ** (1.0 - 1.0 / g) * a0 / v) ** g
-
-
-@dataclass(frozen=True)
-class MertonOracle:
-    """Bundle of eta = 0 reference quantities for a fixed model."""
-
-    market: MarketParams
-    mortality: GompertzParams
-    t_max: float = 60.0
-
-    @property
-    def theta_star(self) -> float:
-        return merton_theta(self.market)
-
-    def annuity(self, t: float = 0.0) -> float:
-        return merton_annuity(self.market, self.mortality, t, self.t_max)
-
-    def propensity(self, t: float = 0.0) -> float:
-        return merton_propensity(self.market, self.mortality, t, self.t_max)
-
-    def budget(self, alpha: float, c_bar: float = 1.0) -> float:
-        return merton_budget(alpha, self.market, self.mortality, c_bar, self.t_max)
-
-    def alpha_for_wealth(self, v: float, c_bar: float = 1.0) -> float:
-        return merton_alpha(v, self.market, self.mortality, c_bar, self.t_max)

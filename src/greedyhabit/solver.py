@@ -358,14 +358,15 @@ def _moment_sum(moments, n, u0, beta):
     return total
 
 
-def _price_rows(params, alpha, y, h, kernel, wz, delta):
-    """Closed-form cost, and y * d(cost)/dy with ``delta``, of rows of paths.
+def _price_rows(params, alpha, y, h, kernel, wz):
+    """Closed-form cost and y * d(cost)/dy of rows of paths.
 
     ``kernel`` and ``wz`` are the rows' terms from :func:`_anchor_pass`:
     without a kernel, wz summed along each row at eta = 0, or the rows'
     kernel moments.  Each row is priced on its own, so a result never
-    depends on how rows are split into blocks.  Returns (cost, delta or
-    None) in wealth units per path.
+    depends on how rows are split into blocks.  Returns (cost, delta) in
+    wealth units per path; the delta costs a few operations per path, or
+    one division per element on the power form.
     """
     g = params.market.gamma
     beta = alpha ** (-1.0 / g)
@@ -374,12 +375,12 @@ def _price_rows(params, alpha, y, h, kernel, wz, delta):
     u0 = (y * h) ** (1.0 / g)
     if kernel is None and params.habit.eta == 0.0:
         cost = beta * (wz * u0 ** (g - 1.0)) / y
-        return cost, -cost / g if delta else None
+        return cost, -cost / g
     if kernel is None:
         n = wz.shape[1] - 1
         cost = beta * _moment_sum(wz, n, u0, beta) / y
         # the delta's B^(g-2) is the polynomial of degree n - 1
-        dsums = _moment_sum(wz, n - 1, u0, beta) if delta else None
+        dsums = _moment_sum(wz, n - 1, u0, beta)
     else:
         block = kernel * ((params.habit.eta / g) * beta)
         block += u0
@@ -387,9 +388,7 @@ def _price_rows(params, alpha, y, h, kernel, wz, delta):
         power *= wz
         cost = beta * power.sum(axis=-1) / y
         # the delta's B^(g-2) is B^(g-1) / B
-        dsums = (power / block).sum(axis=-1) if delta else None
-    if not delta:
-        return cost, None
+        dsums = (power / block).sum(axis=-1)
     # y du0/dy = u0 / g, and d(1/y) gives -cost
     return cost, -cost + (beta / y) * ((g - 1.0) / g) * u0 * dsums
 
@@ -440,31 +439,6 @@ def _anchor_pass(params, zeta, anchors, in_block):
 
     _in_threads(n_paths, fill)
     return kept, xs
-
-
-def _closed_form_costs(params, alpha, zeta, anchors, states):
-    """Per-path cost, delta and control X of every state (anchor index, y, h).
-
-    One :func:`_anchor_pass` over ``zeta``: on the power form each block
-    prices its anchor's states while the kernel is in cache; otherwise
-    every state is priced from its anchor's kept terms, a few numbers
-    per path, after the pass.
-    """
-    cost = np.empty((len(states), zeta.shape[0]))
-    tangent = np.empty_like(cost)
-
-    def price(rows, j, kernel, wz):
-        for r, (at, y, h) in enumerate(states):
-            if at == j:
-                cost[r, rows], tangent[r, rows] = _price_rows(
-                    params, alpha, y, h, kernel, wz, True
-                )
-
-    kept, xs = _anchor_pass(params, zeta, anchors, price)
-    if kept is not None:
-        for r, (j, y, h) in enumerate(states):
-            cost[r], tangent[r] = _price_rows(params, alpha, y, h, None, kept[j], True)
-    return cost, tangent, xs[[j for j, _, _ in states]]
 
 
 def _euler_stream(params, alpha, dt, zeta_t, zpow_t, anchors, states, tangent=False):
@@ -525,28 +499,31 @@ def _euler_stream(params, alpha, dt, zeta_t, zpow_t, anchors, states, tangent=Fa
             dh[:nxt] += step
 
 
-def _euler_costs(
-    params, alpha, dt, zeta_t, zpow_t, anchors, states, delta, control=False
-):
-    """Per-path cost, delta and control X of every state from one Euler sweep.
+def _step_major(zeta, gamma):
+    """The density step-major, shape (n_times, n_paths), and zeta^(-1/gamma).
+
+    Each Euler step then reads one contiguous row of every path; a
+    transposed view of a step-major array is taken without a copy.
+    """
+    zeta_t = np.ascontiguousarray(zeta.T)
+    return zeta_t, zeta_t ** (-1.0 / gamma)
+
+
+def _euler_costs(params, alpha, dt, zeta_t, zpow_t, anchors, states, delta):
+    """Per-path cost and delta (None without ``delta``) of every state, one sweep.
 
     ``states`` are (anchor index, y, h), as :func:`_euler_stream` takes
-    them but in any order; the rows come back in the order given.  The
-    delta is None without ``delta``, and X (summed in step order like the
-    cost) None without ``control``.  With more than one state, chunks of
-    paths (columns) sweep on :func:`_in_threads`.
+    them but in any order; the rows come back in the order given.
     """
     pi = params.pension
     order = sorted(range(len(states)), key=lambda r: -anchors[states[r][0]].shape[0])
     rows = [states[r] for r in order]
     wgt = np.zeros((len(rows), anchors[rows[0][0]].shape[0]))
-    scale = np.zeros_like(wgt)
     for r, (j, _, _) in enumerate(rows):
-        shadow, w, _ = _anchor_terms(params, anchors[j])
-        wgt[r, : w.shape[0]], scale[r, : w.shape[0]] = w, w * shadow
+        w = _anchor_terms(params, anchors[j])[1]
+        wgt[r, : w.shape[0]] = w
     cost = np.zeros((len(rows), zeta_t.shape[1]))
     tangent = np.zeros_like(cost) if delta else None
-    xs = np.zeros_like(cost) if control else None
 
     def sweep(blocks):
         # the paths of the blocks, a run of columns: each step's slice of
@@ -566,9 +543,6 @@ def _euler_costs(
                 term = dc * wgt[:live, k, None]
                 term *= zeta_t[k, cols]
                 tangent[:live, cols] += term
-            if control:
-                term = zeta_t[k, cols] * zpow_t[k, cols]
-                xs[:live, cols] += scale[:live, k, None] * term
 
     if len(rows) > 1:
         _in_threads(zeta_t.shape[1], sweep)
@@ -577,7 +551,32 @@ def _euler_costs(
         # short to pay for handing the interpreter lock between threads
         sweep([slice(0, zeta_t.shape[1])])
     given = np.argsort(order)
-    return tuple(None if a is None else a[given] for a in (cost, tangent, xs))
+    return cost[given], None if tangent is None else tangent[given]
+
+
+def _euler_controls(params, zeta_t, zpow_t, anchors):
+    """X per path of every anchor (:func:`_control_terms`), one step-major pass.
+
+    X sums (wgt_k shadow_k) * (zeta_k * zpow_k) in step order.  Anchors go
+    longest first, so those still summing at step k are a prefix.
+    """
+    order = sorted(range(len(anchors)), key=lambda j: -anchors[j].shape[0])
+    steps = np.array([anchors[j].shape[0] for j in order])
+    scale = np.zeros((len(order), steps[0]))
+    for r, j in enumerate(order):
+        shadow, wgt, _ = _anchor_terms(params, anchors[j])
+        scale[r, : steps[r]] = wgt * shadow
+    counts = (steps[:, None] > np.arange(steps[0])).sum(axis=0)
+    xs = np.zeros((len(order), zeta_t.shape[1]))
+
+    def sweep(blocks):
+        cols = slice(blocks[0].start, blocks[-1].stop)
+        for k, live in enumerate(counts):
+            term = zeta_t[k, cols] * zpow_t[k, cols]
+            xs[:live, cols] += scale[:live, k, None] * term
+
+    _in_threads(zeta_t.shape[1], sweep)
+    return xs[np.argsort(order)]
 
 
 def _pair_average(x: np.ndarray, antithetic: bool) -> np.ndarray:
@@ -589,143 +588,131 @@ def _pair_average(x: np.ndarray, antithetic: bool) -> np.ndarray:
 
 
 class _CostFunctional:
-    """Expected cost of the remaining greedy stream, per path, from one anchor.
+    """Expected cost of the remaining greedy stream, per path, at many states.
 
-    ``zeta`` holds density paths restarted at 1 at ``times[0]`` (absolute
-    times, step ``dt``), shape (n_paths, n_times).  Everything that
-    depends on neither alpha nor the state is computed once, so
-    calibration prices every iterate through one object; nested pricing
-    runs the same block routine and Euler sweep over many anchors at once
-    (``allocation._InnerPaths.price``).  ``closed_form`` (pension 0)
-    reduces the state to z = y * h and prices through the Bernoulli
-    kernel; ``euler`` steps the floored rule and prices the excess over
-    the pension; ``auto`` picks closed_form when the pension is zero.
+    The one pricer of the remaining cost: the budget is its value at
+    (t = 0, zeta = 1, H0), and the nested wealth and the pathwise theta
+    its values at later states.  ``zeta`` holds density paths path-major,
+    because the closed form's sums run along each path's time axis and
+    their pairwise summation order depends on that layout.  ``anchors``
+    are absolute time vectors (step ``dt``), each reading the leading
+    columns of ``zeta`` restarted at 1 at its first time, and a state is
+    (anchor index, y, h).  ``closed_form`` (pension 0) prices through the
+    Bernoulli kernel in z = y * h; ``euler`` steps the floored rule and
+    prices the excess over the pension; ``auto`` is closed_form at pension 0.
 
-    The two branches keep the density in different layouts.  ``euler``
-    visits one time step of every path at a time, so it holds the density
-    and ``zeta ** (-1/gamma)`` step-major, shape (n_times, n_paths), and
-    each step reads one contiguous row; a transposed view of a step-major
-    array is taken without a copy.  ``closed_form`` keeps ``zeta``
-    path-major, because its sums run along each path's time axis and
-    their pairwise summation order depends on that layout.  Its first
-    :meth:`per_path` stores the terms of :func:`_anchor_pass`, built
-    over blocks of ``ROW_BLOCK`` rows in chunks on threads, since
-    calibration prices them at several alphas: when gamma - 1 is a whole
-    number n (:func:`_moment_order`) the n + 1 kernel moments per path,
-    from which every alpha prices in O(paths), and otherwise the kernel
-    and ``wz``, full size.  Every row is computed on its own, so neither
-    the block size nor the thread count changes a result.  :meth:`paths`
-    stores none of them.  Either branch can return
-    y * d(cost)/dy per path from the sweep that prices the cost, which is
-    the pathwise delta calibration's Newton step reads.
+    The closed form's first :meth:`price` runs :func:`_anchor_pass` and
+    keeps the terms that need no kernel: the eta = 0 sums, or the kernel
+    moments at a whole gamma - 1 (:func:`_moment_order`), from which every
+    alpha and state prices in O(paths).  On the power form (any other
+    gamma) the pass runs at every call and prices each block in place, so
+    no full-size kernel is kept.  The Euler branch sweeps the step-major
+    copy of :func:`_step_major`, made here or handed over as ``steps`` by
+    a caller that keeps one.  X per anchor comes with the closed form's
+    pass, or from one step-major pass (:func:`_euler_controls`).  Every row
+    is computed on its own, so neither the block size nor the thread count
+    changes a result.
     """
 
     def __init__(
         self,
         params: ModelParams,
-        times: np.ndarray,
+        anchors,
         zeta: np.ndarray,
         dt: float,
         antithetic: bool,
         method: str = "auto",
+        steps=None,
     ):
         self.params = params
+        self._anchors = anchors
         self._antithetic = antithetic
         self._euler = _resolve_method(params, method, dt) == "euler"
         self._dt = dt
-        self._times = times
-        self._shadow, self._wgt, _ = _anchor_terms(params, times)
-        self._mean_x = _control_terms(params, times)[0]
+        self._means = [_control_terms(params, times)[0] for times in anchors]
+        self._kept = self._x = None
         if self._euler:
-            self._zeta_t = np.ascontiguousarray(zeta.T)
-            self._zpow_t = self._zeta_t ** (-1.0 / params.market.gamma)
-            return
-        self._zeta = zeta
-
-    @functools.cached_property
-    def _kernel_wz(self):
-        """The kernel, the weights and the control X per path.
-
-        The terms of :func:`_anchor_pass`: on the power form the kernel
-        and wz = zeta^(1 - 1/g) * shadow * decay^(g - 1) * wgt per path
-        and step; at eta = 0 no kernel and wz summed along each path; on
-        kernel moments no kernel and the moments, shape (n_paths, n + 1).
-        """
-        p = self.params
-        kernel = wz = None
-        if p.habit.eta != 0.0 and _moment_order(p.market.gamma) is None:
-            kernel, wz = np.empty_like(self._zeta), np.empty_like(self._zeta)
-
-        def store(rows, _, block_kernel, block_wz):
-            kernel[rows], wz[rows] = block_kernel, block_wz
-
-        kept, xs = _anchor_pass(p, self._zeta, [self._times], store)
-        return kernel, wz if kept is None else kept[0], xs[0]
-
-    @functools.cached_property
-    def control(self) -> Tuple[np.ndarray, float]:
-        """The control X per sample, paired like the costs, and E[X]."""
-        if self._euler:
-            x = np.zeros(self._zeta_t.shape[1])
-            for k, scale in enumerate(self._wgt * self._shadow):
-                x += scale * (self._zeta_t[k] * self._zpow_t[k])
+            self._zeta_t, self._zpow_t = steps or _step_major(zeta, params.market.gamma)
         else:
-            x = self._kernel_wz[2]
-        return _pair_average(x, self._antithetic), self._mean_x
+            self._zeta = zeta
+
+    @property
+    def mean_x(self) -> float:
+        """E[X] of the first anchor, known before any path is priced."""
+        return self._means[0]
+
+    def control(self, j: int = 0) -> Tuple[np.ndarray, float]:
+        """Anchor j's control X per sample, paired like the costs, and E[X].
+
+        X comes with the closed form's pass (run here, pricing no state, if
+        none has) or from one call of :func:`_euler_controls`.
+        """
+        if self._x is None and self._euler:
+            xs = _euler_controls(self.params, self._zeta_t, self._zpow_t, self._anchors)
+            self._x = _pair_average(xs, self._antithetic)
+        elif self._x is None:
+            self._closed_form(1.0, [])
+        return self._x[j], self._means[j]
+
+    def price(self, alpha: float, states, delta: bool = False):
+        """One (cost, delta, x, mean_x) per state (anchor index, y, h), in order.
+
+        The remaining cost in wealth units from density level y and habit
+        h, y * d(cost)/dy with ``delta`` (else None), and the control X of
+        the state's anchor with its exact mean, per path or per antithetic
+        pair.  A state's result depends on neither the others nor ``delta``.
+        """
+        if self._euler:
+            cost, tangent = _euler_costs(
+                self.params, alpha, self._dt, self._zeta_t, self._zpow_t,
+                self._anchors, states, delta,
+            )
+        else:
+            cost, tangent = self._closed_form(alpha, states)
+        cost = _pair_average(cost, self._antithetic)
+        if delta:
+            tangent = _pair_average(tangent, self._antithetic)
+        return [
+            (cost[r], tangent[r] if delta else None, *self.control(j))
+            for r, (j, _, _) in enumerate(states)
+        ]
 
     def per_path(self, alpha: float, y: float, h: float, delta: bool = False):
-        """Remaining cost in wealth units from density level y and habit h.
+        """The cost at (first anchor, y, h), or with ``delta`` (cost, delta)."""
+        [(cost, tangent, _, _)] = self.price(alpha, [(0, y, h)], delta)
+        return (cost, tangent) if delta else cost
 
-        One sample per path, or per antithetic pair when the paths are
-        mirrored.  With ``delta`` the same sweep also returns y * d(cost)/dy
-        per sample, as the pair (cost, delta); the cost is then bit for bit
-        the one returned without it.
-        """
-        if self._euler:
-            cost, tangent, _ = _euler_costs(
-                self.params,
-                alpha,
-                self._dt,
-                self._zeta_t,
-                self._zpow_t,
-                [self._times],
-                [(0, y, h)],
-                delta,
-            )
-        elif self._kernel_wz[0] is None:
-            # eta = 0 or kernel moments: a few numbers per path
-            cost, tangent = _price_rows(
-                self.params, alpha, y, h, None, self._kernel_wz[1], delta
-            )
-        else:
-            kernel, wz, _ = self._kernel_wz
-            cost = np.empty(wz.shape[0])
-            tangent = np.empty_like(cost) if delta else None
+    def _closed_form(self, alpha, states):
+        """Per-path cost and delta of every state, shape (2, states, paths)."""
+        p = self.params
+        out = np.empty((2, len(states), self._zeta.shape[0]))
 
-            def fill(blocks):
-                for rows in blocks:
-                    cost[rows], d = _price_rows(
-                        self.params, alpha, y, h, kernel[rows], wz[rows], delta
-                    )
-                    if delta:
-                        tangent[rows] = d
+        def fill(rows, j, kernel, terms):
+            for r, (at, y, h) in enumerate(states):
+                if at == j:
+                    out[:, r, rows] = _price_rows(p, alpha, y, h, kernel, terms)
 
-            _in_threads(cost.shape[0], fill)
-        cost = _pair_average(cost.reshape(-1), self._antithetic)
-        if delta:
-            return cost, _pair_average(tangent.reshape(-1), self._antithetic)
-        return cost
+        if self._kept is None:
+            # the first call, or any on the power form, whose blocks price
+            # their anchor's states while the kernel is in cache
+            self._kept, xs = _anchor_pass(p, self._zeta, self._anchors, fill)
+            self._x = _pair_average(xs, self._antithetic)
+        if self._kept is not None:
+            for j, terms in enumerate(self._kept):
+                fill(slice(None), j, None, terms)
+        return out
 
     def paths(self, alpha: float) -> Tuple[np.ndarray, np.ndarray]:
         """Consumption and habit along the paths from (1, initial habit)."""
         p = self.params
         h0 = p.habit.initial
+        times = self._anchors[0]
         if self._euler:
             consumption = np.empty_like(self._zeta_t)
             habit = np.empty_like(self._zeta_t)
             for k, c, h, _ in _euler_stream(
                 p, alpha, self._dt, self._zeta_t, self._zpow_t,
-                [self._times], [(0, 1.0, h0)],
+                [times], [(0, 1.0, h0)],
             ):
                 consumption[k] = c[0]
                 habit[k] = h[0]
@@ -733,11 +720,11 @@ class _CostFunctional:
         g = p.market.gamma
         eta = p.habit.eta
         beta = alpha ** (-1.0 / g)
-        decay = np.exp(-eta * (self._times - self._times[0]) / g)
+        decay = np.exp(-eta * (times - times[0]) / g)
         consumption = np.empty_like(self._zeta)
         habit = np.empty_like(self._zeta)
         for rows, _, k in _integrand_blocks(
-            p.habit, p.market, p.mortality, [self._times], self._zeta
+            p.habit, p.market, p.mortality, [times], self._zeta
         ):
             # with U = decay (h0^(1/g) + (eta/g) beta K), H = U^g and
             # C = beta shadow zeta^(-1/g) H^(1-1/g) = beta k decay H / U
@@ -746,7 +733,7 @@ class _CostFunctional:
                 k *= beta * decay
                 np.multiply(k, h0 ** (1.0 - 1.0 / g), out=consumption[rows])
                 continue
-            u = _trapezoid_kernel(k, self._times, np.empty_like(k))
+            u = _trapezoid_kernel(k, times, np.empty_like(k))
             u *= (eta / g) * beta
             u += h0 ** (1.0 / g)
             u *= decay
@@ -785,7 +772,7 @@ def _bundle_cost(
 ) -> _CostFunctional:
     grid = paths.grid
     return _CostFunctional(
-        params, grid.times(), paths.zeta, grid.dt, paths.antithetic, method
+        params, [grid.times()], paths.zeta, grid.dt, paths.antithetic, method
     )
 
 
@@ -826,7 +813,7 @@ def budget_value(
     _validate_positive("alpha", alpha)
     cost = _bundle_cost(params, paths)
     samples = cost.per_path(alpha, 1.0, params.habit.initial)
-    return _estimate_from_samples(samples, *cost.control)
+    return _estimate_from_samples(samples, *cost.control())
 
 
 def calibrate_alpha(
@@ -866,9 +853,8 @@ def calibrate_alpha(
     v, h0, g = params.v, params.habit.initial, params.market.gamma
     lo, hi = limits = (config.bracket[0] / 1e6, config.bracket[1] * 1e6)
     history = {}
-    x, mean_x = cost.control
     # the eta = 0, pension-0 budget is alpha^(-1/g) h0^(1 - 1/g) E[X]
-    alpha = min(max((h0 ** (1.0 - 1.0 / g) * mean_x / v) ** g, lo), hi)
+    alpha = min(max((h0 ** (1.0 - 1.0 / g) * cost.mean_x / v) ** g, lo), hi)
     while True:
         if len(history) >= config.max_iterations:
             raise CalibrationError(
@@ -876,7 +862,7 @@ def calibrate_alpha(
                 f"evaluations (last bracket [{lo:.6g}, {hi:.6g}])"
             )
         samples, deltas = cost.per_path(alpha, 1.0, h0, delta=True)
-        estimate = _estimate_from_samples(samples, x, mean_x)
+        estimate = _estimate_from_samples(samples, *cost.control())
         b, p, d = estimate.value, float(samples.mean()), float(deltas.mean())
         history[alpha] = p, d
         del samples, deltas  # freed before the next sweep allocates its own

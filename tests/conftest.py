@@ -22,6 +22,7 @@ from greedyhabit import (
 )
 from greedyhabit.allocation import _ratio_theta
 from greedyhabit.market import log_survival_probability
+from greedyhabit.solver import _anchor_pass
 
 CAL_GRID = TimeGrid(60.0, 0.05)
 CAL_SEED = 23
@@ -72,6 +73,27 @@ def reference_euler(alpha, params, times, zeta, dt, y=1.0, h=None):
         h = h + eta * (c - h) * dt
         dh = dh + (eta * dt) * (dc - dh)
     return cost, consumption, habit, delta
+
+
+def anchor_pass_terms(params, times, zeta):
+    """``(kernel, wz, x)`` of the closed form's pass at one anchor, per path.
+
+    On the power form the pass keeps no kernel, so its in-block callback
+    copies each block's kernel and wz = zeta^(1 - 1/g) * shadow *
+    decay^(g - 1) * wgt into full arrays.  At eta = 0 the kernel is None
+    and wz is summed along each path; on kernel moments the kernel is
+    None and wz holds the moments, shape (n_paths, n + 1).  ``x`` is the
+    control X per path.
+    """
+    kernel, wz = np.empty_like(zeta), np.empty_like(zeta)
+
+    def store(rows, _, block_kernel, block_wz):
+        kernel[rows], wz[rows] = block_kernel, block_wz
+
+    kept, xs = _anchor_pass(params, zeta, [times], store)
+    if kept is None:
+        return kernel, wz, xs[0]
+    return None, kept[0], xs[0]
 
 
 def control_mean(params, times):

@@ -9,6 +9,7 @@ differences, and exercise the estimator's own error reporting (standard
 errors, the reliability gate, determinism).
 """
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -360,24 +361,40 @@ class TestSharedInnerPaths:
         cfg = NestedConfig(
             n_inner=200, seed=13, grid=GRID, antithetic=antithetic
         )
-        params = make_params(eta=0.1)
-        inner = _InnerPaths(params.market, cfg)
         n_streams = 100 if antithetic else 200
         dw = np.empty((n_streams, GRID.n_steps))
         _fill_normals(dw, cfg.seed, (1,), range(n_streams))
-        for t in (0.0, 30.0, GRID.t_max - GRID.dt):
-            m = GRID.n_steps - GRID.index_of(t)
-            expected = _density_paths(params.market, dw[:, :m], GRID.dt, antithetic)[1]
-            assert np.array_equal(inner._zeta[:, : m + 1], expected)
-            # an anchor prices what one functional on the rebuilt density does
-            times = t + np.arange(m + 1) * GRID.dt
-            for method in ("closed_form", "euler"):
-                [got] = inner.price([(t, 0.8, 1.1)], ALPHA, params, method)
-                cost = _CostFunctional(
-                    params, times, expected, GRID.dt, antithetic, method
-                )
-                want = cost.per_path(ALPHA, 0.8, 1.1, delta=True)
-                assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        starts = (0.0, 30.0, GRID.t_max - GRID.dt)
+        # the closed form on kernel moments (gamma 3), on the power of the
+        # kernel (gamma 2.5) and on the eta = 0 sums, and the Euler branch
+        for gamma, eta in ((3.0, 0.1), (2.5, 0.1), (3.0, 0.0)):
+            params = dataclasses.replace(
+                make_params(eta=eta), market=MarketParams(gamma=gamma)
+            )
+            inner = _InnerPaths(params.market, cfg)
+            states = [(t, 0.8, 1.1) for t in starts]
+            batch = {
+                method: inner.price(states, ALPHA, params, method)
+                for method in ("closed_form", "euler")
+            }
+            for i, t in enumerate(starts):
+                m = GRID.n_steps - GRID.index_of(t)
+                expected = _density_paths(
+                    params.market, dw[:, :m], GRID.dt, antithetic
+                )[1]
+                assert np.array_equal(inner._zeta[:, : m + 1], expected)
+                # a state of a many-anchor call prices what one functional
+                # on its anchor's rebuilt density does
+                times = t + np.arange(m + 1) * GRID.dt
+                for method, priced in batch.items():
+                    got = priced[i]
+                    cost = _CostFunctional(
+                        params, [times], expected, GRID.dt, antithetic, method
+                    )
+                    want = cost.per_path(ALPHA, 0.8, 1.1, delta=True)
+                    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+                    x, mean_x = cost.control()
+                    assert np.array_equal(got[2], x) and got[3] == mean_x
 
     def test_surface_rows_match_fresh_evaluations(self):
         params = make_params(eta=0.1)
@@ -442,13 +459,13 @@ class TestSharedInnerPaths:
         plain = make_params(eta=0.1)
         inner.price([(10.0, 1.0, 1.0)], ALPHA, plain)
         allocation_at(20.0, 0.8, 1.1, ALPHA, plain, cfg, _inner=inner)
-        assert inner._zeta_t is None
+        assert "_steps" not in vars(inner)
         pension = make_params(eta=0.1, pension=0.5)
         allocation_at(0.0, 0.8, 1.1, ALPHA, pension, cfg, _inner=inner)
-        copy = inner._zeta_t
+        copy = inner._steps[0]
         for t in (10.0, 30.0):
             inner.price([(t, 0.8, 1.1)], ALPHA, pension)
-            assert inner._zeta_t is copy
+            assert inner._steps[0] is copy
 
     def test_euler_powers_are_prefixes_of_one_array(self):
         cfg = config(200)
@@ -458,9 +475,9 @@ class TestSharedInnerPaths:
         base = None
         for t in (0.0, 10.0, 30.0):
             inner.price([(t, 0.8, 1.1)], ALPHA, params)
-            base = base if base is not None else inner._zpow_t
-            assert inner._zpow_t is base
-        assert np.array_equal(base, inner._zeta_t ** (-1.0 / g))
+            base = base if base is not None else inner._steps[1]
+            assert inner._steps[1] is base
+        assert np.array_equal(base, inner._steps[0] ** (-1.0 / g))
 
     def test_other_market_is_rejected(self):
         inner = _InnerPaths(MarketParams(), config(200))

@@ -23,7 +23,6 @@ from greedyhabit import (
     HabitParams,
     MarketParams,
     ModelParams,
-    MertonOracle,
     budget_value,
     merton_alpha,
     merton_annuity,
@@ -238,21 +237,3 @@ class TestPropensity:
             merton_propensity(self.market, self.mortality, 0.0)
         )
 
-
-class TestOracleBundle:
-    def test_wires_through(self):
-        oracle = MertonOracle(MarketParams(), GompertzParams())
-        assert oracle.theta_star == merton_theta(oracle.market)
-        assert oracle.annuity(5.0) == merton_annuity(
-            oracle.market, oracle.mortality, 5.0
-        )
-        assert oracle.propensity(5.0) == pytest.approx(
-            1.0 / oracle.annuity(5.0), rel=1e-12
-        )
-        assert oracle.budget(2.0) == merton_budget(
-            2.0, oracle.market, oracle.mortality
-        )
-        v = 12.0
-        assert oracle.budget(oracle.alpha_for_wealth(v)) == pytest.approx(
-            v, rel=1e-10
-        )

@@ -49,7 +49,13 @@ from greedyhabit.solver import (
     _estimate_from_samples,
     _moment_order,
 )
-from conftest import control_mean, make_params, reference_control, reference_euler
+from conftest import (
+    anchor_pass_terms,
+    control_mean,
+    make_params,
+    reference_control,
+    reference_euler,
+)
 
 
 def reference_budget(alpha, params, bundle):
@@ -300,7 +306,7 @@ class TestBudgetValue:
                     ref, ref_x = reference_budget(2.9, params, bundle)
                     cost = _bundle_cost(params, bundle)
                     samples = cost.per_path(2.9, 1.0, params.habit.initial)
-                    assert np.array_equal(cost.control[0], ref_x)
+                    assert np.array_equal(cost.control()[0], ref_x)
                     est = budget_value(2.9, params, bundle)
                     mean_x = control_mean(params, bundle.grid.times())
                     if gamma == 3.0 and pension == 0.0:
@@ -324,8 +330,7 @@ class TestBudgetValue:
                 make_params(eta=eta), market=MarketParams(gamma=gamma)
             )
             g = params.market.gamma
-            cost = _CostFunctional(params, times, zeta, small_bundle.grid.dt, False)
-            kernel, wz, x = cost._kernel_wz
+            kernel, wz, x = anchor_pass_terms(params, times, zeta)
             log_p = log_survival_probability(params.mortality, times)
             shadow = np.exp((-params.market.rho * times + log_p) / g)
             decay_ref = np.exp(-eta * (times - times[0]) / g)
@@ -453,23 +458,30 @@ class TestCalibration:
         assert CalibrationConfig(n_paths=5).n_paths == 5
 
 
-def plain_sample_mean(self):
+def plain_sample_mean(self, j=0):
     """A ``_CostFunctional.control`` that leaves the plain sample mean.
 
     A control without variance turns the regression off, and its stated
     mean, that of X formed by one matrix-vector product, starts the
     search where the plain sample-mean search starts.  The float-
     resolution cases below were found on those iterates, at gamma 2.5,
-    where the closed form keeps ``wz`` per step.
+    where the closed form prices from ``wz`` per step.  The same X stands
+    for every anchor ``j``.
     """
-    _, wz, _ = self._kernel_wz
-    g, tau = self.params.market.gamma, self._times - self._times[0]
+    times = self._anchors[0]
+    _, wz, _ = anchor_pass_terms(self.params, times, self._zeta)
+    g, tau = self.params.market.gamma, times - times[0]
     decay = np.exp(-self.params.habit.eta * tau / g)
     return np.zeros(wz.shape[0]), (wz @ decay ** (1.0 - g)).mean()
 
 
+def plain_start(self):
+    """The ``_CostFunctional.mean_x`` that goes with :func:`plain_sample_mean`."""
+    return plain_sample_mean(self)[1]
+
+
 #: the model of the float-resolution cases: a non-integer gamma keeps the
-#: power form, whose stored wz ``plain_sample_mean`` reads
+#: power form, whose per-step wz ``plain_sample_mean`` reads
 POWER_FORM = ModelParams(market=MarketParams(gamma=2.5))
 
 
@@ -547,7 +559,10 @@ class TestNewtonSearch:
             return samples, np.full(4, -b / 3.0)
 
         monkeypatch.setattr(_CostFunctional, "per_path", scripted)
-        monkeypatch.setattr(_CostFunctional, "control", (np.zeros(4), 1.0))
+        monkeypatch.setattr(
+            _CostFunctional, "control", lambda self, j=0: (np.zeros(4), 1.0)
+        )
+        monkeypatch.setattr(_CostFunctional, "mean_x", 1.0)
         with pytest.raises(BudgetMonotonicityError):
             calibrate_alpha(params, self.CONFIG)
         assert script == []
@@ -568,7 +583,8 @@ class TestNewtonSearch:
             return out
 
         monkeypatch.setattr(_CostFunctional, "per_path", recorded)
-        monkeypatch.setattr(_CostFunctional, "control", property(plain_sample_mean))
+        monkeypatch.setattr(_CostFunctional, "control", plain_sample_mean)
+        monkeypatch.setattr(_CostFunctional, "mean_x", property(plain_start))
         sol = calibrate_alpha(POWER_FORM, config)
         assert sol.budget_residual == 0.0
         ordered = sorted(budgets.items())
@@ -591,7 +607,10 @@ class TestNewtonSearch:
             return (samples, np.full(4, -b / 3.0)) if delta else samples
 
         monkeypatch.setattr(_CostFunctional, "per_path", scripted)
-        monkeypatch.setattr(_CostFunctional, "control", (np.zeros(4), 1.0))
+        monkeypatch.setattr(
+            _CostFunctional, "control", lambda self, j=0: (np.zeros(4), 1.0)
+        )
+        monkeypatch.setattr(_CostFunctional, "mean_x", 1.0)
         return seen
 
     @pytest.mark.parametrize("c", [3.1, 3.15])
@@ -642,8 +661,9 @@ class TestNewtonSearch:
             "from greedyhabit import CalibrationConfig, CalibrationError, "
             "TimeGrid, calibrate_alpha\n"
             "from greedyhabit.solver import _CostFunctional\n"
-            "from test_solver import POWER_FORM, plain_sample_mean\n"
-            "_CostFunctional.control = property(plain_sample_mean)\n"
+            "from test_solver import POWER_FORM, plain_sample_mean, plain_start\n"
+            "_CostFunctional.control = plain_sample_mean\n"
+            "_CostFunctional.mean_x = property(plain_start)\n"
             "config = CalibrationConfig(grid=TimeGrid(60.0, 0.5), n_paths=200, "
             "seed=2, tolerance=1e-300, max_iterations=80)\n"
             "try:\n"
@@ -685,7 +705,7 @@ class TestControlVariate:
         bundle = generate_paths(
             params.market, self.GRID, 4000, seed=21, antithetic=True
         )
-        x, mean_x = _bundle_cost(params, bundle).control
+        x, mean_x = _bundle_cost(params, bundle).control()
         assert x.shape == (2000,)
         assert mean_x == control_mean(params, self.GRID.times())
         self.assert_mean(x, mean_x)
@@ -776,8 +796,10 @@ class TestRowBlocks:
             params = make_params(eta=eta)
             cost = _bundle_cost(params, bundle)
             out["per_path", eta] = cost.per_path(2.9, 1.3, 0.8)
-            out["wz", eta] = cost._kernel_wz[1]
-            out["control", eta] = cost.control[0]
+            out["wz", eta] = anchor_pass_terms(
+                params, self.GRID.times(), bundle.zeta
+            )[1]
+            out["control", eta] = cost.control()[0]
             out["budget", eta] = budget_value(2.9, params, bundle)
         # the closed form on kernel moments (gamma 3) and on the power of
         # the kernel (gamma 2.5), for one anchor and for nested anchors
@@ -790,7 +812,9 @@ class TestRowBlocks:
             )
             cost = _bundle_cost(params, bundle)
             out["delta", gamma] = cost.per_path(2.9, 1.3, 0.8, delta=True)
-            out["weights", gamma] = cost._kernel_wz[1]
+            out["weights", gamma] = anchor_pass_terms(
+                params, self.GRID.times(), bundle.zeta
+            )[1]
             priced = _InnerPaths(params.market, inner).price(
                 [(0.0, 1.3, 0.8), (10.0, 0.4, 1.1), (0.0, 2.0, 0.5)], 2.9, params
             )
@@ -869,8 +893,8 @@ class TestCalibrationMemory:
 
     @pytest.mark.parametrize("pension", [0.0, 0.5])
     def test_peak_is_a_few_full_arrays(self, monkeypatch, pension):
-        # at most the density, kernel and wz of the power form, or the
-        # Euler branch's step-major density and its power: three arrays
+        # at most the Euler branch's path-major density while it makes the
+        # step-major copy and its power: three arrays
         self.assert_peak(monkeypatch, make_params(eta=0.1, pension=pension), 3.5)
 
     def test_moments_keep_no_full_kernel_or_weights(self, monkeypatch):
@@ -878,6 +902,12 @@ class TestCalibrationMemory:
         # is the density and the blocks' temporaries (the kernel and wz
         # stored in their place made it about 3.1 full arrays)
         self.assert_peak(monkeypatch, make_params(eta=0.1), 1.5)
+
+    def test_power_form_keeps_no_full_kernel_or_weights(self, monkeypatch):
+        # at gamma 2.5 every call prices its blocks inside the pass, so
+        # the peak is the density and the blocks' temporaries (a full
+        # kernel and wz kept for every alpha made it about 3.1 arrays)
+        self.assert_peak(monkeypatch, POWER_FORM, 1.5)
 
 
 class TestKernelMoments:
@@ -916,7 +946,7 @@ class TestKernelMoments:
 
         def run():
             cost = _bundle_cost(params, bundle)
-            kernel = cost._kernel_wz[0]
+            kernel = anchor_pass_terms(params, self.GRID.times(), bundle.zeta)[0]
             priced = _InnerPaths(params.market, nested).price(
                 self.STATES, 2.9, params
             )
@@ -978,7 +1008,7 @@ class TestPathwiseDelta:
         params = dataclasses.replace(params, market=MarketParams(gamma=gamma))
         zeta = generate_paths(params.market, self.GRID, 200, seed=12).zeta
         times, dt = self.GRID.times(), self.GRID.dt
-        cost = _CostFunctional(params, times, zeta, dt, False, method="euler")
+        cost = _CostFunctional(params, [times], zeta, dt, False, method="euler")
         alpha, y, h = self.STATE
 
         def reference(level):
