@@ -62,7 +62,6 @@ __all__ = [
     "wealth_no_pension",
     "wealth_with_pension",
     "allocation_at",
-    "policy_curve",
     "policy_surface",
     "default_zeta_grid",
 ]
@@ -386,18 +385,3 @@ def policy_surface(
         slice_rows.sort(key=lambda row: row.wealth)
         rows.extend(slice_rows)
     return rows
-
-
-def policy_curve(
-    t: float,
-    habit_level: float,
-    alpha: float,
-    params: ModelParams,
-    config: NestedConfig = NestedConfig(),
-    zeta_grid: Optional[np.ndarray] = None,
-    max_wealth: float = 20.0,
-) -> List[PolicyPoint]:
-    """Single time slice of :func:`policy_surface`."""
-    return policy_surface(
-        [t], habit_level, alpha, params, config, zeta_grid, max_wealth
-    )

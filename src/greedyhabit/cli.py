@@ -40,9 +40,6 @@ from .solver import (
     CalibrationConfig,
     CalibrationError,
     ModelParams,
-    _bundle_cost,
-    _calibration_paths,
-    _estimate_from_samples,
     calibrate_alpha,
     consumption_no_pension,
 )
@@ -440,15 +437,11 @@ def _cmd_merton_check(args: argparse.Namespace) -> int:
             n_paths=max(cfg.calibration.n_paths, 40000),
             tolerance=min(cfg.calibration.tolerance, 1e-4),
         )
-        paths = _calibration_paths(frozen.market, check_cal)
-        solution = calibrate_alpha(frozen, check_cal, paths)
+        solution = calibrate_alpha(frozen, check_cal)
         # at eta = 0 the budget is exactly proportional to alpha^(-1/gamma),
         # so alpha's relative error is gamma times the budget's, and the
         # alpha of the plain sample mean is one rescaling away
-        g, h0, alpha = base.market.gamma, base.habit.initial, solution.alpha
-        plain = _estimate_from_samples(
-            _bundle_cost(frozen, paths).per_path(alpha, 1.0, h0)
-        )
+        g, alpha, plain = base.market.gamma, solution.alpha, solution.plain
         plain_alpha = alpha * (plain.value / base.v) ** g
         rel = abs(alpha - alpha0) / alpha0
         record(

@@ -30,7 +30,6 @@ __all__ = [
     "TimeGrid",
     "PathBundle",
     "survival_probability",
-    "hazard_rate",
     "generate_paths",
 ]
 
@@ -162,17 +161,6 @@ def log_survival_probability(
     base = np.exp((mortality.age - mortality.modal_age) / b)
     out = -base * np.expm1(s_arr / b)
     return float(out) if np.isscalar(s) else out
-
-
-def hazard_rate(mortality: GompertzParams, y: ArrayLike) -> ArrayLike:
-    """Instantaneous Gompertz hazard (force of mortality) at age ``y``.
-
-    lambda(y) = (1 / b) * exp((y - modal_age) / b).
-    """
-    y_arr = np.asarray(y, dtype=float)
-    b = mortality.dispersion
-    out = np.exp((y_arr - mortality.modal_age) / b) / b
-    return float(out) if np.isscalar(y) else out
 
 
 @dataclass(frozen=True)

@@ -18,11 +18,10 @@ bracket of evaluated iterates, converge globally.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -137,7 +136,8 @@ class BudgetEstimate(NamedTuple):
 
 @dataclass
 class GreedySolution:
-    """Calibrated greedy solution on a path bundle.
+    """Calibrated multiplier and its budget; :func:`calibrate_alpha` says
+    how to get the consumption and habit arrays.
 
     Attributes
     ----------
@@ -148,11 +148,8 @@ class GreedySolution:
     budget_se : float
         Standard error of the budget at alpha, the regression estimate
         of :func:`budget_value`.
-    consumption, habit : ndarray, shape (n_paths, n_times)
-        Optimal consumption and habit along the calibration bundle.
-        They are solved on first read, on the bundle calibration was
-        given or on the density rebuilt from the config's seed, and then
-        kept; a solution whose arrays are never read holds none.
+    plain : BudgetEstimate
+        The plain sample mean of the budget at alpha and its SE.
     pension : float
     v : float
     iterations : int
@@ -162,24 +159,10 @@ class GreedySolution:
     alpha: float
     budget_residual: float
     budget_se: float
+    plain: BudgetEstimate
     pension: float
     v: float
     iterations: int
-    _cost: Optional[Callable[[], "_CostFunctional"]] = field(
-        default=None, repr=False, compare=False
-    )
-
-    @functools.cached_property
-    def _solved(self) -> Tuple[np.ndarray, np.ndarray]:
-        return self._cost().paths(self.alpha)
-
-    @functools.cached_property
-    def consumption(self) -> np.ndarray:
-        return self._solved[0]
-
-    @functools.cached_property
-    def habit(self) -> np.ndarray:
-        return self._solved[1]
 
 
 def _validate_positive(name: str, value: ArrayLike) -> None:
@@ -403,7 +386,7 @@ def _anchor_pass(params, zeta, anchors, in_block):
     row's terms come from that row alone.  Returns ``(kept, xs)``:
     ``xs[j]`` is anchor j's X per path (:func:`_control_terms`), and
     ``kept[j]`` its terms per path when they need no kernel: wz summed
-    along the path at eta = 0, or with a moment order n
+    along the path at eta = 0 (``xs`` itself), or with a moment order n
     (:func:`_moment_order`) the moments of m = (eta/g) K, shape
     (n_paths, n + 1).  On the power form ``kept`` is None, and
     ``in_block(rows, j, kernel, wz)`` takes each block's terms while they
@@ -417,7 +400,7 @@ def _anchor_pass(params, zeta, anchors, in_block):
     xs = np.empty((len(anchors), n_paths))
     kept = None
     if frozen:
-        kept = np.empty((len(anchors), n_paths))
+        kept = xs  # X is the eta = 0 sum itself
     elif order is not None:
         kept = np.empty((len(anchors), n_paths, order + 1))
 
@@ -429,13 +412,11 @@ def _anchor_pass(params, zeta, anchors, in_block):
             kernel = None if frozen else _trapezoid_kernel(k, times, np.empty_like(k))
             wz = _cost_weights(k, zeta[rows, : times.shape[0]], vecs[j], frozen)
             xs[j, rows] = wz if frozen else (wz * lifts[j]).sum(axis=-1)
-            if frozen:
-                kept[j, rows] = wz
-            elif order is None:
-                in_block(rows, j, kernel, wz)
-            else:
+            if order is not None:
                 kernel *= params.habit.eta / params.market.gamma
                 _kernel_moments(kernel, wz, kept[j, rows])
+            elif not frozen:
+                in_block(rows, j, kernel, wz)
 
     _in_threads(n_paths, fill)
     return kept, xs
@@ -793,13 +774,6 @@ def _calibration_paths(
     )
 
 
-def _calibration_cost(
-    params: ModelParams, config: CalibrationConfig, paths: Optional[PathBundle]
-) -> _CostFunctional:
-    """The functional calibration prices through, on ``paths`` if given."""
-    return _bundle_cost(params, paths or _calibration_paths(params.market, config))
-
-
 def budget_value(
     alpha: float, params: ModelParams, paths: PathBundle
 ) -> BudgetEstimate:
@@ -837,6 +811,10 @@ def calibrate_alpha(
     :class:`BudgetMonotonicityError`, except equal finite P whose deltas
     predict a change below float resolution.
 
+    The solution holds scalars only; :func:`solve_paths` at its alpha on
+    the calibration density (``generate_paths`` at the config's seed, or
+    ``paths``) gives the consumption and habit arrays.
+
     Parameters
     ----------
     paths : PathBundle, optional
@@ -849,7 +827,7 @@ def calibrate_alpha(
         If the widened bracket does not straddle v, an iterate repeats, or
         ``max_iterations`` budget evaluations do not reach tolerance.
     """
-    cost = _calibration_cost(params, config, paths)
+    cost = _bundle_cost(params, paths or _calibration_paths(params.market, config))
     v, h0, g = params.v, params.habit.initial, params.market.gamma
     lo, hi = limits = (config.bracket[0] / 1e6, config.bracket[1] * 1e6)
     history = {}
@@ -863,7 +841,8 @@ def calibrate_alpha(
             )
         samples, deltas = cost.per_path(alpha, 1.0, h0, delta=True)
         estimate = _estimate_from_samples(samples, *cost.control())
-        b, p, d = estimate.value, float(samples.mean()), float(deltas.mean())
+        plain = _estimate_from_samples(samples)
+        b, p, d = estimate.value, plain.value, float(deltas.mean())
         history[alpha] = p, d
         del samples, deltas  # freed before the next sweep allocates its own
         if abs(b - v) / v <= config.tolerance:
@@ -912,8 +891,8 @@ def calibrate_alpha(
         alpha=alpha,
         budget_residual=abs(estimate.value - v) / v,
         budget_se=estimate.std_error,
+        plain=plain,
         pension=params.pension,
         v=v,
         iterations=len(history),
-        _cost=functools.partial(_calibration_cost, params, config, paths),
     )

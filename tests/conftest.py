@@ -172,12 +172,7 @@ def calibrated():
                 tolerance=tolerance,
                 antithetic=True,
             )
-            solution = calibrate_alpha(params, config)
-            # Keep only the scalars: a dozen cached solutions with their
-            # per-path arrays would not fit in memory.
-            solution.consumption = None
-            solution.habit = None
-            cache[key] = (params, config, solution)
+            cache[key] = (params, config, calibrate_alpha(params, config))
         return cache[key]
 
     return get

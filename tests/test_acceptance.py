@@ -53,7 +53,7 @@ from greedyhabit import (
     merton_annuity,
     merton_theta,
     pension_sweep,
-    policy_curve,
+    policy_surface,
     simulate_lifetime,
     solve_paths,
     wealth_no_pension,
@@ -284,8 +284,8 @@ def test_policy_behaviour(calibrated):
     )
     r2_min = 1.0
     for t in (0.0, 10.0, 20.0):
-        points = policy_curve(
-            t,
+        points = policy_surface(
+            [t],
             1.0,
             sol.alpha,
             params,

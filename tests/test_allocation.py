@@ -27,7 +27,6 @@ from greedyhabit import (
     default_zeta_grid,
     merton_alpha,
     merton_theta,
-    policy_curve,
     policy_surface,
     wealth_no_pension,
     wealth_with_pension,
@@ -329,19 +328,6 @@ class TestPolicySurface:
             policy_surface(
                 [0.0], 1.0, ALPHA, make_params(), config(), max_wealth=max_wealth
             )
-
-    def test_policy_curve_is_single_time_surface(self):
-        params = make_params(eta=0.1)
-        zg = default_zeta_grid(5.0, params.market, n=7, spread=2.0)
-        curve = policy_curve(
-            5.0, 1.0, ALPHA, params, config(1500), zeta_grid=zg
-        )
-        surface = policy_surface(
-            [5.0], 1.0, ALPHA, params, config(1500), zeta_grid=zg
-        )
-        assert [(p.zeta, p.wealth, p.theta) for p in curve] == [
-            (p.zeta, p.wealth, p.theta) for p in surface
-        ]
 
 
 def _rows(points):

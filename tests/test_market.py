@@ -23,7 +23,6 @@ from greedyhabit import (
     MarketParams,
     TimeGrid,
     generate_paths,
-    hazard_rate,
     survival_probability,
 )
 import greedyhabit.market
@@ -109,15 +108,6 @@ class TestGompertz:
     def test_negative_horizon_rejected(self, mortality):
         with pytest.raises(ValueError):
             survival_probability(mortality, -1.0)
-
-    def test_hazard_at_modal_age(self, mortality):
-        # at the modal age the Gompertz hazard equals 1/b exactly
-        assert hazard_rate(mortality, 89.335) == pytest.approx(
-            1.0 / 9.5, rel=1e-14
-        )
-        assert hazard_rate(mortality, 65.0) == pytest.approx(
-            0.008124502804143447, rel=1e-12
-        )
 
     def test_validation(self):
         with pytest.raises(ValueError):

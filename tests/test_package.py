@@ -47,6 +47,36 @@ def test_every_traced_function_exists():
         assert callable(fn), f"perfbench traces {module}.{name}, which is missing"
 
 
+def test_every_import_is_used():
+    # a name a module imports is read in it or re-exported by its __all__,
+    # so a deletion cannot leave its imports behind
+    for path in sorted(Path(greedyhabit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+            if alias.name != "*"
+        }
+        used = {
+            node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
+        }
+        exported = set()
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                getattr(target, "id", None) == "__all__" for target in node.targets
+            ):
+                exported = {
+                    elt.value
+                    for elt in node.value.elts
+                    if isinstance(elt, ast.Constant)
+                }
+        unused = imported - used - exported
+        assert not unused, f"{path.name} imports {sorted(unused)} unused"
+
+
 def test_import_starts_no_thread():
     # a fresh interpreter: threads start when rows are priced, not on
     # import, and the import pays for no executor module
