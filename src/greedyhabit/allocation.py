@@ -52,6 +52,7 @@ from .solver import (
     _require_two_samples,
     _resolve_method,
     _step_major,
+    _validate_positive,
     consumption_with_pension,
 )
 
@@ -59,8 +60,6 @@ __all__ = [
     "NestedConfig",
     "ThetaEstimate",
     "PolicyPoint",
-    "wealth_no_pension",
-    "wealth_with_pension",
     "allocation_at",
     "policy_surface",
     "default_zeta_grid",
@@ -176,8 +175,8 @@ class _InnerPaths:
         """Per-sample G, y * dG/dy and control at every state (t, y, h), in one pass.
 
         One (samples, deltas, x, mean_x) tuple per state, in order, as
-        ``solver._CostFunctional.price`` returns them; every state is
-        checked before any inner path is built.
+        ``solver._CostFunctional.price`` returns them; alpha and every
+        state are checked before any inner path is built.
         """
         if params.market != self.market:
             raise ValueError(
@@ -185,6 +184,7 @@ class _InnerPaths:
             )
         grid = self.config.grid
         method = _resolve_method(params, method, grid.dt)
+        _validate_positive("alpha", alpha)
         for _, y, h in states:
             if not (y > 0.0 and h > 0.0):  # a NaN fails too
                 raise ValueError(f"zeta={y} and habit_level={h} must be positive")
@@ -240,40 +240,6 @@ def _allocations(
     ]
 
 
-def wealth_no_pension(
-    t: float,
-    z: float,
-    alpha: float,
-    params: ModelParams,
-    config: NestedConfig = NestedConfig(),
-    _inner: Optional[_InnerPaths] = None,
-) -> BudgetEstimate:
-    """F(t, z): expected remaining cost in the reduced state z = zeta*H.
-
-    Satisfies F(0, initial habit) = budget(alpha) in expectation; the
-    martingale wealth at (t, zeta, H) is F(t, zeta * H) / zeta.  It is
-    the closed-form G at zeta = 1 with habit_level z.
-    """
-    [est] = _allocations([(t, 1.0, z)], alpha, params, config, _inner, "closed_form")
-    return est.wealth
-
-
-def wealth_with_pension(
-    t: float,
-    zeta: float,
-    habit_level: float,
-    alpha: float,
-    params: ModelParams,
-    config: NestedConfig = NestedConfig(),
-    _inner: Optional[_InnerPaths] = None,
-) -> BudgetEstimate:
-    """G(t, zeta, H): wealth with a pension (valid for pension = 0 too)."""
-    [est] = _allocations(
-        [(t, zeta, habit_level)], alpha, params, config, _inner, "euler"
-    )
-    return est.wealth
-
-
 def allocation_at(
     t: float,
     zeta: float,
@@ -281,10 +247,9 @@ def allocation_at(
     alpha: float,
     params: ModelParams,
     config: NestedConfig = NestedConfig(),
-    _inner: Optional[_InnerPaths] = None,
 ) -> ThetaEstimate:
     """Risky fraction at state (t, zeta, H) with its wealth estimate."""
-    return _allocations([(t, zeta, habit_level)], alpha, params, config, _inner)[0]
+    return _allocations([(t, zeta, habit_level)], alpha, params, config)[0]
 
 
 def default_zeta_grid(

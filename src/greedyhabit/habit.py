@@ -68,9 +68,9 @@ def habit_euler_step(
     h_{k+1} = h_k + eta * (c_k - h_k) * dt.  Requires eta * dt < 1 so
     the step preserves positivity and monotone tracking.
     """
-    if dt <= 0.0:
+    if not dt > 0.0:  # a NaN fails too
         raise ValueError(f"dt must be positive, got {dt}")
-    if eta < 0.0:
+    if not eta >= 0.0:
         raise ValueError(f"eta must be non-negative, got {eta}")
     if eta * dt >= 1.0:
         raise ValueError(
@@ -189,12 +189,12 @@ def habit_closed_form(
     ndarray
         Habit values, same shape as ``zeta``.
     """
-    if alpha <= 0.0:
+    if not alpha > 0.0:  # a NaN fails too
         raise ValueError(f"alpha must be positive, got {alpha}")
     if h_start is None:
         h_start = habit.initial
     h0 = np.asarray(h_start, dtype=float)
-    if np.any(h0 <= 0.0):
+    if not np.all(h0 > 0.0):
         raise ValueError("start habit must be positive")
     g = market.gamma
     kernel, decay = bernoulli_kernel(habit, market, mortality, times, zeta)

@@ -115,7 +115,6 @@ def simulate_lifetime(
     dt: float = 0.05,
     theta_refresh: float = 0.25,
     nested: NestedConfig = NestedConfig(),
-    scenario: Optional[PathBundle] = None,
     _inner: Optional[_InnerPaths] = None,
 ) -> LifetimeRecord:
     """Simulate one lifetime under the calibrated rule.
@@ -140,10 +139,6 @@ def simulate_lifetime(
         Outer step; refresh times must lie on both grids.
     theta_refresh : float
         Spacing of nested allocation estimates.
-    scenario : PathBundle, optional
-        Use the first path of an existing bundle, with its Brownian
-        paths, as the market scenario instead of generating one; its grid
-        must match (horizon, dt).  Lets several runs share one scenario.
 
     Returns
     -------
@@ -155,22 +150,13 @@ def simulate_lifetime(
     times = grid.times()
     n = grid.n_steps
 
-    if scenario is not None:
-        if scenario.grid != grid:
-            raise ValueError("scenario grid must match (horizon, dt)")
-        if scenario.w is None:
-            raise ValueError("scenario needs its Brownian paths (w is None)")
-        w, zeta = scenario.w[:1], scenario.zeta[:1]
-    elif scenario_seed is None:
+    if scenario_seed is None:
         w, zeta = _density_paths(params.market, np.zeros((1, n)), dt, False)
+        scenario = PathBundle(grid=grid, n_paths=1, seed=0, w=w, zeta=zeta)
     else:
-        bundle = generate_paths(params.market, grid, 1, seed=scenario_seed)
-        w, zeta = bundle.w, bundle.zeta
-    zeta_path = zeta[0]
-    dw = np.diff(w[0])
-    scenario = PathBundle(
-        grid=grid, n_paths=1, seed=scenario_seed or 0, w=w, zeta=zeta
-    )
+        scenario = generate_paths(params.market, grid, 1, seed=scenario_seed)
+    zeta_path = scenario.zeta[0]
+    dw = np.diff(scenario.w[0])
     consumption, habit = solve_paths(alpha, params, scenario)
     consumption = consumption[0].copy()
     habit = habit[0].copy()

@@ -13,8 +13,6 @@ follows a Gompertz law parameterised by modal age and dispersion.
 from __future__ import annotations
 
 import contextvars
-import functools
-import itertools
 import math
 import os
 import threading
@@ -155,7 +153,7 @@ def log_survival_probability(
 ) -> ArrayLike:
     """Log of :func:`survival_probability`; exact for very small tails."""
     s_arr = np.asarray(s, dtype=float)
-    if np.any(s_arr < 0.0):
+    if not np.all(s_arr >= 0.0):  # a NaN fails too
         raise ValueError("survival horizon s must be non-negative")
     b = mortality.dispersion
     base = np.exp((mortality.age - mortality.modal_age) / b)
@@ -279,21 +277,6 @@ def _in_threads(n: int, work) -> None:
             raise exc
 
 
-def _uint32_words(x) -> list:
-    """A non-negative int, or a sequence of them, as ``SeedSequence`` splits it.
-
-    Each int gives its 32-bit words, low first, and 0 gives one word.
-    """
-    if not isinstance(x, (int, np.integer)):
-        return [word for item in x for word in _uint32_words(item)]
-    x = int(x)
-    words = [x & 0xFFFFFFFF]
-    while x > 0xFFFFFFFF:
-        x >>= 32
-        words.append(x & 0xFFFFFFFF)
-    return words
-
-
 def _hash_keys(key: int, mult: int, n: int) -> list:
     """``key`` and the ``n`` keys after it of the ``SeedSequence`` hash."""
     keys = [key]
@@ -305,42 +288,16 @@ def _hash_keys(key: int, mult: int, n: int) -> list:
 def _hashmix(value, key, next_key):
     """numpy's ``SeedSequence`` hash of ``value`` between two successive keys.
 
-    On Python ints below 2**32 or uint32 arrays alike; the mask is a
-    no-op on the arrays, whose products wrap without a warning.
+    On uint32 arrays, whose products wrap without a warning.
     """
-    value = ((value ^ key) * next_key) & 0xFFFFFFFF
+    value = (value ^ key) * next_key
     return value ^ (value >> 16)
 
 
 def _mix(x, y):
-    """numpy's ``SeedSequence`` mix of two words, on ints or uint32 arrays."""
-    x = (0xCA01F9DD * x) & 0xFFFFFFFF
-    value = (x - ((0x4973F715 * y) & 0xFFFFFFFF)) & 0xFFFFFFFF
+    """numpy's ``SeedSequence`` mix of two words, on uint32 arrays."""
+    value = 0xCA01F9DD * x - 0x4973F715 * y
     return value ^ (value >> 16)
-
-
-@functools.lru_cache(maxsize=8)
-def _seed_pool(seed: int, key: tuple):
-    """``SeedSequence``'s pool (4, 1) after ``seed`` and ``key``, and its hash keys.
-
-    Shared by every row of one stream family, read-only; the last item
-    counts the hash keys used.
-    """
-    # a child's key is never empty, so its run entropy is padded to the pool
-    words = _uint32_words(seed)
-    words += [0] * (4 - len(words)) + _uint32_words(key)
-    # 4 hashes fill the pool and 12 mix it; each later word takes 4 more
-    keys = _hash_keys(0x43B0D7E5, 0x931E8875, 4 * len(words) + 8)
-    pool = [_hashmix(words[i], keys[i], keys[i + 1]) for i in range(4)]
-    for n, (src, dst) in enumerate(itertools.permutations(range(4), 2), 4):
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], keys[n], keys[n + 1]))
-    # from here on a column of four keys hashes into the four pool words
-    pool = np.array(pool, dtype=np.uint32)[:, None]
-    columns = np.array(keys, dtype=np.uint32)[:, None]
-    for n, word in enumerate(words[4:]):
-        pool = _absorb(pool, columns, word, 16 + 4 * n)
-    pool.flags.writeable = columns.flags.writeable = False
-    return pool, columns, 4 * len(words)
 
 
 def _absorb(pool, columns, word, n):
@@ -359,16 +316,25 @@ def _fill_normals(
     objects are not built per row: that holds the interpreter lock for
     longer than the draw, which releases it.  numpy's ``SeedSequence``
     hash (numpy/random/bit_generator.pyx) mixes ``seed`` and ``key`` into
-    its pool of 4 words once per ``(seed, key)`` (:func:`_seed_pool`); the
-    row index words and ``generate_state(4, uint64)`` are hashed as
-    uint32 arrays over the rows; and PCG64's seeding (two steps of its
-    128-bit LCG, O'Neill's ``pcg_setseq_128_srandom_r``) gives each row's
-    state, loaded into one generator of this call.
+    the 4-word pool of the parent ``SeedSequence(entropy=seed,
+    spawn_key=key)``; the row index words and ``generate_state(4,
+    uint64)`` are hashed as uint32 arrays over the rows; and PCG64's
+    seeding (two steps of its 128-bit LCG, O'Neill's
+    ``pcg_setseq_128_srandom_r``) gives each row's state, loaded into one
+    generator of this call.
     """
     # numpy rejects a bad seed or key here, before either is split
-    bits = np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=key))
+    parent = np.random.SeedSequence(entropy=seed, spawn_key=key)
+    bits = np.random.PCG64(parent)
     rng = np.random.Generator(bits)
-    pool, columns, n = _seed_pool(seed, key)
+    # a child's entropy is seed padded to 4 words (its key is never empty),
+    # key, then the row index.  The parent's pool holds the first two; its
+    # hash took 16 keys for 4 words and 4 for each word after, so the row
+    # index hashes with keys from n on.  An int takes a word per 32 bits.
+    words = [max(1, -(-int(x).bit_length() // 32)) for x in (seed, *key)]
+    n = 4 * (max(4, words[0]) + sum(words[1:]))
+    keys = np.array(_hash_keys(0x43B0D7E5, 0x931E8875, n + 8), dtype=np.uint32)
+    pool, columns = parent.pool[:, None], keys[:, None]
     # a row index takes one word below 2**32 and two, low first, above
     index = np.arange(rows.start, rows.stop, rows.step, dtype=np.uint64)
     pool = _absorb(pool, columns, (index & 0xFFFFFFFF).astype(np.uint32), n)

@@ -166,7 +166,7 @@ class GreedySolution:
 
 
 def _validate_positive(name: str, value: ArrayLike) -> None:
-    if np.any(np.asarray(value) <= 0.0):
+    if not np.all(np.asarray(value) > 0.0):  # a NaN fails too
         raise ValueError(f"{name} must be positive")
 
 
@@ -186,6 +186,8 @@ def consumption_no_pension(
     _validate_positive("habit h", h)
     _validate_positive("zeta", zeta)
     _validate_positive("alpha", alpha)
+    if not np.all(np.asarray(t) >= 0.0):
+        raise ValueError("time t must be non-negative")
     g = market.gamma
     log_p = log_survival_probability(mortality, t)
     shadow = np.exp(
@@ -205,7 +207,7 @@ def consumption_with_pension(
     mortality: GompertzParams,
 ) -> ArrayLike:
     """Greedy consumption with a pension floor: max(pension, unfloored)."""
-    if pension < 0.0:
+    if not pension >= 0.0:
         raise ValueError(f"pension must be non-negative, got {pension}")
     base = consumption_no_pension(h, zeta, t, alpha, market, mortality)
     out = np.maximum(pension, base)
@@ -726,26 +728,19 @@ class _CostFunctional:
 
 
 def solve_paths(
-    alpha: float,
-    params: ModelParams,
-    paths: PathBundle,
-    method: str = "auto",
+    alpha: float, params: ModelParams, paths: PathBundle
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Optimal consumption and habit along every path of a bundle.
 
-    Parameters
-    ----------
-    method : {"auto", "closed_form", "euler"}
-        ``closed_form`` evaluates the Bernoulli solution (pension must
-        be zero); ``euler`` steps the habit ODE explicitly and supports
-        any pension.  ``auto`` picks closed_form when pension == 0.
+    The Bernoulli closed form at pension 0; with a pension, explicit
+    Euler steps of the habit ODE under the floored rule.
 
     Returns
     -------
     (consumption, habit) : ndarray pairs, shape (n_paths, n_times)
     """
     _validate_positive("alpha", alpha)
-    return _bundle_cost(params, paths, method).paths(alpha)
+    return _bundle_cost(params, paths).paths(alpha)
 
 
 def _bundle_cost(

@@ -56,11 +56,10 @@ from greedyhabit import (
     policy_surface,
     simulate_lifetime,
     solve_paths,
-    wealth_no_pension,
-    wealth_with_pension,
 )
 
-from greedyhabit.allocation import _InnerPaths
+from greedyhabit.allocation import _allocations, _InnerPaths
+from greedyhabit.solver import _bundle_cost
 from conftest import CAL_GRID, CAL_SEED, central_theta, make_params
 
 ETAS = (0.01, 0.1, 1.0)
@@ -134,10 +133,8 @@ def test_budget_identity_all_configurations(calibrated):
         for pension in PENSIONS:
             params, config, sol = calibrated(eta, pension)
             ok = ok and sol.budget_residual <= config.tolerance
-            if pension == 0.0:
-                est = wealth_no_pension(0.0, 1.0, sol.alpha, params, nested)
-            else:
-                est = wealth_with_pension(0.0, 1.0, 1.0, sol.alpha, params, nested)
+            # the closed form at pension 0, the Euler sweep with a pension
+            est = allocation_at(0.0, 1.0, 1.0, sol.alpha, params, nested).wealth
             # The calibration is allowed to stop within tolerance * v of the
             # target, so the t = 0 wealth inherits that offset on top of
             # the two Monte Carlo errors.
@@ -169,7 +166,7 @@ def test_scale_invariance():
     bundle = generate_paths(base_params.market, TimeGrid(40.0, 0.05), 256, seed=52)
     c0, h0 = solve_paths(base.alpha, base_params, bundle)
     theta0 = allocation_at(10.0, 0.9, 1.0, base.alpha, base_params, nested)
-    cost0 = wealth_no_pension(10.0, 0.9, base.alpha, base_params, nested)
+    cost0 = allocation_at(10.0, 1.0, 0.9, base.alpha, base_params, nested).wealth
     worst_alpha = worst_path = worst_theta = worst_wealth = 0.0
     for lam in (0.5, 2.0, 10.0):
         scaled_params = make_params(v=lam * 10.0, c_bar=lam)
@@ -185,9 +182,9 @@ def test_scale_invariance():
             10.0, 0.9, lam, scaled.alpha, scaled_params, nested
         )
         worst_theta = max(worst_theta, abs(theta1.value - theta0.value))
-        cost1 = wealth_no_pension(
-            10.0, 0.9 * lam, scaled.alpha, scaled_params, nested
-        )
+        cost1 = allocation_at(
+            10.0, 1.0, 0.9 * lam, scaled.alpha, scaled_params, nested
+        ).wealth
         worst_wealth = max(worst_wealth, abs(cost1.value / cost0.value - lam) / lam)
     ok = (
         worst_alpha <= 0.01
@@ -225,8 +222,8 @@ def test_habit_euler_first_order(calibrated):
     for factor in (1, 2):
         bundle = _subsample(fine, factor) if factor > 1 else fine
         dt = bundle.grid.dt
-        c_ref, h_ref = solve_paths(sol.alpha, params, bundle, method="closed_form")
-        c_eu, h_eu = solve_paths(sol.alpha, params, bundle, method="euler")
+        c_ref, h_ref = _bundle_cost(params, bundle, "closed_form").paths(sol.alpha)
+        c_eu, h_eu = _bundle_cost(params, bundle, "euler").paths(sol.alpha)
         err = max(
             float(np.max(np.abs(h_eu - h_ref) / h_ref)),
             float(np.max(np.abs(c_eu - c_ref) / c_ref)),
@@ -428,7 +425,7 @@ def test_sensitivity_robustness(calibrated):
     state = (10.0, 1.0, 1.0)
     nested = NestedConfig(n_inner=5000, seed=77, grid=CAL_GRID, antithetic=True)
     inner = _InnerPaths(params.market, nested)
-    base = allocation_at(*state, sol.alpha, params, nested, _inner=inner)
+    [base] = _allocations([state], sol.alpha, params, nested, inner)
     kappa_sig = params.market.kappa / params.market.sigma
     central = [
         central_theta(

@@ -28,12 +28,10 @@ from greedyhabit import (
     merton_alpha,
     merton_theta,
     policy_surface,
-    wealth_no_pension,
-    wealth_with_pension,
 )
 import greedyhabit.allocation
 import greedyhabit.market
-from greedyhabit.allocation import _InnerPaths, _ratio_theta
+from greedyhabit.allocation import _allocations, _InnerPaths, _ratio_theta
 from greedyhabit.market import _density_paths, _fill_normals
 from greedyhabit.solver import _CostFunctional, _estimate_from_samples
 from conftest import (
@@ -64,19 +62,22 @@ class TestWealth:
         market, mort = MarketParams(), GompertzParams()
         params = make_params(eta=0.0, v=10.0)
         alpha = merton_alpha(10.0, market, mort)
-        est = wealth_no_pension(0.0, 1.0, alpha, params, config(20000, seed=41))
+        est = allocation_at(0.0, 1.0, 1.0, alpha, params, config(20000, seed=41)).wealth
         exact = alpha ** (-1.0 / market.gamma) * control_mean(params, GRID.times())
         assert abs(est.value - exact) < 3.0 * est.std_error + 1e-12 * exact
         assert est.std_error < 0.1
 
     def test_state_representations_agree(self):
-        # the reduced one-dimensional state and the explicit
-        # (zeta, habit) state price the same wealth at pi = 0
+        # the reduced one-dimensional state on the closed form and the
+        # explicit (zeta, habit) state on the Euler sweep price the same
+        # wealth at pi = 0
         params = make_params(eta=0.1)
         cfg = config()
+        inner = _InnerPaths(params.market, cfg)
         for t, zeta, h in [(0.0, 1.0, 1.0), (10.0, 0.8, 1.1), (25.0, 1.6, 0.9)]:
-            f = wealth_no_pension(t, zeta * h, ALPHA, params, cfg)
-            g = wealth_with_pension(t, zeta, h, ALPHA, params, cfg)
+            [f] = _allocations([(t, 1.0, zeta * h)], ALPHA, params, cfg, inner)
+            [g] = _allocations([(t, zeta, h)], ALPHA, params, cfg, inner, "euler")
+            f, g = f.wealth, g.wealth
             x = f.value / zeta
             pooled = math.hypot(f.std_error / zeta, g.std_error)
             assert abs(g.value - x) < 3.0 * pooled + 2e-3 * x, (
@@ -90,15 +91,18 @@ class TestWealth:
         params = make_params(eta=0.1)
         cfg = config(4000)
         zs = (0.25, 0.5, 1.0, 2.0, 4.0)
-        cost = [wealth_no_pension(10.0, z, ALPHA, params, cfg).value for z in zs]
+        cost = [
+            est.wealth.value
+            for est in _allocations([(10.0, 1.0, z) for z in zs], ALPHA, params, cfg)
+        ]
         assert all(a < b for a, b in zip(cost, cost[1:]))
         wealth = [c / z for c, z in zip(cost, zs)]
         assert all(a > b for a, b in zip(wealth, wealth[1:]))
 
     def test_deterministic(self):
         params = make_params(eta=0.1)
-        a = wealth_no_pension(10.0, 1.0, ALPHA, params, config(2000))
-        b = wealth_no_pension(10.0, 1.0, ALPHA, params, config(2000))
+        a = allocation_at(10.0, 1.0, 1.0, ALPHA, params, config(2000)).wealth
+        b = allocation_at(10.0, 1.0, 1.0, ALPHA, params, config(2000)).wealth
         assert a.value == b.value
         assert a.std_error == b.std_error
 
@@ -158,7 +162,7 @@ class TestAllocation:
         params = make_params(eta=0.1)
         cfg = config(3000)
         inner = _InnerPaths(params.market, cfg)
-        est = allocation_at(10.0, 1.0, 1.0, ALPHA, params, cfg, _inner=inner)
+        [est] = _allocations([(10.0, 1.0, 1.0)], ALPHA, params, cfg, inner)
         ks = params.market.kappa / params.market.sigma
         for bump in (1e-3, 5e-4):
             central = central_theta(
@@ -218,14 +222,21 @@ class TestStateEvaluation:
         monkeypatch.setattr(greedyhabit.allocation, "_simulate", counted)
         params, cfg = make_params(eta=0.1), config(200)
         for evaluate in (
-            lambda: wealth_no_pension(10.0, bad, ALPHA, params, cfg),
-            lambda: wealth_with_pension(10.0, bad, 1.0, ALPHA, params, cfg),
-            lambda: wealth_with_pension(10.0, 1.0, bad, ALPHA, params, cfg),
+            lambda: _allocations([(10.0, 1.0, bad)], ALPHA, params, cfg, None, "closed_form"),
+            lambda: _allocations([(10.0, bad, 1.0)], ALPHA, params, cfg, None, "euler"),
+            lambda: _allocations([(10.0, 1.0, bad)], ALPHA, params, cfg, None, "euler"),
             lambda: allocation_at(10.0, bad, 1.0, ALPHA, params, cfg),
             lambda: allocation_at(10.0, 1.0, bad, ALPHA, params, cfg),
         ):
             with pytest.raises(ValueError, match=f"={bad} .*must be positive"):
                 evaluate()
+        # a bad multiplier, on either branch
+        for pension in (0.0, 0.5):
+            params = make_params(eta=0.1, pension=pension)
+            with pytest.raises(ValueError, match="alpha must be positive"):
+                allocation_at(10.0, 1.0, 1.0, bad, params, cfg)
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            policy_surface([10.0], 1.0, bad, params, cfg)
         assert simulated == []
 
     def test_theta_wealth_is_the_plain_estimate(self):
@@ -254,9 +265,7 @@ class TestPathwiseTheta:
         alpha = merton_alpha(10.0, market, GompertzParams())
         inner = _InnerPaths(market, config(2000))
         for t, zeta in [(0.0, 1.0), (10.0, 0.5), (30.0, 2.0)]:
-            est = allocation_at(
-                t, zeta, 1.0, alpha, params, config(2000), _inner=inner
-            )
+            [est] = _allocations([(t, zeta, 1.0)], alpha, params, config(2000), inner)
             assert abs(est.value - merton_theta(market)) < 1e-12
 
     def test_agrees_with_central_difference_where_the_floor_binds(self):
@@ -272,7 +281,7 @@ class TestPathwiseTheta:
                 ALPHA, params, times, zeta[:, : m + 1], GRID.dt, y, 1.0
             )[1]
             assert 0.0 < np.mean(consumption == params.pension) < 1.0
-            a = allocation_at(t, y, 1.0, ALPHA, params, cfg, _inner=inner)
+            [a] = _allocations([(t, y, 1.0)], ALPHA, params, cfg, inner)
             b = central_theta(
                 lambda level: inner.price([(t, level, 1.0)], ALPHA, params)[0][0],
                 y,
@@ -403,7 +412,7 @@ class TestSharedInnerPaths:
         inner = _InnerPaths(MarketParams(), cfg)
         for pension in (0.0, 0.5, 0.0):
             params = make_params(eta=0.1, pension=pension)
-            shared = allocation_at(10.0, 0.8, 1.1, ALPHA, params, cfg, _inner=inner)
+            [shared] = _allocations([(10.0, 0.8, 1.1)], ALPHA, params, cfg, inner)
             fresh = allocation_at(10.0, 0.8, 1.1, ALPHA, params, cfg)
             assert shared == fresh
 
@@ -432,11 +441,9 @@ class TestSharedInnerPaths:
                 0.5 * (x[:half] + x[half:]),
                 mean_x,
             )
-            wealth = wealth_with_pension(
-                t, *state, ALPHA, params, cfg, _inner=inner
-            )
-            est = allocation_at(t, *state, ALPHA, params, cfg, _inner=inner)
-            assert wealth == expected.wealth
+            [forced] = _allocations([(t, *state)], ALPHA, params, cfg, inner, "euler")
+            [est] = _allocations([(t, *state)], ALPHA, params, cfg, inner)
+            assert forced.wealth == expected.wealth
             assert est == expected
 
     def test_step_major_copy_is_built_once_and_only_for_euler(self):
@@ -444,10 +451,10 @@ class TestSharedInnerPaths:
         inner = _InnerPaths(MarketParams(), cfg)
         plain = make_params(eta=0.1)
         inner.price([(10.0, 1.0, 1.0)], ALPHA, plain)
-        allocation_at(20.0, 0.8, 1.1, ALPHA, plain, cfg, _inner=inner)
+        _allocations([(20.0, 0.8, 1.1)], ALPHA, plain, cfg, inner)
         assert "_steps" not in vars(inner)
         pension = make_params(eta=0.1, pension=0.5)
-        allocation_at(0.0, 0.8, 1.1, ALPHA, pension, cfg, _inner=inner)
+        _allocations([(0.0, 0.8, 1.1)], ALPHA, pension, cfg, inner)
         copy = inner._steps[0]
         for t in (10.0, 30.0):
             inner.price([(t, 0.8, 1.1)], ALPHA, pension)
@@ -535,9 +542,7 @@ class TestBatchedStates:
                     state,
                 )
         assert inner.price([], ALPHA, params) == []
-        estimates = greedyhabit.allocation._allocations(
-            self.STATES, ALPHA, params, cfg, inner
-        )
+        estimates = _allocations(self.STATES, ALPHA, params, cfg, inner)
         ks = params.market.kappa / params.market.sigma
         for est, (f0, u, x, mean_x) in zip(estimates, alone):
             assert est == _ratio_theta(f0, u, ks, x, mean_x)
@@ -559,7 +564,7 @@ class TestBatchedStates:
         params = make_params(eta=0.1)
         cfg = NestedConfig(n_inner=32, seed=3, grid=GRID, antithetic=False)
         states = [(0.0, 1.0, 1.0), (10.0, 1e10, 1.0), (10.0, 1.0, 1.0)]
-        batch = greedyhabit.allocation._allocations(states, ALPHA, params, cfg)
+        batch = _allocations(states, ALPHA, params, cfg)
         assert [est.reliable for est in batch] == [True, False, True]
         for state, est in zip(states, batch):
             alone = allocation_at(*state, ALPHA, params, cfg)
@@ -592,7 +597,7 @@ class TestBatchedStates:
         for pension in (0.0, 0.5):
             params = make_params(eta=0.1, pension=pension)
             with pytest.raises(ValueError):
-                greedyhabit.allocation._allocations(states, ALPHA, params, config(200))
+                _allocations(states, ALPHA, params, config(200))
         assert simulated == []
 
     def test_closed_form_batch_holds_no_full_size_array(self, monkeypatch):

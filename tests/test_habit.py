@@ -73,6 +73,10 @@ class TestEulerStep:
             habit_euler_step(1.0, 1.0, 0.05, -0.1)
         with pytest.raises(ValueError):
             habit_euler_step(1.0, 1.0, 2.0, 0.6)
+        with pytest.raises(ValueError, match="dt"):
+            habit_euler_step(1.0, 1.0, math.nan, 0.1)
+        with pytest.raises(ValueError, match="eta"):
+            habit_euler_step(1.0, 1.0, 0.05, math.nan)
 
     @given(
         h=st.floats(0.01, 100.0),
@@ -210,13 +214,14 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("gamma", [0.5, 3.0])
     def test_equals_the_solver_closed_form(self, gamma):
-        # the solver's closed-form habit evaluates the same formula on the
-        # same kernel, so the two must agree bit for bit
+        # the solver's closed-form habit (solve_paths at pension 0)
+        # evaluates the same formula on the same kernel, so the two must
+        # agree bit for bit
         market = dataclasses.replace(self.market, gamma=gamma)
         habit = HabitParams(eta=0.1, initial=1.3)
         params = ModelParams(market=market, mortality=self.mortality, habit=habit)
         bundle = generate_paths(market, TimeGrid(20.0, 0.1), 16, seed=5)
-        _, solved = solve_paths(2.5, params, bundle, method="closed_form")
+        _, solved = solve_paths(2.5, params, bundle)
         h = habit_closed_form(
             habit, market, self.mortality, 2.5, bundle.grid.times(), bundle.zeta
         )
@@ -234,4 +239,13 @@ class TestClosedForm:
             habit_closed_form(
                 habit, self.market, self.mortality, 1.0, times, zeta,
                 h_start=-1.0,
+            )
+        with pytest.raises(ValueError, match="alpha"):
+            habit_closed_form(
+                habit, self.market, self.mortality, math.nan, times, zeta
+            )
+        with pytest.raises(ValueError, match="start habit"):
+            habit_closed_form(
+                habit, self.market, self.mortality, 1.0, times, zeta,
+                h_start=math.nan,
             )

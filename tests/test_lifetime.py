@@ -22,7 +22,6 @@ from greedyhabit import (
     MarketParams,
     NestedConfig,
     TimeGrid,
-    allocation_at,
     calibrate_alpha,
     generate_paths,
     merton_alpha,
@@ -31,7 +30,7 @@ from greedyhabit import (
     simulate_lifetime,
     solve_paths,
 )
-from greedyhabit.allocation import _InnerPaths
+from greedyhabit.allocation import _allocations, _InnerPaths
 from conftest import make_params
 
 GRID = TimeGrid(60.0, 0.05)
@@ -131,25 +130,6 @@ class TestEulerMode:
         assert np.array_equal(a.allocation, b.allocation)
         assert np.array_equal(a.consumption, b.consumption)
 
-    def test_scenario_injection_matches_seed(self, market):
-        params = make_params(eta=0.1)
-        grid = TimeGrid(3.0, 0.05)
-        bundle = generate_paths(market, grid, 1, seed=8)
-        kwargs = dict(
-            horizon=3.0,
-            dt=0.05,
-            theta_refresh=1.0,
-            nested=nested(800),
-        )
-        via_seed = simulate_lifetime(
-            params, ALPHA_BY_PENSION[0.0], scenario_seed=8, **kwargs
-        )
-        via_bundle = simulate_lifetime(
-            params, ALPHA_BY_PENSION[0.0], scenario=bundle, **kwargs
-        )
-        assert np.array_equal(via_seed.zeta, via_bundle.zeta)
-        assert np.array_equal(via_seed.wealth, via_bundle.wealth)
-
 
 class TestMartingaleMode:
     def test_propensity_matches_annuity_oracle(self):
@@ -225,14 +205,12 @@ class TestNestedTrack:
         habit = solve_paths(alpha, params, bundle)[1][0]
         for j, t in enumerate(rec.refresh_times):
             k = np.searchsorted(rec.times, t)
-            est = allocation_at(
-                float(t),
-                float(rec.zeta[k]),
-                float(habit[k]),
+            [est] = _allocations(
+                [(float(t), float(rec.zeta[k]), float(habit[k]))],
                 alpha,
                 params,
                 config,
-                _inner=inner,
+                inner,
             )
             assert rec.nested_wealth[j] == est.wealth.value, t
             assert rec.nested_wealth_se[j] == est.wealth.std_error, t
@@ -279,41 +257,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="horizon"):
             simulate_lifetime(
                 make_params(), 1.0, horizon=60.0, nested=nested(100)
-            )
-
-    def test_scenario_grid_must_match(self, market):
-        bundle = generate_paths(market, TimeGrid(2.0, 0.1), 1, seed=1)
-        with pytest.raises(ValueError, match="grid"):
-            simulate_lifetime(
-                make_params(),
-                1.0,
-                scenario=bundle,
-                horizon=2.0,
-                dt=0.05,
-                theta_refresh=0.5,
-                nested=nested(100),
-            )
-
-    def test_scenario_needs_brownian_paths(self, market, monkeypatch):
-        grid = TimeGrid(2.0, 0.05)
-        config = CalibrationConfig(grid=grid, n_paths=2, seed=1)
-        bundle = greedyhabit.lifetime._calibration_paths(market, config)
-        assert bundle.w is None
-
-        def no_pricing(*args, **kwargs):
-            raise AssertionError("priced before the scenario was checked")
-
-        monkeypatch.setattr(greedyhabit.lifetime, "solve_paths", no_pricing)
-        monkeypatch.setattr(greedyhabit.lifetime, "_allocations", no_pricing)
-        with pytest.raises(ValueError, match="Brownian"):
-            simulate_lifetime(
-                make_params(),
-                1.0,
-                scenario=bundle,
-                horizon=2.0,
-                dt=0.05,
-                theta_refresh=0.5,
-                nested=nested(100),
             )
 
 

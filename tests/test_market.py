@@ -108,6 +108,9 @@ class TestGompertz:
     def test_negative_horizon_rejected(self, mortality):
         with pytest.raises(ValueError):
             survival_probability(mortality, -1.0)
+        for s in (math.nan, np.array([1.0, math.nan])):
+            with pytest.raises(ValueError, match="horizon"):
+                survival_probability(mortality, s)
 
     def test_validation(self):
         with pytest.raises(ValueError):

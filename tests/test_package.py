@@ -4,10 +4,12 @@ The package exports exactly the names each module lists in its own
 ``__all__``.  The benchmark (``perfbench/``) patches the functions named
 in its tracer's ``TRACED`` list; a name missing from the package is
 skipped there, so its per-layer metrics would read zero instead of
-failing.
+failing.  No import and no top-level private helper in ``src/`` is left
+unused.
 """
 
 import ast
+import collections
 import importlib
 import os
 import subprocess
@@ -75,6 +77,42 @@ def test_every_import_is_used():
                 }
         unused = imported - used - exported
         assert not unused, f"{path.name} imports {sorted(unused)} unused"
+
+
+def test_every_private_helper_is_used():
+    # a top-level _private function, class or constant is read in src/
+    # outside its own definition, so a deletion cannot leave a dead
+    # helper behind
+    trees = [
+        ast.parse(path.read_text())
+        for path in sorted(Path(greedyhabit.__file__).parent.glob("*.py"))
+    ]
+    readers = collections.defaultdict(set)
+    definitions = []
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                readers[node.id].add(id(node))
+            elif isinstance(node, ast.Attribute):
+                readers[node.attr].add(id(node))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [getattr(target, "id", "") for target in node.targets]
+            elif isinstance(node, ast.AnnAssign):
+                names = [getattr(node.target, "id", "")]
+            else:
+                continue
+            definitions += [
+                (name, node)
+                for name in names
+                if name.startswith("_") and not name.startswith("__")
+            ]
+    assert definitions
+    for name, definition in definitions:
+        inside = {id(node) for node in ast.walk(definition)}
+        assert readers[name] - inside, f"{name} is defined in src/ but never used there"
 
 
 def test_import_starts_no_thread():

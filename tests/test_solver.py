@@ -207,6 +207,23 @@ class TestConsumptionRule:
             consumption_with_pension(
                 1.0, 1.0, 0.0, 1.0, -0.5, self.market, self.mortality
             )
+        # a NaN fails every check, by name, as a bad value does
+        nan = math.nan
+        for args, name in [
+            ((nan, 1.0, 0.0, 1.0), "habit h"),
+            ((1.0, nan, 0.0, 1.0), "zeta"),
+            ((1.0, 1.0, nan, 1.0), "time t"),
+            ((1.0, 1.0, -1.0, 1.0), "time t"),
+            ((1.0, 1.0, 0.0, nan), "alpha"),
+        ]:
+            with pytest.raises(ValueError, match=name):
+                consumption_no_pension(*args, self.market, self.mortality)
+            with pytest.raises(ValueError, match=name):
+                consumption_with_pension(*args, 0.5, self.market, self.mortality)
+        with pytest.raises(ValueError, match="pension"):
+            consumption_with_pension(
+                1.0, 1.0, 0.0, 1.0, nan, self.market, self.mortality
+            )
 
 
 class TestSolvePaths:
@@ -224,9 +241,9 @@ class TestSolvePaths:
         grid = TimeGrid(10.0, 0.05)
         bundle = generate_paths(market, grid, 64, seed=2)
         params = make_params(eta=0.5)
-        c_cf, h_cf = solve_paths(3.0, params, bundle, method="closed_form")
-        c_eu, h_eu = solve_paths(3.0, params, bundle, method="euler")
-        c_auto, h_auto = solve_paths(3.0, params, bundle, method="auto")
+        c_cf, h_cf = _bundle_cost(params, bundle, "closed_form").paths(3.0)
+        c_eu, h_eu = _bundle_cost(params, bundle, "euler").paths(3.0)
+        c_auto, h_auto = solve_paths(3.0, params, bundle)
         assert np.array_equal(c_auto, c_cf)
         assert np.array_equal(h_auto, h_cf)
         # Euler carries O(dt) error against the exact recursion
@@ -238,7 +255,7 @@ class TestSolvePaths:
         bundle = generate_paths(market, grid, 8, seed=2)
         params = make_params(eta=0.1, pension=1.0)
         with pytest.raises(ValueError, match="pension"):
-            solve_paths(3.0, params, bundle, method="closed_form")
+            _bundle_cost(params, bundle, "closed_form")
 
     def test_pension_floor_binds_somewhere(self, market):
         grid = TimeGrid(20.0, 0.05)
@@ -262,11 +279,21 @@ class TestSolvePaths:
         assert np.array_equal(c, c_ref)
         assert np.array_equal(h, h_ref)
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    def test_bad_alpha_is_rejected(self, market, bad):
+        bundle = generate_paths(market, TimeGrid(1.0, 0.05), 4, seed=2)
+        for pension in (0.0, 0.5):
+            params = make_params(pension=pension)
+            with pytest.raises(ValueError, match="alpha must be positive"):
+                solve_paths(bad, params, bundle)
+            with pytest.raises(ValueError, match="alpha must be positive"):
+                budget_value(bad, params, bundle)
+
     def test_unknown_method(self, market):
         grid = TimeGrid(1.0, 0.05)
         bundle = generate_paths(market, grid, 4, seed=2)
         with pytest.raises(ValueError, match="method"):
-            solve_paths(1.0, make_params(), bundle, method="rk4")
+            _bundle_cost(make_params(), bundle, "rk4")
 
 
 class TestBudgetValue:
