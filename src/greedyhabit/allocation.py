@@ -49,8 +49,8 @@ from .solver import (
     ModelParams,
     _CostFunctional,
     _estimate_from_samples,
+    _require_stable_step,
     _require_two_samples,
-    _resolve_method,
     _step_major,
     _validate_positive,
     consumption_with_pension,
@@ -171,7 +171,7 @@ class _InnerPaths:
     def _steps(self):
         return _step_major(self._zeta, self.market.gamma)
 
-    def price(self, states, alpha: float, params: ModelParams, method: str = "auto"):
+    def price(self, states, alpha: float, params: ModelParams):
         """Per-sample G, y * dG/dy and control at every state (t, y, h), in one pass.
 
         One (samples, deltas, x, mean_x) tuple per state, in order, as
@@ -183,7 +183,7 @@ class _InnerPaths:
                 f"inner paths were built for {self.market}, not {params.market}"
             )
         grid = self.config.grid
-        method = _resolve_method(params, method, grid.dt)
+        _require_stable_step(params, grid.dt)
         _validate_positive("alpha", alpha)
         for _, y, h in states:
             if not (y > 0.0 and h > 0.0):  # a NaN fails too
@@ -194,8 +194,8 @@ class _InnerPaths:
         times = [t + np.arange(_horizon_steps(grid, t) + 1) * grid.dt for t in starts]
         rows = [(starts.index(t), y, h) for t, y, h in states]
         return _CostFunctional(
-            params, times, self._zeta, grid.dt, self.config.antithetic, method,
-            self._steps if method == "euler" else None,
+            params, times, self._zeta, grid.dt, self.config.antithetic,
+            self._steps if params.pension != 0.0 else None,
         ).price(alpha, rows, True)
 
 
@@ -224,8 +224,7 @@ def _ratio_theta(f0, u, kappa_sig, x=None, mean_x=0.0):
 
 
 def _allocations(
-    states, alpha: float, params: ModelParams, config: NestedConfig, inner=None,
-    method: str = "auto",
+    states, alpha: float, params: ModelParams, config: NestedConfig, inner=None
 ) -> List[ThetaEstimate]:
     """:func:`allocation_at` at every state (t, zeta, H), from one pass.
 
@@ -235,7 +234,7 @@ def _allocations(
     return [
         _ratio_theta(f0, u, kappa_sig, *control)
         for f0, u, *control in (inner or _InnerPaths(params.market, config)).price(
-            states, alpha, params, method
+            states, alpha, params
         )
     ]
 
@@ -266,6 +265,10 @@ def default_zeta_grid(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if not 0.0 <= t < math.inf:  # a NaN fails too
+        raise ValueError(f"t must be finite and non-negative, got {t}")
+    if not math.isfinite(spread):
+        raise ValueError(f"spread must be finite, got {spread}")
     center = math.exp(-(market.r + 0.5 * market.kappa**2) * t)
     offsets = np.linspace(-spread, spread, n) if n > 1 else np.zeros(1)
     return center * np.exp(offsets)

@@ -92,7 +92,8 @@ def _refresh_plan(
     # the absorption tail steps the habit ODE on the record grid
     if eta * dt >= 1.0:
         raise ValueError(f"eta * dt = {eta * dt} >= 1: record grid too coarse")
-    m = round(theta_refresh / dt)
+    steps = theta_refresh / dt
+    m = round(steps) if math.isfinite(steps) else 0
     if m < 1 or abs(m * dt - theta_refresh) > 1e-9:
         raise ValueError(
             f"theta_refresh={theta_refresh} is not a multiple of dt={dt}"

@@ -192,7 +192,8 @@ class TimeGrid:
 
     def index_of(self, t: float) -> int:
         """Index of grid time ``t``; raises if ``t`` is not on the grid."""
-        k = round(t / self.dt)
+        steps = t / self.dt
+        k = round(steps) if math.isfinite(steps) else -1  # NaN and inf are off it
         if k < 0 or k > self.n_steps or abs(k * self.dt - t) > 1e-9 * max(1.0, abs(t)):
             raise ValueError(f"t={t} does not lie on the grid (dt={self.dt})")
         return k

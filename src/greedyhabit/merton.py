@@ -78,8 +78,8 @@ def merton_budget(
     c_bar^(1 - 1/gamma) * alpha^(-1/gamma) * A(0); strictly decreasing
     in alpha.
     """
-    if alpha <= 0.0 or c_bar <= 0.0:
-        raise ValueError("alpha and c_bar must be positive")
+    if not (alpha > 0.0 and c_bar > 0.0):  # a NaN fails too
+        raise ValueError(f"alpha={alpha} and c_bar={c_bar} must be positive")
     g = market.gamma
     return (
         c_bar ** (1.0 - 1.0 / g)
@@ -109,8 +109,8 @@ def merton_alpha(
 
     Inverts merton_budget: alpha = (c_bar^(1 - 1/gamma) A(0) / v)^gamma.
     """
-    if v <= 0.0:
-        raise ValueError(f"v must be positive, got {v}")
+    if not (v > 0.0 and c_bar > 0.0):  # a NaN fails too
+        raise ValueError(f"v={v} and c_bar={c_bar} must be positive")
     g = market.gamma
     a0 = merton_annuity(market, mortality, 0.0, t_max)
     return (c_bar ** (1.0 - 1.0 / g) * a0 / v) ** g

@@ -25,7 +25,12 @@ from typing import NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
-from .habit import HabitParams, _integrand_blocks, _trapezoid_kernel
+from .habit import (
+    HabitParams,
+    _integrand_blocks,
+    _trapezoid_kernel,
+    habit_closed_form,
+)
 from .market import (
     DEFAULT_SEED,
     GompertzParams,
@@ -245,21 +250,13 @@ def _estimate_from_samples(
     return BudgetEstimate(float(mean - b * (x.mean() - mean_x)), se)
 
 
-def _resolve_method(params: ModelParams, method: str, dt: float) -> str:
-    """Resolve ``auto`` to closed_form at pension 0 and euler otherwise.
+def _require_stable_step(params: ModelParams, dt: float) -> None:
+    """Reject a pension's Euler sweep on steps of ``dt`` too coarse for the habit.
 
-    A method that cannot price ``params`` on steps of ``dt`` is rejected.
+    habit_euler_step's condition, checked once for every step of the sweep.
     """
-    if method == "auto":
-        method = "closed_form" if params.pension == 0.0 else "euler"
-    if method not in ("closed_form", "euler"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "closed_form" and params.pension != 0.0:
-        raise ValueError("closed_form requires pension == 0")
-    # habit_euler_step's condition, checked once for every step of the sweep
-    if method == "euler" and params.habit.eta * dt >= 1.0:
+    if params.pension != 0.0 and params.habit.eta * dt >= 1.0:
         raise ValueError(f"eta * dt = {params.habit.eta * dt} >= 1: grid too coarse")
-    return method
 
 
 def _anchor_terms(params: ModelParams, times: np.ndarray):
@@ -469,7 +466,7 @@ def _euler_stream(params, alpha, dt, zeta_t, zpow_t, anchors, states, tangent=Fa
             dc *= c > pi
         yield k, c, hk, dc
         # habit_euler_step on the rows with a step left, whose eta * dt
-        # check ran in _resolve_method
+        # check ran in _require_stable_step
         nxt = counts[k + 1]
         step = c[:nxt] - hk[:nxt]
         step *= eta
@@ -580,9 +577,9 @@ class _CostFunctional:
     their pairwise summation order depends on that layout.  ``anchors``
     are absolute time vectors (step ``dt``), each reading the leading
     columns of ``zeta`` restarted at 1 at its first time, and a state is
-    (anchor index, y, h).  ``closed_form`` (pension 0) prices through the
-    Bernoulli kernel in z = y * h; ``euler`` steps the floored rule and
-    prices the excess over the pension; ``auto`` is closed_form at pension 0.
+    (anchor index, y, h).  At pension 0 the closed form prices through the
+    Bernoulli kernel in z = y * h; with a pension the Euler branch steps
+    the floored rule and prices the excess over the pension.
 
     The closed form's first :meth:`price` runs :func:`_anchor_pass` and
     keeps the terms that need no kernel: the eta = 0 sums, or the kernel
@@ -604,13 +601,13 @@ class _CostFunctional:
         zeta: np.ndarray,
         dt: float,
         antithetic: bool,
-        method: str = "auto",
         steps=None,
     ):
+        _require_stable_step(params, dt)
         self.params = params
         self._anchors = anchors
         self._antithetic = antithetic
-        self._euler = _resolve_method(params, method, dt) == "euler"
+        self._euler = params.pension != 0.0
         self._dt = dt
         self._means = [_control_terms(params, times)[0] for times in anchors]
         self._kept = self._x = None
@@ -685,70 +682,39 @@ class _CostFunctional:
                 fill(slice(None), j, None, terms)
         return out
 
-    def paths(self, alpha: float) -> Tuple[np.ndarray, np.ndarray]:
-        """Consumption and habit along the paths from (1, initial habit)."""
-        p = self.params
-        h0 = p.habit.initial
-        times = self._anchors[0]
-        if self._euler:
-            consumption = np.empty_like(self._zeta_t)
-            habit = np.empty_like(self._zeta_t)
-            for k, c, h, _ in _euler_stream(
-                p, alpha, self._dt, self._zeta_t, self._zpow_t,
-                [times], [(0, 1.0, h0)],
-            ):
-                consumption[k] = c[0]
-                habit[k] = h[0]
-            return consumption.T, habit.T
-        g = p.market.gamma
-        eta = p.habit.eta
-        beta = alpha ** (-1.0 / g)
-        decay = np.exp(-eta * (times - times[0]) / g)
-        consumption = np.empty_like(self._zeta)
-        habit = np.empty_like(self._zeta)
-        for rows, _, k in _integrand_blocks(
-            p.habit, p.market, p.mortality, [times], self._zeta
-        ):
-            # with U = decay (h0^(1/g) + (eta/g) beta K), H = U^g and
-            # C = beta shadow zeta^(-1/g) H^(1-1/g) = beta k decay H / U
-            if eta == 0.0:
-                habit[rows] = h0
-                k *= beta * decay
-                np.multiply(k, h0 ** (1.0 - 1.0 / g), out=consumption[rows])
-                continue
-            u = _trapezoid_kernel(k, times, np.empty_like(k))
-            u *= (eta / g) * beta
-            u += h0 ** (1.0 / g)
-            u *= decay
-            h = habit[rows] = u**g  # habit_closed_form's expression
-            k *= beta * decay
-            k *= h
-            np.divide(k, u, out=consumption[rows])
-        return consumption, habit
-
 
 def solve_paths(
     alpha: float, params: ModelParams, paths: PathBundle
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Optimal consumption and habit along every path of a bundle.
 
-    The Bernoulli closed form at pension 0; with a pension, explicit
-    Euler steps of the habit ODE under the floored rule.
+    At pension 0 the habit is :func:`habit.habit_closed_form` and the
+    consumption :func:`consumption_no_pension` on it; with a pension,
+    explicit Euler steps of the habit ODE under the floored rule.
 
     Returns
     -------
     (consumption, habit) : ndarray pairs, shape (n_paths, n_times)
     """
     _validate_positive("alpha", alpha)
-    return _bundle_cost(params, paths).paths(alpha)
+    p, zeta, times, dt = params, paths.zeta, paths.grid.times(), paths.grid.dt
+    if p.pension == 0.0:
+        h = habit_closed_form(p.habit, p.market, p.mortality, alpha, times, zeta)
+        return consumption_no_pension(h, zeta, times, alpha, p.market, p.mortality), h
+    _require_stable_step(p, dt)
+    zeta_t, zpow_t = _step_major(zeta, p.market.gamma)
+    consumption, habit = np.empty_like(zeta_t), np.empty_like(zeta_t)
+    for k, c, h, _ in _euler_stream(
+        p, alpha, dt, zeta_t, zpow_t, [times], [(0, 1.0, p.habit.initial)]
+    ):
+        consumption[k], habit[k] = c[0], h[0]
+    return consumption.T, habit.T
 
 
-def _bundle_cost(
-    params: ModelParams, paths: PathBundle, method: str = "auto"
-) -> _CostFunctional:
+def _bundle_cost(params: ModelParams, paths: PathBundle) -> _CostFunctional:
     grid = paths.grid
     return _CostFunctional(
-        params, [grid.times()], paths.zeta, grid.dt, paths.antithetic, method
+        params, [grid.times()], paths.zeta, grid.dt, paths.antithetic
     )
 
 

@@ -7,6 +7,9 @@ several test modules want the same calibrated configurations.  The
 suite pays for each configuration exactly once.
 """
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -37,6 +40,15 @@ def make_params(eta=0.1, pension=0.0, v=10.0, c_bar=1.0):
         pension=pension,
         v=v,
     )
+
+
+def euler_at_zero(params):
+    """``params`` at the least positive pension, which the Euler branch prices.
+
+    Every consumption c >= 2^-1020 has max(c, pi) = c, c > pi and
+    c - pi == c at this pension, so the sweep prices pi = 0 bit for bit.
+    """
+    return dataclasses.replace(params, pension=math.ulp(0.0))
 
 
 def reference_euler(alpha, params, times, zeta, dt, y=1.0, h=None):

@@ -59,8 +59,7 @@ from greedyhabit import (
 )
 
 from greedyhabit.allocation import _allocations, _InnerPaths
-from greedyhabit.solver import _bundle_cost
-from conftest import CAL_GRID, CAL_SEED, central_theta, make_params
+from conftest import CAL_GRID, CAL_SEED, central_theta, euler_at_zero, make_params
 
 ETAS = (0.01, 0.1, 1.0)
 PENSIONS = (0.0, 0.5, 1.5)
@@ -222,8 +221,8 @@ def test_habit_euler_first_order(calibrated):
     for factor in (1, 2):
         bundle = _subsample(fine, factor) if factor > 1 else fine
         dt = bundle.grid.dt
-        c_ref, h_ref = _bundle_cost(params, bundle, "closed_form").paths(sol.alpha)
-        c_eu, h_eu = _bundle_cost(params, bundle, "euler").paths(sol.alpha)
+        c_ref, h_ref = solve_paths(sol.alpha, params, bundle)
+        c_eu, h_eu = solve_paths(sol.alpha, euler_at_zero(params), bundle)
         err = max(
             float(np.max(np.abs(h_eu - h_ref) / h_ref)),
             float(np.max(np.abs(c_eu - c_ref) / c_ref)),

@@ -37,6 +37,7 @@ from greedyhabit.solver import _CostFunctional, _estimate_from_samples
 from conftest import (
     central_theta,
     control_mean,
+    euler_at_zero,
     make_params,
     reference_control,
     reference_euler,
@@ -76,7 +77,7 @@ class TestWealth:
         inner = _InnerPaths(params.market, cfg)
         for t, zeta, h in [(0.0, 1.0, 1.0), (10.0, 0.8, 1.1), (25.0, 1.6, 0.9)]:
             [f] = _allocations([(t, 1.0, zeta * h)], ALPHA, params, cfg, inner)
-            [g] = _allocations([(t, zeta, h)], ALPHA, params, cfg, inner, "euler")
+            [g] = _allocations([(t, zeta, h)], ALPHA, euler_at_zero(params), cfg, inner)
             f, g = f.wealth, g.wealth
             x = f.value / zeta
             pooled = math.hypot(f.std_error / zeta, g.std_error)
@@ -149,7 +150,7 @@ class TestAllocation:
         b, ks = 1e-3, params.market.kappa / params.market.sigma
         for t, zeta, h in [(0.0, 1.0, 1.0), (10.0, 0.5, 1.2), (20.0, 2.0, 0.9)]:
             f0, f_up, f_dn = (
-                inner.price([(t, 1.0, zeta * h * s)], ALPHA, params, "closed_form")[0][0].mean()
+                inner.price([(t, 1.0, zeta * h * s)], ALPHA, params)[0][0].mean()
                 for s in (1.0, 1.0 + b, 1.0 - b)
             )
             expected = ks * (1.0 - (f_up - f_dn) / (2.0 * b * f0))
@@ -221,10 +222,11 @@ class TestStateEvaluation:
 
         monkeypatch.setattr(greedyhabit.allocation, "_simulate", counted)
         params, cfg = make_params(eta=0.1), config(200)
+        forced = euler_at_zero(params)
         for evaluate in (
-            lambda: _allocations([(10.0, 1.0, bad)], ALPHA, params, cfg, None, "closed_form"),
-            lambda: _allocations([(10.0, bad, 1.0)], ALPHA, params, cfg, None, "euler"),
-            lambda: _allocations([(10.0, 1.0, bad)], ALPHA, params, cfg, None, "euler"),
+            lambda: _allocations([(10.0, 1.0, bad)], ALPHA, params, cfg),
+            lambda: _allocations([(10.0, bad, 1.0)], ALPHA, forced, cfg),
+            lambda: _allocations([(10.0, 1.0, bad)], ALPHA, forced, cfg),
             lambda: allocation_at(10.0, bad, 1.0, ALPHA, params, cfg),
             lambda: allocation_at(10.0, 1.0, bad, ALPHA, params, cfg),
         ):
@@ -310,6 +312,25 @@ class TestPolicySurface:
             assert grid.shape == (1,)
             assert grid[0] == pytest.approx(median, rel=1e-12)
 
+    def test_bad_grid_inputs_are_rejected(self):
+        market = MarketParams()
+        for t in (math.nan, math.inf, -1.0):
+            with pytest.raises(ValueError, match="t must be finite and non-negative"):
+                default_zeta_grid(t, market)
+        for spread in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="spread must be finite"):
+                default_zeta_grid(0.0, market, spread=spread)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_is_rejected(self, t):
+        params, cfg = make_params(eta=0.1), config(200)
+        for evaluate in (
+            lambda: allocation_at(t, 1.0, 1.0, ALPHA, params, cfg),
+            lambda: policy_surface([t], 1.0, ALPHA, params, cfg),
+        ):
+            with pytest.raises(ValueError, match=f"t={t} does not lie on the grid"):
+                evaluate()
+
     def test_rows_sorted_and_clipped(self):
         params = make_params(eta=0.1)
         points = policy_surface(
@@ -368,10 +389,10 @@ class TestSharedInnerPaths:
             )
             inner = _InnerPaths(params.market, cfg)
             states = [(t, 0.8, 1.1) for t in starts]
-            batch = {
-                method: inner.price(states, ALPHA, params, method)
-                for method in ("closed_form", "euler")
-            }
+            batch = [
+                (branch, inner.price(states, ALPHA, branch))
+                for branch in (params, euler_at_zero(params))
+            ]
             for i, t in enumerate(starts):
                 m = GRID.n_steps - GRID.index_of(t)
                 expected = _density_paths(
@@ -381,10 +402,10 @@ class TestSharedInnerPaths:
                 # a state of a many-anchor call prices what one functional
                 # on its anchor's rebuilt density does
                 times = t + np.arange(m + 1) * GRID.dt
-                for method, priced in batch.items():
+                for branch, priced in batch:
                     got = priced[i]
                     cost = _CostFunctional(
-                        params, [times], expected, GRID.dt, antithetic, method
+                        branch, [times], expected, GRID.dt, antithetic
                     )
                     want = cost.per_path(ALPHA, 0.8, 1.1, delta=True)
                     assert all(np.array_equal(a, b) for a, b in zip(got, want))
@@ -441,9 +462,10 @@ class TestSharedInnerPaths:
                 0.5 * (x[:half] + x[half:]),
                 mean_x,
             )
-            [forced] = _allocations([(t, *state)], ALPHA, params, cfg, inner, "euler")
+            # a second call reuses a shared step-major copy
+            [first] = _allocations([(t, *state)], ALPHA, params, cfg, inner)
             [est] = _allocations([(t, *state)], ALPHA, params, cfg, inner)
-            assert forced.wealth == expected.wealth
+            assert first.wealth == expected.wealth
             assert est == expected
 
     def test_step_major_copy_is_built_once_and_only_for_euler(self):
@@ -475,9 +497,9 @@ class TestSharedInnerPaths:
     def test_other_market_is_rejected(self):
         inner = _InnerPaths(MarketParams(), config(200))
         other = ModelParams(market=MarketParams(r=0.03))
-        for method in ("closed_form", "euler"):
+        for branch in (other, euler_at_zero(other)):
             with pytest.raises(ValueError, match="inner paths were built for"):
-                inner.price([(10.0, 1.0, 1.0)], ALPHA, other, method)
+                inner.price([(10.0, 1.0, 1.0)], ALPHA, branch)
 
     def test_two_dimensional_grid_matches_per_time_calls(self):
         params = make_params(eta=0.1)
@@ -578,6 +600,8 @@ class TestBatchedStates:
             (10.0, 0.0, 1.0),
             (10.0, 1.0, math.nan),
             (10.01, 1.0, 1.0),  # off the grid
+            (math.nan, 1.0, 1.0),
+            (math.inf, 1.0, 1.0),
             (GRID.t_max, 1.0, 1.0),  # no horizon left
         ],
     )

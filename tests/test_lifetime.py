@@ -243,15 +243,16 @@ class TestNestedTrack:
 
 class TestValidation:
     def test_refresh_must_sit_on_grid(self):
-        with pytest.raises(ValueError, match="theta_refresh"):
-            simulate_lifetime(
-                make_params(),
-                1.0,
-                horizon=2.0,
-                dt=0.05,
-                theta_refresh=0.07,
-                nested=nested(100),
-            )
+        for refresh in (0.07, math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"theta_refresh={refresh} is not"):
+                simulate_lifetime(
+                    make_params(),
+                    1.0,
+                    horizon=2.0,
+                    dt=0.05,
+                    theta_refresh=refresh,
+                    nested=nested(100),
+                )
 
     def test_horizon_must_fit_nested_grid(self):
         with pytest.raises(ValueError, match="horizon"):

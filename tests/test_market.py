@@ -159,6 +159,10 @@ class TestTimeGrid:
             grid.index_of(-0.05)
         with pytest.raises(ValueError):
             grid.index_of(60.05)
+        # a non-finite time is off the grid by name, not a rounding error
+        for t in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"t={t} does not lie on the grid"):
+                grid.index_of(t)
 
     def test_validation(self):
         with pytest.raises(ValueError):

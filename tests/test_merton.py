@@ -166,6 +166,17 @@ class TestBudget:
             merton_budget(0.0, self.market, self.mortality)
         with pytest.raises(ValueError):
             merton_alpha(-5.0, self.market, self.mortality)
+        # a NaN, or a negative c_bar's complex power, may not pass silently
+        m, mort = self.market, self.mortality
+        for bad in (0.0, -1.0, float("nan")):
+            for call in (
+                lambda: merton_budget(bad, m, mort),
+                lambda: merton_budget(1.0, m, mort, c_bar=bad),
+                lambda: merton_alpha(bad, m, mort),
+                lambda: merton_alpha(10.0, m, mort, c_bar=bad),
+            ):
+                with pytest.raises(ValueError, match="must be positive"):
+                    call()
 
     def test_monte_carlo_budget_agrees(self, small_bundle):
         # the exact map on the grid, alpha^(-1/gamma) E[X], and the

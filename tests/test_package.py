@@ -5,7 +5,7 @@ The package exports exactly the names each module lists in its own
 in its tracer's ``TRACED`` list; a name missing from the package is
 skipped there, so its per-layer metrics would read zero instead of
 failing.  No import and no top-level private helper in ``src/`` is left
-unused.
+unused, and no defaulted parameter of a private helper is left unset.
 """
 
 import ast
@@ -21,6 +21,13 @@ import greedyhabit
 MODULES = ("market", "habit", "solver", "allocation", "lifetime", "merton")
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _source_trees():
+    return [
+        ast.parse(path.read_text())
+        for path in sorted(Path(greedyhabit.__file__).parent.glob("*.py"))
+    ]
 
 
 def test_public_names_are_the_modules_own():
@@ -83,10 +90,7 @@ def test_every_private_helper_is_used():
     # a top-level _private function, class or constant is read in src/
     # outside its own definition, so a deletion cannot leave a dead
     # helper behind
-    trees = [
-        ast.parse(path.read_text())
-        for path in sorted(Path(greedyhabit.__file__).parent.glob("*.py"))
-    ]
+    trees = _source_trees()
     readers = collections.defaultdict(set)
     definitions = []
     for tree in trees:
@@ -113,6 +117,66 @@ def test_every_private_helper_is_used():
     for name, definition in definitions:
         inside = {id(node) for node in ast.walk(definition)}
         assert readers[name] - inside, f"{name} is defined in src/ but never used there"
+
+
+def _defaulted(fn, bound):
+    """(name, call position) of each defaulted parameter of ``fn``.
+
+    ``bound`` leading parameters (self or cls) take no call position; a
+    keyword-only parameter has none either.
+    """
+    positional = fn.args.posonlyargs + fn.args.args
+    first = len(positional) - len(fn.args.defaults)
+    found = [(a.arg, i - bound) for i, a in enumerate(positional) if i >= first]
+    return found + [
+        (a.arg, None)
+        for a, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+        if default is not None
+    ]
+
+
+def test_every_private_default_is_set():
+    # a defaulted parameter of a top-level _private function, or of a
+    # method of a _private class, is set by some call in src/ (by
+    # position, by keyword, or through * or **), so no switch is left
+    # that only tests turn; calls are matched by the callee's name
+    trees = _source_trees()
+    targets = []
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+                targets.append((node.name, node, 0))
+            elif isinstance(node, ast.ClassDef) and node.name.startswith("_"):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        static = any(
+                            getattr(d, "id", None) == "staticmethod"
+                            for d in item.decorator_list
+                        )
+                        callee = node.name if item.name == "__init__" else item.name
+                        targets.append((callee, item, 0 if static else 1))
+    calls = collections.defaultdict(list)
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                calls[name].append(node)
+
+    def sets(call, name, position):
+        return (
+            any(kw.arg in (name, None) for kw in call.keywords)
+            or any(isinstance(arg, ast.Starred) for arg in call.args)
+            or (position is not None and len(call.args) > position)
+        )
+
+    unset = [
+        f"{callee}({name}=)"
+        for callee, fn, bound in targets
+        for name, position in _defaulted(fn, bound)
+        if not any(sets(call, name, position) for call in calls[callee])
+    ]
+    assert not unset, f"no call in src/ sets {unset}"
 
 
 def test_import_starts_no_thread():

@@ -52,6 +52,7 @@ from greedyhabit.solver import (
 from conftest import (
     anchor_pass_terms,
     control_mean,
+    euler_at_zero,
     make_params,
     reference_control,
     reference_euler,
@@ -241,21 +242,14 @@ class TestSolvePaths:
         grid = TimeGrid(10.0, 0.05)
         bundle = generate_paths(market, grid, 64, seed=2)
         params = make_params(eta=0.5)
-        c_cf, h_cf = _bundle_cost(params, bundle, "closed_form").paths(3.0)
-        c_eu, h_eu = _bundle_cost(params, bundle, "euler").paths(3.0)
+        c_cf, h_cf = solve_paths(3.0, params, bundle)
+        c_eu, h_eu = solve_paths(3.0, euler_at_zero(params), bundle)
         c_auto, h_auto = solve_paths(3.0, params, bundle)
         assert np.array_equal(c_auto, c_cf)
         assert np.array_equal(h_auto, h_cf)
         # Euler carries O(dt) error against the exact recursion
         rel = np.abs(h_eu - h_cf) / h_cf
         assert 0.0 < rel.max() < 5.0 * grid.dt
-
-    def test_closed_form_rejects_pension(self, market):
-        grid = TimeGrid(5.0, 0.05)
-        bundle = generate_paths(market, grid, 8, seed=2)
-        params = make_params(eta=0.1, pension=1.0)
-        with pytest.raises(ValueError, match="pension"):
-            _bundle_cost(params, bundle, "closed_form")
 
     def test_pension_floor_binds_somewhere(self, market):
         grid = TimeGrid(20.0, 0.05)
@@ -279,6 +273,25 @@ class TestSolvePaths:
         assert np.array_equal(c, c_ref)
         assert np.array_equal(h, h_ref)
 
+    def test_euler_at_zero_prices_pension_zero(self, market):
+        # the least positive pension lies below every consumption, so the
+        # Euler branch at it prices pi = 0 bit for bit: paths, cost, delta
+        grid = TimeGrid(20.0, 0.05)
+        bundle = generate_paths(market, grid, 128, seed=4)
+        params = make_params(eta=0.1)
+        cost_ref, c_ref, h_ref, delta_ref = reference_euler(
+            5.0, params, grid.times(), bundle.zeta, grid.dt
+        )
+        forced = euler_at_zero(params)
+        c, h = solve_paths(5.0, forced, bundle)
+        cost, delta = _bundle_cost(forced, bundle).per_path(
+            5.0, 1.0, params.habit.initial, delta=True
+        )
+        assert np.array_equal(c, c_ref)
+        assert np.array_equal(h, h_ref)
+        assert np.array_equal(cost, cost_ref)
+        assert np.array_equal(delta, delta_ref)
+
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
     def test_bad_alpha_is_rejected(self, market, bad):
         bundle = generate_paths(market, TimeGrid(1.0, 0.05), 4, seed=2)
@@ -288,12 +301,6 @@ class TestSolvePaths:
                 solve_paths(bad, params, bundle)
             with pytest.raises(ValueError, match="alpha must be positive"):
                 budget_value(bad, params, bundle)
-
-    def test_unknown_method(self, market):
-        grid = TimeGrid(1.0, 0.05)
-        bundle = generate_paths(market, grid, 4, seed=2)
-        with pytest.raises(ValueError, match="method"):
-            _bundle_cost(make_params(), bundle, "rk4")
 
 
 class TestBudgetValue:
@@ -532,17 +539,19 @@ class TestNewtonSearch:
 
     @pytest.mark.parametrize("eta", [0.1, 2.0])
     @pytest.mark.parametrize(
-        "method, pension",
+        "branch, pension",
         [("closed_form", 0.0), ("euler", 0.0), ("euler", 0.5)],
     )
-    def test_mean_delta_is_the_log_alpha_slope(self, eta, method, pension):
+    def test_mean_delta_is_the_log_alpha_slope(self, eta, branch, pension):
         # the rule sees alpha and y only through alpha * y, so the mean
         # delta at y = 1 is alpha dB/dalpha = dB/dlog(alpha)
         params = make_params(eta=eta, pension=pension)
+        if branch == "euler" and pension == 0.0:
+            params = euler_at_zero(params)
         bundle = generate_paths(
             params.market, self.CONFIG.grid, 400, seed=12, antithetic=True
         )
-        cost = _bundle_cost(params, bundle, method)
+        cost = _bundle_cost(params, bundle)
         alpha, h0, bump = 0.8 if pension else 2.9, params.habit.initial, 1e-4
         delta = cost.per_path(alpha, 1.0, h0, delta=True)[1].mean()
         up, down = (
@@ -1048,7 +1057,7 @@ class TestPathwiseDelta:
         params = dataclasses.replace(params, market=MarketParams(gamma=gamma))
         zeta = generate_paths(params.market, self.GRID, 200, seed=12).zeta
         times, dt = self.GRID.times(), self.GRID.dt
-        cost = _CostFunctional(params, [times], zeta, dt, False, method="euler")
+        cost = _CostFunctional(euler_at_zero(params), [times], zeta, dt, False)
         alpha, y, h = self.STATE
 
         def reference(level):
