@@ -110,20 +110,21 @@ def bernoulli_kernel(
     zeta = np.asarray(zeta)
     rows = zeta.reshape(-1, zeta.shape[-1])
     kernel = np.empty(rows.shape)
-    for block, _, k in _integrand_blocks(habit, market, mortality, [times], rows):
+    blocks = ((block, rows[block]) for block in _row_blocks(rows.shape[0]))
+    for block, _, _, k in _integrand_blocks(habit, market, mortality, [times], blocks):
         _trapezoid_kernel(k, times, kernel[block])
     decay = np.exp(-habit.eta * (times - times[0]) / market.gamma)
     return kernel.reshape(zeta.shape), decay
 
 
-def _integrand_blocks(habit, market, mortality, anchors, rows, blocks=None):
-    """Yield ``(block, j, k)``: anchor j's kernel integrand on one row block.
+def _integrand_blocks(habit, market, mortality, anchors, blocks):
+    """Yield ``(rows, zeta, j, k)``: anchor j's kernel integrand on one row block.
 
-    Anchor j starts at ``anchors[j][0]`` and reads the leading
-    ``len(anchors[j])`` columns of the 2-D density ``rows``, restarted at
-    1 there.  ``blocks`` are the row slices to visit, by default all of
-    :func:`_row_blocks`.  Row blocks are the outer loop: each block
-    takes log(zeta) / gamma once over the widest anchor, and every
+    ``blocks`` yields ``(rows, zeta)``: a block of 2-D density rows and
+    their places in the density.  Anchor j starts at ``anchors[j][0]`` and
+    reads the leading ``len(anchors[j])`` columns, restarted at 1 there.
+    Row blocks are the outer loop: each block takes log(zeta) / gamma once
+    over the widest anchor, and every
     anchor's integrand k = exp(drift - log(zeta) / gamma), which is
     exp(eta tau / gamma) * (zeta * exp(rho t) / p)^(-1/gamma), is built
     from it while the block is in cache.  Working in log space keeps deep
@@ -137,11 +138,11 @@ def _integrand_blocks(habit, market, mortality, anchors, rows, blocks=None):
         log_p = log_survival_probability(mortality, times)
         drifts.append((habit.eta * tau - market.rho * times + log_p) / g)
     width = max(drift.shape[0] for drift in drifts)
-    for block in _row_blocks(rows.shape[0]) if blocks is None else blocks:
-        log_z = np.log(rows[block, :width]) / g
+    for rows, zeta in blocks:
+        log_z = np.log(zeta[:, :width]) / g
         for j, drift in enumerate(drifts):
             k = drift - log_z[:, : drift.shape[0]]
-            yield block, j, np.exp(k, out=k)
+            yield rows, zeta, j, np.exp(k, out=k)
 
 
 def _trapezoid_kernel(k, times, out):
@@ -197,8 +198,13 @@ def habit_closed_form(
     if not np.all(h0 > 0.0):
         raise ValueError("start habit must be positive")
     g = market.gamma
-    kernel, decay = bernoulli_kernel(habit, market, mortality, times, zeta)
     if h0.ndim > 0:
         h0 = h0[..., np.newaxis]
+    if habit.eta == 0.0:
+        # decay is exactly 1 and the kernel's term exactly 0: u stays at u0
+        u = np.empty(np.broadcast_shapes(h0.shape, np.shape(zeta)))
+        u[...] = h0 ** (1.0 / g)
+        return u**g
+    kernel, decay = bernoulli_kernel(habit, market, mortality, times, zeta)
     beta = alpha ** (-1.0 / g)
     return (decay * (h0 ** (1.0 / g) + (habit.eta / g) * beta * kernel)) ** g

@@ -362,17 +362,19 @@ def _fill_normals(
 
 
 def _density_paths(
-    market: MarketParams, dw: np.ndarray, dt: float, antithetic: bool
+    market: MarketParams, dw: np.ndarray, dt: float, antithetic: bool, out=None
 ):
     """Brownian paths and state-price density from standard-normal increments.
 
     ``dw`` has one row per stream and one column per step of size ``dt``;
     the paths start at w = 0, zeta = 1.  With ``antithetic`` the rows are
     followed by their mirrors, built by negating the Brownian half-block
-    (negating a cumulative sum is exact).  Returns ``(w, zeta)``.
+    (negating a cumulative sum is exact).  Returns ``(w, zeta)``, written
+    into the pair of arrays ``out`` when it is given.
     """
     n_rows, n_steps = dw.shape
-    w = np.empty((2 * n_rows if antithetic else n_rows, n_steps + 1))
+    shape = (2 * n_rows if antithetic else n_rows, n_steps + 1)
+    w, zeta = (np.empty(shape), np.empty(shape)) if out is None else out
     w[:n_rows, 0] = 0.0
     np.cumsum(dw, axis=1, out=w[:n_rows, 1:])
     w[:n_rows, 1:] *= math.sqrt(dt)
@@ -382,9 +384,67 @@ def _density_paths(
     times = np.arange(n_steps + 1) * dt
     # log zeta, then zeta, on one array: each block's temporaries are
     # held once per thread
-    zeta = kappa * w
+    np.multiply(kappa, w, out=zeta)
     np.subtract(-(market.r + 0.5 * kappa**2) * times, zeta, out=zeta)
     return w, np.exp(zeta, out=zeta)
+
+
+@dataclass(frozen=True)
+class _Stream:
+    """The density of ``n_paths`` seeded streams, made one row block at a time.
+
+    Stream ``i`` is numpy's ``Generator(PCG64(SeedSequence(entropy=seed,
+    spawn_key=key + (i,))))`` drawing ``standard_normal`` (the ziggurat
+    method), reproduced a block at a time by :func:`_fill_normals`.  With
+    ``antithetic`` the first ``n_paths / 2`` paths are streams and the rest
+    their mirrors.  ``shape`` is the density's; no array holds it unless a
+    caller of :meth:`chunks` writes the rows into one.
+    """
+
+    market: MarketParams
+    grid: TimeGrid
+    n_paths: int
+    seed: int
+    antithetic: bool
+    key: tuple
+
+    @property
+    def shape(self) -> tuple:
+        return self.n_paths, self.grid.n_steps + 1
+
+    def chunks(self, work) -> None:
+        """Call ``work(blocks)`` on :func:`_in_threads` chunks of the streams.
+
+        ``blocks`` yields ``(rows, w, zeta)`` for each row block of
+        streams: their Brownian paths and density from
+        :func:`_density_paths`, and ``rows``, their places in the density
+        (the block's own rows, then its mirrors' when ``antithetic`` is
+        set).  This is the one place that makes density rows.  A chunk
+        allocates its block arrays once and each block overwrites them, so
+        ``work`` must read a block before it asks for the next; arrays made
+        afresh for every block page-fault again whenever the allocator has
+        given their memory back.
+        """
+        n_streams = self.n_paths // 2 if self.antithetic else self.n_paths
+        steps = self.grid.n_steps
+
+        def blocks(chunk):
+            most = max(block.stop - block.start for block in chunk)
+            dw = np.empty((most, steps))
+            paths = np.empty((2, 2 * most if self.antithetic else most, steps + 1))
+            for block in chunk:
+                lo, hi = block.start, block.stop
+                normals = dw[: hi - lo]
+                _fill_normals(normals, self.seed, self.key, range(lo, hi))
+                rows, n = block, hi - lo
+                if self.antithetic:
+                    rows, n = np.r_[block, n_streams + lo : n_streams + hi], 2 * n
+                w, zeta = _density_paths(
+                    self.market, normals, self.grid.dt, self.antithetic, paths[:, :n]
+                )
+                yield rows, w, zeta
+
+        _in_threads(n_streams, lambda chunk: work(blocks(chunk)))
 
 
 def _simulate(
@@ -396,39 +456,22 @@ def _simulate(
     key: tuple = (),
     keep_w: bool = True,
 ) -> PathBundle:
-    """Bundle of ``n_paths`` seeded streams, built in row blocks.
+    """Bundle of the density of ``n_paths`` seeded streams (:class:`_Stream`).
 
-    Stream ``i`` is numpy's ``Generator(PCG64(SeedSequence(entropy=seed,
-    spawn_key=key + (i,))))`` drawing ``standard_normal`` (the ziggurat
-    method), reproduced a block at a time by :func:`_fill_normals`.
-    Each block of streams is drawn and turned into paths by
-    :func:`_density_paths`, with its mirrors placed in the second half
-    when ``antithetic`` is set, so no full-size temporary is made; chunks
-    of blocks run on :func:`_in_threads`.  The bundle's ``w`` is None
-    unless ``keep_w`` is set.
+    Each block's rows are written in place as they are drawn.  The
+    bundle's ``w`` is None unless ``keep_w`` is set.
     """
-    n_streams = n_paths // 2 if antithetic else n_paths
     shape = (n_paths, grid.n_steps + 1)
     w = np.empty(shape) if keep_w else None
     zeta = np.empty(shape)
 
     def fill(blocks):
-        for rows in blocks:
-            k = rows.stop - rows.start
-            dw = np.empty((k, grid.n_steps))
-            _fill_normals(dw, seed, key, range(rows.start, rows.stop))
-            w_blk, zeta_blk = _density_paths(market, dw, grid.dt, antithetic)
-            targets = [rows]
-            if antithetic:
-                targets.append(slice(n_streams + rows.start, n_streams + rows.stop))
-            for j, target in enumerate(targets):
-                zeta[target] = zeta_blk[j * k : (j + 1) * k]
-                if keep_w:
-                    w[target] = w_blk[j * k : (j + 1) * k]
-            # freed before the next block allocates its own
-            del dw, w_blk, zeta_blk
+        for rows, w_blk, zeta_blk in blocks:
+            zeta[rows] = zeta_blk
+            if keep_w:
+                w[rows] = w_blk
 
-    _in_threads(n_streams, fill)
+    _Stream(market, grid, n_paths, seed, antithetic, key).chunks(fill)
     return PathBundle(grid, n_paths, seed, w, zeta, antithetic)
 
 

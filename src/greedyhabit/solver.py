@@ -37,6 +37,7 @@ from .market import (
     MarketParams,
     PathBundle,
     TimeGrid,
+    _Stream,
     _in_threads,
     _simulate,
     log_survival_probability,
@@ -320,16 +321,18 @@ def _moment_order(gamma: float) -> Optional[int]:
     return int(n) if n.is_integer() and 1.0 <= n <= 53.0 else None
 
 
-def _kernel_moments(m, wz, out):
-    """Fill ``out[:, j]`` with M_j = sum_k wz_k m_k^j per row, j = 0, 1, ...
+def _kernel_moments(m, wz, n):
+    """M_j = sum_k wz_k m_k^j per row, j = 0..n, shape (rows, n + 1).
 
     ``m`` and ``wz`` are one block's rows; ``wz`` is overwritten.  Each
     row's moments come from that row alone.
     """
+    out = np.empty((m.shape[0], n + 1))
     out[:, 0] = wz.sum(axis=-1)
-    for j in range(1, out.shape[1]):
+    for j in range(1, n + 1):
         wz *= m
         out[:, j] = wz.sum(axis=-1)
+    return out
 
 
 def _moment_sum(moments, n, u0, beta):
@@ -375,14 +378,27 @@ def _price_rows(params, alpha, y, h, kernel, wz):
     return cost, -cost + (beta / y) * ((g - 1.0) / g) * u0 * dsums
 
 
+def _keeps_terms(params: ModelParams) -> bool:
+    """Whether the closed form keeps O(paths) terms, read from the density once.
+
+    It does at pension 0 with eta = 0 (the sums) or a moment order
+    (:func:`_moment_order`); otherwise every pricing call reads the density.
+    """
+    return params.pension == 0.0 and (
+        params.habit.eta == 0.0 or _moment_order(params.market.gamma) is not None
+    )
+
+
 def _anchor_pass(params, zeta, anchors, in_block):
     """Every anchor's closed-form terms and control X, over row blocks.
 
     ``anchors`` are absolute time vectors reading the leading columns of
-    the path-major density ``zeta``.  Each block builds every anchor's
-    kernel and ``wz`` once, from one log(zeta) / gamma, so no full-size
-    array is made; chunks of blocks run on :func:`_in_threads`, and each
-    row's terms come from that row alone.  Returns ``(kept, xs)``:
+    the path-major density ``zeta``: a stored array, or a
+    :class:`market._Stream` whose blocks are drawn as they are read, so no
+    array holds the density.  Each block builds every anchor's kernel and
+    ``wz`` once, from one log(zeta) / gamma, so no full-size array is
+    made; chunks of blocks run on :func:`_in_threads`, and each row's
+    terms come from that row alone.  Returns ``(kept, xs)``:
     ``xs[j]`` is anchor j's X per path (:func:`_control_terms`), and
     ``kept[j]`` its terms per path when they need no kernel: wz summed
     along the path at eta = 0 (``xs`` itself), or with a moment order n
@@ -404,20 +420,23 @@ def _anchor_pass(params, zeta, anchors, in_block):
         kept = np.empty((len(anchors), n_paths, order + 1))
 
     def fill(blocks):
-        for rows, j, k in _integrand_blocks(
-            params.habit, params.market, params.mortality, anchors, zeta, blocks
+        for rows, z, j, k in _integrand_blocks(
+            params.habit, params.market, params.mortality, anchors, blocks
         ):
             times = anchors[j]
             kernel = None if frozen else _trapezoid_kernel(k, times, np.empty_like(k))
-            wz = _cost_weights(k, zeta[rows, : times.shape[0]], vecs[j], frozen)
+            wz = _cost_weights(k, z[:, : times.shape[0]], vecs[j], frozen)
             xs[j, rows] = wz if frozen else (wz * lifts[j]).sum(axis=-1)
             if order is not None:
                 kernel *= params.habit.eta / params.market.gamma
-                _kernel_moments(kernel, wz, kept[j, rows])
+                kept[j, rows] = _kernel_moments(kernel, wz, order)
             elif not frozen:
                 in_block(rows, j, kernel, wz)
 
-    _in_threads(n_paths, fill)
+    if isinstance(zeta, np.ndarray):
+        _in_threads(n_paths, lambda chunk: fill((rows, zeta[rows]) for rows in chunk))
+    else:
+        zeta.chunks(lambda blocks: fill((rows, z) for rows, _, z in blocks))
     return kept, xs
 
 
@@ -574,12 +593,15 @@ class _CostFunctional:
     (t = 0, zeta = 1, H0), and the nested wealth and the pathwise theta
     its values at later states.  ``zeta`` holds density paths path-major,
     because the closed form's sums run along each path's time axis and
-    their pairwise summation order depends on that layout.  ``anchors``
-    are absolute time vectors (step ``dt``), each reading the leading
-    columns of ``zeta`` restarted at 1 at its first time, and a state is
-    (anchor index, y, h).  At pension 0 the closed form prices through the
-    Bernoulli kernel in z = y * h; with a pension the Euler branch steps
-    the floored rule and prices the excess over the pension.
+    their pairwise summation order depends on that layout.  Where the
+    closed form keeps its terms it may instead be a
+    :class:`market._Stream`, whose rows the one pass reads as they are
+    drawn.  ``anchors`` are absolute time vectors (step ``dt``), each
+    reading the leading columns of ``zeta`` restarted at 1 at its first
+    time, and a state is (anchor index, y, h).  At pension 0 the closed
+    form prices through the Bernoulli kernel in z = y * h; with a pension
+    the Euler branch steps the floored rule and prices the excess over the
+    pension.
 
     The closed form's first :meth:`price` runs :func:`_anchor_pass` and
     keeps the terms that need no kernel: the eta = 0 sums, or the kernel
@@ -598,7 +620,7 @@ class _CostFunctional:
         self,
         params: ModelParams,
         anchors,
-        zeta: np.ndarray,
+        zeta,
         dt: float,
         antithetic: bool,
         steps=None,
@@ -724,6 +746,9 @@ def _calibration_paths(
     """The config's calibration density, as a bundle without Brownian paths.
 
     Its ``zeta`` is that of ``generate_paths`` at the config's seed.
+    :func:`calibrate_alpha` without a bundle builds it only where the
+    closed form keeps no terms (the power form, a pension); elsewhere it
+    streams the same rows.
     """
     return _simulate(
         market,
@@ -772,6 +797,13 @@ def calibrate_alpha(
     :class:`BudgetMonotonicityError`, except equal finite P whose deltas
     predict a change below float resolution.
 
+    Without ``paths``, where the closed form keeps O(paths) terms (pension
+    0, and eta = 0 or a whole gamma - 1), the calibration density is
+    streamed: each chunk of row blocks draws its streams, reduces their
+    rows to the kept terms and drops them, so no (paths x times) array is
+    made.  Otherwise it prices on the stored density of
+    ``_calibration_paths``, as on a given bundle.  Both give the same bits.
+
     The solution holds scalars only; :func:`solve_paths` at its alpha on
     the calibration density (``generate_paths`` at the config's seed, or
     ``paths``) gives the consumption and habit arrays.
@@ -788,7 +820,16 @@ def calibrate_alpha(
         If the widened bracket does not straddle v, an iterate repeats, or
         ``max_iterations`` budget evaluations do not reach tolerance.
     """
-    cost = _bundle_cost(params, paths or _calibration_paths(params.market, config))
+    if paths is None and _keeps_terms(params):
+        grid = config.grid
+        stream = _Stream(
+            params.market, grid, config.n_paths, config.seed, config.antithetic, ()
+        )
+        cost = _CostFunctional(
+            params, [grid.times()], stream, grid.dt, config.antithetic
+        )
+    else:
+        cost = _bundle_cost(params, paths or _calibration_paths(params.market, config))
     v, h0, g = params.v, params.habit.initial, params.market.gamma
     lo, hi = limits = (config.bracket[0] / 1e6, config.bracket[1] * 1e6)
     history = {}

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import greedyhabit.habit
 import greedyhabit.market
 from greedyhabit import (
     GompertzParams,
@@ -226,6 +227,37 @@ class TestClosedForm:
             habit, market, self.mortality, 2.5, bundle.grid.times(), bundle.zeta
         )
         assert np.array_equal(h, solved)
+
+    @pytest.mark.parametrize("gamma", [2.5, 3.0])
+    def test_frozen_habit_needs_no_kernel(self, monkeypatch, gamma):
+        # at eta = 0 the decay is exactly 1 and the kernel's term exactly
+        # 0, so the habit is the full expression bit for bit without the
+        # kernel; solve_paths' habit and consumption are pinned to it
+        market = dataclasses.replace(self.market, gamma=gamma)
+        habit = HabitParams(eta=0.0, initial=1.3)
+        params = ModelParams(market=market, mortality=self.mortality, habit=habit)
+        bundle = generate_paths(market, TimeGrid(20.0, 0.1), 16, seed=5, antithetic=True)
+        times, zeta, alpha, g = bundle.grid.times(), bundle.zeta, 2.5, gamma
+        kernel, decay = bernoulli_kernel(habit, market, self.mortality, times, zeta)
+        starts = np.linspace(0.5, 2.0, 16)
+
+        def with_kernel(h0):
+            u = h0 ** (1.0 / g) + (habit.eta / g) * alpha ** (-1.0 / g) * kernel
+            return (decay * u) ** g
+
+        def no_kernel(*args):
+            raise AssertionError("the kernel is built at eta = 0")
+
+        monkeypatch.setattr(greedyhabit.habit, "bernoulli_kernel", no_kernel)
+        c, h = solve_paths(alpha, params, bundle)
+        assert np.array_equal(h, with_kernel(np.asarray(1.3)))
+        assert np.array_equal(
+            c, consumption_no_pension(h, zeta, times, alpha, market, self.mortality)
+        )
+        per_path = habit_closed_form(
+            habit, market, self.mortality, alpha, times, zeta, h_start=starts
+        )
+        assert np.array_equal(per_path, with_kernel(starts[:, None]))
 
     def test_validation(self):
         habit = HabitParams(eta=0.5, initial=1.0)

@@ -5,7 +5,8 @@ The package exports exactly the names each module lists in its own
 in its tracer's ``TRACED`` list; a name missing from the package is
 skipped there, so its per-layer metrics would read zero instead of
 failing.  No import and no top-level private helper in ``src/`` is left
-unused, and no defaulted parameter of a private helper is left unset.
+unused, no defaulted parameter of a private helper is left unset, and the
+density's rows and the closed form's block pass each come from one place.
 """
 
 import ast
@@ -177,6 +178,19 @@ def test_every_private_default_is_set():
         if not any(sets(call, name, position) for call in calls[callee])
     ]
     assert not unset, f"no call in src/ sets {unset}"
+
+
+def test_one_block_source():
+    # the seeding and the closed form's block pass each have one call
+    # site in src/, so a second, forked copy of either fails here
+    calls = collections.Counter(
+        getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        for tree in _source_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+    )
+    for name in ("_fill_normals", "_anchor_pass"):
+        assert calls[name] == 1, f"{name} has {calls[name]} call sites in src/"
 
 
 def test_import_starts_no_thread():

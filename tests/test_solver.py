@@ -834,6 +834,23 @@ class TestCalibrationDensity:
             full.antithetic,
         )
 
+    @pytest.mark.parametrize("antithetic", [False, True])
+    @pytest.mark.parametrize("eta", [0.0, 0.1])
+    def test_streamed_calibration_equals_the_stored_one(self, eta, antithetic):
+        # without a bundle the kept terms (the moments at gamma 3, the sums
+        # at eta = 0) are read off each block as it is drawn; every number
+        # is that of the stored calibration density
+        params = make_params(eta=eta)
+        config = CalibrationConfig(
+            grid=TimeGrid(60.0, 0.1), n_paths=1002, seed=6, antithetic=antithetic
+        )
+        streamed = calibrate_alpha(params, config)
+        stored = calibrate_alpha(
+            params, config, paths=_calibration_paths(params.market, config)
+        )
+        for name in ("alpha", "budget_residual", "budget_se", "plain", "iterations"):
+            assert getattr(streamed, name) == getattr(stored, name), name
+
 
 class TestRowBlocks:
     """The density, the kernel, ``wz``, the kernel moments and the
@@ -886,6 +903,12 @@ class TestRowBlocks:
         out["scalars"] = (
             sol.alpha, sol.budget_residual, sol.budget_se, sol.iterations
         )
+        # without a bundle both kept forms stream: moments here, sums at eta 0
+        frozen = calibrate_alpha(make_params(eta=0.0), config)
+        out["scalars", 0.0] = (
+            frozen.alpha, frozen.budget_residual, frozen.budget_se,
+            *frozen.plain, frozen.iterations,
+        )
         out["consumption"], out["habit"] = solve_paths(sol.alpha, params, bundle)
         return out
 
@@ -928,13 +951,13 @@ class TestCalibrationMemory:
         grid=TimeGrid(60.0, 0.05), n_paths=2000, seed=5, antithetic=True
     )
 
-    def assert_peak(self, monkeypatch, params, bound):
-        full = self.CONFIG.n_paths * (self.CONFIG.grid.n_steps + 1) * 8
+    def assert_peak(self, monkeypatch, params, bound, config=CONFIG):
+        full = config.n_paths * (config.grid.n_steps + 1) * 8
         for workers in (1, 2):
             monkeypatch.setattr(greedyhabit.market, "WORKERS", workers)
             tracemalloc.start()
             try:
-                calibrate_alpha(params, self.CONFIG)
+                calibrate_alpha(params, config)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -948,8 +971,9 @@ class TestCalibrationMemory:
 
     def test_moments_keep_no_full_kernel_or_weights(self, monkeypatch):
         # at gamma 3 calibration keeps three moments per path, so the peak
-        # is the density and the blocks' temporaries (the kernel and wz
-        # stored in their place made it about 3.1 full arrays)
+        # is at most the density and the blocks' temporaries (the kernel
+        # and wz stored in their place made it about 3.1 full arrays);
+        # without a bundle the density is streamed, and it is less
         self.assert_peak(monkeypatch, make_params(eta=0.1), 1.5)
 
     def test_power_form_keeps_no_full_kernel_or_weights(self, monkeypatch):
@@ -957,6 +981,14 @@ class TestCalibrationMemory:
         # the peak is the density and the blocks' temporaries (a full
         # kernel and wz kept for every alpha made it about 3.1 arrays)
         self.assert_peak(monkeypatch, POWER_FORM, 1.5)
+
+    @pytest.mark.parametrize("eta", [0.0, 0.1])
+    def test_streamed_calibration_holds_no_full_array(self, monkeypatch, eta):
+        # without a bundle, on the kept terms, each chunk reduces its block
+        # of streams to moments (or sums at eta = 0) before it draws the
+        # next, so the peak is a few blocks per worker at any path count
+        config = dataclasses.replace(self.CONFIG, n_paths=8000)
+        self.assert_peak(monkeypatch, make_params(eta=eta), 0.35, config)
 
 
 class TestKernelMoments:
