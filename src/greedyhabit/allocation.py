@@ -146,8 +146,9 @@ class _InnerPaths:
     pricer, ``solver._CostFunctional``, with one anchor per distinct time.
     Its Euler branch sweeps one step-major copy of the density and its
     power (``solver._step_major``), made on first use and shared by every
-    later call; pension-0 use never makes it.  The paths belong to one
-    market, and :meth:`price` rejects model parameters with another.
+    later call, with the control X it keeps per anchor set; pension-0 use
+    never makes it.  The paths belong to one market, and :meth:`price`
+    rejects model parameters with another.
     """
 
     def __init__(self, market: MarketParams, config: NestedConfig):
@@ -193,9 +194,9 @@ class _InnerPaths:
         starts = list(dict.fromkeys(t for t, _, _ in states))
         times = [t + np.arange(_horizon_steps(grid, t) + 1) * grid.dt for t in starts]
         rows = [(starts.index(t), y, h) for t, y, h in states]
+        zeta = self._steps if params.pension != 0.0 else self._zeta
         return _CostFunctional(
-            params, times, self._zeta, grid.dt, self.config.antithetic,
-            self._steps if params.pension != 0.0 else None,
+            params, times, zeta, grid.dt, self.config.antithetic
         ).price(alpha, rows, True)
 
 

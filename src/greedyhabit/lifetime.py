@@ -38,7 +38,8 @@ from .solver import (
     CalibrationConfig,
     CalibrationError,
     ModelParams,
-    _calibration_paths,
+    _calibration_stream,
+    _step_major,
     calibrate_alpha,
     solve_paths,
 )
@@ -232,6 +233,22 @@ def simulate_lifetime(
     )
 
 
+def _calibrate_legs(legs: List[ModelParams], config: CalibrationConfig) -> List[float]:
+    """Each leg's alpha on the config's calibration density, in order.
+
+    Without a pension every leg streams the density.  With one in any
+    leg, the density is drawn once, into one step-major pair, and every
+    leg calibrates on it: the legs with a pension sweep it and share their
+    control X, and the pension-0 legs read it back path-major.  The pair
+    is freed on return, before any record is priced.
+    """
+    steps = None
+    if any(p.pension != 0.0 for p in legs):
+        market = legs[0].market
+        steps = _step_major(_calibration_stream(market, config), market.gamma)
+    return [calibrate_alpha(p, config, _steps=steps).alpha for p in legs]
+
+
 def pension_sweep(
     params: ModelParams,
     pensions: Sequence[float],
@@ -245,10 +262,12 @@ def pension_sweep(
 ) -> List[LifetimeRecord]:
     """Lifetime records across pension levels on one common scenario.
 
-    Each pension level is calibrated separately on one shared bundle, and
-    every record is driven by the identical market scenario so the
-    curves are directly comparable, as in the pension-comparison
-    figures.
+    Every pension level is calibrated on the same calibration density
+    (common random numbers): with a pension in any level, on one
+    step-major copy of it, freed before the first record.  Every record
+    is driven by the identical market scenario, and the records share one
+    set of inner paths, so the curves are directly comparable, as in the
+    pension-comparison figures.
 
     Parameters
     ----------
@@ -256,38 +275,28 @@ def pension_sweep(
         Pre-calibrated multipliers aligned with ``pensions``; skips
         calibration when given.
     horizon, dt, theta_refresh, nested
-        Passed to :func:`simulate_lifetime` for every record; they are
-        checked before any calibration.
+        Passed to :func:`simulate_lifetime` for every record; they and
+        every pension are checked before any pricing.
     """
     if alphas is not None and len(alphas) != len(pensions):
         raise ValueError("alphas must align with pensions")
-    # reject bad record arguments before the calibrations, not after them
+    # reject bad record arguments and pensions before any pricing
     _refresh_plan(params.habit.eta, horizon, dt, theta_refresh, nested)
+    legs = [dataclasses.replace(params, pension=float(p)) for p in pensions]
     if alphas is None:
-        bundle = _calibration_paths(params.market, calibration)
-        alphas = [
-            calibrate_alpha(
-                dataclasses.replace(params, pension=float(pension)),
-                calibration,
-                paths=bundle,
-            ).alpha
-            for pension in pensions
-        ]
+        alphas = _calibrate_legs(legs, calibration)
     # the inner density depends on the market only, so every record shares it
     inner = _InnerPaths(params.market, nested)
-    records = []
-    for pension, alpha in zip(pensions, alphas):
-        p = dataclasses.replace(params, pension=float(pension))
-        records.append(
-            simulate_lifetime(
-                p,
-                float(alpha),
-                scenario_seed=scenario_seed,
-                horizon=horizon,
-                dt=dt,
-                theta_refresh=theta_refresh,
-                nested=nested,
-                _inner=inner,
-            )
+    return [
+        simulate_lifetime(
+            p,
+            float(alpha),
+            scenario_seed=scenario_seed,
+            horizon=horizon,
+            dt=dt,
+            theta_refresh=theta_refresh,
+            nested=nested,
+            _inner=inner,
         )
-    return records
+        for p, alpha in zip(legs, alphas)
+    ]

@@ -378,17 +378,6 @@ def _price_rows(params, alpha, y, h, kernel, wz):
     return cost, -cost + (beta / y) * ((g - 1.0) / g) * u0 * dsums
 
 
-def _keeps_terms(params: ModelParams) -> bool:
-    """Whether the closed form keeps O(paths) terms, read from the density once.
-
-    It does at pension 0 with eta = 0 (the sums) or a moment order
-    (:func:`_moment_order`); otherwise every pricing call reads the density.
-    """
-    return params.pension == 0.0 and (
-        params.habit.eta == 0.0 or _moment_order(params.market.gamma) is not None
-    )
-
-
 def _anchor_pass(params, zeta, anchors, in_block):
     """Every anchor's closed-form terms and control X, over row blocks.
 
@@ -498,14 +487,81 @@ def _euler_stream(params, alpha, dt, zeta_t, zpow_t, anchors, states, tangent=Fa
             dh[:nxt] += step
 
 
-def _step_major(zeta, gamma):
-    """The density step-major, shape (n_times, n_paths), and zeta^(-1/gamma).
+class _StepMajor(NamedTuple):
+    """The density step-major, shape (n_times, n_paths), zeta^(-1/gamma),
+    and X per anchor set (:meth:`controls`), kept for every pricer.
+
+    It is also a path-major density source like :class:`market._Stream`
+    (``shape`` and :meth:`chunks`), so the closed form can price on it
+    without drawing the density again.
+    """
+
+    zeta_t: np.ndarray
+    zpow_t: np.ndarray
+    xs: dict
+
+    @property
+    def shape(self) -> tuple:
+        return self.zeta_t.shape[::-1]
+
+    def chunks(self, work) -> None:
+        """Call ``work(blocks)`` on :func:`_in_threads` chunks of the paths.
+
+        ``blocks`` yields ``(rows, None, zeta)`` per row block, the rows
+        copied back path-major into an array the chunk allocates once, as
+        :meth:`market._Stream.chunks` yields them.
+        """
+
+        def blocks(chunk):
+            most = max(rows.stop - rows.start for rows in chunk)
+            buf = np.empty((most, self.zeta_t.shape[0]))
+            for rows in chunk:
+                zeta = buf[: rows.stop - rows.start]
+                np.copyto(zeta, self.zeta_t[:, rows].T)
+                yield rows, None, zeta
+
+        _in_threads(self.zeta_t.shape[1], lambda chunk: work(blocks(chunk)))
+
+    def controls(self, params: ModelParams, anchors) -> np.ndarray:
+        """X per path of every anchor, one :func:`_euler_controls` per set.
+
+        X does not depend on the pension, eta or alpha; anchors step the
+        density's grid, so their first time and length fix them.
+        """
+        key = (
+            params.market,
+            params.mortality,
+            tuple((float(times[0]), times.shape[0]) for times in anchors),
+        )
+        if key not in self.xs:
+            self.xs[key] = _euler_controls(params, self.zeta_t, self.zpow_t, anchors)
+        return self.xs[key]
+
+
+def _step_major(zeta, gamma) -> _StepMajor:
+    """The step-major pair of a path-major density: a stored array or a stream.
 
     Each Euler step then reads one contiguous row of every path; a
-    transposed view of a step-major array is taken without a copy.
+    transposed view of a step-major array is taken without a copy.  A
+    :class:`market._Stream` writes each block's rows transposed as it is
+    drawn, and their power, taken on the block as on a stored density, so
+    no path-major array is made.
     """
-    zeta_t = np.ascontiguousarray(zeta.T)
-    return zeta_t, zeta_t ** (-1.0 / gamma)
+    power = -1.0 / gamma
+    if isinstance(zeta, np.ndarray):
+        zeta_t = np.ascontiguousarray(zeta.T)
+        return _StepMajor(zeta_t, zeta_t**power, {})
+    zeta_t = np.empty(zeta.shape[::-1])
+    zpow_t = np.empty_like(zeta_t)
+
+    def fill(blocks):
+        for rows, _, z in blocks:
+            zeta_t[:, rows] = z.T
+            # the stream's block is overwritten by the next one anyway
+            zpow_t[:, rows] = np.power(z, power, out=z).T
+
+    zeta.chunks(fill)
+    return _StepMajor(zeta_t, zpow_t, {})
 
 
 def _euler_costs(params, alpha, dt, zeta_t, zpow_t, anchors, states, delta):
@@ -593,10 +649,11 @@ class _CostFunctional:
     (t = 0, zeta = 1, H0), and the nested wealth and the pathwise theta
     its values at later states.  ``zeta`` holds density paths path-major,
     because the closed form's sums run along each path's time axis and
-    their pairwise summation order depends on that layout.  Where the
-    closed form keeps its terms it may instead be a
-    :class:`market._Stream`, whose rows the one pass reads as they are
-    drawn.  ``anchors`` are absolute time vectors (step ``dt``), each
+    their pairwise summation order depends on that layout.  It may
+    instead be a source of row blocks: a :class:`market._Stream`, whose
+    rows are read as they are drawn (where the closed form keeps its
+    terms, or with a pension), or a :class:`_StepMajor` pair, read back
+    path-major.  ``anchors`` are absolute time vectors (step ``dt``), each
     reading the leading columns of ``zeta`` restarted at 1 at its first
     time, and a state is (anchor index, y, h).  At pension 0 the closed
     form prices through the Bernoulli kernel in z = y * h; with a pension
@@ -609,21 +666,17 @@ class _CostFunctional:
     alpha and state prices in O(paths).  On the power form (any other
     gamma) the pass runs at every call and prices each block in place, so
     no full-size kernel is kept.  The Euler branch sweeps the step-major
-    copy of :func:`_step_major`, made here or handed over as ``steps`` by
+    pair of :func:`_step_major`, made here or handed over as ``zeta`` by
     a caller that keeps one.  X per anchor comes with the closed form's
-    pass, or from one step-major pass (:func:`_euler_controls`).  Every row
+    pass, or from the pair, which computes it once per market, mortality
+    and anchor set (:meth:`_StepMajor.controls`), so every pricer that
+    shares the pair reads the same X.  Every row
     is computed on its own, so neither the block size nor the thread count
     changes a result.
     """
 
     def __init__(
-        self,
-        params: ModelParams,
-        anchors,
-        zeta,
-        dt: float,
-        antithetic: bool,
-        steps=None,
+        self, params: ModelParams, anchors, zeta, dt: float, antithetic: bool
     ):
         _require_stable_step(params, dt)
         self.params = params
@@ -633,10 +686,10 @@ class _CostFunctional:
         self._dt = dt
         self._means = [_control_terms(params, times)[0] for times in anchors]
         self._kept = self._x = None
-        if self._euler:
-            self._zeta_t, self._zpow_t = steps or _step_major(zeta, params.market.gamma)
-        else:
-            self._zeta = zeta
+        if self._euler and not isinstance(zeta, _StepMajor):
+            zeta = _step_major(zeta, params.market.gamma)
+        # the Euler branch reads the step-major pair, the closed form any other
+        self._zeta = zeta
 
     @property
     def mean_x(self) -> float:
@@ -647,10 +700,10 @@ class _CostFunctional:
         """Anchor j's control X per sample, paired like the costs, and E[X].
 
         X comes with the closed form's pass (run here, pricing no state, if
-        none has) or from one call of :func:`_euler_controls`.
+        none has) or from the step-major pair, which keeps it.
         """
         if self._x is None and self._euler:
-            xs = _euler_controls(self.params, self._zeta_t, self._zpow_t, self._anchors)
+            xs = self._zeta.controls(self.params, self._anchors)
             self._x = _pair_average(xs, self._antithetic)
         elif self._x is None:
             self._closed_form(1.0, [])
@@ -666,7 +719,7 @@ class _CostFunctional:
         """
         if self._euler:
             cost, tangent = _euler_costs(
-                self.params, alpha, self._dt, self._zeta_t, self._zpow_t,
+                self.params, alpha, self._dt, self._zeta.zeta_t, self._zeta.zpow_t,
                 self._anchors, states, delta,
             )
         else:
@@ -724,7 +777,7 @@ def solve_paths(
         h = habit_closed_form(p.habit, p.market, p.mortality, alpha, times, zeta)
         return consumption_no_pension(h, zeta, times, alpha, p.market, p.mortality), h
     _require_stable_step(p, dt)
-    zeta_t, zpow_t = _step_major(zeta, p.market.gamma)
+    zeta_t, zpow_t, _ = _step_major(zeta, p.market.gamma)
     consumption, habit = np.empty_like(zeta_t), np.empty_like(zeta_t)
     for k, c, h, _ in _euler_stream(
         p, alpha, dt, zeta_t, zpow_t, [times], [(0, 1.0, p.habit.initial)]
@@ -740,15 +793,21 @@ def _bundle_cost(params: ModelParams, paths: PathBundle) -> _CostFunctional:
     )
 
 
+def _calibration_stream(market: MarketParams, config: CalibrationConfig) -> _Stream:
+    """The config's calibration density, drawn a row block at a time."""
+    return _Stream(
+        market, config.grid, config.n_paths, config.seed, config.antithetic, ()
+    )
+
+
 def _calibration_paths(
     market: MarketParams, config: CalibrationConfig
 ) -> PathBundle:
     """The config's calibration density, as a bundle without Brownian paths.
 
     Its ``zeta`` is that of ``generate_paths`` at the config's seed.
-    :func:`calibrate_alpha` without a bundle builds it only where the
-    closed form keeps no terms (the power form, a pension); elsewhere it
-    streams the same rows.
+    :func:`calibrate_alpha` without a bundle builds it only on the power
+    form at pension 0; elsewhere it streams the same rows.
     """
     return _simulate(
         market,
@@ -780,6 +839,7 @@ def calibrate_alpha(
     params: ModelParams,
     config: CalibrationConfig = CalibrationConfig(),
     paths: Optional[PathBundle] = None,
+    _steps: Optional[_StepMajor] = None,
 ) -> GreedySolution:
     """Solve budget(alpha) = v by safeguarded Newton steps on a common path bundle.
 
@@ -797,12 +857,15 @@ def calibrate_alpha(
     :class:`BudgetMonotonicityError`, except equal finite P whose deltas
     predict a change below float resolution.
 
-    Without ``paths``, where the closed form keeps O(paths) terms (pension
-    0, and eta = 0 or a whole gamma - 1), the calibration density is
-    streamed: each chunk of row blocks draws its streams, reduces their
-    rows to the kept terms and drops them, so no (paths x times) array is
-    made.  Otherwise it prices on the stored density of
-    ``_calibration_paths``, as on a given bundle.  Both give the same bits.
+    Without ``paths`` the calibration density is streamed: each chunk of
+    row blocks draws its streams and drops them once read.  Where the
+    closed form keeps O(paths) terms (pension 0, and eta = 0 or a whole
+    gamma - 1) the blocks are reduced to those terms, so no (paths x times)
+    array is made.  With a pension they are written into the Euler
+    branch's step-major pair (``solver._step_major``), the only full-size
+    arrays made.  On the power form it prices on the stored density of
+    ``_calibration_paths``, as on a given bundle.  Every way gives the
+    same bits.
 
     The solution holds scalars only; :func:`solve_paths` at its alpha on
     the calibration density (``generate_paths`` at the config's seed, or
@@ -813,6 +876,10 @@ def calibrate_alpha(
     paths : PathBundle, optional
         Reuse an existing bundle instead of generating one (its grid
         and size then take precedence over ``config``).
+    _steps : optional
+        Without ``paths``, the step-major pair of the config's density,
+        made by the caller and shared by its legs: the Euler branch sweeps
+        it, and the closed form reads its blocks back path-major.
 
     Raises
     ------
@@ -820,13 +887,15 @@ def calibrate_alpha(
         If the widened bracket does not straddle v, an iterate repeats, or
         ``max_iterations`` budget evaluations do not reach tolerance.
     """
-    if paths is None and _keeps_terms(params):
-        grid = config.grid
-        stream = _Stream(
-            params.market, grid, config.n_paths, config.seed, config.antithetic, ()
-        )
+    # only the power form at pension 0 reads the density at every call, so
+    # it stores it unless a pair is given
+    stored = params.pension == 0.0 and params.habit.eta != 0.0 and _steps is None
+    if paths is None and not (stored and _moment_order(params.market.gamma) is None):
+        grid, density = config.grid, _steps
+        if density is None:
+            density = _calibration_stream(params.market, config)
         cost = _CostFunctional(
-            params, [grid.times()], stream, grid.dt, config.antithetic
+            params, [grid.times()], density, grid.dt, config.antithetic
         )
     else:
         cost = _bundle_cost(params, paths or _calibration_paths(params.market, config))

@@ -10,11 +10,14 @@ propensity oracle on the deterministic median scenario.
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import greedyhabit.allocation
 import greedyhabit.lifetime
+import greedyhabit.solver
 from greedyhabit import (
     CalibrationConfig,
     CalibrationError,
@@ -354,6 +357,72 @@ class TestPensionSweep:
         )
         pension_sweep(params, pensions, calibration=config)
         assert seen == expected
+
+    def test_euler_legs_share_one_pair_freed_before_the_records(self, monkeypatch):
+        # the legs with a pension calibrate on one step-major pair made
+        # from the stream, which computes their common X once; the nested
+        # pass's pair does the same for every Euler record, and the
+        # calibration pair is gone before the first record is priced
+        params = make_params(eta=0.1)
+        config = CalibrationConfig(
+            grid=TimeGrid(60.0, 0.1), n_paths=2000, seed=5, antithetic=True
+        )
+        full = config.n_paths * (config.grid.n_steps + 1) * 8
+        made, controls, held = [], [], []
+        real_pair = greedyhabit.solver._step_major
+        real_controls = greedyhabit.solver._euler_controls
+        real_record = greedyhabit.lifetime.simulate_lifetime
+
+        def pair(zeta, gamma):
+            made.append((type(zeta).__name__, zeta.shape))
+            return real_pair(zeta, gamma)
+
+        def counted(params, zeta_t, zpow_t, anchors):
+            controls.append(len(anchors))
+            return real_controls(params, zeta_t, zpow_t, anchors)
+
+        def record(*args, **kwargs):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return real_record(*args, **kwargs)
+
+        for module in (greedyhabit.solver, greedyhabit.lifetime, greedyhabit.allocation):
+            monkeypatch.setattr(module, "_step_major", pair)
+        monkeypatch.setattr(greedyhabit.solver, "_euler_controls", counted)
+        monkeypatch.setattr(greedyhabit.lifetime, "simulate_lifetime", record)
+        tracemalloc.start()
+        try:
+            pension_sweep(
+                params,
+                [0.0, 0.5, 1.5],
+                scenario_seed=8,
+                calibration=config,
+                horizon=2.0,
+                theta_refresh=0.5,
+                nested=nested(400),
+            )
+        finally:
+            tracemalloc.stop()
+        # besides the one-path pair of each Euler record's own scenario
+        calibration, inner = (2000, 601), (400, 1201)
+        assert [m for m in made if m[1][0] > 1] == [
+            ("_Stream", calibration), ("ndarray", inner)
+        ]
+        # one anchor for the calibrations, one per refresh for the records
+        assert controls == [1, 5]
+        assert held[0] < 0.25 * full
+
+    @pytest.mark.parametrize("alphas", [None, [1.0, 1.0]])
+    @pytest.mark.parametrize("bad", [-0.5, math.nan])
+    def test_bad_pension_fails_before_any_pricing(self, monkeypatch, alphas, bad):
+        def priced(*args, **kwargs):
+            raise AssertionError("priced before the pensions were checked")
+
+        for name in ("calibrate_alpha", "simulate_lifetime", "_InnerPaths"):
+            monkeypatch.setattr(greedyhabit.lifetime, name, priced)
+        with pytest.raises(ValueError, match="pension"):
+            pension_sweep(
+                make_params(), [0.0, bad], alphas=alphas, nested=nested(100)
+            )
 
     def test_alphas_must_align(self):
         with pytest.raises(ValueError, match="align"):

@@ -40,7 +40,7 @@ import greedyhabit
 import greedyhabit.market
 from greedyhabit.allocation import _InnerPaths
 from greedyhabit.habit import bernoulli_kernel
-from greedyhabit.market import log_survival_probability
+from greedyhabit.market import _Stream, log_survival_probability
 from greedyhabit.solver import (
     _CostFunctional,
     _bundle_cost,
@@ -48,6 +48,7 @@ from greedyhabit.solver import (
     _control_terms,
     _estimate_from_samples,
     _moment_order,
+    _step_major,
 )
 from conftest import (
     anchor_pass_terms,
@@ -852,6 +853,35 @@ class TestCalibrationDensity:
             assert getattr(streamed, name) == getattr(stored, name), name
 
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            make_params(eta=0.0),
+            make_params(eta=0.1),
+            POWER_FORM,
+            make_params(eta=0.1, pension=0.5),
+        ],
+        ids=["sums", "moments", "power-form", "euler"],
+    )
+    def test_calibration_on_a_shared_pair_equals_the_stored_one(self, params):
+        # a sweep's legs calibrate on one step-major pair made from the
+        # stream: the Euler branch sweeps it and the closed form reads its
+        # blocks back path-major, with the stored density's numbers
+        config = CalibrationConfig(
+            grid=TimeGrid(60.0, 0.1), n_paths=1002, seed=6, antithetic=True
+        )
+        steps = _step_major(
+            _Stream(params.market, config.grid, 1002, 6, True, ()),
+            params.market.gamma,
+        )
+        shared = calibrate_alpha(params, config, _steps=steps)
+        stored = calibrate_alpha(
+            params, config, paths=_calibration_paths(params.market, config)
+        )
+        for name in ("alpha", "budget_residual", "budget_se", "plain", "iterations"):
+            assert getattr(shared, name) == getattr(stored, name), name
+
+
 class TestRowBlocks:
     """The density, the kernel, ``wz``, the kernel moments and the
     closed-form costs are built in blocks of ``ROW_BLOCK`` rows, in up to
@@ -931,6 +961,35 @@ class TestRowBlocks:
             for key, value in expected.items():
                 assert np.array_equal(got[key], value), (block, workers, key)
 
+    @pytest.mark.parametrize("n_paths, antithetic", [(2001, False), (2002, True)])
+    def test_stream_fed_step_major_pair(self, monkeypatch, market, n_paths, antithetic):
+        # each block writes its rows transposed into the pair, and their
+        # power; with antithetic paths the chunks split the 1001 streams,
+        # so every chunk writes columns on both sides of the mirror
+        bundle = generate_paths(
+            market, self.GRID, n_paths, seed=12, antithetic=antithetic
+        )
+        expected = _step_major(bundle.zeta, market.gamma)
+        stream = _Stream(market, self.GRID, n_paths, 12, antithetic, ())
+        for block in (1, 7, n_paths + 1):
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(greedyhabit.market, "ROW_BLOCK", block)
+                monkeypatch.setattr(greedyhabit.market, "WORKERS", workers)
+                got = _step_major(stream, market.gamma)
+                for name in ("zeta_t", "zpow_t"):
+                    assert np.array_equal(
+                        getattr(got, name), getattr(expected, name)
+                    ), (block, workers, name)
+                # and its blocks read back path-major are the density's rows
+                back = np.empty(got.shape)
+
+                def gather(blocks):
+                    for rows, _, zeta in blocks:
+                        back[rows] = zeta
+
+                got.chunks(gather)
+                assert np.array_equal(back, bundle.zeta), (block, workers)
+
     def test_unread_solution_holds_no_arrays(self):
         params = make_params(eta=0.1, pension=0.5)
         config = CalibrationConfig(
@@ -965,9 +1024,12 @@ class TestCalibrationMemory:
 
     @pytest.mark.parametrize("pension", [0.0, 0.5])
     def test_peak_is_a_few_full_arrays(self, monkeypatch, pension):
-        # at most the Euler branch's path-major density while it makes the
-        # step-major copy and its power: three arrays
-        self.assert_peak(monkeypatch, make_params(eta=0.1, pension=pension), 3.5)
+        # with a pension, the Euler branch's step-major pair, made from the
+        # stream with no path-major density beside it, and the stream's
+        # blocks: about 2.2 full arrays on one worker and 2.3 on two (the
+        # stored density and the pair made from it were three); at pension
+        # 0 the streamed moments take about 1.1
+        self.assert_peak(monkeypatch, make_params(eta=0.1, pension=pension), 2.5)
 
     def test_moments_keep_no_full_kernel_or_weights(self, monkeypatch):
         # at gamma 3 calibration keeps three moments per path, so the peak
