@@ -43,7 +43,7 @@ from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .market import DEFAULT_SEED, MarketParams, TimeGrid, _simulate
+from .market import DEFAULT_SEED, MarketParams, TimeGrid, _Stream
 from .solver import (
     BudgetEstimate,
     ModelParams,
@@ -133,51 +133,43 @@ def _horizon_steps(grid: TimeGrid, t: float) -> int:
 class _InnerPaths:
     """Reusable inner density paths for nested simulations.
 
-    The density restarted at 1 is built once on the full grid, on first
-    use; an evaluation anchored at grid index k0 reads its leading
-    n_steps - k0 steps, which equal the density built from the leading
-    increments alone (cumulative sum, time grid and exponential are
-    prefix-stable).  Sharing the leading block across anchor times makes
-    repeated estimates along a lifetime co-monotone (common random
-    numbers in t as well as in the state).
+    The density restarted at 1 is drawn on the full grid from the stream
+    of spawn key ``(1,)``; an evaluation anchored at grid index k0 reads
+    its leading n_steps - k0 steps, which equal the density built from
+    the leading increments alone (cumulative sum, time grid and
+    exponential are prefix-stable).  Sharing the leading block across
+    anchor times makes repeated estimates along a lifetime co-monotone
+    (common random numbers in t as well as in the state).
 
     :meth:`price` prices a whole list of states in one pass, and every
     state of a run is known before it prices: each call runs calibration's
     pricer, ``solver._CostFunctional``, with one anchor per distinct time.
-    Its Euler branch sweeps one step-major copy of the density and its
-    power (``solver._step_major``), made on first use and shared by every
-    later call, with the control X it keeps per anchor set; pension-0 use
-    never makes it.  The paths belong to one market, and :meth:`price`
-    rejects model parameters with another.
+    No path-major array holds the density: the closed form reads the
+    stream's blocks as they are drawn.  The Euler branch sweeps one
+    step-major copy of the density and its power (``solver._step_major``),
+    written from the stream on first use and shared by every later call,
+    with the control X it keeps per anchor set; once it exists the closed
+    form reads it back instead of drawing again.  The paths belong to one
+    market, and :meth:`price` rejects model parameters with another.
     """
 
     def __init__(self, market: MarketParams, config: NestedConfig):
         self.config = config
         self.market = market
-
-    @functools.cached_property
-    def _zeta(self) -> np.ndarray:
-        config = self.config
-        return _simulate(
-            self.market,
-            config.grid,
-            config.n_inner,
-            config.seed,
-            config.antithetic,
-            key=(1,),
-            keep_w=False,
-        ).zeta
+        self._stream = _Stream(
+            market, config.grid, config.n_inner, config.seed, config.antithetic, (1,)
+        )
 
     @functools.cached_property
     def _steps(self):
-        return _step_major(self._zeta, self.market.gamma)
+        return _step_major(self._stream, self.market.gamma)
 
     def price(self, states, alpha: float, params: ModelParams):
         """Per-sample G, y * dG/dy and control at every state (t, y, h), in one pass.
 
         One (samples, deltas, x, mean_x) tuple per state, in order, as
         ``solver._CostFunctional.price`` returns them; alpha and every
-        state are checked before any inner path is built.
+        state are checked before any inner path is drawn.
         """
         if params.market != self.market:
             raise ValueError(
@@ -194,7 +186,8 @@ class _InnerPaths:
         starts = list(dict.fromkeys(t for t, _, _ in states))
         times = [t + np.arange(_horizon_steps(grid, t) + 1) * grid.dt for t in starts]
         rows = [(starts.index(t), y, h) for t, y, h in states]
-        zeta = self._steps if params.pension != 0.0 else self._zeta
+        pair = params.pension != 0.0 or "_steps" in vars(self)
+        zeta = self._steps if pair else self._stream
         return _CostFunctional(
             params, times, zeta, grid.dt, self.config.antithetic
         ).price(alpha, rows, True)

@@ -267,7 +267,9 @@ def pension_sweep(
     step-major copy of it, freed before the first record.  Every record
     is driven by the identical market scenario, and the records share one
     set of inner paths, so the curves are directly comparable, as in the
-    pension-comparison figures.
+    pension-comparison figures.  With a pension in any level, the inner
+    paths' step-major pair is written before the first record, so every
+    record reads that one draw; otherwise each record streams them.
 
     Parameters
     ----------
@@ -285,8 +287,11 @@ def pension_sweep(
     legs = [dataclasses.replace(params, pension=float(p)) for p in pensions]
     if alphas is None:
         alphas = _calibrate_legs(legs, calibration)
-    # the inner density depends on the market only, so every record shares it
+    # the inner density depends on the market only, so every record shares
+    # it; with a pension in any leg it is drawn once, into the pair
     inner = _InnerPaths(params.market, nested)
+    if any(p.pension != 0.0 for p in legs):
+        inner._steps
     return [
         simulate_lifetime(
             p,

@@ -417,13 +417,13 @@ class _Stream:
 
         ``blocks`` yields ``(rows, w, zeta)`` for each row block of
         streams: their Brownian paths and density from
-        :func:`_density_paths`, and ``rows``, their places in the density
-        (the block's own rows, then its mirrors' when ``antithetic`` is
-        set).  This is the one place that makes density rows.  A chunk
-        allocates its block arrays once and each block overwrites them, so
-        ``work`` must read a block before it asks for the next; arrays made
-        afresh for every block page-fault again whenever the allocator has
-        given their memory back.
+        :func:`_density_paths`, and ``rows``, the slice of their places in
+        the density.  With ``antithetic`` each block is followed by its
+        mirrors as a block of their own.  This is the one place that makes
+        density rows.  A chunk allocates its block arrays once and each
+        block overwrites them, so ``work`` must read a block before it
+        asks for the next; arrays made afresh for every block page-fault
+        again whenever the allocator has given their memory back.
         """
         n_streams = self.n_paths // 2 if self.antithetic else self.n_paths
         steps = self.grid.n_steps
@@ -434,15 +434,15 @@ class _Stream:
             paths = np.empty((2, 2 * most if self.antithetic else most, steps + 1))
             for block in chunk:
                 lo, hi = block.start, block.stop
-                normals = dw[: hi - lo]
-                _fill_normals(normals, self.seed, self.key, range(lo, hi))
-                rows, n = block, hi - lo
-                if self.antithetic:
-                    rows, n = np.r_[block, n_streams + lo : n_streams + hi], 2 * n
+                n = hi - lo
+                _fill_normals(dw[:n], self.seed, self.key, range(lo, hi))
                 w, zeta = _density_paths(
-                    self.market, normals, self.grid.dt, self.antithetic, paths[:, :n]
+                    self.market, dw[:n], self.grid.dt, self.antithetic,
+                    paths[:, : 2 * n if self.antithetic else n],
                 )
-                yield rows, w, zeta
+                yield block, w[:n], zeta[:n]
+                if self.antithetic:
+                    yield slice(n_streams + lo, n_streams + hi), w[n:], zeta[n:]
 
         _in_threads(n_streams, lambda chunk: work(blocks(chunk)))
 
@@ -453,7 +453,6 @@ def _simulate(
     n_paths: int,
     seed: int,
     antithetic: bool,
-    key: tuple = (),
     keep_w: bool = True,
 ) -> PathBundle:
     """Bundle of the density of ``n_paths`` seeded streams (:class:`_Stream`).
@@ -471,7 +470,7 @@ def _simulate(
             if keep_w:
                 w[rows] = w_blk
 
-    _Stream(market, grid, n_paths, seed, antithetic, key).chunks(fill)
+    _Stream(market, grid, n_paths, seed, antithetic, ()).chunks(fill)
     return PathBundle(grid, n_paths, seed, w, zeta, antithetic)
 
 

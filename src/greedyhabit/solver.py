@@ -382,9 +382,11 @@ def _anchor_pass(params, zeta, anchors, in_block):
     """Every anchor's closed-form terms and control X, over row blocks.
 
     ``anchors`` are absolute time vectors reading the leading columns of
-    the path-major density ``zeta``: a stored array, or a
-    :class:`market._Stream` whose blocks are drawn as they are read, so no
-    array holds the density.  Each block builds every anchor's kernel and
+    the path-major density ``zeta``: a stored array, a
+    :class:`market._Stream` whose blocks (each antithetic half a block of
+    its own) are drawn as they are read, so no array holds the density,
+    or a :class:`_StepMajor` pair read back a block at a time.  Every
+    block's rows are a slice.  Each block builds every anchor's kernel and
     ``wz`` once, from one log(zeta) / gamma, so no full-size array is
     made; chunks of blocks run on :func:`_in_threads`, and each row's
     terms come from that row alone.  Returns ``(kept, xs)``:
@@ -651,14 +653,13 @@ class _CostFunctional:
     because the closed form's sums run along each path's time axis and
     their pairwise summation order depends on that layout.  It may
     instead be a source of row blocks: a :class:`market._Stream`, whose
-    rows are read as they are drawn (where the closed form keeps its
-    terms, or with a pension), or a :class:`_StepMajor` pair, read back
-    path-major.  ``anchors`` are absolute time vectors (step ``dt``), each
-    reading the leading columns of ``zeta`` restarted at 1 at its first
-    time, and a state is (anchor index, y, h).  At pension 0 the closed
-    form prices through the Bernoulli kernel in z = y * h; with a pension
-    the Euler branch steps the floored rule and prices the excess over the
-    pension.
+    rows are read as they are drawn (drawn again by every pass of the
+    power form), or a :class:`_StepMajor` pair, read back path-major.
+    ``anchors`` are absolute time vectors (step ``dt``), each reading the
+    leading columns of ``zeta`` restarted at 1 at its first time, and a
+    state is (anchor index, y, h).  At pension 0 the closed form prices
+    through the Bernoulli kernel in z = y * h; with a pension the Euler
+    branch steps the floored rule and prices the excess over the pension.
 
     The closed form's first :meth:`price` runs :func:`_anchor_pass` and
     keeps the terms that need no kernel: the eta = 0 sums, or the kernel

@@ -24,7 +24,7 @@ from greedyhabit import (
     generate_paths,
 )
 from greedyhabit.allocation import _ratio_theta
-from greedyhabit.market import log_survival_probability
+from greedyhabit.market import _density_paths, _fill_normals, log_survival_probability
 from greedyhabit.solver import _anchor_pass
 
 CAL_GRID = TimeGrid(60.0, 0.05)
@@ -85,6 +85,20 @@ def reference_euler(alpha, params, times, zeta, dt, y=1.0, h=None):
         h = h + eta * (c - h) * dt
         dh = dh + (eta * dt) * (dc - dh)
     return cost, consumption, habit, delta
+
+
+def inner_density(market, config):
+    """The density of a ``NestedConfig``'s inner paths, path-major.
+
+    The nested pass never stores it: it reads the streams of spawn key
+    (1,) a row block at a time.  Here they are drawn in one block and
+    built by ``_density_paths`` in one call, so the rows are the same
+    whatever blocks and chunks the pass reads them in.
+    """
+    n_streams = config.n_inner // 2 if config.antithetic else config.n_inner
+    dw = np.empty((n_streams, config.grid.n_steps))
+    _fill_normals(dw, config.seed, (1,), range(n_streams))
+    return _density_paths(market, dw, config.grid.dt, config.antithetic)[1]
 
 
 def anchor_pass_terms(params, times, zeta):

@@ -29,7 +29,6 @@ from greedyhabit import (
     merton_theta,
     policy_surface,
 )
-import greedyhabit.allocation
 import greedyhabit.market
 from greedyhabit.allocation import _allocations, _InnerPaths, _ratio_theta
 from greedyhabit.market import _density_paths, _fill_normals
@@ -38,6 +37,7 @@ from conftest import (
     central_theta,
     control_mean,
     euler_at_zero,
+    inner_density,
     make_params,
     reference_control,
     reference_euler,
@@ -213,14 +213,14 @@ class TestAllocation:
 class TestStateEvaluation:
     @pytest.mark.parametrize("bad", [0.0, -0.5, math.nan])
     def test_bad_state_fails_before_inner_paths(self, monkeypatch, bad):
-        simulated = []
-        real = greedyhabit.allocation._simulate
+        drawn = []
+        real = greedyhabit.market._fill_normals
 
         def counted(*args, **kwargs):
-            simulated.append(args)
+            drawn.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(greedyhabit.allocation, "_simulate", counted)
+        monkeypatch.setattr(greedyhabit.market, "_fill_normals", counted)
         params, cfg = make_params(eta=0.1), config(200)
         forced = euler_at_zero(params)
         for evaluate in (
@@ -239,7 +239,7 @@ class TestStateEvaluation:
                 allocation_at(10.0, 1.0, 1.0, bad, params, cfg)
         with pytest.raises(ValueError, match="alpha must be positive"):
             policy_surface([10.0], 1.0, bad, params, cfg)
-        assert simulated == []
+        assert drawn == []
 
     def test_theta_wealth_is_the_plain_estimate(self):
         [(f0, u, x, mean_x)] = _InnerPaths(MarketParams(), config(400)).price(
@@ -274,7 +274,7 @@ class TestPathwiseTheta:
         params = make_params(eta=0.1, pension=0.5)
         cfg = config(2000)
         inner = _InnerPaths(params.market, cfg)
-        zeta = inner._zeta
+        zeta = inner_density(params.market, cfg)
         ks = params.market.kappa / params.market.sigma
         for t, y in [(0.0, 1.0), (10.0, 3.0), (19.0, 0.3)]:
             m = GRID.n_steps - GRID.index_of(t)
@@ -388,6 +388,7 @@ class TestSharedInnerPaths:
                 make_params(eta=eta), market=MarketParams(gamma=gamma)
             )
             inner = _InnerPaths(params.market, cfg)
+            full = inner_density(params.market, cfg)
             states = [(t, 0.8, 1.1) for t in starts]
             batch = [
                 (branch, inner.price(states, ALPHA, branch))
@@ -398,7 +399,7 @@ class TestSharedInnerPaths:
                 expected = _density_paths(
                     params.market, dw[:, :m], GRID.dt, antithetic
                 )[1]
-                assert np.array_equal(inner._zeta[:, : m + 1], expected)
+                assert np.array_equal(full[:, : m + 1], expected)
                 # a state of a many-anchor call prices what one functional
                 # on its anchor's rebuilt density does
                 times = t + np.arange(m + 1) * GRID.dt
@@ -443,7 +444,7 @@ class TestSharedInnerPaths:
         # wealth and theta must equal the path-major loop exactly
         params = make_params(eta=0.1, pension=0.5)
         cfg = config(400)
-        zeta = _InnerPaths(params.market, cfg)._zeta
+        zeta = inner_density(params.market, cfg)
         inner = _InnerPaths(params.market, cfg) if shared else None
         state = 0.8, 1.1
         for t in (0.0, 30.0, GRID.t_max - GRID.dt):
@@ -573,7 +574,8 @@ class TestBatchedStates:
             m = GRID.n_steps - GRID.index_of(t)
             times = t + np.arange(m + 1) * GRID.dt
             consumption = reference_euler(
-                ALPHA, params, times, inner._zeta[:, : m + 1], GRID.dt, y, h
+                ALPHA, params, times, inner_density(params.market, cfg)[:, : m + 1],
+                GRID.dt, y, h,
             )[1]
             assert 0.0 < np.mean(consumption == pension) < 1.0
             # fully floored: no wealth, so no allocation signal
@@ -608,35 +610,35 @@ class TestBatchedStates:
     def test_bad_state_anywhere_fails_before_inner_paths(
         self, monkeypatch, position, bad
     ):
-        simulated = []
-        real = greedyhabit.allocation._simulate
+        drawn = []
+        real = greedyhabit.market._fill_normals
 
         def counted(*args, **kwargs):
-            simulated.append(args)
+            drawn.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(greedyhabit.allocation, "_simulate", counted)
+        monkeypatch.setattr(greedyhabit.market, "_fill_normals", counted)
         good = [(0.0, 1.0, 1.0), (10.0, 0.8, 1.1), (20.0, 1.2, 0.9), (30.0, 1.0, 1.0)]
         states = good[:position] + [bad] + good[position:]
         for pension in (0.0, 0.5):
             params = make_params(eta=0.1, pension=pension)
             with pytest.raises(ValueError):
                 _allocations(states, ALPHA, params, config(200))
-        assert simulated == []
+        assert drawn == []
 
     def test_closed_form_batch_holds_no_full_size_array(self, monkeypatch):
-        # numpy reports its buffers to tracemalloc; the kernel and wz live
-        # one row block at a time on each thread, so the pass needs less
-        # than one more array of the inner set's size
+        # numpy reports its buffers to tracemalloc.  No array holds the
+        # inner set: each chunk draws its row blocks and reduces them to
+        # the anchors' terms before it draws the next, so the whole call,
+        # the draw included, needs less than one array of the set's size
         cfg = NestedConfig(n_inner=2000, seed=5, grid=GRID, antithetic=True)
         params = make_params(eta=0.1)
-        inner = _InnerPaths(params.market, cfg)
-        inner._zeta  # the inner set itself, built before tracing
         states = [
             (t, y, 1.0) for t in (0.0, 10.0, 20.0) for y in (0.5, 0.8, 1.0, 1.3, 2.0)
         ]
         for workers in (1, 2):
             monkeypatch.setattr(greedyhabit.market, "WORKERS", workers)
+            inner = _InnerPaths(params.market, cfg)
             tracemalloc.start()
             try:
                 inner.price(states, ALPHA, params)

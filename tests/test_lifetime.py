@@ -17,6 +17,7 @@ import pytest
 
 import greedyhabit.allocation
 import greedyhabit.lifetime
+import greedyhabit.market
 import greedyhabit.solver
 from greedyhabit import (
     CalibrationConfig,
@@ -316,16 +317,25 @@ class TestPensionSweep:
             theta_refresh=0.5,
             nested=nested(800),
         )
-        built = []
+        built, drawn = [], []
         real = greedyhabit.lifetime._InnerPaths
+        real_fill = greedyhabit.market._fill_normals
 
         def counted(*args):
             built.append(args)
             return real(*args)
 
+        def fill(out, seed, key, rows):
+            drawn.extend(rows if key == (1,) else [])
+            return real_fill(out, seed, key, rows)
+
         monkeypatch.setattr(greedyhabit.lifetime, "_InnerPaths", counted)
+        monkeypatch.setattr(greedyhabit.market, "_fill_normals", fill)
         sweep = pension_sweep(params, pensions, alphas=alphas, **kwargs)
         assert len(built) == 1
+        # the pension-0 record reads the pair the pension leg sweeps, so
+        # the sweep draws each inner stream once
+        assert sorted(drawn) == list(range(400))
         monkeypatch.undo()
         for rec, pension, alpha in zip(sweep, pensions, alphas):
             p = dataclasses.replace(params, pension=pension)
@@ -361,8 +371,9 @@ class TestPensionSweep:
     def test_euler_legs_share_one_pair_freed_before_the_records(self, monkeypatch):
         # the legs with a pension calibrate on one step-major pair made
         # from the stream, which computes their common X once; the nested
-        # pass's pair does the same for every Euler record, and the
-        # calibration pair is gone before the first record is priced
+        # pass's pair, also made from the stream, does the same for every
+        # record, and the calibration pair is gone before the first record
+        # is priced
         params = make_params(eta=0.1)
         config = CalibrationConfig(
             grid=TimeGrid(60.0, 0.1), n_paths=2000, seed=5, antithetic=True
@@ -405,11 +416,13 @@ class TestPensionSweep:
         # besides the one-path pair of each Euler record's own scenario
         calibration, inner = (2000, 601), (400, 1201)
         assert [m for m in made if m[1][0] > 1] == [
-            ("_Stream", calibration), ("ndarray", inner)
+            ("_Stream", calibration), ("_Stream", inner)
         ]
         # one anchor for the calibrations, one per refresh for the records
         assert controls == [1, 5]
-        assert held[0] < 0.25 * full
+        # the first record finds the inner pair, written before it so that
+        # every leg reads one draw, and not the calibration pair
+        assert held[0] < 2 * inner[0] * inner[1] * 8 + 0.25 * full
 
     @pytest.mark.parametrize("alphas", [None, [1.0, 1.0]])
     @pytest.mark.parametrize("bad", [-0.5, math.nan])

@@ -369,7 +369,7 @@ class TestFillNormals:
         with pytest.raises(error):
             greedyhabit.market._fill_normals(np.empty((3, 10)), seed, key, range(3))
         with pytest.raises(error):
-            greedyhabit.market._simulate(market, grid, 16, seed, True, key=key)
+            greedyhabit.market._Stream(market, grid, 16, seed, True, key).chunks(list)
         if not key:
             with pytest.raises(error):
                 generate_paths(market, grid, 16, seed=seed)

@@ -54,6 +54,7 @@ from conftest import (
     anchor_pass_terms,
     control_mean,
     euler_at_zero,
+    inner_density,
     make_params,
     reference_control,
     reference_euler,
@@ -883,10 +884,10 @@ class TestCalibrationDensity:
 
 
 class TestRowBlocks:
-    """The density, the kernel, ``wz``, the kernel moments and the
-    closed-form costs are built in blocks of ``ROW_BLOCK`` rows, in up to
-    ``WORKERS`` chunks of blocks on threads; no block size or worker count
-    may change a result."""
+    """The density, the kernel, ``wz``, the kernel moments, the
+    closed-form costs and the nested passes on streamed inner paths are
+    built in blocks of ``ROW_BLOCK`` rows, in up to ``WORKERS`` chunks of
+    blocks on threads; no block size or worker count may change a result."""
 
     GRID = TimeGrid(60.0, 0.1)
 
@@ -989,6 +990,63 @@ class TestRowBlocks:
 
                 got.chunks(gather)
                 assert np.array_equal(back, bundle.zeta), (block, workers)
+
+    @pytest.mark.parametrize("n_paths, antithetic", [(209, False), (210, True)])
+    def test_streamed_nested_pass_equals_the_stored_one(
+        self, monkeypatch, market, n_paths, antithetic
+    ):
+        # the inner paths are never stored: the closed form reads the
+        # stream's blocks, each antithetic half a block of its own; the
+        # Euler branch sweeps a pair written from them, which the closed
+        # form then reads back.  Each prices what one functional does on
+        # the stored density of the same rows.  Over 210 rows, two chunks
+        # of 7-row blocks of the pair are cut on the mirror (row 105) and
+        # three across it
+        config = NestedConfig(
+            n_inner=n_paths, seed=7, grid=self.GRID, antithetic=antithetic
+        )
+        zeta = inner_density(market, config)
+        starts = (0.0, 10.0, 35.0)
+        states = [(0.0, 1.3, 0.8), (35.0, 0.9, 1.0), (10.0, 0.4, 1.1), (0.0, 2.0, 0.5)]
+        anchors = [
+            t + np.arange(self.GRID.n_steps - self.GRID.index_of(t) + 1) * self.GRID.dt
+            for t in starts
+        ]
+        rows = [(starts.index(t), y, h) for t, y, h in states]
+        # kernel moments (gamma 3), the eta = 0 sums and the power of the
+        # kernel (gamma 2.5), then the Euler branch
+        branches = [
+            dataclasses.replace(make_params(eta=eta), market=MarketParams(gamma=gamma))
+            for gamma, eta in ((3.0, 0.1), (3.0, 0.0), (2.5, 0.1))
+        ]
+        branches += [dataclasses.replace(p, pension=0.5) for p in branches[::2]]
+        monkeypatch.setattr(greedyhabit.market, "ROW_BLOCK", n_paths + 1)
+        monkeypatch.setattr(greedyhabit.market, "WORKERS", 1)
+        expected = [
+            _CostFunctional(p, anchors, zeta, self.GRID.dt, antithetic).price(
+                2.9, rows, True
+            )
+            for p in branches
+        ]
+        pairs = {g: _step_major(zeta, g) for g in (2.5, 3.0)}
+        for block, workers in ((n_paths + 1, 1), (7, 1), (7, 2), (7, 3), (1, 2)):
+            monkeypatch.setattr(greedyhabit.market, "ROW_BLOCK", block)
+            monkeypatch.setattr(greedyhabit.market, "WORKERS", workers)
+            inners = {g: _InnerPaths(MarketParams(gamma=g), config) for g in pairs}
+            # the closed forms stream, the Euler branch writes the pair,
+            # and the closed forms read it back
+            for i in (0, 1, 2, 3, 4, 0, 1, 2):
+                p = branches[i]
+                got = inners[p.market.gamma].price(states, 2.9, p)
+                for r, (a, b) in enumerate(zip(got, expected[i])):
+                    assert all(
+                        x is y is None or np.array_equal(x, y) for x, y in zip(a, b)
+                    ), (block, workers, i, r)
+            for g, inner in inners.items():
+                for name in ("zeta_t", "zpow_t"):
+                    assert np.array_equal(
+                        getattr(inner._steps, name), getattr(pairs[g], name)
+                    ), (block, workers, g, name)
 
     def test_unread_solution_holds_no_arrays(self):
         params = make_params(eta=0.1, pension=0.5)
