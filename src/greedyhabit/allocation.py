@@ -36,7 +36,6 @@ such points are flagged unreliable instead of raising.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence
@@ -48,11 +47,10 @@ from .solver import (
     BudgetEstimate,
     ModelParams,
     _CostFunctional,
+    _Density,
     _estimate_from_samples,
     _require_stable_step,
     _require_two_samples,
-    _step_major,
-    _validate_positive,
     consumption_with_pension,
 )
 
@@ -143,26 +141,19 @@ class _InnerPaths:
 
     :meth:`price` prices a whole list of states in one pass, and every
     state of a run is known before it prices: each call runs calibration's
-    pricer, ``solver._CostFunctional``, with one anchor per distinct time.
-    No path-major array holds the density: the closed form reads the
-    stream's blocks as they are drawn.  The Euler branch sweeps one
-    step-major copy of the density and its power (``solver._step_major``),
-    written from the stream on first use and shared by every later call,
-    with the control X it keeps per anchor set; once it exists the closed
-    form reads it back instead of drawing again.  The paths belong to one
-    market, and :meth:`price` rejects model parameters with another.
+    pricer, ``solver._CostFunctional``, with one anchor per distinct time,
+    on one ``solver._Density`` of the stream, which decides how it is read
+    and is shared by every call.  The paths belong to one market, and
+    :meth:`price` rejects model parameters with another.
     """
 
     def __init__(self, market: MarketParams, config: NestedConfig):
         self.config = config
         self.market = market
-        self._stream = _Stream(
+        stream = _Stream(
             market, config.grid, config.n_inner, config.seed, config.antithetic, (1,)
         )
-
-    @functools.cached_property
-    def _steps(self):
-        return _step_major(self._stream, self.market.gamma)
+        self._density = _Density(stream, market.gamma)
 
     def price(self, states, alpha: float, params: ModelParams):
         """Per-sample G, y * dG/dy and control at every state (t, y, h), in one pass.
@@ -177,19 +168,20 @@ class _InnerPaths:
             )
         grid = self.config.grid
         _require_stable_step(params, grid.dt)
-        _validate_positive("alpha", alpha)
+        if not 0.0 < alpha < math.inf:  # a NaN fails too
+            raise ValueError(f"alpha must be positive and finite, got {alpha}")
         for _, y, h in states:
-            if not (y > 0.0 and h > 0.0):  # a NaN fails too
-                raise ValueError(f"zeta={y} and habit_level={h} must be positive")
+            if not (0.0 < y < math.inf and 0.0 < h < math.inf):
+                raise ValueError(
+                    f"zeta={y} and habit_level={h} must be positive and finite"
+                )
         if not states:
             return []
         starts = list(dict.fromkeys(t for t, _, _ in states))
         times = [t + np.arange(_horizon_steps(grid, t) + 1) * grid.dt for t in starts]
         rows = [(starts.index(t), y, h) for t, y, h in states]
-        pair = params.pension != 0.0 or "_steps" in vars(self)
-        zeta = self._steps if pair else self._stream
         return _CostFunctional(
-            params, times, zeta, grid.dt, self.config.antithetic
+            params, times, self._density, grid.dt, self.config.antithetic
         ).price(alpha, rows, True)
 
 

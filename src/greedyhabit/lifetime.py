@@ -33,13 +33,12 @@ import numpy as np
 
 from .allocation import NestedConfig, _allocations, _horizon_steps, _InnerPaths
 from .habit import habit_euler_step
-from .market import PathBundle, TimeGrid, _density_paths, generate_paths
+from .market import PathBundle, TimeGrid, _density_paths, _Stream, generate_paths
 from .solver import (
     CalibrationConfig,
     CalibrationError,
     ModelParams,
-    _calibration_stream,
-    _step_major,
+    _Density,
     calibrate_alpha,
     solve_paths,
 )
@@ -233,20 +232,21 @@ def simulate_lifetime(
     )
 
 
-def _calibrate_legs(legs: List[ModelParams], config: CalibrationConfig) -> List[float]:
-    """Each leg's alpha on the config's calibration density, in order.
+def _calibrate_legs(
+    params: ModelParams, legs: List[ModelParams], config: CalibrationConfig
+) -> List[float]:
+    """Each leg's alpha on one ``solver._Density`` of the calibration density.
 
-    Without a pension every leg streams the density.  With one in any
-    leg, the density is drawn once, into one step-major pair, and every
-    leg calibrates on it: the legs with a pension sweep it and share their
-    control X, and the pension-0 legs read it back path-major.  The pair
-    is freed on return, before any record is priced.
+    With a pension in any leg its pair is written first, so every leg
+    reads that one draw.  It is freed on return, before any record.
     """
-    steps = None
+    stream = _Stream(
+        params.market, config.grid, config.n_paths, config.seed, config.antithetic, ()
+    )
+    density = _Density(stream, params.market.gamma)
     if any(p.pension != 0.0 for p in legs):
-        market = legs[0].market
-        steps = _step_major(_calibration_stream(market, config), market.gamma)
-    return [calibrate_alpha(p, config, _steps=steps).alpha for p in legs]
+        density.pair
+    return [calibrate_alpha(p, config, _density=density).alpha for p in legs]
 
 
 def pension_sweep(
@@ -263,13 +263,11 @@ def pension_sweep(
     """Lifetime records across pension levels on one common scenario.
 
     Every pension level is calibrated on the same calibration density
-    (common random numbers): with a pension in any level, on one
-    step-major copy of it, freed before the first record.  Every record
-    is driven by the identical market scenario, and the records share one
-    set of inner paths, so the curves are directly comparable, as in the
-    pension-comparison figures.  With a pension in any level, the inner
-    paths' step-major pair is written before the first record, so every
-    record reads that one draw; otherwise each record streams them.
+    (common random numbers), every record is driven by the identical
+    market scenario, and the records share one set of inner paths, so the
+    curves are directly comparable, as in the pension-comparison figures.
+    Each density is one ``solver._Density``; with a pension in any level
+    its pair is written once, before it is read.
 
     Parameters
     ----------
@@ -286,12 +284,11 @@ def pension_sweep(
     _refresh_plan(params.habit.eta, horizon, dt, theta_refresh, nested)
     legs = [dataclasses.replace(params, pension=float(p)) for p in pensions]
     if alphas is None:
-        alphas = _calibrate_legs(legs, calibration)
-    # the inner density depends on the market only, so every record shares
-    # it; with a pension in any leg it is drawn once, into the pair
+        alphas = _calibrate_legs(params, legs, calibration)
+    # the inner density depends on the market only, so every record shares it
     inner = _InnerPaths(params.market, nested)
     if any(p.pension != 0.0 for p in legs):
-        inner._steps
+        inner._density.pair
     return [
         simulate_lifetime(
             p,

@@ -17,7 +17,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass, fields
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -211,10 +211,8 @@ class PathBundle:
         Number of paths.
     seed : int
         Master seed the bundle was generated from.
-    w : ndarray, shape (n_paths, n_steps + 1), or None
-        Brownian motion paths, w[:, 0] = 0.  None in a calibration-only
-        bundle, which prices through the density alone; its ``zeta`` is
-        that of :func:`generate_paths` at the same seed.
+    w : ndarray, shape (n_paths, n_steps + 1)
+        Brownian motion paths, w[:, 0] = 0.
     zeta : ndarray, shape (n_paths, n_steps + 1)
         State-price density along each path, zeta[:, 0] = 1.
     antithetic : bool
@@ -224,7 +222,7 @@ class PathBundle:
     grid: TimeGrid
     n_paths: int
     seed: int
-    w: Optional[np.ndarray]
+    w: np.ndarray
     zeta: np.ndarray
     antithetic: bool = False
 
@@ -447,33 +445,6 @@ class _Stream:
         _in_threads(n_streams, lambda chunk: work(blocks(chunk)))
 
 
-def _simulate(
-    market: MarketParams,
-    grid: TimeGrid,
-    n_paths: int,
-    seed: int,
-    antithetic: bool,
-    keep_w: bool = True,
-) -> PathBundle:
-    """Bundle of the density of ``n_paths`` seeded streams (:class:`_Stream`).
-
-    Each block's rows are written in place as they are drawn.  The
-    bundle's ``w`` is None unless ``keep_w`` is set.
-    """
-    shape = (n_paths, grid.n_steps + 1)
-    w = np.empty(shape) if keep_w else None
-    zeta = np.empty(shape)
-
-    def fill(blocks):
-        for rows, w_blk, zeta_blk in blocks:
-            zeta[rows] = zeta_blk
-            if keep_w:
-                w[rows] = w_blk
-
-    _Stream(market, grid, n_paths, seed, antithetic, ()).chunks(fill)
-    return PathBundle(grid, n_paths, seed, w, zeta, antithetic)
-
-
 def generate_paths(
     market: MarketParams,
     grid: TimeGrid,
@@ -510,4 +481,13 @@ def generate_paths(
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     if antithetic and n_paths % 2 != 0:
         raise ValueError("antithetic sampling requires an even n_paths")
-    return _simulate(market, grid, n_paths, seed, antithetic)
+    shape = (n_paths, grid.n_steps + 1)
+    w, zeta = np.empty(shape), np.empty(shape)
+
+    def fill(blocks):
+        for rows, w_blk, zeta_blk in blocks:
+            w[rows] = w_blk
+            zeta[rows] = zeta_blk
+
+    _Stream(market, grid, n_paths, seed, antithetic, ()).chunks(fill)
+    return PathBundle(grid, n_paths, seed, w, zeta, antithetic)

@@ -39,7 +39,6 @@ from .market import (
     TimeGrid,
     _Stream,
     _in_threads,
-    _simulate,
     log_survival_probability,
 )
 
@@ -378,18 +377,14 @@ def _price_rows(params, alpha, y, h, kernel, wz):
     return cost, -cost + (beta / y) * ((g - 1.0) / g) * u0 * dsums
 
 
-def _anchor_pass(params, zeta, anchors, in_block):
+def _anchor_pass(params, density, anchors, in_block):
     """Every anchor's closed-form terms and control X, over row blocks.
 
     ``anchors`` are absolute time vectors reading the leading columns of
-    the path-major density ``zeta``: a stored array, a
-    :class:`market._Stream` whose blocks (each antithetic half a block of
-    its own) are drawn as they are read, so no array holds the density,
-    or a :class:`_StepMajor` pair read back a block at a time.  Every
-    block's rows are a slice.  Each block builds every anchor's kernel and
-    ``wz`` once, from one log(zeta) / gamma, so no full-size array is
-    made; chunks of blocks run on :func:`_in_threads`, and each row's
-    terms come from that row alone.  Returns ``(kept, xs)``:
+    the path-major rows that :meth:`_Density.chunks` hands out.  Each
+    block builds every anchor's kernel and ``wz`` once, from one
+    log(zeta) / gamma, so no full-size array is made; each row's terms
+    come from that row alone.  Returns ``(kept, xs)``:
     ``xs[j]`` is anchor j's X per path (:func:`_control_terms`), and
     ``kept[j]`` its terms per path when they need no kernel: wz summed
     along the path at eta = 0 (``xs`` itself), or with a moment order n
@@ -400,7 +395,7 @@ def _anchor_pass(params, zeta, anchors, in_block):
     """
     frozen = params.habit.eta == 0.0
     order = None if frozen else _moment_order(params.market.gamma)
-    n_paths = zeta.shape[0]
+    n_paths = density.shape[0]
     vecs = [_anchor_terms(params, times)[2] for times in anchors]
     lifts = [_control_terms(params, times)[1] for times in anchors]
     xs = np.empty((len(anchors), n_paths))
@@ -424,10 +419,7 @@ def _anchor_pass(params, zeta, anchors, in_block):
             elif not frozen:
                 in_block(rows, j, kernel, wz)
 
-    if isinstance(zeta, np.ndarray):
-        _in_threads(n_paths, lambda chunk: fill((rows, zeta[rows]) for rows in chunk))
-    else:
-        zeta.chunks(lambda blocks: fill((rows, z) for rows, _, z in blocks))
+    density.chunks(fill)
     return kept, xs
 
 
@@ -489,81 +481,106 @@ def _euler_stream(params, alpha, dt, zeta_t, zpow_t, anchors, states, tangent=Fa
             dh[:nxt] += step
 
 
-class _StepMajor(NamedTuple):
-    """The density step-major, shape (n_times, n_paths), zeta^(-1/gamma),
-    and X per anchor set (:meth:`controls`), kept for every pricer.
+class _Density:
+    """The density of simulated paths, and what is kept of it for every pricer.
 
-    It is also a path-major density source like :class:`market._Stream`
-    (``shape`` and :meth:`chunks`), so the closed form can price on it
-    without drawing the density again.
+    The one place that decides how a density is read.  ``source`` is a
+    :class:`market._Stream`, whose row blocks are drawn as they are read,
+    or a stored path-major array, shape (n_paths, n_times).  Every way
+    gives each row the same bits.
     """
 
-    zeta_t: np.ndarray
-    zpow_t: np.ndarray
-    xs: dict
+    def __init__(self, source, gamma: float):
+        self.shape = source.shape
+        self._source = source
+        self._power = -1.0 / gamma
+        self._rows = source if isinstance(source, np.ndarray) else None
+        self._pair = None
+        self._xs = {}
 
-    @property
-    def shape(self) -> tuple:
-        return self.zeta_t.shape[::-1]
+    def store(self) -> None:
+        """Keep a stream's rows path-major, unless the pair is kept."""
+        if self._rows is None and self._pair is None:
+            rows = np.empty(self.shape)
+
+            def fill(blocks):
+                for at, zeta in blocks:
+                    rows[at] = zeta
+
+            self.chunks(fill)
+            self._rows = rows
 
     def chunks(self, work) -> None:
-        """Call ``work(blocks)`` on :func:`_in_threads` chunks of the paths.
+        """Call ``work(blocks)`` on :func:`_in_threads` chunks of the rows.
 
-        ``blocks`` yields ``(rows, None, zeta)`` per row block, the rows
-        copied back path-major into an array the chunk allocates once, as
-        :meth:`market._Stream.chunks` yields them.
+        ``blocks`` yields ``(rows, zeta)`` per row block, ``rows`` a slice,
+        path-major because the closed form's sums run along each path's
+        time axis and their pairwise summation order depends on that
+        layout.  They are the stored rows, else the pair's copied back into
+        an array the chunk allocates once, else drawn from the stream, each
+        antithetic half a block of its own, so a kept density is never
+        drawn again.  ``work`` reads a block before it asks for the next,
+        which may overwrite it.
         """
+        if self._rows is not None:
+            _in_threads(self.shape[0], lambda c: work((r, self._rows[r]) for r in c))
+            return
+        if self._pair is None:
+            self._source.chunks(lambda blocks: work((r, z) for r, _, z in blocks))
+            return
+        zeta_t = self._pair[0]
 
         def blocks(chunk):
             most = max(rows.stop - rows.start for rows in chunk)
-            buf = np.empty((most, self.zeta_t.shape[0]))
+            buf = np.empty((most, zeta_t.shape[0]))
             for rows in chunk:
                 zeta = buf[: rows.stop - rows.start]
-                np.copyto(zeta, self.zeta_t[:, rows].T)
-                yield rows, None, zeta
+                np.copyto(zeta, zeta_t[:, rows].T)
+                yield rows, zeta
 
-        _in_threads(self.zeta_t.shape[1], lambda chunk: work(blocks(chunk)))
+        _in_threads(zeta_t.shape[1], lambda chunk: work(blocks(chunk)))
+
+    @property
+    def pair(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(zeta_t, zpow_t)``: the density step-major, and zeta^(-1/gamma).
+
+        Written on first use and kept, so each Euler step reads one
+        contiguous row of every path.  A stream writes each block's rows
+        transposed as it is drawn, and their power, taken on the block as
+        on stored rows, so no path-major array is made.
+        """
+        if self._pair is None and self._rows is not None:
+            zeta_t = np.ascontiguousarray(self._rows.T)
+            self._pair = zeta_t, zeta_t**self._power
+        elif self._pair is None:
+            zeta_t = np.empty(self.shape[::-1])
+            zpow_t = np.empty_like(zeta_t)
+
+            def fill(blocks):
+                for rows, _, z in blocks:
+                    zeta_t[:, rows] = z.T
+                    # the stream's block is overwritten by the next one anyway
+                    zpow_t[:, rows] = np.power(z, self._power, out=z).T
+
+            self._source.chunks(fill)
+            self._pair = zeta_t, zpow_t
+        return self._pair
 
     def controls(self, params: ModelParams, anchors) -> np.ndarray:
         """X per path of every anchor, one :func:`_euler_controls` per set.
 
         X does not depend on the pension, eta or alpha; anchors step the
-        density's grid, so their first time and length fix them.
+        density's grid, so their first time and length fix them.  Every
+        pricer on the density reads the same X.
         """
         key = (
             params.market,
             params.mortality,
             tuple((float(times[0]), times.shape[0]) for times in anchors),
         )
-        if key not in self.xs:
-            self.xs[key] = _euler_controls(params, self.zeta_t, self.zpow_t, anchors)
-        return self.xs[key]
-
-
-def _step_major(zeta, gamma) -> _StepMajor:
-    """The step-major pair of a path-major density: a stored array or a stream.
-
-    Each Euler step then reads one contiguous row of every path; a
-    transposed view of a step-major array is taken without a copy.  A
-    :class:`market._Stream` writes each block's rows transposed as it is
-    drawn, and their power, taken on the block as on a stored density, so
-    no path-major array is made.
-    """
-    power = -1.0 / gamma
-    if isinstance(zeta, np.ndarray):
-        zeta_t = np.ascontiguousarray(zeta.T)
-        return _StepMajor(zeta_t, zeta_t**power, {})
-    zeta_t = np.empty(zeta.shape[::-1])
-    zpow_t = np.empty_like(zeta_t)
-
-    def fill(blocks):
-        for rows, _, z in blocks:
-            zeta_t[:, rows] = z.T
-            # the stream's block is overwritten by the next one anyway
-            zpow_t[:, rows] = np.power(z, power, out=z).T
-
-    zeta.chunks(fill)
-    return _StepMajor(zeta_t, zpow_t, {})
+        if key not in self._xs:
+            self._xs[key] = _euler_controls(params, *self.pair, anchors)
+        return self._xs[key]
 
 
 def _euler_costs(params, alpha, dt, zeta_t, zpow_t, anchors, states, delta):
@@ -649,35 +666,27 @@ class _CostFunctional:
 
     The one pricer of the remaining cost: the budget is its value at
     (t = 0, zeta = 1, H0), and the nested wealth and the pathwise theta
-    its values at later states.  ``zeta`` holds density paths path-major,
-    because the closed form's sums run along each path's time axis and
-    their pairwise summation order depends on that layout.  It may
-    instead be a source of row blocks: a :class:`market._Stream`, whose
-    rows are read as they are drawn (drawn again by every pass of the
-    power form), or a :class:`_StepMajor` pair, read back path-major.
-    ``anchors`` are absolute time vectors (step ``dt``), each reading the
-    leading columns of ``zeta`` restarted at 1 at its first time, and a
-    state is (anchor index, y, h).  At pension 0 the closed form prices
-    through the Bernoulli kernel in z = y * h; with a pension the Euler
-    branch steps the floored rule and prices the excess over the pension.
+    its values at later states.  ``density`` is a :class:`_Density`, which
+    decides how its paths are read.  ``anchors`` are absolute time vectors
+    (step ``dt``), each reading the leading columns of the density
+    restarted at 1 at its first time, and a state is (anchor index, y, h).
+    At pension 0 the closed form prices through the Bernoulli kernel in
+    z = y * h; with a pension the Euler branch sweeps the density's pair,
+    steps the floored rule and prices the excess over the pension.
 
     The closed form's first :meth:`price` runs :func:`_anchor_pass` and
     keeps the terms that need no kernel: the eta = 0 sums, or the kernel
     moments at a whole gamma - 1 (:func:`_moment_order`), from which every
     alpha and state prices in O(paths).  On the power form (any other
     gamma) the pass runs at every call and prices each block in place, so
-    no full-size kernel is kept.  The Euler branch sweeps the step-major
-    pair of :func:`_step_major`, made here or handed over as ``zeta`` by
-    a caller that keeps one.  X per anchor comes with the closed form's
-    pass, or from the pair, which computes it once per market, mortality
-    and anchor set (:meth:`_StepMajor.controls`), so every pricer that
-    shares the pair reads the same X.  Every row
-    is computed on its own, so neither the block size nor the thread count
-    changes a result.
+    no full-size kernel is kept.  X per anchor comes with the closed
+    form's pass, or from :meth:`_Density.controls`.  Every row is computed
+    on its own, so neither the block size nor the thread count changes a
+    result.
     """
 
     def __init__(
-        self, params: ModelParams, anchors, zeta, dt: float, antithetic: bool
+        self, params: ModelParams, anchors, density, dt: float, antithetic: bool
     ):
         _require_stable_step(params, dt)
         self.params = params
@@ -687,10 +696,7 @@ class _CostFunctional:
         self._dt = dt
         self._means = [_control_terms(params, times)[0] for times in anchors]
         self._kept = self._x = None
-        if self._euler and not isinstance(zeta, _StepMajor):
-            zeta = _step_major(zeta, params.market.gamma)
-        # the Euler branch reads the step-major pair, the closed form any other
-        self._zeta = zeta
+        self._density = density
 
     @property
     def mean_x(self) -> float:
@@ -701,10 +707,10 @@ class _CostFunctional:
         """Anchor j's control X per sample, paired like the costs, and E[X].
 
         X comes with the closed form's pass (run here, pricing no state, if
-        none has) or from the step-major pair, which keeps it.
+        none has) or from the density, which keeps it.
         """
         if self._x is None and self._euler:
-            xs = self._zeta.controls(self.params, self._anchors)
+            xs = self._density.controls(self.params, self._anchors)
             self._x = _pair_average(xs, self._antithetic)
         elif self._x is None:
             self._closed_form(1.0, [])
@@ -720,8 +726,8 @@ class _CostFunctional:
         """
         if self._euler:
             cost, tangent = _euler_costs(
-                self.params, alpha, self._dt, self._zeta.zeta_t, self._zeta.zpow_t,
-                self._anchors, states, delta,
+                self.params, alpha, self._dt, *self._density.pair, self._anchors,
+                states, delta,
             )
         else:
             cost, tangent = self._closed_form(alpha, states)
@@ -741,7 +747,7 @@ class _CostFunctional:
     def _closed_form(self, alpha, states):
         """Per-path cost and delta of every state, shape (2, states, paths)."""
         p = self.params
-        out = np.empty((2, len(states), self._zeta.shape[0]))
+        out = np.empty((2, len(states), self._density.shape[0]))
 
         def fill(rows, j, kernel, terms):
             for r, (at, y, h) in enumerate(states):
@@ -751,7 +757,7 @@ class _CostFunctional:
         if self._kept is None:
             # the first call, or any on the power form, whose blocks price
             # their anchor's states while the kernel is in cache
-            self._kept, xs = _anchor_pass(p, self._zeta, self._anchors, fill)
+            self._kept, xs = _anchor_pass(p, self._density, self._anchors, fill)
             self._x = _pair_average(xs, self._antithetic)
         if self._kept is not None:
             for j, terms in enumerate(self._kept):
@@ -778,7 +784,7 @@ def solve_paths(
         h = habit_closed_form(p.habit, p.market, p.mortality, alpha, times, zeta)
         return consumption_no_pension(h, zeta, times, alpha, p.market, p.mortality), h
     _require_stable_step(p, dt)
-    zeta_t, zpow_t, _ = _step_major(zeta, p.market.gamma)
+    zeta_t, zpow_t = _Density(zeta, p.market.gamma).pair
     consumption, habit = np.empty_like(zeta_t), np.empty_like(zeta_t)
     for k, c, h, _ in _euler_stream(
         p, alpha, dt, zeta_t, zpow_t, [times], [(0, 1.0, p.habit.initial)]
@@ -788,36 +794,8 @@ def solve_paths(
 
 
 def _bundle_cost(params: ModelParams, paths: PathBundle) -> _CostFunctional:
-    grid = paths.grid
-    return _CostFunctional(
-        params, [grid.times()], paths.zeta, grid.dt, paths.antithetic
-    )
-
-
-def _calibration_stream(market: MarketParams, config: CalibrationConfig) -> _Stream:
-    """The config's calibration density, drawn a row block at a time."""
-    return _Stream(
-        market, config.grid, config.n_paths, config.seed, config.antithetic, ()
-    )
-
-
-def _calibration_paths(
-    market: MarketParams, config: CalibrationConfig
-) -> PathBundle:
-    """The config's calibration density, as a bundle without Brownian paths.
-
-    Its ``zeta`` is that of ``generate_paths`` at the config's seed.
-    :func:`calibrate_alpha` without a bundle builds it only on the power
-    form at pension 0; elsewhere it streams the same rows.
-    """
-    return _simulate(
-        market,
-        config.grid,
-        config.n_paths,
-        config.seed,
-        config.antithetic,
-        keep_w=False,
-    )
+    grid, density = paths.grid, _Density(paths.zeta, params.market.gamma)
+    return _CostFunctional(params, [grid.times()], density, grid.dt, paths.antithetic)
 
 
 def budget_value(
@@ -840,7 +818,7 @@ def calibrate_alpha(
     params: ModelParams,
     config: CalibrationConfig = CalibrationConfig(),
     paths: Optional[PathBundle] = None,
-    _steps: Optional[_StepMajor] = None,
+    _density: Optional[_Density] = None,
 ) -> GreedySolution:
     """Solve budget(alpha) = v by safeguarded Newton steps on a common path bundle.
 
@@ -858,29 +836,19 @@ def calibrate_alpha(
     :class:`BudgetMonotonicityError`, except equal finite P whose deltas
     predict a change below float resolution.
 
-    Without ``paths`` the calibration density is streamed: each chunk of
-    row blocks draws its streams and drops them once read.  Where the
-    closed form keeps O(paths) terms (pension 0, and eta = 0 or a whole
-    gamma - 1) the blocks are reduced to those terms, so no (paths x times)
-    array is made.  With a pension they are written into the Euler
-    branch's step-major pair (``solver._step_major``), the only full-size
-    arrays made.  On the power form it prices on the stored density of
-    ``_calibration_paths``, as on a given bundle.  Every way gives the
-    same bits.
-
-    The solution holds scalars only; :func:`solve_paths` at its alpha on
-    the calibration density (``generate_paths`` at the config's seed, or
-    ``paths``) gives the consumption and habit arrays.
+    Without ``paths`` the calibration density is that of
+    ``generate_paths`` at the config's seed, read through a
+    :class:`_Density`.  The solution holds scalars only; :func:`solve_paths`
+    at its alpha on that density, or on ``paths``, gives the consumption
+    and habit arrays.
 
     Parameters
     ----------
     paths : PathBundle, optional
         Reuse an existing bundle instead of generating one (its grid
         and size then take precedence over ``config``).
-    _steps : optional
-        Without ``paths``, the step-major pair of the config's density,
-        made by the caller and shared by its legs: the Euler branch sweeps
-        it, and the closed form reads its blocks back path-major.
+    _density : optional
+        Without ``paths``, the config's density, shared by the caller's legs.
 
     Raises
     ------
@@ -888,23 +856,30 @@ def calibrate_alpha(
         If the widened bracket does not straddle v, an iterate repeats, or
         ``max_iterations`` budget evaluations do not reach tolerance.
     """
-    # only the power form at pension 0 reads the density at every call, so
-    # it stores it unless a pair is given
-    stored = params.pension == 0.0 and params.habit.eta != 0.0 and _steps is None
-    if paths is None and not (stored and _moment_order(params.market.gamma) is None):
-        grid, density = config.grid, _steps
+    v, h0, g = params.v, params.habit.initial, params.market.gamma
+    if paths is None:
+        grid, density = config.grid, _density
         if density is None:
-            density = _calibration_stream(params.market, config)
+            stream = _Stream(
+                params.market, grid, config.n_paths, config.seed, config.antithetic, ()
+            )
+            density = _Density(stream, g)
+        # only the power form at pension 0 reads the density at every call
+        power_form = params.habit.eta != 0.0 and _moment_order(g) is None
+        if params.pension == 0.0 and power_form:
+            density.store()
         cost = _CostFunctional(
             params, [grid.times()], density, grid.dt, config.antithetic
         )
     else:
-        cost = _bundle_cost(params, paths or _calibration_paths(params.market, config))
-    v, h0, g = params.v, params.habit.initial, params.market.gamma
+        cost = _bundle_cost(params, paths)
     lo, hi = limits = (config.bracket[0] / 1e6, config.bracket[1] * 1e6)
     history = {}
     # the eta = 0, pension-0 budget is alpha^(-1/g) h0^(1 - 1/g) E[X]
-    alpha = min(max((h0 ** (1.0 - 1.0 / g) * cost.mean_x / v) ** g, lo), hi)
+    try:
+        alpha = min(max((h0 ** (1.0 - 1.0 / g) * cost.mean_x / v) ** g, lo), hi)
+    except OverflowError:  # a start beyond float range is above the bracket
+        alpha = hi
     while True:
         if len(history) >= config.max_iterations:
             raise CalibrationError(

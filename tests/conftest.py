@@ -25,7 +25,7 @@ from greedyhabit import (
 )
 from greedyhabit.allocation import _ratio_theta
 from greedyhabit.market import _density_paths, _fill_normals, log_survival_probability
-from greedyhabit.solver import _anchor_pass
+from greedyhabit.solver import _anchor_pass, _Density
 
 CAL_GRID = TimeGrid(60.0, 0.05)
 CAL_SEED = 23
@@ -101,6 +101,18 @@ def inner_density(market, config):
     return _density_paths(market, dw, config.grid.dt, config.antithetic)[1]
 
 
+def density_rows(density):
+    """Every row of a ``solver._Density``, gathered from its ``chunks``."""
+    rows = np.empty(density.shape)
+
+    def gather(blocks):
+        for at, zeta in blocks:
+            rows[at] = zeta
+
+    density.chunks(gather)
+    return rows
+
+
 def anchor_pass_terms(params, times, zeta):
     """``(kernel, wz, x)`` of the closed form's pass at one anchor, per path.
 
@@ -116,7 +128,8 @@ def anchor_pass_terms(params, times, zeta):
     def store(rows, _, block_kernel, block_wz):
         kernel[rows], wz[rows] = block_kernel, block_wz
 
-    kept, xs = _anchor_pass(params, zeta, [times], store)
+    density = _Density(zeta, params.market.gamma)
+    kept, xs = _anchor_pass(params, density, [times], store)
     if kept is None:
         return kernel, wz, xs[0]
     return None, kept[0], xs[0]

@@ -32,7 +32,7 @@ from greedyhabit import (
 import greedyhabit.market
 from greedyhabit.allocation import _allocations, _InnerPaths, _ratio_theta
 from greedyhabit.market import _density_paths, _fill_normals
-from greedyhabit.solver import _CostFunctional, _estimate_from_samples
+from greedyhabit.solver import _CostFunctional, _Density, _estimate_from_samples
 from conftest import (
     central_theta,
     control_mean,
@@ -211,7 +211,7 @@ class TestAllocation:
 
 
 class TestStateEvaluation:
-    @pytest.mark.parametrize("bad", [0.0, -0.5, math.nan])
+    @pytest.mark.parametrize("bad", [0.0, -0.5, math.nan, math.inf])
     def test_bad_state_fails_before_inner_paths(self, monkeypatch, bad):
         drawn = []
         real = greedyhabit.market._fill_normals
@@ -405,8 +405,9 @@ class TestSharedInnerPaths:
                 times = t + np.arange(m + 1) * GRID.dt
                 for branch, priced in batch:
                     got = priced[i]
+                    density = _Density(expected, branch.market.gamma)
                     cost = _CostFunctional(
-                        branch, [times], expected, GRID.dt, antithetic
+                        branch, [times], density, GRID.dt, antithetic
                     )
                     want = cost.per_path(ALPHA, 0.8, 1.1, delta=True)
                     assert all(np.array_equal(a, b) for a, b in zip(got, want))
@@ -475,13 +476,13 @@ class TestSharedInnerPaths:
         plain = make_params(eta=0.1)
         inner.price([(10.0, 1.0, 1.0)], ALPHA, plain)
         _allocations([(20.0, 0.8, 1.1)], ALPHA, plain, cfg, inner)
-        assert "_steps" not in vars(inner)
+        assert inner._density._pair is None
         pension = make_params(eta=0.1, pension=0.5)
         _allocations([(0.0, 0.8, 1.1)], ALPHA, pension, cfg, inner)
-        copy = inner._steps[0]
+        copy = inner._density.pair[0]
         for t in (10.0, 30.0):
             inner.price([(t, 0.8, 1.1)], ALPHA, pension)
-            assert inner._steps[0] is copy
+            assert inner._density.pair[0] is copy
 
     def test_euler_powers_are_prefixes_of_one_array(self):
         cfg = config(200)
@@ -491,9 +492,9 @@ class TestSharedInnerPaths:
         base = None
         for t in (0.0, 10.0, 30.0):
             inner.price([(t, 0.8, 1.1)], ALPHA, params)
-            base = base if base is not None else inner._steps[1]
-            assert inner._steps[1] is base
-        assert np.array_equal(base, inner._steps[0] ** (-1.0 / g))
+            base = base if base is not None else inner._density.pair[1]
+            assert inner._density.pair[1] is base
+        assert np.array_equal(base, inner._density.pair[0] ** (-1.0 / g))
 
     def test_other_market_is_rejected(self):
         inner = _InnerPaths(MarketParams(), config(200))
@@ -604,6 +605,8 @@ class TestBatchedStates:
             (10.01, 1.0, 1.0),  # off the grid
             (math.nan, 1.0, 1.0),
             (math.inf, 1.0, 1.0),
+            (10.0, math.inf, 1.0),
+            (10.0, 1.0, math.inf),
             (GRID.t_max, 1.0, 1.0),  # no horizon left
         ],
     )

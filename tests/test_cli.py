@@ -291,6 +291,15 @@ class TestExitCodes:
         assert "numerical failure" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "data", [{"wealth": 1e-6, "market": {"gamma": 60}}, {"wealth": 1e-300}]
+    )
+    def test_start_beyond_float_range_is_exit_2(self, tmp_path, capsys, data):
+        cfg = write_config(tmp_path, dict(data, calibration=FAST_CAL))
+        assert main(["calibrate", "--config", cfg]) == 2
+        assert "could not bracket" in capsys.readouterr().err
+
+
 class TestCalibrateCommand:
     def test_report_and_json_out(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"calibration": FAST_CAL})

@@ -380,13 +380,14 @@ class TestPensionSweep:
         )
         full = config.n_paths * (config.grid.n_steps + 1) * 8
         made, controls, held = [], [], []
-        real_pair = greedyhabit.solver._step_major
+        real_pair = greedyhabit.solver._Density.pair
         real_controls = greedyhabit.solver._euler_controls
         real_record = greedyhabit.lifetime.simulate_lifetime
 
-        def pair(zeta, gamma):
-            made.append((type(zeta).__name__, zeta.shape))
-            return real_pair(zeta, gamma)
+        def pair(density):
+            if density._pair is None:
+                made.append((type(density._source).__name__, density.shape))
+            return real_pair.fget(density)
 
         def counted(params, zeta_t, zpow_t, anchors):
             controls.append(len(anchors))
@@ -396,8 +397,7 @@ class TestPensionSweep:
             held.append(tracemalloc.get_traced_memory()[0])
             return real_record(*args, **kwargs)
 
-        for module in (greedyhabit.solver, greedyhabit.lifetime, greedyhabit.allocation):
-            monkeypatch.setattr(module, "_step_major", pair)
+        monkeypatch.setattr(greedyhabit.solver._Density, "pair", property(pair))
         monkeypatch.setattr(greedyhabit.solver, "_euler_controls", counted)
         monkeypatch.setattr(greedyhabit.lifetime, "simulate_lifetime", record)
         tracemalloc.start()

@@ -5,8 +5,10 @@ The package exports exactly the names each module lists in its own
 in its tracer's ``TRACED`` list; a name missing from the package is
 skipped there, so its per-layer metrics would read zero instead of
 failing.  No import and no top-level private helper in ``src/`` is left
-unused, no defaulted parameter of a private helper is left unset, and the
-density's rows and the closed form's block pass each come from one place.
+unused, no defaulted parameter of a private helper is left unset, the
+density's rows, the closed form's block pass and the Euler control pass
+each come from one place, and only ``solver._Density`` decides how a
+density is read.
 """
 
 import ast
@@ -189,8 +191,37 @@ def test_one_block_source():
         for node in ast.walk(tree)
         if isinstance(node, ast.Call)
     )
-    for name in ("_fill_normals", "_anchor_pass"):
+    for name in ("_fill_normals", "_anchor_pass", "_euler_controls"):
         assert calls[name] == 1, f"{name} has {calls[name]} call sites in src/"
+
+
+def test_only_the_density_branches_on_its_form():
+    # outside solver._Density no code tests a value against an array or a
+    # private class of the package (a stream, a density or a pair of one),
+    # or probes its own attributes with vars(self), so how a density is
+    # held is decided in one place
+    found = []
+    for path in sorted(Path(greedyhabit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        inside = {
+            id(node)
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and cls.name == "_Density"
+            for node in ast.walk(cls)
+        }
+        for node in ast.walk(tree):
+            if id(node) in inside or not isinstance(node, ast.Call):
+                continue
+            func, args = getattr(node.func, "id", None), node.args
+            if func == "isinstance" and len(args) == 2:
+                kinds = args[1].elts if isinstance(args[1], ast.Tuple) else [args[1]]
+                for kind in kinds:
+                    name = getattr(kind, "id", None) or getattr(kind, "attr", "")
+                    if name == "ndarray" or name.startswith("_"):
+                        found.append(f"{path.name}:{node.lineno} isinstance {name}")
+            elif func == "vars" and [getattr(a, "id", None) for a in args] == ["self"]:
+                found.append(f"{path.name}:{node.lineno} vars(self)")
+    assert not found, f"density form tested outside solver._Density: {found}"
 
 
 def test_import_starts_no_thread():

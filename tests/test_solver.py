@@ -43,22 +43,29 @@ from greedyhabit.habit import bernoulli_kernel
 from greedyhabit.market import _Stream, log_survival_probability
 from greedyhabit.solver import (
     _CostFunctional,
+    _Density,
     _bundle_cost,
-    _calibration_paths,
     _control_terms,
     _estimate_from_samples,
     _moment_order,
-    _step_major,
 )
 from conftest import (
     anchor_pass_terms,
     control_mean,
+    density_rows,
     euler_at_zero,
     inner_density,
     make_params,
     reference_control,
     reference_euler,
 )
+
+
+def calibration_paths(params, config):
+    """The bundle of a calibration config's density, as ``generate_paths`` makes it."""
+    return generate_paths(
+        params.market, config.grid, config.n_paths, config.seed, config.antithetic
+    )
 
 
 def reference_budget(alpha, params, bundle):
@@ -509,7 +516,7 @@ def plain_sample_mean(self, j=0):
     for every anchor ``j``.
     """
     times = self._anchors[0]
-    _, wz, _ = anchor_pass_terms(self.params, times, self._zeta)
+    _, wz, _ = anchor_pass_terms(self.params, times, density_rows(self._density))
     g, tau = self.params.market.gamma, times - times[0]
     decay = np.exp(-self.params.habit.eta * tau / g)
     return np.zeros(wz.shape[0]), (wz @ decay ** (1.0 - g)).mean()
@@ -578,6 +585,17 @@ class TestNewtonSearch:
         with pytest.raises(CalibrationError, match="could not bracket"):
             calibrate_alpha(make_params(eta=eta, v=v), config)
         assert 1 <= len(calls) <= config.max_iterations
+
+    @pytest.mark.parametrize("gamma, v", [(60.0, 1e-6), (3.0, 1e-300)])
+    def test_start_beyond_float_range_is_clamped(self, gamma, v):
+        # (h0^(1 - 1/g) E[X] / v)^g overflows a float: the start clamps to
+        # the upper search limit, where the budget still exceeds v
+        params = dataclasses.replace(
+            make_params(eta=0.1, v=v), market=MarketParams(gamma=gamma)
+        )
+        config = dataclasses.replace(self.CONFIG, max_iterations=4)
+        with pytest.raises(CalibrationError, match=r"bracket.*budget\(1e\+12\)"):
+            calibrate_alpha(params, config)
 
     def test_narrow_bracket_is_widened_six_decades(self):
         params = make_params(eta=0.1)
@@ -818,23 +836,21 @@ class TestControlVariate:
 
 class TestCalibrationDensity:
     @pytest.mark.parametrize("antithetic", [False, True])
-    def test_density_without_brownian_paths(self, market, antithetic):
-        # 130 paths are more than one row block of streams either way
-        config = CalibrationConfig(
-            grid=TimeGrid(10.0, 0.1), n_paths=130, seed=6, antithetic=antithetic
+    def test_density_without_brownian_paths(self, monkeypatch, market, antithetic):
+        # 130 paths are more than one row block of streams either way; the
+        # stored rows are those of generate_paths at the same seed, and
+        # reading them back draws nothing
+        grid = TimeGrid(10.0, 0.1)
+        density = _Density(_Stream(market, grid, 130, 6, antithetic, ()), market.gamma)
+        density.store()
+        full = generate_paths(market, grid, 130, seed=6, antithetic=antithetic)
+        drawn = []
+        monkeypatch.setattr(
+            greedyhabit.market, "_fill_normals", lambda *args: drawn.append(args)
         )
-        bundle = _calibration_paths(market, config)
-        full = generate_paths(
-            market, config.grid, 130, seed=6, antithetic=antithetic
-        )
-        assert bundle.w is None
-        assert np.array_equal(bundle.zeta, full.zeta)
-        assert (bundle.grid, bundle.n_paths, bundle.seed, bundle.antithetic) == (
-            full.grid,
-            full.n_paths,
-            full.seed,
-            full.antithetic,
-        )
+        assert density.shape == full.zeta.shape
+        assert np.array_equal(density_rows(density), full.zeta)
+        assert drawn == []
 
     @pytest.mark.parametrize("antithetic", [False, True])
     @pytest.mark.parametrize("eta", [0.0, 0.1])
@@ -848,7 +864,7 @@ class TestCalibrationDensity:
         )
         streamed = calibrate_alpha(params, config)
         stored = calibrate_alpha(
-            params, config, paths=_calibration_paths(params.market, config)
+            params, config, paths=calibration_paths(params, config)
         )
         for name in ("alpha", "budget_residual", "budget_se", "plain", "iterations"):
             assert getattr(streamed, name) == getattr(stored, name), name
@@ -871,13 +887,14 @@ class TestCalibrationDensity:
         config = CalibrationConfig(
             grid=TimeGrid(60.0, 0.1), n_paths=1002, seed=6, antithetic=True
         )
-        steps = _step_major(
+        density = _Density(
             _Stream(params.market, config.grid, 1002, 6, True, ()),
             params.market.gamma,
         )
-        shared = calibrate_alpha(params, config, _steps=steps)
+        density.pair
+        shared = calibrate_alpha(params, config, _density=density)
         stored = calibrate_alpha(
-            params, config, paths=_calibration_paths(params.market, config)
+            params, config, paths=calibration_paths(params, config)
         )
         for name in ("alpha", "budget_residual", "budget_se", "plain", "iterations"):
             assert getattr(shared, name) == getattr(stored, name), name
@@ -966,30 +983,38 @@ class TestRowBlocks:
     def test_stream_fed_step_major_pair(self, monkeypatch, market, n_paths, antithetic):
         # each block writes its rows transposed into the pair, and their
         # power; with antithetic paths the chunks split the 1001 streams,
-        # so every chunk writes columns on both sides of the mirror
+        # so every chunk writes columns on both sides of the mirror.  In
+        # every state of a density, chunks gives its rows bit for bit
         bundle = generate_paths(
             market, self.GRID, n_paths, seed=12, antithetic=antithetic
         )
-        expected = _step_major(bundle.zeta, market.gamma)
+        expected = _Density(bundle.zeta, market.gamma).pair
         stream = _Stream(market, self.GRID, n_paths, 12, antithetic, ())
         for block in (1, 7, n_paths + 1):
             for workers in (1, 2, 3):
                 monkeypatch.setattr(greedyhabit.market, "ROW_BLOCK", block)
                 monkeypatch.setattr(greedyhabit.market, "WORKERS", workers)
-                got = _step_major(stream, market.gamma)
-                for name in ("zeta_t", "zpow_t"):
-                    assert np.array_equal(
-                        getattr(got, name), getattr(expected, name)
-                    ), (block, workers, name)
-                # and its blocks read back path-major are the density's rows
-                back = np.empty(got.shape)
-
-                def gather(blocks):
-                    for rows, _, zeta in blocks:
-                        back[rows] = zeta
-
-                got.chunks(gather)
-                assert np.array_equal(back, bundle.zeta), (block, workers)
+                stored = _Density(bundle.zeta, market.gamma)
+                streamed = _Density(stream, market.gamma)
+                kept = _Density(stream, market.gamma)
+                for state, density in (("stored", stored), ("streamed", streamed)):
+                    assert np.array_equal(density_rows(density), bundle.zeta), (
+                        block, workers, state,
+                    )
+                kept.store()
+                assert np.array_equal(density_rows(kept), bundle.zeta), (
+                    block, workers, "store",
+                )
+                for state, density in (
+                    ("stored", stored), ("streamed", streamed), ("store", kept)
+                ):
+                    got = density.pair
+                    for name, a, b in zip(("zeta_t", "zpow_t"), got, expected):
+                        assert np.array_equal(a, b), (block, workers, state, name)
+                    # and its rows read after the pair exists
+                    assert np.array_equal(density_rows(density), bundle.zeta), (
+                        block, workers, state, "pair",
+                    )
 
     @pytest.mark.parametrize("n_paths, antithetic", [(209, False), (210, True)])
     def test_streamed_nested_pass_equals_the_stored_one(
@@ -1023,12 +1048,12 @@ class TestRowBlocks:
         monkeypatch.setattr(greedyhabit.market, "ROW_BLOCK", n_paths + 1)
         monkeypatch.setattr(greedyhabit.market, "WORKERS", 1)
         expected = [
-            _CostFunctional(p, anchors, zeta, self.GRID.dt, antithetic).price(
-                2.9, rows, True
-            )
+            _CostFunctional(
+                p, anchors, _Density(zeta, p.market.gamma), self.GRID.dt, antithetic
+            ).price(2.9, rows, True)
             for p in branches
         ]
-        pairs = {g: _step_major(zeta, g) for g in (2.5, 3.0)}
+        pairs = {g: _Density(zeta, g).pair for g in (2.5, 3.0)}
         for block, workers in ((n_paths + 1, 1), (7, 1), (7, 2), (7, 3), (1, 2)):
             monkeypatch.setattr(greedyhabit.market, "ROW_BLOCK", block)
             monkeypatch.setattr(greedyhabit.market, "WORKERS", workers)
@@ -1043,10 +1068,9 @@ class TestRowBlocks:
                         x is y is None or np.array_equal(x, y) for x, y in zip(a, b)
                     ), (block, workers, i, r)
             for g, inner in inners.items():
-                for name in ("zeta_t", "zpow_t"):
-                    assert np.array_equal(
-                        getattr(inner._steps, name), getattr(pairs[g], name)
-                    ), (block, workers, g, name)
+                got = inner._density.pair
+                for name, a, b in zip(("zeta_t", "zpow_t"), got, pairs[g]):
+                    assert np.array_equal(a, b), (block, workers, g, name)
 
     def test_unread_solution_holds_no_arrays(self):
         params = make_params(eta=0.1, pension=0.5)
@@ -1209,7 +1233,8 @@ class TestPathwiseDelta:
         params = dataclasses.replace(params, market=MarketParams(gamma=gamma))
         zeta = generate_paths(params.market, self.GRID, 200, seed=12).zeta
         times, dt = self.GRID.times(), self.GRID.dt
-        cost = _CostFunctional(euler_at_zero(params), [times], zeta, dt, False)
+        density = _Density(zeta, params.market.gamma)
+        cost = _CostFunctional(euler_at_zero(params), [times], density, dt, False)
         alpha, y, h = self.STATE
 
         def reference(level):
