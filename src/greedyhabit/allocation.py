@@ -153,7 +153,7 @@ class _InnerPaths:
         stream = _Stream(
             market, config.grid, config.n_inner, config.seed, config.antithetic, (1,)
         )
-        self._density = _Density(stream, market.gamma)
+        self._density = _Density(stream)
 
     def price(self, states, alpha: float, params: ModelParams):
         """Per-sample G, y * dG/dy and control at every state (t, y, h), in one pass.

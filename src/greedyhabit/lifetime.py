@@ -237,15 +237,15 @@ def _calibrate_legs(
 ) -> List[float]:
     """Each leg's alpha on one ``solver._Density`` of the calibration density.
 
-    With a pension in any leg its pair is written first, so every leg
-    reads that one draw.  It is freed on return, before any record.
+    With a pension in any leg its step-major copy is written first, so
+    every leg reads that one draw.  It is freed on return, before any record.
     """
     stream = _Stream(
         params.market, config.grid, config.n_paths, config.seed, config.antithetic, ()
     )
-    density = _Density(stream, params.market.gamma)
+    density = _Density(stream)
     if any(p.pension != 0.0 for p in legs):
-        density.pair
+        density.steps
     return [calibrate_alpha(p, config, _density=density).alpha for p in legs]
 
 
@@ -267,7 +267,7 @@ def pension_sweep(
     market scenario, and the records share one set of inner paths, so the
     curves are directly comparable, as in the pension-comparison figures.
     Each density is one ``solver._Density``; with a pension in any level
-    its pair is written once, before it is read.
+    its step-major copy is written once, before it is read.
 
     Parameters
     ----------
@@ -288,7 +288,7 @@ def pension_sweep(
     # the inner density depends on the market only, so every record shares it
     inner = _InnerPaths(params.market, nested)
     if any(p.pension != 0.0 for p in legs):
-        inner._density.pair
+        inner._density.steps
     return [
         simulate_lifetime(
             p,

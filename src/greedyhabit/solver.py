@@ -171,8 +171,9 @@ class GreedySolution:
 
 
 def _validate_positive(name: str, value: ArrayLike) -> None:
-    if not np.all(np.asarray(value) > 0.0):  # a NaN fails too
-        raise ValueError(f"{name} must be positive")
+    value = np.asarray(value)
+    if not np.all((value > 0.0) & (value < math.inf)):  # a NaN fails too
+        raise ValueError(f"{name} must be positive and finite")
 
 
 def consumption_no_pension(
@@ -191,8 +192,8 @@ def consumption_no_pension(
     _validate_positive("habit h", h)
     _validate_positive("zeta", zeta)
     _validate_positive("alpha", alpha)
-    if not np.all(np.asarray(t) >= 0.0):
-        raise ValueError("time t must be non-negative")
+    if not np.all((np.asarray(t) >= 0.0) & (np.asarray(t) < math.inf)):
+        raise ValueError("time t must be non-negative and finite")
     g = market.gamma
     log_p = log_survival_probability(mortality, t)
     shadow = np.exp(
@@ -212,8 +213,8 @@ def consumption_with_pension(
     mortality: GompertzParams,
 ) -> ArrayLike:
     """Greedy consumption with a pension floor: max(pension, unfloored)."""
-    if not pension >= 0.0:
-        raise ValueError(f"pension must be non-negative, got {pension}")
+    if not 0.0 <= pension < math.inf:
+        raise ValueError(f"pension must be non-negative and finite, got {pension}")
     base = consumption_no_pension(h, zeta, t, alpha, market, mortality)
     out = np.maximum(pension, base)
     return float(out) if np.ndim(out) == 0 else out
@@ -423,15 +424,16 @@ def _anchor_pass(params, density, anchors, in_block):
     return kept, xs
 
 
-def _euler_stream(params, alpha, dt, zeta_t, zpow_t, anchors, states, tangent=False):
+def _euler_stream(params, alpha, dt, zeta_t, anchors, states, tangent=False):
     """Yield (k, consumption, habit, tangent) of the floored rule, step by step.
 
     One row per state (anchor index, y, h): the anchor's absolute times
     ``anchors[j]`` read the leading steps of the step-major density
-    ``zeta_t`` and its power ``zpow_t = zeta_t^(-1/g)``.  The states must
-    come in order of decreasing horizon, so the rows still stepping at
-    step k are a prefix and each array yielded holds those rows only;
-    each step reads ``zeta_t[k]`` and ``zpow_t[k]`` once for all of them.
+    ``zeta_t``.  The states must come in order of decreasing horizon, so
+    the rows still stepping at step k are a prefix and each array yielded
+    holds those rows only; each step takes zeta_t[k]^(-1/g) once for all
+    of them, on one contiguous row, so its bits are those of the power
+    taken on any block of the same paths.
     The habit is updated in place after the consumer has read it.
 
     With ``tangent`` the last item is y * dC/dy along the paths, carried
@@ -456,7 +458,7 @@ def _euler_stream(params, alpha, dt, zeta_t, zpow_t, anchors, states, tangent=Fa
     for k in range(steps[0]):
         hk = h[: counts[k]]
         c = hk**e
-        c *= fac[: counts[k], k, None] * zpow_t[k]
+        c *= fac[: counts[k], k, None] * zeta_t[k] ** (-1.0 / g)
         if tangent:
             # C = h^e y^(-1/g) (...) off the floor, so y dC/dy = C (e dh/h - 1/g)
             dc = dh[: counts[k]] / hk
@@ -490,17 +492,16 @@ class _Density:
     gives each row the same bits.
     """
 
-    def __init__(self, source, gamma: float):
+    def __init__(self, source):
         self.shape = source.shape
         self._source = source
-        self._power = -1.0 / gamma
         self._rows = source if isinstance(source, np.ndarray) else None
-        self._pair = None
+        self._steps = None
         self._xs = {}
 
     def store(self) -> None:
-        """Keep a stream's rows path-major, unless the pair is kept."""
-        if self._rows is None and self._pair is None:
+        """Keep a stream's rows path-major, unless they are kept step-major."""
+        if self._rows is None and self._steps is None:
             rows = np.empty(self.shape)
 
             def fill(blocks):
@@ -516,19 +517,19 @@ class _Density:
         ``blocks`` yields ``(rows, zeta)`` per row block, ``rows`` a slice,
         path-major because the closed form's sums run along each path's
         time axis and their pairwise summation order depends on that
-        layout.  They are the stored rows, else the pair's copied back into
-        an array the chunk allocates once, else drawn from the stream, each
-        antithetic half a block of its own, so a kept density is never
+        layout.  They are the stored rows, else :attr:`steps` copied back
+        into an array the chunk allocates once, else drawn from the stream,
+        each antithetic half a block of its own, so a kept density is never
         drawn again.  ``work`` reads a block before it asks for the next,
         which may overwrite it.
         """
         if self._rows is not None:
             _in_threads(self.shape[0], lambda c: work((r, self._rows[r]) for r in c))
             return
-        if self._pair is None:
+        if self._steps is None:
             self._source.chunks(lambda blocks: work((r, z) for r, _, z in blocks))
             return
-        zeta_t = self._pair[0]
+        zeta_t = self._steps
 
         def blocks(chunk):
             most = max(rows.stop - rows.start for rows in chunk)
@@ -541,30 +542,25 @@ class _Density:
         _in_threads(zeta_t.shape[1], lambda chunk: work(blocks(chunk)))
 
     @property
-    def pair(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(zeta_t, zpow_t)``: the density step-major, and zeta^(-1/gamma).
+    def steps(self) -> np.ndarray:
+        """The density step-major, shape (n_times, n_paths).
 
         Written on first use and kept, so each Euler step reads one
         contiguous row of every path.  A stream writes each block's rows
-        transposed as it is drawn, and their power, taken on the block as
-        on stored rows, so no path-major array is made.
+        transposed as it is drawn, so no path-major array is made.
         """
-        if self._pair is None and self._rows is not None:
-            zeta_t = np.ascontiguousarray(self._rows.T)
-            self._pair = zeta_t, zeta_t**self._power
-        elif self._pair is None:
+        if self._steps is None and self._rows is not None:
+            self._steps = np.ascontiguousarray(self._rows.T)
+        elif self._steps is None:
             zeta_t = np.empty(self.shape[::-1])
-            zpow_t = np.empty_like(zeta_t)
 
             def fill(blocks):
                 for rows, _, z in blocks:
                     zeta_t[:, rows] = z.T
-                    # the stream's block is overwritten by the next one anyway
-                    zpow_t[:, rows] = np.power(z, self._power, out=z).T
 
             self._source.chunks(fill)
-            self._pair = zeta_t, zpow_t
-        return self._pair
+            self._steps = zeta_t
+        return self._steps
 
     def controls(self, params: ModelParams, anchors) -> np.ndarray:
         """X per path of every anchor, one :func:`_euler_controls` per set.
@@ -579,11 +575,11 @@ class _Density:
             tuple((float(times[0]), times.shape[0]) for times in anchors),
         )
         if key not in self._xs:
-            self._xs[key] = _euler_controls(params, *self.pair, anchors)
+            self._xs[key] = _euler_controls(params, self.steps, anchors)
         return self._xs[key]
 
 
-def _euler_costs(params, alpha, dt, zeta_t, zpow_t, anchors, states, delta):
+def _euler_costs(params, alpha, dt, zeta_t, anchors, states, delta):
     """Per-path cost and delta (None without ``delta``) of every state, one sweep.
 
     ``states`` are (anchor index, y, h), as :func:`_euler_stream` takes
@@ -601,10 +597,10 @@ def _euler_costs(params, alpha, dt, zeta_t, zpow_t, anchors, states, delta):
 
     def sweep(blocks):
         # the paths of the blocks, a run of columns: each step's slice of
-        # zeta_t and zpow_t is still contiguous
+        # zeta_t is still contiguous
         cols = slice(blocks[0].start, blocks[-1].stop)
         for k, c, _, dc in _euler_stream(
-            params, alpha, dt, zeta_t[:, cols], zpow_t[:, cols], anchors, rows, delta
+            params, alpha, dt, zeta_t[:, cols], anchors, rows, delta
         ):
             live = c.shape[0]
             # (wgt_k (c - pi)) zeta_k in this order, on one temporary; dc is
@@ -628,11 +624,12 @@ def _euler_costs(params, alpha, dt, zeta_t, zpow_t, anchors, states, delta):
     return cost[given], None if tangent is None else tangent[given]
 
 
-def _euler_controls(params, zeta_t, zpow_t, anchors):
+def _euler_controls(params, zeta_t, anchors):
     """X per path of every anchor (:func:`_control_terms`), one step-major pass.
 
-    X sums (wgt_k shadow_k) * (zeta_k * zpow_k) in step order.  Anchors go
-    longest first, so those still summing at step k are a prefix.
+    X sums (wgt_k shadow_k) * (zeta_k * zeta_k^(-1/g)) in step order, the
+    power taken once per step for every anchor.  Anchors go longest
+    first, so those still summing at step k are a prefix.
     """
     order = sorted(range(len(anchors)), key=lambda j: -anchors[j].shape[0])
     steps = np.array([anchors[j].shape[0] for j in order])
@@ -646,7 +643,8 @@ def _euler_controls(params, zeta_t, zpow_t, anchors):
     def sweep(blocks):
         cols = slice(blocks[0].start, blocks[-1].stop)
         for k, live in enumerate(counts):
-            term = zeta_t[k, cols] * zpow_t[k, cols]
+            z = zeta_t[k, cols]
+            term = z * z ** (-1.0 / params.market.gamma)
             xs[:live, cols] += scale[:live, k, None] * term
 
     _in_threads(zeta_t.shape[1], sweep)
@@ -671,7 +669,7 @@ class _CostFunctional:
     (step ``dt``), each reading the leading columns of the density
     restarted at 1 at its first time, and a state is (anchor index, y, h).
     At pension 0 the closed form prices through the Bernoulli kernel in
-    z = y * h; with a pension the Euler branch sweeps the density's pair,
+    z = y * h; with a pension the Euler branch sweeps the density step-major,
     steps the floored rule and prices the excess over the pension.
 
     The closed form's first :meth:`price` runs :func:`_anchor_pass` and
@@ -726,7 +724,7 @@ class _CostFunctional:
         """
         if self._euler:
             cost, tangent = _euler_costs(
-                self.params, alpha, self._dt, *self._density.pair, self._anchors,
+                self.params, alpha, self._dt, self._density.steps, self._anchors,
                 states, delta,
             )
         else:
@@ -784,17 +782,17 @@ def solve_paths(
         h = habit_closed_form(p.habit, p.market, p.mortality, alpha, times, zeta)
         return consumption_no_pension(h, zeta, times, alpha, p.market, p.mortality), h
     _require_stable_step(p, dt)
-    zeta_t, zpow_t = _Density(zeta, p.market.gamma).pair
+    zeta_t = _Density(zeta).steps
     consumption, habit = np.empty_like(zeta_t), np.empty_like(zeta_t)
     for k, c, h, _ in _euler_stream(
-        p, alpha, dt, zeta_t, zpow_t, [times], [(0, 1.0, p.habit.initial)]
+        p, alpha, dt, zeta_t, [times], [(0, 1.0, p.habit.initial)]
     ):
         consumption[k], habit[k] = c[0], h[0]
     return consumption.T, habit.T
 
 
 def _bundle_cost(params: ModelParams, paths: PathBundle) -> _CostFunctional:
-    grid, density = paths.grid, _Density(paths.zeta, params.market.gamma)
+    grid, density = paths.grid, _Density(paths.zeta)
     return _CostFunctional(params, [grid.times()], density, grid.dt, paths.antithetic)
 
 
@@ -863,7 +861,7 @@ def calibrate_alpha(
             stream = _Stream(
                 params.market, grid, config.n_paths, config.seed, config.antithetic, ()
             )
-            density = _Density(stream, g)
+            density = _Density(stream)
         # only the power form at pension 0 reads the density at every call
         power_form = params.habit.eta != 0.0 and _moment_order(g) is None
         if params.pension == 0.0 and power_form:

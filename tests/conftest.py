@@ -128,7 +128,7 @@ def anchor_pass_terms(params, times, zeta):
     def store(rows, _, block_kernel, block_wz):
         kernel[rows], wz[rows] = block_kernel, block_wz
 
-    density = _Density(zeta, params.market.gamma)
+    density = _Density(zeta)
     kept, xs = _anchor_pass(params, density, [times], store)
     if kept is None:
         return kernel, wz, xs[0]

@@ -405,7 +405,7 @@ class TestSharedInnerPaths:
                 times = t + np.arange(m + 1) * GRID.dt
                 for branch, priced in batch:
                     got = priced[i]
-                    density = _Density(expected, branch.market.gamma)
+                    density = _Density(expected)
                     cost = _CostFunctional(
                         branch, [times], density, GRID.dt, antithetic
                     )
@@ -476,25 +476,36 @@ class TestSharedInnerPaths:
         plain = make_params(eta=0.1)
         inner.price([(10.0, 1.0, 1.0)], ALPHA, plain)
         _allocations([(20.0, 0.8, 1.1)], ALPHA, plain, cfg, inner)
-        assert inner._density._pair is None
+        assert inner._density._steps is None
         pension = make_params(eta=0.1, pension=0.5)
         _allocations([(0.0, 0.8, 1.1)], ALPHA, pension, cfg, inner)
-        copy = inner._density.pair[0]
+        copy = inner._density.steps
         for t in (10.0, 30.0):
             inner.price([(t, 0.8, 1.1)], ALPHA, pension)
-            assert inner._density.pair[0] is copy
+            assert inner._density.steps is copy
 
     def test_euler_powers_are_prefixes_of_one_array(self):
+        # every anchor's sweep takes zeta^(-1/g) per step from the leading
+        # steps of the one step-major array, with the bits of the power
+        # that the path-major oracle takes on the whole density
         cfg = config(200)
         params = make_params(eta=0.1, pension=0.5)
         inner = _InnerPaths(params.market, cfg)
-        g = params.market.gamma
+        zeta = inner_density(params.market, cfg)
+        half = zeta.shape[0] // 2
         base = None
         for t in (0.0, 10.0, 30.0):
-            inner.price([(t, 0.8, 1.1)], ALPHA, params)
-            base = base if base is not None else inner._density.pair[1]
-            assert inner._density.pair[1] is base
-        assert np.array_equal(base, inner._density.pair[0] ** (-1.0 / g))
+            [(cost, delta, _, _)] = inner.price([(t, 0.8, 1.1)], ALPHA, params)
+            base = base if base is not None else inner._density.steps
+            assert inner._density.steps is base
+            m = GRID.n_steps - GRID.index_of(t)
+            times = t + np.arange(m + 1) * GRID.dt
+            want, _, _, want_delta = reference_euler(
+                ALPHA, params, times, zeta[:, : m + 1], GRID.dt, 0.8, 1.1
+            )
+            assert np.array_equal(cost, 0.5 * (want[:half] + want[half:]))
+            assert np.array_equal(delta, 0.5 * (want_delta[:half] + want_delta[half:]))
+        assert np.array_equal(base, zeta.T)
 
     def test_other_market_is_rejected(self):
         inner = _InnerPaths(MarketParams(), config(200))
@@ -649,3 +660,22 @@ class TestBatchedStates:
             finally:
                 tracemalloc.stop()
             assert peak < cfg.n_inner * (GRID.n_steps + 1) * 8, workers
+
+    def test_euler_batch_holds_one_step_major_array(self, monkeypatch):
+        # with a pension the pass writes the inner set once, step-major,
+        # and each step takes zeta^(-1/g) on its row, so the call peaks at
+        # about 1.2 inner arrays on one worker and 1.3 on two (a stored
+        # power beside the copy made it 2.2 and 2.3)
+        cfg = NestedConfig(n_inner=2000, seed=5, grid=GRID, antithetic=True)
+        params = make_params(eta=0.1, pension=0.5)
+        states = [(t, 1.0, 1.0) for t in (0.0, 10.0, 20.0, 30.0)]
+        for workers in (1, 2):
+            monkeypatch.setattr(greedyhabit.market, "WORKERS", workers)
+            inner = _InnerPaths(params.market, cfg)
+            tracemalloc.start()
+            try:
+                inner.price(states, ALPHA, params)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.5 * cfg.n_inner * (GRID.n_steps + 1) * 8, workers

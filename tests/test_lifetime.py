@@ -333,8 +333,8 @@ class TestPensionSweep:
         monkeypatch.setattr(greedyhabit.market, "_fill_normals", fill)
         sweep = pension_sweep(params, pensions, alphas=alphas, **kwargs)
         assert len(built) == 1
-        # the pension-0 record reads the pair the pension leg sweeps, so
-        # the sweep draws each inner stream once
+        # the pension-0 record reads the step-major copy the pension leg
+        # sweeps, so the sweep draws each inner stream once
         assert sorted(drawn) == list(range(400))
         monkeypatch.undo()
         for rec, pension, alpha in zip(sweep, pensions, alphas):
@@ -369,10 +369,10 @@ class TestPensionSweep:
         assert seen == expected
 
     def test_euler_legs_share_one_pair_freed_before_the_records(self, monkeypatch):
-        # the legs with a pension calibrate on one step-major pair made
+        # the legs with a pension calibrate on one step-major copy made
         # from the stream, which computes their common X once; the nested
-        # pass's pair, also made from the stream, does the same for every
-        # record, and the calibration pair is gone before the first record
+        # pass's copy, also made from the stream, does the same for every
+        # record, and the calibration copy is gone before the first record
         # is priced
         params = make_params(eta=0.1)
         config = CalibrationConfig(
@@ -380,24 +380,24 @@ class TestPensionSweep:
         )
         full = config.n_paths * (config.grid.n_steps + 1) * 8
         made, controls, held = [], [], []
-        real_pair = greedyhabit.solver._Density.pair
+        real_steps = greedyhabit.solver._Density.steps
         real_controls = greedyhabit.solver._euler_controls
         real_record = greedyhabit.lifetime.simulate_lifetime
 
-        def pair(density):
-            if density._pair is None:
+        def steps(density):
+            if density._steps is None:
                 made.append((type(density._source).__name__, density.shape))
-            return real_pair.fget(density)
+            return real_steps.fget(density)
 
-        def counted(params, zeta_t, zpow_t, anchors):
+        def counted(params, zeta_t, anchors):
             controls.append(len(anchors))
-            return real_controls(params, zeta_t, zpow_t, anchors)
+            return real_controls(params, zeta_t, anchors)
 
         def record(*args, **kwargs):
             held.append(tracemalloc.get_traced_memory()[0])
             return real_record(*args, **kwargs)
 
-        monkeypatch.setattr(greedyhabit.solver._Density, "pair", property(pair))
+        monkeypatch.setattr(greedyhabit.solver._Density, "steps", property(steps))
         monkeypatch.setattr(greedyhabit.solver, "_euler_controls", counted)
         monkeypatch.setattr(greedyhabit.lifetime, "simulate_lifetime", record)
         tracemalloc.start()
@@ -413,16 +413,16 @@ class TestPensionSweep:
             )
         finally:
             tracemalloc.stop()
-        # besides the one-path pair of each Euler record's own scenario
+        # besides the one-path copy of each Euler record's own scenario
         calibration, inner = (2000, 601), (400, 1201)
         assert [m for m in made if m[1][0] > 1] == [
             ("_Stream", calibration), ("_Stream", inner)
         ]
         # one anchor for the calibrations, one per refresh for the records
         assert controls == [1, 5]
-        # the first record finds the inner pair, written before it so that
-        # every leg reads one draw, and not the calibration pair
-        assert held[0] < 2 * inner[0] * inner[1] * 8 + 0.25 * full
+        # the first record finds the one inner array, written before it so
+        # that every leg reads one draw, and not the calibration copy
+        assert held[0] < inner[0] * inner[1] * 8 + 0.25 * full
 
     @pytest.mark.parametrize("alphas", [None, [1.0, 1.0]])
     @pytest.mark.parametrize("bad", [-0.5, math.nan])

@@ -5,10 +5,10 @@ The package exports exactly the names each module lists in its own
 in its tracer's ``TRACED`` list; a name missing from the package is
 skipped there, so its per-layer metrics would read zero instead of
 failing.  No import and no top-level private helper in ``src/`` is left
-unused, no defaulted parameter of a private helper is left unset, the
-density's rows, the closed form's block pass and the Euler control pass
-each come from one place, and only ``solver._Density`` decides how a
-density is read.
+unused, no parameter is left unread, no defaulted parameter of a
+private helper is left unset, the density's rows, the closed form's
+block pass and the Euler control pass each come from one place, and
+only ``solver._Density`` decides how a density is read.
 """
 
 import ast
@@ -120,6 +120,44 @@ def test_every_private_helper_is_used():
     for name, definition in definitions:
         inside = {id(node) for node in ast.walk(definition)}
         assert readers[name] - inside, f"{name} is defined in src/ but never used there"
+
+
+def test_every_parameter_is_read():
+    # every parameter of every function and lambda in src/ is read in its
+    # body, so a change cannot leave a dead argument behind; a method's
+    # receiver is exempt, since an override keeps its base's signature
+    unread = []
+    for path in sorted(Path(greedyhabit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        methods = {
+            id(item)
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            for item in cls.body
+            if isinstance(item, ast.FunctionDef)
+        }
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+                continue
+            a = fn.args
+            params = a.posonlyargs + a.args + a.kwonlyargs
+            params += [arg for arg in (a.vararg, a.kwarg) if arg is not None]
+            if id(fn) in methods:
+                params = params[1:]
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            read = {
+                node.id
+                for stmt in body
+                for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            }
+            name = getattr(fn, "name", "lambda")
+            unread += [
+                f"{path.name}:{fn.lineno} {name}({arg.arg})"
+                for arg in params
+                if arg.arg not in read
+            ]
+    assert not unread, f"parameters never read in src/: {unread}"
 
 
 def _defaulted(fn, bound):

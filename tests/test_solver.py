@@ -47,7 +47,9 @@ from greedyhabit.solver import (
     _bundle_cost,
     _control_terms,
     _estimate_from_samples,
+    _euler_costs,
     _moment_order,
+    _pair_average,
 )
 from conftest import (
     anchor_pass_terms,
@@ -235,6 +237,25 @@ class TestConsumptionRule:
                 1.0, 1.0, 0.0, 1.0, nan, self.market, self.mortality
             )
 
+    def test_infinite_state_is_rejected(self):
+        # an infinite zeta or alpha would price to 0, an infinite habit or
+        # pension to inf, and an infinite t is not a time on any grid
+        inf = math.inf
+        for args, name in [
+            ((inf, 1.0, 0.0, 1.0), "habit h must be positive"),
+            ((1.0, np.array([1.0, inf]), 0.0, 1.0), "zeta must be positive"),
+            ((1.0, 1.0, inf, 1.0), "time t must be non-negative"),
+            ((1.0, 1.0, 0.0, inf), "alpha must be positive"),
+        ]:
+            with pytest.raises(ValueError, match=name):
+                consumption_no_pension(*args, self.market, self.mortality)
+            with pytest.raises(ValueError, match=name):
+                consumption_with_pension(*args, 0.5, self.market, self.mortality)
+        with pytest.raises(ValueError, match="pension must be non-negative"):
+            consumption_with_pension(
+                1.0, 1.0, 0.0, 1.0, inf, self.market, self.mortality
+            )
+
 
 class TestSolvePaths:
     def test_shapes_and_start(self, market):
@@ -301,7 +322,7 @@ class TestSolvePaths:
         assert np.array_equal(cost, cost_ref)
         assert np.array_equal(delta, delta_ref)
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
     def test_bad_alpha_is_rejected(self, market, bad):
         bundle = generate_paths(market, TimeGrid(1.0, 0.05), 4, seed=2)
         for pension in (0.0, 0.5):
@@ -841,7 +862,7 @@ class TestCalibrationDensity:
         # stored rows are those of generate_paths at the same seed, and
         # reading them back draws nothing
         grid = TimeGrid(10.0, 0.1)
-        density = _Density(_Stream(market, grid, 130, 6, antithetic, ()), market.gamma)
+        density = _Density(_Stream(market, grid, 130, 6, antithetic, ()))
         density.store()
         full = generate_paths(market, grid, 130, seed=6, antithetic=antithetic)
         drawn = []
@@ -881,17 +902,14 @@ class TestCalibrationDensity:
         ids=["sums", "moments", "power-form", "euler"],
     )
     def test_calibration_on_a_shared_pair_equals_the_stored_one(self, params):
-        # a sweep's legs calibrate on one step-major pair made from the
+        # a sweep's legs calibrate on one step-major copy made from the
         # stream: the Euler branch sweeps it and the closed form reads its
         # blocks back path-major, with the stored density's numbers
         config = CalibrationConfig(
             grid=TimeGrid(60.0, 0.1), n_paths=1002, seed=6, antithetic=True
         )
-        density = _Density(
-            _Stream(params.market, config.grid, 1002, 6, True, ()),
-            params.market.gamma,
-        )
-        density.pair
+        density = _Density(_Stream(params.market, config.grid, 1002, 6, True, ()))
+        density.steps
         shared = calibrate_alpha(params, config, _density=density)
         stored = calibrate_alpha(
             params, config, paths=calibration_paths(params, config)
@@ -981,22 +999,33 @@ class TestRowBlocks:
 
     @pytest.mark.parametrize("n_paths, antithetic", [(2001, False), (2002, True)])
     def test_stream_fed_step_major_pair(self, monkeypatch, market, n_paths, antithetic):
-        # each block writes its rows transposed into the pair, and their
-        # power; with antithetic paths the chunks split the 1001 streams,
-        # so every chunk writes columns on both sides of the mirror.  In
-        # every state of a density, chunks gives its rows bit for bit
+        # each block writes its rows transposed into the step-major copy;
+        # with antithetic paths the chunks split the 1001 streams, so
+        # every chunk writes columns on both sides of the mirror.  In
+        # every state of a density, chunks gives its rows bit for bit.
+        # The Euler sweep takes zeta^(-1/g) per step on each thread's
+        # columns, with the bits of the oracle's path-major power
         bundle = generate_paths(
             market, self.GRID, n_paths, seed=12, antithetic=antithetic
         )
-        expected = _Density(bundle.zeta, market.gamma).pair
+        params = make_params(eta=0.1, pension=0.5)
+        anchors = [self.GRID.times(), self.GRID.times()[100:]]
+        states = [(0, 1.3, 0.8), (1, 0.9, 1.0)]
+        oracle = [
+            reference_euler(
+                2.9, params, anchors[j], bundle.zeta[:, : anchors[j].shape[0]],
+                self.GRID.dt, y, h,
+            )
+            for j, y, h in states
+        ]
         stream = _Stream(market, self.GRID, n_paths, 12, antithetic, ())
         for block in (1, 7, n_paths + 1):
             for workers in (1, 2, 3):
                 monkeypatch.setattr(greedyhabit.market, "ROW_BLOCK", block)
                 monkeypatch.setattr(greedyhabit.market, "WORKERS", workers)
-                stored = _Density(bundle.zeta, market.gamma)
-                streamed = _Density(stream, market.gamma)
-                kept = _Density(stream, market.gamma)
+                stored = _Density(bundle.zeta)
+                streamed = _Density(stream)
+                kept = _Density(stream)
                 for state, density in (("stored", stored), ("streamed", streamed)):
                     assert np.array_equal(density_rows(density), bundle.zeta), (
                         block, workers, state,
@@ -1008,12 +1037,19 @@ class TestRowBlocks:
                 for state, density in (
                     ("stored", stored), ("streamed", streamed), ("store", kept)
                 ):
-                    got = density.pair
-                    for name, a, b in zip(("zeta_t", "zpow_t"), got, expected):
-                        assert np.array_equal(a, b), (block, workers, state, name)
-                    # and its rows read after the pair exists
+                    assert np.array_equal(density.steps, bundle.zeta.T), (
+                        block, workers, state,
+                    )
+                    cost, delta = _euler_costs(
+                        params, 2.9, self.GRID.dt, density.steps, anchors, states,
+                        True,
+                    )
+                    for r, want in enumerate(oracle):
+                        assert np.array_equal(cost[r], want[0]), (block, workers, r)
+                        assert np.array_equal(delta[r], want[3]), (block, workers, r)
+                    # and its rows read after the step-major copy exists
                     assert np.array_equal(density_rows(density), bundle.zeta), (
-                        block, workers, state, "pair",
+                        block, workers, state, "steps",
                     )
 
     @pytest.mark.parametrize("n_paths, antithetic", [(209, False), (210, True)])
@@ -1022,11 +1058,12 @@ class TestRowBlocks:
     ):
         # the inner paths are never stored: the closed form reads the
         # stream's blocks, each antithetic half a block of its own; the
-        # Euler branch sweeps a pair written from them, which the closed
-        # form then reads back.  Each prices what one functional does on
-        # the stored density of the same rows.  Over 210 rows, two chunks
-        # of 7-row blocks of the pair are cut on the mirror (row 105) and
-        # three across it
+        # Euler branch sweeps a step-major copy written from them, which the
+        # closed form then reads back.  Each prices what one functional
+        # does on the stored density of the same rows, and the Euler
+        # branch what the path-major oracle does.  Over 210 rows, two
+        # chunks of 7-row blocks of the copy are cut on the mirror (row
+        # 105) and three across it
         config = NestedConfig(
             n_inner=n_paths, seed=7, grid=self.GRID, antithetic=antithetic
         )
@@ -1049,17 +1086,24 @@ class TestRowBlocks:
         monkeypatch.setattr(greedyhabit.market, "WORKERS", 1)
         expected = [
             _CostFunctional(
-                p, anchors, _Density(zeta, p.market.gamma), self.GRID.dt, antithetic
+                p, anchors, _Density(zeta), self.GRID.dt, antithetic
             ).price(2.9, rows, True)
             for p in branches
         ]
-        pairs = {g: _Density(zeta, g).pair for g in (2.5, 3.0)}
+        for p, priced in zip(branches[3:], expected[3:]):
+            for (j, y, h), (cost, delta, _, _) in zip(rows, priced):
+                times = anchors[j]
+                want = reference_euler(
+                    2.9, p, times, zeta[:, : times.shape[0]], self.GRID.dt, y, h
+                )
+                assert np.array_equal(cost, _pair_average(want[0], antithetic))
+                assert np.array_equal(delta, _pair_average(want[3], antithetic))
         for block, workers in ((n_paths + 1, 1), (7, 1), (7, 2), (7, 3), (1, 2)):
             monkeypatch.setattr(greedyhabit.market, "ROW_BLOCK", block)
             monkeypatch.setattr(greedyhabit.market, "WORKERS", workers)
-            inners = {g: _InnerPaths(MarketParams(gamma=g), config) for g in pairs}
-            # the closed forms stream, the Euler branch writes the pair,
-            # and the closed forms read it back
+            inners = {g: _InnerPaths(MarketParams(gamma=g), config) for g in (2.5, 3.0)}
+            # the closed forms stream, the Euler branch writes the
+            # step-major copy, and the closed forms read it back
             for i in (0, 1, 2, 3, 4, 0, 1, 2):
                 p = branches[i]
                 got = inners[p.market.gamma].price(states, 2.9, p)
@@ -1068,9 +1112,9 @@ class TestRowBlocks:
                         x is y is None or np.array_equal(x, y) for x, y in zip(a, b)
                     ), (block, workers, i, r)
             for g, inner in inners.items():
-                got = inner._density.pair
-                for name, a, b in zip(("zeta_t", "zpow_t"), got, pairs[g]):
-                    assert np.array_equal(a, b), (block, workers, g, name)
+                assert np.array_equal(inner._density.steps, zeta.T), (
+                    block, workers, g,
+                )
 
     def test_unread_solution_holds_no_arrays(self):
         params = make_params(eta=0.1, pension=0.5)
@@ -1106,12 +1150,12 @@ class TestCalibrationMemory:
 
     @pytest.mark.parametrize("pension", [0.0, 0.5])
     def test_peak_is_a_few_full_arrays(self, monkeypatch, pension):
-        # with a pension, the Euler branch's step-major pair, made from the
-        # stream with no path-major density beside it, and the stream's
-        # blocks: about 2.2 full arrays on one worker and 2.3 on two (the
-        # stored density and the pair made from it were three); at pension
+        # with a pension, the Euler branch's one step-major copy, made from
+        # the stream with no path-major density or stored power beside it,
+        # and the stream's blocks: about 1.2 full arrays on one worker and
+        # 1.3 on two (the copy and its power took 2.2 and 2.3); at pension
         # 0 the streamed moments take about 1.1
-        self.assert_peak(monkeypatch, make_params(eta=0.1, pension=pension), 2.5)
+        self.assert_peak(monkeypatch, make_params(eta=0.1, pension=pension), 1.5)
 
     def test_moments_keep_no_full_kernel_or_weights(self, monkeypatch):
         # at gamma 3 calibration keeps three moments per path, so the peak
@@ -1233,7 +1277,7 @@ class TestPathwiseDelta:
         params = dataclasses.replace(params, market=MarketParams(gamma=gamma))
         zeta = generate_paths(params.market, self.GRID, 200, seed=12).zeta
         times, dt = self.GRID.times(), self.GRID.dt
-        density = _Density(zeta, params.market.gamma)
+        density = _Density(zeta)
         cost = _CostFunctional(euler_at_zero(params), [times], density, dt, False)
         alpha, y, h = self.STATE
 
