@@ -42,7 +42,7 @@ from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .market import DEFAULT_SEED, MarketParams, TimeGrid, _Stream
+from .market import DEFAULT_SEED, MarketParams, TimeGrid, _require_positive, _Stream
 from .solver import (
     BudgetEstimate,
     ModelParams,
@@ -168,8 +168,7 @@ class _InnerPaths:
             )
         grid = self.config.grid
         _require_stable_step(params, grid.dt)
-        if not 0.0 < alpha < math.inf:  # a NaN fails too
-            raise ValueError(f"alpha must be positive and finite, got {alpha}")
+        _require_positive("alpha", alpha)
         for _, y, h in states:
             if not (0.0 < y < math.inf and 0.0 < h < math.inf):
                 raise ValueError(
@@ -264,8 +263,7 @@ def _check_surface(
     times: Sequence[float], habit_level: float, max_wealth: float, grid: TimeGrid
 ) -> None:
     """Reject policy-surface arguments that need no pricing to be found bad."""
-    if not habit_level > 0.0:
-        raise ValueError("habit_level must be positive")
+    _require_positive("habit_level", habit_level)
     if not max_wealth > 0.0:
         raise ValueError("max_wealth must be positive")
     for t in times:

@@ -28,7 +28,6 @@ from .allocation import (
     NestedConfig,
     _allocations,
     _check_surface,
-    allocation_at,
     default_zeta_grid,
     policy_surface,
 )
@@ -106,37 +105,24 @@ def _library_groups(
     }
 
 
-# RunConfig's own fields and the (group, key) of the config that holds each
+# RunConfig's own fields: the (group, key) of the config that holds each,
+# and its default
 _RUN_KEYS = {
-    "policy_times": ("policy", "times"),
-    "habit_level": ("policy", "habit_level"),
-    "n_zeta": ("policy", "n_zeta"),
-    "zeta_spread": ("policy", "spread"),
-    "max_wealth": ("policy", "max_wealth"),
-    "pensions": ("lifetime", "pensions"),
-    "horizon": ("lifetime", "horizon"),
-    "lifetime_dt": ("lifetime", "dt"),
-    "theta_refresh": ("lifetime", "theta_refresh"),
-    "scenario_seed": ("lifetime", "scenario_seed"),
+    "policy_times": ("policy", "times", [0.0, 10.0, 20.0, 30.0]),
+    "habit_level": ("policy", "habit_level", 1.0),
+    "n_zeta": ("policy", "n_zeta", 41),
+    "zeta_spread": ("policy", "spread", 4.0),
+    "max_wealth": ("policy", "max_wealth", 20.0),
+    "pensions": ("lifetime", "pensions", [0.0, 0.5, 1.0, 1.5, 2.0]),
+    "horizon": ("lifetime", "horizon", 40.0),
+    "lifetime_dt": ("lifetime", "dt", 0.05),
+    "theta_refresh": ("lifetime", "theta_refresh", 0.25),
+    "scenario_seed": ("lifetime", "scenario_seed", None),
 }
 
-_DEFAULTS = {
-    **_library_groups(ModelParams(), CalibrationConfig(), NestedConfig()),
-    "policy": {
-        "times": [0.0, 10.0, 20.0, 30.0],
-        "habit_level": 1.0,
-        "n_zeta": 41,
-        "spread": 4.0,
-        "max_wealth": 20.0,
-    },
-    "lifetime": {
-        "pensions": [0.0, 0.5, 1.0, 1.5, 2.0],
-        "horizon": 40.0,
-        "dt": 0.05,
-        "theta_refresh": 0.25,
-        "scenario_seed": None,
-    },
-}
+_DEFAULTS = _library_groups(ModelParams(), CalibrationConfig(), NestedConfig())
+for _group, _key, _default in _RUN_KEYS.values():
+    _DEFAULTS.setdefault(_group, {})[_key] = _default
 # no seed in the file lets GREEDYHABIT_SEED apply
 _DEFAULTS["calibration"]["seed"] = None
 
@@ -259,13 +245,13 @@ class RunConfig:
             model=model,
             calibration=CalibrationConfig(grid=grid, **cal),
             nested=NestedConfig(seed=cal["seed"], grid=grid, **cfg["allocation"]),
-            **{field: cfg[group][key] for field, (group, key) in _RUN_KEYS.items()},
+            **{field: cfg[group][key] for field, (group, key, _) in _RUN_KEYS.items()},
         )
 
     def to_dict(self) -> dict:
         """Canonical JSON-shaped form; from_dict(to_dict()) round-trips."""
         out = _library_groups(self.model, self.calibration, self.nested)
-        for field, (group, key) in _RUN_KEYS.items():
+        for field, (group, key, _) in _RUN_KEYS.items():
             out.setdefault(group, {})[key] = getattr(self, field)
         return out
 
@@ -391,7 +377,7 @@ def _cmd_lifetime(args: argparse.Namespace) -> int:
 
 def _cmd_merton_check(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    base = cfg.model
+    base, h0, t_max = cfg.model, cfg.model.habit.initial, cfg.calibration.grid.t_max
     if base.pension != 0.0:
         raise ConfigError("merton-check requires pension = 0")
     # one PASS or FAIL line per check, written as each check ends
@@ -402,28 +388,28 @@ def _cmd_merton_check(args: argparse.Namespace) -> int:
             checks.append((name, ok, detail))
             print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}", file=out)
 
-        # 1. frozen-habit model: nested pathwise allocation vs
-        # kappa/(sigma*gamma), which it reproduces to rounding
         frozen = dataclasses.replace(
             base, habit=dataclasses.replace(base.habit, eta=0.0)
         )
-        alpha0 = merton_alpha(
-            base.v,
-            base.market,
-            base.mortality,
-            c_bar=base.habit.initial,
-            t_max=cfg.calibration.grid.t_max,
-        )
-        target = merton_theta(base.market)
-        states = [
-            (t, zeta, base.habit.initial)
-            for t in (0.0, 10.0, 20.0)
-            for zeta in (0.5, 1.0, 2.0)
-        ]
-        worst = max(
-            abs(est.value - target) if est.reliable else math.inf
-            for est in _allocations(states, alpha0, frozen, cfg.nested)
-        )
+
+        def limit(market: MarketParams, states):
+            """Exact alpha and nested allocations of the frozen habit at ``market``.
+
+            Returns the alpha, the target kappa/(sigma*gamma), the estimate
+            at each state (t, zeta, H) and the largest miss of the target
+            (inf if an estimate is unreliable).
+            """
+            alpha = merton_alpha(base.v, market, base.mortality, c_bar=h0, t_max=t_max)
+            target = merton_theta(market)
+            model = dataclasses.replace(frozen, market=market)
+            found = _allocations(states, alpha, model, cfg.nested)
+            miss = [abs(e.value - target) if e.reliable else math.inf for e in found]
+            return alpha, target, found, max(miss)
+
+        # 1. frozen-habit model: nested pathwise allocation vs
+        # kappa/(sigma*gamma), which it reproduces to rounding
+        states = [(t, zeta, h0) for t in (0.0, 10.0, 20.0) for zeta in (0.5, 1.0, 2.0)]
+        alpha0, target, _, worst = limit(base.market, states)
         record(
             "allocation limit",
             worst <= 0.02,
@@ -456,16 +442,9 @@ def _cmd_merton_check(args: argparse.Namespace) -> int:
 
         # 3. initial consumption propensity vs annuity inversion
         c0 = consumption_no_pension(
-            base.habit.initial,
-            1.0,
-            0.0,
-            solution.alpha,
-            base.market,
-            base.mortality,
+            h0, 1.0, 0.0, solution.alpha, base.market, base.mortality
         )
-        prop = merton_propensity(
-            base.market, base.mortality, 0.0, cfg.calibration.grid.t_max
-        )
+        prop = merton_propensity(base.market, base.mortality, 0.0, t_max)
         rel = abs(c0 / base.v - prop) / prop
         record(
             "consumption propensity",
@@ -475,19 +454,7 @@ def _cmd_merton_check(args: argparse.Namespace) -> int:
 
         # 4. risk aversion sensitivity: gamma = 5 shifts the constant fraction
         market5 = dataclasses.replace(base.market, gamma=5.0)
-        frozen5 = dataclasses.replace(frozen, market=market5)
-        alpha5 = merton_alpha(
-            base.v,
-            market5,
-            base.mortality,
-            c_bar=base.habit.initial,
-            t_max=cfg.calibration.grid.t_max,
-        )
-        est5 = allocation_at(
-            0.0, 1.0, base.habit.initial, alpha5, frozen5, cfg.nested
-        )
-        target5 = merton_theta(market5)
-        diff5 = abs(est5.value - target5) if est5.reliable else math.inf
+        _, target5, [est5], diff5 = limit(market5, [(0.0, 1.0, h0)])
         record(
             "risk aversion variant",
             diff5 <= 0.02,

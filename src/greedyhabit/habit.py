@@ -25,6 +25,7 @@ from .market import (
     GompertzParams,
     MarketParams,
     _require_finite,
+    _require_positive,
     _row_blocks,
     log_survival_probability,
 )
@@ -54,10 +55,7 @@ class HabitParams:
         _require_finite(self)
         if self.eta < 0.0:
             raise ValueError(f"eta must be non-negative, got {self.eta}")
-        if self.initial <= 0.0:
-            raise ValueError(
-                f"initial habit must be positive, got {self.initial}"
-            )
+        _require_positive("initial habit", self.initial)
 
 
 def habit_euler_step(
@@ -66,10 +64,14 @@ def habit_euler_step(
     """One explicit Euler step of the habit ODE.
 
     h_{k+1} = h_k + eta * (c_k - h_k) * dt.  Requires eta * dt < 1 so
-    the step preserves positivity and monotone tracking.
+    the step preserves positivity and monotone tracking.  ``h`` must be
+    positive and ``c`` non-negative (a pension-0 tail consumes 0), both
+    finite.
     """
-    if not dt > 0.0:  # a NaN fails too
-        raise ValueError(f"dt must be positive, got {dt}")
+    _require_positive("habit h", h)
+    if not np.all((np.asarray(c) >= 0.0) & np.isfinite(c)):  # a NaN fails too
+        raise ValueError("consumption c must be non-negative and finite")
+    _require_positive("dt", dt)
     if not eta >= 0.0:
         raise ValueError(f"eta must be non-negative, got {eta}")
     if eta * dt >= 1.0:
@@ -190,13 +192,9 @@ def habit_closed_form(
     ndarray
         Habit values, same shape as ``zeta``.
     """
-    if not alpha > 0.0:  # a NaN fails too
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    if h_start is None:
-        h_start = habit.initial
-    h0 = np.asarray(h_start, dtype=float)
-    if not np.all(h0 > 0.0):
-        raise ValueError("start habit must be positive")
+    _require_positive("alpha", alpha)
+    h0 = np.asarray(habit.initial if h_start is None else h_start, dtype=float)
+    _require_positive("start habit", h0)
     g = market.gamma
     if h0.ndim > 0:
         h0 = h0[..., np.newaxis]

@@ -57,6 +57,14 @@ def _require_finite(params) -> None:
             raise ValueError(f"{field.name} must be finite, got {value}")
 
 
+def _require_positive(name: str, value) -> None:
+    """Reject a value, or any element of an array, not positive and finite."""
+    value = np.asarray(value)
+    if not np.all((value > 0.0) & (value < math.inf)):  # a NaN fails too
+        got = f", got {value}" if value.ndim == 0 else ""  # never a whole array
+        raise ValueError(f"{name} must be positive and finite{got}")
+
+
 @dataclass(frozen=True)
 class MarketParams:
     """Constant Black-Scholes market coefficients and preferences.
@@ -83,8 +91,7 @@ class MarketParams:
 
     def __post_init__(self) -> None:
         _require_finite(self)
-        if self.sigma <= 0.0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        _require_positive("sigma", self.sigma)
         if self.gamma <= 0.0 or self.gamma == 1.0:
             raise ValueError(
                 f"gamma must be positive and != 1, got {self.gamma}"
@@ -116,10 +123,7 @@ class GompertzParams:
 
     def __post_init__(self) -> None:
         _require_finite(self)
-        if self.dispersion <= 0.0:
-            raise ValueError(
-                f"dispersion must be positive, got {self.dispersion}"
-            )
+        _require_positive("dispersion", self.dispersion)
         if self.age < 0.0:
             raise ValueError(f"age must be non-negative, got {self.age}")
 
@@ -174,8 +178,8 @@ class TimeGrid:
 
     def __post_init__(self) -> None:
         _require_finite(self)
-        if self.dt <= 0.0 or self.t_max <= 0.0:
-            raise ValueError("t_max and dt must be positive")
+        _require_positive("t_max", self.t_max)
+        _require_positive("dt", self.dt)
         n = round(self.t_max / self.dt)
         if n < 1 or abs(n * self.dt - self.t_max) > 1e-9 * max(1.0, self.t_max):
             raise ValueError(

@@ -20,7 +20,9 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
-from .market import GompertzParams, MarketParams, survival_probability
+from .market import (
+    GompertzParams, MarketParams, _require_positive, survival_probability
+)
 
 __all__ = [
     "merton_theta",
@@ -78,8 +80,8 @@ def merton_budget(
     c_bar^(1 - 1/gamma) * alpha^(-1/gamma) * A(0); strictly decreasing
     in alpha.
     """
-    if not (alpha > 0.0 and c_bar > 0.0):  # a NaN fails too
-        raise ValueError(f"alpha={alpha} and c_bar={c_bar} must be positive")
+    _require_positive("alpha", alpha)
+    _require_positive("c_bar", c_bar)
     g = market.gamma
     return (
         c_bar ** (1.0 - 1.0 / g)
@@ -109,8 +111,8 @@ def merton_alpha(
 
     Inverts merton_budget: alpha = (c_bar^(1 - 1/gamma) A(0) / v)^gamma.
     """
-    if not (v > 0.0 and c_bar > 0.0):  # a NaN fails too
-        raise ValueError(f"v={v} and c_bar={c_bar} must be positive")
+    _require_positive("v", v)
+    _require_positive("c_bar", c_bar)
     g = market.gamma
     a0 = merton_annuity(market, mortality, 0.0, t_max)
     return (c_bar ** (1.0 - 1.0 / g) * a0 / v) ** g

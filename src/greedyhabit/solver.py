@@ -39,6 +39,7 @@ from .market import (
     TimeGrid,
     _Stream,
     _in_threads,
+    _require_positive,
     log_survival_probability,
 )
 
@@ -85,8 +86,7 @@ class ModelParams:
     def __post_init__(self) -> None:
         if not 0.0 <= self.pension < math.inf:
             raise ValueError(f"pension must be non-negative, got {self.pension}")
-        if not 0.0 < self.v < math.inf:
-            raise ValueError(f"initial wealth v must be positive, got {self.v}")
+        _require_positive("initial wealth v", self.v)
 
 
 def _require_two_samples(name: str, n: int, antithetic: bool) -> None:
@@ -125,8 +125,7 @@ class CalibrationConfig:
 
     def __post_init__(self) -> None:
         _require_two_samples("n_paths", self.n_paths, self.antithetic)
-        if not 0.0 < self.tolerance < math.inf:
-            raise ValueError("tolerance must be positive")
+        _require_positive("tolerance", self.tolerance)
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         lo, hi = self.bracket
@@ -170,12 +169,6 @@ class GreedySolution:
     iterations: int
 
 
-def _validate_positive(name: str, value: ArrayLike) -> None:
-    value = np.asarray(value)
-    if not np.all((value > 0.0) & (value < math.inf)):  # a NaN fails too
-        raise ValueError(f"{name} must be positive and finite")
-
-
 def consumption_no_pension(
     h: ArrayLike,
     zeta: ArrayLike,
@@ -189,9 +182,9 @@ def consumption_no_pension(
     Increasing in habit for gamma > 1 (exponent 1 - 1/gamma > 0) and
     decreasing in both alpha and zeta.
     """
-    _validate_positive("habit h", h)
-    _validate_positive("zeta", zeta)
-    _validate_positive("alpha", alpha)
+    _require_positive("habit h", h)
+    _require_positive("zeta", zeta)
+    _require_positive("alpha", alpha)
     if not np.all((np.asarray(t) >= 0.0) & (np.asarray(t) < math.inf)):
         raise ValueError("time t must be non-negative and finite")
     g = market.gamma
@@ -263,34 +256,28 @@ def _require_stable_step(params: ModelParams, dt: float) -> None:
 def _anchor_terms(params: ModelParams, times: np.ndarray):
     """Deterministic vectors of an anchor at absolute ``times``.
 
-    Returns ``(shadow, wgt, vec)``: exp(-rho t / g) * p_t^(1/g), the
-    deterministic part of the rule; the trapezoid weights; and
-    exp(-eta tau) * wgt, which turns the kernel integrand into ``wz``.
-    """
-    g = params.market.gamma
-    log_p = log_survival_probability(params.mortality, times)
-    wgt = _trapezoid_weights(times)
-    return (
-        np.exp((-params.market.rho * times + log_p) / g),
-        wgt,
-        np.exp(-params.habit.eta * (times - times[0])) * wgt,
-    )
-
-
-def _control_terms(params: ModelParams, times: np.ndarray):
-    """``(E[X], lift)`` of the control X of an anchor at absolute ``times``.
-
-    X = sum_k wgt_k shadow_k zeta_k^q per path, q = 1 - 1/g, is the eta = 0,
-    pension-0 cost over beta h^(g - 1), and sum_k wz_k lift_k with
-    lift = exp(eta q tau).  The density restarts at 1 at times[0], so
-    E[zeta_tau^q] = exp(-q (r + kappa^2/2) tau + q^2 kappa^2 tau / 2).
+    Returns ``(shadow, wgt, vec, lift, mean_x)``: exp(-rho t / g) * p_t^(1/g),
+    the deterministic part of the rule; the trapezoid weights;
+    exp(-eta tau) * wgt, which turns the kernel integrand into ``wz``;
+    lift = exp(eta q tau), q = 1 - 1/g; and E[X] of the control
+    X = sum_k wgt_k shadow_k zeta_k^q = sum_k wz_k lift_k per path, the
+    eta = 0, pension-0 cost over beta h^(g - 1).  The density restarts at 1
+    at times[0], so E[zeta_tau^q] = exp(-q (r + kappa^2/2) tau + q^2 kappa^2 tau / 2).
     """
     m = params.market
     q = 1.0 - 1.0 / m.gamma
     tau = times - times[0]
-    shadow, wgt, _ = _anchor_terms(params, times)
+    log_p = log_survival_probability(params.mortality, times)
+    wgt = _trapezoid_weights(times)
+    shadow = np.exp((-m.rho * times + log_p) / m.gamma)
     moment = np.exp(q * (0.5 * q * m.kappa**2 - m.r - 0.5 * m.kappa**2) * tau)
-    return float((wgt * shadow * moment).sum()), np.exp(params.habit.eta * q * tau)
+    return (
+        shadow,
+        wgt,
+        np.exp(-params.habit.eta * tau) * wgt,
+        np.exp(params.habit.eta * q * tau),
+        float((wgt * shadow * moment).sum()),
+    )
 
 
 def _cost_weights(k, zeta, vec, frozen):
@@ -386,7 +373,7 @@ def _anchor_pass(params, density, anchors, in_block):
     block builds every anchor's kernel and ``wz`` once, from one
     log(zeta) / gamma, so no full-size array is made; each row's terms
     come from that row alone.  Returns ``(kept, xs)``:
-    ``xs[j]`` is anchor j's X per path (:func:`_control_terms`), and
+    ``xs[j]`` is anchor j's X per path (:func:`_anchor_terms`), and
     ``kept[j]`` its terms per path when they need no kernel: wz summed
     along the path at eta = 0 (``xs`` itself), or with a moment order n
     (:func:`_moment_order`) the moments of m = (eta/g) K, shape
@@ -397,8 +384,7 @@ def _anchor_pass(params, density, anchors, in_block):
     frozen = params.habit.eta == 0.0
     order = None if frozen else _moment_order(params.market.gamma)
     n_paths = density.shape[0]
-    vecs = [_anchor_terms(params, times)[2] for times in anchors]
-    lifts = [_control_terms(params, times)[1] for times in anchors]
+    terms = [_anchor_terms(params, times)[2:4] for times in anchors]  # vec, lift
     xs = np.empty((len(anchors), n_paths))
     kept = None
     if frozen:
@@ -412,8 +398,9 @@ def _anchor_pass(params, density, anchors, in_block):
         ):
             times = anchors[j]
             kernel = None if frozen else _trapezoid_kernel(k, times, np.empty_like(k))
-            wz = _cost_weights(k, z[:, : times.shape[0]], vecs[j], frozen)
-            xs[j, rows] = wz if frozen else (wz * lifts[j]).sum(axis=-1)
+            vec, lift = terms[j]
+            wz = _cost_weights(k, z[:, : times.shape[0]], vec, frozen)
+            xs[j, rows] = wz if frozen else (wz * lift).sum(axis=-1)
             if order is not None:
                 kernel *= params.habit.eta / params.market.gamma
                 kept[j, rows] = _kernel_moments(kernel, wz, order)
@@ -625,7 +612,7 @@ def _euler_costs(params, alpha, dt, zeta_t, anchors, states, delta):
 
 
 def _euler_controls(params, zeta_t, anchors):
-    """X per path of every anchor (:func:`_control_terms`), one step-major pass.
+    """X per path of every anchor (:func:`_anchor_terms`), one step-major pass.
 
     X sums (wgt_k shadow_k) * (zeta_k * zeta_k^(-1/g)) in step order, the
     power taken once per step for every anchor.  Anchors go longest
@@ -635,7 +622,7 @@ def _euler_controls(params, zeta_t, anchors):
     steps = np.array([anchors[j].shape[0] for j in order])
     scale = np.zeros((len(order), steps[0]))
     for r, j in enumerate(order):
-        shadow, wgt, _ = _anchor_terms(params, anchors[j])
+        shadow, wgt, *_ = _anchor_terms(params, anchors[j])
         scale[r, : steps[r]] = wgt * shadow
     counts = (steps[:, None] > np.arange(steps[0])).sum(axis=0)
     xs = np.zeros((len(order), zeta_t.shape[1]))
@@ -692,7 +679,7 @@ class _CostFunctional:
         self._antithetic = antithetic
         self._euler = params.pension != 0.0
         self._dt = dt
-        self._means = [_control_terms(params, times)[0] for times in anchors]
+        self._means = [_anchor_terms(params, times)[-1] for times in anchors]
         self._kept = self._x = None
         self._density = density
 
@@ -776,7 +763,7 @@ def solve_paths(
     -------
     (consumption, habit) : ndarray pairs, shape (n_paths, n_times)
     """
-    _validate_positive("alpha", alpha)
+    _require_positive("alpha", alpha)
     p, zeta, times, dt = params, paths.zeta, paths.grid.times(), paths.grid.dt
     if p.pension == 0.0:
         h = habit_closed_form(p.habit, p.market, p.mortality, alpha, times, zeta)
@@ -806,7 +793,7 @@ def budget_value(
     eta = 0 cost, whose mean is exact on the grid.  The returned standard
     error accounts for antithetic pairing when the bundle uses it.
     """
-    _validate_positive("alpha", alpha)
+    _require_positive("alpha", alpha)
     cost = _bundle_cost(params, paths)
     samples = cost.per_path(alpha, 1.0, params.habit.initial)
     return _estimate_from_samples(samples, *cost.control())
@@ -851,8 +838,9 @@ def calibrate_alpha(
     Raises
     ------
     CalibrationError
-        If the widened bracket does not straddle v, an iterate repeats, or
-        ``max_iterations`` budget evaluations do not reach tolerance.
+        If a budget is NaN, the widened bracket does not straddle v, an
+        iterate repeats, or ``max_iterations`` budget evaluations do not
+        reach tolerance.
     """
     v, h0, g = params.v, params.habit.initial, params.market.gamma
     if paths is None:
@@ -888,6 +876,8 @@ def calibrate_alpha(
         estimate = _estimate_from_samples(samples, *cost.control())
         plain = _estimate_from_samples(samples)
         b, p, d = estimate.value, plain.value, float(deltas.mean())
+        if math.isnan(b):  # an infinite budget at a tiny alpha is bisected
+            raise CalibrationError(f"budget at alpha={alpha!r} is {b}, not a number")
         history[alpha] = p, d
         del samples, deltas  # freed before the next sweep allocates its own
         if abs(b - v) / v <= config.tolerance:

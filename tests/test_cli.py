@@ -10,6 +10,7 @@ import csv
 import inspect
 import json
 import math
+import re
 import threading
 
 import pytest
@@ -299,6 +300,15 @@ class TestExitCodes:
         assert main(["calibrate", "--config", cfg]) == 2
         assert "could not bracket" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_underflowing_density_is_exit_2(self, tmp_path, capsys):
+        # at sigma 0.01 the density underflows to 0 and the budget is NaN
+        data = {"market": {"sigma": 0.01}, "calibration": {"dt": 0.25, "n_paths": 200}}
+        cfg = write_config(tmp_path, data)
+        assert main(["calibrate", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert re.search(r"^numerical failure: budget at alpha=\S+ is nan", err, re.M)
+
 
 class TestCalibrateCommand:
     def test_report_and_json_out(self, tmp_path, capsys):
@@ -496,6 +506,17 @@ class TestMertonCheckCommand:
         lines = out.read_text().splitlines()
         assert len(lines) == 4
         assert all(line.startswith(("PASS ", "FAIL ")) for line in lines)
+        # each check by name, in order, with its detail's prefix
+        for line, head in zip(
+            lines,
+            [
+                "allocation limit: max |theta - ",
+                "multiplier calibration: monte carlo alpha ",
+                "consumption propensity: C0/X0 = ",
+                "risk aversion variant: gamma=5 allocation ",
+            ],
+        ):
+            assert line[5:].startswith(head), line
         assert code == (0 if all(line.startswith("PASS") for line in lines) else 2)
         assert capsys.readouterr().out == ""
 

@@ -79,6 +79,28 @@ class TestEulerStep:
         with pytest.raises(ValueError, match="eta"):
             habit_euler_step(1.0, 1.0, 0.05, math.nan)
 
+    @pytest.mark.parametrize(
+        "h, c, dt, eta, name",
+        [
+            (1.0, 1.0, math.inf, 0.0, "dt"),
+            (math.nan, 1.0, 0.05, 0.1, "habit h"),
+            (math.inf, 1.0, 0.05, 0.1, "habit h"),
+            (0.0, 1.0, 0.05, 0.1, "habit h"),
+            (np.array([1.0, math.nan]), 1.0, 0.05, 0.1, "habit h"),
+            (1.0, math.inf, 0.05, 0.1, "consumption c"),
+            (1.0, math.nan, 0.05, 0.1, "consumption c"),
+            (1.0, -0.5, 0.05, 0.1, "consumption c"),
+        ],
+    )
+    def test_bad_state_is_rejected(self, h, c, dt, eta, name):
+        # unchecked, each comes back as a NaN, inf or non-positive habit
+        with pytest.raises(ValueError, match=f"^{name} must be [^[]*$"):
+            habit_euler_step(h, c, dt, eta)
+
+    def test_zero_consumption_is_valid(self):
+        # the pension-0 tail of an exhausted lifetime consumes nothing
+        assert habit_euler_step(1.0, 0.0, 0.05, 0.1) == pytest.approx(0.995)
+
     @given(
         h=st.floats(0.01, 100.0),
         c=st.floats(0.01, 100.0),
@@ -280,4 +302,23 @@ class TestClosedForm:
             habit_closed_form(
                 habit, self.market, self.mortality, 1.0, times, zeta,
                 h_start=math.nan,
+            )
+
+    @pytest.mark.parametrize(
+        "alpha, h_start, name",
+        [
+            (math.inf, None, "alpha"),
+            (1.0, math.inf, "start habit"),
+            (1.0, np.array([1.0, math.inf]), "start habit"),
+        ],
+    )
+    def test_infinite_input_is_rejected(self, alpha, h_start, name):
+        # unchecked, alpha = inf gives a decaying habit and h_start = inf an
+        # infinite one
+        habit = HabitParams(eta=0.5, initial=1.0)
+        times = np.linspace(0.0, 1.0, 11)
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+            habit_closed_form(
+                habit, self.market, self.mortality, alpha, times,
+                np.ones((2, 11)), h_start=h_start,
             )

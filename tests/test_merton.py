@@ -9,6 +9,7 @@ everywhere else.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -177,6 +178,21 @@ class TestBudget:
             ):
                 with pytest.raises(ValueError, match="must be positive"):
                     call()
+
+    @pytest.mark.parametrize(
+        "name, call",
+        [
+            ("alpha", lambda m, mort: merton_budget(math.inf, m, mort)),
+            ("c_bar", lambda m, mort: merton_budget(1.0, m, mort, c_bar=math.inf)),
+            ("v", lambda m, mort: merton_alpha(math.inf, m, mort)),
+            ("c_bar", lambda m, mort: merton_alpha(10.0, m, mort, c_bar=math.inf)),
+        ],
+        ids=["budget-alpha", "budget-c_bar", "alpha-v", "alpha-c_bar"],
+    )
+    def test_infinite_input_is_rejected(self, name, call):
+        # unchecked, each returns 0.0 or inf
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+            call(self.market, self.mortality)
 
     def test_monte_carlo_budget_agrees(self, small_bundle):
         # the exact map on the grid, alpha^(-1/gamma) E[X], and the

@@ -44,8 +44,8 @@ from greedyhabit.market import _Stream, log_survival_probability
 from greedyhabit.solver import (
     _CostFunctional,
     _Density,
+    _anchor_terms,
     _bundle_cost,
-    _control_terms,
     _estimate_from_samples,
     _euler_costs,
     _moment_order,
@@ -725,6 +725,27 @@ class TestNewtonSearch:
         with pytest.raises(BudgetMonotonicityError):
             calibrate_alpha(make_params(eta=0.1), self.CONFIG)
 
+    def test_nan_budget_fails_at_once(self, monkeypatch):
+        # a NaN budget is no evidence on either side of v, so the search
+        # stops at the first one instead of bisecting on it
+        script = iter([2.0 * make_params().v, math.nan])
+        seen = self.script_budget(monkeypatch, lambda a: next(script))
+        with pytest.raises(CalibrationError, match=r"^budget at alpha=\S+ is nan") as info:
+            calibrate_alpha(make_params(eta=0.1), self.CONFIG)
+        assert f"alpha={seen[1][0]!r} " in str(info.value)
+        assert not isinstance(info.value, BudgetMonotonicityError)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_underflowing_density_names_the_nan_budget(self):
+        # at sigma 0.01 (kappa 6) the density of a 60-year grid underflows
+        # to 0, and log(0) makes the first budget NaN
+        params = dataclasses.replace(
+            make_params(eta=0.1), market=MarketParams(sigma=0.01)
+        )
+        config = CalibrationConfig(grid=TimeGrid(60.0, 0.25), n_paths=200, seed=3)
+        with pytest.raises(CalibrationError, match=r"^budget at alpha=\S+ is nan"):
+            calibrate_alpha(params, config)
+
     def test_infinite_tie_is_caught(self, monkeypatch):
         # two infinite budgets, whose delta predicts nothing, then v
         script = iter([math.inf, math.inf, make_params().v])
@@ -796,7 +817,7 @@ class TestControlVariate:
         )
         [(_, _, x, mean_x)] = inner.price([(20.0, 0.7, 1.2)], 2.9, params)
         times = 20.0 + np.arange(self.GRID.n_steps - 199) * self.GRID.dt
-        assert mean_x == _control_terms(params, times)[0]
+        assert mean_x == _anchor_terms(params, times)[-1]
         assert mean_x == pytest.approx(control_mean(params, times), rel=1e-14)
         self.assert_mean(x, mean_x)
 
