@@ -42,7 +42,8 @@ from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .market import DEFAULT_SEED, MarketParams, TimeGrid, _require_positive, _Stream
+from .market import DEFAULT_SEED, MarketParams, TimeGrid, _Stream
+from .market import _require_nonnegative, _require_positive
 from .solver import (
     BudgetEstimate,
     ModelParams,
@@ -250,8 +251,7 @@ def default_zeta_grid(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not 0.0 <= t < math.inf:  # a NaN fails too
-        raise ValueError(f"t must be finite and non-negative, got {t}")
+    _require_nonnegative("t", t)
     if not math.isfinite(spread):
         raise ValueError(f"spread must be finite, got {spread}")
     center = math.exp(-(market.r + 0.5 * market.kappa**2) * t)

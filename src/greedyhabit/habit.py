@@ -24,7 +24,9 @@ import numpy as np
 from .market import (
     GompertzParams,
     MarketParams,
+    _Workspace,
     _require_finite,
+    _require_nonnegative,
     _require_positive,
     _row_blocks,
     log_survival_probability,
@@ -53,8 +55,7 @@ class HabitParams:
 
     def __post_init__(self) -> None:
         _require_finite(self)
-        if self.eta < 0.0:
-            raise ValueError(f"eta must be non-negative, got {self.eta}")
+        _require_nonnegative("eta", self.eta)
         _require_positive("initial habit", self.initial)
 
 
@@ -69,11 +70,9 @@ def habit_euler_step(
     finite.
     """
     _require_positive("habit h", h)
-    if not np.all((np.asarray(c) >= 0.0) & np.isfinite(c)):  # a NaN fails too
-        raise ValueError("consumption c must be non-negative and finite")
+    _require_nonnegative("consumption c", c)
     _require_positive("dt", dt)
-    if not eta >= 0.0:
-        raise ValueError(f"eta must be non-negative, got {eta}")
+    _require_nonnegative("eta", eta)
     if eta * dt >= 1.0:
         raise ValueError(
             f"eta * dt = {eta * dt} >= 1: step too coarse for the habit ODE"
@@ -113,13 +112,15 @@ def bernoulli_kernel(
     rows = zeta.reshape(-1, zeta.shape[-1])
     kernel = np.empty(rows.shape)
     blocks = ((block, rows[block]) for block in _row_blocks(rows.shape[0]))
-    for block, _, _, k in _integrand_blocks(habit, market, mortality, [times], blocks):
-        _trapezoid_kernel(k, times, kernel[block])
+    work = _Workspace()
+    integrands = _integrand_blocks(habit, market, mortality, [times], blocks, work)
+    for block, _, _, k in integrands:
+        _trapezoid_kernel(k, times, kernel[block], work)
     decay = np.exp(-habit.eta * (times - times[0]) / market.gamma)
     return kernel.reshape(zeta.shape), decay
 
 
-def _integrand_blocks(habit, market, mortality, anchors, blocks):
+def _integrand_blocks(habit, market, mortality, anchors, blocks, work):
     """Yield ``(rows, zeta, j, k)``: anchor j's kernel integrand on one row block.
 
     ``blocks`` yields ``(rows, zeta)``: a block of 2-D density rows and
@@ -130,8 +131,9 @@ def _integrand_blocks(habit, market, mortality, anchors, blocks):
     anchor's integrand k = exp(drift - log(zeta) / gamma), which is
     exp(eta tau / gamma) * (zeta * exp(rho t) / p)^(-1/gamma), is built
     from it while the block is in cache.  Working in log space keeps deep
-    density tails from overflowing.  ``k`` is a fresh array the caller
-    may overwrite.
+    density tails from overflowing.  Both are views of ``work``, the
+    chunk's :class:`_Workspace`: a yielded ``k`` is valid until the next
+    one is asked for, and the caller may overwrite it.
     """
     g = market.gamma
     drifts = []
@@ -141,19 +143,25 @@ def _integrand_blocks(habit, market, mortality, anchors, blocks):
         drifts.append((habit.eta * tau - market.rho * times + log_p) / g)
     width = max(drift.shape[0] for drift in drifts)
     for rows, zeta in blocks:
-        log_z = np.log(zeta[:, :width]) / g
+        n = zeta.shape[0]
+        log_z = np.log(zeta[:, :width], out=work.take("log_z", (n, width)))
+        log_z /= g
         for j, drift in enumerate(drifts):
-            k = drift - log_z[:, : drift.shape[0]]
+            k = work.take("k", (n, drift.shape[0]))
+            np.subtract(drift, log_z[:, : drift.shape[0]], out=k)
             yield rows, zeta, j, np.exp(k, out=k)
 
 
-def _trapezoid_kernel(k, times, out):
+def _trapezoid_kernel(k, times, out, work):
     """Fill ``out`` with the kernel: the cumulative trapezoid of ``k`` over ``times``.
 
     Each row is summed on its own, in the order of scipy's
-    ``cumulative_trapezoid``; ``out[:, 0]`` is 0.
+    ``cumulative_trapezoid``; ``out[:, 0]`` is 0.  The areas are a view
+    of ``work``'s ``temp``, taken at the size of ``k`` for later reuse.
     """
-    area = k[:, 1:] + k[:, :-1]
+    n, m = k.shape
+    area = work.take("temp", (n * m,))[: n * (m - 1)].reshape(n, m - 1)
+    np.add(k[:, 1:], k[:, :-1], out=area)
     area *= np.diff(times)
     area /= 2.0
     out[:, 0] = 0.0

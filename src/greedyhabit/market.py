@@ -59,10 +59,19 @@ def _require_finite(params) -> None:
 
 def _require_positive(name: str, value) -> None:
     """Reject a value, or any element of an array, not positive and finite."""
+    _require_sign(name, value, np.greater, "positive")
+
+
+def _require_nonnegative(name: str, value) -> None:
+    """Reject a value, or any element of an array, not non-negative and finite."""
+    _require_sign(name, value, np.greater_equal, "non-negative")
+
+
+def _require_sign(name, value, above, sign):
     value = np.asarray(value)
-    if not np.all((value > 0.0) & (value < math.inf)):  # a NaN fails too
+    if not np.all(above(value, 0.0) & (value < math.inf)):  # a NaN fails too
         got = f", got {value}" if value.ndim == 0 else ""  # never a whole array
-        raise ValueError(f"{name} must be positive and finite{got}")
+        raise ValueError(f"{name} must be {sign} and finite{got}")
 
 
 @dataclass(frozen=True)
@@ -124,8 +133,7 @@ class GompertzParams:
     def __post_init__(self) -> None:
         _require_finite(self)
         _require_positive("dispersion", self.dispersion)
-        if self.age < 0.0:
-            raise ValueError(f"age must be non-negative, got {self.age}")
+        _require_nonnegative("age", self.age)
 
 
 def survival_probability(mortality: GompertzParams, s: ArrayLike) -> ArrayLike:
@@ -280,6 +288,24 @@ def _in_threads(n: int, work) -> None:
             raise exc
 
 
+class _Workspace(dict):
+    """One :func:`_in_threads` chunk's flat buffers by name, reused by its blocks.
+
+    ``take(name, shape)`` is a C-contiguous view of buffer ``name``, grown
+    when too small; it is valid until ``name`` is taken again, so a pass
+    takes no name whose view its caller still reads.  A pass writes each
+    block or anchor into such views with ``out=``, in the order of fresh
+    arrays, so no bit changes and the memory is faulted in once per
+    chunk, not again whenever the allocator gave it back.
+    """
+
+    def take(self, name: str, shape: tuple) -> np.ndarray:
+        size = math.prod(shape)
+        if name not in self or self[name].size < size:
+            self[name] = np.empty(size)
+        return self[name][:size].reshape(shape)
+
+
 def _hash_keys(key: int, mult: int, n: int) -> list:
     """``key`` and the ``n`` keys after it of the ``SeedSequence`` hash."""
     keys = [key]
@@ -423,24 +449,24 @@ class _Stream:
         the density.  With ``antithetic`` each block is followed by its
         mirrors as a block of their own.  This is the one place that makes
         density rows.  A chunk allocates its block arrays once and each
-        block overwrites them, so ``work`` must read a block before it
-        asks for the next; arrays made afresh for every block page-fault
+        block overwrites them, so a yielded block is valid until the next
+        one is asked for; arrays made afresh for every block page-fault
         again whenever the allocator has given their memory back.
         """
         n_streams = self.n_paths // 2 if self.antithetic else self.n_paths
         steps = self.grid.n_steps
 
         def blocks(chunk):
-            most = max(block.stop - block.start for block in chunk)
-            dw = np.empty((most, steps))
-            paths = np.empty((2, 2 * most if self.antithetic else most, steps + 1))
+            work = _Workspace()
             for block in chunk:
                 lo, hi = block.start, block.stop
                 n = hi - lo
-                _fill_normals(dw[:n], self.seed, self.key, range(lo, hi))
+                dw = work.take("dw", (n, steps))
+                _fill_normals(dw, self.seed, self.key, range(lo, hi))
+                shape = (2, 2 * n if self.antithetic else n, steps + 1)
                 w, zeta = _density_paths(
-                    self.market, dw[:n], self.grid.dt, self.antithetic,
-                    paths[:, : 2 * n if self.antithetic else n],
+                    self.market, dw, self.grid.dt, self.antithetic,
+                    work.take("paths", shape),
                 )
                 yield block, w[:n], zeta[:n]
                 if self.antithetic:

@@ -38,7 +38,9 @@ from .market import (
     PathBundle,
     TimeGrid,
     _Stream,
+    _Workspace,
     _in_threads,
+    _require_nonnegative,
     _require_positive,
     log_survival_probability,
 )
@@ -84,8 +86,7 @@ class ModelParams:
     v: float = 10.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.pension < math.inf:
-            raise ValueError(f"pension must be non-negative, got {self.pension}")
+        _require_nonnegative("pension", self.pension)
         _require_positive("initial wealth v", self.v)
 
 
@@ -185,8 +186,7 @@ def consumption_no_pension(
     _require_positive("habit h", h)
     _require_positive("zeta", zeta)
     _require_positive("alpha", alpha)
-    if not np.all((np.asarray(t) >= 0.0) & (np.asarray(t) < math.inf)):
-        raise ValueError("time t must be non-negative and finite")
+    _require_nonnegative("time t", t)
     g = market.gamma
     log_p = log_survival_probability(mortality, t)
     shadow = np.exp(
@@ -206,8 +206,7 @@ def consumption_with_pension(
     mortality: GompertzParams,
 ) -> ArrayLike:
     """Greedy consumption with a pension floor: max(pension, unfloored)."""
-    if not 0.0 <= pension < math.inf:
-        raise ValueError(f"pension must be non-negative and finite, got {pension}")
+    _require_nonnegative("pension", pension)
     base = consumption_no_pension(h, zeta, t, alpha, market, mortality)
     out = np.maximum(pension, base)
     return float(out) if np.ndim(out) == 0 else out
@@ -280,19 +279,6 @@ def _anchor_terms(params: ModelParams, times: np.ndarray):
     )
 
 
-def _cost_weights(k, zeta, vec, frozen):
-    """``wz`` from the kernel integrand ``k`` of one block, overwriting ``k``.
-
-    wz = zeta * k * vec = zeta^(1 - 1/g) * shadow * decay^(g - 1) * wgt,
-    because exp(drift - eta tau) = shadow * decay^(g - 1), so no power
-    runs over the matrix.  At eta = 0 (``frozen``) the kernel drops out of
-    the cost and wz is the sum along each row.
-    """
-    k *= zeta
-    k *= vec
-    return k.sum(axis=-1) if frozen else k
-
-
 def _moment_order(gamma: float) -> Optional[int]:
     """n = gamma - 1 when the closed form prices from kernel moments, else None.
 
@@ -330,7 +316,7 @@ def _moment_sum(moments, n, u0, beta):
     return total
 
 
-def _price_rows(params, alpha, y, h, kernel, wz):
+def _price_rows(params, alpha, y, h, kernel, wz, work):
     """Closed-form cost and y * d(cost)/dy of rows of paths.
 
     ``kernel`` and ``wz`` are the rows' terms from :func:`_anchor_pass`:
@@ -338,7 +324,7 @@ def _price_rows(params, alpha, y, h, kernel, wz):
     kernel moments.  Each row is priced on its own, so a result never
     depends on how rows are split into blocks.  Returns (cost, delta) in
     wealth units per path; the delta costs a few operations per path, or
-    one division per element on the power form.
+    one division per element on the power form, in views of ``work``.
     """
     g = params.market.gamma
     beta = alpha ** (-1.0 / g)
@@ -354,13 +340,14 @@ def _price_rows(params, alpha, y, h, kernel, wz):
         # the delta's B^(g-2) is the polynomial of degree n - 1
         dsums = _moment_sum(wz, n - 1, u0, beta)
     else:
-        block = kernel * ((params.habit.eta / g) * beta)
+        block = work.take("temp", kernel.shape)
+        np.multiply(kernel, (params.habit.eta / g) * beta, out=block)
         block += u0
-        power = block ** (g - 1.0)
+        power = np.power(block, g - 1.0, out=work.take("power", kernel.shape))
         power *= wz
         cost = beta * power.sum(axis=-1) / y
         # the delta's B^(g-2) is B^(g-1) / B
-        dsums = (power / block).sum(axis=-1)
+        dsums = np.divide(power, block, out=block).sum(axis=-1)
     # y du0/dy = u0 / g, and d(1/y) gives -cost
     return cost, -cost + (beta / y) * ((g - 1.0) / g) * u0 * dsums
 
@@ -372,14 +359,16 @@ def _anchor_pass(params, density, anchors, in_block):
     the path-major rows that :meth:`_Density.chunks` hands out.  Each
     block builds every anchor's kernel and ``wz`` once, from one
     log(zeta) / gamma, so no full-size array is made; each row's terms
-    come from that row alone.  Returns ``(kept, xs)``:
+    come from that row alone, written into its chunk's :class:`_Workspace`.
+    Returns ``(kept, xs)``:
     ``xs[j]`` is anchor j's X per path (:func:`_anchor_terms`), and
     ``kept[j]`` its terms per path when they need no kernel: wz summed
     along the path at eta = 0 (``xs`` itself), or with a moment order n
     (:func:`_moment_order`) the moments of m = (eta/g) K, shape
     (n_paths, n + 1).  On the power form ``kept`` is None, and
-    ``in_block(rows, j, kernel, wz)`` takes each block's terms while they
-    are in cache.
+    ``in_block(rows, j, kernel, wz, work)`` takes each block's terms while
+    they are in cache, with the chunk's workspace; they are valid until it
+    returns.
     """
     frozen = params.habit.eta == 0.0
     order = None if frozen else _moment_order(params.market.gamma)
@@ -393,19 +382,26 @@ def _anchor_pass(params, density, anchors, in_block):
         kept = np.empty((len(anchors), n_paths, order + 1))
 
     def fill(blocks):
+        work = _Workspace()
         for rows, z, j, k in _integrand_blocks(
-            params.habit, params.market, params.mortality, anchors, blocks
+            params.habit, params.market, params.mortality, anchors, blocks, work
         ):
-            times = anchors[j]
-            kernel = None if frozen else _trapezoid_kernel(k, times, np.empty_like(k))
-            vec, lift = terms[j]
-            wz = _cost_weights(k, z[:, : times.shape[0]], vec, frozen)
-            xs[j, rows] = wz if frozen else (wz * lift).sum(axis=-1)
+            times, (vec, lift) = anchors[j], terms[j]
+            if not frozen:  # the kernel, before k turns into wz
+                kernel = _trapezoid_kernel(k, times, work.take("kernel", k.shape), work)
+            # wz = zeta * k * vec = zeta^(1 - 1/g) * shadow * decay^(g - 1) * wgt
+            # in place of k, as exp(drift - eta tau) = shadow * decay^(g - 1)
+            wz = np.multiply(k, z[:, : times.shape[0]], out=k)
+            wz *= vec
+            if frozen:  # the kernel drops out of the cost, and X is its sum
+                xs[j, rows] = wz.sum(axis=-1)
+                continue
+            xs[j, rows] = np.multiply(wz, lift, out=work.take("temp", k.shape)).sum(-1)
             if order is not None:
                 kernel *= params.habit.eta / params.market.gamma
                 kept[j, rows] = _kernel_moments(kernel, wz, order)
-            elif not frozen:
-                in_block(rows, j, kernel, wz)
+            else:
+                in_block(rows, j, kernel, wz, work)
 
     density.chunks(fill)
     return kept, xs
@@ -421,7 +417,9 @@ def _euler_stream(params, alpha, dt, zeta_t, anchors, states, tangent=False):
     holds those rows only; each step takes zeta_t[k]^(-1/g) once for all
     of them, on one contiguous row, so its bits are those of the power
     taken on any block of the same paths.
-    The habit is updated in place after the consumer has read it.
+    The habit is updated in place after the consumer has read it.  Each
+    step writes its arrays into the leading rows of arrays made once per
+    sweep, so a yielded step is valid until the next one is asked for.
 
     With ``tangent`` the last item is y * dC/dy along the paths, carried
     forward through the habit's own Euler step as y * dH/dy (zero at
@@ -442,30 +440,37 @@ def _euler_stream(params, alpha, dt, zeta_t, anchors, states, tangent=False):
     dc = None
     # counts[k]: the rows that take step k, a prefix as horizons decrease
     counts = (np.asarray(steps)[:, None] > np.arange(steps[0] + 1)).sum(axis=0)
+    # a prefix of rows is contiguous, so each step's temporaries are the
+    # leading rows of these, and zpow holds zeta_t[k]^(-1/g)
+    cs, scratch, zpow = np.empty_like(h), np.empty_like(h), np.empty(h.shape[1])
+    dcs = np.empty_like(h) if tangent else None
+    floor = np.empty(h.shape, bool) if tangent else None
     for k in range(steps[0]):
-        hk = h[: counts[k]]
-        c = hk**e
-        c *= fac[: counts[k], k, None] * zeta_t[k] ** (-1.0 / g)
+        n = counts[k]
+        hk = h[:n]
+        c = np.power(hk, e, out=cs[:n])
+        np.power(zeta_t[k], -1.0 / g, out=zpow)
+        c *= np.multiply(fac[:n, k, None], zpow, out=scratch[:n])
         if tangent:
             # C = h^e y^(-1/g) (...) off the floor, so y dC/dy = C (e dh/h - 1/g)
-            dc = dh[: counts[k]] / hk
+            dc = np.divide(dh[:n], hk, out=dcs[:n])
             dc *= e
             dc -= 1.0 / g
             dc *= c
         np.maximum(c, pi, out=c)
         if tangent:
-            dc *= c > pi
+            dc *= np.greater(c, pi, out=floor[:n])
         yield k, c, hk, dc
         # habit_euler_step on the rows with a step left, whose eta * dt
         # check ran in _require_stable_step
         nxt = counts[k + 1]
-        step = c[:nxt] - hk[:nxt]
+        step = np.subtract(c[:nxt], hk[:nxt], out=scratch[:nxt])
         step *= eta
         step *= dt
         hk[:nxt] += step
         if tangent:
             # the tangent of the same linear step
-            step = dc[:nxt] - dh[:nxt]
+            np.subtract(dc[:nxt], dh[:nxt], out=step)
             step *= eta * dt
             dh[:nxt] += step
 
@@ -519,10 +524,9 @@ class _Density:
         zeta_t = self._steps
 
         def blocks(chunk):
-            most = max(rows.stop - rows.start for rows in chunk)
-            buf = np.empty((most, zeta_t.shape[0]))
+            work = _Workspace()
             for rows in chunk:
-                zeta = buf[: rows.stop - rows.start]
+                zeta = work.take("zeta", (rows.stop - rows.start, zeta_t.shape[0]))
                 np.copyto(zeta, zeta_t[:, rows].T)
                 yield rows, zeta
 
@@ -586,18 +590,19 @@ def _euler_costs(params, alpha, dt, zeta_t, anchors, states, delta):
         # the paths of the blocks, a run of columns: each step's slice of
         # zeta_t is still contiguous
         cols = slice(blocks[0].start, blocks[-1].stop)
+        terms = np.empty((len(rows), cols.stop - cols.start))
         for k, c, _, dc in _euler_stream(
             params, alpha, dt, zeta_t[:, cols], anchors, rows, delta
         ):
             live = c.shape[0]
-            # (wgt_k (c - pi)) zeta_k in this order, on one temporary; dc is
-            # read again by the stream, so it is not scaled in place
-            term = c - pi
+            # (wgt_k (c - pi)) zeta_k in this order, in the leading rows of
+            # terms; dc is read again by the stream, so it is not scaled in place
+            term = np.subtract(c, pi, out=terms[:live])
             term *= wgt[:live, k, None]
             term *= zeta_t[k, cols]
             cost[:live, cols] += term
             if delta:
-                term = dc * wgt[:live, k, None]
+                np.multiply(dc, wgt[:live, k, None], out=term)
                 term *= zeta_t[k, cols]
                 tangent[:live, cols] += term
 
@@ -629,10 +634,14 @@ def _euler_controls(params, zeta_t, anchors):
 
     def sweep(blocks):
         cols = slice(blocks[0].start, blocks[-1].stop)
+        term = np.empty(cols.stop - cols.start)
+        scaled = np.empty((len(order), term.shape[0]))
         for k, live in enumerate(counts):
             z = zeta_t[k, cols]
-            term = z * z ** (-1.0 / params.market.gamma)
-            xs[:live, cols] += scale[:live, k, None] * term
+            np.power(z, -1.0 / params.market.gamma, out=term)
+            np.multiply(z, term, out=term)
+            np.multiply(scale[:live, k, None], term, out=scaled[:live])
+            xs[:live, cols] += scaled[:live]
 
     _in_threads(zeta_t.shape[1], sweep)
     return xs[np.argsort(order)]
@@ -734,10 +743,10 @@ class _CostFunctional:
         p = self.params
         out = np.empty((2, len(states), self._density.shape[0]))
 
-        def fill(rows, j, kernel, terms):
+        def fill(rows, j, kernel, terms, work):
             for r, (at, y, h) in enumerate(states):
                 if at == j:
-                    out[:, r, rows] = _price_rows(p, alpha, y, h, kernel, terms)
+                    out[:, r, rows] = _price_rows(p, alpha, y, h, kernel, terms, work)
 
         if self._kept is None:
             # the first call, or any on the power form, whose blocks price
@@ -746,7 +755,7 @@ class _CostFunctional:
             self._x = _pair_average(xs, self._antithetic)
         if self._kept is not None:
             for j, terms in enumerate(self._kept):
-                fill(slice(None), j, None, terms)
+                fill(slice(None), j, None, terms, None)
         return out
 
 

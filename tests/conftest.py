@@ -125,7 +125,7 @@ def anchor_pass_terms(params, times, zeta):
     """
     kernel, wz = np.empty_like(zeta), np.empty_like(zeta)
 
-    def store(rows, _, block_kernel, block_wz):
+    def store(rows, _, block_kernel, block_wz, _work):
         kernel[rows], wz[rows] = block_kernel, block_wz
 
     density = _Density(zeta)

@@ -315,7 +315,7 @@ class TestPolicySurface:
     def test_bad_grid_inputs_are_rejected(self):
         market = MarketParams()
         for t in (math.nan, math.inf, -1.0):
-            with pytest.raises(ValueError, match="t must be finite and non-negative"):
+            with pytest.raises(ValueError, match="t must be non-negative and finite"):
                 default_zeta_grid(t, market)
         for spread in (math.nan, math.inf):
             with pytest.raises(ValueError, match="spread must be finite"):

@@ -220,6 +220,14 @@ def test_every_private_default_is_set():
     assert not unset, f"no call in src/ sets {unset}"
 
 
+def test_source_stays_under_the_line_cap():
+    # src/ is capped at 3000 lines, so a change that overruns it fails here
+    # and in the CI workflow that runs this suite
+    paths = sorted(Path(greedyhabit.__file__).parent.glob("*.py"))
+    lines = sum(len(path.read_text().splitlines()) for path in paths)
+    assert lines <= 3000, f"src/greedyhabit has {lines} lines, over the cap of 3000"
+
+
 def test_one_block_source():
     # the seeding and the closed form's block pass each have one call
     # site in src/, so a second, forked copy of either fails here

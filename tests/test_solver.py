@@ -1146,6 +1146,42 @@ class TestRowBlocks:
         assert not any(isinstance(x, np.ndarray) for x in vars(sol).values())
 
 
+class TestWorkspaces:
+    """Every thread chunk writes its blocks, anchors and steps into buffers
+    it allocates once, so no price may read what another state, anchor,
+    block, call or chunk left there: two alphas in turn on one functional
+    equal fresh functionals that each price one state, bit for bit."""
+
+    GRID = TimeGrid(30.0, 0.25)
+    # 138 streams: row blocks of 64, 64 and a last one of 10, each mirrored
+    N_PATHS = 276
+    # anchors at t = 0, 10 and 20, in no order of length
+    STATES = [(1, 1.3, 0.8), (0, 0.4, 1.1), (1, 2.0, 0.5), (2, 0.9, 1.2), (0, 1.0, 1.0)]
+
+    def functional(self, params):
+        times = self.GRID.times()
+        anchors = [times[40:], times, times[80:]]
+        stream = _Stream(params.market, self.GRID, self.N_PATHS, 3, True, (1,))
+        return _CostFunctional(params, anchors, _Density(stream), self.GRID.dt, True)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "params",
+        [POWER_FORM, make_params(eta=0.1, pension=0.5)],
+        ids=["power-form", "euler"],
+    )
+    def test_no_buffer_is_stale_or_shared(self, monkeypatch, params, workers):
+        assert greedyhabit.market.ROW_BLOCK == 64
+        monkeypatch.setattr(greedyhabit.market, "WORKERS", workers)
+        shared = self.functional(params)
+        for alpha in (2.9, 0.7):
+            priced = shared.price(alpha, self.STATES, delta=True)
+            for state, got in zip(self.STATES, priced):
+                [want] = self.functional(params).price(alpha, [state], delta=True)
+                for a, b in zip(got, want):
+                    assert np.array_equal(a, b), (alpha, state)
+
+
 class TestCalibrationMemory:
     """Peak traced memory of a calibration, in full (paths x times) arrays.
 
@@ -1157,8 +1193,7 @@ class TestCalibrationMemory:
         grid=TimeGrid(60.0, 0.05), n_paths=2000, seed=5, antithetic=True
     )
 
-    def assert_peak(self, monkeypatch, params, bound, config=CONFIG):
-        full = config.n_paths * (config.grid.n_steps + 1) * 8
+    def peaks(self, monkeypatch, params, config):
         for workers in (1, 2):
             monkeypatch.setattr(greedyhabit.market, "WORKERS", workers)
             tracemalloc.start()
@@ -1167,6 +1202,11 @@ class TestCalibrationMemory:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
+            yield workers, peak
+
+    def assert_peak(self, monkeypatch, params, bound, config=CONFIG):
+        full = config.n_paths * (config.grid.n_steps + 1) * 8
+        for workers, peak in self.peaks(monkeypatch, params, config):
             assert peak <= bound * full, workers
 
     @pytest.mark.parametrize("pension", [0.0, 0.5])
@@ -1198,6 +1238,19 @@ class TestCalibrationMemory:
         # next, so the peak is a few blocks per worker at any path count
         config = dataclasses.replace(self.CONFIG, n_paths=8000)
         self.assert_peak(monkeypatch, make_params(eta=eta), 0.35, config)
+
+    @pytest.mark.parametrize("n_paths", [2000, 8000])
+    def test_streamed_peak_per_worker_in_blocks(self, monkeypatch, n_paths):
+        # a chunk holds a block of streams and its mirror (5 ROW_BLOCK x
+        # n_times blocks with dw) and one workspace (log_z, k, kernel and
+        # temp, 4 more) whatever the path count: 9.3-9.9 blocks per worker
+        # (10.3-11.9 when every block made its temporaries afresh).  A
+        # first draw imports numpy.random, so one is made before tracing
+        generate_paths(MarketParams(), TimeGrid(1.0, 0.5), 2)
+        config = dataclasses.replace(self.CONFIG, n_paths=n_paths)
+        block = greedyhabit.market.ROW_BLOCK * (config.grid.n_steps + 1) * 8
+        for workers, peak in self.peaks(monkeypatch, make_params(eta=0.1), config):
+            assert peak <= 10.25 * workers * block, (workers, peak / block)
 
 
 class TestKernelMoments:
