@@ -43,7 +43,7 @@ from typing import List, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .market import DEFAULT_SEED, MarketParams, TimeGrid, _Stream
-from .market import _require_nonnegative, _require_positive
+from .market import _require_nonnegative, _require_positive, _require_seed
 from .solver import (
     BudgetEstimate,
     ModelParams,
@@ -91,6 +91,21 @@ class NestedConfig:
 
     def __post_init__(self) -> None:
         _require_two_samples("n_inner", self.n_inner, self.antithetic)
+        _require_seed("NestedConfig.seed", self.seed)
+
+    def _density(self, market: MarketParams) -> _Density:
+        """The inner density, restarted at 1, from the streams of spawn key ``(1,)``.
+
+        It is drawn on the full grid; an evaluation anchored at grid index
+        k0 reads its leading n_steps - k0 steps, which equal the density
+        built from the leading increments alone (cumulative sum, time grid
+        and exponential are prefix-stable).  Sharing the leading block
+        across anchor times makes repeated estimates along a lifetime
+        co-monotone (common random numbers in t as well as in the state).
+        """
+        return _Density(
+            _Stream(market, self.grid, self.n_inner, self.seed, self.antithetic, (1,))
+        )
 
 
 class ThetaEstimate(NamedTuple):
@@ -129,60 +144,31 @@ def _horizon_steps(grid: TimeGrid, t: float) -> int:
     return m
 
 
-class _InnerPaths:
-    """Reusable inner density paths for nested simulations.
+def _nested_costs(
+    states, alpha: float, params: ModelParams, config: NestedConfig, density=None
+):
+    """Per-sample G, y * dG/dy and control at every state (t, y, h), in one pass.
 
-    The density restarted at 1 is drawn on the full grid from the stream
-    of spawn key ``(1,)``; an evaluation anchored at grid index k0 reads
-    its leading n_steps - k0 steps, which equal the density built from
-    the leading increments alone (cumulative sum, time grid and
-    exponential are prefix-stable).  Sharing the leading block across
-    anchor times makes repeated estimates along a lifetime co-monotone
-    (common random numbers in t as well as in the state).
-
-    :meth:`price` prices a whole list of states in one pass, and every
-    state of a run is known before it prices: each call runs calibration's
-    pricer, ``solver._CostFunctional``, with one anchor per distinct time,
-    on one ``solver._Density`` of the stream, which decides how it is read
-    and is shared by every call.  The paths belong to one market, and
-    :meth:`price` rejects model parameters with another.
+    One (samples, deltas, x, mean_x) per state, in order, as
+    ``solver._CostFunctional.price`` returns them, on ``density`` or a new
+    ``config._density``; alpha and every state are checked before any draw.
     """
-
-    def __init__(self, market: MarketParams, config: NestedConfig):
-        self.config = config
-        self.market = market
-        stream = _Stream(
-            market, config.grid, config.n_inner, config.seed, config.antithetic, (1,)
-        )
-        self._density = _Density(stream)
-
-    def price(self, states, alpha: float, params: ModelParams):
-        """Per-sample G, y * dG/dy and control at every state (t, y, h), in one pass.
-
-        One (samples, deltas, x, mean_x) tuple per state, in order, as
-        ``solver._CostFunctional.price`` returns them; alpha and every
-        state are checked before any inner path is drawn.
-        """
-        if params.market != self.market:
+    grid = config.grid
+    _require_stable_step(params, grid.dt)
+    _require_positive("alpha", alpha)
+    for _, y, h in states:
+        if not (0.0 < y < math.inf and 0.0 < h < math.inf):
             raise ValueError(
-                f"inner paths were built for {self.market}, not {params.market}"
+                f"zeta={y} and habit_level={h} must be positive and finite"
             )
-        grid = self.config.grid
-        _require_stable_step(params, grid.dt)
-        _require_positive("alpha", alpha)
-        for _, y, h in states:
-            if not (0.0 < y < math.inf and 0.0 < h < math.inf):
-                raise ValueError(
-                    f"zeta={y} and habit_level={h} must be positive and finite"
-                )
-        if not states:
-            return []
-        starts = list(dict.fromkeys(t for t, _, _ in states))
-        times = [t + np.arange(_horizon_steps(grid, t) + 1) * grid.dt for t in starts]
-        rows = [(starts.index(t), y, h) for t, y, h in states]
-        return _CostFunctional(
-            params, times, self._density, grid.dt, self.config.antithetic
-        ).price(alpha, rows, True)
+    if not states:
+        return []
+    starts = list(dict.fromkeys(t for t, _, _ in states))
+    times = [t + np.arange(_horizon_steps(grid, t) + 1) * grid.dt for t in starts]
+    rows = [(starts.index(t), y, h) for t, y, h in states]
+    density = density or config._density(params.market)
+    cost = _CostFunctional(params, times, density, grid.dt, config.antithetic)
+    return cost.price(alpha, rows, True)
 
 
 def _ratio_theta(f0, u, kappa_sig, x=None, mean_x=0.0):
@@ -210,18 +196,13 @@ def _ratio_theta(f0, u, kappa_sig, x=None, mean_x=0.0):
 
 
 def _allocations(
-    states, alpha: float, params: ModelParams, config: NestedConfig, inner=None
+    states, alpha: float, params: ModelParams, config: NestedConfig, density=None
 ) -> List[ThetaEstimate]:
-    """:func:`allocation_at` at every state (t, zeta, H), from one pass.
-
-    The pass runs over ``inner``, or over new inner paths from ``config``.
-    """
+    """:func:`allocation_at` at every state (t, zeta, H), from one pass."""
     kappa_sig = params.market.kappa / params.market.sigma
     return [
         _ratio_theta(f0, u, kappa_sig, *control)
-        for f0, u, *control in (inner or _InnerPaths(params.market, config)).price(
-            states, alpha, params
-        )
+        for f0, u, *control in _nested_costs(states, alpha, params, config, density)
     ]
 
 

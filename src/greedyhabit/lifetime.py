@@ -31,9 +31,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .allocation import NestedConfig, _allocations, _horizon_steps, _InnerPaths
+from .allocation import NestedConfig, _allocations, _horizon_steps
 from .habit import habit_euler_step
-from .market import PathBundle, TimeGrid, _density_paths, _Stream, generate_paths
+from .market import PathBundle, TimeGrid, _density_paths, generate_paths
 from .solver import (
     CalibrationConfig,
     CalibrationError,
@@ -116,7 +116,7 @@ def simulate_lifetime(
     dt: float = 0.05,
     theta_refresh: float = 0.25,
     nested: NestedConfig = NestedConfig(),
-    _inner: Optional[_InnerPaths] = None,
+    _inner: Optional[_Density] = None,
 ) -> LifetimeRecord:
     """Simulate one lifetime under the calibrated rule.
 
@@ -232,23 +232,6 @@ def simulate_lifetime(
     )
 
 
-def _calibrate_legs(
-    params: ModelParams, legs: List[ModelParams], config: CalibrationConfig
-) -> List[float]:
-    """Each leg's alpha on one ``solver._Density`` of the calibration density.
-
-    With a pension in any leg its step-major copy is written first, so
-    every leg reads that one draw.  It is freed on return, before any record.
-    """
-    stream = _Stream(
-        params.market, config.grid, config.n_paths, config.seed, config.antithetic, ()
-    )
-    density = _Density(stream)
-    if any(p.pension != 0.0 for p in legs):
-        density.steps
-    return [calibrate_alpha(p, config, _density=density).alpha for p in legs]
-
-
 def pension_sweep(
     params: ModelParams,
     pensions: Sequence[float],
@@ -283,22 +266,21 @@ def pension_sweep(
     # reject bad record arguments and pensions before any pricing
     _refresh_plan(params.habit.eta, horizon, dt, theta_refresh, nested)
     legs = [dataclasses.replace(params, pension=float(p)) for p in pensions]
+    euler = any(p.pension != 0.0 for p in legs)
     if alphas is None:
-        alphas = _calibrate_legs(params, legs, calibration)
+        density = calibration._density(params.market)
+        if euler:
+            density.steps
+        alphas = [calibrate_alpha(p, calibration, _density=density).alpha for p in legs]
+        del density  # freed before the first record allocates its own
     # the inner density depends on the market only, so every record shares it
-    inner = _InnerPaths(params.market, nested)
-    if any(p.pension != 0.0 for p in legs):
-        inner._density.steps
+    inner = nested._density(params.market)
+    if euler:
+        inner.steps
     return [
         simulate_lifetime(
-            p,
-            float(alpha),
-            scenario_seed=scenario_seed,
-            horizon=horizon,
-            dt=dt,
-            theta_refresh=theta_refresh,
-            nested=nested,
-            _inner=inner,
+            p, float(alpha), scenario_seed=scenario_seed, horizon=horizon, dt=dt,
+            theta_refresh=theta_refresh, nested=nested, _inner=inner,
         )
         for p, alpha in zip(legs, alphas)
     ]

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import contextvars
 import math
+import operator
 import os
 import threading
 from dataclasses import dataclass, fields
@@ -72,6 +73,16 @@ def _require_sign(name, value, above, sign):
     if not np.all(above(value, 0.0) & (value < math.inf)):  # a NaN fails too
         got = f", got {value}" if value.ndim == 0 else ""  # never a whole array
         raise ValueError(f"{name} must be {sign} and finite{got}")
+
+
+def _require_seed(name: str, value) -> None:
+    """Reject a seed that is not a non-negative integer; a bool is not one."""
+    try:
+        ok = not isinstance(value, bool) and operator.index(value) >= 0
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -58,7 +58,7 @@ from greedyhabit import (
     solve_paths,
 )
 
-from greedyhabit.allocation import _allocations, _InnerPaths
+from greedyhabit.allocation import _allocations, _nested_costs
 from conftest import CAL_GRID, CAL_SEED, central_theta, euler_at_zero, make_params
 
 ETAS = (0.01, 0.1, 1.0)
@@ -423,12 +423,14 @@ def test_sensitivity_robustness(calibrated):
     params, _, sol = calibrated(0.1)
     state = (10.0, 1.0, 1.0)
     nested = NestedConfig(n_inner=5000, seed=77, grid=CAL_GRID, antithetic=True)
-    inner = _InnerPaths(params.market, nested)
+    inner = nested._density(params.market)
     [base] = _allocations([state], sol.alpha, params, nested, inner)
     kappa_sig = params.market.kappa / params.market.sigma
     central = [
         central_theta(
-            lambda y: inner.price([(state[0], y, state[2])], sol.alpha, params)[0][0],
+            lambda y: _nested_costs(
+                [(state[0], y, state[2])], sol.alpha, params, nested, inner
+            )[0][0],
             state[1],
             bump,
             kappa_sig,

@@ -30,7 +30,7 @@ from greedyhabit import (
     policy_surface,
 )
 import greedyhabit.market
-from greedyhabit.allocation import _allocations, _InnerPaths, _ratio_theta
+from greedyhabit.allocation import _allocations, _nested_costs, _ratio_theta
 from greedyhabit.market import _density_paths, _fill_normals
 from greedyhabit.solver import _CostFunctional, _Density, _estimate_from_samples
 from conftest import (
@@ -74,7 +74,7 @@ class TestWealth:
         # wealth at pi = 0
         params = make_params(eta=0.1)
         cfg = config()
-        inner = _InnerPaths(params.market, cfg)
+        inner = cfg._density(params.market)
         for t, zeta, h in [(0.0, 1.0, 1.0), (10.0, 0.8, 1.1), (25.0, 1.6, 0.9)]:
             [f] = _allocations([(t, 1.0, zeta * h)], ALPHA, params, cfg, inner)
             [g] = _allocations([(t, zeta, h)], ALPHA, euler_at_zero(params), cfg, inner)
@@ -146,11 +146,13 @@ class TestAllocation:
         # plain means of F's samples
         params = make_params(eta=0.1)
         cfg = config(4000)
-        inner = _InnerPaths(params.market, cfg)
+        inner = cfg._density(params.market)
         b, ks = 1e-3, params.market.kappa / params.market.sigma
         for t, zeta, h in [(0.0, 1.0, 1.0), (10.0, 0.5, 1.2), (20.0, 2.0, 0.9)]:
             f0, f_up, f_dn = (
-                inner.price([(t, 1.0, zeta * h * s)], ALPHA, params)[0][0].mean()
+                _nested_costs(
+                    [(t, 1.0, zeta * h * s)], ALPHA, params, cfg, inner
+                )[0][0].mean()
                 for s in (1.0, 1.0 + b, 1.0 - b)
             )
             expected = ks * (1.0 - (f_up - f_dn) / (2.0 * b * f0))
@@ -162,12 +164,14 @@ class TestAllocation:
         # the pathwise estimate, their limit as the bump goes to 0
         params = make_params(eta=0.1)
         cfg = config(3000)
-        inner = _InnerPaths(params.market, cfg)
+        inner = cfg._density(params.market)
         [est] = _allocations([(10.0, 1.0, 1.0)], ALPHA, params, cfg, inner)
         ks = params.market.kappa / params.market.sigma
         for bump in (1e-3, 5e-4):
             central = central_theta(
-                lambda y: inner.price([(10.0, y, 1.0)], ALPHA, params)[0][0],
+                lambda y: _nested_costs(
+                    [(10.0, y, 1.0)], ALPHA, params, cfg, inner
+                )[0][0],
                 1.0,
                 bump,
                 ks,
@@ -242,8 +246,8 @@ class TestStateEvaluation:
         assert drawn == []
 
     def test_theta_wealth_is_the_plain_estimate(self):
-        [(f0, u, x, mean_x)] = _InnerPaths(MarketParams(), config(400)).price(
-            [(10.0, 0.8, 1.1)], ALPHA, make_params(eta=0.1)
+        [(f0, u, x, mean_x)] = _nested_costs(
+            [(10.0, 0.8, 1.1)], ALPHA, make_params(eta=0.1), config(400)
         )
         est = _ratio_theta(f0, u, 0.5)
         assert est.reliable
@@ -265,15 +269,16 @@ class TestPathwiseTheta:
         market = MarketParams(gamma=gamma)
         params = ModelParams(market=market, habit=HabitParams(eta=0.0))
         alpha = merton_alpha(10.0, market, GompertzParams())
-        inner = _InnerPaths(market, config(2000))
+        cfg = config(2000)
+        inner = cfg._density(market)
         for t, zeta in [(0.0, 1.0), (10.0, 0.5), (30.0, 2.0)]:
-            [est] = _allocations([(t, zeta, 1.0)], alpha, params, config(2000), inner)
+            [est] = _allocations([(t, zeta, 1.0)], alpha, params, cfg, inner)
             assert abs(est.value - merton_theta(market)) < 1e-12
 
     def test_agrees_with_central_difference_where_the_floor_binds(self):
         params = make_params(eta=0.1, pension=0.5)
         cfg = config(2000)
-        inner = _InnerPaths(params.market, cfg)
+        inner = cfg._density(params.market)
         zeta = inner_density(params.market, cfg)
         ks = params.market.kappa / params.market.sigma
         for t, y in [(0.0, 1.0), (10.0, 3.0), (19.0, 0.3)]:
@@ -285,11 +290,13 @@ class TestPathwiseTheta:
             assert 0.0 < np.mean(consumption == params.pension) < 1.0
             [a] = _allocations([(t, y, 1.0)], ALPHA, params, cfg, inner)
             b = central_theta(
-                lambda level: inner.price([(t, level, 1.0)], ALPHA, params)[0][0],
+                lambda level: _nested_costs(
+                    [(t, level, 1.0)], ALPHA, params, cfg, inner
+                )[0][0],
                 y,
                 1e-3,
                 ks,
-                *inner.price([(t, y, 1.0)], ALPHA, params)[0][2:],
+                *_nested_costs([(t, y, 1.0)], ALPHA, params, cfg, inner)[0][2:],
             )
             assert a.wealth == b.wealth
             assert abs(a.value - b.value) < 2.0 * a.std_error, (t, y)
@@ -387,11 +394,11 @@ class TestSharedInnerPaths:
             params = dataclasses.replace(
                 make_params(eta=eta), market=MarketParams(gamma=gamma)
             )
-            inner = _InnerPaths(params.market, cfg)
+            inner = cfg._density(params.market)
             full = inner_density(params.market, cfg)
             states = [(t, 0.8, 1.1) for t in starts]
             batch = [
-                (branch, inner.price(states, ALPHA, branch))
+                (branch, _nested_costs(states, ALPHA, branch, cfg, inner))
                 for branch in (params, euler_at_zero(params))
             ]
             for i, t in enumerate(starts):
@@ -432,7 +439,7 @@ class TestSharedInnerPaths:
 
     def test_pension_switch_invalidates_functional(self):
         cfg = config(400)
-        inner = _InnerPaths(MarketParams(), cfg)
+        inner = cfg._density(MarketParams())
         for pension in (0.0, 0.5, 0.0):
             params = make_params(eta=0.1, pension=pension)
             [shared] = _allocations([(10.0, 0.8, 1.1)], ALPHA, params, cfg, inner)
@@ -446,7 +453,7 @@ class TestSharedInnerPaths:
         params = make_params(eta=0.1, pension=0.5)
         cfg = config(400)
         zeta = inner_density(params.market, cfg)
-        inner = _InnerPaths(params.market, cfg) if shared else None
+        inner = cfg._density(params.market) if shared else None
         state = 0.8, 1.1
         for t in (0.0, 30.0, GRID.t_max - GRID.dt):
             m = GRID.n_steps - GRID.index_of(t)
@@ -472,17 +479,17 @@ class TestSharedInnerPaths:
 
     def test_step_major_copy_is_built_once_and_only_for_euler(self):
         cfg = config(200)
-        inner = _InnerPaths(MarketParams(), cfg)
+        inner = cfg._density(MarketParams())
         plain = make_params(eta=0.1)
-        inner.price([(10.0, 1.0, 1.0)], ALPHA, plain)
+        _nested_costs([(10.0, 1.0, 1.0)], ALPHA, plain, cfg, inner)
         _allocations([(20.0, 0.8, 1.1)], ALPHA, plain, cfg, inner)
-        assert inner._density._steps is None
+        assert inner._steps is None
         pension = make_params(eta=0.1, pension=0.5)
         _allocations([(0.0, 0.8, 1.1)], ALPHA, pension, cfg, inner)
-        copy = inner._density.steps
+        copy = inner.steps
         for t in (10.0, 30.0):
-            inner.price([(t, 0.8, 1.1)], ALPHA, pension)
-            assert inner._density.steps is copy
+            _nested_costs([(t, 0.8, 1.1)], ALPHA, pension, cfg, inner)
+            assert inner.steps is copy
 
     def test_euler_powers_are_prefixes_of_one_array(self):
         # every anchor's sweep takes zeta^(-1/g) per step from the leading
@@ -490,14 +497,16 @@ class TestSharedInnerPaths:
         # that the path-major oracle takes on the whole density
         cfg = config(200)
         params = make_params(eta=0.1, pension=0.5)
-        inner = _InnerPaths(params.market, cfg)
+        inner = cfg._density(params.market)
         zeta = inner_density(params.market, cfg)
         half = zeta.shape[0] // 2
         base = None
         for t in (0.0, 10.0, 30.0):
-            [(cost, delta, _, _)] = inner.price([(t, 0.8, 1.1)], ALPHA, params)
-            base = base if base is not None else inner._density.steps
-            assert inner._density.steps is base
+            [(cost, delta, _, _)] = _nested_costs(
+                [(t, 0.8, 1.1)], ALPHA, params, cfg, inner
+            )
+            base = base if base is not None else inner.steps
+            assert inner.steps is base
             m = GRID.n_steps - GRID.index_of(t)
             times = t + np.arange(m + 1) * GRID.dt
             want, _, _, want_delta = reference_euler(
@@ -506,13 +515,6 @@ class TestSharedInnerPaths:
             assert np.array_equal(cost, 0.5 * (want[:half] + want[half:]))
             assert np.array_equal(delta, 0.5 * (want_delta[:half] + want_delta[half:]))
         assert np.array_equal(base, zeta.T)
-
-    def test_other_market_is_rejected(self):
-        inner = _InnerPaths(MarketParams(), config(200))
-        other = ModelParams(market=MarketParams(r=0.03))
-        for branch in (other, euler_at_zero(other)):
-            with pytest.raises(ValueError, match="inner paths were built for"):
-                inner.price([(10.0, 1.0, 1.0)], ALPHA, branch)
 
     def test_two_dimensional_grid_matches_per_time_calls(self):
         params = make_params(eta=0.1)
@@ -563,20 +565,19 @@ class TestBatchedStates:
         monkeypatch.setattr(greedyhabit.market, "ROW_BLOCK", 10)
         monkeypatch.setattr(greedyhabit.market, "WORKERS", 1)
         alone = [
-            _InnerPaths(params.market, cfg).price([state], ALPHA, params)[0]
-            for state in self.STATES
+            _nested_costs([state], ALPHA, params, cfg)[0] for state in self.STATES
         ]
         for workers in (1, 2, 3):
             monkeypatch.setattr(greedyhabit.market, "WORKERS", workers)
-            inner = _InnerPaths(params.market, cfg)
-            batch = inner.price(self.STATES, ALPHA, params)
+            inner = cfg._density(params.market)
+            batch = _nested_costs(self.STATES, ALPHA, params, cfg, inner)
             assert len(batch) == len(self.STATES)
             for state, got, want in zip(self.STATES, batch, alone):
                 assert all(np.array_equal(a, b) for a, b in zip(got, want)), (
                     workers,
                     state,
                 )
-        assert inner.price([], ALPHA, params) == []
+        assert _nested_costs([], ALPHA, params, cfg, inner) == []
         estimates = _allocations(self.STATES, ALPHA, params, cfg, inner)
         ks = params.market.kappa / params.market.sigma
         for est, (f0, u, x, mean_x) in zip(estimates, alone):
@@ -652,10 +653,10 @@ class TestBatchedStates:
         ]
         for workers in (1, 2):
             monkeypatch.setattr(greedyhabit.market, "WORKERS", workers)
-            inner = _InnerPaths(params.market, cfg)
+            inner = cfg._density(params.market)
             tracemalloc.start()
             try:
-                inner.price(states, ALPHA, params)
+                _nested_costs(states, ALPHA, params, cfg, inner)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -671,10 +672,10 @@ class TestBatchedStates:
         states = [(t, 1.0, 1.0) for t in (0.0, 10.0, 20.0, 30.0)]
         for workers in (1, 2):
             monkeypatch.setattr(greedyhabit.market, "WORKERS", workers)
-            inner = _InnerPaths(params.market, cfg)
+            inner = cfg._density(params.market)
             tracemalloc.start()
             try:
-                inner.price(states, ALPHA, params)
+                _nested_costs(states, ALPHA, params, cfg, inner)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

@@ -34,7 +34,7 @@ from greedyhabit import (
     simulate_lifetime,
     solve_paths,
 )
-from greedyhabit.allocation import _allocations, _InnerPaths
+from greedyhabit.allocation import _allocations
 from conftest import make_params
 
 GRID = TimeGrid(60.0, 0.05)
@@ -190,7 +190,7 @@ class TestNestedTrack:
         params = make_params(eta=0.1, pension=pension)
         alpha = ALPHA_BY_PENSION[pension]
         config = nested(1500)
-        inner = _InnerPaths(params.market, config)
+        inner = config._density(params.market)
         rec = simulate_lifetime(
             params,
             alpha,
@@ -318,7 +318,7 @@ class TestPensionSweep:
             nested=nested(800),
         )
         built, drawn = [], []
-        real = greedyhabit.lifetime._InnerPaths
+        real = NestedConfig._density
         real_fill = greedyhabit.market._fill_normals
 
         def counted(*args):
@@ -329,7 +329,7 @@ class TestPensionSweep:
             drawn.extend(rows if key == (1,) else [])
             return real_fill(out, seed, key, rows)
 
-        monkeypatch.setattr(greedyhabit.lifetime, "_InnerPaths", counted)
+        monkeypatch.setattr(NestedConfig, "_density", counted)
         monkeypatch.setattr(greedyhabit.market, "_fill_normals", fill)
         sweep = pension_sweep(params, pensions, alphas=alphas, **kwargs)
         assert len(built) == 1
@@ -430,8 +430,9 @@ class TestPensionSweep:
         def priced(*args, **kwargs):
             raise AssertionError("priced before the pensions were checked")
 
-        for name in ("calibrate_alpha", "simulate_lifetime", "_InnerPaths"):
+        for name in ("calibrate_alpha", "simulate_lifetime"):
             monkeypatch.setattr(greedyhabit.lifetime, name, priced)
+        monkeypatch.setattr(NestedConfig, "_density", priced)
         with pytest.raises(ValueError, match="pension"):
             pension_sweep(
                 make_params(), [0.0, bad], alphas=alphas, nested=nested(100)

@@ -7,8 +7,9 @@ skipped there, so its per-layer metrics would read zero instead of
 failing.  No import and no top-level private helper in ``src/`` is left
 unused, no parameter is left unread, no defaulted parameter of a
 private helper is left unset, the density's rows, the closed form's
-block pass and the Euler control pass each come from one place, and
-only ``solver._Density`` decides how a density is read.
+block pass and the Euler control pass each come from one place, each
+spawn key's streams are built in one place, and only ``solver._Density``
+decides how a density is read.
 """
 
 import ast
@@ -239,6 +240,39 @@ def test_one_block_source():
     )
     for name in ("_fill_normals", "_anchor_pass", "_euler_controls"):
         assert calls[name] == 1, f"{name} has {calls[name]} call sites in src/"
+
+
+def test_each_spawn_key_has_one_owner():
+    # a stream of rows is built only by generate_paths and by each config's
+    # _density, so spawn key () and key (1,) are each seeded in one place
+    # and a caller shares a density instead of drawing its own copy
+    owners = []
+    for tree in _source_trees():
+        calls = {
+            id(node)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and (getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+            == "_Stream"
+        }
+        scopes = [(fn.name, fn) for fn in tree.body if isinstance(fn, ast.FunctionDef)]
+        scopes += [
+            (f"{cls.name}.{fn.name}", fn)
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef)
+            for fn in cls.body
+            if isinstance(fn, ast.FunctionDef)
+        ]
+        for name, fn in scopes:
+            inside = {id(node) for node in ast.walk(fn)} & calls
+            owners += [name] * len(inside)
+            calls -= inside
+        owners += ["module level"] * len(calls)
+    assert sorted(owners) == [
+        "CalibrationConfig._density",
+        "NestedConfig._density",
+        "generate_paths",
+    ], f"_Stream is built in {sorted(owners)}"
 
 
 def test_only_the_density_branches_on_its_form():

@@ -38,7 +38,7 @@ from greedyhabit import (
 )
 import greedyhabit
 import greedyhabit.market
-from greedyhabit.allocation import _InnerPaths
+from greedyhabit.allocation import _nested_costs
 from greedyhabit.habit import bernoulli_kernel
 from greedyhabit.market import _Stream, log_survival_probability
 from greedyhabit.solver import (
@@ -491,6 +491,16 @@ class TestCalibration:
         with pytest.raises(ValueError):
             CalibrationConfig(max_iterations=0)
 
+    @pytest.mark.parametrize("config", [CalibrationConfig, NestedConfig])
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "7", None])
+    def test_bad_seed_is_rejected_by_name(self, config, seed):
+        # numpy would take True as seed 1, and reject the others only at
+        # the first draw, in a message naming neither the config nor the field
+        with pytest.raises(
+            ValueError, match=rf"^{config.__name__}\.seed must be a non-negative"
+        ):
+            config(seed=seed)
+
     @pytest.mark.parametrize(
         "build",
         [
@@ -812,10 +822,8 @@ class TestControlVariate:
         assert mean_x == control_mean(params, self.GRID.times())
         self.assert_mean(x, mean_x)
         # at a nested anchor the inner density restarts at 1
-        inner = _InnerPaths(
-            params.market, NestedConfig(n_inner=4000, seed=22, grid=self.GRID)
-        )
-        [(_, _, x, mean_x)] = inner.price([(20.0, 0.7, 1.2)], 2.9, params)
+        nested = NestedConfig(n_inner=4000, seed=22, grid=self.GRID)
+        [(_, _, x, mean_x)] = _nested_costs([(20.0, 0.7, 1.2)], 2.9, params, nested)
         times = 20.0 + np.arange(self.GRID.n_steps - 199) * self.GRID.dt
         assert mean_x == _anchor_terms(params, times)[-1]
         assert mean_x == pytest.approx(control_mean(params, times), rel=1e-14)
@@ -894,6 +902,21 @@ class TestCalibrationDensity:
         assert np.array_equal(density_rows(density), full.zeta)
         assert drawn == []
 
+    def test_each_config_draws_its_own_streams(self, market):
+        # the calibration density is generate_paths' at the config's seed
+        # and the inner one the streams of spawn key (1,); a numpy integer
+        # seed draws what the int does
+        grid = TimeGrid(10.0, 0.1)
+        full = generate_paths(market, grid, 130, seed=6, antithetic=True)
+        inner = inner_density(market, NestedConfig(n_inner=130, seed=6, grid=grid))
+        for seed in (6, np.int64(6)):
+            config = CalibrationConfig(
+                grid=grid, n_paths=130, seed=seed, antithetic=True
+            )
+            assert np.array_equal(density_rows(config._density(market)), full.zeta)
+            nested = NestedConfig(n_inner=130, seed=seed, grid=grid)
+            assert np.array_equal(density_rows(nested._density(market)), inner)
+
     @pytest.mark.parametrize("antithetic", [False, True])
     @pytest.mark.parametrize("eta", [0.0, 0.1])
     def test_streamed_calibration_equals_the_stored_one(self, eta, antithetic):
@@ -929,7 +952,7 @@ class TestCalibrationDensity:
         config = CalibrationConfig(
             grid=TimeGrid(60.0, 0.1), n_paths=1002, seed=6, antithetic=True
         )
-        density = _Density(_Stream(params.market, config.grid, 1002, 6, True, ()))
+        density = config._density(params.market)
         density.steps
         shared = calibrate_alpha(params, config, _density=density)
         stored = calibrate_alpha(
@@ -975,8 +998,8 @@ class TestRowBlocks:
             out["weights", gamma] = anchor_pass_terms(
                 params, self.GRID.times(), bundle.zeta
             )[1]
-            priced = _InnerPaths(params.market, inner).price(
-                [(0.0, 1.3, 0.8), (10.0, 0.4, 1.1), (0.0, 2.0, 0.5)], 2.9, params
+            priced = _nested_costs(
+                [(0.0, 1.3, 0.8), (10.0, 0.4, 1.1), (0.0, 2.0, 0.5)], 2.9, params, inner
             )
             out["nested", gamma] = np.array([np.hstack(row) for row in priced])
         params = make_params(eta=0.1)
@@ -1122,18 +1145,18 @@ class TestRowBlocks:
         for block, workers in ((n_paths + 1, 1), (7, 1), (7, 2), (7, 3), (1, 2)):
             monkeypatch.setattr(greedyhabit.market, "ROW_BLOCK", block)
             monkeypatch.setattr(greedyhabit.market, "WORKERS", workers)
-            inners = {g: _InnerPaths(MarketParams(gamma=g), config) for g in (2.5, 3.0)}
+            inners = {g: config._density(MarketParams(gamma=g)) for g in (2.5, 3.0)}
             # the closed forms stream, the Euler branch writes the
             # step-major copy, and the closed forms read it back
             for i in (0, 1, 2, 3, 4, 0, 1, 2):
                 p = branches[i]
-                got = inners[p.market.gamma].price(states, 2.9, p)
+                got = _nested_costs(states, 2.9, p, config, inners[p.market.gamma])
                 for r, (a, b) in enumerate(zip(got, expected[i])):
                     assert all(
                         x is y is None or np.array_equal(x, y) for x, y in zip(a, b)
                     ), (block, workers, i, r)
             for g, inner in inners.items():
-                assert np.array_equal(inner._density.steps, zeta.T), (
+                assert np.array_equal(inner.steps, zeta.T), (
                     block, workers, g,
                 )
 
@@ -1290,9 +1313,7 @@ class TestKernelMoments:
         def run():
             cost = _bundle_cost(params, bundle)
             kernel = anchor_pass_terms(params, self.GRID.times(), bundle.zeta)[0]
-            priced = _InnerPaths(params.market, nested).price(
-                self.STATES, 2.9, params
-            )
+            priced = _nested_costs(self.STATES, 2.9, params, nested)
             return kernel, cost.per_path(2.9, 1.3, 0.8, delta=True), priced
 
         kernel, moments, nested_moments = run()
