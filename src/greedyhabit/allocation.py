@@ -50,7 +50,6 @@ from .solver import (
     _CostFunctional,
     _Density,
     _estimate_from_samples,
-    _require_stable_step,
     _require_two_samples,
     consumption_with_pension,
 )
@@ -144,17 +143,14 @@ def _horizon_steps(grid: TimeGrid, t: float) -> int:
     return m
 
 
-def _nested_costs(
-    states, alpha: float, params: ModelParams, config: NestedConfig, density=None
-):
+def _nested_costs(states, alpha: float, params: ModelParams, density: _Density):
     """Per-sample G, y * dG/dy and control at every state (t, y, h), in one pass.
 
     One (samples, deltas, x, mean_x) per state, in order, as
-    ``solver._CostFunctional.price`` returns them, on ``density`` or a new
-    ``config._density``; alpha and every state are checked before any draw.
+    ``solver._CostFunctional.price`` returns them, on ``density``'s grid
+    and pairing; alpha and every state are checked before any draw.
     """
-    grid = config.grid
-    _require_stable_step(params, grid.dt)
+    grid = density.grid
     _require_positive("alpha", alpha)
     for _, y, h in states:
         if not (0.0 < y < math.inf and 0.0 < h < math.inf):
@@ -166,9 +162,7 @@ def _nested_costs(
     starts = list(dict.fromkeys(t for t, _, _ in states))
     times = [t + np.arange(_horizon_steps(grid, t) + 1) * grid.dt for t in starts]
     rows = [(starts.index(t), y, h) for t, y, h in states]
-    density = density or config._density(params.market)
-    cost = _CostFunctional(params, times, density, grid.dt, config.antithetic)
-    return cost.price(alpha, rows, True)
+    return _CostFunctional(params, times, density).price(alpha, rows, True)
 
 
 def _ratio_theta(f0, u, kappa_sig, x=None, mean_x=0.0):
@@ -196,13 +190,13 @@ def _ratio_theta(f0, u, kappa_sig, x=None, mean_x=0.0):
 
 
 def _allocations(
-    states, alpha: float, params: ModelParams, config: NestedConfig, density=None
+    states, alpha: float, params: ModelParams, density: _Density
 ) -> List[ThetaEstimate]:
     """:func:`allocation_at` at every state (t, zeta, H), from one pass."""
     kappa_sig = params.market.kappa / params.market.sigma
     return [
         _ratio_theta(f0, u, kappa_sig, *control)
-        for f0, u, *control in _nested_costs(states, alpha, params, config, density)
+        for f0, u, *control in _nested_costs(states, alpha, params, density)
     ]
 
 
@@ -215,7 +209,8 @@ def allocation_at(
     config: NestedConfig = NestedConfig(),
 ) -> ThetaEstimate:
     """Risky fraction at state (t, zeta, H) with its wealth estimate."""
-    return _allocations([(t, zeta, habit_level)], alpha, params, config)[0]
+    inner = config._density(params.market)
+    return _allocations([(t, zeta, habit_level)], alpha, params, inner)[0]
 
 
 def default_zeta_grid(
@@ -285,7 +280,8 @@ def policy_surface(
         for t, grid_z in zip(times, grids)
         for zeta in grid_z
     ]
-    estimates = iter(_allocations(states, alpha, params, config))
+    inner = config._density(params.market)
+    estimates = iter(_allocations(states, alpha, params, inner))
     rows: List[PolicyPoint] = []
     for t, grid_z in zip(times, grids):
         slice_rows = []

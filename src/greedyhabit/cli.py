@@ -402,7 +402,7 @@ def _cmd_merton_check(args: argparse.Namespace) -> int:
             alpha = merton_alpha(base.v, market, base.mortality, c_bar=h0, t_max=t_max)
             target = merton_theta(market)
             model = dataclasses.replace(frozen, market=market)
-            found = _allocations(states, alpha, model, cfg.nested)
+            found = _allocations(states, alpha, model, cfg.nested._density(market))
             miss = [abs(e.value - target) if e.reliable else math.inf for e in found]
             return alpha, target, found, max(miss)
 

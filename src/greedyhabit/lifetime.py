@@ -168,8 +168,7 @@ def simulate_lifetime(
         [(float(times[k]), float(zeta_path[k]), float(habit[k])) for k in refresh_idx],
         alpha,
         params,
-        nested,
-        _inner,
+        _inner or nested._density(params.market),
     )
     wealth_pts = np.array([est.wealth.value for est in estimates])
     wealth_se = np.array([est.wealth.std_error for est in estimates])

@@ -406,25 +406,26 @@ def _density_paths(
     """Brownian paths and state-price density from standard-normal increments.
 
     ``dw`` has one row per stream and one column per step of size ``dt``;
-    the paths start at w = 0, zeta = 1.  With ``antithetic`` the rows are
-    followed by their mirrors, built by negating the Brownian half-block
-    (negating a cumulative sum is exact).  Returns ``(w, zeta)``, written
-    into the pair of arrays ``out`` when it is given.
+    the paths start at w = 0, zeta = 1, and ``w`` holds the streams' rows.
+    With ``antithetic`` the density's rows are followed by their mirrors,
+    of Brownian paths -w, whose log density drift + kappa w is
+    drift - kappa (-w) bit for bit, as negation is exact.  Returns
+    ``(w, zeta)``, written into the pair of arrays ``out`` when given.
     """
     n_rows, n_steps = dw.shape
     shape = (2 * n_rows if antithetic else n_rows, n_steps + 1)
-    w, zeta = (np.empty(shape), np.empty(shape)) if out is None else out
-    w[:n_rows, 0] = 0.0
-    np.cumsum(dw, axis=1, out=w[:n_rows, 1:])
-    w[:n_rows, 1:] *= math.sqrt(dt)
-    if antithetic:
-        np.negative(w[:n_rows], out=w[n_rows:])
+    w, zeta = (np.empty((n_rows, n_steps + 1)), np.empty(shape)) if out is None else out
+    w[:, 0] = 0.0
+    np.cumsum(dw, axis=1, out=w[:, 1:])
+    w[:, 1:] *= math.sqrt(dt)
     kappa = market.kappa
-    times = np.arange(n_steps + 1) * dt
+    drift = -(market.r + 0.5 * kappa**2) * (np.arange(n_steps + 1) * dt)
     # log zeta, then zeta, on one array: each block's temporaries are
     # held once per thread
-    np.multiply(kappa, w, out=zeta)
-    np.subtract(-(market.r + 0.5 * kappa**2) * times, zeta, out=zeta)
+    np.multiply(kappa, w, out=zeta[:n_rows])
+    if antithetic:
+        np.add(drift, zeta[:n_rows], out=zeta[n_rows:])
+    np.subtract(drift, zeta[:n_rows], out=zeta[:n_rows])
     return w, np.exp(zeta, out=zeta)
 
 
@@ -436,8 +437,8 @@ class _Stream:
     spawn_key=key + (i,))))`` drawing ``standard_normal`` (the ziggurat
     method), reproduced a block at a time by :func:`_fill_normals`.  With
     ``antithetic`` the first ``n_paths / 2`` paths are streams and the rest
-    their mirrors.  ``shape`` is the density's; no array holds it unless a
-    caller of :meth:`chunks` writes the rows into one.
+    their mirrors.  No array holds the density unless a caller of
+    :meth:`chunks` writes the rows into one.
     """
 
     market: MarketParams
@@ -447,10 +448,6 @@ class _Stream:
     antithetic: bool
     key: tuple
 
-    @property
-    def shape(self) -> tuple:
-        return self.n_paths, self.grid.n_steps + 1
-
     def chunks(self, work) -> None:
         """Call ``work(blocks)`` on :func:`_in_threads` chunks of the streams.
 
@@ -458,11 +455,13 @@ class _Stream:
         streams: their Brownian paths and density from
         :func:`_density_paths`, and ``rows``, the slice of their places in
         the density.  With ``antithetic`` each block is followed by its
-        mirrors as a block of their own.  This is the one place that makes
-        density rows.  A chunk allocates its block arrays once and each
-        block overwrites them, so a yielded block is valid until the next
-        one is asked for; arrays made afresh for every block page-fault
-        again whenever the allocator has given their memory back.
+        mirrors as a block of their own, with ``w`` None: only
+        :func:`generate_paths` keeps w, the mirrors' as the streams'
+        negated.  This is the one place that makes density rows.  A chunk
+        allocates its block arrays once and each block overwrites them, so
+        a yielded block is valid until the next one is asked for; arrays
+        made afresh for every block page-fault again whenever the
+        allocator has given their memory back.
         """
         n_streams = self.n_paths // 2 if self.antithetic else self.n_paths
         steps = self.grid.n_steps
@@ -474,14 +473,14 @@ class _Stream:
                 n = hi - lo
                 dw = work.take("dw", (n, steps))
                 _fill_normals(dw, self.seed, self.key, range(lo, hi))
-                shape = (2, 2 * n if self.antithetic else n, steps + 1)
+                shape = (2 * n if self.antithetic else n, steps + 1)
                 w, zeta = _density_paths(
                     self.market, dw, self.grid.dt, self.antithetic,
-                    work.take("paths", shape),
+                    (work.take("w", (n, steps + 1)), work.take("zeta", shape)),
                 )
-                yield block, w[:n], zeta[:n]
+                yield block, w, zeta[:n]
                 if self.antithetic:
-                    yield slice(n_streams + lo, n_streams + hi), w[n:], zeta[n:]
+                    yield slice(n_streams + lo, n_streams + hi), None, zeta[n:]
 
         _in_threads(n_streams, lambda chunk: work(blocks(chunk)))
 
@@ -527,8 +526,12 @@ def generate_paths(
 
     def fill(blocks):
         for rows, w_blk, zeta_blk in blocks:
-            w[rows] = w_blk
+            if w_blk is not None:
+                w[rows] = w_blk
             zeta[rows] = zeta_blk
 
     _Stream(market, grid, n_paths, seed, antithetic, ()).chunks(fill)
+    if antithetic:
+        # the mirrors' Brownian paths, negated as their density was built
+        np.negative(w[: n_paths // 2], out=w[n_paths // 2 :])
     return PathBundle(grid, n_paths, seed, w, zeta, antithetic)

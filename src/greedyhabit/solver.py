@@ -488,14 +488,16 @@ class _Density:
 
     The one place that decides how a density is read.  ``source`` is a
     :class:`market._Stream`, whose row blocks are drawn as they are read,
-    or a stored path-major array, shape (n_paths, n_times).  Every way
-    gives each row the same bits.
+    or a :class:`PathBundle`, whose path-major rows it stores.  Either way
+    the density holds the source's ``grid`` and ``antithetic`` pairing,
+    and every way of reading it gives each row the same bits.
     """
 
     def __init__(self, source):
-        self.shape = source.shape
+        self.grid, self.antithetic = source.grid, source.antithetic
+        self.shape = source.n_paths, source.grid.n_steps + 1
         self._source = source
-        self._rows = source if isinstance(source, np.ndarray) else None
+        self._rows = source.zeta if isinstance(source, PathBundle) else None
         self._steps = None
         self._xs = {}
 
@@ -664,9 +666,10 @@ class _CostFunctional:
 
     The one pricer of the remaining cost: the budget is its value at
     (t = 0, zeta = 1, H0), and the nested wealth and the pathwise theta
-    its values at later states.  ``density`` is a :class:`_Density`, which
-    decides how its paths are read.  ``anchors`` are absolute time vectors
-    (step ``dt``), each reading the leading columns of the density
+    its values at later states, all read through :meth:`price`.
+    ``density`` is a :class:`_Density`, which decides how its paths are
+    read and gives their step and pairing.  ``anchors`` are absolute time
+    vectors on that step, each reading the leading columns of the density
     restarted at 1 at its first time, and a state is (anchor index, y, h).
     At pension 0 the closed form prices through the Bernoulli kernel in
     z = y * h; with a pension the Euler branch sweeps the density step-major,
@@ -677,23 +680,18 @@ class _CostFunctional:
     moments at a whole gamma - 1 (:func:`_moment_order`), from which every
     alpha and state prices in O(paths).  On the power form (any other
     gamma) the pass runs at every call and prices each block in place, so
-    no full-size kernel is kept.  X per anchor comes with the closed
-    form's pass, or from :meth:`_Density.controls`.  Every row is computed
-    on its own, so neither the block size nor the thread count changes a
-    result.
+    no full-size kernel is kept.  Every row is computed on its own, so
+    neither the block size nor the thread count changes a result.
     """
 
-    def __init__(
-        self, params: ModelParams, anchors, density, dt: float, antithetic: bool
-    ):
-        _require_stable_step(params, dt)
+    def __init__(self, params: ModelParams, anchors, density: _Density):
+        _require_stable_step(params, density.grid.dt)
+        _require_two_samples("n_paths", density.shape[0], density.antithetic)
         self.params = params
         self._anchors = anchors
-        self._antithetic = antithetic
         self._euler = params.pension != 0.0
-        self._dt = dt
         self._means = [_anchor_terms(params, times)[-1] for times in anchors]
-        self._kept = self._x = None
+        self._kept = self._xs = None
         self._density = density
 
     @property
@@ -701,46 +699,32 @@ class _CostFunctional:
         """E[X] of the first anchor, known before any path is priced."""
         return self._means[0]
 
-    def control(self, j: int = 0) -> Tuple[np.ndarray, float]:
-        """Anchor j's control X per sample, paired like the costs, and E[X].
-
-        X comes with the closed form's pass (run here, pricing no state, if
-        none has) or from the density, which keeps it.
-        """
-        if self._x is None and self._euler:
-            xs = self._density.controls(self.params, self._anchors)
-            self._x = _pair_average(xs, self._antithetic)
-        elif self._x is None:
-            self._closed_form(1.0, [])
-        return self._x[j], self._means[j]
-
     def price(self, alpha: float, states, delta: bool = False):
         """One (cost, delta, x, mean_x) per state (anchor index, y, h), in order.
 
         The remaining cost in wealth units from density level y and habit
         h, y * d(cost)/dy with ``delta`` (else None), and the control X of
-        the state's anchor with its exact mean, per path or per antithetic
-        pair.  A state's result depends on neither the others nor ``delta``.
+        the state's anchor (from the closed form's pass, or kept by the
+        density) with its exact mean, per path or per antithetic pair.  A
+        state's result depends on neither the others nor ``delta``.
         """
+        density = self._density
         if self._euler:
             cost, tangent = _euler_costs(
-                self.params, alpha, self._dt, self._density.steps, self._anchors,
+                self.params, alpha, density.grid.dt, density.steps, self._anchors,
                 states, delta,
             )
+            self._xs = density.controls(self.params, self._anchors)
         else:
             cost, tangent = self._closed_form(alpha, states)
-        cost = _pair_average(cost, self._antithetic)
+        x = _pair_average(self._xs, density.antithetic)
+        cost = _pair_average(cost, density.antithetic)
         if delta:
-            tangent = _pair_average(tangent, self._antithetic)
+            tangent = _pair_average(tangent, density.antithetic)
         return [
-            (cost[r], tangent[r] if delta else None, *self.control(j))
+            (cost[r], tangent[r] if delta else None, x[j], self._means[j])
             for r, (j, _, _) in enumerate(states)
         ]
-
-    def per_path(self, alpha: float, y: float, h: float, delta: bool = False):
-        """The cost at (first anchor, y, h), or with ``delta`` (cost, delta)."""
-        [(cost, tangent, _, _)] = self.price(alpha, [(0, y, h)], delta)
-        return (cost, tangent) if delta else cost
 
     def _closed_form(self, alpha, states):
         """Per-path cost and delta of every state, shape (2, states, paths)."""
@@ -755,8 +739,7 @@ class _CostFunctional:
         if self._kept is None:
             # the first call, or any on the power form, whose blocks price
             # their anchor's states while the kernel is in cache
-            self._kept, xs = _anchor_pass(p, self._density, self._anchors, fill)
-            self._x = _pair_average(xs, self._antithetic)
+            self._kept, self._xs = _anchor_pass(p, self._density, self._anchors, fill)
         if self._kept is not None:
             for j, terms in enumerate(self._kept):
                 fill(slice(None), j, None, terms, None)
@@ -782,18 +765,13 @@ def solve_paths(
         h = habit_closed_form(p.habit, p.market, p.mortality, alpha, times, zeta)
         return consumption_no_pension(h, zeta, times, alpha, p.market, p.mortality), h
     _require_stable_step(p, dt)
-    zeta_t = _Density(zeta).steps
+    zeta_t = _Density(paths).steps
     consumption, habit = np.empty_like(zeta_t), np.empty_like(zeta_t)
     for k, c, h, _ in _euler_stream(
         p, alpha, dt, zeta_t, [times], [(0, 1.0, p.habit.initial)]
     ):
         consumption[k], habit[k] = c[0], h[0]
     return consumption.T, habit.T
-
-
-def _bundle_cost(params: ModelParams, paths: PathBundle) -> _CostFunctional:
-    grid, density = paths.grid, _Density(paths.zeta)
-    return _CostFunctional(params, [grid.times()], density, grid.dt, paths.antithetic)
 
 
 def budget_value(
@@ -807,9 +785,9 @@ def budget_value(
     error accounts for antithetic pairing when the bundle uses it.
     """
     _require_positive("alpha", alpha)
-    cost = _bundle_cost(params, paths)
-    samples = cost.per_path(alpha, 1.0, params.habit.initial)
-    return _estimate_from_samples(samples, *cost.control())
+    cost = _CostFunctional(params, [paths.grid.times()], _Density(paths))
+    [(samples, _, *control)] = cost.price(alpha, [(0, 1.0, params.habit.initial)])
+    return _estimate_from_samples(samples, *control)
 
 
 def calibrate_alpha(
@@ -842,10 +820,12 @@ def calibrate_alpha(
     Parameters
     ----------
     paths : PathBundle, optional
-        Reuse an existing bundle instead of generating one (its grid
-        and size then take precedence over ``config``).
+        Reuse an existing bundle of at least two independent samples
+        instead of generating one; its grid, size and antithetic pairing
+        then take precedence over ``config``, which sets only the search.
     _density : optional
-        Without ``paths``, ``config._density``, shared by the caller's legs.
+        Without ``paths``, ``config._density``, shared by the caller's legs
+        and, like a bundle, priced on its own grid, size and pairing.
 
     Raises
     ------
@@ -856,16 +836,14 @@ def calibrate_alpha(
     """
     v, h0, g = params.v, params.habit.initial, params.market.gamma
     if paths is None:
-        grid, density = config.grid, _density or config._density(params.market)
-        # only the power form at pension 0 reads the density at every call
-        power_form = params.habit.eta != 0.0 and _moment_order(g) is None
-        if params.pension == 0.0 and power_form:
-            density.store()
-        cost = _CostFunctional(
-            params, [grid.times()], density, grid.dt, config.antithetic
-        )
+        density = _density or config._density(params.market)
     else:
-        cost = _bundle_cost(params, paths)
+        density = _Density(paths)
+    # only the power form at pension 0 reads the density at every call
+    power_form = params.habit.eta != 0.0 and _moment_order(g) is None
+    if params.pension == 0.0 and power_form:
+        density.store()
+    cost = _CostFunctional(params, [density.grid.times()], density)
     lo, hi = limits = (config.bracket[0] / 1e6, config.bracket[1] * 1e6)
     history = {}
     # the eta = 0, pension-0 budget is alpha^(-1/g) h0^(1 - 1/g) E[X]
@@ -879,8 +857,8 @@ def calibrate_alpha(
                 f"no convergence within {config.max_iterations} budget "
                 f"evaluations (last bracket [{lo:.6g}, {hi:.6g}])"
             )
-        samples, deltas = cost.per_path(alpha, 1.0, h0, delta=True)
-        estimate = _estimate_from_samples(samples, *cost.control())
+        [(samples, deltas, *control)] = cost.price(alpha, [(0, 1.0, h0)], True)
+        estimate = _estimate_from_samples(samples, *control)
         plain = _estimate_from_samples(samples)
         b, p, d = estimate.value, plain.value, float(deltas.mean())
         if math.isnan(b):  # an infinite budget at a tiny alpha is bisected

@@ -19,13 +19,14 @@ from greedyhabit import (
     HabitParams,
     MarketParams,
     ModelParams,
+    PathBundle,
     TimeGrid,
     calibrate_alpha,
     generate_paths,
 )
 from greedyhabit.allocation import _ratio_theta
 from greedyhabit.market import _density_paths, _fill_normals, log_survival_probability
-from greedyhabit.solver import _anchor_pass, _Density
+from greedyhabit.solver import _anchor_pass, _CostFunctional, _Density
 
 CAL_GRID = TimeGrid(60.0, 0.05)
 CAL_SEED = 23
@@ -101,6 +102,29 @@ def inner_density(market, config):
     return _density_paths(market, dw, config.grid.dt, config.antithetic)[1]
 
 
+def stored_density(zeta, dt, antithetic=False):
+    """A ``solver._Density`` that stores the path-major rows ``zeta``.
+
+    A density is made from a ``PathBundle``, whose grid and pairing it
+    prices on; this bundle holds only ``zeta``, on the grid of steps
+    ``dt`` that its columns span.
+    """
+    grid = TimeGrid((zeta.shape[1] - 1) * dt, dt)
+    return _Density(PathBundle(grid, zeta.shape[0], 0, None, zeta, antithetic))
+
+
+def bundle_cost(params, bundle):
+    """The cost functional of a bundle at its one anchor, t = 0."""
+    return _CostFunctional(params, [bundle.grid.times()], _Density(bundle))
+
+
+def per_path(cost, alpha, y, h, delta=False):
+    """The samples of ``cost.price`` at (first anchor, y, h): the cost,
+    or with ``delta`` the pair (cost, delta)."""
+    [(samples, deltas, _, _)] = cost.price(alpha, [(0, y, h)], delta)
+    return (samples, deltas) if delta else samples
+
+
 def density_rows(density):
     """Every row of a ``solver._Density``, gathered from its ``chunks``."""
     rows = np.empty(density.shape)
@@ -128,7 +152,7 @@ def anchor_pass_terms(params, times, zeta):
     def store(rows, _, block_kernel, block_wz, _work):
         kernel[rows], wz[rows] = block_kernel, block_wz
 
-    density = _Density(zeta)
+    density = stored_density(zeta, times[1] - times[0])
     kept, xs = _anchor_pass(params, density, [times], store)
     if kept is None:
         return kernel, wz, xs[0]

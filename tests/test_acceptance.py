@@ -424,12 +424,12 @@ def test_sensitivity_robustness(calibrated):
     state = (10.0, 1.0, 1.0)
     nested = NestedConfig(n_inner=5000, seed=77, grid=CAL_GRID, antithetic=True)
     inner = nested._density(params.market)
-    [base] = _allocations([state], sol.alpha, params, nested, inner)
+    [base] = _allocations([state], sol.alpha, params, inner)
     kappa_sig = params.market.kappa / params.market.sigma
     central = [
         central_theta(
             lambda y: _nested_costs(
-                [(state[0], y, state[2])], sol.alpha, params, nested, inner
+                [(state[0], y, state[2])], sol.alpha, params, inner
             )[0][0],
             state[1],
             bump,

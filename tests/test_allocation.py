@@ -32,7 +32,7 @@ from greedyhabit import (
 import greedyhabit.market
 from greedyhabit.allocation import _allocations, _nested_costs, _ratio_theta
 from greedyhabit.market import _density_paths, _fill_normals
-from greedyhabit.solver import _CostFunctional, _Density, _estimate_from_samples
+from greedyhabit.solver import _CostFunctional, _estimate_from_samples
 from conftest import (
     central_theta,
     control_mean,
@@ -41,6 +41,7 @@ from conftest import (
     make_params,
     reference_control,
     reference_euler,
+    stored_density,
 )
 
 GRID = TimeGrid(60.0, 0.05)
@@ -76,8 +77,8 @@ class TestWealth:
         cfg = config()
         inner = cfg._density(params.market)
         for t, zeta, h in [(0.0, 1.0, 1.0), (10.0, 0.8, 1.1), (25.0, 1.6, 0.9)]:
-            [f] = _allocations([(t, 1.0, zeta * h)], ALPHA, params, cfg, inner)
-            [g] = _allocations([(t, zeta, h)], ALPHA, euler_at_zero(params), cfg, inner)
+            [f] = _allocations([(t, 1.0, zeta * h)], ALPHA, params, inner)
+            [g] = _allocations([(t, zeta, h)], ALPHA, euler_at_zero(params), inner)
             f, g = f.wealth, g.wealth
             x = f.value / zeta
             pooled = math.hypot(f.std_error / zeta, g.std_error)
@@ -90,11 +91,11 @@ class TestWealth:
         # start habit commits to higher consumption), while wealth at a
         # fixed habit level falls as the density rises
         params = make_params(eta=0.1)
-        cfg = config(4000)
+        inner = config(4000)._density(params.market)
         zs = (0.25, 0.5, 1.0, 2.0, 4.0)
         cost = [
             est.wealth.value
-            for est in _allocations([(10.0, 1.0, z) for z in zs], ALPHA, params, cfg)
+            for est in _allocations([(10.0, 1.0, z) for z in zs], ALPHA, params, inner)
         ]
         assert all(a < b for a, b in zip(cost, cost[1:]))
         wealth = [c / z for c, z in zip(cost, zs)]
@@ -151,7 +152,7 @@ class TestAllocation:
         for t, zeta, h in [(0.0, 1.0, 1.0), (10.0, 0.5, 1.2), (20.0, 2.0, 0.9)]:
             f0, f_up, f_dn = (
                 _nested_costs(
-                    [(t, 1.0, zeta * h * s)], ALPHA, params, cfg, inner
+                    [(t, 1.0, zeta * h * s)], ALPHA, params, inner
                 )[0][0].mean()
                 for s in (1.0, 1.0 + b, 1.0 - b)
             )
@@ -165,12 +166,12 @@ class TestAllocation:
         params = make_params(eta=0.1)
         cfg = config(3000)
         inner = cfg._density(params.market)
-        [est] = _allocations([(10.0, 1.0, 1.0)], ALPHA, params, cfg, inner)
+        [est] = _allocations([(10.0, 1.0, 1.0)], ALPHA, params, inner)
         ks = params.market.kappa / params.market.sigma
         for bump in (1e-3, 5e-4):
             central = central_theta(
                 lambda y: _nested_costs(
-                    [(10.0, y, 1.0)], ALPHA, params, cfg, inner
+                    [(10.0, y, 1.0)], ALPHA, params, inner
                 )[0][0],
                 1.0,
                 bump,
@@ -227,10 +228,11 @@ class TestStateEvaluation:
         monkeypatch.setattr(greedyhabit.market, "_fill_normals", counted)
         params, cfg = make_params(eta=0.1), config(200)
         forced = euler_at_zero(params)
+        inner = cfg._density(params.market)
         for evaluate in (
-            lambda: _allocations([(10.0, 1.0, bad)], ALPHA, params, cfg),
-            lambda: _allocations([(10.0, bad, 1.0)], ALPHA, forced, cfg),
-            lambda: _allocations([(10.0, 1.0, bad)], ALPHA, forced, cfg),
+            lambda: _allocations([(10.0, 1.0, bad)], ALPHA, params, inner),
+            lambda: _allocations([(10.0, bad, 1.0)], ALPHA, forced, inner),
+            lambda: _allocations([(10.0, 1.0, bad)], ALPHA, forced, inner),
             lambda: allocation_at(10.0, bad, 1.0, ALPHA, params, cfg),
             lambda: allocation_at(10.0, 1.0, bad, ALPHA, params, cfg),
         ):
@@ -245,9 +247,31 @@ class TestStateEvaluation:
             policy_surface([10.0], 1.0, bad, params, cfg)
         assert drawn == []
 
+    @pytest.mark.parametrize("pension", [0.0, 0.5])
+    def test_density_is_priced_on_its_own_grid_and_pairing(self, pension):
+        # the inner density carries its step and pairing: its states price
+        # as on a stored copy of its rows, one sample per antithetic pair
+        params = make_params(eta=0.1, pension=pension)
+        grid = TimeGrid(60.0, 0.1)
+        cfg = NestedConfig(n_inner=400, seed=13, grid=grid, antithetic=True)
+        starts = (0.0, 30.0)
+        states = [(0.0, 0.8, 1.1), (30.0, 1.2, 0.9)]
+        got = _nested_costs(states, ALPHA, params, cfg._density(params.market))
+        anchors = [
+            t + np.arange(grid.n_steps - grid.index_of(t) + 1) * grid.dt
+            for t in starts
+        ]
+        stored = stored_density(inner_density(params.market, cfg), grid.dt, True)
+        rows = [(starts.index(t), y, h) for t, y, h in states]
+        want = _CostFunctional(params, anchors, stored).price(ALPHA, rows, True)
+        for a, b in zip(got, want):
+            assert a[0].shape == (200,)
+            assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
     def test_theta_wealth_is_the_plain_estimate(self):
+        params = make_params(eta=0.1)
         [(f0, u, x, mean_x)] = _nested_costs(
-            [(10.0, 0.8, 1.1)], ALPHA, make_params(eta=0.1), config(400)
+            [(10.0, 0.8, 1.1)], ALPHA, params, config(400)._density(params.market)
         )
         est = _ratio_theta(f0, u, 0.5)
         assert est.reliable
@@ -272,7 +296,7 @@ class TestPathwiseTheta:
         cfg = config(2000)
         inner = cfg._density(market)
         for t, zeta in [(0.0, 1.0), (10.0, 0.5), (30.0, 2.0)]:
-            [est] = _allocations([(t, zeta, 1.0)], alpha, params, cfg, inner)
+            [est] = _allocations([(t, zeta, 1.0)], alpha, params, inner)
             assert abs(est.value - merton_theta(market)) < 1e-12
 
     def test_agrees_with_central_difference_where_the_floor_binds(self):
@@ -288,15 +312,15 @@ class TestPathwiseTheta:
                 ALPHA, params, times, zeta[:, : m + 1], GRID.dt, y, 1.0
             )[1]
             assert 0.0 < np.mean(consumption == params.pension) < 1.0
-            [a] = _allocations([(t, y, 1.0)], ALPHA, params, cfg, inner)
+            [a] = _allocations([(t, y, 1.0)], ALPHA, params, inner)
             b = central_theta(
                 lambda level: _nested_costs(
-                    [(t, level, 1.0)], ALPHA, params, cfg, inner
+                    [(t, level, 1.0)], ALPHA, params, inner
                 )[0][0],
                 y,
                 1e-3,
                 ks,
-                *_nested_costs([(t, y, 1.0)], ALPHA, params, cfg, inner)[0][2:],
+                *_nested_costs([(t, y, 1.0)], ALPHA, params, inner)[0][2:],
             )
             assert a.wealth == b.wealth
             assert abs(a.value - b.value) < 2.0 * a.std_error, (t, y)
@@ -398,7 +422,7 @@ class TestSharedInnerPaths:
             full = inner_density(params.market, cfg)
             states = [(t, 0.8, 1.1) for t in starts]
             batch = [
-                (branch, _nested_costs(states, ALPHA, branch, cfg, inner))
+                (branch, _nested_costs(states, ALPHA, branch, inner))
                 for branch in (params, euler_at_zero(params))
             ]
             for i, t in enumerate(starts):
@@ -412,13 +436,11 @@ class TestSharedInnerPaths:
                 times = t + np.arange(m + 1) * GRID.dt
                 for branch, priced in batch:
                     got = priced[i]
-                    density = _Density(expected)
-                    cost = _CostFunctional(
-                        branch, [times], density, GRID.dt, antithetic
-                    )
-                    want = cost.per_path(ALPHA, 0.8, 1.1, delta=True)
-                    assert all(np.array_equal(a, b) for a, b in zip(got, want))
-                    x, mean_x = cost.control()
+                    density = stored_density(expected, GRID.dt, antithetic)
+                    cost = _CostFunctional(branch, [times], density)
+                    [want] = cost.price(ALPHA, [(0, 0.8, 1.1)], delta=True)
+                    assert all(np.array_equal(a, b) for a, b in zip(got[:2], want))
+                    _, _, x, mean_x = want
                     assert np.array_equal(got[2], x) and got[3] == mean_x
 
     def test_surface_rows_match_fresh_evaluations(self):
@@ -442,7 +464,7 @@ class TestSharedInnerPaths:
         inner = cfg._density(MarketParams())
         for pension in (0.0, 0.5, 0.0):
             params = make_params(eta=0.1, pension=pension)
-            [shared] = _allocations([(10.0, 0.8, 1.1)], ALPHA, params, cfg, inner)
+            [shared] = _allocations([(10.0, 0.8, 1.1)], ALPHA, params, inner)
             fresh = allocation_at(10.0, 0.8, 1.1, ALPHA, params, cfg)
             assert shared == fresh
 
@@ -453,7 +475,12 @@ class TestSharedInnerPaths:
         params = make_params(eta=0.1, pension=0.5)
         cfg = config(400)
         zeta = inner_density(params.market, cfg)
-        inner = cfg._density(params.market) if shared else None
+        kept = cfg._density(params.market)
+
+        def inner():
+            # unshared, each call draws its own density
+            return kept if shared else cfg._density(params.market)
+
         state = 0.8, 1.1
         for t in (0.0, 30.0, GRID.t_max - GRID.dt):
             m = GRID.n_steps - GRID.index_of(t)
@@ -472,8 +499,8 @@ class TestSharedInnerPaths:
                 mean_x,
             )
             # a second call reuses a shared step-major copy
-            [first] = _allocations([(t, *state)], ALPHA, params, cfg, inner)
-            [est] = _allocations([(t, *state)], ALPHA, params, cfg, inner)
+            [first] = _allocations([(t, *state)], ALPHA, params, inner())
+            [est] = _allocations([(t, *state)], ALPHA, params, inner())
             assert first.wealth == expected.wealth
             assert est == expected
 
@@ -481,14 +508,14 @@ class TestSharedInnerPaths:
         cfg = config(200)
         inner = cfg._density(MarketParams())
         plain = make_params(eta=0.1)
-        _nested_costs([(10.0, 1.0, 1.0)], ALPHA, plain, cfg, inner)
-        _allocations([(20.0, 0.8, 1.1)], ALPHA, plain, cfg, inner)
+        _nested_costs([(10.0, 1.0, 1.0)], ALPHA, plain, inner)
+        _allocations([(20.0, 0.8, 1.1)], ALPHA, plain, inner)
         assert inner._steps is None
         pension = make_params(eta=0.1, pension=0.5)
-        _allocations([(0.0, 0.8, 1.1)], ALPHA, pension, cfg, inner)
+        _allocations([(0.0, 0.8, 1.1)], ALPHA, pension, inner)
         copy = inner.steps
         for t in (10.0, 30.0):
-            _nested_costs([(t, 0.8, 1.1)], ALPHA, pension, cfg, inner)
+            _nested_costs([(t, 0.8, 1.1)], ALPHA, pension, inner)
             assert inner.steps is copy
 
     def test_euler_powers_are_prefixes_of_one_array(self):
@@ -503,7 +530,7 @@ class TestSharedInnerPaths:
         base = None
         for t in (0.0, 10.0, 30.0):
             [(cost, delta, _, _)] = _nested_costs(
-                [(t, 0.8, 1.1)], ALPHA, params, cfg, inner
+                [(t, 0.8, 1.1)], ALPHA, params, inner
             )
             base = base if base is not None else inner.steps
             assert inner.steps is base
@@ -565,20 +592,21 @@ class TestBatchedStates:
         monkeypatch.setattr(greedyhabit.market, "ROW_BLOCK", 10)
         monkeypatch.setattr(greedyhabit.market, "WORKERS", 1)
         alone = [
-            _nested_costs([state], ALPHA, params, cfg)[0] for state in self.STATES
+            _nested_costs([state], ALPHA, params, cfg._density(params.market))[0]
+            for state in self.STATES
         ]
         for workers in (1, 2, 3):
             monkeypatch.setattr(greedyhabit.market, "WORKERS", workers)
             inner = cfg._density(params.market)
-            batch = _nested_costs(self.STATES, ALPHA, params, cfg, inner)
+            batch = _nested_costs(self.STATES, ALPHA, params, inner)
             assert len(batch) == len(self.STATES)
             for state, got, want in zip(self.STATES, batch, alone):
                 assert all(np.array_equal(a, b) for a, b in zip(got, want)), (
                     workers,
                     state,
                 )
-        assert _nested_costs([], ALPHA, params, cfg, inner) == []
-        estimates = _allocations(self.STATES, ALPHA, params, cfg, inner)
+        assert _nested_costs([], ALPHA, params, inner) == []
+        estimates = _allocations(self.STATES, ALPHA, params, inner)
         ks = params.market.kappa / params.market.sigma
         for est, (f0, u, x, mean_x) in zip(estimates, alone):
             assert est == _ratio_theta(f0, u, ks, x, mean_x)
@@ -601,7 +629,7 @@ class TestBatchedStates:
         params = make_params(eta=0.1)
         cfg = NestedConfig(n_inner=32, seed=3, grid=GRID, antithetic=False)
         states = [(0.0, 1.0, 1.0), (10.0, 1e10, 1.0), (10.0, 1.0, 1.0)]
-        batch = _allocations(states, ALPHA, params, cfg)
+        batch = _allocations(states, ALPHA, params, cfg._density(params.market))
         assert [est.reliable for est in batch] == [True, False, True]
         for state, est in zip(states, batch):
             alone = allocation_at(*state, ALPHA, params, cfg)
@@ -638,7 +666,7 @@ class TestBatchedStates:
         for pension in (0.0, 0.5):
             params = make_params(eta=0.1, pension=pension)
             with pytest.raises(ValueError):
-                _allocations(states, ALPHA, params, config(200))
+                _allocations(states, ALPHA, params, config(200)._density(params.market))
         assert drawn == []
 
     def test_closed_form_batch_holds_no_full_size_array(self, monkeypatch):
@@ -656,7 +684,7 @@ class TestBatchedStates:
             inner = cfg._density(params.market)
             tracemalloc.start()
             try:
-                _nested_costs(states, ALPHA, params, cfg, inner)
+                _nested_costs(states, ALPHA, params, inner)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -675,7 +703,7 @@ class TestBatchedStates:
             inner = cfg._density(params.market)
             tracemalloc.start()
             try:
-                _nested_costs(states, ALPHA, params, cfg, inner)
+                _nested_costs(states, ALPHA, params, inner)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

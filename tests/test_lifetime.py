@@ -213,7 +213,6 @@ class TestNestedTrack:
                 [(float(t), float(rec.zeta[k]), float(habit[k]))],
                 alpha,
                 params,
-                config,
                 inner,
             )
             assert rec.nested_wealth[j] == est.wealth.value, t

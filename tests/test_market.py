@@ -210,6 +210,29 @@ class TestGeneratePaths:
         log_zeta = -(market.r + 0.5 * kappa**2) * grid.times() - kappa * bundle.w
         assert np.array_equal(bundle.zeta, np.exp(log_zeta))
 
+    @pytest.mark.parametrize("mu", [0.08, 0.02, -0.04], ids=["up", "zero", "down"])
+    def test_mirror_bits_at_any_sign_of_kappa(self, mu):
+        # a mirror's log density is drift + kappa w, bit for bit the
+        # drift - kappa (-w) of its negated Brownian row, at kappa > 0,
+        # kappa = 0 and kappa < 0.  The stream yields no mirror w (None);
+        # generate_paths negates the streams' rows into its second half
+        market = MarketParams(mu=mu, r=0.02)
+        assert np.sign(market.kappa) == np.sign(mu - 0.02)
+        grid = TimeGrid(2.0, 0.1)
+        bundle = generate_paths(market, grid, 150, seed=5, antithetic=True)
+        streams = generate_paths(market, grid, 75, seed=5)
+        negated = -streams.w
+        assert np.array_equal(bundle.w.view(np.int64)[:75], streams.w.view(np.int64))
+        assert np.array_equal(bundle.w.view(np.int64)[75:], negated.view(np.int64))
+        drift = -(market.r + 0.5 * market.kappa**2) * grid.times()
+        mirrors = np.exp(drift - market.kappa * negated)
+        assert np.array_equal(bundle.zeta[:75], streams.zeta)
+        assert np.array_equal(bundle.zeta[75:], mirrors)
+        blocks = []
+        stream = greedyhabit.market._Stream(market, grid, 150, 5, True, ())
+        stream.chunks(lambda chunk: blocks.extend((r, w) for r, w, _ in chunk))
+        assert all((w is None) == (r.start >= 75) for r, w in blocks)
+
     def test_zeta_recursion(self, market):
         # log zeta increments are -(r + kappa^2/2) dt - kappa dW exactly
         grid = TimeGrid(5.0, 0.05)

@@ -45,7 +45,6 @@ from greedyhabit.solver import (
     _CostFunctional,
     _Density,
     _anchor_terms,
-    _bundle_cost,
     _estimate_from_samples,
     _euler_costs,
     _moment_order,
@@ -53,13 +52,16 @@ from greedyhabit.solver import (
 )
 from conftest import (
     anchor_pass_terms,
+    bundle_cost,
     control_mean,
     density_rows,
     euler_at_zero,
     inner_density,
     make_params,
+    per_path,
     reference_control,
     reference_euler,
+    stored_density,
 )
 
 
@@ -314,8 +316,8 @@ class TestSolvePaths:
         )
         forced = euler_at_zero(params)
         c, h = solve_paths(5.0, forced, bundle)
-        cost, delta = _bundle_cost(forced, bundle).per_path(
-            5.0, 1.0, params.habit.initial, delta=True
+        cost, delta = per_path(
+            bundle_cost(forced, bundle), 5.0, 1.0, params.habit.initial, delta=True
         )
         assert np.array_equal(c, c_ref)
         assert np.array_equal(h, h_ref)
@@ -368,9 +370,11 @@ class TestBudgetValue:
                         market=MarketParams(gamma=gamma),
                     )
                     ref, ref_x = reference_budget(2.9, params, bundle)
-                    cost = _bundle_cost(params, bundle)
-                    samples = cost.per_path(2.9, 1.0, params.habit.initial)
-                    assert np.array_equal(cost.control()[0], ref_x)
+                    cost = bundle_cost(params, bundle)
+                    [(samples, _, x, _)] = cost.price(
+                        2.9, [(0, 1.0, params.habit.initial)]
+                    )
+                    assert np.array_equal(x, ref_x)
                     est = budget_value(2.9, params, bundle)
                     mean_x = control_mean(params, bundle.grid.times())
                     if gamma == 3.0 and pension == 0.0:
@@ -414,6 +418,24 @@ class TestBudgetValue:
             for j in range(3):
                 moment = (expected * ((eta / g) * ref_kernel) ** j).sum(axis=1)
                 np.testing.assert_allclose(wz[:, j], moment, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("n_paths, antithetic", [(1, False), (2, True)])
+    def test_bundle_of_one_sample_is_rejected(self, market, n_paths, antithetic):
+        # one path, or one antithetic pair, is one sample and gives no
+        # standard error, so a bundle of it is rejected as a config is
+        bundle = generate_paths(
+            market, TimeGrid(10.0, 0.5), n_paths, seed=3, antithetic=antithetic
+        )
+        least = 4 if antithetic else 2
+        for pension in (0.0, 0.5):
+            params = make_params(eta=0.1, pension=pension)
+            with pytest.raises(ValueError, match=f"n_paths must be >= {least} "):
+                budget_value(1.0, params, bundle)
+            with pytest.raises(ValueError, match=f"n_paths must be >= {least} "):
+                calibrate_alpha(params, paths=bundle)
+            # a scenario path prices no budget, so it still solves
+            c, h = solve_paths(1.0, params, bundle)
+            assert c.shape == h.shape == bundle.zeta.shape
 
     def test_pension_lowers_funded_cost(self, small_bundle):
         # the pension pays for the floor, so the funded budget shrinks
@@ -536,30 +558,48 @@ class TestCalibration:
         assert CalibrationConfig(n_paths=5).n_paths == 5
 
 
-def plain_sample_mean(self, j=0):
-    """A ``_CostFunctional.control`` that leaves the plain sample mean.
+def plain_sample_mean(price):
+    """``_CostFunctional.price`` with a control that leaves the plain sample mean.
 
-    A control without variance turns the regression off, and its stated
-    mean, that of X formed by one matrix-vector product, starts the
-    search where the plain sample-mean search starts.  The float-
-    resolution cases below were found on those iterates, at gamma 2.5,
-    where the closed form prices from ``wz`` per step.  The same X stands
-    for every anchor ``j``.
+    A control without variance turns the regression off, and
+    :func:`plain_start`, the mean of X formed by one matrix-vector
+    product, starts the search where the plain sample-mean search starts.
+    The float-resolution cases below were found on those iterates, at
+    gamma 2.5, where the closed form prices from ``wz`` per step.
     """
-    times = self._anchors[0]
-    _, wz, _ = anchor_pass_terms(self.params, times, density_rows(self._density))
-    g, tau = self.params.market.gamma, times - times[0]
-    decay = np.exp(-self.params.habit.eta * tau / g)
-    return np.zeros(wz.shape[0]), (wz @ decay ** (1.0 - g)).mean()
+
+    def priced(self, alpha, states, delta=False):
+        return [
+            (cost, deltas, np.zeros(cost.shape[0]), mean_x)
+            for cost, deltas, _, mean_x in price(self, alpha, states, delta)
+        ]
+
+    return priced
 
 
 def plain_start(self):
     """The ``_CostFunctional.mean_x`` that goes with :func:`plain_sample_mean`."""
-    return plain_sample_mean(self)[1]
+    times = self._anchors[0]
+    _, wz, _ = anchor_pass_terms(self.params, times, density_rows(self._density))
+    g, tau = self.params.market.gamma, times - times[0]
+    decay = np.exp(-self.params.habit.eta * tau / g)
+    return (wz @ decay ** (1.0 - g)).mean()
+
+
+def scripted_price(price_samples):
+    """A ``_CostFunctional.price`` of one state whose samples
+    ``price_samples(alpha, delta)`` gives, with a control of no variance."""
+
+    def price(self, alpha, states, delta=False):
+        [_] = states
+        samples, deltas = price_samples(alpha, delta)
+        return [(samples, deltas, np.zeros(samples.shape[0]), 1.0)]
+
+    return price
 
 
 #: the model of the float-resolution cases: a non-integer gamma keeps the
-#: power form, whose per-step wz ``plain_sample_mean`` reads
+#: power form, whose per-step wz ``plain_start`` reads
 POWER_FORM = ModelParams(market=MarketParams(gamma=2.5))
 
 
@@ -591,11 +631,11 @@ class TestNewtonSearch:
         bundle = generate_paths(
             params.market, self.CONFIG.grid, 400, seed=12, antithetic=True
         )
-        cost = _bundle_cost(params, bundle)
+        cost = bundle_cost(params, bundle)
         alpha, h0, bump = 0.8 if pension else 2.9, params.habit.initial, 1e-4
-        delta = cost.per_path(alpha, 1.0, h0, delta=True)[1].mean()
+        delta = per_path(cost, alpha, 1.0, h0, delta=True)[1].mean()
         up, down = (
-            cost.per_path(alpha * math.exp(s * bump), 1.0, h0).mean()
+            per_path(cost, alpha * math.exp(s * bump), 1.0, h0).mean()
             for s in (1.0, -1.0)
         )
         assert delta == pytest.approx((up - down) / (2.0 * bump), rel=1e-5)
@@ -605,13 +645,13 @@ class TestNewtonSearch:
         # the budget is about 1.8e5 at the lower limit 1e-12 without habit
         # formation, and about 9e-4 at the upper limit 1e12 with it
         calls = []
-        real = _CostFunctional.per_path
+        real = _CostFunctional.price
 
         def counted(self, alpha, *args, **kwargs):
             calls.append(alpha)
             return real(self, alpha, *args, **kwargs)
 
-        monkeypatch.setattr(_CostFunctional, "per_path", counted)
+        monkeypatch.setattr(_CostFunctional, "price", counted)
         config = dataclasses.replace(self.CONFIG, max_iterations=4)
         with pytest.raises(CalibrationError, match="could not bracket"):
             calibrate_alpha(make_params(eta=eta, v=v), config)
@@ -644,15 +684,12 @@ class TestNewtonSearch:
         v = params.v
         script = [2.0 * v, 3.0 * v, v]
 
-        def scripted(self, alpha, y, h, delta=False):
+        def scripted(alpha, delta):
             b = script.pop(0)
             samples = b + np.array([-1e-3, 1e-3, -1e-3, 1e-3])
             return samples, np.full(4, -b / 3.0)
 
-        monkeypatch.setattr(_CostFunctional, "per_path", scripted)
-        monkeypatch.setattr(
-            _CostFunctional, "control", lambda self, j=0: (np.zeros(4), 1.0)
-        )
+        monkeypatch.setattr(_CostFunctional, "price", scripted_price(scripted))
         monkeypatch.setattr(_CostFunctional, "mean_x", 1.0)
         with pytest.raises(BudgetMonotonicityError):
             calibrate_alpha(params, self.CONFIG)
@@ -665,16 +702,15 @@ class TestNewtonSearch:
         config = CalibrationConfig(
             grid=TimeGrid(60.0, 0.5), n_paths=200, seed=14, tolerance=1e-300
         )
-        real = _CostFunctional.per_path
+        real = plain_sample_mean(_CostFunctional.price)
         budgets = {}
 
-        def recorded(self, alpha, y, h, delta=False):
-            out = real(self, alpha, y, h, delta)
-            budgets[alpha] = out[0].mean()
+        def recorded(self, alpha, states, delta=False):
+            out = real(self, alpha, states, delta)
+            budgets[alpha] = out[0][0].mean()
             return out
 
-        monkeypatch.setattr(_CostFunctional, "per_path", recorded)
-        monkeypatch.setattr(_CostFunctional, "control", plain_sample_mean)
+        monkeypatch.setattr(_CostFunctional, "price", recorded)
         monkeypatch.setattr(_CostFunctional, "mean_x", property(plain_start))
         sol = calibrate_alpha(POWER_FORM, config)
         assert sol.budget_residual == 0.0
@@ -691,16 +727,12 @@ class TestNewtonSearch:
         """Price every sample at ``budget(alpha)``, delta -B/3, no control."""
         seen = []
 
-        def scripted(self, alpha, y, h, delta=False):
+        def scripted(alpha, delta):
             b = budget(alpha)
             seen.append((alpha, b))
-            samples = np.full(4, b)
-            return (samples, np.full(4, -b / 3.0)) if delta else samples
+            return np.full(4, b), np.full(4, -b / 3.0) if delta else None
 
-        monkeypatch.setattr(_CostFunctional, "per_path", scripted)
-        monkeypatch.setattr(
-            _CostFunctional, "control", lambda self, j=0: (np.zeros(4), 1.0)
-        )
+        monkeypatch.setattr(_CostFunctional, "price", scripted_price(scripted))
         monkeypatch.setattr(_CostFunctional, "mean_x", 1.0)
         return seen
 
@@ -774,7 +806,7 @@ class TestNewtonSearch:
             "TimeGrid, calibrate_alpha\n"
             "from greedyhabit.solver import _CostFunctional\n"
             "from test_solver import POWER_FORM, plain_sample_mean, plain_start\n"
-            "_CostFunctional.control = plain_sample_mean\n"
+            "_CostFunctional.price = plain_sample_mean(_CostFunctional.price)\n"
             "_CostFunctional.mean_x = property(plain_start)\n"
             "config = CalibrationConfig(grid=TimeGrid(60.0, 0.5), n_paths=200, "
             "seed=2, tolerance=1e-300, max_iterations=80)\n"
@@ -817,13 +849,15 @@ class TestControlVariate:
         bundle = generate_paths(
             params.market, self.GRID, 4000, seed=21, antithetic=True
         )
-        x, mean_x = _bundle_cost(params, bundle).control()
+        [(_, _, x, mean_x)] = bundle_cost(params, bundle).price(2.9, [(0, 1.0, 1.0)])
         assert x.shape == (2000,)
         assert mean_x == control_mean(params, self.GRID.times())
         self.assert_mean(x, mean_x)
         # at a nested anchor the inner density restarts at 1
         nested = NestedConfig(n_inner=4000, seed=22, grid=self.GRID)
-        [(_, _, x, mean_x)] = _nested_costs([(20.0, 0.7, 1.2)], 2.9, params, nested)
+        [(_, _, x, mean_x)] = _nested_costs(
+            [(20.0, 0.7, 1.2)], 2.9, params, nested._density(params.market)
+        )
         times = 20.0 + np.arange(self.GRID.n_steps - 199) * self.GRID.dt
         assert mean_x == _anchor_terms(params, times)[-1]
         assert mean_x == pytest.approx(control_mean(params, times), rel=1e-14)
@@ -848,7 +882,7 @@ class TestControlVariate:
     @pytest.mark.parametrize("pension", [0.0, 0.5])
     def test_agrees_with_the_plain_mean(self, small_bundle, eta, pension):
         params = make_params(eta=eta, pension=pension)
-        samples = _bundle_cost(params, small_bundle).per_path(1.0, 1.0, 1.0)
+        samples = per_path(bundle_cost(params, small_bundle), 1.0, 1.0, 1.0)
         plain = _estimate_from_samples(samples)
         est = budget_value(1.0, params, small_bundle)
         assert abs(est.value - plain.value) < 3.0 * plain.std_error
@@ -865,8 +899,8 @@ class TestControlVariate:
         bundle = generate_paths(
             params.market, self.GRID, 2000, seed=8, antithetic=True
         )
-        samples = _bundle_cost(params, bundle).per_path(
-            sol.alpha, 1.0, params.habit.initial
+        samples = per_path(
+            bundle_cost(params, bundle), sol.alpha, 1.0, params.habit.initial
         )
         assert sol.plain == _estimate_from_samples(samples)
 
@@ -874,7 +908,7 @@ class TestControlVariate:
         # 4 mirrored paths are 2 samples: no residual degree of freedom
         params = make_params(eta=0.1)
         bundle = generate_paths(params.market, self.GRID, 4, seed=3, antithetic=True)
-        samples = _bundle_cost(params, bundle).per_path(2.9, 1.0, 1.0)
+        samples = per_path(bundle_cost(params, bundle), 2.9, 1.0, 1.0)
         config = CalibrationConfig(grid=self.GRID, n_paths=4, seed=3, antithetic=True)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -962,6 +996,20 @@ class TestCalibrationDensity:
             assert getattr(shared, name) == getattr(stored, name), name
 
 
+    @pytest.mark.parametrize("pension", [0.0, 0.5])
+    def test_density_is_priced_on_its_own_grid_and_pairing(self, pension):
+        # a shared density carries its step, size and pairing, so a config
+        # of other ones sets only the search
+        params = make_params(eta=0.1, pension=pension)
+        own = CalibrationConfig(
+            grid=TimeGrid(60.0, 0.1), n_paths=1002, seed=6, antithetic=True
+        )
+        other = CalibrationConfig(grid=TimeGrid(60.0, 0.05), n_paths=400, seed=6)
+        density = own._density(params.market)
+        shared = calibrate_alpha(params, other, _density=density)
+        assert shared == calibrate_alpha(params, own)
+
+
 class TestRowBlocks:
     """The density, the kernel, ``wz``, the kernel moments, the
     closed-form costs and the nested passes on streamed inner paths are
@@ -977,12 +1025,13 @@ class TestRowBlocks:
         out = {"w": bundle.w, "zeta": bundle.zeta}
         for eta in (0.1, 0.0):
             params = make_params(eta=eta)
-            cost = _bundle_cost(params, bundle)
-            out["per_path", eta] = cost.per_path(2.9, 1.3, 0.8)
+            cost = bundle_cost(params, bundle)
+            [(out["per_path", eta], _, out["control", eta], _)] = cost.price(
+                2.9, [(0, 1.3, 0.8)]
+            )
             out["wz", eta] = anchor_pass_terms(
                 params, self.GRID.times(), bundle.zeta
             )[1]
-            out["control", eta] = cost.control()[0]
             out["budget", eta] = budget_value(2.9, params, bundle)
         # the closed form on kernel moments (gamma 3) and on the power of
         # the kernel (gamma 2.5), for one anchor and for nested anchors
@@ -993,13 +1042,14 @@ class TestRowBlocks:
             params = dataclasses.replace(
                 make_params(eta=0.1), market=MarketParams(gamma=gamma)
             )
-            cost = _bundle_cost(params, bundle)
-            out["delta", gamma] = cost.per_path(2.9, 1.3, 0.8, delta=True)
+            cost = bundle_cost(params, bundle)
+            out["delta", gamma] = per_path(cost, 2.9, 1.3, 0.8, delta=True)
             out["weights", gamma] = anchor_pass_terms(
                 params, self.GRID.times(), bundle.zeta
             )[1]
             priced = _nested_costs(
-                [(0.0, 1.3, 0.8), (10.0, 0.4, 1.1), (0.0, 2.0, 0.5)], 2.9, params, inner
+                [(0.0, 1.3, 0.8), (10.0, 0.4, 1.1), (0.0, 2.0, 0.5)], 2.9, params,
+                inner._density(params.market),
             )
             out["nested", gamma] = np.array([np.hstack(row) for row in priced])
         params = make_params(eta=0.1)
@@ -1067,7 +1117,7 @@ class TestRowBlocks:
             for workers in (1, 2, 3):
                 monkeypatch.setattr(greedyhabit.market, "ROW_BLOCK", block)
                 monkeypatch.setattr(greedyhabit.market, "WORKERS", workers)
-                stored = _Density(bundle.zeta)
+                stored = _Density(bundle)
                 streamed = _Density(stream)
                 kept = _Density(stream)
                 for state, density in (("stored", stored), ("streamed", streamed)):
@@ -1130,7 +1180,7 @@ class TestRowBlocks:
         monkeypatch.setattr(greedyhabit.market, "WORKERS", 1)
         expected = [
             _CostFunctional(
-                p, anchors, _Density(zeta), self.GRID.dt, antithetic
+                p, anchors, stored_density(zeta, self.GRID.dt, antithetic)
             ).price(2.9, rows, True)
             for p in branches
         ]
@@ -1150,7 +1200,7 @@ class TestRowBlocks:
             # step-major copy, and the closed forms read it back
             for i in (0, 1, 2, 3, 4, 0, 1, 2):
                 p = branches[i]
-                got = _nested_costs(states, 2.9, p, config, inners[p.market.gamma])
+                got = _nested_costs(states, 2.9, p, inners[p.market.gamma])
                 for r, (a, b) in enumerate(zip(got, expected[i])):
                     assert all(
                         x is y is None or np.array_equal(x, y) for x, y in zip(a, b)
@@ -1185,7 +1235,7 @@ class TestWorkspaces:
         times = self.GRID.times()
         anchors = [times[40:], times, times[80:]]
         stream = _Stream(params.market, self.GRID, self.N_PATHS, 3, True, (1,))
-        return _CostFunctional(params, anchors, _Density(stream), self.GRID.dt, True)
+        return _CostFunctional(params, anchors, _Density(stream))
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize(
@@ -1264,11 +1314,13 @@ class TestCalibrationMemory:
 
     @pytest.mark.parametrize("n_paths", [2000, 8000])
     def test_streamed_peak_per_worker_in_blocks(self, monkeypatch, n_paths):
-        # a chunk holds a block of streams and its mirror (5 ROW_BLOCK x
-        # n_times blocks with dw) and one workspace (log_z, k, kernel and
-        # temp, 4 more) whatever the path count: 9.3-9.9 blocks per worker
-        # (10.3-11.9 when every block made its temporaries afresh).  A
-        # first draw imports numpy.random, so one is made before tracing
+        # a chunk holds a block of streams, its Brownian rows and its
+        # density with the mirror's (4 ROW_BLOCK x n_times blocks with dw)
+        # and one workspace (log_z, k, kernel and temp, 4 more) whatever
+        # the path count: 8.3-8.9 blocks per worker (9.3-9.9 with the
+        # mirror's Brownian rows, 10.3-11.9 when every block made its
+        # temporaries afresh).  A first draw imports numpy.random, so one
+        # is made before tracing
         generate_paths(MarketParams(), TimeGrid(1.0, 0.5), 2)
         config = dataclasses.replace(self.CONFIG, n_paths=n_paths)
         block = greedyhabit.market.ROW_BLOCK * (config.grid.n_steps + 1) * 8
@@ -1311,10 +1363,12 @@ class TestKernelMoments:
         nested = NestedConfig(n_inner=400, seed=7, grid=self.GRID)
 
         def run():
-            cost = _bundle_cost(params, bundle)
+            cost = bundle_cost(params, bundle)
             kernel = anchor_pass_terms(params, self.GRID.times(), bundle.zeta)[0]
-            priced = _nested_costs(self.STATES, 2.9, params, nested)
-            return kernel, cost.per_path(2.9, 1.3, 0.8, delta=True), priced
+            priced = _nested_costs(
+                self.STATES, 2.9, params, nested._density(params.market)
+            )
+            return kernel, per_path(cost, 2.9, 1.3, 0.8, delta=True), priced
 
         kernel, moments, nested_moments = run()
         assert kernel is None
@@ -1358,12 +1412,12 @@ class TestPathwiseDelta:
         bundle = generate_paths(
             params.market, self.GRID, 200, seed=12, antithetic=True
         )
-        cost = _bundle_cost(params, bundle)
+        cost = bundle_cost(params, bundle)
         alpha, y, h = self.STATE
-        f, delta = cost.per_path(alpha, y, h, delta=True)
-        assert np.array_equal(f, cost.per_path(alpha, y, h))
+        f, delta = per_path(cost, alpha, y, h, delta=True)
+        assert np.array_equal(f, per_path(cost, alpha, y, h))
         self.assert_central_difference(
-            delta, f, lambda level: cost.per_path(alpha, level, h)
+            delta, f, lambda level: per_path(cost, alpha, level, h)
         )
 
     @pytest.mark.parametrize("gamma", [0.5, 3.0])
@@ -1372,14 +1426,14 @@ class TestPathwiseDelta:
         params = dataclasses.replace(params, market=MarketParams(gamma=gamma))
         zeta = generate_paths(params.market, self.GRID, 200, seed=12).zeta
         times, dt = self.GRID.times(), self.GRID.dt
-        density = _Density(zeta)
-        cost = _CostFunctional(euler_at_zero(params), [times], density, dt, False)
+        density = stored_density(zeta, dt)
+        cost = _CostFunctional(euler_at_zero(params), [times], density)
         alpha, y, h = self.STATE
 
         def reference(level):
             return reference_euler(alpha, params, times, zeta, dt, level, h)[0]
 
-        f, delta = cost.per_path(alpha, y, h, delta=True)
+        f, delta = per_path(cost, alpha, y, h, delta=True)
         assert np.array_equal(f, reference(y))
         self.assert_central_difference(delta, f, reference)
 
@@ -1391,8 +1445,8 @@ class TestPathwiseDelta:
         for block, workers in ((203, 1), (7, 1), (7, 2), (7, 3), (1, 2)):
             monkeypatch.setattr(greedyhabit.market, "ROW_BLOCK", block)
             monkeypatch.setattr(greedyhabit.market, "WORKERS", workers)
-            cost = _bundle_cost(make_params(eta=0.1), bundle)
-            got = cost.per_path(*self.STATE, delta=True)
+            cost = bundle_cost(make_params(eta=0.1), bundle)
+            got = per_path(cost, *self.STATE, delta=True)
             if expected is None:
                 expected = got
             assert all(np.array_equal(a, b) for a, b in zip(got, expected)), (
