@@ -29,7 +29,9 @@ Carlo Methods in Financial Engineering, 2003, section 7.2); it is the
 limit of central differences on common random numbers as the bump goes
 to 0.  The ratio and its delta-method standard error come from the
 per-path samples; the wealth reported is their regression estimate on
-the eta = 0 cost, whose mean is exact.  Near wealth exhaustion G is of
+controls of exact mean: the eta = 0 cost, and at pension 0 with eta > 0
+and a whole gamma - 1 the kernel moments M_0 and M_1 as well (the solver's
+``_anchor_terms``).  Near wealth exhaustion G is of
 the same order as its standard error and the ratio estimate degrades;
 such points are flagged unreliable instead of raising.
 """
@@ -144,7 +146,7 @@ def _horizon_steps(grid: TimeGrid, t: float) -> int:
 
 
 def _nested_costs(states, alpha: float, params: ModelParams, density: _Density):
-    """Per-sample G, y * dG/dy and control at every state (t, y, h), in one pass.
+    """Per-sample G, y * dG/dy and controls at every state (t, y, h), in one pass.
 
     One (samples, deltas, x, mean_x) per state, in order, as
     ``solver._CostFunctional.price`` returns them, on ``density``'s grid
@@ -169,8 +171,8 @@ def _ratio_theta(f0, u, kappa_sig, x=None, mean_x=0.0):
     """theta = -(kappa/sigma) y G_y / G from per-path samples of G and y G_y.
 
     The ratio is of plain means, and its standard error the delta-method
-    one.  The wealth reported is the regression estimate on the control
-    ``x`` of known mean ``mean_x``; the reliability gate reads the plain
+    one.  The wealth reported is the regression estimate on the controls
+    ``x`` of known means ``mean_x``; the reliability gate reads the plain
     mean and SE.
     """
     plain = _estimate_from_samples(f0)

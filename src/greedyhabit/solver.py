@@ -160,7 +160,8 @@ class GreedySolution:
         Relative residual |budget(alpha) - v| / v at convergence.
     budget_se : float
         Standard error of the budget at alpha, the regression estimate
-        of :func:`budget_value`.
+        of :func:`budget_value` on its controls: X, and at pension 0 with
+        eta > 0 and a whole gamma - 1 the kernel moments M_0 and M_1.
     plain : BudgetEstimate
         The plain sample mean of the budget at alpha and its SE.
     pension : float
@@ -229,26 +230,39 @@ def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
 
 
 def _estimate_from_samples(
-    y: np.ndarray, x: Optional[np.ndarray] = None, mean_x: float = 0.0
+    y: np.ndarray, x: Optional[np.ndarray] = None, mean_x: ArrayLike = 0.0
 ) -> BudgetEstimate:
-    """mean(y) - b (mean(x) - mean_x), b fitted, and the residual SE.
+    """mean(y) - b . (mean(x) - mean_x), b fitted, and the residual SE.
 
-    The regression estimate on the control ``x`` of known mean ``mean_x``
-    (Glasserman 2003, section 4.1); without ``x``, with fewer than three
-    samples or with var(x) = 0, the plain mean and SE.
+    The regression estimate on the controls ``x``, shape (k, n) (or (n,)
+    for one), of known means ``mean_x`` (Glasserman 2003, section 4.1),
+    with n - 1 - r degrees of freedom for the r coefficients fitted.  At
+    most the leading n - 2 controls are fitted, so one degree of freedom
+    is always left; without ``x``, with fewer than three samples or with
+    no control of variance, the plain mean and SE.  One control is fitted
+    by its own normal equation; several by least squares on the controls
+    scaled to unit norm, which drops a direction the others explain to
+    1e-10 of its norm (a collinear or constant control).
     """
     n = y.shape[0]
     mean = y.mean()
-    dx = None if x is None or n < 3 else x - x.mean()
-    sxx = 0.0 if dx is None else (dx * dx).sum()
-    if not sxx > 0.0:
+    x = np.empty((0, n)) if x is None else np.atleast_2d(x)[: max(n - 2, 0)]
+    dx = x - x.mean(axis=-1, keepdims=True)
+    sxx = (dx * dx).sum(axis=-1)
+    if not (sxx > 0.0).any():
         se = y.std(ddof=1) / math.sqrt(n) if n > 1 else 0.0
         return BudgetEstimate(float(mean), float(se))
     resid = y - mean
-    b = (dx * resid).sum() / sxx
-    resid -= b * dx
-    se = math.sqrt((resid * resid).sum() / (n - 2) / n)
-    return BudgetEstimate(float(mean - b * (x.mean() - mean_x)), se)
+    if dx.shape[0] == 1:
+        b, rank = (dx * resid).sum(axis=-1) / sxx, 1
+    else:
+        norm = np.sqrt(np.where(sxx > 0.0, sxx, 1.0))
+        b, _, rank, _ = np.linalg.lstsq((dx / norm[:, None]).T, resid, rcond=1e-10)
+        b /= norm
+    resid -= (b[:, None] * dx).sum(axis=0)
+    se = math.sqrt((resid * resid).sum() / (n - 1 - rank) / n)
+    gap = x.mean(axis=-1) - np.atleast_1d(mean_x)[: x.shape[0]]
+    return BudgetEstimate(float(mean - (b * gap).sum()), se)
 
 
 def _require_stable_step(params: ModelParams, dt: float) -> None:
@@ -256,35 +270,48 @@ def _require_stable_step(params: ModelParams, dt: float) -> None:
 
     habit_euler_step's condition, checked once for every step of the sweep.
     """
-    if params.pension != 0.0 and params.habit.eta * dt >= 1.0:
-        raise ValueError(f"eta * dt = {params.habit.eta * dt} >= 1: grid too coarse")
+    eta = params.habit.eta
+    if params.pension != 0.0 and eta * dt >= 1.0:
+        raise ValueError(
+            f"eta * dt = {eta * dt} >= 1 at eta = {eta}, dt = {dt}: grid too "
+            f"coarse for the pension's Euler sweep, which needs dt < 1/eta = {1 / eta}"
+        )
 
 
 def _anchor_terms(params: ModelParams, times: np.ndarray):
     """Deterministic vectors of an anchor at absolute ``times``.
 
-    Returns ``(shadow, wgt, vec, lift, mean_x)``: exp(-rho t / g) * p_t^(1/g),
+    Returns ``(shadow, wgt, vec, lift, means)``: exp(-rho t / g) * p_t^(1/g),
     the deterministic part of the rule; the trapezoid weights;
     exp(-eta tau) * wgt, which turns the kernel integrand into ``wz``;
-    lift = exp(eta q tau), q = 1 - 1/g; and E[X] of the control
-    X = sum_k wgt_k shadow_k zeta_k^q = sum_k wz_k lift_k per path, the
-    eta = 0, pension-0 cost over beta h^(g - 1).  The density restarts at 1
-    at times[0], so E[zeta_tau^q] = exp(-q (r + kappa^2/2) tau + q^2 kappa^2 tau / 2).
+    lift = exp(eta q tau), q = 1 - 1/g; and the exact means on the grid of
+    the controls X, M_0 and M_1 per path.  X = sum_k wgt_k shadow_k zeta_k^q
+    = sum_k wz_k lift_k is the eta = 0, pension-0 cost over beta h^(g - 1);
+    M_j = sum_k wz_k m_k^j are the kernel moments (:func:`_kernel_moments`).
+    The density restarts at 1 at times[0], so F = E[zeta_tau^q] =
+    exp(q mu tau + q^2 kappa^2 tau / 2), mu = -(r + kappa^2/2).  With
+    A = shadow exp(eta tau / g), the kernel integrand A zeta^(-1/g),
+    E[M_0] = sum_i A_i vec_i F_i.  For l <= i the increment of log zeta
+    after t_l is independent of zeta_l, so E[zeta_i^q zeta_l^(-1/g)] =
+    F_i G_l, G = exp(-mu tau / g + (kappa^2/2)((1 - 2/g)^2 - q^2) tau), and
+    E[M_1] = (eta/g) sum_i A_i vec_i F_i S_i, S the cumulative trapezoid of
+    A G over ``times``.
     """
-    m = params.market
-    q = 1.0 - 1.0 / m.gamma
+    m, eta = params.market, params.habit.eta
+    g, q, mu = m.gamma, 1.0 - 1.0 / m.gamma, -(m.r + 0.5 * m.kappa**2)
     tau = times - times[0]
     log_p = log_survival_probability(params.mortality, times)
     wgt = _trapezoid_weights(times)
-    shadow = np.exp((-m.rho * times + log_p) / m.gamma)
+    shadow = np.exp((-m.rho * times + log_p) / g)
     moment = np.exp(q * (0.5 * q * m.kappa**2 - m.r - 0.5 * m.kappa**2) * tau)
-    return (
-        shadow,
-        wgt,
-        np.exp(-params.habit.eta * tau) * wgt,
-        np.exp(params.habit.eta * q * tau),
-        float((wgt * shadow * moment).sum()),
-    )
+    vec = np.exp(-eta * tau) * wgt
+    a = shadow * np.exp(eta * tau / g)
+    ag = a * np.exp((0.5 * m.kappa**2 * ((1.0 - 2.0 / g) ** 2 - q * q) - mu / g) * tau)
+    s = np.zeros_like(times)
+    np.cumsum(0.5 * (ag[1:] + ag[:-1]) * np.diff(times), out=s[1:])
+    w = a * vec * moment
+    means = [(wgt * shadow * moment).sum(), w.sum(), (eta / g) * (w * s).sum()]
+    return shadow, wgt, vec, np.exp(eta * q * tau), np.array(means)
 
 
 def _moment_order(gamma: float) -> Optional[int]:
@@ -690,23 +717,28 @@ class _CostFunctional:
         self.params = params
         self._anchors = anchors
         self._euler = params.pension != 0.0
-        self._means = [_anchor_terms(params, times)[-1] for times in anchors]
+        # X, and the kernel moments M_0 and M_1 where the pass keeps them
+        moments = not self._euler and params.habit.eta != 0.0
+        k = 3 if moments and _moment_order(params.market.gamma) else 1
+        self._means = [_anchor_terms(params, t)[-1][:k] for t in anchors]
         self._kept = self._xs = None
         self._density = density
 
     @property
     def mean_x(self) -> float:
         """E[X] of the first anchor, known before any path is priced."""
-        return self._means[0]
+        return float(self._means[0][0])
 
     def price(self, alpha: float, states, delta: bool = False):
         """One (cost, delta, x, mean_x) per state (anchor index, y, h), in order.
 
         The remaining cost in wealth units from density level y and habit
-        h, y * d(cost)/dy with ``delta`` (else None), and the control X of
-        the state's anchor (from the closed form's pass, or kept by the
-        density) with its exact mean, per path or per antithetic pair.  A
-        state's result depends on neither the others nor ``delta``.
+        h, y * d(cost)/dy with ``delta`` (else None), and the controls of
+        the state's anchor, shape (k, paths), with their exact means
+        (:func:`_anchor_terms`): X, from the closed form's pass or kept by
+        the density, and at pension 0 with eta > 0 and a moment order the
+        kept moments M_0 and M_1 as well.  Per path or per antithetic pair.
+        A state's result depends on neither the others nor ``delta``.
         """
         density = self._density
         if self._euler:
@@ -714,7 +746,7 @@ class _CostFunctional:
                 self.params, alpha, density.grid.dt, density.steps, self._anchors,
                 states, delta,
             )
-            self._xs = density.controls(self.params, self._anchors)
+            self._xs = density.controls(self.params, self._anchors)[:, None]
         else:
             cost, tangent = self._closed_form(alpha, states)
         x = _pair_average(self._xs, density.antithetic)
@@ -739,7 +771,11 @@ class _CostFunctional:
         if self._kept is None:
             # the first call, or any on the power form, whose blocks price
             # their anchor's states while the kernel is in cache
-            self._kept, self._xs = _anchor_pass(p, self._density, self._anchors, fill)
+            self._kept, xs = _anchor_pass(p, self._density, self._anchors, fill)
+            self._xs = xs[:, None]  # the controls, shape (anchors, k, paths)
+            if len(self._means[0]) > 1:
+                moments = self._kept[..., :2].transpose(0, 2, 1)
+                self._xs = np.concatenate((self._xs, moments), axis=1)
         if self._kept is not None:
             for j, terms in enumerate(self._kept):
                 fill(slice(None), j, None, terms, None)
@@ -780,9 +816,9 @@ def budget_value(
     """Expected density-weighted cost of the funded consumption stream.
 
     E[ integral zeta_t * (C_t - pension)_+ dt ] by trapezoid rule over
-    the bundle grid, estimated across paths by regression on the
-    eta = 0 cost, whose mean is exact on the grid.  The returned standard
-    error accounts for antithetic pairing when the bundle uses it.
+    the bundle grid, estimated across paths by regression on controls of
+    exact mean on the grid (:meth:`_CostFunctional.price`).  The returned
+    standard error accounts for antithetic pairing when the bundle uses it.
     """
     _require_positive("alpha", alpha)
     cost = _CostFunctional(params, [paths.grid.times()], _Density(paths))

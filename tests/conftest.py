@@ -173,6 +173,36 @@ def control_mean(params, times):
     return float((wgt * shadow * moment).sum())
 
 
+def moment_means(params, times):
+    """E[M_0] and E[M_1] of the kernel moments M_j = sum_k wz_k m_k^j.
+
+    A brute-force double sum over grid pairs l <= i: with the kernel
+    integrand A_l zeta_l^(-1/g), A = exp((eta tau - rho t + log p_t) / g),
+    and the trapezoid weights c_il of the kernel K_i, E[M_1] = (eta/g)
+    sum_i sum_l A_i vec_i c_il A_l E[zeta_i^q zeta_l^(-1/g)], each
+    expectation that of a lognormal whose exponent has variance kappa^2
+    (q^2 tau_i + tau_l / g^2 - 2 q tau_l / g), as Cov(W_i, W_l) = tau_l.
+    """
+    m, eta = params.market, params.habit.eta
+    g, q, k2 = m.gamma, 1.0 - 1.0 / m.gamma, m.kappa**2
+    drift = -(m.r + 0.5 * k2)
+    wgt, shadow = _anchor_vectors(params, times)
+    tau = times - times[0]
+    a = shadow * np.exp(eta * tau / g)
+    vec = np.exp(-eta * tau) * wgt
+    m0 = (a * vec * np.exp(q * drift * tau + 0.5 * q * q * k2 * tau)).sum()
+    dt = np.diff(times)
+    c = np.zeros((times.shape[0], times.shape[0]))
+    for i in range(1, times.shape[0]):
+        c[i, :i] += 0.5 * dt[:i]
+        c[i, 1 : i + 1] += 0.5 * dt[:i]
+    ti, tl = tau[:, None], tau[None, :]
+    var = k2 * (q * q * ti + tl / g**2 - 2.0 * q * tl / g)
+    pair = np.exp(q * drift * ti - drift * tl / g + 0.5 * var)
+    m1 = (eta / g) * ((a * vec)[:, None] * c * a[None, :] * pair).sum()
+    return float(m0), float(m1)
+
+
 def reference_control(params, times, zeta):
     """Oracle for the Euler sweeps' control: X per path and E[X].
 

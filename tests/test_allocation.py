@@ -441,7 +441,7 @@ class TestSharedInnerPaths:
                     [want] = cost.price(ALPHA, [(0, 0.8, 1.1)], delta=True)
                     assert all(np.array_equal(a, b) for a, b in zip(got[:2], want))
                     _, _, x, mean_x = want
-                    assert np.array_equal(got[2], x) and got[3] == mean_x
+                    assert np.array_equal(got[2], x) and np.array_equal(got[3], mean_x)
 
     def test_surface_rows_match_fresh_evaluations(self):
         params = make_params(eta=0.1)

@@ -72,3 +72,12 @@ def test_euler_step_of_one_is_rejected():
     # eta * dt = 1 would set the habit to the last consumption each step
     with pytest.raises(ValueError, match="grid too coarse"):
         calibrate_alpha(params(eta=10.0, pension=0.5), CALIBRATION)
+
+
+def test_coarse_grid_error_names_eta_dt_and_the_stable_step():
+    # the Euler sweep needs dt < 1 / eta: 0.1 at eta 10 on steps of 0.1
+    with pytest.raises(ValueError, match="grid too coarse") as info:
+        calibrate_alpha(params(eta=10.0, pension=0.5), CALIBRATION)
+    message = str(info.value)
+    assert f"eta = 10.0, dt = {CALIBRATION.grid.dt}" in message
+    assert "dt < 1/eta = 0.1" in message

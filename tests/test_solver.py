@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greedyhabit import (
+    BudgetEstimate,
     CalibrationConfig,
     CalibrationError,
     BudgetMonotonicityError,
@@ -58,6 +59,7 @@ from conftest import (
     euler_at_zero,
     inner_density,
     make_params,
+    moment_means,
     per_path,
     reference_control,
     reference_euler,
@@ -78,9 +80,10 @@ def reference_budget(alpha, params, bundle):
     The closed-form sum (pension 0) and the path-major Euler loop
     (pension > 0), averaged over antithetic pairs when the bundle has
     them; kept as an oracle for the expression order the solver must
-    preserve.  Returns the samples and the control X per sample, formed
-    from ``wz`` on the closed form and summed step by step on the Euler
-    branch, as the solver forms it.
+    preserve.  Returns the samples and the controls per sample, shape
+    (k, samples): X, formed from ``wz`` on the closed form and summed step
+    by step on the Euler branch, as the solver forms it, and at pension 0
+    with eta > 0 and a whole gamma - 1 the kernel moments M_0 and M_1.
     """
     times, zeta, dt = bundle.grid.times(), bundle.zeta, bundle.grid.dt
     g, eta, pi = params.market.gamma, params.habit.eta, params.pension
@@ -102,14 +105,17 @@ def reference_budget(alpha, params, bundle):
         u0 = params.habit.initial ** (1.0 / g)
         y = beta * ((u0 + (eta / g) * beta * kernel) ** (g - 1.0) * wz).sum(axis=1)
         # wz carries decay^(g - 1); exp(eta (1 - 1/g) tau) lifts it to X
-        x = (wz * np.exp(eta * (1.0 - 1.0 / g) * tau)).sum(axis=1)
+        x = [(wz * np.exp(eta * (1.0 - 1.0 / g) * tau)).sum(axis=1)]
+        if eta > 0.0 and _moment_order(g) is not None:
+            x += [wz.sum(axis=1), (wz * ((eta / g) * kernel)).sum(axis=1)]
     else:
         y = reference_euler(alpha, params, times, zeta, dt)[0]
-        x = reference_control(params, times, zeta)[0]
+        x = [reference_control(params, times, zeta)[0]]
+    x = np.array(x)
     if bundle.antithetic:
         half = y.shape[0] // 2
         y = 0.5 * (y[:half] + y[half:])
-        x = 0.5 * (x[:half] + x[half:])
+        x = 0.5 * (x[:, :half] + x[:, half:])
     return y, x
 
 
@@ -360,7 +366,8 @@ class TestBudgetValue:
         # same arithmetic in the same order, so the match is exact, path by
         # path as well as in the estimate and SE, which regress the samples
         # on the control X; at gamma 3 it sums kernel moments, equal to
-        # rounding, and the Euler branch is exact at both
+        # rounding, and regresses on X, M_0 and M_1 of exact means; the
+        # Euler branch is exact at both
         plain = generate_paths(market, small_bundle.grid, 2001, seed=8)
         for gamma in (2.5, 3.0):
             for bundle in (small_bundle, plain):
@@ -374,14 +381,17 @@ class TestBudgetValue:
                     [(samples, _, x, _)] = cost.price(
                         2.9, [(0, 1.0, params.habit.initial)]
                     )
-                    assert np.array_equal(x, ref_x)
+                    assert np.array_equal(x[0], ref_x[0])
                     est = budget_value(2.9, params, bundle)
                     mean_x = control_mean(params, bundle.grid.times())
                     if gamma == 3.0 and pension == 0.0:
                         np.testing.assert_allclose(samples, ref, rtol=1e-13, atol=0.0)
-                        ref_est = _estimate_from_samples(ref, ref_x, mean_x)
+                        np.testing.assert_allclose(x, ref_x, rtol=1e-13, atol=0.0)
+                        means = mean_x, *moment_means(params, bundle.grid.times())
+                        ref_est = _estimate_from_samples(ref, ref_x, means)
                         assert est.value == pytest.approx(ref_est.value, rel=1e-13)
                         continue
+                    assert x.shape == ref_x.shape == (1, ref.shape[0])
                     assert np.array_equal(samples, ref)
                     assert est == _estimate_from_samples(ref, ref_x, mean_x)
 
@@ -828,11 +838,13 @@ class TestNewtonSearch:
 
 
 class TestControlVariate:
-    """Budgets and nested wealth regress the cost on the eta = 0 cost X.
+    """Budgets and nested wealth regress the cost on controls of exact mean.
 
-    X = sum_k wgt_k shadow_k zeta_k^(1 - 1/g) per sample has a mean that
-    is exact on the grid, so the regression estimate keeps the plain
-    mean's expectation and removes the part of its noise X explains.
+    X = sum_k wgt_k shadow_k zeta_k^(1 - 1/g), the eta = 0 cost, per
+    sample, and at pension 0 with eta > 0 and a whole gamma - 1 also the
+    kernel moments M_0 and M_1 the pass keeps.  Their means are exact on
+    the grid, so the regression estimate keeps the plain mean's
+    expectation and removes the part of its noise the controls explain.
     """
 
     GRID = TimeGrid(60.0, 0.1)
@@ -843,25 +855,137 @@ class TestControlVariate:
 
     @pytest.mark.parametrize("gamma", [0.5, 3.0])
     def test_mean_of_x_is_exact_on_the_grid(self, gamma):
+        # X alone at gamma 0.5, which has no moment order; X, M_0 and M_1
+        # at gamma 3
         params = dataclasses.replace(
             make_params(eta=0.1), market=MarketParams(gamma=gamma)
         )
+        k = 1 if gamma == 0.5 else 3
         bundle = generate_paths(
             params.market, self.GRID, 4000, seed=21, antithetic=True
         )
         [(_, _, x, mean_x)] = bundle_cost(params, bundle).price(2.9, [(0, 1.0, 1.0)])
-        assert x.shape == (2000,)
-        assert mean_x == control_mean(params, self.GRID.times())
-        self.assert_mean(x, mean_x)
+        assert x.shape == (k, 2000) and mean_x.shape == (k,)
+        assert mean_x[0] == control_mean(params, self.GRID.times())
+        for row, mean in zip(x, mean_x):
+            self.assert_mean(row, mean)
         # at a nested anchor the inner density restarts at 1
         nested = NestedConfig(n_inner=4000, seed=22, grid=self.GRID)
         [(_, _, x, mean_x)] = _nested_costs(
             [(20.0, 0.7, 1.2)], 2.9, params, nested._density(params.market)
         )
         times = 20.0 + np.arange(self.GRID.n_steps - 199) * self.GRID.dt
-        assert mean_x == _anchor_terms(params, times)[-1]
-        assert mean_x == pytest.approx(control_mean(params, times), rel=1e-14)
-        self.assert_mean(x, mean_x)
+        assert np.array_equal(mean_x, _anchor_terms(params, times)[-1][:k])
+        assert mean_x[0] == pytest.approx(control_mean(params, times), rel=1e-14)
+        for row, mean in zip(x, mean_x):
+            self.assert_mean(row, mean)
+
+    @pytest.mark.parametrize("gamma", [2.0, 3.0, 5.0])
+    @pytest.mark.parametrize("eta", [0.1, 2.0])
+    @pytest.mark.parametrize("t0", [0.0, 20.0])
+    def test_moment_means_are_exact_on_the_grid(self, gamma, eta, t0):
+        # the closed forms against the double sum over grid pairs, and the
+        # kept moments' sample means against both
+        params = dataclasses.replace(
+            make_params(eta=eta), market=MarketParams(gamma=gamma)
+        )
+        grid = TimeGrid(60.0 - t0, 0.1)
+        times = t0 + grid.times()
+        means = _anchor_terms(params, times)[-1]
+        want = moment_means(params, times)
+        np.testing.assert_allclose(means[1:], want, rtol=1e-13, atol=0.0)
+        bundle = generate_paths(params.market, grid, 4000, seed=31, antithetic=True)
+        kept = _pair_average(anchor_pass_terms(params, times, bundle.zeta)[1].T, True)
+        for row, mean in zip(kept[:2], want):
+            self.assert_mean(row, mean)
+
+    def test_one_control_is_the_single_regression_bit_for_bit(self, small_bundle):
+        # the regression on X alone, written as it was before the
+        # estimator took several controls: the Euler branch, the power
+        # form and eta = 0 keep these bits
+        def single(y, x, mean_x):
+            dx = x - x.mean()
+            resid = y - y.mean()
+            b = (dx * resid).sum() / (dx * dx).sum()
+            resid -= b * dx
+            se = math.sqrt((resid * resid).sum() / (y.shape[0] - 2) / y.shape[0])
+            return BudgetEstimate(float(y.mean() - b * (x.mean() - mean_x)), se)
+
+        rng = np.random.default_rng(4)
+        for n in (3, 4, 127, 2000, 10001):
+            x = rng.lognormal(size=n)
+            y = 3.0 * x + rng.normal(size=n)
+            assert _estimate_from_samples(y, x, 1.5) == single(y, x, 1.5)
+            assert _estimate_from_samples(y, x[None], np.array([1.5])) == single(
+                y, x, 1.5
+            )
+        for gamma, eta, pension in ((3.0, 0.1, 0.5), (2.5, 0.1, 0.0), (3.0, 0.0, 0.0)):
+            params = dataclasses.replace(
+                make_params(eta=eta, pension=pension), market=MarketParams(gamma=gamma)
+            )
+            [(y, _, x, mean_x)] = bundle_cost(params, small_bundle).price(
+                2.9, [(0, 1.0, 1.0)]
+            )
+            assert x.shape[0] == 1
+            assert budget_value(2.9, params, small_bundle) == single(y, x[0], mean_x[0])
+
+    @staticmethod
+    def fitted_line(y, x, mean_x):
+        """mean(y) - b . (mean(x) - E[x]) as the least-squares line with an
+        intercept at the controls' means, and its residual SE over n - 1 - k."""
+        design = np.vstack((np.ones_like(y), x)).T
+        coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+        resid = y - design @ coef
+        n, k = design.shape
+        return coef[0] + coef[1:] @ mean_x, math.sqrt((resid @ resid) / (n - k) / n)
+
+    def test_agrees_with_a_least_squares_fit_with_intercept(self, small_bundle):
+        params = make_params(eta=0.1)
+        [(y, _, x, mean_x)] = bundle_cost(params, small_bundle).price(
+            2.9, [(0, 1.0, 1.0)]
+        )
+        value, se = self.fitted_line(y, x, mean_x)
+        est = _estimate_from_samples(y, x, mean_x)
+        assert est.value == pytest.approx(value, rel=1e-12)
+        assert est.std_error == pytest.approx(se, rel=1e-8)
+
+    def test_habit_budget_is_exact_at_gamma_2_on_any_bundle(self):
+        # at gamma 2 (n = 1) every path costs beta (h0^(1/2) M_0 + beta M_1)
+        params = dataclasses.replace(
+            make_params(eta=0.1, c_bar=1.3), market=MarketParams(gamma=2.0)
+        )
+        means = _anchor_terms(params, self.GRID.times())[-1]
+        for n, seed, antithetic in ((7, 1, False), (400, 2, True), (3001, 3, False)):
+            bundle = generate_paths(
+                params.market, self.GRID, n, seed=seed, antithetic=antithetic
+            )
+            for alpha in (0.3, 2.9):
+                est = budget_value(alpha, params, bundle)
+                beta = alpha**-0.5
+                exact = beta * (1.3**0.5 * means[1] + beta * means[2])
+                assert est.value == pytest.approx(exact, rel=1e-12)
+                assert est.std_error < 1e-12 * exact
+
+    @pytest.mark.parametrize("eta", [1e-9, 1e-300])
+    def test_collinear_controls(self, small_bundle, eta):
+        # M_0 -> X as eta -> 0: at 1e-9 the three are still of rank 3 and
+        # the cost nearly M_0's multiple, so the SE is rounding, as at eta =
+        # 0; at 1e-300 X and M_0 are equal bit for bit and M_1's squares
+        # underflow, so one direction is fitted: the one-control estimate
+        params = make_params(eta=eta)
+        [(y, _, x, mean_x)] = bundle_cost(params, small_bundle).price(
+            2.9, [(0, 1.0, 1.0)]
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = budget_value(2.9, params, small_bundle)
+        one = _estimate_from_samples(y, x[0], mean_x[0])
+        assert math.isfinite(est.std_error) and est.std_error < 1e-12 * est.value
+        if eta == 1e-300:
+            assert np.array_equal(x[0], x[1])
+            assert est.value == pytest.approx(one.value, rel=1e-14)
+        else:
+            assert abs(est.value - one.value) < 3.0 * one.std_error
 
     def test_frozen_habit_budget_is_exact_on_any_bundle(self):
         # at eta = 0 and pension 0 every path costs beta h0^(1-1/g) X
@@ -915,6 +1039,31 @@ class TestControlVariate:
             est = budget_value(2.9, params, bundle)
             sol = calibrate_alpha(params, config)
         assert est == _estimate_from_samples(samples)
+        assert sol.budget_residual <= config.tolerance and sol.budget_se > 0.0
+
+    @pytest.mark.parametrize("pairs", [3, 4])
+    def test_few_samples_fit_the_leading_controls(self, pairs):
+        # n samples fit at most n - 2 controls, in the order X, M_0, M_1:
+        # 3 mirrored pairs are the regression on X alone, 4 on X and M_0,
+        # each with one residual degree of freedom (2 are the plain
+        # estimate, above)
+        params = make_params(eta=0.1)
+        bundle = generate_paths(
+            params.market, self.GRID, 2 * pairs, seed=3, antithetic=True
+        )
+        [(samples, _, x, mean_x)] = bundle_cost(params, bundle).price(
+            2.9, [(0, 1.0, 1.0)]
+        )
+        config = CalibrationConfig(
+            grid=self.GRID, n_paths=2 * pairs, seed=3, antithetic=True
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = budget_value(2.9, params, bundle)
+            sol = calibrate_alpha(params, config)
+        value, se = self.fitted_line(samples, x[: pairs - 2], mean_x[: pairs - 2])
+        assert est.value == pytest.approx(value, rel=1e-12)
+        assert est.std_error == pytest.approx(se, rel=1e-8)
         assert sol.budget_residual <= config.tolerance and sol.budget_se > 0.0
 
 
@@ -1051,7 +1200,9 @@ class TestRowBlocks:
                 [(0.0, 1.3, 0.8), (10.0, 0.4, 1.1), (0.0, 2.0, 0.5)], 2.9, params,
                 inner._density(params.market),
             )
-            out["nested", gamma] = np.array([np.hstack(row) for row in priced])
+            out["nested", gamma] = np.array(
+                [np.hstack([np.ravel(item) for item in row]) for row in priced]
+            )
         params = make_params(eta=0.1)
         out["kernel"] = bernoulli_kernel(
             params.habit, market, params.mortality, self.GRID.times(), bundle.zeta
@@ -1380,7 +1531,9 @@ class TestKernelMoments:
         for got, want in zip(nested_moments, nested_power):
             for a, b in zip(got[:2], want[:2]):
                 np.testing.assert_allclose(a, b, rtol=1e-13, atol=0.0)
-            assert np.array_equal(got[2], want[2]) and got[3] == want[3]
+            # the power form regresses on X alone, the moments on X, M_0, M_1
+            assert got[2].shape[0] == got[3].shape[0] == 3
+            assert np.array_equal(got[2][:1], want[2]) and got[3][0] == want[3]
 
 
 class TestPathwiseDelta:
