@@ -249,7 +249,7 @@ def pension_sweep(
     market scenario, and the records share one set of inner paths, so the
     curves are directly comparable, as in the pension-comparison figures.
     Each density is one ``solver._Density``; with a pension in any level
-    its step-major copy is written once, before it is read.
+    what it keeps (``_Density.steps``) is written once, before it is read.
 
     Parameters
     ----------

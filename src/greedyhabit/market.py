@@ -400,6 +400,11 @@ def _fill_normals(
         rng.standard_normal(out=out[j])
 
 
+def _log_drift(market: MarketParams, times: np.ndarray) -> np.ndarray:
+    """The drift of log zeta at ``times``: -(r + kappa^2 / 2) t."""
+    return -(market.r + 0.5 * market.kappa**2) * times
+
+
 def _density_paths(
     market: MarketParams, dw: np.ndarray, dt: float, antithetic: bool, out=None
 ):
@@ -418,11 +423,10 @@ def _density_paths(
     w[:, 0] = 0.0
     np.cumsum(dw, axis=1, out=w[:, 1:])
     w[:, 1:] *= math.sqrt(dt)
-    kappa = market.kappa
-    drift = -(market.r + 0.5 * kappa**2) * (np.arange(n_steps + 1) * dt)
+    drift = _log_drift(market, np.arange(n_steps + 1) * dt)
     # log zeta, then zeta, on one array: each block's temporaries are
     # held once per thread
-    np.multiply(kappa, w, out=zeta[:n_rows])
+    np.multiply(market.kappa, w, out=zeta[:n_rows])
     if antithetic:
         np.add(drift, zeta[:n_rows], out=zeta[n_rows:])
     np.subtract(drift, zeta[:n_rows], out=zeta[:n_rows])

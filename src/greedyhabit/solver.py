@@ -40,6 +40,7 @@ from .market import (
     _Stream,
     _Workspace,
     _in_threads,
+    _log_drift,
     _require_nonnegative,
     _require_positive,
     _require_seed,
@@ -442,16 +443,16 @@ def _anchor_pass(params, density, anchors, in_block):
     return kept, xs
 
 
-def _euler_stream(params, alpha, dt, zeta_t, anchors, states, tangent=False):
-    """Yield (k, consumption, habit, tangent) of the floored rule, step by step.
+def _euler_stream(params, alpha, density, paths, anchors, states, tangent=False):
+    """Yield (k, zeta_k, consumption, habit, tangent) of the floored rule, step by step.
 
-    One row per state (anchor index, y, h): the anchor's absolute times
-    ``anchors[j]`` read the leading steps of the step-major density
-    ``zeta_t``.  The states must come in order of decreasing horizon, so
-    the rows still stepping at step k are a prefix and each array yielded
-    holds those rows only; each step takes zeta_t[k]^(-1/g) once for all
-    of them, on one contiguous row, so its bits are those of the power
-    taken on any block of the same paths.
+    One row per state (anchor index, y, h) on ``paths``, a slice of the
+    paths of ``density``, whose leading steps the anchor's absolute times
+    ``anchors[j]`` read.  The states must come in order of decreasing
+    horizon, so the rows still stepping at step k are a prefix and each
+    array yielded holds those rows only; each step reads zeta_k and takes
+    zeta_k^(-1/g) once for all of them, on one contiguous row, so its bits
+    are those of the power taken on any block of the same paths.
     The habit is updated in place after the consumer has read it.  Each
     step writes its arrays into the leading rows of arrays made once per
     sweep, so a yielded step is valid until the next one is asked for.
@@ -460,13 +461,13 @@ def _euler_stream(params, alpha, dt, zeta_t, anchors, states, tangent=False):
     forward through the habit's own Euler step as y * dH/dy (zero at
     the start); it is zero where the floor binds.  Otherwise it is None.
     """
-    g = params.market.gamma
+    g, dt = params.market.gamma, density.grid.dt
     eta = params.habit.eta
     pi = params.pension
     e = 1.0 - 1.0 / g
     steps = [anchors[j].shape[0] for j, _, _ in states]
     fac = np.zeros((len(states), steps[0]))
-    h = np.empty((len(states), zeta_t.shape[1]))
+    h = np.empty((len(states), paths.stop - paths.start))
     for r, (j, y, h0) in enumerate(states):
         shadow = _anchor_terms(params, anchors[j])[0]
         fac[r, : steps[r]] = (alpha ** (-1.0 / g) * y ** (-1.0 / g)) * shadow
@@ -476,15 +477,17 @@ def _euler_stream(params, alpha, dt, zeta_t, anchors, states, tangent=False):
     # counts[k]: the rows that take step k, a prefix as horizons decrease
     counts = (np.asarray(steps)[:, None] > np.arange(steps[0] + 1)).sum(axis=0)
     # a prefix of rows is contiguous, so each step's temporaries are the
-    # leading rows of these, and zpow holds zeta_t[k]^(-1/g)
-    cs, scratch, zpow = np.empty_like(h), np.empty_like(h), np.empty(h.shape[1])
+    # leading rows of these; zeta holds zeta_k, and zpow zeta_k^(-1/g)
+    cs, scratch = np.empty_like(h), np.empty_like(h)
+    zeta, zpow = np.empty(h.shape[1]), np.empty(h.shape[1])
     dcs = np.empty_like(h) if tangent else None
     floor = np.empty(h.shape, bool) if tangent else None
     for k in range(steps[0]):
         n = counts[k]
         hk = h[:n]
         c = np.power(hk, e, out=cs[:n])
-        np.power(zeta_t[k], -1.0 / g, out=zpow)
+        z = density.step(k, paths, zeta)
+        np.power(z, -1.0 / g, out=zpow)
         c *= np.multiply(fac[:n, k, None], zpow, out=scratch[:n])
         if tangent:
             # C = h^e y^(-1/g) (...) off the floor, so y dC/dy = C (e dh/h - 1/g)
@@ -495,7 +498,7 @@ def _euler_stream(params, alpha, dt, zeta_t, anchors, states, tangent=False):
         np.maximum(c, pi, out=c)
         if tangent:
             dc *= np.greater(c, pi, out=floor[:n])
-        yield k, c, hk, dc
+        yield k, z, c, hk, dc
         # habit_euler_step on the rows with a step left, whose eta * dt
         # check ran in _require_stable_step
         nxt = counts[k + 1]
@@ -517,7 +520,9 @@ class _Density:
     :class:`market._Stream`, whose row blocks are drawn as they are read,
     or a :class:`PathBundle`, whose path-major rows it stores.  Either way
     the density holds the source's ``grid`` and ``antithetic`` pairing,
-    and every way of reading it gives each row the same bits.
+    and every way of reading it gives each row the same bits: a stream's
+    log zeta, drift - kappa W, and its mirror's, drift + kappa W, are
+    rebuilt from the kept kappa W with the stream's operands and ufuncs.
     """
 
     def __init__(self, source):
@@ -528,29 +533,17 @@ class _Density:
         self._steps = None
         self._xs = {}
 
-    def store(self) -> None:
-        """Keep a stream's rows path-major, unless they are kept step-major."""
-        if self._rows is None and self._steps is None:
-            rows = np.empty(self.shape)
-
-            def fill(blocks):
-                for at, zeta in blocks:
-                    rows[at] = zeta
-
-            self.chunks(fill)
-            self._rows = rows
-
     def chunks(self, work) -> None:
         """Call ``work(blocks)`` on :func:`_in_threads` chunks of the rows.
 
         ``blocks`` yields ``(rows, zeta)`` per row block, ``rows`` a slice,
         path-major because the closed form's sums run along each path's
         time axis and their pairwise summation order depends on that
-        layout.  They are the stored rows, else :attr:`steps` copied back
-        into an array the chunk allocates once, else drawn from the stream,
-        each antithetic half a block of its own, so a kept density is never
-        drawn again.  ``work`` reads a block before it asks for the next,
-        which may overwrite it.
+        layout.  They are a bundle's rows, else rebuilt from a stream's
+        kept :attr:`steps` into an array the chunk allocates once, else
+        drawn from the stream, each antithetic half a block of its own, so
+        a kept density is never drawn again.  ``work`` reads a block
+        before it asks for the next, which may overwrite it.
         """
         if self._rows is not None:
             _in_threads(self.shape[0], lambda c: work((r, self._rows[r]) for r in c))
@@ -558,37 +551,57 @@ class _Density:
         if self._steps is None:
             self._source.chunks(lambda blocks: work((r, z) for r, _, z in blocks))
             return
-        zeta_t = self._steps
 
         def blocks(chunk):
             work = _Workspace()
             for rows in chunk:
-                zeta = work.take("zeta", (rows.stop - rows.start, zeta_t.shape[0]))
-                np.copyto(zeta, zeta_t[:, rows].T)
-                yield rows, zeta
+                zeta = work.take("zeta", (rows.stop - rows.start, self.shape[1]))
+                yield rows, self.step(slice(None), rows, zeta)
 
-        _in_threads(zeta_t.shape[1], lambda chunk: work(blocks(chunk)))
+        _in_threads(self.shape[0], lambda chunk: work(blocks(chunk)))
 
     @property
     def steps(self) -> np.ndarray:
-        """The density step-major, shape (n_times, n_paths).
+        """The density's kept step-major form, written on first use.
 
-        Written on first use and kept, so each Euler step reads one
-        contiguous row of every path.  A stream writes each block's rows
-        transposed as it is drawn, so no path-major array is made.
+        A bundle keeps its zeta, shape (n_times, n_paths); a stream kappa W
+        of its streams alone (a mirror is a function of its stream), shape
+        (n_times, n_paths / 2) with antithetic pairing and (n_times,
+        n_paths) without, written from each block's Brownian rows as drawn.
         """
         if self._steps is None and self._rows is not None:
             self._steps = np.ascontiguousarray(self._rows.T)
         elif self._steps is None:
-            zeta_t = np.empty(self.shape[::-1])
+            market = self._source.market
+            streams = self.shape[0] // 2 if self.antithetic else self.shape[0]
+            kept = np.empty((self.shape[1], streams))
 
             def fill(blocks):
-                for rows, _, z in blocks:
-                    zeta_t[:, rows] = z.T
+                for rows, w, _ in blocks:
+                    if w is not None:  # a block of streams, not of mirrors
+                        np.multiply(market.kappa, w.T, out=kept[:, rows])
 
             self._source.chunks(fill)
-            self._steps = zeta_t
+            self._drift = _log_drift(market, self.grid.times())
+            self._steps = kept
         return self._steps
+
+    def step(self, k, paths: slice, out: np.ndarray) -> np.ndarray:
+        """Step ``k`` of the density on ``paths``, a slice of its paths.
+
+        A bundle's row is a view of :attr:`steps`; a stream's is rebuilt into
+        ``out``, one float per path, or path-major at every step with ``k``
+        slice(None).  Callers on threads read :attr:`steps` first.
+        """
+        kept = self.steps
+        if self._rows is not None:
+            return kept[k, paths]
+        lo, hi, n = paths.start, paths.stop, kept.shape[1]
+        cut = min(max(lo, n), hi)  # the first mirror in paths, or their end
+        drift = self._drift[k]
+        np.subtract(drift, kept[k, lo:cut].T, out=out[: cut - lo])
+        np.add(drift, kept[k, max(lo, n) - n : max(hi, n) - n].T, out=out[cut - lo :])
+        return np.exp(out, out=out)
 
     def controls(self, params: ModelParams, anchors) -> np.ndarray:
         """X per path of every anchor, one :func:`_euler_controls` per set.
@@ -603,16 +616,17 @@ class _Density:
             tuple((float(times[0]), times.shape[0]) for times in anchors),
         )
         if key not in self._xs:
-            self._xs[key] = _euler_controls(params, self.steps, anchors)
+            self._xs[key] = _euler_controls(params, self, anchors)
         return self._xs[key]
 
 
-def _euler_costs(params, alpha, dt, zeta_t, anchors, states, delta):
+def _euler_costs(params, alpha, density, anchors, states, delta):
     """Per-path cost and delta (None without ``delta``) of every state, one sweep.
 
     ``states`` are (anchor index, y, h), as :func:`_euler_stream` takes
     them but in any order; the rows come back in the order given.
     """
+    density.steps  # kept once, before the chunks read it
     pi = params.pension
     order = sorted(range(len(states)), key=lambda r: -anchors[states[r][0]].shape[0])
     rows = [states[r] for r in order]
@@ -620,44 +634,43 @@ def _euler_costs(params, alpha, dt, zeta_t, anchors, states, delta):
     for r, (j, _, _) in enumerate(rows):
         w = _anchor_terms(params, anchors[j])[1]
         wgt[r, : w.shape[0]] = w
-    cost = np.zeros((len(rows), zeta_t.shape[1]))
+    cost = np.zeros((len(rows), density.shape[0]))
     tangent = np.zeros_like(cost) if delta else None
 
     def sweep(blocks):
-        # the paths of the blocks, a run of columns: each step's slice of
-        # zeta_t is still contiguous
+        # the paths of the blocks, a run of columns read as one row per step
         cols = slice(blocks[0].start, blocks[-1].stop)
         terms = np.empty((len(rows), cols.stop - cols.start))
-        for k, c, _, dc in _euler_stream(
-            params, alpha, dt, zeta_t[:, cols], anchors, rows, delta
+        for k, z, c, _, dc in _euler_stream(
+            params, alpha, density, cols, anchors, rows, delta
         ):
             live = c.shape[0]
             # (wgt_k (c - pi)) zeta_k in this order, in the leading rows of
             # terms; dc is read again by the stream, so it is not scaled in place
             term = np.subtract(c, pi, out=terms[:live])
             term *= wgt[:live, k, None]
-            term *= zeta_t[k, cols]
+            term *= z
             cost[:live, cols] += term
             if delta:
                 np.multiply(dc, wgt[:live, k, None], out=term)
-                term *= zeta_t[k, cols]
+                term *= z
                 tangent[:live, cols] += term
 
     if len(rows) > 1:
-        _in_threads(zeta_t.shape[1], sweep)
+        _in_threads(density.shape[0], sweep)
     else:
         # one state's step is a numpy call over one row of paths, too
         # short to pay for handing the interpreter lock between threads
-        sweep([slice(0, zeta_t.shape[1])])
+        sweep([slice(0, density.shape[0])])
     given = np.argsort(order)
     return cost[given], None if tangent is None else tangent[given]
 
 
-def _euler_controls(params, zeta_t, anchors):
+def _euler_controls(params, density, anchors):
     """X per path of every anchor (:func:`_anchor_terms`), one step-major pass.
 
     X sums (wgt_k shadow_k) * (zeta_k * zeta_k^(-1/g)) in step order, the
-    power taken once per step for every anchor.  Anchors go longest
+    step and its power taken once for every anchor.  Anchors go longest
     first, so those still summing at step k are a prefix.
     """
     order = sorted(range(len(anchors)), key=lambda j: -anchors[j].shape[0])
@@ -667,14 +680,15 @@ def _euler_controls(params, zeta_t, anchors):
         shadow, wgt, *_ = _anchor_terms(params, anchors[j])
         scale[r, : steps[r]] = wgt * shadow
     counts = (steps[:, None] > np.arange(steps[0])).sum(axis=0)
-    xs = np.zeros((len(order), zeta_t.shape[1]))
-    term, scaled = np.empty(zeta_t.shape[1]), np.empty_like(xs)
+    xs = np.zeros((len(order), density.shape[0]))
+    zeta, term, scaled = np.empty(xs.shape[1]), np.empty(xs.shape[1]), np.empty_like(xs)
     # serial over all paths: each step is a few short numpy calls, and
     # handing the interpreter lock between threads cost more than it saved
     # (2 threads were faster only at one anchor on 20000 paths, by 20 ms)
     for k, live in enumerate(counts):
-        np.power(zeta_t[k], -1.0 / params.market.gamma, out=term)
-        np.multiply(zeta_t[k], term, out=term)
+        z = density.step(k, slice(0, xs.shape[1]), zeta)
+        np.power(z, -1.0 / params.market.gamma, out=term)
+        np.multiply(z, term, out=term)
         np.multiply(scale[:live, k, None], term, out=scaled[:live])
         xs[:live] += scaled[:live]
     return xs[np.argsort(order)]
@@ -743,8 +757,7 @@ class _CostFunctional:
         density = self._density
         if self._euler:
             cost, tangent = _euler_costs(
-                self.params, alpha, density.grid.dt, density.steps, self._anchors,
-                states, delta,
+                self.params, alpha, density, self._anchors, states, delta
             )
             self._xs = density.controls(self.params, self._anchors)[:, None]
         else:
@@ -801,10 +814,10 @@ def solve_paths(
         h = habit_closed_form(p.habit, p.market, p.mortality, alpha, times, zeta)
         return consumption_no_pension(h, zeta, times, alpha, p.market, p.mortality), h
     _require_stable_step(p, dt)
-    zeta_t = _Density(paths).steps
-    consumption, habit = np.empty_like(zeta_t), np.empty_like(zeta_t)
-    for k, c, h, _ in _euler_stream(
-        p, alpha, dt, zeta_t, [times], [(0, 1.0, p.habit.initial)]
+    n = zeta.shape[0]
+    consumption, habit = np.empty((times.shape[0], n)), np.empty((times.shape[0], n))
+    for k, _, c, h, _ in _euler_stream(
+        p, alpha, _Density(paths), slice(0, n), [times], [(0, 1.0, p.habit.initial)]
     ):
         consumption[k], habit[k] = c[0], h[0]
     return consumption.T, habit.T
@@ -873,12 +886,11 @@ def calibrate_alpha(
     v, h0, g = params.v, params.habit.initial, params.market.gamma
     if paths is None:
         density = _density or config._density(params.market)
+        # the power form reads the density at every call: a stream keeps it
+        if params.habit.eta != 0.0 and _moment_order(g) is None:
+            density.steps
     else:
         density = _Density(paths)
-    # only the power form at pension 0 reads the density at every call
-    power_form = params.habit.eta != 0.0 and _moment_order(g) is None
-    if params.pension == 0.0 and power_form:
-        density.store()
     cost = _CostFunctional(params, [density.grid.times()], density)
     lo, hi = limits = (config.bracket[0] / 1e6, config.bracket[1] * 1e6)
     history = {}

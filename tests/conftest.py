@@ -137,6 +137,14 @@ def density_rows(density):
     return rows
 
 
+def density_steps(density):
+    """Every step of a ``solver._Density``, shape (n_times, n_paths), each
+    row read over all paths by its ``step``."""
+    n = density.shape[0]
+    steps = range(density.shape[1])
+    return np.array([density.step(k, slice(0, n), np.empty(n)) for k in steps])
+
+
 def anchor_pass_terms(params, times, zeta):
     """``(kernel, wz, x)`` of the closed form's pass at one anchor, per path.
 

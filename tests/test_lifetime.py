@@ -368,11 +368,11 @@ class TestPensionSweep:
         assert seen == expected
 
     def test_euler_legs_share_one_pair_freed_before_the_records(self, monkeypatch):
-        # the legs with a pension calibrate on one step-major copy made
-        # from the stream, which computes their common X once; the nested
-        # pass's copy, also made from the stream, does the same for every
-        # record, and the calibration copy is gone before the first record
-        # is priced
+        # the legs with a pension calibrate on kappa W of the stream kept
+        # step-major once, which computes their common X once; the nested
+        # pass's kept array, also made from the stream, does the same for
+        # every record, and the calibration's is gone before the first
+        # record is priced
         params = make_params(eta=0.1)
         config = CalibrationConfig(
             grid=TimeGrid(60.0, 0.1), n_paths=2000, seed=5, antithetic=True
@@ -420,8 +420,10 @@ class TestPensionSweep:
         # one anchor for the calibrations, one per refresh for the records
         assert controls == [1, 5]
         # the first record finds the one inner array, written before it so
-        # that every leg reads one draw, and not the calibration copy
-        assert held[0] < inner[0] * inner[1] * 8 + 0.25 * full
+        # that every leg reads one draw, and not the calibration's.  It
+        # keeps kappa W of the 200 streams alone, half an inner array
+        # (held[0] was 0.69 inner arrays + 0.25 full ones when it was zeta)
+        assert held[0] < 0.5 * inner[0] * inner[1] * 8 + 0.25 * full
 
     @pytest.mark.parametrize("alphas", [None, [1.0, 1.0]])
     @pytest.mark.parametrize("bad", [-0.5, math.nan])

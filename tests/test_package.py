@@ -9,7 +9,7 @@ unused, no parameter is left unread, no defaulted parameter of a
 private helper is left unset, the density's rows, the closed form's
 block pass and the Euler control pass each come from one place, each
 spawn key's streams are built in one place, and only ``solver._Density``
-decides how a density is read.
+decides how a density is read and reads what it keeps.
 """
 
 import ast
@@ -302,6 +302,29 @@ def test_only_the_density_branches_on_its_form():
             elif func == "vars" and [getattr(a, "id", None) for a in args] == ["self"]:
                 found.append(f"{path.name}:{node.lineno} vars(self)")
     assert not found, f"density form tested outside solver._Density: {found}"
+
+
+def test_only_the_density_reads_what_it_keeps():
+    # a bundle's rows and a stream's kept kappa W turn into zeta inside
+    # solver._Density alone (its chunks and step), so no other code in
+    # src/ reads _rows or _steps, whichever object they hang on
+    found = []
+    for path in sorted(Path(greedyhabit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        inside = {
+            id(node)
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and cls.name == "_Density"
+            for node in ast.walk(cls)
+        }
+        found += [
+            f"{path.name}:{node.lineno} {node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr in ("_rows", "_steps")
+            and id(node) not in inside
+        ]
+    assert not found, f"kept density read outside solver._Density: {found}"
 
 
 def test_import_starts_no_thread():

@@ -56,6 +56,7 @@ from conftest import (
     bundle_cost,
     control_mean,
     density_rows,
+    density_steps,
     euler_at_zero,
     inner_density,
     make_params,
@@ -1071,11 +1072,11 @@ class TestCalibrationDensity:
     @pytest.mark.parametrize("antithetic", [False, True])
     def test_density_without_brownian_paths(self, monkeypatch, market, antithetic):
         # 130 paths are more than one row block of streams either way; the
-        # stored rows are those of generate_paths at the same seed, and
-        # reading them back draws nothing
+        # rows rebuilt from the kept kappa W are those of generate_paths at
+        # the same seed, and reading them back draws nothing
         grid = TimeGrid(10.0, 0.1)
         density = _Density(_Stream(market, grid, 130, 6, antithetic, ()))
-        density.store()
+        density.steps
         full = generate_paths(market, grid, 130, seed=6, antithetic=antithetic)
         drawn = []
         monkeypatch.setattr(
@@ -1244,12 +1245,13 @@ class TestRowBlocks:
 
     @pytest.mark.parametrize("n_paths, antithetic", [(2001, False), (2002, True)])
     def test_stream_fed_step_major_pair(self, monkeypatch, market, n_paths, antithetic):
-        # each block writes its rows transposed into the step-major copy;
-        # with antithetic paths the chunks split the 1001 streams, so
-        # every chunk writes columns on both sides of the mirror.  In
-        # every state of a density, chunks gives its rows bit for bit.
-        # The Euler sweep takes zeta^(-1/g) per step on each thread's
-        # columns, with the bits of the oracle's path-major power
+        # each block of streams writes kappa W transposed into the kept
+        # step-major array; with antithetic paths the chunks split the
+        # 1001 streams, so every chunk sweeps columns on both sides of the
+        # mirror.  In every state of a density, chunks gives its rows and
+        # step its steps bit for bit.  The Euler sweep takes zeta^(-1/g)
+        # per step on each thread's columns, with the bits of the
+        # oracle's path-major power
         bundle = generate_paths(
             market, self.GRID, n_paths, seed=12, antithetic=antithetic
         )
@@ -1275,24 +1277,23 @@ class TestRowBlocks:
                     assert np.array_equal(density_rows(density), bundle.zeta), (
                         block, workers, state,
                     )
-                kept.store()
+                kept.steps
                 assert np.array_equal(density_rows(kept), bundle.zeta), (
-                    block, workers, "store",
+                    block, workers, "kept",
                 )
                 for state, density in (
-                    ("stored", stored), ("streamed", streamed), ("store", kept)
+                    ("stored", stored), ("streamed", streamed), ("kept", kept)
                 ):
-                    assert np.array_equal(density.steps, bundle.zeta.T), (
+                    assert np.array_equal(density_steps(density), bundle.zeta.T), (
                         block, workers, state,
                     )
                     cost, delta = _euler_costs(
-                        params, 2.9, self.GRID.dt, density.steps, anchors, states,
-                        True,
+                        params, 2.9, density, anchors, states, True
                     )
                     for r, want in enumerate(oracle):
                         assert np.array_equal(cost[r], want[0]), (block, workers, r)
                         assert np.array_equal(delta[r], want[3]), (block, workers, r)
-                    # and its rows read after the step-major copy exists
+                    # and its rows read after the kept array exists
                     assert np.array_equal(density_rows(density), bundle.zeta), (
                         block, workers, state, "steps",
                     )
@@ -1303,12 +1304,12 @@ class TestRowBlocks:
     ):
         # the inner paths are never stored: the closed form reads the
         # stream's blocks, each antithetic half a block of its own; the
-        # Euler branch sweeps a step-major copy written from them, which the
-        # closed form then reads back.  Each prices what one functional
-        # does on the stored density of the same rows, and the Euler
-        # branch what the path-major oracle does.  Over 210 rows, two
-        # chunks of 7-row blocks of the copy are cut on the mirror (row
-        # 105) and three across it
+        # Euler branch sweeps kappa W kept step-major from them, whose
+        # rebuilt rows the closed form then reads back.  Each prices what
+        # one functional does on the stored density of the same rows, and
+        # the Euler branch what the path-major oracle does.  Over 210
+        # rows, two chunks of 7-row blocks of the rebuilt rows are cut on
+        # the mirror (row 105) and three across it
         config = NestedConfig(
             n_inner=n_paths, seed=7, grid=self.GRID, antithetic=antithetic
         )
@@ -1347,8 +1348,8 @@ class TestRowBlocks:
             monkeypatch.setattr(greedyhabit.market, "ROW_BLOCK", block)
             monkeypatch.setattr(greedyhabit.market, "WORKERS", workers)
             inners = {g: config._density(MarketParams(gamma=g)) for g in (2.5, 3.0)}
-            # the closed forms stream, the Euler branch writes the
-            # step-major copy, and the closed forms read it back
+            # the closed forms stream, the Euler branch keeps kappa W, and
+            # the closed forms read back the rows rebuilt from it
             for i in (0, 1, 2, 3, 4, 0, 1, 2):
                 p = branches[i]
                 got = _nested_costs(states, 2.9, p, inners[p.market.gamma])
@@ -1357,9 +1358,37 @@ class TestRowBlocks:
                         x is y is None or np.array_equal(x, y) for x, y in zip(a, b)
                     ), (block, workers, i, r)
             for g, inner in inners.items():
-                assert np.array_equal(inner.steps, zeta.T), (
+                assert np.array_equal(density_steps(inner), zeta.T), (
                     block, workers, g,
                 )
+
+    @pytest.mark.parametrize("n_paths, antithetic", [(209, False), (210, True)])
+    def test_stream_keeps_kappa_w_of_its_streams(
+        self, monkeypatch, market, n_paths, antithetic
+    ):
+        # a stream keeps kappa W of its streams alone, step-major: half the
+        # paths with mirrors.  Blocks of 7 on 3 workers cut 210 rows into
+        # chunks of 70, so the middle one crosses the mirror (row 105).
+        # Every row rebuilt by chunks, and every step rebuilt by step on
+        # all paths or on each chunk's run of them, has generate_paths' bits
+        monkeypatch.setattr(greedyhabit.market, "ROW_BLOCK", 7)
+        monkeypatch.setattr(greedyhabit.market, "WORKERS", 3)
+        bundle = generate_paths(
+            market, self.GRID, n_paths, seed=12, antithetic=antithetic
+        )
+        density = _Density(_Stream(market, self.GRID, n_paths, 12, antithetic, ()))
+        kept = density.steps
+        streams = n_paths // 2 if antithetic else n_paths
+        assert kept.shape == (self.GRID.n_steps + 1, streams)
+        assert kept.dtype == np.float64
+        assert np.array_equal(density_rows(density), bundle.zeta)
+        assert np.array_equal(density_steps(density), bundle.zeta.T)
+        runs = [slice(lo, min(lo + 70, n_paths)) for lo in range(0, n_paths, 70)]
+        for k in range(self.GRID.n_steps + 1):
+            row = np.hstack(
+                [density.step(k, r, np.empty(r.stop - r.start)) for r in runs]
+            )
+            assert np.array_equal(row, bundle.zeta[:, k]), k
 
     def test_unread_solution_holds_no_arrays(self):
         params = make_params(eta=0.1, pension=0.5)
@@ -1435,12 +1464,13 @@ class TestCalibrationMemory:
 
     @pytest.mark.parametrize("pension", [0.0, 0.5])
     def test_peak_is_a_few_full_arrays(self, monkeypatch, pension):
-        # with a pension, the Euler branch's one step-major copy, made from
-        # the stream with no path-major density or stored power beside it,
-        # and the stream's blocks: about 1.2 full arrays on one worker and
-        # 1.3 on two (the copy and its power took 2.2 and 2.3); at pension
-        # 0 the streamed moments take about 1.1
-        self.assert_peak(monkeypatch, make_params(eta=0.1, pension=pension), 1.5)
+        # with a pension, the Euler branch's kappa W of the 1000 streams,
+        # kept step-major from the stream with no path-major density or
+        # stored power beside it, and the stream's blocks: 0.64 full arrays
+        # on one worker and 0.77 on two (1.14 and 1.27 when it kept zeta,
+        # 2.2 and 2.3 with its power); at pension 0 the streamed moments
+        # take 0.31 and 0.54
+        self.assert_peak(monkeypatch, make_params(eta=0.1, pension=pension), 0.85)
 
     def test_moments_keep_no_full_kernel_or_weights(self, monkeypatch):
         # at gamma 3 calibration keeps three moments per path, so the peak
@@ -1451,9 +1481,11 @@ class TestCalibrationMemory:
 
     def test_power_form_keeps_no_full_kernel_or_weights(self, monkeypatch):
         # at gamma 2.5 every call prices its blocks inside the pass, so
-        # the peak is the density and the blocks' temporaries (a full
-        # kernel and wz kept for every alpha made it about 3.1 arrays)
-        self.assert_peak(monkeypatch, POWER_FORM, 1.5)
+        # the peak is the kept kappa W of the streams and the blocks'
+        # temporaries: 0.71 full arrays on one worker and 0.91 on two
+        # (1.17 and 1.34 with the density stored path-major; a full kernel
+        # and wz kept for every alpha made it about 3.1 arrays)
+        self.assert_peak(monkeypatch, POWER_FORM, 1.0)
 
     @pytest.mark.parametrize("eta", [0.0, 0.1])
     def test_streamed_calibration_holds_no_full_array(self, monkeypatch, eta):
