@@ -293,12 +293,7 @@ def policy_surface(
             if not 0.0 < wealth <= max_wealth:
                 continue
             consumption = consumption_with_pension(
-                habit_level,
-                float(zeta),
-                t,
-                alpha,
-                params.pension,
-                params.market,
+                habit_level, float(zeta), t, alpha, params.pension, params.market,
                 params.mortality,
             )
             slice_rows.append(

@@ -358,19 +358,11 @@ def _cmd_lifetime(args: argparse.Namespace) -> int:
         theta_refresh=cfg.theta_refresh,
         nested=cfg.nested,
     )
-    rows = []
-    for record in records:
-        for k, t in enumerate(record.times):
-            rows.append(
-                (
-                    float(t),
-                    record.pension,
-                    float(record.consumption[k]),
-                    float(record.habit[k]),
-                    float(record.wealth[k]),
-                    float(record.allocation[k]),
-                )
-            )
+    rows = [
+        (float(t), r.pension, *map(float, row))
+        for r in records
+        for t, *row in zip(r.times, r.consumption, r.habit, r.wealth, r.allocation)
+    ]
     _write_csv(args.out, LIFETIME_COLUMNS, rows)
     return 0
 

@@ -158,9 +158,8 @@ def simulate_lifetime(
         scenario = generate_paths(params.market, grid, 1, seed=scenario_seed)
     zeta_path = scenario.zeta[0]
     dw = np.diff(scenario.w[0])
-    consumption, habit = solve_paths(alpha, params, scenario)
-    consumption = consumption[0].copy()
-    habit = habit[0].copy()
+    # the arrays of the one path, made afresh, which absorption overwrites
+    consumption, habit = (a[0] for a in solve_paths(alpha, params, scenario))
 
     refresh_times = times[refresh_idx]
 

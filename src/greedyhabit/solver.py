@@ -222,14 +222,6 @@ def consumption_with_pension(
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
-    w = np.empty_like(times)
-    w[1:-1] = 0.5 * (times[2:] - times[:-2])
-    w[0] = 0.5 * (times[1] - times[0])
-    w[-1] = 0.5 * (times[-1] - times[-2])
-    return w
-
-
 def _estimate_from_samples(
     y: np.ndarray, x: Optional[np.ndarray] = None, mean_x: ArrayLike = 0.0
 ) -> BudgetEstimate:
@@ -302,7 +294,8 @@ def _anchor_terms(params: ModelParams, times: np.ndarray):
     g, q, mu = m.gamma, 1.0 - 1.0 / m.gamma, -(m.r + 0.5 * m.kappa**2)
     tau = times - times[0]
     log_p = log_survival_probability(params.mortality, times)
-    wgt = _trapezoid_weights(times)
+    # the trapezoid weights: half the gap between each time's neighbours
+    wgt = 0.5 * (np.r_[times[1:], times[-1]] - np.r_[times[0], times[:-1]])
     shadow = np.exp((-m.rho * times + log_p) / g)
     moment = np.exp(q * (0.5 * q * m.kappa**2 - m.r - 0.5 * m.kappa**2) * tau)
     vec = np.exp(-eta * tau) * wgt
@@ -443,16 +436,18 @@ def _anchor_pass(params, density, anchors, in_block):
     return kept, xs
 
 
-def _euler_stream(params, alpha, density, paths, anchors, states, tangent=False):
+def _euler_stream(params, alpha, density, paths, anchors, states, dtype, tangent=False):
     """Yield (k, zeta_k, consumption, habit, tangent) of the floored rule, step by step.
 
     One row per state (anchor index, y, h) on ``paths``, a slice of the
     paths of ``density``, whose leading steps the anchor's absolute times
     ``anchors[j]`` read.  The states must come in order of decreasing
     horizon, so the rows still stepping at step k are a prefix and each
-    array yielded holds those rows only; each step reads zeta_k and takes
-    zeta_k^(-1/g) once for all of them, on one contiguous row, so its bits
-    are those of the power taken on any block of the same paths.
+    array yielded holds those rows only; each step reads zeta_k, rounds it
+    to ``dtype`` and takes zeta_k^(-1/g) once for all of them, on one
+    contiguous row, so its bits are those of the power taken on any block
+    of the same paths.  Every array yielded is in ``dtype``, and so is
+    every operation of a step (the pension, eta and dt rounded to it).
     The habit is updated in place after the consumer has read it.  Each
     step writes its arrays into the leading rows of arrays made once per
     sweep, so a yielded step is valid until the next one is asked for.
@@ -461,13 +456,11 @@ def _euler_stream(params, alpha, density, paths, anchors, states, tangent=False)
     forward through the habit's own Euler step as y * dH/dy (zero at
     the start); it is zero where the floor binds.  Otherwise it is None.
     """
-    g, dt = params.market.gamma, density.grid.dt
-    eta = params.habit.eta
-    pi = params.pension
-    e = 1.0 - 1.0 / g
+    g, eta, pi = params.market.gamma, params.habit.eta, params.pension
+    dt, e = density.grid.dt, 1.0 - 1.0 / g
     steps = [anchors[j].shape[0] for j, _, _ in states]
-    fac = np.zeros((len(states), steps[0]))
-    h = np.empty((len(states), paths.stop - paths.start))
+    fac = np.zeros((len(states), steps[0]), dtype)
+    h = np.empty((len(states), paths.stop - paths.start), dtype)
     for r, (j, y, h0) in enumerate(states):
         shadow = _anchor_terms(params, anchors[j])[0]
         fac[r, : steps[r]] = (alpha ** (-1.0 / g) * y ** (-1.0 / g)) * shadow
@@ -479,14 +472,14 @@ def _euler_stream(params, alpha, density, paths, anchors, states, tangent=False)
     # a prefix of rows is contiguous, so each step's temporaries are the
     # leading rows of these; zeta holds zeta_k, and zpow zeta_k^(-1/g)
     cs, scratch = np.empty_like(h), np.empty_like(h)
-    zeta, zpow = np.empty(h.shape[1]), np.empty(h.shape[1])
+    zeta, zpow = np.empty(h.shape[1]), np.empty(h.shape[1], dtype)
     dcs = np.empty_like(h) if tangent else None
     floor = np.empty(h.shape, bool) if tangent else None
     for k in range(steps[0]):
         n = counts[k]
         hk = h[:n]
         c = np.power(hk, e, out=cs[:n])
-        z = density.step(k, paths, zeta)
+        z = density.step(k, paths, zeta).astype(dtype, copy=False)
         np.power(z, -1.0 / g, out=zpow)
         c *= np.multiply(fac[:n, k, None], zpow, out=scratch[:n])
         if tangent:
@@ -620,48 +613,60 @@ class _Density:
         return self._xs[key]
 
 
-def _euler_costs(params, alpha, density, anchors, states, delta):
+def _euler_costs(params, alpha, density, anchors, states, delta, dtype=np.float32):
     """Per-path cost and delta (None without ``delta``) of every state, one sweep.
 
     ``states`` are (anchor index, y, h), as :func:`_euler_stream` takes
-    them but in any order; the rows come back in the order given.
+    them but in any order; the rows come back in the order given.  The
+    sweep steps in ``dtype`` and sums each step's term into float64.  A
+    float32 sweep is quiet about overflow, and one whose cost or delta is
+    not finite everywhere (a deep path past float32's range) is run again
+    in float64.
     """
     density.steps  # kept once, before the chunks read it
-    pi = params.pension
     order = sorted(range(len(states)), key=lambda r: -anchors[states[r][0]].shape[0])
     rows = [states[r] for r in order]
-    wgt = np.zeros((len(rows), anchors[rows[0][0]].shape[0]))
+    wgt = np.zeros((len(rows), anchors[rows[0][0]].shape[0]), dtype)
     for r, (j, _, _) in enumerate(rows):
         w = _anchor_terms(params, anchors[j])[1]
         wgt[r, : w.shape[0]] = w
-    cost = np.zeros((len(rows), density.shape[0]))
-    tangent = np.zeros_like(cost) if delta else None
+    cost = np.empty((len(rows), density.shape[0]))
+    tangent = np.empty_like(cost) if delta else None
 
     def sweep(blocks):
-        # the paths of the blocks, a run of columns read as one row per step
+        # the paths of the blocks, a run of columns read as one row per step and
+        # summed into contiguous rows, as a strided float32 sum is much slower
         cols = slice(blocks[0].start, blocks[-1].stop)
-        terms = np.empty((len(rows), cols.stop - cols.start))
+        terms = np.empty((len(rows), cols.stop - cols.start), dtype)
+        sums = np.zeros((2 if delta else 1,) + terms.shape)
         for k, z, c, _, dc in _euler_stream(
-            params, alpha, density, cols, anchors, rows, delta
+            params, alpha, density, cols, anchors, rows, dtype, delta
         ):
             live = c.shape[0]
             # (wgt_k (c - pi)) zeta_k in this order, in the leading rows of
             # terms; dc is read again by the stream, so it is not scaled in place
-            term = np.subtract(c, pi, out=terms[:live])
+            term = np.subtract(c, params.pension, out=terms[:live])
             term *= wgt[:live, k, None]
             term *= z
-            cost[:live, cols] += term
+            sums[0, :live] += term
             if delta:
                 np.multiply(dc, wgt[:live, k, None], out=term)
                 term *= z
-                tangent[:live, cols] += term
+                sums[1, :live] += term
+        for total, out in zip(sums, (cost, tangent)):
+            out[:, cols] = total
 
-    if len(rows) > 1:
-        _in_threads(density.shape[0], sweep)
-    else:
-        # one state's step is a numpy call over one row of paths, too
-        # short to pay for handing the interpreter lock between threads
-        sweep([slice(0, density.shape[0])])
+    single = dtype == np.float32
+    with np.errstate(all="ignore" if single else None):  # threads copy it
+        if len(rows) > 1:
+            _in_threads(density.shape[0], sweep)
+        else:
+            # one state's step is a numpy call over one row of paths, too
+            # short to pay for handing the interpreter lock between threads
+            sweep([slice(0, density.shape[0])])
+    finite = (np.isfinite(a).all() for a in (cost, tangent) if a is not None)
+    if single and not all(finite):
+        return _euler_costs(params, alpha, density, anchors, states, delta, np.float64)
     given = np.argsort(order)
     return cost[given], None if tangent is None else tangent[given]
 
@@ -714,7 +719,7 @@ class _CostFunctional:
     restarted at 1 at its first time, and a state is (anchor index, y, h).
     At pension 0 the closed form prices through the Bernoulli kernel in
     z = y * h; with a pension the Euler branch sweeps the density step-major,
-    steps the floored rule and prices the excess over the pension.
+    steps the floored rule in ``dtype`` and prices the excess over the pension.
 
     The closed form's first :meth:`price` runs :func:`_anchor_pass` and
     keeps the terms that need no kernel: the eta = 0 sums, or the kernel
@@ -725,12 +730,13 @@ class _CostFunctional:
     neither the block size nor the thread count changes a result.
     """
 
-    def __init__(self, params: ModelParams, anchors, density: _Density):
+    def __init__(self, params, anchors, density: _Density, dtype=np.float32):
         _require_stable_step(params, density.grid.dt)
         _require_two_samples("n_paths", density.shape[0], density.antithetic)
         self.params = params
         self._anchors = anchors
         self._euler = params.pension != 0.0
+        self._dtype = dtype
         # X, and the kernel moments M_0 and M_1 where the pass keeps them
         moments = not self._euler and params.habit.eta != 0.0
         k = 3 if moments and _moment_order(params.market.gamma) else 1
@@ -757,7 +763,7 @@ class _CostFunctional:
         density = self._density
         if self._euler:
             cost, tangent = _euler_costs(
-                self.params, alpha, density, self._anchors, states, delta
+                self.params, alpha, density, self._anchors, states, delta, self._dtype
             )
             self._xs = density.controls(self.params, self._anchors)[:, None]
         else:
@@ -802,7 +808,8 @@ def solve_paths(
 
     At pension 0 the habit is :func:`habit.habit_closed_form` and the
     consumption :func:`consumption_no_pension` on it; with a pension,
-    explicit Euler steps of the habit ODE under the floored rule.
+    explicit Euler steps of the habit ODE under the floored rule in float64,
+    so the consumption is at least the pension exactly.
 
     Returns
     -------
@@ -817,7 +824,8 @@ def solve_paths(
     n = zeta.shape[0]
     consumption, habit = np.empty((times.shape[0], n)), np.empty((times.shape[0], n))
     for k, _, c, h, _ in _euler_stream(
-        p, alpha, _Density(paths), slice(0, n), [times], [(0, 1.0, p.habit.initial)]
+        p, alpha, _Density(paths), slice(0, n), [times], [(0, 1.0, p.habit.initial)],
+        np.float64,
     ):
         consumption[k], habit[k] = c[0], h[0]
     return consumption.T, habit.T
@@ -859,7 +867,9 @@ def calibrate_alpha(
     the bracket's geometric midpoint; the widened ``config.bracket``
     bounds a side not yet found.  Iterates whose P fail to decrease raise
     :class:`BudgetMonotonicityError`, except equal finite P whose deltas
-    predict a change below float resolution.
+    predict a change below float resolution.  With a pension and a
+    ``tolerance`` below 1e-6 every sweep steps in float64, finer than the
+    pricer's float32 sweep resolves the budget.
 
     Without ``paths`` the calibration density is ``config._density``, the
     streams of ``generate_paths`` at the config's seed.  The solution holds
@@ -891,7 +901,8 @@ def calibrate_alpha(
             density.steps
     else:
         density = _Density(paths)
-    cost = _CostFunctional(params, [density.grid.times()], density)
+    dtype = np.float64 if config.tolerance < 1e-6 else np.float32
+    cost = _CostFunctional(params, [density.grid.times()], density, dtype)
     lo, hi = limits = (config.bracket[0] / 1e6, config.bracket[1] * 1e6)
     history = {}
     # the eta = 0, pension-0 budget is alpha^(-1/g) h0^(1 - 1/g) E[X]

@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+import greedyhabit.solver
 from greedyhabit import (
     CalibrationConfig,
     GompertzParams,
@@ -52,30 +53,30 @@ def euler_at_zero(params):
     return dataclasses.replace(params, pension=math.ulp(0.0))
 
 
-def reference_euler(alpha, params, times, zeta, dt, y=1.0, h=None):
+def reference_euler(alpha, params, times, zeta, dt, y=1.0, h=None, dtype=np.float32):
     """Oracle for the Euler branch: the floored rule stepped path-major.
 
     Reads column k of the (n_paths, n_times) density at step k, with the
     solver's arithmetic in the solver's order, so the solver's
-    step-major sweep must match it exactly.  Returns the per-path cost
-    of the excess over the pension in wealth units from density level
-    ``y`` and habit ``h`` (default the initial habit), the consumption
-    and habit arrays, and the per-path pathwise delta y * d(cost)/dy,
-    carried through the habit step as the tangent y * dH/dy.
+    step-major sweep must match it exactly.  The state and each step's
+    terms are in ``dtype``, the pricer's float32 by default (``solve_paths``
+    steps in float64), from zeta rounded to it; the cost and delta are
+    summed in float64.  Returns the per-path cost of the excess over the
+    pension in wealth units from density level ``y`` and habit ``h``
+    (default the initial habit), the consumption and habit arrays, and
+    the per-path pathwise delta y * d(cost)/dy, carried through the habit
+    step as the tangent y * dH/dy.
     """
     g, eta, pi = params.market.gamma, params.habit.eta, params.pension
-    wgt = np.empty_like(times)
-    wgt[1:-1] = 0.5 * (times[2:] - times[:-2])
-    wgt[0] = 0.5 * (times[1] - times[0])
-    wgt[-1] = 0.5 * (times[-1] - times[-2])
-    log_p = log_survival_probability(params.mortality, times)
-    shadow = np.exp((-params.market.rho * times + log_p) / g)
+    wgt, shadow = _anchor_vectors(params, times)
     fac = (alpha ** (-1.0 / g) * y ** (-1.0 / g)) * shadow
+    wgt, fac = wgt.astype(dtype), fac.astype(dtype)
+    zeta = zeta.astype(dtype)
     zpow = zeta ** (-1.0 / g)
-    h = np.full(zeta.shape[0], params.habit.initial if h is None else h)
-    dh = np.zeros(zeta.shape[0])
+    h = np.full(zeta.shape[0], params.habit.initial if h is None else h, dtype)
+    dh = np.zeros(zeta.shape[0], dtype)
     cost, delta = np.zeros(zeta.shape[0]), np.zeros(zeta.shape[0])
-    consumption, habit = np.empty_like(zeta), np.empty_like(zeta)
+    consumption, habit = np.empty(zeta.shape), np.empty(zeta.shape)
     for k in range(times.shape[0]):
         free = h ** (1.0 - 1.0 / g) * (fac[k] * zpow[:, k])
         c = np.maximum(free, pi)
@@ -86,6 +87,24 @@ def reference_euler(alpha, params, times, zeta, dt, y=1.0, h=None):
         h = h + eta * (c - h) * dt
         dh = dh + (eta * dt) * (dc - dh)
     return cost, consumption, habit, delta
+
+
+def spy_sweeps(monkeypatch):
+    """Log the dtype of every sweep ``solver._euler_costs`` runs.
+
+    Patches the name the pricer calls, so a float32 sweep that runs again
+    in float64 logs float64, then float32 as it returns.  Returns the
+    log, a list filled as sweeps run.
+    """
+    log, real = [], greedyhabit.solver._euler_costs
+
+    def sweep(*args):
+        result = real(*args)
+        log.append(args[6])
+        return result
+
+    monkeypatch.setattr(greedyhabit.solver, "_euler_costs", sweep)
+    return log
 
 
 def inner_density(market, config):

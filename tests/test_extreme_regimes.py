@@ -7,6 +7,7 @@ unreliable; a NaN or overflow may not pass silently, so numpy warnings
 fail these tests.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from greedyhabit import (
     allocation_at,
     calibrate_alpha,
 )
+from conftest import spy_sweeps
 
 GRID = TimeGrid(60.0, 0.1)
 CALIBRATION = CalibrationConfig(grid=GRID, n_paths=400, seed=3, antithetic=True)
@@ -81,3 +83,19 @@ def test_coarse_grid_error_names_eta_dt_and_the_stable_step():
     message = str(info.value)
     assert f"eta = 10.0, dt = {CALIBRATION.grid.dt}" in message
     assert "dt < 1/eta = 0.1" in message
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_deep_paths_price_in_float64(monkeypatch):
+    # at sigma 0.03 (kappa 2) consumption on deep paths passes float32's
+    # range, so each float32 sweep of the calibration gives a non-finite
+    # cost and runs again in float64, quietly: the alpha is the one float64
+    # sweeps give (recorded, numpy 2.4 on x86-64, before the pricer's
+    # sweep stepped in float32)
+    model = dataclasses.replace(
+        params(pension=0.5), market=MarketParams(sigma=0.03)
+    )
+    log = spy_sweeps(monkeypatch)
+    solution = calibrate_alpha(model, CALIBRATION)
+    assert log.count(np.float64) == log.count(np.float32) > 0
+    assert solution.alpha == pytest.approx(0.03261743500149655, rel=1e-12, abs=0.0)

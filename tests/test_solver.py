@@ -64,6 +64,7 @@ from conftest import (
     per_path,
     reference_control,
     reference_euler,
+    spy_sweeps,
     stored_density,
 )
 
@@ -291,12 +292,14 @@ class TestSolvePaths:
         assert 0.0 < rel.max() < 5.0 * grid.dt
 
     def test_pension_floor_binds_somewhere(self, market):
+        # the floor holds exactly, also at 0.7, which is no float32 number
+        # (float32(0.7) < 0.7): solve_paths steps in float64
         grid = TimeGrid(20.0, 0.05)
         bundle = generate_paths(market, grid, 128, seed=4)
-        params = make_params(eta=0.1, pension=1.5)
-        c, h = solve_paths(5.0, params, bundle)
-        assert np.all(c >= 1.5 - 1e-15)
-        assert np.any(c == 1.5), "floor never binds on 128 paths"
+        for pension in (1.5, 0.7):
+            c, h = solve_paths(5.0, make_params(eta=0.1, pension=pension), bundle)
+            assert np.all(c >= pension)
+            assert np.any(c == pension), f"floor {pension} never binds on 128 paths"
 
     def test_euler_matches_path_major_loop(self, market):
         # the solver steps a step-major copy of the density; the values
@@ -306,7 +309,7 @@ class TestSolvePaths:
         params = make_params(eta=0.1, pension=1.5)
         c, h = solve_paths(5.0, params, bundle)
         _, c_ref, h_ref, _ = reference_euler(
-            5.0, params, grid.times(), bundle.zeta, grid.dt
+            5.0, params, grid.times(), bundle.zeta, grid.dt, dtype=np.float64
         )
         assert c.shape == h.shape == (128, grid.n_steps + 1)
         assert np.array_equal(c, c_ref)
@@ -314,11 +317,15 @@ class TestSolvePaths:
 
     def test_euler_at_zero_prices_pension_zero(self, market):
         # the least positive pension lies below every consumption, so the
-        # Euler branch at it prices pi = 0 bit for bit: paths, cost, delta
+        # Euler branch at it prices pi = 0 bit for bit: the float64 paths,
+        # and the float32 sweep's cost and delta, where it rounds to 0
         grid = TimeGrid(20.0, 0.05)
         bundle = generate_paths(market, grid, 128, seed=4)
         params = make_params(eta=0.1)
-        cost_ref, c_ref, h_ref, delta_ref = reference_euler(
+        _, c_ref, h_ref, _ = reference_euler(
+            5.0, params, grid.times(), bundle.zeta, grid.dt, dtype=np.float64
+        )
+        cost_ref, _, _, delta_ref = reference_euler(
             5.0, params, grid.times(), bundle.zeta, grid.dt
         )
         forced = euler_at_zero(params)
@@ -645,10 +652,18 @@ class TestNewtonSearch:
         cost = bundle_cost(params, bundle)
         alpha, h0, bump = 0.8 if pension else 2.9, params.habit.initial, 1e-4
         delta = per_path(cost, alpha, 1.0, h0, delta=True)[1].mean()
-        up, down = (
-            per_path(cost, alpha * math.exp(s * bump), 1.0, h0).mean()
-            for s in (1.0, -1.0)
-        )
+
+        def mean_cost(a):
+            if branch == "closed_form":
+                return per_path(cost, a, 1.0, h0).mean()
+            # the float64 oracle: a difference of the pricer's float32
+            # costs would amplify their rounding by 1 / (2 bump) = 5000
+            grid = self.CONFIG.grid
+            return reference_euler(
+                a, params, grid.times(), bundle.zeta, grid.dt, dtype=np.float64
+            )[0].mean()
+
+        up, down = (mean_cost(alpha * math.exp(s * bump)) for s in (1.0, -1.0))
         assert delta == pytest.approx((up - down) / (2.0 * bump), rel=1e-5)
 
     @pytest.mark.parametrize("eta, v", [(0.0, 1e9), (0.1, 1e-4)])
@@ -1615,12 +1630,16 @@ class TestPathwiseDelta:
         cost = _CostFunctional(euler_at_zero(params), [times], density)
         alpha, y, h = self.STATE
 
-        def reference(level):
-            return reference_euler(alpha, params, times, zeta, dt, level, h)[0]
+        def reference(level, dtype=np.float32):
+            return reference_euler(alpha, params, times, zeta, dt, level, h, dtype)[0]
 
         f, delta = per_path(cost, alpha, y, h, delta=True)
         assert np.array_equal(f, reference(y))
-        self.assert_central_difference(delta, f, reference)
+        # on the float64 oracle: a difference of float32 costs would
+        # amplify their rounding by 1 / (2 bump)
+        self.assert_central_difference(
+            delta, f, lambda level: reference(level, np.float64)
+        )
 
     def test_block_size_never_changes_the_delta(self, monkeypatch, market):
         bundle = generate_paths(market, self.GRID, 202, seed=12, antithetic=True)
@@ -1638,3 +1657,63 @@ class TestPathwiseDelta:
                 block,
                 workers,
             )
+
+
+class TestSinglePrecision:
+    """The pricer's Euler sweep steps in float32 and sums in float64.
+
+    Its accuracy contract against the float64 sweep on the same density,
+    and the two cases that stay in float64: ``solve_paths``, whose floor
+    must hold exactly at any pension, and a calibration to a tolerance
+    below 1e-6, finer than a float32 sweep resolves the budget (about
+    1e-8 relative, so the search would meet ties and repeated iterates).
+    """
+
+    GRID = TimeGrid(60.0, 0.1)
+
+    @pytest.mark.parametrize("eta", [0.1, 1.0])
+    @pytest.mark.parametrize("pension", [0.5, 0.7])
+    def test_means_agree_with_the_float64_sweep(self, pension, eta):
+        # per state the mean cost and the mean delta move by far less
+        # than their SE, where the floor binds on some paths but not all
+        params = make_params(eta=eta, pension=pension)
+        config = NestedConfig(n_inner=2000, seed=7, grid=self.GRID, antithetic=True)
+        density = config._density(params.market)
+        zeta = inner_density(params.market, config)
+        anchors = [
+            t + np.arange(self.GRID.n_steps - self.GRID.index_of(t) + 1) * self.GRID.dt
+            for t in (0.0, 10.0)
+        ]
+        states = [(j, y, 1.0) for j in range(2) for y in (0.3, 1.0, 3.0)]
+        single, double = (
+            _CostFunctional(params, anchors, density, dtype).price(0.8, states, True)
+            for dtype in (np.float32, np.float64)
+        )
+        for (j, y, h), got, want in zip(states, single, double):
+            times = anchors[j]
+            c = reference_euler(
+                0.8, params, times, zeta[:, : times.shape[0]], self.GRID.dt, y, h,
+                np.float64,
+            )[1]
+            assert 0.0 < np.mean(c == pension) < 1.0, (j, y)
+            for a, b in zip(got[:2], want[:2]):
+                gap = abs(a.mean() - b.mean())
+                assert gap <= 1e-3 * _estimate_from_samples(b).std_error, (j, y)
+                assert gap <= 5e-6 * abs(b.mean()), (j, y)
+
+    # the alphas of float64 sweeps, recorded (numpy 2.4, x86-64) while the
+    # pricer's sweep still stepped in float64 at every tolerance
+    TIGHT = {1: 0.7069306370275676, 2: 0.7094993641664171, 3: 0.7094037619872559}
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("seed", sorted(TIGHT))
+    def test_tight_tolerance_calibrates_in_float64(self, monkeypatch, seed):
+        params = make_params(eta=0.1, pension=0.5)
+        config = CalibrationConfig(
+            grid=self.GRID, n_paths=2000, seed=seed, antithetic=True, tolerance=1e-10
+        )
+        log = spy_sweeps(monkeypatch)
+        solution = calibrate_alpha(params, config)
+        assert log and all(dtype is np.float64 for dtype in log)
+        assert solution.budget_residual <= 1e-10
+        assert solution.alpha == pytest.approx(self.TIGHT[seed], rel=1e-12, abs=0.0)
