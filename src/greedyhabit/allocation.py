@@ -20,20 +20,21 @@ The risky fraction follows from the delta of the wealth,
     theta = -(kappa / sigma) * y G_y / G,
 
 estimated pathwise: the sweep that prices G on the inner paths also
-carries y * dG/dy along each path (through the Bernoulli kernel, or as
-a forward tangent of the Euler habit step), so one pass gives both.
-Every state of a surface or a lifetime is known before any is priced,
-so one pass over the inner paths prices them all.  The pension floor is
-Lipschitz, so the path-by-path derivative is unbiased (Glasserman, Monte
-Carlo Methods in Financial Engineering, 2003, section 7.2); it is the
-limit of central differences on common random numbers as the bump goes
-to 0.  The ratio and its delta-method standard error come from the
+carries y * dG/dy along each path (through the Bernoulli kernel, or as a
+forward tangent of the Euler habit step), so one pass gives both.  Every
+state of a surface or a lifetime is known before any is priced, so one
+pass over the inner paths prices them all: a state at t reads the
+increments after t, which the earlier times read too.  The pension floor
+is Lipschitz, so the path-by-path derivative is unbiased (Glasserman,
+Monte Carlo Methods in Financial Engineering, 2003, section 7.2); it is
+the limit of central differences on common random numbers as the bump
+goes to 0.  The ratio and its delta-method standard error come from the
 per-path samples; the wealth reported is their regression estimate on
 controls of exact mean: the eta = 0 cost, and at pension 0 with eta > 0
-and a whole gamma - 1 the kernel moments M_0 and M_1 as well (the solver's
-``_anchor_terms``).  Near wealth exhaustion G is of
-the same order as its standard error and the ratio estimate degrades;
-such points are flagged unreliable instead of raising.
+and a whole gamma - 1 the kernel moments M_0 and M_1 as well (the
+solver's ``_anchor_terms``).  Near wealth exhaustion G is of the same
+order as its standard error and the ratio estimate degrades; such points
+are flagged unreliable instead of raising.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ class NestedConfig:
         bundles by a spawn-key prefix).
     grid : TimeGrid
         Grid the inner integrals are discretised on; evaluation times
-        must lie on it.
+        must lie on it, and one at t reads its increments after t.
     antithetic : bool
         Mirror the second half of the inner paths (variance reduction;
         on by default since the inner estimates sit inside ratios).
@@ -95,14 +96,13 @@ class NestedConfig:
         _require_seed("NestedConfig.seed", self.seed)
 
     def _density(self, market: MarketParams) -> _Density:
-        """The inner density, restarted at 1, from the streams of spawn key ``(1,)``.
+        """The inner density from the streams of spawn key ``(1,)``, on the full grid.
 
-        It is drawn on the full grid; an evaluation anchored at grid index
-        k0 reads its leading n_steps - k0 steps, which equal the density
-        built from the leading increments alone (cumulative sum, time grid
-        and exponential are prefix-stable).  Sharing the leading block
-        across anchor times makes repeated estimates along a lifetime
-        co-monotone (common random numbers in t as well as in the state).
+        An evaluation at grid index k0 reads its last n_steps - k0 steps,
+        zeta_k / zeta_k0: the increments after k0, independent of zeta_k0,
+        so of the law of the leading ones.  Estimates at two times share
+        the increments after the later one (common random numbers in t
+        where their tails overlap, as well as in the state).
         """
         return _Density(
             _Stream(market, self.grid, self.n_inner, self.seed, self.antithetic, (1,))

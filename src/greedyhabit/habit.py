@@ -113,59 +113,48 @@ def bernoulli_kernel(
     kernel = np.empty(rows.shape)
     blocks = ((block, rows[block]) for block in _row_blocks(rows.shape[0]))
     work = _Workspace()
-    integrands = _integrand_blocks(habit, market, mortality, [times], blocks, work)
+    integrands = _integrand_blocks(habit, market, mortality, times, blocks, work)
     for block, _, _, k in integrands:
-        _trapezoid_kernel(k, times, kernel[block], work)
+        _trapezoid_kernel(k, times, kernel[block], work, [(0, times.shape[0])])
     decay = np.exp(-habit.eta * (times - times[0]) / market.gamma)
     return kernel.reshape(zeta.shape), decay
 
 
-def _integrand_blocks(habit, market, mortality, anchors, blocks, work):
-    """Yield ``(rows, zeta, j, k)``: anchor j's kernel integrand on one row block.
+def _integrand_blocks(habit, market, mortality, times, blocks, work):
+    """Yield ``(rows, zeta, log_z, k)`` for each ``(rows, zeta)`` of ``blocks``.
 
-    ``blocks`` yields ``(rows, zeta)``: a block of 2-D density rows and
-    their places in the density.  Anchor j starts at ``anchors[j][0]`` and
-    reads the leading ``len(anchors[j])`` columns, restarted at 1 there.
-    Row blocks are the outer loop: each block takes log(zeta) / gamma once
-    over the widest anchor, and every
-    anchor's integrand k = exp(drift - log(zeta) / gamma), which is
-    exp(eta tau / gamma) * (zeta * exp(rho t) / p)^(-1/gamma), is built
-    from it while the block is in cache.  Working in log space keeps deep
-    density tails from overflowing.  Both are views of ``work``, the
-    chunk's :class:`_Workspace`: a yielded ``k`` is valid until the next
-    one is asked for, and the caller may overwrite it.
+    log_z = log(zeta) / gamma of 2-D density rows on ``times``, and the kernel
+    integrand k = exp(drift - log_z) = exp(eta tau / gamma) (zeta exp(rho t) /
+    p)^(-1/gamma), tau = t - times[0], in log space so that deep density
+    tails do not overflow; views of the chunk's :class:`_Workspace` ``work``,
+    valid until the next block is asked for (the caller may overwrite k).
     """
     g = market.gamma
-    drifts = []
-    for times in anchors:
-        tau = times - times[0]
-        log_p = log_survival_probability(mortality, times)
-        drifts.append((habit.eta * tau - market.rho * times + log_p) / g)
-    width = max(drift.shape[0] for drift in drifts)
+    log_p = log_survival_probability(mortality, times)
+    drift = (habit.eta * (times - times[0]) - market.rho * times + log_p) / g
     for rows, zeta in blocks:
-        n = zeta.shape[0]
-        log_z = np.log(zeta[:, :width], out=work.take("log_z", (n, width)))
+        shape = (zeta.shape[0], drift.shape[0])
+        log_z = np.log(zeta, out=work.take("log_z", shape))
         log_z /= g
-        for j, drift in enumerate(drifts):
-            k = work.take("k", (n, drift.shape[0]))
-            np.subtract(drift, log_z[:, : drift.shape[0]], out=k)
-            yield rows, zeta, j, np.exp(k, out=k)
+        k = np.subtract(drift, log_z, out=work.take("k", shape))
+        yield rows, zeta, log_z, np.exp(k, out=k)
 
 
-def _trapezoid_kernel(k, times, out, work):
+def _trapezoid_kernel(k, times, out, work, segments):
     """Fill ``out`` with the kernel: the cumulative trapezoid of ``k`` over ``times``.
 
-    Each row is summed on its own, in the order of scipy's
-    ``cumulative_trapezoid``; ``out[:, 0]`` is 0.  The areas are a view
-    of ``work``'s ``temp``, taken at the size of ``k`` for later reuse.
+    Restarted at 0 at each column range [lo, hi) of ``segments``, so a late
+    one loses no digits to those before; each row is summed on its own, in
+    scipy's order, with the areas in ``work``'s ``temp`` at the size of ``k``.
     """
     n, m = k.shape
     area = work.take("temp", (n * m,))[: n * (m - 1)].reshape(n, m - 1)
     np.add(k[:, 1:], k[:, :-1], out=area)
     area *= np.diff(times)
     area /= 2.0
-    out[:, 0] = 0.0
-    np.cumsum(area, axis=-1, out=out[:, 1:])
+    for lo, hi in segments:
+        out[:, lo] = 0.0
+        np.cumsum(area[:, lo : hi - 1], axis=-1, out=out[:, lo + 1 : hi])
     return out
 
 

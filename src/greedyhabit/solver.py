@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional, Tuple, Union
 
 import numpy as np
@@ -323,20 +323,6 @@ def _moment_order(gamma: float) -> Optional[int]:
     return int(n) if n.is_integer() and 1.0 <= n <= 53.0 else None
 
 
-def _kernel_moments(m, wz, n):
-    """M_j = sum_k wz_k m_k^j per row, j = 0..n, shape (rows, n + 1).
-
-    ``m`` and ``wz`` are one block's rows; ``wz`` is overwritten.  Each
-    row's moments come from that row alone.
-    """
-    out = np.empty((m.shape[0], n + 1))
-    out[:, 0] = wz.sum(axis=-1)
-    for j in range(1, n + 1):
-        wz *= m
-        out[:, j] = wz.sum(axis=-1)
-    return out
-
-
 def _moment_sum(moments, n, u0, beta):
     """sum_k wz_k (u0 + beta m_k)^n per row from the moments M_j, j <= n."""
     total = moments[:, n] * beta**n
@@ -345,21 +331,21 @@ def _moment_sum(moments, n, u0, beta):
     return total
 
 
-def _price_rows(params, alpha, y, h, kernel, wz, work):
+def _price_rows(params, alpha, y, h, kernel, wz, work, scale=1.0):
     """Closed-form cost and y * d(cost)/dy of rows of paths.
 
-    ``kernel`` and ``wz`` are the rows' terms from :func:`_anchor_pass`:
-    without a kernel, wz summed along each row at eta = 0, or the rows'
-    kernel moments.  Each row is priced on its own, so a result never
-    depends on how rows are split into blocks.  Returns (cost, delta) in
-    wealth units per path; the delta costs a few operations per path, or
-    one division per element on the power form, in views of ``work``.
+    ``kernel``, ``wz`` and ``scale``, u0's factor per row, are the rows'
+    terms from :func:`_anchor_pass`: without a kernel, wz summed along each
+    row at eta = 0, or the rows' kernel moments.  Each row is priced on its
+    own, so a result never depends on how rows are split into blocks.
+    Returns (cost, delta) in wealth units per path; the delta costs a few
+    operations per path, or one division per element on the power form, in ``work``.
     """
     g = params.market.gamma
     beta = alpha ** (-1.0 / g)
     # zeta C = beta * wz * (z^(1/g) + (eta/g) beta K)^(g-1) with
     # z = y * h; dividing by y turns F(t, z) into wealth units
-    u0 = (y * h) ** (1.0 / g)
+    u0 = (y * h) ** (1.0 / g) * scale
     if kernel is None and params.habit.eta == 0.0:
         cost = beta * (wz * u0 ** (g - 1.0)) / y
         return cost, -cost / g
@@ -371,7 +357,7 @@ def _price_rows(params, alpha, y, h, kernel, wz, work):
     else:
         block = work.take("temp", kernel.shape)
         np.multiply(kernel, (params.habit.eta / g) * beta, out=block)
-        block += u0
+        block += np.reshape(u0, (-1, 1))
         power = np.power(block, g - 1.0, out=work.take("power", kernel.shape))
         power *= wz
         cost = beta * power.sum(axis=-1) / y
@@ -382,106 +368,149 @@ def _price_rows(params, alpha, y, h, kernel, wz, work):
 
 
 def _anchor_pass(params, density, anchors, in_block):
-    """Every anchor's closed-form terms and control X, over row blocks.
+    """Every anchor's closed-form terms and control X, in one pass over row blocks.
 
-    ``anchors`` are absolute time vectors reading the leading columns of
-    the path-major rows that :meth:`_Density.chunks` hands out.  Each
-    block builds every anchor's kernel and ``wz`` once, from one
-    log(zeta) / gamma, so no full-size array is made; each row's terms
-    come from that row alone, written into its chunk's :class:`_Workspace`.
-    Returns ``(kept, xs)``:
-    ``xs[j]`` is anchor j's X per path (:func:`_anchor_terms`), and
-    ``kept[j]`` its terms per path when they need no kernel: wz summed
-    along the path at eta = 0 (``xs`` itself), or with a moment order n
-    (:func:`_moment_order`) the moments of m = (eta/g) K, shape
-    (n_paths, n + 1).  On the power form ``kept`` is None, and
-    ``in_block(rows, j, kernel, wz, work)`` takes each block's terms while
-    they are in cache, with the chunk's workspace; they are valid until it
-    returns.
+    Anchor j reads the density's last ``len(anchors[j])`` columns restarted at
+    1 at the first, s: zeta_k / zeta_s, whose increments, independent of
+    zeta_s, have the law of the leading ones (Glasserman 2003).  The anchors
+    are tails of the longest, whose times the columns take; their starts cut
+    the columns into segments, each closed by a copy of the next start, so a
+    row block of :meth:`_Density.chunks` takes one exp per element for all
+    (README, "Estimates and standard errors").  Returns ``(kept, xs)``: anchor
+    j's X per path ``xs[j]``, and ``kept[j]`` its terms that need no kernel:
+    ``xs`` at eta = 0, at a moment order n (:func:`_moment_order`) the kernel
+    moments, shape (n_paths, n + 1), else None, and ``in_block(rows, j, kernel,
+    wz, work, scale)`` takes each block's C - C_s, W and exp(-l), u0's factor
+    once the others cancel, valid until it returns.  A row's terms are its own.
     """
-    frozen = params.habit.eta == 0.0
-    order = None if frozen else _moment_order(params.market.gamma)
-    n_paths = density.shape[0]
-    terms = [_anchor_terms(params, times)[2:4] for times in anchors]  # vec, lift
-    xs = np.empty((len(anchors), n_paths))
-    kept = None
-    if frozen:
-        kept = xs  # X is the eta = 0 sum itself
-    elif order is not None:
-        kept = np.empty((len(anchors), n_paths, order + 1))
+    g, eta, (n_paths, width) = params.market.gamma, params.habit.eta, density.shape
+    order = None if eta == 0.0 else _moment_order(g)
+    starts = sorted({width - len(times) for times in anchors})
+    sizes = np.diff(starts + [width - 1]) + 1  # each closed by the next start
+    cols = np.concatenate([np.arange(a, a + m) for a, m in zip(starts, sizes)])
+    times = max(anchors, key=len)[cols - starts[0]]
+    edges = np.r_[0, np.cumsum(sizes)]
+    segments = list(zip(edges[:-1], edges[1:]))
+    _, _, vec, lift, _ = _anchor_terms(params, times)
+    eta_tau = eta * (times[edges[:-1]] - times[0]) / g  # eta tau_s / g
+    at = [starts.index(width - len(t)) for t in anchors]
+    xs, deltas = np.empty((len(starts), n_paths)), np.empty((len(starts) - 1, n_paths))
+    lz = np.zeros((len(starts), n_paths if starts[-1] else 1))  # 0 at column 0
+    kept = None if order is None else np.empty((len(starts), n_paths, order + 1))
 
     def fill(blocks):
         work = _Workspace()
-        for rows, z, j, k in _integrand_blocks(
-            params.habit, params.market, params.mortality, anchors, blocks, work
+
+        def columns(z):  # a view, or a copy with each inner start twice
+            if len(starts) == 1:
+                return z[:, starts[0] :]
+            return np.take(z, cols, 1, work.take("ext", (len(z), len(cols))), "clip")
+
+        for rows, z, log_z, k in _integrand_blocks(
+            params.habit, params.market, params.mortality, times,
+            ((r, columns(z)) for r, z in blocks), work,
         ):
-            times, (vec, lift) = anchors[j], terms[j]
-            if not frozen:  # the kernel, before k turns into wz
-                kernel = _trapezoid_kernel(k, times, work.take("kernel", k.shape), work)
-            # wz = zeta * k * vec = zeta^(1 - 1/g) * shadow * decay^(g - 1) * wgt
-            # in place of k, as exp(drift - eta tau) = shadow * decay^(g - 1)
-            wz = np.multiply(k, z[:, : times.shape[0]], out=k)
+            if starts[-1]:
+                lz[:, rows] = log_z[:, edges[:-1]].T
+            if eta != 0.0:  # the kernel, before k turns into W
+                kernel = work.take("kernel", k.shape)
+                _trapezoid_kernel(k, times, kernel, work, segments)
+                if order is not None:
+                    kernel *= eta / g
+                deltas[:, rows] = kernel[:, edges[1:-1] - 1].T
+            # W = zeta Q exp(-eta tau) wgt in place of k, G = W exp(eta q tau);
+            # with l = log(zeta_s) / g - eta tau_s / g, anchor s's kernel is
+            # exp(l) (C - C_s), its wz exp((1 - g) l) W, its X zeta_s^-q sum G
+            wz = np.multiply(k, z, out=k)
             wz *= vec
-            if frozen:  # the kernel drops out of the cost, and X is its sum
-                xs[j, rows] = wz.sum(axis=-1)
+            terms = np.multiply(wz, lift, out=work.take("temp", k.shape)) if eta else wz
+            for i, (lo, hi) in enumerate(segments):  # G = W at eta = 0
+                xs[i, rows] = terms[:, lo:hi].sum(axis=-1)
+            for j in range(order + 1 if order is not None else 0):
+                if j:
+                    wz *= kernel
+                for i, (lo, hi) in enumerate(segments):
+                    kept[i, rows, j] = wz[:, lo:hi].sum(axis=-1)
+            if order is not None or eta == 0.0:
                 continue
-            xs[j, rows] = np.multiply(wz, lift, out=work.take("temp", k.shape)).sum(-1)
-            if order is not None:
-                kernel *= params.habit.eta / params.market.gamma
-                kept[j, rows] = _kernel_moments(kernel, wz, order)
-            else:
-                in_block(rows, j, kernel, wz, work)
+            for i, (lo, _) in enumerate(segments):  # the power form
+                shifted = kernel[:, lo:]  # C - C_s: c plus the deltas between
+                if i + 1 < len(starts):
+                    off = np.zeros((len(z), len(starts) - i))
+                    np.cumsum(deltas[i:, rows].T, axis=1, out=off[:, 1:])
+                    off = np.repeat(off, sizes[i:], axis=1)
+                    shifted = np.add(shifted, off, out=work.take("block", off.shape))
+                scale = np.exp(eta_tau[i] - log_z[:, lo])  # exp(-l)
+                for j in (j for j, a in enumerate(at) if a == i):
+                    in_block(rows, j, shifted, wz[:, lo:], work, scale)
 
     density.chunks(fill)
-    return kept, xs
+    for i in range(len(starts) - 2, -1, -1):  # suffix sums, last start first
+        xs[i] += xs[i + 1]
+        # the moments P_r of W (m - m_s)^r: the segment's, plus the next
+        # start's shifted by d = m_s' - m_s >= 0, sum_m C(r, m) d^(r - m) P_m
+        for r in range(order + 1 if order is not None else 0):
+            acc = kept[i + 1, :, 0].copy()  # by Horner's rule in d
+            for m in range(1, r + 1):
+                acc *= deltas[i]
+                acc += math.comb(r, m) * kept[i + 1, :, m]
+            kept[i, :, r] += acc
+    xs *= np.exp((1.0 - g) * lz)
+    for i in range(order or 0):  # M_i = exp((i - n) l) P_i
+        kept[..., i] *= np.exp((i - order) * (lz - eta_tau[:, None]))
+    xs = xs[at]
+    return (xs if eta == 0.0 else None if kept is None else kept[at]), xs
 
 
-def _euler_stream(params, alpha, density, paths, anchors, states, dtype, tangent=False):
+def _euler_stream(params, alpha, density, paths, anchors, states, rise, dtype, tangent):
     """Yield (k, zeta_k, consumption, habit, tangent) of the floored rule, step by step.
 
-    One row per state (anchor index, y, h) on ``paths``, a slice of the
-    paths of ``density``, whose leading steps the anchor's absolute times
-    ``anchors[j]`` read.  The states must come in order of decreasing
-    horizon, so the rows still stepping at step k are a prefix and each
-    array yielded holds those rows only; each step reads zeta_k, rounds it
-    to ``dtype`` and takes zeta_k^(-1/g) once for all of them, on one
-    contiguous row, so its bits are those of the power taken on any block
-    of the same paths.  Every array yielded is in ``dtype``, and so is
-    every operation of a step (the pension, eta and dt rounded to it).
-    The habit is updated in place after the consumer has read it.  Each
-    step writes its arrays into the leading rows of arrays made once per
-    sweep, so a yielded step is valid until the next one is asked for.
+    One row per state (anchor index, y, h) on ``paths``, a slice of the paths
+    of ``density``, stepping zeta_k / zeta_s from its anchor's start s (as
+    :func:`_anchor_pass` reads it).  The states come in order of increasing
+    start, so the rows stepping at step k are a prefix and each array yielded
+    holds those rows only; each step reads zeta_k, rounds it to ``dtype`` and
+    takes zeta_k^(-1/g) once for all of them, on one contiguous row, so its
+    bits are those of the power taken on any block of the same paths, and
+    ``rise`` scales it on the rows with s > 0, their zeta_s^(1/g) in order.
+    Every array yielded, zeta_k unscaled, is in ``dtype``, and so is every
+    operation of a step (the pension, eta and dt rounded to it).  The habit
+    is updated in place after the consumer has read it.  Each step writes
+    into the leading rows of arrays made once per sweep: valid until the next.
 
     With ``tangent`` the last item is y * dC/dy along the paths, carried
     forward through the habit's own Euler step as y * dH/dy (zero at
     the start); it is zero where the floor binds.  Otherwise it is None.
     """
     g, eta, pi = params.market.gamma, params.habit.eta, params.pension
-    dt, e = density.grid.dt, 1.0 - 1.0 / g
-    steps = [anchors[j].shape[0] for j, _, _ in states]
-    fac = np.zeros((len(states), steps[0]), dtype)
+    dt, e, width = density.grid.dt, 1.0 - 1.0 / g, density.shape[1]
+    starts = [width - len(anchors[j]) for j, _, _ in states]
+    fac = np.zeros((len(states), width), dtype)
     h = np.empty((len(states), paths.stop - paths.start), dtype)
     for r, (j, y, h0) in enumerate(states):
         shadow = _anchor_terms(params, anchors[j])[0]
-        fac[r, : steps[r]] = (alpha ** (-1.0 / g) * y ** (-1.0 / g)) * shadow
+        fac[r, starts[r] :] = (alpha ** (-1.0 / g) * y ** (-1.0 / g)) * shadow
         h[r] = h0
+    first, zeta = starts.count(0), np.empty(h.shape[1])
     dh = np.zeros_like(h) if tangent else None
     dc = None
-    # counts[k]: the rows that take step k, a prefix as horizons decrease
-    counts = (np.asarray(steps)[:, None] > np.arange(steps[0] + 1)).sum(axis=0)
+    # counts[k]: the rows that take step k, a prefix as starts increase
+    counts = (np.asarray(starts)[:, None] <= np.arange(width)).sum(axis=0)
     # a prefix of rows is contiguous, so each step's temporaries are the
     # leading rows of these; zeta holds zeta_k, and zpow zeta_k^(-1/g)
     cs, scratch = np.empty_like(h), np.empty_like(h)
-    zeta, zpow = np.empty(h.shape[1]), np.empty(h.shape[1], dtype)
+    zpow = np.empty(h.shape[1], dtype)
     dcs = np.empty_like(h) if tangent else None
     floor = np.empty(h.shape, bool) if tangent else None
-    for k in range(steps[0]):
+    for k in range(starts[0], width):
         n = counts[k]
         hk = h[:n]
         c = np.power(hk, e, out=cs[:n])
         z = density.step(k, paths, zeta).astype(dtype, copy=False)
         np.power(z, -1.0 / g, out=zpow)
-        c *= np.multiply(fac[:n, k, None], zpow, out=scratch[:n])
+        scale = np.multiply(fac[:n, k, None], zpow, out=scratch[:n])
+        scale[first:] *= rise[: n - first]
+        c *= scale
         if tangent:
             # C = h^e y^(-1/g) (...) off the floor, so y dC/dy = C (e dh/h - 1/g)
             dc = np.divide(dh[:n], hk, out=dcs[:n])
@@ -492,18 +521,19 @@ def _euler_stream(params, alpha, density, paths, anchors, states, dtype, tangent
         if tangent:
             dc *= np.greater(c, pi, out=floor[:n])
         yield k, z, c, hk, dc
-        # habit_euler_step on the rows with a step left, whose eta * dt
-        # check ran in _require_stable_step
-        nxt = counts[k + 1]
-        step = np.subtract(c[:nxt], hk[:nxt], out=scratch[:nxt])
+        if k + 1 == width:
+            break
+        # habit_euler_step on the rows, whose eta * dt check ran in
+        # _require_stable_step
+        step = np.subtract(c, hk, out=scratch[:n])
         step *= eta
         step *= dt
-        hk[:nxt] += step
+        hk += step
         if tangent:
             # the tangent of the same linear step
-            np.subtract(dc[:nxt], dh[:nxt], out=step)
+            np.subtract(dc, dh[:n], out=step)
             step *= eta * dt
-            dh[:nxt] += step
+            dh[:n] += step
 
 
 class _Density:
@@ -596,21 +626,16 @@ class _Density:
         np.add(drift, kept[k, max(lo, n) - n : max(hi, n) - n].T, out=out[cut - lo :])
         return np.exp(out, out=out)
 
-    def controls(self, params: ModelParams, anchors) -> np.ndarray:
-        """X per path of every anchor, one :func:`_euler_controls` per set.
-
-        X does not depend on the pension, eta or alpha; anchors step the
-        density's grid, so their first time and length fix them.  Every
-        pricer on the density reads the same X.
-        """
-        key = (
-            params.market,
-            params.mortality,
-            tuple((float(times[0]), times.shape[0]) for times in anchors),
-        )
-        if key not in self._xs:
-            self._xs[key] = _euler_controls(params, self, anchors)
-        return self._xs[key]
+    def terms(self, params: ModelParams, anchors, in_block=None):
+        """(kept, xs) of :func:`_anchor_pass` here, its one caller; the eta = 0
+        pass's X, which no pension or alpha moves, is kept per set for every pricer."""
+        key = params.market, params.mortality, tuple((t[0], len(t)) for t in anchors)
+        if params.habit.eta == 0.0 and key in self._xs:
+            return self._xs[key]
+        terms = _anchor_pass(params, self, anchors, in_block)
+        if params.habit.eta == 0.0:
+            self._xs[key] = terms
+        return terms
 
 
 def _euler_costs(params, alpha, density, anchors, states, delta, dtype=np.float32):
@@ -618,20 +643,20 @@ def _euler_costs(params, alpha, density, anchors, states, delta, dtype=np.float3
 
     ``states`` are (anchor index, y, h), as :func:`_euler_stream` takes
     them but in any order; the rows come back in the order given.  The
-    sweep steps in ``dtype`` and sums each step's term into float64.  A
-    float32 sweep is quiet about overflow, and one whose cost or delta is
-    not finite everywhere (a deep path past float32's range) is run again
-    in float64.
+    sweep steps in ``dtype`` and sums each step's term into float64.  A quiet
+    float32 sweep with a cost or delta not finite (a deep path past float32's
+    range), or a row with s > 0 on a zeta_k below its normal range, is run
+    again in float64.
     """
     density.steps  # kept once, before the chunks read it
     order = sorted(range(len(states)), key=lambda r: -anchors[states[r][0]].shape[0])
-    rows = [states[r] for r in order]
-    wgt = np.zeros((len(rows), anchors[rows[0][0]].shape[0]), dtype)
+    rows, width = [states[r] for r in order], density.shape[1]
+    wgt = np.zeros((len(rows), width), dtype)
     for r, (j, _, _) in enumerate(rows):
-        w = _anchor_terms(params, anchors[j])[1]
-        wgt[r, : w.shape[0]] = w
+        wgt[r, width - len(anchors[j]) :] = _anchor_terms(params, anchors[j])[1]
     cost = np.empty((len(rows), density.shape[0]))
     tangent = np.empty_like(cost) if delta else None
+    first, lows = sum(anchors[j].shape[0] == width for j, _, _ in rows), [np.inf]
 
     def sweep(blocks):
         # the paths of the blocks, a run of columns read as one row per step and
@@ -639,18 +664,30 @@ def _euler_costs(params, alpha, density, anchors, states, delta, dtype=np.float3
         cols = slice(blocks[0].start, blocks[-1].stop)
         terms = np.empty((len(rows), cols.stop - cols.start), dtype)
         sums = np.zeros((2 if delta else 1,) + terms.shape)
+        # zeta_s once per start s > 0: rise scales consumption, 1 / zeta_s the terms
+        later = [width - len(anchors[j]) for j, _, _ in rows[first:]]
+        starts, at = np.unique(later, return_inverse=True)
+        zs = [density.step(s, cols, np.empty(terms.shape[1])) for s in starts]
+        zs = np.reshape(zs, (-1, terms.shape[1]))
+        inv = np.divide(1.0, zs).astype(dtype)[at]
+        rise = np.power(zs, 1.0 / params.market.gamma).astype(dtype)[at]
         for k, z, c, _, dc in _euler_stream(
-            params, alpha, density, cols, anchors, rows, dtype, delta
+            params, alpha, density, cols, anchors, rows, rise, dtype, delta
         ):
             live = c.shape[0]
-            # (wgt_k (c - pi)) zeta_k in this order, in the leading rows of
-            # terms; dc is read again by the stream, so it is not scaled in place
+            if live > first:  # zeta_k / zeta_s is near 1 where zeta_k is tiny
+                lows.append(z.min())
+            # (wgt_k (c - pi)) zeta_k / zeta_s in this order, in the leading
+            # rows of terms; dc is read again by the stream, so it is not
+            # scaled in place
             term = np.subtract(c, params.pension, out=terms[:live])
             term *= wgt[:live, k, None]
+            term[first:] *= inv[: live - first]
             term *= z
             sums[0, :live] += term
             if delta:
                 np.multiply(dc, wgt[:live, k, None], out=term)
+                term[first:] *= inv[: live - first]
                 term *= z
                 sums[1, :live] += term
         for total, out in zip(sums, (cost, tangent)):
@@ -665,38 +702,10 @@ def _euler_costs(params, alpha, density, anchors, states, delta, dtype=np.float3
             # short to pay for handing the interpreter lock between threads
             sweep([slice(0, density.shape[0])])
     finite = (np.isfinite(a).all() for a in (cost, tangent) if a is not None)
-    if single and not all(finite):
+    if single and not (all(finite) and min(lows) >= np.finfo(np.float32).tiny):
         return _euler_costs(params, alpha, density, anchors, states, delta, np.float64)
     given = np.argsort(order)
     return cost[given], None if tangent is None else tangent[given]
-
-
-def _euler_controls(params, density, anchors):
-    """X per path of every anchor (:func:`_anchor_terms`), one step-major pass.
-
-    X sums (wgt_k shadow_k) * (zeta_k * zeta_k^(-1/g)) in step order, the
-    step and its power taken once for every anchor.  Anchors go longest
-    first, so those still summing at step k are a prefix.
-    """
-    order = sorted(range(len(anchors)), key=lambda j: -anchors[j].shape[0])
-    steps = np.array([anchors[j].shape[0] for j in order])
-    scale = np.zeros((len(order), steps[0]))
-    for r, j in enumerate(order):
-        shadow, wgt, *_ = _anchor_terms(params, anchors[j])
-        scale[r, : steps[r]] = wgt * shadow
-    counts = (steps[:, None] > np.arange(steps[0])).sum(axis=0)
-    xs = np.zeros((len(order), density.shape[0]))
-    zeta, term, scaled = np.empty(xs.shape[1]), np.empty(xs.shape[1]), np.empty_like(xs)
-    # serial over all paths: each step is a few short numpy calls, and
-    # handing the interpreter lock between threads cost more than it saved
-    # (2 threads were faster only at one anchor on 20000 paths, by 20 ms)
-    for k, live in enumerate(counts):
-        z = density.step(k, slice(0, xs.shape[1]), zeta)
-        np.power(z, -1.0 / params.market.gamma, out=term)
-        np.multiply(z, term, out=term)
-        np.multiply(scale[:live, k, None], term, out=scaled[:live])
-        xs[:live] += scaled[:live]
-    return xs[np.argsort(order)]
 
 
 def _pair_average(x: np.ndarray, antithetic: bool) -> np.ndarray:
@@ -715,8 +724,8 @@ class _CostFunctional:
     its values at later states, all read through :meth:`price`.
     ``density`` is a :class:`_Density`, which decides how its paths are
     read and gives their step and pairing.  ``anchors`` are absolute time
-    vectors on that step, each reading the leading columns of the density
-    restarted at 1 at its first time, and a state is (anchor index, y, h).
+    vectors on that step, tails of the longest, each reading the density's
+    last columns restarted at 1, and a state is (anchor index, y, h).
     At pension 0 the closed form prices through the Bernoulli kernel in
     z = y * h; with a pension the Euler branch sweeps the density step-major,
     steps the floored rule in ``dtype`` and prices the excess over the pension.
@@ -725,9 +734,9 @@ class _CostFunctional:
     keeps the terms that need no kernel: the eta = 0 sums, or the kernel
     moments at a whole gamma - 1 (:func:`_moment_order`), from which every
     alpha and state prices in O(paths).  On the power form (any other
-    gamma) the pass runs at every call and prices each block in place, so
-    no full-size kernel is kept.  Every row is computed on its own, so
-    neither the block size nor the thread count changes a result.
+    gamma) the pass runs at every call and prices each block in place.
+    Every row is computed on its own, so neither the block size nor the
+    thread count changes a result; the other anchors change it by rounding.
     """
 
     def __init__(self, params, anchors, density: _Density, dtype=np.float32):
@@ -758,14 +767,15 @@ class _CostFunctional:
         (:func:`_anchor_terms`): X, from the closed form's pass or kept by
         the density, and at pension 0 with eta > 0 and a moment order the
         kept moments M_0 and M_1 as well.  Per path or per antithetic pair.
-        A state's result depends on neither the others nor ``delta``.
+        Neither the other states of an anchor nor ``delta`` change a result.
         """
         density = self._density
         if self._euler:
             cost, tangent = _euler_costs(
                 self.params, alpha, density, self._anchors, states, delta, self._dtype
             )
-            self._xs = density.controls(self.params, self._anchors)[:, None]
+            frozen = replace(self.params, habit=HabitParams(0.0))
+            self._xs = density.terms(frozen, self._anchors)[1][:, None]
         else:
             cost, tangent = self._closed_form(alpha, states)
         x = _pair_average(self._xs, density.antithetic)
@@ -782,15 +792,16 @@ class _CostFunctional:
         p = self.params
         out = np.empty((2, len(states), self._density.shape[0]))
 
-        def fill(rows, j, kernel, terms, work):
+        def fill(rows, j, kernel, wz, work, scale=1.0):
             for r, (at, y, h) in enumerate(states):
                 if at == j:
-                    out[:, r, rows] = _price_rows(p, alpha, y, h, kernel, terms, work)
+                    priced = _price_rows(p, alpha, y, h, kernel, wz, work, scale)
+                    out[:, r, rows] = priced
 
         if self._kept is None:
             # the first call, or any on the power form, whose blocks price
             # their anchor's states while the kernel is in cache
-            self._kept, xs = _anchor_pass(p, self._density, self._anchors, fill)
+            self._kept, xs = self._density.terms(p, self._anchors, fill)
             self._xs = xs[:, None]  # the controls, shape (anchors, k, paths)
             if len(self._means[0]) > 1:
                 moments = self._kept[..., :2].transpose(0, 2, 1)
@@ -825,7 +836,7 @@ def solve_paths(
     consumption, habit = np.empty((times.shape[0], n)), np.empty((times.shape[0], n))
     for k, _, c, h, _ in _euler_stream(
         p, alpha, _Density(paths), slice(0, n), [times], [(0, 1.0, p.habit.initial)],
-        np.float64,
+        np.empty((0, n)), np.float64, False,
     ):
         consumption[k], habit[k] = c[0], h[0]
     return consumption.T, habit.T

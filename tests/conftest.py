@@ -58,19 +58,25 @@ def reference_euler(alpha, params, times, zeta, dt, y=1.0, h=None, dtype=np.floa
 
     Reads column k of the (n_paths, n_times) density at step k, with the
     solver's arithmetic in the solver's order, so the solver's
-    step-major sweep must match it exactly.  The state and each step's
-    terms are in ``dtype``, the pricer's float32 by default (``solve_paths``
-    steps in float64), from zeta rounded to it; the cost and delta are
-    summed in float64.  Returns the per-path cost of the excess over the
-    pension in wealth units from density level ``y`` and habit ``h``
-    (default the initial habit), the consumption and habit arrays, and
-    the per-path pathwise delta y * d(cost)/dy, carried through the habit
-    step as the tangent y * dH/dy.
+    step-major sweep must match it exactly.  ``zeta`` is the anchor's
+    tail of the density, read restarted at its first column zeta_s as the
+    solver reads it: zeta_k^(-1/g), from zeta_k rounded to ``dtype``,
+    scaled by zeta_s^(1/g), and each term by 1 / zeta_s, both rounded
+    to it (exactly 1 where zeta_s is 1).  The state and each step's
+    terms are in ``dtype``, the pricer's float32 by default
+    (``solve_paths`` steps in float64); the cost and delta are summed in
+    float64.  Returns the per-path cost of the excess over the pension in
+    wealth units from density level ``y`` and habit ``h`` (default the
+    initial habit), the consumption and habit arrays, and the per-path
+    pathwise delta y * d(cost)/dy, carried through the habit step as the
+    tangent y * dH/dy.
     """
     g, eta, pi = params.market.gamma, params.habit.eta, params.pension
     wgt, shadow = _anchor_vectors(params, times)
     fac = (alpha ** (-1.0 / g) * y ** (-1.0 / g)) * shadow
     wgt, fac = wgt.astype(dtype), fac.astype(dtype)
+    rise = (zeta[:, 0] ** (1.0 / g)).astype(dtype)
+    inv = (1.0 / zeta[:, 0]).astype(dtype)
     zeta = zeta.astype(dtype)
     zpow = zeta ** (-1.0 / g)
     h = np.full(zeta.shape[0], params.habit.initial if h is None else h, dtype)
@@ -78,11 +84,11 @@ def reference_euler(alpha, params, times, zeta, dt, y=1.0, h=None, dtype=np.floa
     cost, delta = np.zeros(zeta.shape[0]), np.zeros(zeta.shape[0])
     consumption, habit = np.empty(zeta.shape), np.empty(zeta.shape)
     for k in range(times.shape[0]):
-        free = h ** (1.0 - 1.0 / g) * (fac[k] * zpow[:, k])
+        free = h ** (1.0 - 1.0 / g) * ((fac[k] * zpow[:, k]) * rise)
         c = np.maximum(free, pi)
         dc = ((dh / h) * (1.0 - 1.0 / g) - 1.0 / g) * free * (c > pi)
-        cost += (wgt[k] * (c - pi)) * zeta[:, k]
-        delta += (wgt[k] * dc) * zeta[:, k]
+        cost += ((wgt[k] * (c - pi)) * inv) * zeta[:, k]
+        delta += ((wgt[k] * dc) * inv) * zeta[:, k]
         consumption[:, k], habit[:, k] = c, h
         h = h + eta * (c - h) * dt
         dh = dh + (eta * dt) * (dc - dh)
@@ -176,7 +182,7 @@ def anchor_pass_terms(params, times, zeta):
     """
     kernel, wz = np.empty_like(zeta), np.empty_like(zeta)
 
-    def store(rows, _, block_kernel, block_wz, _work):
+    def store(rows, _, block_kernel, block_wz, _work, _scale):
         kernel[rows], wz[rows] = block_kernel, block_wz
 
     density = stored_density(zeta, times[1] - times[0])
@@ -231,17 +237,21 @@ def moment_means(params, times):
 
 
 def reference_control(params, times, zeta):
-    """Oracle for the Euler sweeps' control: X per path and E[X].
+    """Oracle for the control of one anchor: X per path and E[X].
 
-    X is summed path-major in step order, with the solver's arithmetic,
-    as (wgt_k shadow_k) * (zeta_k * zeta_k^(-1/g)).
+    ``zeta`` is the anchor's tail of the density.  X is the eta = 0
+    closed form's sum, with the solver's arithmetic: the kernel integrand
+    exp(drift - log(zeta) / g) times zeta and the trapezoid weights,
+    summed along each path and scaled by zeta_s^(1 - 1/g) =
+    exp((1 - g) log(zeta_s) / g), exactly 1 where zeta_s is 1.
     """
-    wgt, shadow = _anchor_vectors(params, times)
-    zpow = zeta ** (-1.0 / params.market.gamma)
-    x = np.zeros(zeta.shape[0])
-    for k in range(times.shape[0]):
-        x += (wgt[k] * shadow[k]) * (zeta[:, k] * zpow[:, k])
-    return x, control_mean(params, times)
+    g = params.market.gamma
+    wgt, _ = _anchor_vectors(params, times)
+    log_p = log_survival_probability(params.mortality, times)
+    drift = (0.0 * (times - times[0]) - params.market.rho * times + log_p) / g
+    log_z = np.log(zeta) / g
+    x = (np.exp(drift - log_z) * zeta * wgt).sum(axis=1)
+    return x * np.exp((1.0 - g) * log_z[:, 0]), control_mean(params, times)
 
 
 def _anchor_vectors(params, times):

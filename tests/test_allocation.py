@@ -31,7 +31,6 @@ from greedyhabit import (
 )
 import greedyhabit.market
 from greedyhabit.allocation import _allocations, _nested_costs, _ratio_theta
-from greedyhabit.market import _density_paths, _fill_normals
 from greedyhabit.solver import _CostFunctional, _estimate_from_samples
 from conftest import (
     central_theta,
@@ -310,7 +309,7 @@ class TestPathwiseTheta:
             m = GRID.n_steps - GRID.index_of(t)
             times = t + np.arange(m + 1) * GRID.dt
             consumption = reference_euler(
-                ALPHA, params, times, zeta[:, : m + 1], GRID.dt, y, 1.0
+                ALPHA, params, times, zeta[:, -(m + 1) :], GRID.dt, y, 1.0
             )[1]
             assert 0.0 < np.mean(consumption == params.pension) < 1.0
             [a] = _allocations([(t, y, 1.0)], ALPHA, params, inner)
@@ -397,54 +396,51 @@ def _rows(points):
 
 
 class TestSharedInnerPaths:
-    """One density array per inner set and one cost functional per time.
+    """One density array per inner set and one pass for every anchor time.
 
-    The oracle is the construction the sharing replaced: the density
-    rebuilt from the leading increments, and fresh inner paths for every
-    state.
+    The oracle is the construction the sharing replaced: one functional
+    per anchor on the density's tail after its time, restarted at 1, and
+    fresh inner paths for every state.
     """
 
     @pytest.mark.parametrize("antithetic", [True, False])
-    def test_density_is_prefix_of_full_grid(self, antithetic):
-        cfg = NestedConfig(
-            n_inner=200, seed=13, grid=GRID, antithetic=antithetic
-        )
-        n_streams = 100 if antithetic else 200
-        dw = np.empty((n_streams, GRID.n_steps))
-        _fill_normals(dw, cfg.seed, (1,), range(n_streams))
+    def test_anchors_read_the_tail_of_the_density(self, antithetic):
+        # anchor t reads the density after t restarted at 1 there, whose
+        # increments have the law of the leading ones: each anchor of a
+        # many-anchor call prices what one functional does on that tail
+        # alone, to the rounding of the sums it takes from later anchors
+        cfg = NestedConfig(n_inner=200, seed=13, grid=GRID, antithetic=antithetic)
         starts = (0.0, 30.0, GRID.t_max - GRID.dt)
+        anchors = [
+            t + np.arange(GRID.n_steps - GRID.index_of(t) + 1) * GRID.dt
+            for t in starts
+        ]
+        rows = [(j, 0.8, 1.1) for j in range(len(starts))]
         # the closed form on kernel moments (gamma 3), on the power of the
         # kernel (gamma 2.5) and on the eta = 0 sums, and the Euler branch
+        # in float64
         for gamma, eta in ((3.0, 0.1), (2.5, 0.1), (3.0, 0.0)):
             params = dataclasses.replace(
                 make_params(eta=eta), market=MarketParams(gamma=gamma)
             )
-            inner = cfg._density(params.market)
-            full = inner_density(params.market, cfg)
-            states = [(t, 0.8, 1.1) for t in starts]
-            batch = [
-                (branch, _nested_costs(states, ALPHA, branch, inner))
-                for branch in (params, euler_at_zero(params))
-            ]
-            for i, t in enumerate(starts):
-                m = GRID.n_steps - GRID.index_of(t)
-                expected = _density_paths(
-                    params.market, dw[:, :m], GRID.dt, antithetic
-                )[1]
-                assert np.array_equal(full[:, : m + 1], expected)
-                # a state of a many-anchor call prices what one functional
-                # on its anchor's rebuilt density does
-                times = t + np.arange(m + 1) * GRID.dt
-                for branch, priced in batch:
-                    got = priced[i]
-                    density = stored_density(expected, GRID.dt, antithetic)
-                    cost = _CostFunctional(branch, [times], density)
+            log_zeta = np.log(inner_density(params.market, cfg))
+            branches = (params, np.float32), (euler_at_zero(params), np.float64)
+            for branch, dtype in branches:
+                inner = cfg._density(params.market)
+                priced = _CostFunctional(branch, anchors, inner, dtype).price(
+                    ALPHA, rows, delta=True
+                )
+                for j, t in enumerate(starts):
+                    s = GRID.index_of(t)
+                    tail = np.exp(log_zeta[:, s:] - log_zeta[:, s, None])
+                    density = stored_density(tail, GRID.dt, antithetic)
+                    cost = _CostFunctional(branch, [anchors[j]], density, dtype)
                     [want] = cost.price(ALPHA, [(0, 0.8, 1.1)], delta=True)
-                    assert all(np.array_equal(a, b) for a, b in zip(got[:2], want))
-                    _, _, x, mean_x = want
-                    assert np.array_equal(got[2], x) and np.array_equal(got[3], mean_x)
+                    for got, ref in zip(priced[j], want):
+                        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
 
     def test_surface_rows_match_fresh_evaluations(self):
+        # alone, an anchor takes no sums from later ones: the same to rounding
         params = make_params(eta=0.1)
         cfg = config(400)
         zg = default_zeta_grid(0.0, params.market, n=5, spread=2.0)
@@ -454,10 +450,11 @@ class TestSharedInnerPaths:
         assert len(points) > 5
         for p in points:
             est = allocation_at(p.t, p.zeta, 1.0, ALPHA, params, cfg)
-            assert (p.wealth, p.wealth_se, p.theta) == (
-                est.wealth.value,
-                est.wealth.std_error,
-                est.value,
+            np.testing.assert_allclose(
+                (p.wealth, p.wealth_se, p.theta),
+                (est.wealth.value, est.wealth.std_error, est.value),
+                rtol=1e-12,
+                atol=0.0,
             )
 
     def test_pension_switch_invalidates_functional(self):
@@ -488,9 +485,9 @@ class TestSharedInnerPaths:
             times = t + np.arange(m + 1) * GRID.dt
 
             cost, _, _, delta = reference_euler(
-                ALPHA, params, times, zeta[:, : m + 1], GRID.dt, *state
+                ALPHA, params, times, zeta[:, -(m + 1) :], GRID.dt, *state
             )
-            x, mean_x = reference_control(params, times, zeta[:, : m + 1])
+            x, mean_x = reference_control(params, times, zeta[:, -(m + 1) :])
             half = cost.shape[0] // 2
             expected = _ratio_theta(
                 0.5 * (cost[:half] + cost[half:]),
@@ -519,29 +516,34 @@ class TestSharedInnerPaths:
             _nested_costs([(t, 0.8, 1.1)], ALPHA, pension, inner)
             assert inner.steps is copy
 
-    def test_euler_powers_are_prefixes_of_one_array(self):
-        # every anchor's sweep takes zeta^(-1/g) per step from the leading
-        # steps of the one kept step-major array, with the bits of the
-        # power that the path-major oracle takes on the whole density
+    def test_euler_rows_read_the_tail_of_one_array(self):
+        # every anchor's sweep takes zeta_k^(-1/g) per step from the one
+        # kept step-major array, and a row anchored at t scales it and its
+        # terms by zeta_t: the bits of the path-major oracle on the tail of
+        # the whole density, alone or in one sweep with the other anchors
         cfg = config(200)
         params = make_params(eta=0.1, pension=0.5)
         inner = cfg._density(params.market)
         zeta = inner_density(params.market, cfg)
         half = zeta.shape[0] // 2
-        base = None
-        for t in (0.0, 10.0, 30.0):
+        starts = (0.0, 10.0, 30.0)
+        batch = _nested_costs([(t, 0.8, 1.1) for t in starts], ALPHA, params, inner)
+        base = inner.steps
+        for t, together in zip(starts, batch):
             [(cost, delta, _, _)] = _nested_costs(
                 [(t, 0.8, 1.1)], ALPHA, params, inner
             )
-            base = base if base is not None else inner.steps
             assert inner.steps is base
             m = GRID.n_steps - GRID.index_of(t)
             times = t + np.arange(m + 1) * GRID.dt
             want, _, _, want_delta = reference_euler(
-                ALPHA, params, times, zeta[:, : m + 1], GRID.dt, 0.8, 1.1
+                ALPHA, params, times, zeta[:, -(m + 1) :], GRID.dt, 0.8, 1.1
             )
-            assert np.array_equal(cost, 0.5 * (want[:half] + want[half:]))
-            assert np.array_equal(delta, 0.5 * (want_delta[:half] + want_delta[half:]))
+            for got in ((cost, delta), together[:2]):
+                assert np.array_equal(got[0], 0.5 * (want[:half] + want[half:]))
+                assert np.array_equal(
+                    got[1], 0.5 * (want_delta[:half] + want_delta[half:])
+                )
         assert np.array_equal(density_steps(inner), zeta.T)
 
     def test_two_dimensional_grid_matches_per_time_calls(self):
@@ -555,7 +557,10 @@ class TestSharedInnerPaths:
         per_time = []
         for t, zg in zip(times, grids):
             per_time += policy_surface([t], 1.0, ALPHA, params, cfg, zeta_grid=zg)
-        assert _rows(surface) == _rows(per_time)
+        # the same rows, to the rounding of the sums taken from later anchors
+        np.testing.assert_allclose(
+            _rows(surface), _rows(per_time), rtol=1e-12, atol=0.0
+        )
         with pytest.raises(ValueError, match="one row per time"):
             policy_surface(
                 times, 1.0, ALPHA, params, cfg, zeta_grid=np.array(grids[:2])
@@ -566,8 +571,10 @@ class TestBatchedStates:
     """Every nested state of a run is priced in one pass over the inner set.
 
     The oracle is each state priced alone on a fresh inner set on one
-    thread: a batch must reproduce it bit for bit, whatever else is in
-    the batch and however many chunks of paths run on threads.
+    thread: a batch must reproduce it to the rounding of the sums that an
+    anchor takes from later ones (bit for bit on the Euler sweep, whose
+    rows are priced on their own), whatever else is in the batch, and bit
+    for bit however many chunks of paths run on threads.
     """
 
     LAST = GRID.t_max - GRID.dt  # one step of horizon left
@@ -596,27 +603,33 @@ class TestBatchedStates:
             _nested_costs([state], ALPHA, params, cfg._density(params.market))[0]
             for state in self.STATES
         ]
+        first = None
         for workers in (1, 2, 3):
             monkeypatch.setattr(greedyhabit.market, "WORKERS", workers)
             inner = cfg._density(params.market)
             batch = _nested_costs(self.STATES, ALPHA, params, inner)
             assert len(batch) == len(self.STATES)
-            for state, got, want in zip(self.STATES, batch, alone):
-                assert all(np.array_equal(a, b) for a, b in zip(got, want)), (
+            first = first or batch
+            for state, got, one, want in zip(self.STATES, batch, first, alone):
+                assert all(np.array_equal(a, b) for a, b in zip(got, one)), (
                     workers,
                     state,
                 )
+                for a, b in zip(got, want):
+                    np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0)
+                if pension:
+                    assert all(np.array_equal(a, b) for a, b in zip(got[:2], want))
         assert _nested_costs([], ALPHA, params, inner) == []
         estimates = _allocations(self.STATES, ALPHA, params, inner)
         ks = params.market.kappa / params.market.sigma
-        for est, (f0, u, x, mean_x) in zip(estimates, alone):
+        for est, (f0, u, x, mean_x) in zip(estimates, first):
             assert est == _ratio_theta(f0, u, ks, x, mean_x)
         if pension:
             t, y, h = self.STATES[3]
             m = GRID.n_steps - GRID.index_of(t)
             times = t + np.arange(m + 1) * GRID.dt
             consumption = reference_euler(
-                ALPHA, params, times, inner_density(params.market, cfg)[:, : m + 1],
+                ALPHA, params, times, inner_density(params.market, cfg)[:, -(m + 1) :],
                 GRID.dt, y, h,
             )[1]
             assert 0.0 < np.mean(consumption == pension) < 1.0
@@ -626,15 +639,20 @@ class TestBatchedStates:
             assert all(est.reliable for est in estimates)
 
     def test_unreliable_state_in_a_batch(self):
-        # the gate of test_unreliable_state_returns_nan, inside a batch
+        # the gate of test_unreliable_state_returns_nan, inside a batch, next
+        # to a reliable state at the same anchor.  At 32 paths a wealth is
+        # about 10 SEs; (10, 0.01, 0.01) is 11.3 SEs on the increments after
+        # t = 10, where (10, 1, 1) is 9.2, and the plain mean is gated
         params = make_params(eta=0.1)
         cfg = NestedConfig(n_inner=32, seed=3, grid=GRID, antithetic=False)
-        states = [(0.0, 1.0, 1.0), (10.0, 1e10, 1.0), (10.0, 1.0, 1.0)]
+        states = [(0.0, 1.0, 1.0), (10.0, 1e10, 1.0), (10.0, 0.01, 0.01)]
         batch = _allocations(states, ALPHA, params, cfg._density(params.market))
         assert [est.reliable for est in batch] == [True, False, True]
         for state, est in zip(states, batch):
             alone = allocation_at(*state, ALPHA, params, cfg)
-            assert est.wealth == alone.wealth
+            # an SE at rounding level, as at y = 1e10, moves by its rounding
+            tol = 1e-12 * abs(alone.wealth.value)
+            np.testing.assert_allclose(est.wealth, alone.wealth, rtol=1e-12, atol=tol)
             assert est.reliable == alone.reliable
 
     @pytest.mark.parametrize("position", [0, 2, 4])

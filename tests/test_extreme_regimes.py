@@ -24,6 +24,9 @@ from greedyhabit import (
     allocation_at,
     calibrate_alpha,
 )
+import greedyhabit.solver
+from greedyhabit.allocation import _allocations, _nested_costs
+from greedyhabit.solver import _CostFunctional
 from conftest import spy_sweeps
 
 GRID = TimeGrid(60.0, 0.1)
@@ -99,3 +102,56 @@ def test_deep_paths_price_in_float64(monkeypatch):
     solution = calibrate_alpha(model, CALIBRATION)
     assert log.count(np.float64) == log.count(np.float32) > 0
     assert solution.alpha == pytest.approx(0.03261743500149655, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("pension", [0.0, 0.5])
+@pytest.mark.parametrize(
+    "market",
+    [MarketParams(sigma=0.05), MarketParams(gamma=10.0)],
+    ids=["sigma-0.05", "gamma-10"],
+)
+def test_late_anchors_on_deep_tails(monkeypatch, market, pension):
+    # anchors at t = 40 and t_max - dt read the inner density after them,
+    # restarted at 1, where sigma 0.05 (kappa 1.2) takes zeta to 1e-30 and
+    # below; the closed form's kernel moments reach them through the shift
+    # from later anchors, whose binomial sums gamma 10 (n = 9) stresses.
+    # Every result is finite, and the moments price what the power of the
+    # kernel does, to rounding
+    model = dataclasses.replace(params(pension=pension), market=market)
+    alpha = calibrate_alpha(model, CALIBRATION).alpha
+    states = [(t, 1.0, 1.0) for t in (0.0, 40.0, GRID.t_max - GRID.dt)]
+    priced = _nested_costs(states, alpha, model, NESTED._density(market))
+    for row in priced:
+        assert all(np.isfinite(item).all() for item in row)
+        assert (row[0] > 0.0).all() if pension == 0.0 else (row[0] >= 0.0).all()
+    for est in _allocations(states, alpha, model, NESTED._density(market)):
+        assert math.isfinite(est.wealth.value) and math.isfinite(est.wealth.std_error)
+        assert math.isfinite(est.value) or not est.reliable
+    if pension == 0.0:
+        monkeypatch.setattr(greedyhabit.solver, "_moment_order", lambda g: None)
+        power = _nested_costs(states, alpha, model, NESTED._density(market))
+        for moments, powered in zip(priced, power):
+            for a, b in zip(moments[:2], powered[:2]):
+                np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0)
+            assert np.array_equal(moments[2][:1], powered[2])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_late_row_on_subnormal_zeta_prices_in_float64(monkeypatch):
+    # at sigma 0.04 (kappa 1.5) some inner paths take zeta below float32's
+    # normal range before t = 60, where float32 keeps only a few of its
+    # digits; a row anchored at t = 20 prices zeta_k / zeta_20, near 1, from
+    # them, so its float32 sweep runs again in float64, quietly
+    market = MarketParams(sigma=0.04)
+    model = dataclasses.replace(params(pension=0.5), market=market)
+    anchors = [20.0 + np.arange(GRID.n_steps - GRID.index_of(20.0) + 1) * GRID.dt]
+    log = spy_sweeps(monkeypatch)
+    single, double = (
+        _CostFunctional(model, anchors, NESTED._density(market), dtype).price(
+            0.0326, [(0, 1.0, 1.0)], delta=True
+        )
+        for dtype in (np.float32, np.float64)
+    )
+    assert log == [np.float64, np.float32, np.float64]
+    assert all(np.array_equal(a, b) for a, b in zip(single[0][:2], double[0][:2]))

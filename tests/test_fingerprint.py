@@ -10,7 +10,11 @@ suite.  The pension-0 rows at gamma 3 and 5 were re-recorded when the
 closed form's estimates came to regress on the kernel moments M_0 and
 M_1 as well as on X, and the pension-0.5 rows when the pricer's Euler
 sweep came to step in float32 (each output moved by at most 2.3e-5 of
-its standard error).  The tolerance, rtol 1e-12, admits reassociated
+its standard error).  Every row and refresh was re-recorded when each
+nested anchor came to read the inner increments after its own time: the
+t > 0 ones moved by at most 3.0 of their standard errors (wealth) and 2.3
+(theta), the t = 0 ones and every alpha by rounding only, at most
+2.7e-15 relative.  The tolerance, rtol 1e-12, admits reassociated
 floating-point arithmetic; a change to the model, the sampler or the
 seeding moves these numbers by far more.
 """
@@ -42,31 +46,31 @@ EXPECTED = {
     0.0: (
         2.874773854798518,
         [
-            (6.298393240994643, 0.0015682134920912965, 1.0400644173702964),
-            (10.00502919335166, 0.004262846238696075, 1.1335311070224448),
-            (16.62400485880406, 0.011587617468162541, 1.2513203192102427),
-            (4.588749663961772, 0.0004112837409802034, 0.9608041110059797),
-            (7.009801181517968, 0.0011179851194471429, 1.0274762487312645),
-            (11.064808198826569, 0.003038998634680789, 1.114843020230197),
+            (6.298393240994643, 0.0015682134920912995, 1.0400644173702964),
+            (10.00502919335166, 0.004262846238696076, 1.1335311070224448),
+            (16.624004858804057, 0.01158761746816252, 1.251320319210243),
+            (4.588102318801574, 0.0004068100156878027, 0.9633982638169368),
+            (7.008041514932261, 0.0011058242732792996, 1.0307915034074198),
+            (11.060024929122493, 0.0030059420275240487, 1.1189168065007231),
         ],
-        [10.00502919335166, 11.681646686241404, 14.050830077050641,
-         20.749217277253248, 21.16750941949296],
-        [1.1335311070224448, 1.1699038102981223, 1.2107148971172133,
-         1.299143979579975, 1.2944041494357839],
+        [10.005029193351659, 11.6774425250736, 14.042824960062452,
+         20.74562348228331, 21.17061644667639],
+        [1.1335311070224448, 1.171475525679613, 1.2119355931372664,
+         1.300052737339807, 1.2943815986394185],
     ),
     0.5: (
         0.6992333230316842,
         [
-            (3.2859753135987266, 0.027389019158780968, 3.0303156847925194),
-            (10.079224270058717, 0.05509971608961525, 2.3370464798488095),
-            (1.4236690822410094, 0.00809512338995692, 3.542569321079796),
-            (4.959522994186532, 0.02196437254137075, 2.480634264809489),
-            (12.923895163466213, 0.03386853166813536, 2.042406060839072),
+            (3.2859753135987266, 0.027389019158780958, 3.0303156847925194),
+            (10.079224270058717, 0.055099716089615225, 2.3370464798488095),
+            (1.4482389825002788, 0.008991377430013091, 3.529107504923381),
+            (5.012524854811737, 0.025501351621445845, 2.478257277643458),
+            (12.958640647284485, 0.032457648673167326, 2.0269916456607375),
         ],
-        [10.079224270058717, 14.262583196935557, 20.52845211555162,
-         38.71557098820995, 40.87007474159041],
-        [2.3370464798488095, 2.1786734299352912, 2.0215902527084246,
-         1.8755419629248122, 1.833663646473055],
+        [10.079224270058717, 14.240860518548725, 20.504369932367556,
+         38.81961113262785, 40.96678690505707],
+        [2.3370464798488095, 2.1643705499826544, 2.0304249461058066,
+         1.8776247299998055, 1.837025040407769],
     ),
 }
 
@@ -76,32 +80,32 @@ EXPECTED_GAMMA = {
     2.5: (
         2.420462281597251,
         [
-            (5.853122461781812, 0.014027532496959432, 1.204677842084109),
-            (9.999758564033902, 0.020961897645699612, 1.311771968263062),
+            (5.853122461781812, 0.014027532496959446, 1.2046778420841093),
+            (9.999758564033902, 0.020961897645699622, 1.311771968263062),
             (17.981257678249094, 0.0370004353787983, 1.444513698130176),
-            (4.096080376274203, 0.006866807703082343, 1.1156622992294634),
-            (6.694489783957431, 0.009706165112065856, 1.192413994496336),
-            (11.363503988802558, 0.01512741548057295, 1.2941047042388703),
+            (4.083330371016405, 0.006195274485190809, 1.1178207649187748),
+            (6.682556590609806, 0.008484837930838783, 1.1952479884953346),
+            (11.362517873955639, 0.013109236016649515, 1.2976175016556113),
         ],
-        [9.999758564033902, 12.022650348381283, 14.94531917320376,
-         23.51263329193671, 24.12595601678726],
-        [1.311771968263062, 1.353362707925875, 1.3992807814978252,
-         1.4968210325486788, 1.4904769232600397],
+        [9.999758564033902, 12.025113872378398, 14.972983667910778,
+         23.576195738315896, 24.185182254423825],
+        [1.311771968263062, 1.3547918430392296, 1.4003726620970485,
+         1.4977143685826577, 1.49041949396656],
     ),
     5.0: (
         6.338766800299527,
         [
-            (7.390352519093972, 0.004159721440063311, 0.6802825549636251),
-            (9.992507277235996, 0.008217339263496302, 0.7326975358829383),
-            (13.852457612916314, 0.01646837187278738, 0.7976656032625206),
-            (5.888284797348047, 0.0014659395443839848, 0.6288041391854495),
-            (7.767365824614524, 0.0028324749003827017, 0.6670628758169628),
-            (10.435431750782545, 0.005534280286294465, 0.714438936339645),
+            (7.390352519093971, 0.0041597214400633225, 0.6802825549636251),
+            (9.992507277235996, 0.008217339263496305, 0.7326975358829383),
+            (13.852457612916316, 0.016468371872787404, 0.7976656032625205),
+            (5.887129051095261, 0.0016406641162321595, 0.6317851539473606),
+            (7.765247102149219, 0.0031749508726212307, 0.6706180566203809),
+            (10.43155063243621, 0.00621408105698719, 0.7186273131207527),
         ],
-        [9.992507277235996, 10.907332980114887, 12.138115172814546,
-         15.39320313668996, 15.42686429359547],
-        [0.7326975358829383, 0.7522751170010761, 0.774544658879291,
-         0.8236334569806054, 0.8216403073008797],
+        [9.992507277235996, 10.902269384579832, 12.137079514569537,
+         15.409848048517565, 15.45298632948902],
+        [0.7326975358829383, 0.7533254527239145, 0.774927348425942,
+         0.8233028695239207, 0.8207721919920262],
     ),
 }
 

@@ -238,7 +238,7 @@ def test_one_block_source():
         for node in ast.walk(tree)
         if isinstance(node, ast.Call)
     )
-    for name in ("_fill_normals", "_anchor_pass", "_euler_controls"):
+    for name in ("_fill_normals", "_anchor_pass"):
         assert calls[name] == 1, f"{name} has {calls[name]} call sites in src/"
 
 

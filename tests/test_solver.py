@@ -1275,7 +1275,7 @@ class TestRowBlocks:
         states = [(0, 1.3, 0.8), (1, 0.9, 1.0)]
         oracle = [
             reference_euler(
-                2.9, params, anchors[j], bundle.zeta[:, : anchors[j].shape[0]],
+                2.9, params, anchors[j], bundle.zeta[:, -anchors[j].shape[0] :],
                 self.GRID.dt, y, h,
             )
             for j, y, h in states
@@ -1355,7 +1355,7 @@ class TestRowBlocks:
             for (j, y, h), (cost, delta, _, _) in zip(rows, priced):
                 times = anchors[j]
                 want = reference_euler(
-                    2.9, p, times, zeta[:, : times.shape[0]], self.GRID.dt, y, h
+                    2.9, p, times, zeta[:, -times.shape[0] :], self.GRID.dt, y, h
                 )
                 assert np.array_equal(cost, _pair_average(want[0], antithetic))
                 assert np.array_equal(delta, _pair_average(want[3], antithetic))
@@ -1692,7 +1692,7 @@ class TestSinglePrecision:
         for (j, y, h), got, want in zip(states, single, double):
             times = anchors[j]
             c = reference_euler(
-                0.8, params, times, zeta[:, : times.shape[0]], self.GRID.dt, y, h,
+                0.8, params, times, zeta[:, -times.shape[0] :], self.GRID.dt, y, h,
                 np.float64,
             )[1]
             assert 0.0 < np.mean(c == pension) < 1.0, (j, y)
