@@ -462,78 +462,106 @@ def _anchor_pass(params, density, anchors, in_block):
     return (xs if eta == 0.0 else None if kept is None else kept[at]), xs
 
 
-def _euler_stream(params, alpha, density, paths, anchors, states, rise, dtype, tangent):
-    """Yield (k, zeta_k, consumption, habit, tangent) of the floored rule, step by step.
+def _euler_stream(
+    params, alpha, density, paths, anchors, states, dtype, sums=None, lows=None
+):
+    """Yield (k, consumption, habit) of the floored rule, step by step.
 
     One row per state (anchor index, y, h) on ``paths``, a slice of the paths
     of ``density``, stepping zeta_k / zeta_s from its anchor's start s (as
     :func:`_anchor_pass` reads it).  The states come in order of increasing
     start, so the rows stepping at step k are a prefix and each array yielded
-    holds those rows only; each step reads zeta_k, rounds it to ``dtype`` and
-    takes zeta_k^(-1/g) once for all of them, on one contiguous row, so its
-    bits are those of the power taken on any block of the same paths, and
-    ``rise`` scales it on the rows with s > 0, their zeta_s^(1/g) in order.
-    Every array yielded, zeta_k unscaled, is in ``dtype``, and so is every
-    operation of a step (the pension, eta and dt rounded to it).  The habit
-    is updated in place after the consumer has read it.  Each step writes
-    into the leading rows of arrays made once per sweep: valid until the next.
+    holds those rows only.  Per block of 8 steps (cut at multiples of 8) log
+    zeta is read from the density and two per-path factors are taken as exps
+    of their logs rounded to ``dtype``: V_k = S_k zeta_k^(-1/g), S the shadow
+    exp(-rho t / g) p_t^(1/g) at the first row's anchor times, and T_k = w_k
+    zeta_k, w_k the step dt (dt / 2 at the last).  With R = (alpha y)^(-1/g)
+    zeta_s^(1/g), set once per row and path, the rule is max(pi, h^(1 - 1/g)
+    V_k R).  Every array yielded is in ``dtype``, and so is every operation of
+    a step (the pension and eta dt rounded to it).  Each step writes into the
+    leading rows of arrays made once per sweep, valid until the next, and
+    overwrites the habit (with ``sums`` also C) once the consumer read it.
 
-    With ``tangent`` the last item is y * dC/dy along the paths, carried
-    forward through the habit's own Euler step as y * dH/dy (zero at
-    the start); it is zero where the floor binds.  Otherwise it is None.
+    ``sums``, shape (1 or 2, rows, paths) in float64, takes each row's
+    trapezoid of zeta_k / zeta_s (C - pi): the terms (C - pi) T_k, a row's
+    first at half weight, are summed in ``dtype`` over a block and then into
+    ``sums``, which is divided by zeta_s at the end.  A second row takes
+    the same sums of y dC/dy, carried forward through the habit's own Euler
+    step as y dH/dy (zero at the start); it is zero where the floor binds.
+    ``lows`` gets each block's least log T_k, rounded, while a row with s > 0
+    steps.
     """
     g, eta, pi = params.market.gamma, params.habit.eta, params.pension
-    dt, e, width = density.grid.dt, 1.0 - 1.0 / g, density.shape[1]
+    dt, width, m = density.grid.dt, density.shape[1], paths.stop - paths.start
     starts = [width - len(anchors[j]) for j, _, _ in states]
-    fac = np.zeros((len(states), width), dtype)
-    h = np.empty((len(states), paths.stop - paths.start), dtype)
-    for r, (j, y, h0) in enumerate(states):
-        shadow = _anchor_terms(params, anchors[j])[0]
-        fac[r, starts[r] :] = (alpha ** (-1.0 / g) * y ** (-1.0 / g)) * shadow
-        h[r] = h0
-    first, zeta = starts.count(0), np.empty(h.shape[1])
-    dh = np.zeros_like(h) if tangent else None
-    dc = None
+    times, e = anchors[states[0][0]], 1.0 - 1.0 / g  # of columns starts[0] on
+    log_p = log_survival_probability(params.mortality, times)
+    log_s = (log_p - params.market.rho * times) / g  # the shadow's log
+    log_w = np.log(np.r_[np.full(len(times) - 1, dt), 0.5 * dt])
     # counts[k]: the rows that take step k, a prefix as starts increase
-    counts = (np.asarray(starts)[:, None] <= np.arange(width)).sum(axis=0)
-    # a prefix of rows is contiguous, so each step's temporaries are the
-    # leading rows of these; zeta holds zeta_k, and zpow zeta_k^(-1/g)
-    cs, scratch = np.empty_like(h), np.empty_like(h)
-    zpow = np.empty(h.shape[1], dtype)
-    dcs = np.empty_like(h) if tangent else None
-    floor = np.empty(h.shape, bool) if tangent else None
+    counts = np.searchsorted(starts, np.arange(width), side="right")
+    later = next((s for s in starts if s > 0), width)
+    tangent = sums is not None and len(sums) == 2
+    h = np.zeros((1 + tangent, len(states), m), dtype)  # (h, y dH/dy)
+    zs, rise = np.empty((len(states), m)), np.empty((len(states), m), dtype)
+    for r, (j, y, h0) in enumerate(states):
+        zs[r] = density.step(starts[r], paths, zs[r])
+        np.multiply((alpha * y) ** (-1.0 / g), np.power(zs[r], 1.0 / g), out=rise[r])
+        h[0, r] = h0
+    # (C, y dC/dy), a temporary and the block's sums, in the leading rows of these
+    cs, terms, part = np.empty_like(h), np.empty_like(h), np.empty_like(h)
+    floor = np.empty(h.shape[1:], bool)
+    log_z, v, t = np.empty((8, m)), np.empty((8, m), dtype), np.empty((8, m), dtype)
     for k in range(starts[0], width):
-        n = counts[k]
-        hk = h[:n]
-        c = np.power(hk, e, out=cs[:n])
-        z = density.step(k, paths, zeta).astype(dtype, copy=False)
-        np.power(z, -1.0 / g, out=zpow)
-        scale = np.multiply(fac[:n, k, None], zpow, out=scratch[:n])
-        scale[first:] *= rise[: n - first]
-        c *= scale
+        n, born = counts[k], counts[k - 1] if k else 0
+        if k % 8 == 0 or k == starts[0]:  # the block's factors, step-major
+            k0, end = k, min(k - k % 8 + 8, width)
+            tb, vb = t[: end - k], v[: end - k]
+            at = slice(k - starts[0], end - starts[0])  # of times
+            lz = density.step(slice(k, end), paths, log_z[: end - k].T, True).T
+            np.add(lz, log_w[at, None], out=tb)
+            if lows is not None and end > later:
+                lows.append(tb[max(later - k, 0) :].min())
+            np.exp(tb, out=tb)
+            lz *= -1.0 / g
+            np.exp(np.add(lz, log_s[at, None], out=vb), out=vb)
+            part[:, n : counts[end - 1]] = 0.0  # rows that start in the block
+        if born < n:  # rows start here: views of the live rows, made once
+            hk, c, pk, tk = h[:, :n], cs[:, :n], part[:, :n], terms[:, :n]
+            h0, c0, r0, mask = hk[0], c[0], rise[:n], floor[:n]
+            dh, dc = hk[-1], c[-1]  # the tangents, where carried
+        np.power(h0, e, out=c0)
+        c0 *= v[k - k0]
+        c0 *= r0
         if tangent:
             # C = h^e y^(-1/g) (...) off the floor, so y dC/dy = C (e dh/h - 1/g)
-            dc = np.divide(dh[:n], hk, out=dcs[:n])
+            np.divide(dh, h0, out=dc)
             dc *= e
             dc -= 1.0 / g
-            dc *= c
-        np.maximum(c, pi, out=c)
+            dc *= c0
+        np.maximum(c0, pi, out=c0)
         if tangent:
-            dc *= np.greater(c, pi, out=floor[:n])
-        yield k, z, c, hk, dc
-        if k + 1 == width:
-            break
-        # habit_euler_step on the rows, whose eta * dt check ran in
-        # _require_stable_step
-        step = np.subtract(c, hk, out=scratch[:n])
-        step *= eta
-        step *= dt
-        hk += step
-        if tangent:
-            # the tangent of the same linear step
-            np.subtract(dc, dh[:n], out=step)
+            dc *= np.greater(c0, pi, out=mask)
+        yield k, c0, h0
+        if k + 1 < width:
+            # habit_euler_step and its tangent; _require_stable_step checked eta dt
+            step = np.subtract(c, hk, out=tk)
             step *= eta * dt
-            dh[:n] += step
+            hk += step
+        if sums is None:
+            continue
+        c0 -= pi  # the terms, in place: (C - pi) T_k and y dC/dy T_k
+        if born < n:  # the rows that start here take half weight
+            c[:, born:] *= 0.5
+        if k == k0:
+            np.multiply(c, t[0], out=pk)
+        else:
+            c *= t[k - k0]
+            pk += c
+        if k + 1 == end:
+            sums[:, :n] += pk
+    if sums is not None:
+        sums /= zs
 
 
 class _Density:
@@ -609,22 +637,23 @@ class _Density:
             self._steps = kept
         return self._steps
 
-    def step(self, k, paths: slice, out: np.ndarray) -> np.ndarray:
-        """Step ``k`` of the density on ``paths``, a slice of its paths.
+    def step(self, k, paths: slice, out: np.ndarray, log=False) -> np.ndarray:
+        """Step ``k`` of the density on ``paths``, a slice of its paths, or its log.
 
-        A bundle's row is a view of :attr:`steps`; a stream's is rebuilt into
-        ``out``, one float per path, or path-major at every step with ``k``
-        slice(None).  Callers on threads read :attr:`steps` first.
+        One float per path, or path-major for a slice ``k`` of steps.  A
+        bundle's zeta is a view of :attr:`steps` and its log is written into
+        ``out``; a stream's log zeta is rebuilt into ``out``, and its zeta by
+        ``exp`` in place.  Callers on threads read :attr:`steps` first.
         """
         kept = self.steps
         if self._rows is not None:
-            return kept[k, paths]
+            return np.log(kept[k, paths].T, out=out) if log else kept[k, paths].T
         lo, hi, n = paths.start, paths.stop, kept.shape[1]
         cut = min(max(lo, n), hi)  # the first mirror in paths, or their end
         drift = self._drift[k]
         np.subtract(drift, kept[k, lo:cut].T, out=out[: cut - lo])
         np.add(drift, kept[k, max(lo, n) - n : max(hi, n) - n].T, out=out[cut - lo :])
-        return np.exp(out, out=out)
+        return out if log else np.exp(out, out=out)
 
     def terms(self, params: ModelParams, anchors, in_block=None):
         """(kept, xs) of :func:`_anchor_pass` here, its one caller; the eta = 0
@@ -643,55 +672,26 @@ def _euler_costs(params, alpha, density, anchors, states, delta, dtype=np.float3
 
     ``states`` are (anchor index, y, h), as :func:`_euler_stream` takes
     them but in any order; the rows come back in the order given.  The
-    sweep steps in ``dtype`` and sums each step's term into float64.  A quiet
-    float32 sweep with a cost or delta not finite (a deep path past float32's
-    range), or a row with s > 0 on a zeta_k below its normal range, is run
-    again in float64.
+    sweep steps in ``dtype`` and sums each block of steps into float64.  A
+    quiet float32 sweep with a cost or delta not finite (a deep path past
+    float32's range), or a row with s > 0 on a term zeta_k dt below its
+    normal range, is run again in float64.
     """
     density.steps  # kept once, before the chunks read it
     order = sorted(range(len(states)), key=lambda r: -anchors[states[r][0]].shape[0])
-    rows, width = [states[r] for r in order], density.shape[1]
-    wgt = np.zeros((len(rows), width), dtype)
-    for r, (j, _, _) in enumerate(rows):
-        wgt[r, width - len(anchors[j]) :] = _anchor_terms(params, anchors[j])[1]
-    cost = np.empty((len(rows), density.shape[0]))
-    tangent = np.empty_like(cost) if delta else None
-    first, lows = sum(anchors[j].shape[0] == width for j, _, _ in rows), [np.inf]
+    rows = [states[r] for r in order]
+    sums, lows = np.empty((2 if delta else 1, len(rows), density.shape[0])), [np.inf]
 
     def sweep(blocks):
-        # the paths of the blocks, a run of columns read as one row per step and
-        # summed into contiguous rows, as a strided float32 sum is much slower
+        # the paths of the blocks, summed into contiguous rows of their own, as
+        # a float32 partial added into a strided float64 view is much slower
         cols = slice(blocks[0].start, blocks[-1].stop)
-        terms = np.empty((len(rows), cols.stop - cols.start), dtype)
-        sums = np.zeros((2 if delta else 1,) + terms.shape)
-        # zeta_s once per start s > 0: rise scales consumption, 1 / zeta_s the terms
-        later = [width - len(anchors[j]) for j, _, _ in rows[first:]]
-        starts, at = np.unique(later, return_inverse=True)
-        zs = [density.step(s, cols, np.empty(terms.shape[1])) for s in starts]
-        zs = np.reshape(zs, (-1, terms.shape[1]))
-        inv = np.divide(1.0, zs).astype(dtype)[at]
-        rise = np.power(zs, 1.0 / params.market.gamma).astype(dtype)[at]
-        for k, z, c, _, dc in _euler_stream(
-            params, alpha, density, cols, anchors, rows, rise, dtype, delta
+        total = np.zeros(sums.shape[:2] + (cols.stop - cols.start,))
+        for _ in _euler_stream(
+            params, alpha, density, cols, anchors, rows, dtype, total, lows
         ):
-            live = c.shape[0]
-            if live > first:  # zeta_k / zeta_s is near 1 where zeta_k is tiny
-                lows.append(z.min())
-            # (wgt_k (c - pi)) zeta_k / zeta_s in this order, in the leading
-            # rows of terms; dc is read again by the stream, so it is not
-            # scaled in place
-            term = np.subtract(c, params.pension, out=terms[:live])
-            term *= wgt[:live, k, None]
-            term[first:] *= inv[: live - first]
-            term *= z
-            sums[0, :live] += term
-            if delta:
-                np.multiply(dc, wgt[:live, k, None], out=term)
-                term[first:] *= inv[: live - first]
-                term *= z
-                sums[1, :live] += term
-        for total, out in zip(sums, (cost, tangent)):
-            out[:, cols] = total
+            pass
+        sums[..., cols] = total
 
     single = dtype == np.float32
     with np.errstate(all="ignore" if single else None):  # threads copy it
@@ -701,11 +701,11 @@ def _euler_costs(params, alpha, density, anchors, states, delta, dtype=np.float3
             # one state's step is a numpy call over one row of paths, too
             # short to pay for handing the interpreter lock between threads
             sweep([slice(0, density.shape[0])])
-    finite = (np.isfinite(a).all() for a in (cost, tangent) if a is not None)
-    if single and not (all(finite) and min(lows) >= np.finfo(np.float32).tiny):
+    low = min(lows) < math.log(np.finfo(np.float32).tiny)
+    if single and (low or not np.isfinite(sums).all()):
         return _euler_costs(params, alpha, density, anchors, states, delta, np.float64)
-    given = np.argsort(order)
-    return cost[given], None if tangent is None else tangent[given]
+    sums = sums[:, np.argsort(order)]
+    return sums[0], sums[1] if delta else None
 
 
 def _pair_average(x: np.ndarray, antithetic: bool) -> np.ndarray:
@@ -834,9 +834,9 @@ def solve_paths(
     _require_stable_step(p, dt)
     n = zeta.shape[0]
     consumption, habit = np.empty((times.shape[0], n)), np.empty((times.shape[0], n))
-    for k, _, c, h, _ in _euler_stream(
+    for k, c, h in _euler_stream(
         p, alpha, _Density(paths), slice(0, n), [times], [(0, 1.0, p.habit.initial)],
-        np.empty((0, n)), np.float64, False,
+        np.float64,
     ):
         consumption[k], habit[k] = c[0], h[0]
     return consumption.T, habit.T

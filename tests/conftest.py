@@ -59,40 +59,49 @@ def reference_euler(alpha, params, times, zeta, dt, y=1.0, h=None, dtype=np.floa
     Reads column k of the (n_paths, n_times) density at step k, with the
     solver's arithmetic in the solver's order, so the solver's
     step-major sweep must match it exactly.  ``zeta`` is the anchor's
-    tail of the density, read restarted at its first column zeta_s as the
-    solver reads it: zeta_k^(-1/g), from zeta_k rounded to ``dtype``,
-    scaled by zeta_s^(1/g), and each term by 1 / zeta_s, both rounded
-    to it (exactly 1 where zeta_s is 1).  The state and each step's
-    terms are in ``dtype``, the pricer's float32 by default
-    (``solve_paths`` steps in float64); the cost and delta are summed in
-    float64.  Returns the per-path cost of the excess over the pension in
-    wealth units from density level ``y`` and habit ``h`` (default the
-    initial habit), the consumption and habit arrays, and the per-path
-    pathwise delta y * d(cost)/dy, carried through the habit step as the
-    tangent y * dH/dy.
+    tail of the density, from its column s = times[0] / dt, read restarted
+    at its first column zeta_s as the solver reads it.  From log zeta come
+    the per-path factors V_k = exp(log S_k - log(zeta_k) / g), S the shadow
+    at ``times``, and T_k = exp(log w_k + log zeta_k), w_k = dt (dt / 2 at
+    the last step), each exp of a log rounded to ``dtype``; the row
+    constant (alpha y)^(-1/g) zeta_s^(1/g) is rounded to it too.  The state
+    and each step's terms (C - pi) T_k, the first at half weight, are in
+    ``dtype``, the pricer's float32 by default (``solve_paths`` steps in
+    float64), summed in it over blocks cut at columns that are multiples
+    of 8 and across blocks in float64, then divided by zeta_s.  Returns
+    the per-path cost of the excess over the pension in wealth units from
+    density level ``y`` and habit ``h`` (default the initial habit), the
+    consumption and habit arrays, and the per-path pathwise delta
+    y * d(cost)/dy, carried through the habit step as the tangent y * dH/dy.
     """
     g, eta, pi = params.market.gamma, params.habit.eta, params.pension
-    wgt, shadow = _anchor_vectors(params, times)
-    fac = (alpha ** (-1.0 / g) * y ** (-1.0 / g)) * shadow
-    wgt, fac = wgt.astype(dtype), fac.astype(dtype)
-    rise = (zeta[:, 0] ** (1.0 / g)).astype(dtype)
-    inv = (1.0 / zeta[:, 0]).astype(dtype)
-    zeta = zeta.astype(dtype)
-    zpow = zeta ** (-1.0 / g)
+    start, n = round(times[0] / dt), times.shape[0]
+    log_p = log_survival_probability(params.mortality, times)
+    log_s = (log_p - params.market.rho * times) / g
+    log_w = np.log(np.r_[np.full(n - 1, dt), 0.5 * dt])
+    log_z = np.log(zeta)
+    v = np.exp((log_z * (-1.0 / g) + log_s).astype(dtype))
+    t = np.exp((log_z + log_w).astype(dtype))
+    rise = ((alpha * y) ** (-1.0 / g) * zeta[:, 0] ** (1.0 / g)).astype(dtype)
     h = np.full(zeta.shape[0], params.habit.initial if h is None else h, dtype)
     dh = np.zeros(zeta.shape[0], dtype)
     cost, delta = np.zeros(zeta.shape[0]), np.zeros(zeta.shape[0])
+    part = np.zeros((2, zeta.shape[0]), dtype)
     consumption, habit = np.empty(zeta.shape), np.empty(zeta.shape)
-    for k in range(times.shape[0]):
-        free = h ** (1.0 - 1.0 / g) * ((fac[k] * zpow[:, k]) * rise)
+    for k in range(n):
+        free = (h ** (1.0 - 1.0 / g) * v[:, k]) * rise
         c = np.maximum(free, pi)
         dc = ((dh / h) * (1.0 - 1.0 / g) - 1.0 / g) * free * (c > pi)
-        cost += ((wgt[k] * (c - pi)) * inv) * zeta[:, k]
-        delta += ((wgt[k] * dc) * inv) * zeta[:, k]
+        term = np.array([c - pi, dc])
+        if k == 0:
+            term *= 0.5
+        part += term * t[:, k]
+        if (start + k + 1) % 8 == 0 or k + 1 == n:
+            cost, delta, part = cost + part[0], delta + part[1], np.zeros_like(part)
         consumption[:, k], habit[:, k] = c, h
-        h = h + eta * (c - h) * dt
-        dh = dh + (eta * dt) * (dc - dh)
-    return cost, consumption, habit, delta
+        h = h + (c - h) * (eta * dt)
+        dh = dh + (dc - dh) * (eta * dt)
+    return cost / zeta[:, 0], consumption, habit, delta / zeta[:, 0]
 
 
 def spy_sweeps(monkeypatch):

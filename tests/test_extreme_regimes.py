@@ -155,3 +155,25 @@ def test_late_row_on_subnormal_zeta_prices_in_float64(monkeypatch):
     )
     assert log == [np.float64, np.float32, np.float64]
     assert all(np.array_equal(a, b) for a, b in zip(single[0][:2], double[0][:2]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("sigma", [0.04, 0.03])
+def test_rows_at_40_on_deep_tails_price_in_float64(monkeypatch, sigma):
+    # at sigma 0.04 (kappa 1.5) and 0.03 (kappa 2) the inner paths after
+    # t = 40 take zeta_k dt below float32's normal range, where the term
+    # T_k keeps only a few of its digits while zeta_k / zeta_40 is near 1:
+    # the float32 sweep of a row anchored there hands over to float64,
+    # quietly, and prices what a float64 sweep does
+    market = MarketParams(sigma=sigma)
+    model = dataclasses.replace(params(pension=0.5), market=market)
+    anchors = [40.0 + np.arange(GRID.n_steps - GRID.index_of(40.0) + 1) * GRID.dt]
+    log = spy_sweeps(monkeypatch)
+    single, double = (
+        _CostFunctional(model, anchors, NESTED._density(market), dtype).price(
+            0.0326, [(0, 1.0, 1.0)], delta=True
+        )
+        for dtype in (np.float32, np.float64)
+    )
+    assert log == [np.float64, np.float32, np.float64]
+    assert all(np.array_equal(a, b) for a, b in zip(single[0][:2], double[0][:2]))

@@ -1313,6 +1313,53 @@ class TestRowBlocks:
                         block, workers, state, "steps",
                     )
 
+    def test_steps_off_the_block_never_change_a_sweep(self, monkeypatch, market):
+        # 121 columns, no multiple of the 8-step blocks, and rows starting at
+        # columns 0, 13 and 61, inside blocks: alone or together, on every row
+        # block and worker count, the stored rows price to the oracle's bits
+        # and the kept stream to the same bits each time (in float32 the
+        # oracle's too; in float64 its log zeta, drift - kappa W, is not the
+        # log of the stored zeta).  Over 210 paired rows, chunks of 1-row
+        # blocks on 2 workers are cut on the mirror (row 105) and those of
+        # 7-row blocks on 3 workers across it
+        grid = TimeGrid(30.0, 0.25)
+        params = make_params(eta=0.1, pension=0.5)
+        anchors = [grid.times()[s:] for s in (13, 0, 61)]
+        states = [(0, 1.3, 0.8), (2, 0.9, 1.0), (1, 0.4, 1.1), (0, 2.0, 0.5)]
+        bundle = generate_paths(market, grid, 210, seed=12, antithetic=True)
+        for dtype in (np.float32, np.float64):
+            want = [
+                reference_euler(
+                    2.9, params, anchors[j], bundle.zeta[:, -anchors[j].shape[0] :],
+                    grid.dt, y, h, dtype,
+                )
+                for j, y, h in states
+            ]
+            kept = None
+            for block, workers in ((211, 1), (7, 1), (7, 3), (1, 2), (1, 3)):
+                monkeypatch.setattr(greedyhabit.market, "ROW_BLOCK", block)
+                monkeypatch.setattr(greedyhabit.market, "WORKERS", workers)
+                stream = _Density(_Stream(market, grid, 210, 12, True, ()))
+                got = [
+                    _euler_costs(params, 2.9, density, anchors, states, True, dtype)
+                    for density in (_Density(bundle), stream)
+                ]
+                kept = got[1] if kept is None else kept
+                for a, b in zip(got[1], kept):
+                    assert np.array_equal(a, b), (dtype, block, workers)
+                for cost, delta in got[: 2 if dtype == np.float32 else 1]:
+                    for r, ref in enumerate(want):
+                        where = dtype, block, workers, r
+                        assert np.array_equal(cost[r], ref[0]), where
+                        assert np.array_equal(delta[r], ref[3]), where
+            # alone, a row's sweep starts inside a block, cut where it was
+            for state, ref in zip(states, want):
+                cost, delta = _euler_costs(
+                    params, 2.9, _Density(bundle), anchors, [state], True, dtype
+                )
+                assert np.array_equal(cost[0], ref[0]), (dtype, state)
+                assert np.array_equal(delta[0], ref[3]), (dtype, state)
+
     @pytest.mark.parametrize("n_paths, antithetic", [(209, False), (210, True)])
     def test_streamed_nested_pass_equals_the_stored_one(
         self, monkeypatch, market, n_paths, antithetic
@@ -1700,6 +1747,55 @@ class TestSinglePrecision:
                 gap = abs(a.mean() - b.mean())
                 assert gap <= 1e-3 * _estimate_from_samples(b).std_error, (j, y)
                 assert gap <= 5e-6 * abs(b.mean()), (j, y)
+
+    @staticmethod
+    def sweep_as_written_before(alpha, params, times, zeta, dt, y, h):
+        """The floored rule's cost and delta in float64, as the sweep was
+        written before it read log zeta: per step fac_k zeta_k^(-1/g) with
+        fac = (alpha y)^(-1/g) times the shadow at ``times``, scaled by
+        zeta_s^(1/g), and trapezoid terms scaled by zeta_k / zeta_s."""
+        g, eta, pi = params.market.gamma, params.habit.eta, params.pension
+        log_p = log_survival_probability(params.mortality, times)
+        shadow = np.exp((-params.market.rho * times + log_p) / g)
+        fac = (alpha * y) ** (-1.0 / g) * shadow
+        wgt = 0.5 * (np.r_[times[1:], times[-1]] - np.r_[times[0], times[:-1]])
+        zs = zeta[:, 0]
+        h, dh = np.full(zeta.shape[0], h), np.zeros(zeta.shape[0])
+        cost, delta = np.zeros(zeta.shape[0]), np.zeros(zeta.shape[0])
+        for k in range(times.shape[0]):
+            rule = fac[k] * zeta[:, k] ** (-1.0 / g) * zs ** (1.0 / g)
+            free = h ** (1.0 - 1.0 / g) * rule
+            c = np.maximum(free, pi)
+            dc = ((1.0 - 1.0 / g) * dh / h - 1.0 / g) * free * (c > pi)
+            cost += wgt[k] * (c - pi) * zeta[:, k] / zs
+            delta += wgt[k] * dc * zeta[:, k] / zs
+            h, dh = h + eta * dt * (c - h), dh + eta * dt * (dc - dh)
+        return cost, delta
+
+    @pytest.mark.parametrize("pension", [0.5, 0.7])
+    def test_means_agree_with_the_sweep_as_written_before(self, pension):
+        # an independent float64 check of the arithmetic the sweep replaced:
+        # the means of the float32 and float64 sweeps, rows at t = 0 and 10
+        params = make_params(eta=0.1, pension=pension)
+        config = NestedConfig(n_inner=400, seed=7, grid=self.GRID, antithetic=True)
+        zeta = inner_density(params.market, config)
+        anchors = [
+            t + np.arange(self.GRID.n_steps - self.GRID.index_of(t) + 1) * self.GRID.dt
+            for t in (0.0, 10.0)
+        ]
+        states = [(j, y, 1.0) for j in range(2) for y in (0.3, 1.0, 3.0)]
+        for dtype in (np.float32, np.float64):
+            density = config._density(params.market)
+            priced = _CostFunctional(params, anchors, density, dtype).price(
+                0.8, states, True
+            )
+            for (j, y, h), (cost, delta, _, _) in zip(states, priced):
+                times = anchors[j]
+                want = self.sweep_as_written_before(
+                    0.8, params, times, zeta[:, -times.shape[0] :], self.GRID.dt, y, h
+                )
+                for got, ref in zip((cost, delta), want):
+                    assert got.mean() == pytest.approx(ref.mean(), rel=1e-5), (j, y)
 
     # the alphas of float64 sweeps, recorded (numpy 2.4, x86-64) while the
     # pricer's sweep still stepped in float64 at every tolerance
